@@ -1,27 +1,28 @@
 """Bridged IVF_FLAT: PASE's page layout + the Sec. IX-C optimizations.
 
-Storage-compatible with :class:`repro.pase.ivf_flat.PaseIVFFlat` (same
-meta/centroid/data forks, so durability and DROP cleanup are
-inherited), but construction and search follow the paper's five
-guidelines: SGEMM assignment, Faiss-flavour k-means, a memory-resident
-mirror of the index served without buffer-manager indirection, and a
-k-sized heap.
+A :class:`repro.pase.ivf_flat.PaseIVFFlat` (same meta/centroid/data
+forks, so durability, VACUUM and DROP cleanup are inherited) whose
+vectors additionally *live* in a memory mirror.  Construction and
+search follow the paper's five guidelines: SGEMM assignment,
+Faiss-flavour k-means, the mirror served without buffer-manager
+indirection, and a k-sized heap.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 import numpy as np
 
-from repro.common.distance import batch_kernel, squared_norms
+from repro.common.distance import BatchKernel, batch_kernel, squared_norms
 from repro.common.heap import BoundedMaxHeap
-from repro.common.kmeans import assign_nearest_batch, faiss_kmeans, sample_training_rows
+from repro.common.kmeans import assign_nearest_batch, faiss_kmeans
 from repro.common.parallel import WorkUnit
+from repro.pase.ivf_core import _key_tid, _tid_key, topk_parts
 from repro.pase.ivf_flat import PaseIVFFlat
-from repro.pgsim.am import ScanBatch, register_am, topk_batch
+from repro.pgsim.am import ScanBatch, register_am
 from repro.pgsim.heapam import TID
 
 
@@ -31,8 +32,11 @@ class _MemoryMirror:
 
     centroids: np.ndarray
     centroid_sq_norms: np.ndarray
+    #: Per list, aligned: the vectors, their heap TIDs (what the
+    #: in-filter mask takes) and the packed TID keys (what top-k takes).
     bucket_vectors: list[np.ndarray]
-    bucket_tids: list[list[TID]] = field(default_factory=list)
+    bucket_tids: list[list[TID]]
+    bucket_keys: list[np.ndarray]
 
 
 @register_am
@@ -49,84 +53,83 @@ class BridgedIVFFlat(PaseIVFFlat):
     # ------------------------------------------------------------------
     # build (Steps #2 and #5)
     # ------------------------------------------------------------------
-    def build(self) -> None:
-        rows = [(tid, values[self.column_index]) for tid, values in self.table.scan()]
-        if not rows:
-            raise RuntimeError("cannot build an IVF index over an empty table")
-        vectors = np.vstack([v for __, v in rows]).astype(np.float32)
-        self.dim = int(vectors.shape[1])
-        n_clusters = min(self.opts.clusters, vectors.shape[0])
+    def _train_coarse(self, sample: np.ndarray, n_clusters: int) -> np.ndarray:
+        """Step#5: the well-tuned k-means flavour (RC#5)."""
+        return faiss_kmeans(
+            sample, n_clusters, self.ivf.kmeans_iterations, seed=self.ivf.seed
+        ).centroids
 
-        start = time.perf_counter()
-        self.progress.set_phase("sample")
-        sample = sample_training_rows(
-            vectors, self.opts.sample_ratio, n_clusters, self.opts.seed
-        )
-        # Step#5: the well-tuned k-means flavour (RC#5).
-        self.progress.set_phase("kmeans")
-        result = faiss_kmeans(
-            sample, n_clusters, self.opts.kmeans_iterations, seed=self.opts.seed
-        )
-        centroids = result.centroids
-        self.build_stats.train_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        # Step#2: SGEMM-batched assignment (RC#1) — one batched call,
-        # so the assign phase ticks once for the whole table.
-        self.progress.set_phase("assign", tuples_total=len(rows))
+    def _assign(self, vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+        """Step#2: SGEMM-batched assignment (RC#1) — one batched call,
+        so the assign phase ticks once for the whole table."""
         assignments, __ = assign_nearest_batch(vectors, centroids)
-        self.progress.tick(len(rows))
-        self.build_stats.distance_computations += len(rows) * n_clusters
-        buckets: list[list[tuple[TID, np.ndarray]]] = [[] for __ in range(n_clusters)]
-        for (tid, vec), bucket in zip(rows, assignments.tolist()):
-            buckets[bucket].append((tid, vec))
+        self.progress.tick(vectors.shape[0])
+        return assignments
 
-        # Durability: persist the same page layout PASE uses.
-        self.progress.set_phase("flush")
-        heads = [self._write_bucket(bucket) for bucket in buckets]
-        self._write_centroids(centroids, heads)
-        self._write_meta(n_clusters)
-        self._build_mirror(centroids, buckets)
-        self.build_stats.add_seconds = time.perf_counter() - start
-        self.build_stats.vectors_added = len(rows)
-
-    def _build_mirror(
-        self, centroids: np.ndarray, buckets: list[list[tuple[TID, np.ndarray]]]
+    def _flush(
+        self,
+        centroids: np.ndarray,
+        tids: list[TID],
+        payloads: np.ndarray,
+        buckets: list[list[int]],
     ) -> None:
-        bucket_vectors = []
-        bucket_tids = []
-        for bucket in buckets:
-            if bucket:
-                bucket_vectors.append(
-                    np.vstack([v for __, v in bucket]).astype(np.float32)
-                )
-            else:
-                bucket_vectors.append(np.empty((0, self.dim), dtype=np.float32))
-            bucket_tids.append([tid for tid, __ in bucket])
+        """Durability first — the same page layout PASE uses — then the
+        mirror, straight from the build's arrays."""
+        super()._flush(centroids, tids, payloads, buckets)
+        self._set_mirror(
+            centroids, [([tids[row] for row in rows], payloads[rows]) for rows in buckets]
+        )
+
+    def _set_mirror(
+        self, centroids: np.ndarray, buckets: list[tuple[list[TID], np.ndarray]]
+    ) -> _MemoryMirror:
         self._mirror = _MemoryMirror(
             centroids=np.ascontiguousarray(centroids, dtype=np.float32),
             centroid_sq_norms=squared_norms(centroids),
-            bucket_vectors=bucket_vectors,
-            bucket_tids=bucket_tids,
+            bucket_vectors=[vectors for __, vectors in buckets],
+            bucket_tids=[tids for tids, __ in buckets],
+            bucket_keys=[
+                np.asarray([_tid_key(tid) for tid in tids], dtype=np.int64)
+                for tids, __ in buckets
+            ],
         )
+        return self._mirror
+
+    def _ensure_mirror(self) -> _MemoryMirror:
+        if self._mirror is not None:
+            return self._mirror
+        if self.dim is None:
+            raise RuntimeError("index has not been built")
+        # Rebuild the mirror from the durable pages (restart path).
+        centroids = []
+        heads = []
+        for __, head, vec in self._iter_centroids():
+            centroids.append(vec)
+            heads.append(head)
+        buckets = []
+        for head in heads:
+            entries = list(self._iter_bucket(head))
+            vectors = np.empty((0, self.dim), dtype=np.float32)
+            if entries:
+                vectors = np.vstack([vec for __, vec in entries])
+            buckets.append(([tid for tid, __ in entries], vectors))
+        return self._set_mirror(np.vstack(centroids), buckets)
 
     # ------------------------------------------------------------------
     # insert — pages first (durability), then the mirror
     # ------------------------------------------------------------------
     def insert(self, tid: TID, value: Any) -> None:
         super().insert(tid, value)
-        if self._mirror is None:
+        mirror = self._mirror
+        if mirror is None:
             return
         vec = np.ascontiguousarray(value, dtype=np.float32)
-        dists = (
-            self._mirror.centroid_sq_norms
-            - 2.0 * (self._mirror.centroids @ vec)
+        bucket = int(np.argmin(mirror.centroid_sq_norms - 2.0 * (mirror.centroids @ vec)))
+        mirror.bucket_vectors[bucket] = np.vstack(
+            [mirror.bucket_vectors[bucket], vec.reshape(1, -1)]
         )
-        bucket = int(np.argmin(dists))
-        self._mirror.bucket_vectors[bucket] = np.vstack(
-            [self._mirror.bucket_vectors[bucket], vec.reshape(1, -1)]
-        )
-        self._mirror.bucket_tids[bucket].append(tid)
+        mirror.bucket_tids[bucket].append(tid)
+        mirror.bucket_keys[bucket] = np.append(mirror.bucket_keys[bucket], _tid_key(tid))
 
     # ------------------------------------------------------------------
     # vacuum (ambulkdelete)
@@ -148,23 +151,30 @@ class BridgedIVFFlat(PaseIVFFlat):
     # ------------------------------------------------------------------
     # search (Steps #1, #2, #3)
     # ------------------------------------------------------------------
-    def scan(self, query: np.ndarray, k: int) -> Iterator[tuple[TID, float]]:
-        mirror = self._ensure_mirror()
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        if query.shape != (self.dim,):
-            raise ValueError(f"query must be {self.dim}-dim, got shape {query.shape}")
-        nprobe = int(self.catalog.get_setting("pase.nprobe"))
-        kernel = batch_kernel(self.opts.distance_type)
+    def _probe(
+        self, query: np.ndarray, nprobe: int | None
+    ) -> tuple[_MemoryMirror, BatchKernel, list[int]]:
+        """Rank the mirror's centroids with one SGEMM row.
 
+        Returns the mirror, the batch kernel and the ``nprobe`` nearest
+        lists nearest-first — or, with ``nprobe=None``, the full ranking
+        the in-filter widening walks.
+        """
+        mirror = self._ensure_mirror()
+        kernel = batch_kernel(self.ivf.distance_type)
         cent_dists = kernel(query, mirror.centroids)[0]
+        if nprobe is None:
+            return mirror, kernel, np.argsort(cent_dists, kind="stable").tolist()
         nprobe = min(max(nprobe, 1), mirror.centroids.shape[0])
         part = np.argpartition(cent_dists, nprobe - 1)[:nprobe]
-        probes = part[np.argsort(cent_dists[part], kind="stable")]
+        return mirror, kernel, part[np.argsort(cent_dists[part], kind="stable")].tolist()
 
+    def scan(self, query: np.ndarray, k: int) -> Iterator[tuple[TID, float]]:
+        query = self._check_query(query)
+        mirror, kernel, probes = self._probe(query, self._nprobe())
         heap = BoundedMaxHeap(k)
-        results: list[tuple[TID, float]] = []
         self.scan_stats.scans += 1
-        for bucket in probes.tolist():
+        for bucket in probes:
             vectors = mirror.bucket_vectors[bucket]
             if vectors.shape[0] == 0:
                 continue
@@ -176,13 +186,13 @@ class BridgedIVFFlat(PaseIVFFlat):
             else:
                 sel = np.arange(dists.shape[0])
             worst = heap.worst_distance
-            tids = mirror.bucket_tids[bucket]
-            for j, d in zip(sel.tolist(), dists[sel].tolist()):
+            keys = mirror.bucket_keys[bucket]
+            for key, d in zip(keys[sel].tolist(), dists[sel].tolist()):
                 if d < worst:
-                    heap.push(d, _pack(tids[j]))
+                    heap.push(d, key)
                     worst = heap.worst_distance
         for neighbor in heap.results():
-            yield _unpack(neighbor.vector_id), neighbor.distance
+            yield _key_tid(neighbor.vector_id), neighbor.distance
 
     def get_batch(self, query: np.ndarray, k: int) -> ScanBatch:
         """Batched scan straight off the memory mirror.
@@ -191,33 +201,28 @@ class BridgedIVFFlat(PaseIVFFlat):
         lexsort over all probed candidates (boundary ties break toward
         the smallest TID rather than first-seen probe order).
         """
-        mirror = self._ensure_mirror()
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        if query.shape != (self.dim,):
-            raise ValueError(f"query must be {self.dim}-dim, got shape {query.shape}")
-        nprobe = int(self.catalog.get_setting("pase.nprobe"))
-        kernel = batch_kernel(self.opts.distance_type)
-
-        cent_dists = kernel(query, mirror.centroids)[0]
-        nprobe = min(max(nprobe, 1), mirror.centroids.shape[0])
-        part = np.argpartition(cent_dists, nprobe - 1)[:nprobe]
-        probes = part[np.argsort(cent_dists[part], kind="stable")]
-
+        query = self._check_query(query)
+        mirror, kernel, probes = self._probe(query, self._nprobe())
         key_parts: list[np.ndarray] = []
         dist_parts: list[np.ndarray] = []
         self.scan_stats.scans += 1
-        for bucket in probes.tolist():
+        for bucket in probes:
             vectors = mirror.bucket_vectors[bucket]
             if vectors.shape[0] == 0:
                 continue
             self.scan_stats.candidates += int(vectors.shape[0])
             dist_parts.append(kernel(query, vectors)[0].astype(np.float64))
-            key_parts.append(
-                np.asarray([_pack(t) for t in mirror.bucket_tids[bucket]], dtype=np.int64)
-            )
-        if not key_parts:
-            return ScanBatch.empty()
-        return topk_batch(np.concatenate(key_parts), np.concatenate(dist_parts), k)
+            key_parts.append(mirror.bucket_keys[bucket])
+        return topk_parts(key_parts, dist_parts, k)
+
+    def amrescan_continue(self, query: np.ndarray, k: int) -> Iterator[tuple[TID, float]]:
+        """Rescan off the mirror — the inherited page-path continuation
+        (cached centroid ranking) does not apply here."""
+        return self.scan(query, k)
+
+    def amrescan_continue_batch(self, query: np.ndarray, k: int) -> ScanBatch:
+        """Batched mirror rescan (see :meth:`amrescan_continue`)."""
+        return self.get_batch(query, k)
 
     # ------------------------------------------------------------------
     # in-filter search (amsearch_filtered)
@@ -230,53 +235,29 @@ class BridgedIVFFlat(PaseIVFFlat):
 
     def amsearch_filtered_batch(self, query: np.ndarray, k: int, mask_fn: Any) -> ScanBatch:
         """In-filter off the memory mirror: a boolean mask over each
-        probed bucket's TIDs ahead of the SGEMM distance call, widening
-        the probe set geometrically while fewer than k survive."""
-        mirror = self._ensure_mirror()
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        if query.shape != (self.dim,):
-            raise ValueError(f"query must be {self.dim}-dim, got shape {query.shape}")
-        kernel = batch_kernel(self.opts.distance_type)
-        cent_dists = kernel(query, mirror.centroids)[0]
-        order = np.argsort(cent_dists, kind="stable").tolist()
-        nprobe = min(max(int(self.catalog.get_setting("pase.nprobe")), 1), len(order))
-
+        probed bucket's TIDs ahead of the SGEMM distance call, widened
+        by the core's probe loop while fewer than k survive."""
+        query = self._check_query(query)
+        mirror, kernel, order = self._probe(query, None)
         key_parts: list[np.ndarray] = []
         dist_parts: list[np.ndarray] = []
-        examined = 0
-        matched = 0
-        probed = 0
-        target = nprobe
-        self.scan_stats.scans += 1
-        while True:
-            for bucket in order[probed:target]:
-                tids = mirror.bucket_tids[bucket]
-                if not tids:
-                    continue
-                examined += len(tids)
-                mask = np.asarray(list(mask_fn(tids)), dtype=bool)
-                keep = int(mask.sum())
-                if not keep:
-                    continue
-                matched += keep
-                self.scan_stats.candidates += keep
+
+        def visit(bucket: int) -> tuple[int, int]:
+            tids = mirror.bucket_tids[bucket]
+            if not tids:
+                return 0, 0
+            mask = np.asarray(list(mask_fn(tids)), dtype=bool)
+            keep = int(mask.sum())
+            if keep:
                 dist_parts.append(
                     kernel(query, mirror.bucket_vectors[bucket][mask])[0].astype(np.float64)
                 )
-                key_parts.append(
-                    np.asarray(
-                        [_pack(t) for t, ok in zip(tids, mask.tolist()) if ok],
-                        dtype=np.int64,
-                    )
-                )
-            probed = target
-            if matched >= k or probed >= len(order):
-                break
-            target = min(len(order), target * 2)
-        self.last_filtered_examined = examined
-        if not key_parts:
-            return ScanBatch.empty()
-        return topk_batch(np.concatenate(key_parts), np.concatenate(dist_parts), k)
+                key_parts.append(mirror.bucket_keys[bucket][mask])
+            return len(tids), keep
+
+        self._widen_probes(order, k, visit)
+        self.scan_stats.candidates += sum(int(part.shape[0]) for part in key_parts)
+        return topk_parts(key_parts, dist_parts, k)
 
     # ------------------------------------------------------------------
     # planner contract
@@ -287,33 +268,6 @@ class BridgedIVFFlat(PaseIVFFlat):
         half the page-structured cost."""
         startup, total = super().amcostestimate(ntuples, fetch_k, cost)
         return startup * 0.5, total * 0.5
-
-    def amrescan_continue(self, query: np.ndarray, k: int) -> Iterator[tuple[TID, float]]:
-        """Rescan off the mirror — the inherited page-path continuation
-        (cached centroid ranking) does not apply here."""
-        return self.scan(query, k)
-
-    def amrescan_continue_batch(self, query: np.ndarray, k: int) -> ScanBatch:
-        """Batched mirror rescan (see :meth:`amrescan_continue`)."""
-        return self.get_batch(query, k)
-
-    def _ensure_mirror(self) -> _MemoryMirror:
-        if self._mirror is not None:
-            return self._mirror
-        if self.dim is None:
-            raise RuntimeError("index has not been built")
-        # Rebuild the mirror from the durable pages (restart path).
-        centroids = []
-        heads = []
-        for __, head, vec in self._iter_centroids():
-            centroids.append(vec.copy())
-            heads.append(head)
-        buckets: list[list[tuple[TID, np.ndarray]]] = []
-        for head in heads:
-            buckets.append([(tid, vec.copy()) for tid, vec in self._iter_bucket(head)])
-        self._build_mirror(np.vstack(centroids), buckets)
-        assert self._mirror is not None
-        return self._mirror
 
     # ------------------------------------------------------------------
     # Step#4: parallel search with local heaps
@@ -327,34 +281,20 @@ class BridgedIVFFlat(PaseIVFFlat):
         serial sections except the final lock-free merge), ready for
         :func:`repro.common.parallel.scaling_curve`.
         """
-        mirror = self._ensure_mirror()
         query = np.ascontiguousarray(query, dtype=np.float32)
-        kernel = batch_kernel(self.opts.distance_type)
-        cent_dists = kernel(query, mirror.centroids)[0]
-        nprobe = min(max(nprobe, 1), mirror.centroids.shape[0])
-        part = np.argpartition(cent_dists, nprobe - 1)[:nprobe]
-
+        mirror, kernel, probes = self._probe(query, nprobe)
         global_heap = BoundedMaxHeap(k)
         units: list[WorkUnit] = []
-        for bucket in part.tolist():
+        for bucket in probes:
             start = time.perf_counter()
             local = BoundedMaxHeap(k)
             vectors = mirror.bucket_vectors[bucket]
             if vectors.shape[0]:
                 dists = kernel(query, vectors)[0]
-                tids = mirror.bucket_tids[bucket]
-                for j, d in enumerate(dists.tolist()):
-                    local.push(d, _pack(tids[j]))
+                for key, d in zip(mirror.bucket_keys[bucket].tolist(), dists.tolist()):
+                    local.push(d, key)
             cost = time.perf_counter() - start
             global_heap.merge(local)
             units.append(WorkUnit(compute_seconds=cost, serial_ops=1))
-        merged = [(_unpack(n.vector_id), n.distance) for n in global_heap.results()]
+        merged = [(_key_tid(n.vector_id), n.distance) for n in global_heap.results()]
         return merged, units
-
-
-def _pack(tid: TID) -> int:
-    return (tid.blkno << 16) | tid.offset
-
-
-def _unpack(key: int) -> TID:
-    return TID(key >> 16, key & 0xFFFF)

@@ -1,795 +1,93 @@
-"""PASE IVF_FLAT: a page-structured inverted-file index.
+"""PASE IVF_FLAT: the paged IVF core with raw float32 vectors on the page.
 
-Layout (following the paper's description of PASE, Sec. II-E/VI-A):
-
-- **meta fork** — one page, one tuple: ``(dim, clusters, distance_type)``.
-- **centroid fork** — fixed-size centroid tuples packed into pages:
-  ``centroid_id (u32) | bucket_head_blkno (u32) | vector (d * f32)``.
-  Because tuples are fixed-size, centroid *i*'s page and offset are
-  computable, like PASE's centroid pages.
-- **data fork** — per-bucket chains of data pages.  Each data tuple is
-  ``heap_blkno (u32) | heap_offset (u16) | pad (2) | vector (d * f32)``;
-  each page's 8-byte special space holds the next block in the chain.
-
-Construction trains centroids with PASE's k-means flavour (RC#5) and
-assigns base vectors one at a time without SGEMM (RC#1).  Search walks
-centroid pages and bucket chains through the buffer manager — paying
-the per-tuple toll of RC#2 — and collects candidates into a size-*n*
-heap (RC#6) unless ``SET pase.fixed_heap = true``.
+Data tuples are ``heap_blkno (u32) | heap_offset (u16) | pad (2) |
+vector (d * f32)``, so a candidate is scored straight off the index
+page with one float kernel call — no decode, no heap round trip.
+Everything else (build, insert, VACUUM, the scans, costs, sizes) is
+:class:`repro.pase.ivf_core.PagedIVF`.
 """
 
 from __future__ import annotations
 
-import struct
-import time
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
 from repro.common.distance import pairwise_kernel, rows_kernel
-from repro.common.heap import BoundedMaxHeap, NaiveTopK
-from repro.common.kmeans import pase_kmeans, sample_training_rows
-from repro.common.profiling import NULL_PROFILER
-from repro.common.types import BuildStats, IndexSizeInfo
-from repro.pase.options import parse_ivf_options
-from repro.pgsim.am import IndexAmRoutine, ScanBatch, register_am, topk_batch
+from repro.pase.ivf_core import (
+    SEC_DISTANCE,
+    SEC_HEAP,
+    SEC_TUPLE_ACCESS,
+    PagedIVF,
+    RowsScorer,
+    TupleScorer,
+    _key_tid,
+    topk_parts,
+)
+from repro.pgsim.am import ScanBatch, register_am
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
-from repro.pgsim.constants import LINE_POINTER_SIZE, PAGE_HEADER_SIZE
-from repro.pgsim.heapam import TID
-from repro.pgsim.page import Page, PageFullError
-
-_META = struct.Struct("<III")  # dim, clusters, distance_type
-_CENTROID_HEAD = struct.Struct("<II")  # centroid_id, bucket_head_blkno
-_DATA_HEAD = struct.Struct("<IHxx")  # heap blkno, heap offset, pad
-_NEXT = struct.Struct("<I")  # chain pointer in the special space
-
-#: "no bucket page" sentinel.
-_NO_BLOCK = 0xFFFFFFFF
-
-SEC_DISTANCE = "fvec_L2sqr"
-SEC_TUPLE_ACCESS = "Tuple Access"
-SEC_HEAP = "Min-heap"
 
 
 @register_am
-class PaseIVFFlat(IndexAmRoutine):
+class PaseIVFFlat(PagedIVF):
     """IVF_FLAT access method (PASE page layout)."""
 
     amname = "pase_ivfflat"
     aliases = ("ivfflat_fun",)
-    amcanfilter = True
+    PAYLOAD_IS_VECTOR = True
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.opts = parse_ivf_options(self.options)
-        self.profiler = NULL_PROFILER
-        self.build_stats = BuildStats()
-        self.dim: int | None = None
-        self._centroids_per_page: int | None = None
-        #: ``(query bytes, full centroid order, bucket heads)`` from the
-        #: most recent scan — lets ``amrescan_continue`` skip re-ranking
-        #: the centroids when the over-fetch loop widens ``k``.
-        self._rescan_cache: tuple[bytes, np.ndarray, list[int]] | None = None
-        #: Per-centroid count of post-build inserts, consulted by
-        #: VACUUM's re-centering heuristic (ivf_recluster_threshold).
-        self._bucket_inserts: dict[int, int] = {}
+    def _encode(self, vectors: np.ndarray) -> np.ndarray:
+        return vectors
 
-    # ------------------------------------------------------------------
-    # build
-    # ------------------------------------------------------------------
-    def build(self) -> None:
-        rows = [(tid, values[self.column_index]) for tid, values in self.table.scan()]
-        if not rows:
-            raise RuntimeError("cannot build an IVF index over an empty table")
-        vectors = np.vstack([v for __, v in rows]).astype(np.float32)
-        self.dim = int(vectors.shape[1])
-        n_clusters = min(self.opts.clusters, vectors.shape[0])
+    def _tuple_scorer(self, query: np.ndarray) -> TupleScorer:
+        kernel = pairwise_kernel(self._metric())
+        section = self.profiler.section
 
-        start = time.perf_counter()
-        self.progress.set_phase("sample")
-        sample = sample_training_rows(
-            vectors, self.opts.sample_ratio, n_clusters, self.opts.seed
-        )
-        self.progress.set_phase("kmeans")
-        result = pase_kmeans(sample, n_clusters, self.opts.kmeans_iterations)
-        centroids = result.centroids
-        self.build_stats.train_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        self.progress.set_phase("assign", tuples_total=len(rows))
-        buckets: list[list[tuple[TID, np.ndarray]]] = [[] for _ in range(n_clusters)]
-        # PASE's adding phase: one distance row per base vector, no
-        # SGEMM (the paper's RC#1).
-        for tid, vec in rows:
-            diff = centroids - vec
-            dists = np.einsum("ij,ij->i", diff, diff)
-            buckets[int(np.argmin(dists))].append((tid, vec))
-            self.progress.tick()
-        self.build_stats.distance_computations += len(rows) * n_clusters
-
-        self.progress.set_phase("flush")
-        heads = [self._write_bucket(bucket) for bucket in buckets]
-        self._write_centroids(centroids, heads)
-        self._write_meta(n_clusters)
-        self.build_stats.add_seconds = time.perf_counter() - start
-        self.build_stats.vectors_added = len(rows)
-        self._rescan_cache = None
-        self._bucket_inserts = {}
-
-    def _write_meta(self, n_clusters: int) -> None:
-        rel = self.create_fork("meta")
-        blkno, frame = self.buffer.new_page(rel)
-        try:
-            frame.page.insert_item(
-                _META.pack(self.dim, n_clusters, int(self.opts.distance_type))
-            )
-        finally:
-            self.buffer.unpin(frame, dirty=True)
-
-    def _write_centroids(self, centroids: np.ndarray, heads: list[int]) -> None:
-        rel = self.create_fork("centroid")
-        tuple_size = _CENTROID_HEAD.size + centroids.shape[1] * 4
-        self._centroids_per_page = max(
-            (self.buffer.disk.page_size - PAGE_HEADER_SIZE)
-            // (tuple_size + LINE_POINTER_SIZE),
-            1,
-        )
-        frame = None
-        blkno = -1
-        for i, (centroid, head) in enumerate(zip(centroids, heads)):
-            if i % self._centroids_per_page == 0:
-                if frame is not None:
-                    self.buffer.unpin(frame, dirty=True)
-                blkno, frame = self.buffer.new_page(rel)
-            item = _CENTROID_HEAD.pack(i, head) + centroid.tobytes()
-            frame.page.insert_item(item)
-        if frame is not None:
-            self.buffer.unpin(frame, dirty=True)
-
-    def _write_bucket(self, bucket: list[tuple[TID, np.ndarray]]) -> int:
-        """Write one bucket as a page chain; returns its head block."""
-        rel = self.create_fork("data")
-        head = _NO_BLOCK
-        frame = None
-        for tid, vec in bucket:
-            item = _DATA_HEAD.pack(tid.blkno, tid.offset) + vec.astype(np.float32).tobytes()
-            if frame is not None:
-                try:
-                    frame.page.insert_item(item)
-                    continue
-                except PageFullError:
-                    self.buffer.unpin(frame, dirty=True)
-                    frame = None
-            blkno, frame = self.buffer.new_page(rel, special_size=_NEXT.size)
-            frame.page.write_special(_NEXT.pack(head))
-            head = blkno
-            frame.page.insert_item(item)
-        if frame is not None:
-            self.buffer.unpin(frame, dirty=True)
-        return head
-
-    # ------------------------------------------------------------------
-    # insert
-    # ------------------------------------------------------------------
-    def insert(self, tid: TID, value: Any) -> None:
-        if self.dim is None:
-            raise RuntimeError("index must be built before single inserts")
-        self._rescan_cache = None
-        vec = np.ascontiguousarray(value, dtype=np.float32)
-        if vec.shape != (self.dim,):
-            raise ValueError(f"expected a {self.dim}-dim vector, got shape {vec.shape}")
-        best_id, best_dist = -1, float("inf")
-        for cent_id, __, centroid in self._iter_centroids():
-            diff = centroid - vec
-            dist = float(np.dot(diff, diff))
-            if dist < best_dist:
-                best_id, best_dist = cent_id, dist
-        self._bucket_inserts[best_id] = self._bucket_inserts.get(best_id, 0) + 1
-        item = _DATA_HEAD.pack(tid.blkno, tid.offset) + vec.tobytes()
-        head = self._bucket_head(best_id)
-        rel = self.relation_name("data")
-        if head != _NO_BLOCK:
-            frame = self.buffer.pin(rel, head)
-            try:
-                frame.page.insert_item(item)
-            except PageFullError:
-                self.buffer.unpin(frame)
-            else:
-                self.buffer.unpin(frame, dirty=True)
-                return
-        blkno, frame = self.buffer.new_page(rel, special_size=_NEXT.size)
-        try:
-            frame.page.write_special(_NEXT.pack(head))
-            frame.page.insert_item(item)
-        finally:
-            self.buffer.unpin(frame, dirty=True)
-        self._set_bucket_head(best_id, blkno)
-
-    # ------------------------------------------------------------------
-    # vacuum (ambulkdelete)
-    # ------------------------------------------------------------------
-    #: Whether VACUUM may re-center centroids from surviving vectors.
-    #: True only where the data fork stores raw float32 vectors; the
-    #: quantized variants (PQ/SQ8) keep codes, so a recomputed centroid
-    #: would drift from the codec's training frame — they compact only.
-    _RECENTER_ON_VACUUM = True
-
-    def ambulkdelete(self, dead_tids: set[TID]) -> int:
-        """Compact bucket chains, dropping entries for vacuumed tuples.
-
-        Each bucket's page chain is rewritten in place with only the
-        surviving entries.  When a list has churned past the
-        ``ivf_recluster_threshold`` GUC — dead entries plus post-build
-        inserts as a fraction of its current size — its centroid is
-        re-centered to the mean of the surviving vectors, PASE's answer
-        to cluster drift under streaming ingest.
-        """
-        if self.dim is None or not dead_tids:
-            return 0
-        try:
-            threshold = float(self.catalog.get_setting("ivf_recluster_threshold"))
-        except Exception:
-            threshold = float("inf")
-        removed_total = 0
-        for cent_id, removed, survivors in compact_bucket_chains(self, dead_tids):
-            removed_total += removed
-            if removed:
-                # Per-bucket progress tick (pg_stat_progress_vacuum):
-                # observers see entry reclamation advance chain by chain.
-                self.vacuum_progress.tick_index_entries(removed)
-            if not self._RECENTER_ON_VACUUM or not survivors:
-                continue
-            inserts = self._bucket_inserts.get(cent_id, 0)
-            if (removed + inserts) / len(survivors) <= threshold:
-                continue
-            mat = np.vstack(
-                [
-                    np.frombuffer(item, dtype=np.float32, offset=_DATA_HEAD.size)
-                    for item in survivors
-                ]
-            )
-            self._recenter(cent_id, mat.mean(axis=0).astype(np.float32))
-            self._bucket_inserts[cent_id] = 0
-        if removed_total:
-            self._rescan_cache = None
-        return removed_total
-
-    def _recenter(self, centroid_id: int, centroid: np.ndarray) -> None:
-        """Overwrite one centroid vector in place (chain head unchanged)."""
-        blkno, off = self._centroid_location(centroid_id)
-        frame = self.buffer.pin(self.relation_name("centroid"), blkno)
-        try:
-            view = frame.page.get_item_view(off)
-            view[_CENTROID_HEAD.size :] = centroid.tobytes()
-        finally:
-            self.buffer.unpin(frame, dirty=True)
-
-    # ------------------------------------------------------------------
-    # search
-    # ------------------------------------------------------------------
-    def _check_query(self, query: np.ndarray) -> np.ndarray:
-        if self.dim is None:
-            raise RuntimeError("index has not been built")
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        if query.shape != (self.dim,):
-            raise ValueError(f"query must be {self.dim}-dim, got shape {query.shape}")
-        return query
-
-    def _rank_centroids(
-        self, query: np.ndarray, kernel, reuse: bool = False
-    ) -> tuple[np.ndarray, list[int]]:
-        """Rank every centroid by distance to ``query``.
-
-        Returns ``(full sorted centroid order, bucket heads)``.  With
-        ``reuse`` (the over-fetch rescan path) a cached ranking from the
-        initial scan of the same query is returned without recomputing
-        the centroid distances; plain scans always recompute, keeping
-        their measured work identical to before.
-        """
-        key = query.tobytes()
-        if reuse and self._rescan_cache is not None and self._rescan_cache[0] == key:
-            return self._rescan_cache[1], self._rescan_cache[2]
-        prof = self.profiler
-        cent_dists: list[float] = []
-        heads: list[int] = []
-        for __, head, centroid in self._iter_centroids():
-            with prof.section(SEC_DISTANCE):
-                cent_dists.append(kernel(query, centroid))
-            heads.append(head)
-        order = np.argsort(np.asarray(cent_dists), kind="stable")
-        self._rescan_cache = (key, order, heads)
-        return order, heads
-
-    def scan(self, query: np.ndarray, k: int) -> Iterator[tuple[TID, float]]:
-        query = self._check_query(query)
-        kernel = pairwise_kernel(self.opts.distance_type)
-        nprobe = int(self.catalog.get_setting("pase.nprobe"))
-        order, heads = self._rank_centroids(query, kernel)
-        return self._scan_buckets(query, k, order[: max(nprobe, 1)], heads, kernel)
-
-    def amrescan_continue(self, query: np.ndarray, k: int) -> Iterator[tuple[TID, float]]:
-        """Over-fetch continuation: reuse the scan's centroid ranking."""
-        query = self._check_query(query)
-        kernel = pairwise_kernel(self.opts.distance_type)
-        nprobe = int(self.catalog.get_setting("pase.nprobe"))
-        order, heads = self._rank_centroids(query, kernel, reuse=True)
-        return self._scan_buckets(query, k, order[: max(nprobe, 1)], heads, kernel)
-
-    def _scan_buckets(
-        self,
-        query: np.ndarray,
-        k: int,
-        order: np.ndarray,
-        heads: list[int],
-        kernel,
-    ) -> Iterator[tuple[TID, float]]:
-        """Walk the probed buckets, yielding the k nearest ``(tid, dist)``."""
-        prof = self.profiler
-        fixed_heap = self.catalog.get_bool("pase.fixed_heap")
-        candidates = 0
-        if fixed_heap:
-            # RC#6 neutralized: k-sized heap, candidates rejected with a
-            # single comparison against the current worst survivor.
-            heap = BoundedMaxHeap(k)
-            worst = heap.worst_distance
-            for bucket in order.tolist():
-                for tid, vec in self._iter_bucket(heads[bucket]):
-                    candidates += 1
-                    with prof.section(SEC_DISTANCE):
-                        dist = kernel(query, vec)
-                    with prof.section(SEC_HEAP):
-                        if dist < worst:
-                            heap.push(dist, _tid_key(tid))
-                            worst = heap.worst_distance
-        else:
-            # PASE's design: every candidate enters a size-n heap.
-            heap = NaiveTopK(k)
-            for bucket in order.tolist():
-                for tid, vec in self._iter_bucket(heads[bucket]):
-                    candidates += 1
-                    with prof.section(SEC_DISTANCE):
-                        dist = kernel(query, vec)
-                    with prof.section(SEC_HEAP):
-                        heap.push(dist, _tid_key(tid))
-        self.scan_stats.scans += 1
-        self.scan_stats.candidates += candidates
-        with prof.section(SEC_HEAP):
-            results = heap.results()
-        for neighbor in results:
-            yield _key_tid(neighbor.vector_id), neighbor.distance
-
-    def get_batch(self, query: np.ndarray, k: int) -> ScanBatch:
-        """Batched scan: whole buckets scored with one kernel call each.
-
-        Same candidates and distances as :meth:`scan`, but per-tuple
-        Python work (kernel call, profiler section, heap push — the
-        paper's RC#3/RC#6 toll) collapses into per-bucket array ops.
-        """
-        query = self._check_query(query)
-        kernel = pairwise_kernel(self.opts.distance_type)
-        nprobe = int(self.catalog.get_setting("pase.nprobe"))
-        order, heads = self._rank_centroids(query, kernel)
-        return self._batch_buckets(query, k, order[: max(nprobe, 1)], heads)
-
-    def amrescan_continue_batch(self, query: np.ndarray, k: int) -> ScanBatch:
-        """Batched over-fetch continuation (cached centroid ranking)."""
-        query = self._check_query(query)
-        kernel = pairwise_kernel(self.opts.distance_type)
-        nprobe = int(self.catalog.get_setting("pase.nprobe"))
-        order, heads = self._rank_centroids(query, kernel, reuse=True)
-        return self._batch_buckets(query, k, order[: max(nprobe, 1)], heads)
-
-    def _batch_buckets(
-        self, query: np.ndarray, k: int, order: np.ndarray, heads: list[int]
-    ) -> ScanBatch:
-        """Score the probed buckets bucket-at-a-time into a ScanBatch."""
-        prof = self.profiler
-        rows = rows_kernel(self.opts.distance_type)
-        key_parts: list[np.ndarray] = []
-        dist_parts: list[np.ndarray] = []
-        self.scan_stats.scans += 1
-        for bucket in order.tolist():
-            with prof.section(SEC_TUPLE_ACCESS):
-                keys, vectors = self._gather_bucket(heads[bucket])
-            if keys.shape[0] == 0:
-                continue
-            self.scan_stats.candidates += int(keys.shape[0])
-            with prof.section(SEC_DISTANCE):
-                dist_parts.append(rows(query, vectors))
-            key_parts.append(keys)
-        with prof.section(SEC_HEAP):
-            if not key_parts:
-                return ScanBatch.empty()
-            return topk_batch(np.concatenate(key_parts), np.concatenate(dist_parts), k)
-
-    # ------------------------------------------------------------------
-    # in-filter search (amsearch_filtered)
-    # ------------------------------------------------------------------
-    def amsearch_filtered(
-        self, query: np.ndarray, k: int, mask_fn: Any
-    ) -> Iterator[tuple[TID, float]]:
-        """In-filter scan: each probed bucket's TIDs go through the
-        predicate mask before any distance work, so rejected candidates
-        never reach a kernel call or the heap."""
-        query = self._check_query(query)
-        kernel = pairwise_kernel(self.opts.distance_type)
-        order, heads = self._rank_centroids(query, kernel)
-        prof = self.profiler
-
-        def score(vec: np.ndarray) -> float:
-            with prof.section(SEC_DISTANCE):
+        def score_one(_tid, vec):
+            with section(SEC_DISTANCE):
                 return kernel(query, vec)
 
-        return iter(
-            ivf_filtered_scan(self, k, mask_fn, order.tolist(), heads, self._iter_bucket, score)
-        )
+        return score_one
+
+    def _rows_scorer(self, query: np.ndarray) -> RowsScorer:
+        rows = rows_kernel(self._metric())
+        section = self.profiler.section
+
+        def score_rows(keys, vectors):
+            with section(SEC_DISTANCE):
+                return keys, rows(query, vectors)
+
+        return score_rows
+
+    def _candidate_cost(self, cost: Any) -> float:
+        return cost.cpu_index_tuple_cost + DISTANCE_OP_WEIGHT * cost.cpu_operator_cost
 
     def amsearch_filtered_batch(self, query: np.ndarray, k: int, mask_fn: Any) -> ScanBatch:
         """Batched in-filter: a per-bucket boolean mask ahead of one
-        row-kernel call over the survivors, widening the probe set
-        geometrically while fewer than k candidates pass."""
+        row-kernel call over the surviving on-page vectors (the other
+        page-backed variants mask tuple-at-a-time)."""
         query = self._check_query(query)
-        kernel = pairwise_kernel(self.opts.distance_type)
-        rows = rows_kernel(self.opts.distance_type)
-        order, heads = self._rank_centroids(query, kernel)
-        order_list = order.tolist()
-        nprobe = max(int(self.catalog.get_setting("pase.nprobe")), 1)
-        prof = self.profiler
+        order, heads = self._rank_centroids(query)
+        score_rows = self._rows_scorer(query)
+        section = self.profiler.section
+        gather = self._gather_bucket
         key_parts: list[np.ndarray] = []
         dist_parts: list[np.ndarray] = []
-        examined = 0
-        matched = 0
-        probed = 0
-        target = min(nprobe, len(order_list))
-        while True:
-            for bucket in order_list[probed:target]:
-                with prof.section(SEC_TUPLE_ACCESS):
-                    keys, vectors = self._gather_bucket(heads[bucket])
-                if keys.shape[0] == 0:
-                    continue
-                examined += int(keys.shape[0])
-                tids = [_key_tid(int(key)) for key in keys.tolist()]
-                mask = np.asarray(list(mask_fn(tids)), dtype=bool)
-                keep = int(mask.sum())
-                if not keep:
-                    continue
-                matched += keep
-                with prof.section(SEC_DISTANCE):
-                    dist_parts.append(rows(query, vectors[mask]))
-                key_parts.append(keys[mask])
-            probed = target
-            if matched >= k or probed >= len(order_list):
-                break
-            target = min(len(order_list), target * 2)
-        self.scan_stats.scans += 1
-        self.scan_stats.candidates += matched
-        self.last_filtered_examined = examined
-        with prof.section(SEC_HEAP):
-            if not key_parts:
-                return ScanBatch.empty()
-            return topk_batch(np.concatenate(key_parts), np.concatenate(dist_parts), k)
 
-    def amestimate_candidates(self, ntuples: float, fetch_k: int) -> float:
-        """Candidates the in-filter mask must judge: the probed share
-        of the indexed tuples (``nprobe/clusters`` of n)."""
-        n = max(float(ntuples), 1.0)
-        clusters = max(1.0, min(float(self.opts.clusters), n))
-        nprobe = float(min(max(int(self.catalog.get_setting("pase.nprobe")), 1), int(clusters)))
-        return n * (nprobe / clusters)
+        def visit(bucket: int) -> tuple[int, int]:
+            with section(SEC_TUPLE_ACCESS):
+                keys, vectors = gather(heads[bucket])
+            if keys.shape[0] == 0:
+                return 0, 0
+            mask = np.asarray(list(mask_fn([_key_tid(key) for key in keys.tolist()])), dtype=bool)
+            keep = int(mask.sum())
+            if keep:
+                kept, dists = score_rows(keys[mask], vectors[mask])
+                key_parts.append(kept)
+                dist_parts.append(dists)
+            return int(keys.shape[0]), keep
 
-    # ------------------------------------------------------------------
-    # planner cost estimate
-    # ------------------------------------------------------------------
-    #: Cost weight of one candidate distance evaluation, in
-    #: cpu_operator_cost units (subclasses tune for their codecs).
-    _COST_DISTANCE_WEIGHT = DISTANCE_OP_WEIGHT
-
-    def amcostestimate(self, ntuples: float, fetch_k: int, cost: Any) -> tuple[float, float]:
-        """IVF scan cost: rank every centroid, score ``nprobe/clusters``
-        of the indexed tuples.  ``fetch_k`` barely matters — the heap is
-        k-bounded but every probed candidate still gets a distance."""
-        n = max(float(ntuples), 1.0)
-        clusters = max(1.0, min(float(self.opts.clusters), n))
-        nprobe = float(min(max(int(self.catalog.get_setting("pase.nprobe")), 1), int(clusters)))
-        candidates = n * (nprobe / clusters)
-        total = clusters * DISTANCE_OP_WEIGHT * cost.cpu_operator_cost
-        total += candidates * (
-            cost.cpu_index_tuple_cost + self._COST_DISTANCE_WEIGHT * cost.cpu_operator_cost
-        )
-        return total, total
-
-    # ------------------------------------------------------------------
-    # page iteration
-    # ------------------------------------------------------------------
-    def _iter_centroids(self) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield ``(centroid_id, bucket_head, vector)`` from centroid pages."""
-        rel = self.relation_name("centroid")
-        prof = self.profiler
-        n_blocks = self.buffer.disk.n_blocks(rel)
-        for blkno in range(n_blocks):
-            frame = self.buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                for off in range(1, page.item_count + 1):
-                    with prof.section(SEC_TUPLE_ACCESS):
-                        view = page.get_item_view(off)
-                        cent_id, head = _CENTROID_HEAD.unpack_from(view, 0)
-                        vec = np.frombuffer(view, dtype=np.float32, offset=_CENTROID_HEAD.size)
-                    yield cent_id, head, vec
-            finally:
-                self.buffer.unpin(frame)
-
-    def _iter_bucket(self, head: int) -> Iterator[tuple[TID, np.ndarray]]:
-        """Walk one bucket's page chain, yielding ``(heap tid, vector)``."""
-        rel = self.relation_name("data")
-        prof = self.profiler
-        blkno = head
-        while blkno != _NO_BLOCK:
-            frame = self.buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                for off in range(1, page.item_count + 1):
-                    with prof.section(SEC_TUPLE_ACCESS):
-                        view = page.get_item_view(off)
-                        heap_blk, heap_off = _DATA_HEAD.unpack_from(view, 0)
-                        vec = np.frombuffer(view, dtype=np.float32, offset=_DATA_HEAD.size)
-                    yield TID(heap_blk, heap_off), vec
-                (blkno,) = _NEXT.unpack(page.read_special())
-            finally:
-                self.buffer.unpin(frame)
-
-    def _gather_bucket(self, head: int) -> tuple[np.ndarray, np.ndarray]:
-        """Collect one bucket as ``(packed TID keys, vector matrix)``.
-
-        Data pages are append-only with fixed-size tuples, so each
-        page's items sit contiguously between ``upper`` and the special
-        space (newest first) and the whole page decodes with a handful
-        of array ops — no per-tuple line-pointer walk.
-        """
-        rel = self.relation_name("data")
-        item_size = _DATA_HEAD.size + self.dim * 4
-        key_parts: list[np.ndarray] = []
-        vec_parts: list[np.ndarray] = []
-        blkno = head
-        while blkno != _NO_BLOCK:
-            frame = self.buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                n = page.item_count
-                if n:
-                    keys, vectors = _decode_data_page(page, n, item_size)
-                    key_parts.append(keys)
-                    vec_parts.append(vectors)
-                (blkno,) = _NEXT.unpack(page.read_special())
-            finally:
-                self.buffer.unpin(frame)
-        if not key_parts:
-            return np.empty(0, dtype=np.int64), np.empty((0, self.dim), dtype=np.float32)
-        return np.concatenate(key_parts), np.vstack(vec_parts)
-
-    # ------------------------------------------------------------------
-    # centroid tuple updates
-    # ------------------------------------------------------------------
-    def _centroid_location(self, centroid_id: int) -> tuple[int, int]:
-        assert self._centroids_per_page is not None
-        return (
-            centroid_id // self._centroids_per_page,
-            centroid_id % self._centroids_per_page + 1,
-        )
-
-    def _bucket_head(self, centroid_id: int) -> int:
-        blkno, off = self._centroid_location(centroid_id)
-        with self.buffer.page(self.relation_name("centroid"), blkno) as page:
-            return _CENTROID_HEAD.unpack_from(page.get_item_view(off), 0)[1]
-
-    def _set_bucket_head(self, centroid_id: int, head: int) -> None:
-        blkno, off = self._centroid_location(centroid_id)
-        frame = self.buffer.pin(self.relation_name("centroid"), blkno)
-        try:
-            view = frame.page.get_item_view(off)
-            struct.pack_into("<I", view, 4, head)
-        finally:
-            self.buffer.unpin(frame, dirty=True)
-
-    # ------------------------------------------------------------------
-    # size accounting
-    # ------------------------------------------------------------------
-    def relations(self) -> list[str]:
-        """Page-file names owned by this index (for DROP cleanup)."""
-        return [self.relation_name(f) for f in ("meta", "centroid", "data")]
-
-    def size_info(self) -> IndexSizeInfo:
-        page_size = self.buffer.disk.page_size
-        detail: dict[str, int] = {}
-        pages = 0
-        used = 0
-        for fork in ("meta", "centroid", "data"):
-            rel = self.relation_name(fork)
-            if not self.buffer.disk.relation_exists(rel):
-                continue
-            n = self.buffer.disk.n_blocks(rel)
-            pages += n
-            detail[f"{fork}_pages"] = n
-            used += self._live_bytes(rel)
-        return IndexSizeInfo(
-            allocated_bytes=pages * page_size,
-            used_bytes=used,
-            page_count=pages,
-            detail=detail,
-        )
-
-    def _live_bytes(self, rel: str) -> int:
-        total = 0
-        for blkno in range(self.buffer.disk.n_blocks(rel)):
-            with self.buffer.page(rel, blkno) as page:
-                for off in page.live_items():
-                    total += len(page.get_item_view(off))
-        return total
-
-
-def _decode_data_page(page, n: int, item_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a whole data page into ``(packed TID keys, vector matrix)``.
-
-    Fast path: the tuple area ``[upper, special)`` holds exactly ``n``
-    fixed-size records, so one reshape splits header words from vector
-    payloads.  Falls back to the line-pointer walk if the layout ever
-    stops being uniform (it never is for append-only data forks).
-    """
-    upper = page.upper
-    if page.special - upper == n * item_size:
-        mat = np.frombuffer(
-            page.buf, dtype=np.uint8, count=n * item_size, offset=upper
-        ).reshape(n, item_size)
-        words = mat.view("<u4")
-        keys = (words[:, 0].astype(np.int64) << 16) | (words[:, 1] & 0xFFFF)
-        return keys, mat.view("<f4")[:, 2:]
-    keys = np.empty(n, dtype=np.int64)
-    vectors: list[np.ndarray] = []
-    for off in range(1, n + 1):
-        view = page.get_item_view(off)
-        heap_blk, heap_off = _DATA_HEAD.unpack_from(view, 0)
-        keys[off - 1] = (heap_blk << 16) | heap_off
-        vectors.append(np.frombuffer(view, dtype=np.float32, offset=_DATA_HEAD.size))
-    return keys, np.vstack(vectors)
-
-
-def compact_bucket_chains(am, dead_tids: set[TID]) -> Iterator[tuple[int, int, list[bytes]]]:
-    """Drop dead entries from every bucket chain of an IVF-family index.
-
-    Shared by the PASE IVF variants (FLAT, PQ, SQ8): all three use the
-    same centroid-tuple head (``centroid_id (u32) | head_blkno (u32)``)
-    and data-page chain layout (``heap_blkno (u32) | heap_off (u16) |
-    pad`` item prefix, next-block pointer in an 8-byte special space),
-    so compaction only needs the raw item bytes — it never decodes the
-    per-AM payload (float32 vector, PQ code, SQ8 code).
-
-    For each bucket, yields ``(centroid_id, removed, survivor_items)``
-    where survivor items are byte copies of the entries kept.  Chains
-    with removals are rewritten in place: each page is re-initialized
-    (keeping its next pointer) and refilled front-to-back, so surviving
-    items stay contiguous — preserving ``_gather_bucket``'s fast path —
-    and trailing chain pages are simply left empty.  Index forks are
-    not WAL-logged (recovery rebuilds them from the DDL log), so the
-    wholesale page rewrite needs no log record.
-    """
-    rel = am.relation_name("data")
-    if not am.buffer.disk.relation_exists(rel):
-        return
-    buckets = [(cent_id, head) for cent_id, head, __ in am._iter_centroids()]
-    for cent_id, head in buckets:
-        survivors: list[bytes] = []
-        removed = 0
-        blkno = head
-        while blkno != _NO_BLOCK:
-            frame = am.buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                for off in range(1, page.item_count + 1):
-                    view = page.get_item_view(off)
-                    heap_blk, heap_off = _DATA_HEAD.unpack_from(view, 0)
-                    if TID(heap_blk, heap_off) in dead_tids:
-                        removed += 1
-                    else:
-                        # Copy: the view dangles once the frame is
-                        # unpinned (the buffer may recycle it).
-                        survivors.append(bytes(view))
-                (blkno,) = _NEXT.unpack(page.read_special())
-            finally:
-                am.buffer.unpin(frame)
-        if removed:
-            _refill_chain(am, rel, head, survivors)
-        yield cent_id, removed, survivors
-
-
-def _refill_chain(am, rel: str, head: int, survivors: list[bytes]) -> None:
-    """Rewrite a bucket chain's pages in place with the surviving items."""
-    pending = iter(survivors)
-    item = next(pending, None)
-    blkno = head
-    while blkno != _NO_BLOCK:
-        frame = am.buffer.pin(rel, blkno)
-        try:
-            page = frame.page
-            (nxt,) = _NEXT.unpack(page.read_special())
-            fresh = Page.init(page.page_size, special_size=_NEXT.size)
-            page.buf[:] = fresh.buf
-            page.write_special(_NEXT.pack(nxt))
-            while item is not None:
-                try:
-                    page.insert_item(item)
-                except PageFullError:
-                    break
-                item = next(pending, None)
-            blkno = nxt
-        finally:
-            am.buffer.unpin(frame, dirty=True)
-    assert item is None, "surviving items exceeded original chain capacity"
-
-
-def ivf_filtered_scan(
-    am,
-    k: int,
-    mask_fn,
-    order: list[int],
-    heads: list[int],
-    iter_candidates,
-    score_one,
-) -> list[tuple[TID, float]]:
-    """Shared in-filter scan for the IVF family (FLAT, PQ, SQ8, pgvector).
-
-    Walks bucket chains in the caller's *full* centroid ranking,
-    applies ``mask_fn`` to each probed bucket's candidate TIDs before
-    any distance work, and pushes only the survivors into a k-bounded
-    heap.  When fewer than k candidates pass the mask, the probe set
-    widens geometrically over the remaining centroid ranking until k
-    match or every list has been scanned.
-
-    ``iter_candidates(head)`` yields ``(tid, payload)`` for one bucket
-    chain; ``score_one(payload)`` turns a payload into a distance (or
-    None for entries lagging a completed heap VACUUM — the pgvector
-    layout).  Sets ``am.last_filtered_examined`` to the number of
-    mask-judged candidates and returns the ordered ``(tid, distance)``
-    list.
-    """
-    prof = am.profiler
-    nprobe = max(int(am.catalog.get_setting("pase.nprobe")), 1)
-    heap = BoundedMaxHeap(k)
-    examined = 0
-    scored = 0
-    matched = 0
-    probed = 0
-    target = min(nprobe, len(order))
-    while True:
-        for bucket in order[probed:target]:
-            entries = list(iter_candidates(heads[bucket]))
-            if not entries:
-                continue
-            examined += len(entries)
-            mask = mask_fn([tid for tid, __ in entries])
-            for (tid, payload), ok in zip(entries, mask):
-                if not ok:
-                    continue
-                matched += 1
-                dist = score_one(payload)
-                if dist is None:
-                    continue
-                scored += 1
-                with prof.section(SEC_HEAP):
-                    heap.push(dist, _tid_key(tid))
-        probed = target
-        if matched >= k or probed >= len(order):
-            break
-        target = min(len(order), target * 2)
-    am.scan_stats.scans += 1
-    am.scan_stats.candidates += scored
-    am.last_filtered_examined = examined
-    return [(_key_tid(nb.vector_id), nb.distance) for nb in heap.results()]
-
-
-def _tid_key(tid: TID) -> int:
-    """Pack a TID into one int for heap entries."""
-    return (tid.blkno << 16) | tid.offset
-
-
-def _key_tid(key: int) -> TID:
-    return TID(key >> 16, key & 0xFFFF)
+        self._widen_probes(order.tolist(), k, visit)
+        self.scan_stats.candidates += sum(int(part.shape[0]) for part in key_parts)
+        with section(SEC_HEAP):
+            return topk_parts(key_parts, dist_parts, k)

@@ -1,7 +1,6 @@
-"""PASE IVF_PQ: inverted file with product-quantized data pages.
+"""PASE IVF_PQ: the paged IVF core with product-quantized data pages.
 
-Same skeleton as :mod:`repro.pase.ivf_flat` with two PQ-specific
-pieces:
+Two PQ-specific pieces on top of :class:`repro.pase.ivf_core.PagedIVF`:
 
 - a **codebook fork** storing the ``m * c_pq`` codeword sub-vectors as
   page tuples (``sub_space (u16) | codeword (u16) | sub-vector``);
@@ -9,165 +8,86 @@ pieces:
   like PASE's memory-resident PQ metadata — the paper's RC#7 is about
   how the *per-query table* is computed, not codebook storage;
 - data tuples carry PQ codes instead of raw vectors:
-  ``heap_blkno (u32) | heap_offset (u16) | pad | code (m bytes)``.
+  ``heap_blkno (u32) | heap_offset (u16) | pad | code (m bytes)``,
+  and the meta tuple appends ``m`` and ``c_pq``.
 
 Search builds the per-query ADC table the PASE way — one
 ``fvec_L2sqr`` per table cell (RC#7) — unless
 ``SET pase.optimized_pctable = true`` enables the Faiss-style
-decomposition, then scans bucket chains scoring one tuple at a time.
+decomposition, then scores candidates by table lookups.
 """
 
 from __future__ import annotations
 
 import struct
-import time
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
 from repro.common import pq
-from repro.common.heap import BoundedMaxHeap, NaiveTopK
-from repro.common.kmeans import pase_kmeans, sample_training_rows
-from repro.common.profiling import NULL_PROFILER
-from repro.common.types import BuildStats, IndexSizeInfo
-from repro.pase.ivf_flat import (
-    _key_tid,
-    _tid_key,
-    compact_bucket_chains,
-    ivf_filtered_scan,
-)
+from repro.common.types import DistanceType
+from repro.pase.ivf_core import SEC_DISTANCE, PagedIVF, RowsScorer, TupleScorer
 from repro.pase.options import parse_ivfpq_options
-from repro.pgsim.am import IndexAmRoutine, ScanBatch, register_am, topk_batch
-from repro.pgsim.constants import LINE_POINTER_SIZE, PAGE_HEADER_SIZE
-from repro.pgsim.paths import DISTANCE_OP_WEIGHT
-from repro.pgsim.heapam import TID
+from repro.pgsim.am import register_am
 from repro.pgsim.page import PageFullError
 
 _META = struct.Struct("<IIIII")  # dim, clusters, distance_type, m, c_pq
-_CENTROID_HEAD = struct.Struct("<II")
-_DATA_HEAD = struct.Struct("<IHxx")
 _CODEBOOK_HEAD = struct.Struct("<HH")  # sub-space, codeword id
-_NEXT = struct.Struct("<I")
 
-_NO_BLOCK = 0xFFFFFFFF
-
-SEC_DISTANCE = "fvec_L2sqr"
-SEC_TUPLE_ACCESS = "Tuple Access"
-SEC_HEAP = "Min-heap"
 SEC_PCTABLE = "Pctable"
 
 
 @register_am
-class PaseIVFPQ(IndexAmRoutine):
+class PaseIVFPQ(PagedIVF):
     """IVF_PQ access method (PASE page layout)."""
 
     amname = "pase_ivfpq"
     aliases = ("ivfpq_fun",)
-    amcanfilter = True
+    FORKS = ("meta", "centroid", "codebook", "data")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.opts = parse_ivfpq_options(self.options)
-        self.profiler = NULL_PROFILER
-        self.build_stats = BuildStats()
-        self.dim: int | None = None
-        self._centroids_per_page: int | None = None
         self._codebook: pq.PQCodebook | None = None
 
-    # ------------------------------------------------------------------
-    # build
-    # ------------------------------------------------------------------
-    def build(self) -> None:
-        rows = [(tid, values[self.column_index]) for tid, values in self.table.scan()]
-        if not rows:
-            raise RuntimeError("cannot build an IVF index over an empty table")
-        vectors = np.vstack([v for __, v in rows]).astype(np.float32)
-        self.dim = int(vectors.shape[1])
-        if self.dim % self.opts.m != 0:
-            raise ValueError(
-                f"vector dim {self.dim} is not divisible by m={self.opts.m}"
-            )
-        n_clusters = min(self.opts.ivf.clusters, vectors.shape[0])
-        c_pq = min(self.opts.c_pq, vectors.shape[0])
+    def _metric(self) -> DistanceType:
+        # ADC tables hold squared L2 terms, so lists rank under L2 too.
+        return DistanceType.L2
 
-        start = time.perf_counter()
-        self.progress.set_phase("sample")
-        sample = sample_training_rows(
-            vectors, self.opts.ivf.sample_ratio, max(n_clusters, c_pq), self.opts.ivf.seed
-        )
-        self.progress.set_phase("kmeans")
-        coarse = pase_kmeans(sample, n_clusters, self.opts.ivf.kmeans_iterations)
+    # ------------------------------------------------------------------
+    # codec: train, persist, load, encode
+    # ------------------------------------------------------------------
+    def _codec_training_floor(self) -> int:
+        return self.opts.c_pq
+
+    def _train_codec(self, sample: np.ndarray) -> None:
+        if self.dim % self.opts.m != 0:
+            raise ValueError(f"vector dim {self.dim} is not divisible by m={self.opts.m}")
         self._codebook = pq.train_codebook(
             sample,
             self.opts.m,
-            c_pq,
-            max_iterations=self.opts.ivf.kmeans_iterations,
-            seed=self.opts.ivf.seed,
+            min(self.opts.c_pq, sample.shape[0]),
+            max_iterations=self.ivf.kmeans_iterations,
+            seed=self.ivf.seed,
             style="pase",
         )
-        self.build_stats.train_seconds = time.perf_counter() - start
 
-        start = time.perf_counter()
-        self.progress.set_phase("assign", tuples_total=len(rows))
-        codes = pq.encode(self._codebook, vectors)
-        buckets: list[list[tuple[TID, np.ndarray]]] = [[] for _ in range(n_clusters)]
-        centroids = coarse.centroids
-        for i, (tid, __) in enumerate(rows):
-            diff = centroids - vectors[i]
-            dists = np.einsum("ij,ij->i", diff, diff)
-            buckets[int(np.argmin(dists))].append((tid, codes[i]))
-            self.progress.tick()
-        self.build_stats.distance_computations += len(rows) * n_clusters
+    def _encode(self, vectors: np.ndarray) -> np.ndarray:
+        return pq.encode(self._load_codebook(), vectors)
 
-        self.progress.set_phase("flush")
-        heads = [self._write_bucket(bucket) for bucket in buckets]
-        self._write_centroids(centroids, heads)
-        self._write_codebook()
-        self._write_meta(n_clusters, c_pq)
-        self.build_stats.add_seconds = time.perf_counter() - start
-        self.build_stats.vectors_added = len(rows)
-
-    def _write_meta(self, n_clusters: int, c_pq: int) -> None:
-        rel = self.create_fork("meta")
-        __, frame = self.buffer.new_page(rel)
-        try:
-            frame.page.insert_item(
-                _META.pack(
-                    self.dim,
-                    n_clusters,
-                    int(self.opts.ivf.distance_type),
-                    self.opts.m,
-                    c_pq,
-                )
-            )
-        finally:
-            self.buffer.unpin(frame, dirty=True)
-
-    def _write_centroids(self, centroids: np.ndarray, heads: list[int]) -> None:
-        rel = self.create_fork("centroid")
-        tuple_size = _CENTROID_HEAD.size + centroids.shape[1] * 4
-        self._centroids_per_page = max(
-            (self.buffer.disk.page_size - PAGE_HEADER_SIZE)
-            // (tuple_size + LINE_POINTER_SIZE),
-            1,
+    def _meta_item(self, n_clusters: int) -> bytes:
+        codebook = self._load_codebook()
+        return _META.pack(
+            self.dim, n_clusters, int(self.ivf.distance_type), codebook.m, codebook.c_pq
         )
-        frame = None
-        for i, (centroid, head) in enumerate(zip(centroids, heads)):
-            if i % self._centroids_per_page == 0:
-                if frame is not None:
-                    self.buffer.unpin(frame, dirty=True)
-                __, frame = self.buffer.new_page(rel)
-            frame.page.insert_item(_CENTROID_HEAD.pack(i, head) + centroid.tobytes())
-        if frame is not None:
-            self.buffer.unpin(frame, dirty=True)
 
-    def _write_codebook(self) -> None:
-        assert self._codebook is not None
+    def _write_codec_fork(self) -> None:
+        codebook = self._load_codebook()
         rel = self.create_fork("codebook")
         frame = None
-        for j in range(self._codebook.m):
-            for c in range(self._codebook.c_pq):
-                item = _CODEBOOK_HEAD.pack(j, c) + self._codebook.codebooks[j, c].tobytes()
+        for j in range(codebook.m):
+            for c in range(codebook.c_pq):
+                item = _CODEBOOK_HEAD.pack(j, c) + codebook.codebooks[j, c].tobytes()
                 if frame is not None:
                     try:
                         frame.page.insert_item(item)
@@ -179,341 +99,6 @@ class PaseIVFPQ(IndexAmRoutine):
                 frame.page.insert_item(item)
         if frame is not None:
             self.buffer.unpin(frame, dirty=True)
-
-    def _write_bucket(self, bucket: list[tuple[TID, np.ndarray]]) -> int:
-        rel = self.create_fork("data")
-        head = _NO_BLOCK
-        frame = None
-        for tid, code in bucket:
-            item = _DATA_HEAD.pack(tid.blkno, tid.offset) + code.tobytes()
-            if frame is not None:
-                try:
-                    frame.page.insert_item(item)
-                    continue
-                except PageFullError:
-                    self.buffer.unpin(frame, dirty=True)
-                    frame = None
-            blkno, frame = self.buffer.new_page(rel, special_size=_NEXT.size)
-            frame.page.write_special(_NEXT.pack(head))
-            head = blkno
-            frame.page.insert_item(item)
-        if frame is not None:
-            self.buffer.unpin(frame, dirty=True)
-        return head
-
-    # ------------------------------------------------------------------
-    # insert
-    # ------------------------------------------------------------------
-    def insert(self, tid: TID, value: Any) -> None:
-        if self.dim is None or self._codebook is None:
-            raise RuntimeError("index must be built before single inserts")
-        vec = np.ascontiguousarray(value, dtype=np.float32)
-        if vec.shape != (self.dim,):
-            raise ValueError(f"expected a {self.dim}-dim vector, got shape {vec.shape}")
-        code = pq.encode(self._codebook, vec.reshape(1, -1))[0]
-        best_id, best_dist = -1, float("inf")
-        for cent_id, __, centroid in self._iter_centroids():
-            diff = centroid - vec
-            dist = float(np.dot(diff, diff))
-            if dist < best_dist:
-                best_id, best_dist = cent_id, dist
-        item = _DATA_HEAD.pack(tid.blkno, tid.offset) + code.tobytes()
-        head = self._bucket_head(best_id)
-        rel = self.relation_name("data")
-        if head != _NO_BLOCK:
-            frame = self.buffer.pin(rel, head)
-            try:
-                frame.page.insert_item(item)
-            except PageFullError:
-                self.buffer.unpin(frame)
-            else:
-                self.buffer.unpin(frame, dirty=True)
-                return
-        blkno, frame = self.buffer.new_page(rel, special_size=_NEXT.size)
-        try:
-            frame.page.write_special(_NEXT.pack(head))
-            frame.page.insert_item(item)
-        finally:
-            self.buffer.unpin(frame, dirty=True)
-        self._set_bucket_head(best_id, blkno)
-
-    # ------------------------------------------------------------------
-    # vacuum (ambulkdelete)
-    # ------------------------------------------------------------------
-    def ambulkdelete(self, dead_tids: set[TID]) -> int:
-        """Compact bucket chains, dropping entries for vacuumed tuples.
-
-        Compaction only, no re-centering: the data fork stores PQ codes,
-        not raw vectors, so a centroid recomputed from decoded entries
-        would drift from the codec's training frame.
-        """
-        if self.dim is None or not dead_tids:
-            return 0
-        removed_total = 0
-        for __, removed, __s in compact_bucket_chains(self, dead_tids):
-            removed_total += removed
-            if removed:
-                self.vacuum_progress.tick_index_entries(removed)
-        return removed_total
-
-    # ------------------------------------------------------------------
-    # search
-    # ------------------------------------------------------------------
-    def scan(self, query: np.ndarray, k: int) -> Iterator[tuple[TID, float]]:
-        if self.dim is None:
-            raise RuntimeError("index has not been built")
-        prof = self.profiler
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        if query.shape != (self.dim,):
-            raise ValueError(f"query must be {self.dim}-dim, got shape {query.shape}")
-        nprobe = int(self.catalog.get_setting("pase.nprobe"))
-        fixed_heap = self.catalog.get_bool("pase.fixed_heap")
-        optimized = self.catalog.get_bool("pase.optimized_pctable")
-        codebook = self._load_codebook()
-
-        cent_dists: list[float] = []
-        heads: list[int] = []
-        for __, head, centroid in self._iter_centroids():
-            with prof.section(SEC_DISTANCE):
-                diff = centroid - query
-                cent_dists.append(float(np.dot(diff, diff)))
-            heads.append(head)
-        order = np.argsort(np.asarray(cent_dists), kind="stable")[: max(nprobe, 1)]
-
-        with prof.section(SEC_PCTABLE):
-            if optimized:
-                table = pq.optimized_adc_table(codebook, query)
-            else:
-                table = pq.naive_adc_table(codebook, query)
-
-        candidates = 0
-        if fixed_heap:
-            heap = BoundedMaxHeap(k)
-            worst = heap.worst_distance
-            for bucket in order.tolist():
-                for tid, code in self._iter_bucket(heads[bucket]):
-                    candidates += 1
-                    with prof.section(SEC_DISTANCE):
-                        dist = pq.adc_distance_single(table, code)
-                    with prof.section(SEC_HEAP):
-                        if dist < worst:
-                            heap.push(dist, _tid_key(tid))
-                            worst = heap.worst_distance
-        else:
-            heap = NaiveTopK(k)
-            for bucket in order.tolist():
-                for tid, code in self._iter_bucket(heads[bucket]):
-                    candidates += 1
-                    with prof.section(SEC_DISTANCE):
-                        dist = pq.adc_distance_single(table, code)
-                    with prof.section(SEC_HEAP):
-                        heap.push(dist, _tid_key(tid))
-        self.scan_stats.scans += 1
-        self.scan_stats.candidates += candidates
-        with prof.section(SEC_HEAP):
-            results = heap.results()
-        for neighbor in results:
-            yield _key_tid(neighbor.vector_id), neighbor.distance
-
-    def get_batch(self, query: np.ndarray, k: int) -> ScanBatch:
-        """Batched scan: bucket code matrices scored by array ADC lookups.
-
-        Accumulates the ADC sum column-by-column in float64 — the same
-        sub-space order and precision as
-        :func:`repro.common.pq.adc_distance_single` — so both executor
-        paths compute bit-identical distances.
-        """
-        if self.dim is None:
-            raise RuntimeError("index has not been built")
-        prof = self.profiler
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        if query.shape != (self.dim,):
-            raise ValueError(f"query must be {self.dim}-dim, got shape {query.shape}")
-        nprobe = int(self.catalog.get_setting("pase.nprobe"))
-        optimized = self.catalog.get_bool("pase.optimized_pctable")
-        codebook = self._load_codebook()
-
-        cent_dists: list[float] = []
-        heads: list[int] = []
-        for __, head, centroid in self._iter_centroids():
-            with prof.section(SEC_DISTANCE):
-                diff = centroid - query
-                cent_dists.append(float(np.dot(diff, diff)))
-            heads.append(head)
-        order = np.argsort(np.asarray(cent_dists), kind="stable")[: max(nprobe, 1)]
-
-        with prof.section(SEC_PCTABLE):
-            if optimized:
-                table = pq.optimized_adc_table(codebook, query)
-            else:
-                table = pq.naive_adc_table(codebook, query)
-
-        key_parts: list[np.ndarray] = []
-        dist_parts: list[np.ndarray] = []
-        self.scan_stats.scans += 1
-        for bucket in order.tolist():
-            with prof.section(SEC_TUPLE_ACCESS):
-                keys, codes = self._gather_bucket(heads[bucket])
-            if keys.shape[0] == 0:
-                continue
-            self.scan_stats.candidates += int(keys.shape[0])
-            with prof.section(SEC_DISTANCE):
-                acc = np.zeros(codes.shape[0], dtype=np.float64)
-                for j in range(table.shape[0]):
-                    acc += table[j, codes[:, j]]
-                dist_parts.append(acc)
-            key_parts.append(keys)
-        with prof.section(SEC_HEAP):
-            if not key_parts:
-                return ScanBatch.empty()
-            return topk_batch(np.concatenate(key_parts), np.concatenate(dist_parts), k)
-
-    # ------------------------------------------------------------------
-    # planner cost estimate
-    # ------------------------------------------------------------------
-    # ------------------------------------------------------------------
-    # in-filter search (amsearch_filtered)
-    # ------------------------------------------------------------------
-    def amsearch_filtered(
-        self, query: np.ndarray, k: int, mask_fn: Any
-    ) -> Iterator[tuple[TID, float]]:
-        """In-filter ADC scan: candidate TIDs are masked before any
-        table lookups, and the probe set widens geometrically while
-        fewer than k candidates survive."""
-        if self.dim is None:
-            raise RuntimeError("index has not been built")
-        prof = self.profiler
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        if query.shape != (self.dim,):
-            raise ValueError(f"query must be {self.dim}-dim, got shape {query.shape}")
-        codebook = self._load_codebook()
-        with prof.section(SEC_PCTABLE):
-            if self.catalog.get_bool("pase.optimized_pctable"):
-                table = pq.optimized_adc_table(codebook, query)
-            else:
-                table = pq.naive_adc_table(codebook, query)
-
-        cent_dists: list[float] = []
-        heads: list[int] = []
-        for __, head, centroid in self._iter_centroids():
-            with prof.section(SEC_DISTANCE):
-                diff = centroid - query
-                cent_dists.append(float(np.dot(diff, diff)))
-            heads.append(head)
-        order = np.argsort(np.asarray(cent_dists), kind="stable")
-
-        def score(code: np.ndarray) -> float:
-            with prof.section(SEC_DISTANCE):
-                return pq.adc_distance_single(table, code)
-
-        return iter(
-            ivf_filtered_scan(self, k, mask_fn, order.tolist(), heads, self._iter_bucket, score)
-        )
-
-    def amestimate_candidates(self, ntuples: float, fetch_k: int) -> float:
-        """Candidates the in-filter mask must judge (probed share of n)."""
-        n = max(float(ntuples), 1.0)
-        clusters = max(1.0, min(float(self.opts.ivf.clusters), n))
-        nprobe = float(min(max(int(self.catalog.get_setting("pase.nprobe")), 1), int(clusters)))
-        return n * (nprobe / clusters)
-
-    def amcostestimate(self, ntuples: float, fetch_k: int, cost: Any) -> tuple[float, float]:
-        """IVF cost with ADC distances: building the per-query lookup
-        table costs ``c_pq * m`` operators up front, after which each
-        probed candidate's distance is ``m`` table lookups — far cheaper
-        than a full float distance."""
-        n = max(float(ntuples), 1.0)
-        clusters = max(1.0, min(float(self.opts.ivf.clusters), n))
-        nprobe = float(min(max(int(self.catalog.get_setting("pase.nprobe")), 1), int(clusters)))
-        candidates = n * (nprobe / clusters)
-        total = clusters * DISTANCE_OP_WEIGHT * cost.cpu_operator_cost
-        total += float(self.opts.c_pq * self.opts.m) * cost.cpu_operator_cost
-        total += candidates * (cost.cpu_index_tuple_cost + 3.0 * cost.cpu_operator_cost)
-        return total, total
-
-    # ------------------------------------------------------------------
-    # page iteration
-    # ------------------------------------------------------------------
-    def _iter_centroids(self) -> Iterator[tuple[int, int, np.ndarray]]:
-        rel = self.relation_name("centroid")
-        prof = self.profiler
-        for blkno in range(self.buffer.disk.n_blocks(rel)):
-            frame = self.buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                for off in range(1, page.item_count + 1):
-                    with prof.section(SEC_TUPLE_ACCESS):
-                        view = page.get_item_view(off)
-                        cent_id, head = _CENTROID_HEAD.unpack_from(view, 0)
-                        vec = np.frombuffer(view, dtype=np.float32, offset=_CENTROID_HEAD.size)
-                    yield cent_id, head, vec
-            finally:
-                self.buffer.unpin(frame)
-
-    def _iter_bucket(self, head: int) -> Iterator[tuple[TID, np.ndarray]]:
-        rel = self.relation_name("data")
-        prof = self.profiler
-        blkno = head
-        while blkno != _NO_BLOCK:
-            frame = self.buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                for off in range(1, page.item_count + 1):
-                    with prof.section(SEC_TUPLE_ACCESS):
-                        view = page.get_item_view(off)
-                        heap_blk, heap_off = _DATA_HEAD.unpack_from(view, 0)
-                        code = np.frombuffer(view, dtype=np.uint8, offset=_DATA_HEAD.size)
-                    yield TID(heap_blk, heap_off), code
-                (blkno,) = _NEXT.unpack(page.read_special())
-            finally:
-                self.buffer.unpin(frame)
-
-    def _gather_bucket(self, head: int) -> tuple[np.ndarray, np.ndarray]:
-        """Collect one bucket as ``(packed TID keys, PQ code matrix)``.
-
-        Data pages are append-only with fixed-size tuples, so the tuple
-        area decodes wholesale (see ``_decode_data_page`` in ivf_flat);
-        code tuples are narrow, so headers split via contiguous copies.
-        """
-        item_size = _DATA_HEAD.size + self.opts.m
-        key_parts: list[np.ndarray] = []
-        code_parts: list[np.ndarray] = []
-        rel = self.relation_name("data")
-        blkno = head
-        while blkno != _NO_BLOCK:
-            frame = self.buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                n = page.item_count
-                upper = page.upper
-                if n and page.special - upper == n * item_size:
-                    mat = np.frombuffer(
-                        page.buf, dtype=np.uint8, count=n * item_size, offset=upper
-                    ).reshape(n, item_size)
-                    blks = np.ascontiguousarray(mat[:, 0:4]).view("<u4").reshape(n)
-                    offs = np.ascontiguousarray(mat[:, 4:6]).view("<u2").reshape(n)
-                    key_parts.append(
-                        (blks.astype(np.int64) << 16) | offs.astype(np.int64)
-                    )
-                    code_parts.append(mat[:, _DATA_HEAD.size :])
-                elif n:
-                    keys = np.empty(n, dtype=np.int64)
-                    codes: list[np.ndarray] = []
-                    for off in range(1, n + 1):
-                        view = page.get_item_view(off)
-                        heap_blk, heap_off = _DATA_HEAD.unpack_from(view, 0)
-                        keys[off - 1] = (heap_blk << 16) | heap_off
-                        codes.append(
-                            np.frombuffer(view, dtype=np.uint8, offset=_DATA_HEAD.size)
-                        )
-                    key_parts.append(keys)
-                    code_parts.append(np.vstack(codes))
-                (blkno,) = _NEXT.unpack(page.read_special())
-            finally:
-                self.buffer.unpin(frame)
-        if not key_parts:
-            return np.empty(0, dtype=np.int64), np.empty((0, self.opts.m), dtype=np.uint8)
-        return np.concatenate(key_parts), np.vstack(code_parts)
 
     def _load_codebook(self) -> pq.PQCodebook:
         """Decode codebook pages once and cache (PASE keeps it resident)."""
@@ -539,54 +124,55 @@ class PaseIVFPQ(IndexAmRoutine):
         return self._codebook
 
     # ------------------------------------------------------------------
-    # centroid tuple updates (same addressing as IVF_FLAT)
+    # scoring: per-query ADC table, then lookups
     # ------------------------------------------------------------------
-    def _centroid_location(self, centroid_id: int) -> tuple[int, int]:
-        assert self._centroids_per_page is not None
-        return (
-            centroid_id // self._centroids_per_page,
-            centroid_id % self._centroids_per_page + 1,
-        )
+    def _adc_table(self, query: np.ndarray) -> np.ndarray:
+        codebook = self._load_codebook()
+        with self.profiler.section(SEC_PCTABLE):
+            if self.catalog.get_bool("pase.optimized_pctable"):
+                return pq.optimized_adc_table(codebook, query)
+            return pq.naive_adc_table(codebook, query)
 
-    def _bucket_head(self, centroid_id: int) -> int:
-        blkno, off = self._centroid_location(centroid_id)
-        with self.buffer.page(self.relation_name("centroid"), blkno) as page:
-            return _CENTROID_HEAD.unpack_from(page.get_item_view(off), 0)[1]
+    def _tuple_scorer(self, query: np.ndarray) -> TupleScorer:
+        table = self._adc_table(query)
+        adc = pq.adc_distance_single
+        section = self.profiler.section
 
-    def _set_bucket_head(self, centroid_id: int, head: int) -> None:
-        blkno, off = self._centroid_location(centroid_id)
-        frame = self.buffer.pin(self.relation_name("centroid"), blkno)
-        try:
-            struct.pack_into("<I", frame.page.get_item_view(off), 4, head)
-        finally:
-            self.buffer.unpin(frame, dirty=True)
+        def score_one(_tid, code):
+            with section(SEC_DISTANCE):
+                return adc(table, code)
+
+        return score_one
+
+    def _rows_scorer(self, query: np.ndarray) -> RowsScorer:
+        """Bucket code matrices scored by array ADC lookups.
+
+        Accumulates the ADC sum column-by-column in float64 — the same
+        sub-space order and precision as
+        :func:`repro.common.pq.adc_distance_single` — so both executor
+        paths compute bit-identical distances.
+        """
+        table = self._adc_table(query)
+        section = self.profiler.section
+
+        def score_rows(keys, codes):
+            with section(SEC_DISTANCE):
+                acc = np.zeros(codes.shape[0], dtype=np.float64)
+                for j in range(table.shape[0]):
+                    acc += table[j, codes[:, j]]
+                return keys, acc
+
+        return score_rows
 
     # ------------------------------------------------------------------
-    # size accounting
+    # planner cost estimate
     # ------------------------------------------------------------------
-    def relations(self) -> list[str]:
-        """Page-file names owned by this index."""
-        return [self.relation_name(f) for f in ("meta", "centroid", "codebook", "data")]
+    def _query_setup_cost(self, cost: Any) -> float:
+        """Building the per-query lookup table costs ``c_pq * m``
+        operators up front."""
+        return float(self.opts.c_pq * self.opts.m) * cost.cpu_operator_cost
 
-    def size_info(self) -> IndexSizeInfo:
-        page_size = self.buffer.disk.page_size
-        detail: dict[str, int] = {}
-        pages = 0
-        used = 0
-        for fork in ("meta", "centroid", "codebook", "data"):
-            rel = self.relation_name(fork)
-            if not self.buffer.disk.relation_exists(rel):
-                continue
-            n = self.buffer.disk.n_blocks(rel)
-            pages += n
-            detail[f"{fork}_pages"] = n
-            for blkno in range(n):
-                with self.buffer.page(rel, blkno) as page:
-                    for off in page.live_items():
-                        used += len(page.get_item_view(off))
-        return IndexSizeInfo(
-            allocated_bytes=pages * page_size,
-            used_bytes=used,
-            page_count=pages,
-            detail=detail,
-        )
+    def _candidate_cost(self, cost: Any) -> float:
+        """Each probed candidate's distance is ``m`` table lookups — far
+        cheaper than a full float distance."""
+        return cost.cpu_index_tuple_cost + 3.0 * cost.cpu_operator_cost

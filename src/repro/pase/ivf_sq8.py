@@ -1,374 +1,69 @@
-"""PASE IVF_SQ8: inverted file with scalar-quantized data pages.
+"""PASE IVF_SQ8: the paged IVF core with scalar-quantized data pages.
 
-Same page skeleton as :mod:`repro.pase.ivf_flat` with two SQ-specific
-pieces: a **codec fork** holding the per-dimension quantization ranges
-(two float32 rows), and data tuples that carry one-byte codes instead
-of raw floats — a 4x space saving at a bounded recall cost
-(Sec. II-B's IVF_SQ8).  All the PASE root causes apply unchanged:
-per-row construction, buffer-managed tuple-at-a-time scans, size-*n*
-heap.
+Two SQ-specific pieces on top of :class:`repro.pase.ivf_core.PagedIVF`:
+a **codec fork** holding the per-dimension quantization ranges (two
+float32 rows), and data tuples that carry one-byte codes instead of raw
+floats — a 4x space saving at a bounded recall cost (Sec. II-B's
+IVF_SQ8).  All the PASE root causes apply unchanged: per-row
+construction, buffer-managed tuple-at-a-time scans, size-*n* heap.
+There is no vectorised scorer, so batch scans wrap the tuple scan.
 """
 
 from __future__ import annotations
 
 import struct
-import time
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
 from repro.common import sq
-from repro.common.heap import BoundedMaxHeap, NaiveTopK
-from repro.common.kmeans import pase_kmeans, sample_training_rows
-from repro.common.profiling import NULL_PROFILER
-from repro.common.types import BuildStats, IndexSizeInfo
-from repro.pase.ivf_flat import (
-    _key_tid,
-    _tid_key,
-    compact_bucket_chains,
-    ivf_filtered_scan,
-)
-from repro.pase.options import parse_ivf_options
-from repro.pgsim.am import IndexAmRoutine, register_am
+from repro.common.types import DistanceType
+from repro.pase.ivf_core import SEC_DISTANCE, PagedIVF, TupleScorer
+from repro.pgsim.am import register_am
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
-from repro.pgsim.constants import LINE_POINTER_SIZE, PAGE_HEADER_SIZE
-from repro.pgsim.heapam import TID
-from repro.pgsim.page import PageFullError
 
-_META = struct.Struct("<III")  # dim, clusters, distance_type
-_CENTROID_HEAD = struct.Struct("<II")
-_DATA_HEAD = struct.Struct("<IHxx")
 _CODEC_HEAD = struct.Struct("<H")  # 0 = vmin row, 1 = vdiff row
-_NEXT = struct.Struct("<I")
-_NO_BLOCK = 0xFFFFFFFF
-
-SEC_DISTANCE = "fvec_L2sqr"
-SEC_TUPLE_ACCESS = "Tuple Access"
-SEC_HEAP = "Min-heap"
 
 
 @register_am
-class PaseIVFSQ8(IndexAmRoutine):
+class PaseIVFSQ8(PagedIVF):
     """IVF_SQ8 access method (PASE page layout)."""
 
     amname = "pase_ivfsq8"
     aliases = ("ivfsq8_fun",)
-    amcanfilter = True
+    FORKS = ("meta", "codec", "centroid", "data")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self.opts = parse_ivf_options(self.options)
-        self.profiler = NULL_PROFILER
-        self.build_stats = BuildStats()
-        self.dim: int | None = None
-        self._centroids_per_page: int | None = None
         self._codec: sq.SQ8Codec | None = None
 
-    # ------------------------------------------------------------------
-    # build
-    # ------------------------------------------------------------------
-    def build(self) -> None:
-        rows = [(tid, values[self.column_index]) for tid, values in self.table.scan()]
-        if not rows:
-            raise RuntimeError("cannot build an IVF index over an empty table")
-        vectors = np.vstack([v for __, v in rows]).astype(np.float32)
-        self.dim = int(vectors.shape[1])
-        n_clusters = min(self.opts.clusters, vectors.shape[0])
+    def _metric(self) -> DistanceType:
+        # Dequantized candidates are scored under squared L2 only.
+        return DistanceType.L2
 
-        start = time.perf_counter()
-        self.progress.set_phase("sample")
-        sample = sample_training_rows(
-            vectors, self.opts.sample_ratio, n_clusters, self.opts.seed
-        )
-        self.progress.set_phase("kmeans")
-        coarse = pase_kmeans(sample, n_clusters, self.opts.kmeans_iterations)
+    # ------------------------------------------------------------------
+    # codec: train, persist, load, encode
+    # ------------------------------------------------------------------
+    def _train_codec(self, sample: np.ndarray) -> None:
         self._codec = sq.train_codec(sample)
-        self.build_stats.train_seconds = time.perf_counter() - start
 
-        start = time.perf_counter()
-        self.progress.set_phase("assign", tuples_total=len(rows))
-        codes = sq.encode(self._codec, vectors)
-        centroids = coarse.centroids
-        buckets: list[list[tuple[TID, np.ndarray]]] = [[] for __ in range(n_clusters)]
-        for i, (tid, __) in enumerate(rows):
-            diff = centroids - vectors[i]
-            dists = np.einsum("ij,ij->i", diff, diff)
-            buckets[int(np.argmin(dists))].append((tid, codes[i]))
-            self.progress.tick()
-        self.build_stats.distance_computations += len(rows) * n_clusters
+    def _encode(self, vectors: np.ndarray) -> np.ndarray:
+        return sq.encode(self._load_codec(), vectors)
 
-        self.progress.set_phase("flush")
-        heads = [self._write_bucket(bucket) for bucket in buckets]
-        self._write_centroids(centroids, heads)
-        self._write_codec()
-        self._write_meta(n_clusters)
-        self.build_stats.add_seconds = time.perf_counter() - start
-        self.build_stats.vectors_added = len(rows)
-
-    def _write_meta(self, n_clusters: int) -> None:
-        rel = self.create_fork("meta")
-        __, frame = self.buffer.new_page(rel)
+    def _write_codec_fork(self) -> None:
+        codec = self._load_codec()
+        __, frame = self.buffer.new_page(self.create_fork("codec"))
         try:
-            frame.page.insert_item(
-                _META.pack(self.dim, n_clusters, int(self.opts.distance_type))
-            )
+            frame.page.insert_item(_CODEC_HEAD.pack(0) + codec.vmin.tobytes())
+            frame.page.insert_item(_CODEC_HEAD.pack(1) + codec.vdiff.tobytes())
         finally:
             self.buffer.unpin(frame, dirty=True)
-
-    def _write_codec(self) -> None:
-        assert self._codec is not None
-        rel = self.create_fork("codec")
-        __, frame = self.buffer.new_page(rel)
-        try:
-            frame.page.insert_item(_CODEC_HEAD.pack(0) + self._codec.vmin.tobytes())
-            frame.page.insert_item(_CODEC_HEAD.pack(1) + self._codec.vdiff.tobytes())
-        finally:
-            self.buffer.unpin(frame, dirty=True)
-
-    def _write_centroids(self, centroids: np.ndarray, heads: list[int]) -> None:
-        rel = self.create_fork("centroid")
-        tuple_size = _CENTROID_HEAD.size + centroids.shape[1] * 4
-        self._centroids_per_page = max(
-            (self.buffer.disk.page_size - PAGE_HEADER_SIZE)
-            // (tuple_size + LINE_POINTER_SIZE),
-            1,
-        )
-        frame = None
-        for i, (centroid, head) in enumerate(zip(centroids, heads)):
-            if i % self._centroids_per_page == 0:
-                if frame is not None:
-                    self.buffer.unpin(frame, dirty=True)
-                __, frame = self.buffer.new_page(rel)
-            frame.page.insert_item(_CENTROID_HEAD.pack(i, head) + centroid.tobytes())
-        if frame is not None:
-            self.buffer.unpin(frame, dirty=True)
-
-    def _write_bucket(self, bucket: list[tuple[TID, np.ndarray]]) -> int:
-        rel = self.create_fork("data")
-        head = _NO_BLOCK
-        frame = None
-        for tid, code in bucket:
-            item = _DATA_HEAD.pack(tid.blkno, tid.offset) + code.tobytes()
-            if frame is not None:
-                try:
-                    frame.page.insert_item(item)
-                    continue
-                except PageFullError:
-                    self.buffer.unpin(frame, dirty=True)
-                    frame = None
-            blkno, frame = self.buffer.new_page(rel, special_size=_NEXT.size)
-            frame.page.write_special(_NEXT.pack(head))
-            head = blkno
-            frame.page.insert_item(item)
-        if frame is not None:
-            self.buffer.unpin(frame, dirty=True)
-        return head
-
-    # ------------------------------------------------------------------
-    # insert
-    # ------------------------------------------------------------------
-    def insert(self, tid: TID, value: Any) -> None:
-        if self.dim is None:
-            raise RuntimeError("index must be built before single inserts")
-        codec = self._load_codec()
-        vec = np.ascontiguousarray(value, dtype=np.float32)
-        code = sq.encode(codec, vec.reshape(1, -1))[0]
-        best_id, best_dist = -1, float("inf")
-        for cent_id, __, centroid in self._iter_centroids():
-            diff = centroid - vec
-            dist = float(np.dot(diff, diff))
-            if dist < best_dist:
-                best_id, best_dist = cent_id, dist
-        item = _DATA_HEAD.pack(tid.blkno, tid.offset) + code.tobytes()
-        head = self._bucket_head(best_id)
-        rel = self.relation_name("data")
-        if head != _NO_BLOCK:
-            frame = self.buffer.pin(rel, head)
-            try:
-                frame.page.insert_item(item)
-            except PageFullError:
-                self.buffer.unpin(frame)
-            else:
-                self.buffer.unpin(frame, dirty=True)
-                return
-        blkno, frame = self.buffer.new_page(rel, special_size=_NEXT.size)
-        try:
-            frame.page.write_special(_NEXT.pack(head))
-            frame.page.insert_item(item)
-        finally:
-            self.buffer.unpin(frame, dirty=True)
-        self._set_bucket_head(best_id, blkno)
-
-    # ------------------------------------------------------------------
-    # vacuum (ambulkdelete)
-    # ------------------------------------------------------------------
-    def ambulkdelete(self, dead_tids: set[TID]) -> int:
-        """Compact bucket chains, dropping entries for vacuumed tuples.
-
-        Compaction only, no re-centering: the data fork stores SQ8 codes,
-        not raw vectors, so a centroid recomputed from decoded entries
-        would drift from the codec's training frame.
-        """
-        if self.dim is None or not dead_tids:
-            return 0
-        removed_total = 0
-        for __, removed, __s in compact_bucket_chains(self, dead_tids):
-            removed_total += removed
-            if removed:
-                self.vacuum_progress.tick_index_entries(removed)
-        return removed_total
-
-    # ------------------------------------------------------------------
-    # search
-    # ------------------------------------------------------------------
-    def scan(self, query: np.ndarray, k: int) -> Iterator[tuple[TID, float]]:
-        if self.dim is None:
-            raise RuntimeError("index has not been built")
-        prof = self.profiler
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        if query.shape != (self.dim,):
-            raise ValueError(f"query must be {self.dim}-dim, got shape {query.shape}")
-        nprobe = int(self.catalog.get_setting("pase.nprobe"))
-        fixed_heap = bool(self.catalog.get_setting("pase.fixed_heap"))
-        codec = self._load_codec()
-        scale = codec.vdiff / sq.LEVELS
-
-        cent_dists: list[float] = []
-        heads: list[int] = []
-        for __, head, centroid in self._iter_centroids():
-            with prof.section(SEC_DISTANCE):
-                diff = centroid - query
-                cent_dists.append(float(np.dot(diff, diff)))
-            heads.append(head)
-        order = np.argsort(np.asarray(cent_dists), kind="stable")[: max(nprobe, 1)]
-
-        heap = BoundedMaxHeap(k) if fixed_heap else NaiveTopK(k)
-        worst = float("inf")
-        candidates = 0
-        for bucket in order.tolist():
-            for tid, code in self._iter_bucket(heads[bucket]):
-                candidates += 1
-                with prof.section(SEC_DISTANCE):
-                    # Tuple-at-a-time dequantize + distance (PASE style).
-                    vec = code.astype(np.float32) * scale + codec.vmin
-                    diff = vec - query
-                    dist = float(np.dot(diff, diff))
-                with prof.section(SEC_HEAP):
-                    if fixed_heap:
-                        if dist < worst:
-                            heap.push(dist, _tid_key(tid))
-                            worst = heap.worst_distance
-                    else:
-                        heap.push(dist, _tid_key(tid))
-        self.scan_stats.scans += 1
-        self.scan_stats.candidates += candidates
-        with prof.section(SEC_HEAP):
-            results = heap.results()
-        for neighbor in results:
-            yield _key_tid(neighbor.vector_id), neighbor.distance
-
-    # ------------------------------------------------------------------
-    # planner cost estimate
-    # ------------------------------------------------------------------
-    # ------------------------------------------------------------------
-    # in-filter search (amsearch_filtered)
-    # ------------------------------------------------------------------
-    def amsearch_filtered(
-        self, query: np.ndarray, k: int, mask_fn: Any
-    ) -> Iterator[tuple[TID, float]]:
-        """In-filter SQ8 scan: candidate TIDs are masked before any
-        dequantize-and-distance work; the probe set widens while fewer
-        than k candidates survive."""
-        if self.dim is None:
-            raise RuntimeError("index has not been built")
-        prof = self.profiler
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        if query.shape != (self.dim,):
-            raise ValueError(f"query must be {self.dim}-dim, got shape {query.shape}")
-        codec = self._load_codec()
-        scale = codec.vdiff / sq.LEVELS
-
-        cent_dists: list[float] = []
-        heads: list[int] = []
-        for __, head, centroid in self._iter_centroids():
-            with prof.section(SEC_DISTANCE):
-                diff = centroid - query
-                cent_dists.append(float(np.dot(diff, diff)))
-            heads.append(head)
-        order = np.argsort(np.asarray(cent_dists), kind="stable")
-
-        def score(code: np.ndarray) -> float:
-            with prof.section(SEC_DISTANCE):
-                vec = code.astype(np.float32) * scale + codec.vmin
-                diff = vec - query
-                return float(np.dot(diff, diff))
-
-        return iter(
-            ivf_filtered_scan(self, k, mask_fn, order.tolist(), heads, self._iter_bucket, score)
-        )
-
-    def amestimate_candidates(self, ntuples: float, fetch_k: int) -> float:
-        """Candidates the in-filter mask must judge (probed share of n)."""
-        n = max(float(ntuples), 1.0)
-        clusters = max(1.0, min(float(self.opts.clusters), n))
-        nprobe = float(min(max(int(self.catalog.get_setting("pase.nprobe")), 1), int(clusters)))
-        return n * (nprobe / clusters)
-
-    def amcostestimate(self, ntuples: float, fetch_k: int, cost: Any) -> tuple[float, float]:
-        """IVF cost, with each probed candidate also paying a
-        tuple-at-a-time SQ8 dequantization before its distance."""
-        n = max(float(ntuples), 1.0)
-        clusters = max(1.0, min(float(self.opts.clusters), n))
-        nprobe = float(min(max(int(self.catalog.get_setting("pase.nprobe")), 1), int(clusters)))
-        candidates = n * (nprobe / clusters)
-        per_candidate = (DISTANCE_OP_WEIGHT + 2.0) * cost.cpu_operator_cost
-        total = clusters * DISTANCE_OP_WEIGHT * cost.cpu_operator_cost
-        total += candidates * (cost.cpu_index_tuple_cost + per_candidate)
-        return total, total
-
-    # ------------------------------------------------------------------
-    # page iteration / codec
-    # ------------------------------------------------------------------
-    def _iter_centroids(self) -> Iterator[tuple[int, int, np.ndarray]]:
-        rel = self.relation_name("centroid")
-        prof = self.profiler
-        for blkno in range(self.buffer.disk.n_blocks(rel)):
-            frame = self.buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                for off in range(1, page.item_count + 1):
-                    with prof.section(SEC_TUPLE_ACCESS):
-                        view = page.get_item_view(off)
-                        cent_id, head = _CENTROID_HEAD.unpack_from(view, 0)
-                        vec = np.frombuffer(view, dtype=np.float32, offset=_CENTROID_HEAD.size)
-                    yield cent_id, head, vec
-            finally:
-                self.buffer.unpin(frame)
-
-    def _iter_bucket(self, head: int) -> Iterator[tuple[TID, np.ndarray]]:
-        rel = self.relation_name("data")
-        prof = self.profiler
-        blkno = head
-        while blkno != _NO_BLOCK:
-            frame = self.buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                for off in range(1, page.item_count + 1):
-                    with prof.section(SEC_TUPLE_ACCESS):
-                        view = page.get_item_view(off)
-                        heap_blk, heap_off = _DATA_HEAD.unpack_from(view, 0)
-                        code = np.frombuffer(view, dtype=np.uint8, offset=_DATA_HEAD.size)
-                    yield TID(heap_blk, heap_off), code
-                (blkno,) = _NEXT.unpack(page.read_special())
-            finally:
-                self.buffer.unpin(frame)
 
     def _load_codec(self) -> sq.SQ8Codec:
         if self._codec is not None:
             return self._codec
-        rel = self.relation_name("codec")
         parts: dict[int, np.ndarray] = {}
-        with self.buffer.page(rel, 0) as page:
+        with self.buffer.page(self.relation_name("codec"), 0) as page:
             for off in page.live_items():
                 view = page.get_item_view(off)
                 (which,) = _CODEC_HEAD.unpack_from(view, 0)
@@ -378,52 +73,24 @@ class PaseIVFSQ8(IndexAmRoutine):
         self._codec = sq.SQ8Codec(vmin=parts[0], vdiff=parts[1])
         return self._codec
 
-    def _centroid_location(self, centroid_id: int) -> tuple[int, int]:
-        assert self._centroids_per_page is not None
-        return (
-            centroid_id // self._centroids_per_page,
-            centroid_id % self._centroids_per_page + 1,
-        )
-
-    def _bucket_head(self, centroid_id: int) -> int:
-        blkno, off = self._centroid_location(centroid_id)
-        with self.buffer.page(self.relation_name("centroid"), blkno) as page:
-            return _CENTROID_HEAD.unpack_from(page.get_item_view(off), 0)[1]
-
-    def _set_bucket_head(self, centroid_id: int, head: int) -> None:
-        blkno, off = self._centroid_location(centroid_id)
-        frame = self.buffer.pin(self.relation_name("centroid"), blkno)
-        try:
-            struct.pack_into("<I", frame.page.get_item_view(off), 4, head)
-        finally:
-            self.buffer.unpin(frame, dirty=True)
-
     # ------------------------------------------------------------------
-    # size accounting
+    # scoring and cost
     # ------------------------------------------------------------------
-    def relations(self) -> list[str]:
-        """Page-file names owned by this index."""
-        return [self.relation_name(f) for f in ("meta", "codec", "centroid", "data")]
+    def _tuple_scorer(self, query: np.ndarray) -> TupleScorer:
+        codec = self._load_codec()
+        scale = codec.vdiff / sq.LEVELS
+        vmin = codec.vmin
+        section = self.profiler.section
 
-    def size_info(self) -> IndexSizeInfo:
-        page_size = self.buffer.disk.page_size
-        detail: dict[str, int] = {}
-        pages = 0
-        used = 0
-        for fork in ("meta", "codec", "centroid", "data"):
-            rel = self.relation_name(fork)
-            if not self.buffer.disk.relation_exists(rel):
-                continue
-            n = self.buffer.disk.n_blocks(rel)
-            pages += n
-            detail[f"{fork}_pages"] = n
-            for blkno in range(n):
-                with self.buffer.page(rel, blkno) as page:
-                    for off in page.live_items():
-                        used += len(page.get_item_view(off))
-        return IndexSizeInfo(
-            allocated_bytes=pages * page_size,
-            used_bytes=used,
-            page_count=pages,
-            detail=detail,
-        )
+        def score_one(_tid, code):
+            with section(SEC_DISTANCE):
+                # Tuple-at-a-time dequantize + distance (PASE style).
+                diff = code.astype(np.float32) * scale + vmin - query
+                return float(np.dot(diff, diff))
+
+        return score_one
+
+    def _candidate_cost(self, cost: Any) -> float:
+        """Each probed candidate also pays a tuple-at-a-time SQ8
+        dequantization before its distance."""
+        return cost.cpu_index_tuple_cost + (DISTANCE_OP_WEIGHT + 2.0) * cost.cpu_operator_cost

@@ -16,16 +16,14 @@ import time
 
 import numpy as np
 
-from repro.common import pq as pq_mod
 from repro.common.heap import LockedGlobalHeap
 from repro.common.parallel import ScheduleResult, WorkUnit, scaling_curve
 from repro.common.types import SearchResult
-from repro.pase.ivf_flat import PaseIVFFlat, _tid_key
-from repro.pase.ivf_pq import PaseIVFPQ
+from repro.pase.ivf_core import PagedIVF, _tid_key
 
 
 def parallel_search(
-    am: PaseIVFFlat | PaseIVFPQ,
+    am: PagedIVF,
     query: np.ndarray,
     k: int,
     nprobe: int,
@@ -33,38 +31,24 @@ def parallel_search(
 ) -> tuple[SearchResult, dict[int, ScheduleResult]]:
     """Intra-query parallel IVF search, PASE's shared-heap design.
 
-    Returns the (correct) search result plus simulated wall-clock per
-    thread count.
+    Works on any page-backed IVF variant: ranking and scoring are the
+    access method's own.  Returns the (correct) search result plus
+    simulated wall-clock per thread count.
     """
-    query = np.ascontiguousarray(query, dtype=np.float32)
-    is_pq = isinstance(am, PaseIVFPQ)
-
-    cent_dists: list[float] = []
-    heads: list[int] = []
-    for __, head, centroid in am._iter_centroids():
-        diff = centroid - query
-        cent_dists.append(float(np.dot(diff, diff)))
-        heads.append(head)
-    order = np.argsort(np.asarray(cent_dists), kind="stable")[: max(nprobe, 1)]
-
-    table = None
-    if is_pq:
-        codebook = am._load_codebook()
-        table = pq_mod.naive_adc_table(codebook, query)
+    query = am._check_query(query)
+    order, heads = am._rank_centroids(query)
+    score_one = am._tuple_scorer(query)
 
     heap = LockedGlobalHeap(k)
     units: list[WorkUnit] = []
-    for bucket in order.tolist():
+    for bucket in order[: max(nprobe, 1)].tolist():
         start = time.perf_counter()
         ops_before = heap.lock_acquisitions
         for tid, payload in am._iter_bucket(heads[bucket]):
-            if is_pq:
-                dist = pq_mod.adc_distance_single(table, payload)
-            else:
-                diff = payload - query
-                dist = float(np.dot(diff, diff))
-            # Every candidate goes through the global locked heap.
-            heap.push(dist, _tid_key(tid))
+            dist = score_one(tid, payload)
+            if dist is not None:
+                # Every candidate goes through the global locked heap.
+                heap.push(dist, _tid_key(tid))
         cost = time.perf_counter() - start
         units.append(
             WorkUnit(

@@ -1,11 +1,10 @@
 """pgvector-style IVF_FLAT: TID-only index pages, heap fetch per candidate.
 
-Layout differences from :class:`repro.pase.ivf_flat.PaseIVFFlat`:
-
-- data-fork tuples hold **only the heap TID** (8 bytes), not the
-  vector — so every scanned candidate costs an extra heap-table
-  round trip through the buffer manager to get its vector;
-- centroid pages and chains are otherwise identical.
+The paged IVF core (:class:`repro.pase.ivf_core.PagedIVF`) with an
+*empty* payload: data-fork tuples hold **only the heap TID** (8 bytes),
+not the vector, and there is no meta page — so every scanned candidate
+costs an extra heap-table round trip through the buffer manager to get
+its vector.  Centroid pages and chains are otherwise identical to PASE's.
 
 This makes the index much smaller but the scan slower, which is the
 architectural gap behind the paper's Fig. 2 ordering (PASE fastest
@@ -14,455 +13,81 @@ among the generalized systems).
 
 from __future__ import annotations
 
-import struct
-import time
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
 from repro.common.distance import pairwise_kernel, rows_kernel
-from repro.common.heap import NaiveTopK
-from repro.common.kmeans import pase_kmeans, sample_training_rows
-from repro.common.profiling import NULL_PROFILER
-from repro.common.types import BuildStats, IndexSizeInfo
-from repro.pase.ivf_flat import _key_tid as key_to_tid
-from repro.pase.ivf_flat import _tid_key, compact_bucket_chains, ivf_filtered_scan
-from repro.pase.options import parse_ivf_options
-from repro.pgsim.am import IndexAmRoutine, ScanBatch, register_am, topk_batch
-from repro.pgsim.constants import LINE_POINTER_SIZE, PAGE_HEADER_SIZE
-from repro.pgsim.paths import DISTANCE_OP_WEIGHT
+from repro.pase.ivf_core import SEC_DISTANCE, PagedIVF, RowsScorer, TupleScorer
+from repro.pgsim.am import register_am
 from repro.pgsim.heapam import TID
-from repro.pgsim.page import PageFullError
+from repro.pgsim.paths import DISTANCE_OP_WEIGHT
 
-_CENTROID_HEAD = struct.Struct("<II")
-_TID_TUPLE = struct.Struct("<IHxx")  # heap blkno, heap offset, pad
-_NEXT = struct.Struct("<I")
-_NO_BLOCK = 0xFFFFFFFF
-
-SEC_DISTANCE = "fvec_L2sqr"
-SEC_TUPLE_ACCESS = "Tuple Access"
 SEC_HEAP_FETCH = "Heap Fetch"
-SEC_HEAP = "Min-heap"
 
 
 @register_am
-class PgVectorIVFFlat(IndexAmRoutine):
+class PgVectorIVFFlat(PagedIVF):
     """IVF_FLAT with TID-only index entries (pgvector's design)."""
 
     amname = "ivfflat"
-    amcanfilter = True
+    FORKS = ("centroid", "data")
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.opts = parse_ivf_options(self.options)
-        self.profiler = NULL_PROFILER
-        self.build_stats = BuildStats()
-        self.dim: int | None = None
-        self._centroids_per_page: int | None = None
+    def _encode(self, vectors: np.ndarray) -> np.ndarray:
+        return np.empty((vectors.shape[0], 0), dtype=np.uint8)
 
-    # ------------------------------------------------------------------
-    # build
-    # ------------------------------------------------------------------
-    def build(self) -> None:
-        rows = [(tid, values[self.column_index]) for tid, values in self.table.scan()]
-        if not rows:
-            raise RuntimeError("cannot build an IVF index over an empty table")
-        vectors = np.vstack([v for __, v in rows]).astype(np.float32)
-        self.dim = int(vectors.shape[1])
-        n_clusters = min(self.opts.clusters, vectors.shape[0])
+    def _tuple_scorer(self, query: np.ndarray) -> TupleScorer:
+        kernel = pairwise_kernel(self._metric())
+        fetch = self.table.fetch_column_any
+        column = self.column_index
+        section = self.profiler.section
 
-        start = time.perf_counter()
-        self.progress.set_phase("sample")
-        sample = sample_training_rows(
-            vectors, self.opts.sample_ratio, n_clusters, self.opts.seed
-        )
-        self.progress.set_phase("kmeans")
-        centroids = pase_kmeans(sample, n_clusters, self.opts.kmeans_iterations).centroids
-        self.build_stats.train_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        self.progress.set_phase("assign", tuples_total=len(rows))
-        buckets: list[list[TID]] = [[] for _ in range(n_clusters)]
-        for (tid, __), vec in zip(rows, vectors):
-            diff = centroids - vec
-            dists = np.einsum("ij,ij->i", diff, diff)
-            buckets[int(np.argmin(dists))].append(tid)
-            self.progress.tick()
-        self.build_stats.distance_computations += len(rows) * n_clusters
-
-        self.progress.set_phase("flush")
-        heads = [self._write_bucket(bucket) for bucket in buckets]
-        self._write_centroids(centroids, heads)
-        self.build_stats.add_seconds = time.perf_counter() - start
-        self.build_stats.vectors_added = len(rows)
-
-    def _write_centroids(self, centroids: np.ndarray, heads: list[int]) -> None:
-        rel = self.create_fork("centroid")
-        tuple_size = _CENTROID_HEAD.size + centroids.shape[1] * 4
-        self._centroids_per_page = max(
-            (self.buffer.disk.page_size - PAGE_HEADER_SIZE)
-            // (tuple_size + LINE_POINTER_SIZE),
-            1,
-        )
-        frame = None
-        for i, (centroid, head) in enumerate(zip(centroids, heads)):
-            if i % self._centroids_per_page == 0:
-                if frame is not None:
-                    self.buffer.unpin(frame, dirty=True)
-                __, frame = self.buffer.new_page(rel)
-            frame.page.insert_item(_CENTROID_HEAD.pack(i, head) + centroid.tobytes())
-        if frame is not None:
-            self.buffer.unpin(frame, dirty=True)
-
-    def _write_bucket(self, bucket: list[TID]) -> int:
-        rel = self.create_fork("data")
-        head = _NO_BLOCK
-        frame = None
-        for tid in bucket:
-            item = _TID_TUPLE.pack(tid.blkno, tid.offset)
-            if frame is not None:
-                try:
-                    frame.page.insert_item(item)
-                    continue
-                except PageFullError:
-                    self.buffer.unpin(frame, dirty=True)
-                    frame = None
-            blkno, frame = self.buffer.new_page(rel, special_size=_NEXT.size)
-            frame.page.write_special(_NEXT.pack(head))
-            head = blkno
-            frame.page.insert_item(item)
-        if frame is not None:
-            self.buffer.unpin(frame, dirty=True)
-        return head
-
-    # ------------------------------------------------------------------
-    # insert
-    # ------------------------------------------------------------------
-    def insert(self, tid: TID, value: Any) -> None:
-        if self.dim is None:
-            raise RuntimeError("index must be built before single inserts")
-        vec = np.ascontiguousarray(value, dtype=np.float32)
-        best_id, best_dist = -1, float("inf")
-        for cent_id, __, centroid in self._iter_centroids():
-            diff = centroid - vec
-            dist = float(np.dot(diff, diff))
-            if dist < best_dist:
-                best_id, best_dist = cent_id, dist
-        item = _TID_TUPLE.pack(tid.blkno, tid.offset)
-        head = self._bucket_head(best_id)
-        rel = self.relation_name("data")
-        if head != _NO_BLOCK:
-            frame = self.buffer.pin(rel, head)
-            try:
-                frame.page.insert_item(item)
-            except PageFullError:
-                self.buffer.unpin(frame)
-            else:
-                self.buffer.unpin(frame, dirty=True)
-                return
-        blkno, frame = self.buffer.new_page(rel, special_size=_NEXT.size)
-        try:
-            frame.page.write_special(_NEXT.pack(head))
-            frame.page.insert_item(item)
-        finally:
-            self.buffer.unpin(frame, dirty=True)
-        self._set_bucket_head(best_id, blkno)
-
-    # ------------------------------------------------------------------
-    # vacuum (ambulkdelete)
-    # ------------------------------------------------------------------
-    def ambulkdelete(self, dead_tids: set[TID]) -> int:
-        """Compact bucket chains, dropping entries for vacuumed tuples.
-
-        The TID-only tuples share the PASE chain layout (same 8-byte
-        ``blkno | offset | pad`` prefix, just no vector payload), so
-        the shared raw-bytes compaction applies unchanged.  No
-        re-centering: the index holds no vectors to recompute from.
-        """
-        if self.dim is None or not dead_tids:
-            return 0
-        removed_total = 0
-        for __, removed, __s in compact_bucket_chains(self, dead_tids):
-            removed_total += removed
-            if removed:
-                self.vacuum_progress.tick_index_entries(removed)
-        return removed_total
-
-    # ------------------------------------------------------------------
-    # search
-    # ------------------------------------------------------------------
-    def scan(self, query: np.ndarray, k: int) -> Iterator[tuple[TID, float]]:
-        if self.dim is None:
-            raise RuntimeError("index has not been built")
-        prof = self.profiler
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        nprobe = int(self.catalog.get_setting("pase.nprobe"))
-        kernel = pairwise_kernel(self.opts.distance_type)
-
-        cent_dists: list[float] = []
-        heads: list[int] = []
-        for __, head, centroid in self._iter_centroids():
-            with prof.section(SEC_DISTANCE):
-                cent_dists.append(kernel(query, centroid))
-            heads.append(head)
-        order = np.argsort(np.asarray(cent_dists), kind="stable")[: max(nprobe, 1)]
-
-        heap = NaiveTopK(k)
-        candidates = 0
-        for bucket in order.tolist():
-            for tid in self._iter_bucket(heads[bucket]):
-                candidates += 1
-                # The defining pgvector cost: fetch the candidate's
-                # vector from the base heap table.  Any-version fetch:
-                # tombstoned tuples still score (the executor filters
-                # by snapshot); only physically reclaimed slots skip.
-                with prof.section(SEC_HEAP_FETCH):
-                    vec = self.table.fetch_column_any(tid, self.column_index)
-                if vec is None:
-                    continue
-                with prof.section(SEC_DISTANCE):
-                    dist = kernel(query, np.asarray(vec, dtype=np.float32))
-                with prof.section(SEC_HEAP):
-                    heap.push(dist, _tid_key(tid))
-        self.scan_stats.scans += 1
-        self.scan_stats.candidates += candidates
-        for neighbor in heap.results():
-            yield key_to_tid(neighbor.vector_id), neighbor.distance
-
-    def get_batch(self, query: np.ndarray, k: int) -> ScanBatch:
-        """Batched scan: block-grouped heap gathers + one kernel call.
-
-        The tuple path pays one heap-table round trip per candidate
-        (pgvector's defining cost); here candidate vectors are fetched
-        via :meth:`HeapTable.fetch_column_many` — one buffer pin per
-        heap block — and scored in a single row-wise kernel call.
-        """
-        if self.dim is None:
-            raise RuntimeError("index has not been built")
-        prof = self.profiler
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        nprobe = int(self.catalog.get_setting("pase.nprobe"))
-        kernel = pairwise_kernel(self.opts.distance_type)
-        rows = rows_kernel(self.opts.distance_type)
-
-        cent_dists: list[float] = []
-        heads: list[int] = []
-        for __, head, centroid in self._iter_centroids():
-            with prof.section(SEC_DISTANCE):
-                cent_dists.append(kernel(query, centroid))
-            heads.append(head)
-        order = np.argsort(np.asarray(cent_dists), kind="stable")[: max(nprobe, 1)]
-
-        with prof.section(SEC_TUPLE_ACCESS):
-            tids: list[TID] = []
-            for bucket in order.tolist():
-                self._gather_bucket(heads[bucket], tids)
-        self.scan_stats.scans += 1
-        self.scan_stats.candidates += len(tids)
-        if not tids:
-            return ScanBatch.empty()
-        with prof.section(SEC_HEAP_FETCH):
-            columns = self.table.fetch_column_many_any(tids, self.column_index)
-            if any(c is None for c in columns):
-                # Entries lagging a completed heap VACUUM: drop them.
-                tids = [t for t, c in zip(tids, columns) if c is not None]
-                columns = [c for c in columns if c is not None]
-            if not tids:
-                return ScanBatch.empty()
-            vectors = np.asarray(columns, dtype=np.float32)
-        with prof.section(SEC_DISTANCE):
-            dists = rows(query, vectors)
-        with prof.section(SEC_HEAP):
-            keys = np.asarray([_tid_key(tid) for tid in tids], dtype=np.int64)
-            return topk_batch(keys, dists, k)
-
-    # ------------------------------------------------------------------
-    # in-filter search (amsearch_filtered)
-    # ------------------------------------------------------------------
-    def amsearch_filtered(
-        self, query: np.ndarray, k: int, mask_fn: Any
-    ) -> Iterator[tuple[TID, float]]:
-        """In-filter scan: the mask runs on the bucket's bare TIDs, so
-        rejected candidates skip the per-candidate heap-table fetch —
-        the dominant cost of this TID-only layout."""
-        if self.dim is None:
-            raise RuntimeError("index has not been built")
-        prof = self.profiler
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        kernel = pairwise_kernel(self.opts.distance_type)
-
-        cent_dists: list[float] = []
-        heads: list[int] = []
-        for __, head, centroid in self._iter_centroids():
-            with prof.section(SEC_DISTANCE):
-                cent_dists.append(kernel(query, centroid))
-            heads.append(head)
-        order = np.argsort(np.asarray(cent_dists), kind="stable")
-
-        def score(tid: TID) -> float | None:
-            with prof.section(SEC_HEAP_FETCH):
-                vec = self.table.fetch_column_any(tid, self.column_index)
+        def score_one(tid, _payload):
+            # The defining pgvector cost: fetch the candidate's vector
+            # from the base heap table.  Any-version fetch: tombstoned
+            # tuples still score (the executor filters by snapshot);
+            # only physically reclaimed slots skip.
+            with section(SEC_HEAP_FETCH):
+                vec = fetch(tid, column)
             if vec is None:
                 return None
-            with prof.section(SEC_DISTANCE):
+            with section(SEC_DISTANCE):
                 return kernel(query, np.asarray(vec, dtype=np.float32))
 
-        return iter(
-            ivf_filtered_scan(
-                self,
-                k,
-                mask_fn,
-                order.tolist(),
-                heads,
-                lambda head: ((tid, tid) for tid in self._iter_bucket(head)),
-                score,
-            )
-        )
+        return score_one
 
-    def amestimate_candidates(self, ntuples: float, fetch_k: int) -> float:
-        """Candidates the in-filter mask must judge (probed share of n)."""
-        n = max(float(ntuples), 1.0)
-        clusters = max(1.0, min(float(self.opts.clusters), n))
-        nprobe = float(min(max(int(self.catalog.get_setting("pase.nprobe")), 1), int(clusters)))
-        return n * (nprobe / clusters)
+    def _rows_scorer(self, query: np.ndarray) -> RowsScorer:
+        """One bucket's vectors come from the heap via
+        :meth:`HeapTable.fetch_column_many_any` — one buffer pin per
+        heap block instead of one per candidate — and are scored in a
+        single row-wise kernel call."""
+        rows = rows_kernel(self._metric())
+        fetch_many = self.table.fetch_column_many_any
+        column = self.column_index
+        section = self.profiler.section
 
-    # ------------------------------------------------------------------
-    # planner cost estimate
-    # ------------------------------------------------------------------
-    def amcostestimate(self, ntuples: float, fetch_k: int, cost: Any) -> tuple[float, float]:
-        """IVF cost where buckets store bare TIDs: every probed
-        candidate pays an extra heap-tuple fetch for its vector before
-        the distance (pgvector's layout, vs PASE's vector-in-index)."""
-        n = max(float(ntuples), 1.0)
-        clusters = max(1.0, min(float(self.opts.clusters), n))
-        nprobe = float(min(max(int(self.catalog.get_setting("pase.nprobe")), 1), int(clusters)))
-        candidates = n * (nprobe / clusters)
-        total = clusters * DISTANCE_OP_WEIGHT * cost.cpu_operator_cost
-        total += candidates * (
+        def score_rows(keys, _payloads):
+            with section(SEC_HEAP_FETCH):
+                tids = [TID(b, o) for b, o in zip((keys >> 16).tolist(), (keys & 0xFFFF).tolist())]
+                columns = fetch_many(tids, column)
+                if any(c is None for c in columns):
+                    # Entries lagging a completed heap VACUUM: drop them.
+                    keys = keys[[c is not None for c in columns]]
+                    columns = [c for c in columns if c is not None]
+                if not columns:
+                    return keys, np.empty(0, dtype=np.float64)
+                vectors = np.asarray(columns, dtype=np.float32)
+            with section(SEC_DISTANCE):
+                return keys, rows(query, vectors)
+
+        return score_rows
+
+    def _candidate_cost(self, cost: Any) -> float:
+        """Buckets store bare TIDs: every probed candidate pays an extra
+        heap-tuple fetch for its vector before the distance (pgvector's
+        layout, vs PASE's vector-in-index)."""
+        return (
             cost.cpu_index_tuple_cost
             + cost.cpu_tuple_cost
             + DISTANCE_OP_WEIGHT * cost.cpu_operator_cost
-        )
-        return total, total
-
-    # ------------------------------------------------------------------
-    # page iteration
-    # ------------------------------------------------------------------
-    def _iter_centroids(self) -> Iterator[tuple[int, int, np.ndarray]]:
-        rel = self.relation_name("centroid")
-        prof = self.profiler
-        for blkno in range(self.buffer.disk.n_blocks(rel)):
-            frame = self.buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                for off in range(1, page.item_count + 1):
-                    with prof.section(SEC_TUPLE_ACCESS):
-                        view = page.get_item_view(off)
-                        cent_id, head = _CENTROID_HEAD.unpack_from(view, 0)
-                        vec = np.frombuffer(view, dtype=np.float32, offset=_CENTROID_HEAD.size)
-                    yield cent_id, head, vec
-            finally:
-                self.buffer.unpin(frame)
-
-    def _gather_bucket(self, head: int, out: list[TID]) -> None:
-        """Append one bucket's TIDs to ``out``, one pin per chain page.
-
-        Data tuples are fixed-size (8-byte TID records) on append-only
-        pages, so each page decodes with one reinterpreting view; the
-        line-pointer walk remains as a defensive fallback.
-        """
-        rel = self.relation_name("data")
-        item_size = _TID_TUPLE.size
-        blkno = head
-        while blkno != _NO_BLOCK:
-            frame = self.buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                n = page.item_count
-                upper = page.upper
-                if n and page.special - upper == n * item_size:
-                    words = np.frombuffer(
-                        page.buf, dtype="<u4", count=n * 2, offset=upper
-                    ).reshape(n, 2)
-                    blks = words[:, 0].tolist()
-                    offs = (words[:, 1] & 0xFFFF).tolist()
-                    out.extend(TID(b, o) for b, o in zip(blks, offs))
-                else:
-                    for off in range(1, n + 1):
-                        heap_blk, heap_off = _TID_TUPLE.unpack_from(
-                            page.get_item_view(off), 0
-                        )
-                        out.append(TID(heap_blk, heap_off))
-                (blkno,) = _NEXT.unpack(page.read_special())
-            finally:
-                self.buffer.unpin(frame)
-
-    def _iter_bucket(self, head: int) -> Iterator[TID]:
-        rel = self.relation_name("data")
-        prof = self.profiler
-        blkno = head
-        while blkno != _NO_BLOCK:
-            frame = self.buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                for off in range(1, page.item_count + 1):
-                    with prof.section(SEC_TUPLE_ACCESS):
-                        view = page.get_item_view(off)
-                        heap_blk, heap_off = _TID_TUPLE.unpack_from(view, 0)
-                    yield TID(heap_blk, heap_off)
-                (blkno,) = _NEXT.unpack(page.read_special())
-            finally:
-                self.buffer.unpin(frame)
-
-    # ------------------------------------------------------------------
-    # centroid tuple updates
-    # ------------------------------------------------------------------
-    def _centroid_location(self, centroid_id: int) -> tuple[int, int]:
-        assert self._centroids_per_page is not None
-        return (
-            centroid_id // self._centroids_per_page,
-            centroid_id % self._centroids_per_page + 1,
-        )
-
-    def _bucket_head(self, centroid_id: int) -> int:
-        blkno, off = self._centroid_location(centroid_id)
-        with self.buffer.page(self.relation_name("centroid"), blkno) as page:
-            return _CENTROID_HEAD.unpack_from(page.get_item_view(off), 0)[1]
-
-    def _set_bucket_head(self, centroid_id: int, head: int) -> None:
-        blkno, off = self._centroid_location(centroid_id)
-        frame = self.buffer.pin(self.relation_name("centroid"), blkno)
-        try:
-            struct.pack_into("<I", frame.page.get_item_view(off), 4, head)
-        finally:
-            self.buffer.unpin(frame, dirty=True)
-
-    # ------------------------------------------------------------------
-    # size accounting
-    # ------------------------------------------------------------------
-    def relations(self) -> list[str]:
-        """Page-file names owned by this index."""
-        return [self.relation_name(f) for f in ("centroid", "data")]
-
-    def size_info(self) -> IndexSizeInfo:
-        page_size = self.buffer.disk.page_size
-        detail: dict[str, int] = {}
-        pages = 0
-        used = 0
-        for fork in ("centroid", "data"):
-            rel = self.relation_name(fork)
-            if not self.buffer.disk.relation_exists(rel):
-                continue
-            n = self.buffer.disk.n_blocks(rel)
-            pages += n
-            detail[f"{fork}_pages"] = n
-            for blkno in range(n):
-                with self.buffer.page(rel, blkno) as page:
-                    for off in page.live_items():
-                        used += len(page.get_item_view(off))
-        return IndexSizeInfo(
-            allocated_bytes=pages * page_size,
-            used_bytes=used,
-            page_count=pages,
-            detail=detail,
         )
