@@ -115,6 +115,46 @@ def test_batch_exec_shape(ivf_study):
     )
 
 
+def test_batch_exec_shape_sql(ivf_study):
+    """The same gate through the executor: ``engine.search`` above calls
+    the AM directly, so this is what shows the toggle still selects the
+    per-tuple interface once a statement is parsed, planned and run."""
+    gen = ivf_study.generalized
+    gen.db.execute(f"SET pase.nprobe = {NPROBE}")
+    statements = [
+        f"SELECT id FROM {gen.table_name} ORDER BY vec <-> "
+        f"'{','.join(f'{x:.6f}' for x in q)}'::PASE LIMIT {K}"
+        for q in ivf_study.dataset.queries[:N_QUERIES]
+    ]
+
+    def run_all() -> list[list[tuple]]:
+        return [gen.db.query(sql) for sql in statements]
+
+    def best_of(flag: bool, reps: int = 5) -> float:
+        _with_batch_exec(ivf_study, flag)
+        best = float("inf")
+        for __ in range(reps):
+            start = time.perf_counter()
+            run_all()
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    try:
+        _with_batch_exec(ivf_study, False)
+        tuple_rows = run_all()
+        _with_batch_exec(ivf_study, True)
+        assert run_all() == tuple_rows, "batch path changed query results"
+        tuple_t = best_of(False)
+        batch_t = best_of(True)
+    finally:
+        _with_batch_exec(ivf_study, False)
+    speedup = tuple_t / batch_t
+    assert speedup >= 2.0, (
+        f"batch execution should be >=2x through SQL on Fig. 14: tuple "
+        f"{tuple_t * 1e3:.1f} ms, batch {batch_t * 1e3:.1f} ms ({speedup:.2f}x)"
+    )
+
+
 def test_batch_exec_shape_hnsw(hnsw_study):
     """HNSW gains less (graph walk stays tuple-wise) but must not
     regress, and results stay identical."""

@@ -1,44 +1,36 @@
-"""Volcano-style plan execution and statement dispatch.
+"""Statement execution: transaction lifecycle, dispatch, DML and SELECT.
 
-The executor pulls row dicts through the plan tree.  For the paper's
-search path the interesting part is :meth:`Executor._index_scan_rows`:
-the index AM yields ``(tid, distance)`` nearest-first and the executor
-fetches each result row from the heap by TID — one more buffer-manager
-round trip per result, exactly PostgreSQL's index-scan contract.
+Every statement enters through :meth:`Executor.execute_statement`, runs
+inside a transaction and is dispatched on its type.  INSERT / UPDATE /
+DELETE and SELECT live here; a SELECT is planned
+(:func:`~repro.pgsim.planner.plan_select`) and its plan handed, in one
+call, to the operator set in :mod:`repro.pgsim.operators` — there is one
+execution path, and ``enable_batch_exec`` only changes the interface the
+plan's leaves use.  Utility statements are in :mod:`repro.pgsim.utility`
+and EXPLAIN in :mod:`repro.pgsim.explain`.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 import time
-from typing import Any, Iterator
+from typing import Any
 
-import numpy as np
-
-from repro.common.distance import batch_kernel
 from repro.common.profiling import NULL_PROFILER
-from repro.common.types import DistanceType
+from repro.pgsim import explain, utility
 from repro.pgsim import expr as E
 from repro.pgsim import plan as P
-from repro.pgsim.am import lookup_am
-from repro.pgsim.analyze import analyze_table
 from repro.pgsim.buffer import BufferManager
-from repro.pgsim.catalog import Catalog, CatalogError, IndexInfo, TableInfo
-from repro.pgsim.estimation import EstimationStats, StrategyStats, record_plan
-from repro.pgsim.paths import METRIC_TO_TYPE
-from repro.pgsim.heapam import TID, HeapTable
-from repro.pgsim.planner import explain_plan, plan_select
-from repro.pgsim.slowlog import SlowQueryRecord
+from repro.pgsim.catalog import Catalog, CatalogError
+from repro.pgsim.estimation import EstimationStats, StrategyStats, node_strategy, record_plan
+from repro.pgsim.operators import PlanRun
+from repro.pgsim.plan import ExecutionError
+from repro.pgsim.planner import plan_select
+from repro.pgsim.probes import sampled
 from repro.pgsim.sql import ast
 from repro.pgsim.stats import StatsCollector
 from repro.pgsim.tuple_format import Column, TypeOid
 from repro.pgsim.wal import WalPanicError, WriteAheadLog
 from repro.pgsim.xact import Snapshot, Transaction, TransactionManager
-
-
-class ExecutionError(RuntimeError):
-    """Raised for runtime statement failures."""
 
 
 class Executor:
@@ -160,17 +152,17 @@ class Executor:
                 "(use Database.execute or Database.session())"
             )
         if txn is not None:
-            return self._dispatch(stmt, txn)
+            return self._with_transaction(stmt, txn)
         txn = self.xact.begin()
         try:
-            result = self._dispatch(stmt, txn)
+            result = self._with_transaction(stmt, txn)
         except BaseException:
             self.abort_transaction(txn)
             raise
         self.commit_transaction(txn)
         return result
 
-    def _dispatch(self, stmt: ast.Statement, txn: Transaction) -> P.QueryResult:
+    def _with_transaction(self, stmt: ast.Statement, txn: Transaction) -> P.QueryResult:
         prev_txn, prev_snapshot = self._txn, self._snapshot
         self._txn = txn
         # Explicit transactions pin their snapshot at BEGIN (repeatable
@@ -180,19 +172,12 @@ class Executor:
         else:
             self._snapshot = self.xact.snapshot(txn.xid)
         try:
-            return self._dispatch_inner(stmt)
+            return self.dispatch(stmt)
         finally:
             self._txn, self._snapshot = prev_txn, prev_snapshot
 
-    def _dispatch_inner(self, stmt: ast.Statement) -> P.QueryResult:
-        if isinstance(stmt, ast.CreateTable):
-            return self._create_table(stmt)
-        if isinstance(stmt, ast.DropTable):
-            return self._drop_table(stmt)
-        if isinstance(stmt, ast.CreateIndex):
-            return self._create_index(stmt)
-        if isinstance(stmt, ast.DropIndex):
-            return self._drop_index(stmt)
+    def dispatch(self, stmt: ast.Statement) -> P.QueryResult:
+        """Run one statement under the current transaction and snapshot."""
         if isinstance(stmt, ast.Insert):
             return self._insert(stmt)
         if isinstance(stmt, ast.Delete):
@@ -213,101 +198,16 @@ class Executor:
             value = self.catalog.get_setting(stmt.name)
             return P.QueryResult(command="SHOW", columns=[stmt.name], rows=[(value,)])
         if isinstance(stmt, ast.Explain):
-            return self._explain(stmt)
-        if isinstance(stmt, ast.Vacuum):
-            return self._vacuum(stmt.table)
-        if isinstance(stmt, ast.Reindex):
-            return self._reindex(stmt)
-        if isinstance(stmt, ast.Analyze):
-            return self._analyze(stmt)
+            return explain.explain(self, stmt)
+        handler = utility.UTILITY.get(type(stmt))
+        if handler is not None:
+            return handler(self, stmt)
         raise ExecutionError(f"unsupported statement: {type(stmt).__name__}")
 
-    def _vacuum(self, table_name: str, autovacuum: bool = False) -> P.QueryResult:
-        """VACUUM: reclaim dead heap tuples, then each index's entries.
-
-        The heap pass collects the reclaimed TIDs and forwards them to
-        every index AM's ``ambulkdelete`` so IVF lists compact and HNSW
-        neighbor lists repair in the same pass.  Afterwards the
-        planner's physical-shape stats rebase to the post-vacuum state.
-        """
-        table = self.catalog.table(table_name)
-        # Progress reporting (pg_stat_progress_vacuum): phase names
-        # follow PostgreSQL's — "scanning heap", "vacuuming indexes",
-        # "performing final cleanup".
-        progress = self.stats.start_vacuum(table_name)
-        try:
-            progress.set_phase("scanning heap")
-            progress.heap_blks_total = table.heap.n_blocks()
-            dead_tids: list[TID] = []
-            reclaimed = table.heap.vacuum(
-                horizon=self.xact.safe_horizon(), dead_tids=dead_tids
-            )
-            progress.heap_blks_scanned = progress.heap_blks_total
-            progress.tuples_removed = reclaimed
-            if autovacuum:
-                table.heap.autovacuum_count += 1
-            index_entries = 0
-            if dead_tids:
-                dead = set(dead_tids)
-                progress.set_phase("vacuuming indexes")
-                for index in table.indexes.values():
-                    progress.index_name = index.name
-                    saved = index.am.vacuum_progress
-                    index.am.vacuum_progress = progress
-                    try:
-                        index_entries += index.am.ambulkdelete(dead)
-                    finally:
-                        index.am.vacuum_progress = saved
-                    progress.index_vacuum_count += 1
-            progress.set_phase("performing final cleanup")
-        finally:
-            self.stats.finish_vacuum()
-        if table.stats is not None:
-            # Like PostgreSQL's VACUUM updating pg_class: refresh
-            # the physical shape so the planner's table_shape()
-            # discount restarts from the post-vacuum baseline.
-            table.stats.reltuples = float(table.heap.tuple_count)
-            table.stats.relpages = max(table.heap.n_blocks(), 1)
-            table.stats.dead_at_analyze = float(table.heap.n_dead_tup)
-        return P.QueryResult(command=f"VACUUM {reclaimed}")
-
     def maybe_autovacuum(self) -> list[str]:
-        """Autovacuum hook: vacuum tables past their dead-tuple threshold.
-
-        Mirrors PostgreSQL's launcher decision rule — a table qualifies
-        when ``n_dead_tup > autovacuum_vacuum_threshold +
-        autovacuum_vacuum_scale_factor * n_live_tup`` — but runs
-        synchronously when invoked (the session layer calls this after
-        each statement while the ``autovacuum`` GUC is on; harnesses
-        may call it directly).  Returns the names of vacuumed tables.
-        """
-        try:
-            threshold = float(self.catalog.get_setting("autovacuum_vacuum_threshold"))
-            scale = float(self.catalog.get_setting("autovacuum_vacuum_scale_factor"))
-        except CatalogError:
-            return []
-        log_ms = self._duration_setting_ms("log_autovacuum_min_duration")
-        vacuumed: list[str] = []
-        for name in self.catalog.table_names():
-            heap = self.catalog.table(name).heap
-            if heap.n_dead_tup > threshold + scale * heap.tuple_count:
-                start = time.perf_counter()
-                result = self._vacuum(name, autovacuum=True)
-                elapsed_ms = (time.perf_counter() - start) * 1e3
-                vacuumed.append(name)
-                if log_ms is not None and elapsed_ms >= log_ms and self.slowlog is not None:
-                    self.slowlog.record(
-                        SlowQueryRecord(
-                            logged_at=time.time(),
-                            backend_id=0,
-                            session="autovacuum",
-                            kind="autovacuum",
-                            query=f"VACUUM {name}",
-                            elapsed_ms=elapsed_ms,
-                            rows=int(result.command.split()[-1]),
-                        )
-                    )
-        return vacuumed
+        """Autovacuum hook, called by the session layer after each
+        statement (see :func:`repro.pgsim.utility.maybe_autovacuum`)."""
+        return utility.maybe_autovacuum(self)
 
     def _duration_setting_ms(self, name: str) -> float | None:
         """Read a ``log_min_duration``-style GUC: -1 (or garbage)
@@ -317,127 +217,6 @@ class Executor:
         except (CatalogError, TypeError, ValueError):
             return None
         return value if value >= 0 else None
-
-    def _analyze(self, stmt: ast.Analyze) -> P.QueryResult:
-        """ANALYZE [table]: collect planner statistics into the catalog."""
-        names = [stmt.table] if stmt.table is not None else self.catalog.table_names()
-        for name in names:
-            analyze_table(self.catalog.table(name), self.catalog)
-        return P.QueryResult(command="ANALYZE")
-
-    # ------------------------------------------------------------------
-    # DDL
-    # ------------------------------------------------------------------
-    def _create_table(self, stmt: ast.CreateTable) -> P.QueryResult:
-        if self.catalog.has_table(stmt.name):
-            if stmt.if_not_exists:
-                return P.QueryResult(command="CREATE TABLE (exists)")
-            raise CatalogError(f"table {stmt.name!r} already exists")
-        columns = [Column.from_sql(c.name, c.type_name) for c in stmt.columns]
-        if len({c.name for c in columns}) != len(columns):
-            raise CatalogError("duplicate column names")
-        heap = HeapTable(
-            stmt.name, columns, self.buffer, self.wal, stats=self.stats.heap, xact=self.xact
-        )
-        self.catalog.add_table(TableInfo(name=stmt.name, columns=columns, heap=heap))
-        return P.QueryResult(command="CREATE TABLE")
-
-    def _drop_table(self, stmt: ast.DropTable) -> P.QueryResult:
-        if not self.catalog.has_table(stmt.name):
-            if stmt.if_exists:
-                return P.QueryResult(command="DROP TABLE (skipped)")
-            raise CatalogError(f"no such table: {stmt.name!r}")
-        info = self.catalog.drop_table(stmt.name)
-        for index in list(info.indexes.values()):
-            self._release_index_storage(index)
-        self.buffer.drop_relation(info.heap.relation)
-        self.buffer.disk.drop_relation(info.heap.relation)
-        return P.QueryResult(command="DROP TABLE")
-
-    def _create_index(self, stmt: ast.CreateIndex) -> P.QueryResult:
-        table = self.catalog.table(stmt.table)
-        if self.catalog.find_index(stmt.name) is not None:
-            raise CatalogError(f"index {stmt.name!r} already exists")
-        am_cls = lookup_am(stmt.am)
-        column_index = table.heap.column_index(stmt.column)
-        if table.columns[column_index].type_oid != TypeOid.FLOAT4_ARRAY:
-            raise ExecutionError(
-                f"access method {stmt.am!r} requires a float[] column, "
-                f"got {table.columns[column_index].type_oid.name}"
-            )
-        options = dict(stmt.options)
-        # Clear stale page files from a previous incarnation of this
-        # index (crash recovery re-runs CREATE INDEX over old forks).
-        self._drop_relations_with_prefix(f"{stmt.name}.")
-        am = am_cls(
-            index_name=stmt.name,
-            table=table.heap,
-            column_index=column_index,
-            buffer=self.buffer,
-            catalog=self.catalog,
-            options=options,
-        )
-        if self.am_profiler is not None:
-            am.profiler = self.am_profiler
-        # Build-progress reporting (pg_stat_progress_create_index):
-        # the AM flips phases and ticks tuple counters as it goes.
-        am.progress = self.stats.start_build(stmt.name, stmt.am)
-        try:
-            am.build()
-        finally:
-            self.stats.finish_build()
-        self.catalog.add_index(
-            IndexInfo(
-                name=stmt.name,
-                table_name=stmt.table,
-                column_name=stmt.column,
-                am_name=stmt.am,
-                options=options,
-                am=am,
-            )
-        )
-        return P.QueryResult(command="CREATE INDEX")
-
-    def _drop_index(self, stmt: ast.DropIndex) -> P.QueryResult:
-        if self.catalog.find_index(stmt.name) is None:
-            if stmt.if_exists:
-                return P.QueryResult(command="DROP INDEX (skipped)")
-            raise CatalogError(f"no such index: {stmt.name!r}")
-        info = self.catalog.drop_index(stmt.name)
-        self._release_index_storage(info)
-        return P.QueryResult(command="DROP INDEX")
-
-    def _release_index_storage(self, info: IndexInfo) -> None:
-        for rel in getattr(info.am, "relations", lambda: [])():
-            if self.buffer.disk.relation_exists(rel):
-                self.buffer.drop_relation(rel)
-                self.buffer.disk.drop_relation(rel)
-
-    def _reindex(self, stmt: ast.Reindex) -> P.QueryResult:
-        """Rebuild an index in place, dropping dead index entries."""
-        info = self.catalog.find_index(stmt.index)
-        if info is None:
-            raise CatalogError(f"no such index: {stmt.index!r}")
-        self.catalog.drop_index(stmt.index)
-        self._release_index_storage(info)
-        create = ast.CreateIndex(
-            name=info.name,
-            table=info.table_name,
-            am=info.am_name,
-            column=info.column_name,
-            options=tuple(info.options.items()),
-        )
-        self._create_index(create)
-        return P.QueryResult(command="REINDEX")
-
-    def _drop_relations_with_prefix(self, prefix: str) -> None:
-        lister = getattr(self.buffer.disk, "list_relations", None)
-        if lister is None:
-            return
-        for rel in lister():
-            if rel.startswith(prefix):
-                self.buffer.drop_relation(rel)
-                self.buffer.disk.drop_relation(rel)
 
     # ------------------------------------------------------------------
     # DML
@@ -539,30 +318,81 @@ class Executor:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
+    def plan_select(self, stmt: ast.Select) -> P.Project:
+        # The module-level name is looked up on every call: the repo
+        # benchmark's tracer times planning by replacing it.
+        plan = plan_select(stmt, self.catalog)
+        assert isinstance(plan, P.Project)
+        return plan
+
+    def run_plan(
+        self, plan: P.Project, instrument: dict[int, list] | None = None
+    ) -> list[tuple[Any, ...]]:
+        """Execute a SELECT plan under the statement's snapshot.
+
+        While a trace is armed the "Executor" root span covers the whole
+        execution window, so the RC buckets (which partition recorded
+        span time) reconcile against the query's elapsed time.
+        """
+        profiler = self.trace_profiler
+        run = PlanRun(self, self._snapshot, profiler, instrument)
+        with profiler.section("Executor"):
+            return run.execute(plan)
+
+    def record_run(self, plan: P.Project, instrument: dict[int, list] | None) -> str | None:
+        """Fold one executed SELECT into the planner-feedback views.
+
+        An instrumented run feeds pg_stat_estimation_errors.  Every run
+        feeds pg_stat_filtered_search: the plan is walked for the
+        strategy-bearing scan (PreFilterScan, or an IndexScan with a
+        pushed-down filter), recording which strategy ran, the planner's
+        estimated selectivity, the measured one (from the
+        ``actual_matched``/``actual_examined`` stashes the scan leaves
+        behind on every execution, instrumented or not) and whether the
+        over-fetch cap forced a brute-force fallback.  Returns the
+        strategy name, None for non-hybrid plans.
+        """
+        if instrument is not None:
+            record_plan(self.estimation, self._estimation_query_key(), plan, instrument)
+        node: P.PlanNode | None = plan
+        while node is not None:
+            strategy = node_strategy(node)
+            if strategy is not None:
+                self.strategies.record(
+                    strategy,
+                    est_selectivity=node.est_selectivity,
+                    actual_matched=getattr(node, "actual_matched", None),
+                    actual_examined=getattr(node, "actual_examined", None),
+                    fell_back=bool(getattr(node, "overfetch_fell_back", False)),
+                )
+                return strategy
+            node = getattr(node, "child", None)
+        return None
+
     def _select(self, stmt: ast.Select) -> P.QueryResult:
         if self._is_stat_reset_call(stmt):
             self.stats.reset()
             return P.QueryResult(
                 command="SELECT 1", columns=["pg_stat_reset"], rows=[(None,)]
             )
-        plan = plan_select(stmt, self.catalog)
-        assert isinstance(plan, P.Project)
+        plan = self.plan_select(stmt)
         auto_ms = None
         if self.slowlog is not None:
             auto_ms = self._duration_setting_ms("auto_explain_log_min_duration")
         if auto_ms is not None:
-            return self._select_captured(plan, auto_ms)
-        instrument = self._begin_estimation_probe()
-        if plan.batch:
-            rows = list(self._project_rows_batch(plan, instrument))
+            rows = self._run_captured(plan, auto_ms)
         else:
-            rows = list(self._project_rows(plan, instrument))
-        if instrument is not None:
-            self._record_estimation(plan, instrument)
-        self._record_strategy(plan)
+            # Ordinary SELECTs run instrumented when sampled by
+            # ``estimation_probe_rate`` (its own ticket stream).
+            chosen = sampled(
+                self.catalog.settings, "estimation_probe", self.stats.next_estimation_ticket
+            )
+            instrument: dict[int, list] | None = {} if chosen else None
+            rows = self.run_plan(plan, instrument)
+            self.record_run(plan, instrument)
         return P.QueryResult(command=f"SELECT {len(rows)}", columns=plan.columns, rows=rows)
 
-    def _select_captured(self, plan: P.Project, auto_ms: float) -> P.QueryResult:
+    def _run_captured(self, plan: P.Project, auto_ms: float) -> list[tuple[Any, ...]]:
         """auto_explain path: run the SELECT instrumented and traced.
 
         The plan executes exactly as the plain path would (same rows,
@@ -583,67 +413,36 @@ class Executor:
 
         self.last_plan_capture = None
         instrument: dict[int, list] = {}
-        profiler, tracer, restore = self._begin_trace(plan, max_spans=AUTO_CAPTURE_MAX_SPANS)
+        tracer, restore = explain.begin_trace(self, plan, max_spans=AUTO_CAPTURE_MAX_SPANS)
         waits_before = self.stats.waits.snapshot()
         start = time.perf_counter()
         try:
-            with profiler.section("Executor"):
-                if plan.batch:
-                    rows = list(self._project_rows_batch(plan, instrument))
-                else:
-                    rows = list(self._project_rows(plan, instrument))
+            rows = self.run_plan(plan, instrument)
         finally:
             restore()
         total = time.perf_counter() - start
-        self._record_estimation(plan, instrument)
-        strategy = self._record_strategy(plan)
+        strategy = self.record_run(plan, instrument)
         if total * 1e3 >= auto_ms:
             waits_delta = self.stats.waits.delta(waits_before)
             attribution = attribute_profile(tracer, wait_events=waits_delta)
             self.last_plan_capture = {
                 "plan": "\n".join(
-                    self._annotated_lines(plan, 0, instrument, buffers=True, timing=True)
+                    explain.annotated_lines(plan, 0, instrument, buffers=True, timing=True)
                 ),
                 "rc": attribution.as_dict(),
                 "elapsed_ms": total * 1e3,
                 "strategy": strategy,
             }
-        return P.QueryResult(command=f"SELECT {len(rows)}", columns=plan.columns, rows=rows)
+        return rows
 
     def take_plan_capture(self) -> dict | None:
         """Pop the last auto_explain capture (one-shot, per statement)."""
         capture, self.last_plan_capture = self.last_plan_capture, None
         return capture
 
-    def _record_strategy(self, plan: P.PlanNode) -> str | None:
-        """Fold one executed hybrid SELECT into pg_stat_filtered_search.
-
-        Walks the plan for the strategy-bearing scan (PreFilterScan, or
-        an IndexScan with a pushed-down filter) and records which
-        strategy ran, the planner's estimated selectivity, the measured
-        one (from the ``actual_matched``/``actual_examined`` stashes the
-        scan leaves behind on every execution, instrumented or not) and
-        whether the over-fetch cap forced a brute-force fallback.
-        Returns the strategy name, None for non-hybrid plans.
-        """
-        node: P.PlanNode | None = plan
-        while node is not None:
-            strategy = getattr(node, "strategy", None)
-            if isinstance(strategy, str):
-                self.strategies.record(
-                    strategy,
-                    est_selectivity=node.est_selectivity,
-                    actual_matched=getattr(node, "actual_matched", None),
-                    actual_examined=getattr(node, "actual_examined", None),
-                    fell_back=bool(getattr(node, "overfetch_fell_back", False)),
-                )
-                return strategy
-            node = getattr(node, "child", None)
-        return None
-
     def try_execute_virtual(self, stmt: ast.Statement) -> P.QueryResult | None:
         """Lock-free monitoring path: run a virtual-view SELECT without
-        the statement lock and without :meth:`_dispatch`.
+        the statement lock and outside any transaction.
 
         Plans over virtual views bottom out in
         :class:`~repro.pgsim.plan.VirtualScan` leaves that read
@@ -661,8 +460,7 @@ class Executor:
             return None
         if not self.catalog.has_view(stmt.table):
             return None
-        plan = plan_select(stmt, self.catalog)
-        assert isinstance(plan, P.Project)
+        plan = self.plan_select(stmt)
         # Defensive: every leaf must be a VirtualScan.  Anything that
         # could touch heap or transaction state needs the lock.
         node: P.PlanNode | None = plan.child
@@ -670,10 +468,9 @@ class Executor:
             if isinstance(node, (P.SeqScan, P.IndexScan, P.PreFilterScan)):
                 return None
             node = getattr(node, "child", None)
-        if plan.batch:
-            rows = list(self._project_rows_batch(plan))
-        else:
-            rows = list(self._project_rows(plan))
+        # No snapshot and no trace profiler: neither belongs to this
+        # thread while another statement holds the lock.
+        rows = PlanRun(self).execute(plan)
         return P.QueryResult(command=f"SELECT {len(rows)}", columns=plan.columns, rows=rows)
 
     @staticmethod
@@ -687,891 +484,6 @@ class Executor:
             and expr.name.lower() == "pg_stat_reset"
             and not expr.args
         )
-
-    def _explain(self, stmt: ast.Explain) -> P.QueryResult:
-        if stmt.buffers and not stmt.analyze:
-            raise ExecutionError("EXPLAIN option BUFFERS requires ANALYZE")
-        if stmt.trace and not stmt.analyze:
-            raise ExecutionError("EXPLAIN option TRACE requires ANALYZE")
-        if stmt.timing and not stmt.analyze:
-            # Matches PostgreSQL: TIMING off without ANALYZE is fine,
-            # TIMING on without ANALYZE is not.
-            raise ExecutionError("EXPLAIN option TIMING requires ANALYZE")
-        inner = stmt.statement
-        if isinstance(inner, ast.Select):
-            return self._explain_select(stmt, inner)
-        if isinstance(inner, (ast.Insert, ast.Delete, ast.Update)):
-            return self._explain_dml(stmt, inner)
-        raise ExecutionError(
-            "EXPLAIN supports SELECT, INSERT, UPDATE and DELETE statements, "
-            f"not {type(inner).__name__}"
-        )
-
-    def _explain_select(self, stmt: ast.Explain, inner: ast.Select) -> P.QueryResult:
-        plan = plan_select(inner, self.catalog)
-        if not stmt.analyze:
-            lines = explain_plan(plan, costs=stmt.costs).splitlines()
-            return P.QueryResult(
-                command="EXPLAIN",
-                columns=["QUERY PLAN"],
-                rows=[(line,) for line in lines],
-            )
-        # EXPLAIN ANALYZE: execute the plan with per-node counters.
-        # TIMING defaults on; TIMING off keeps counters only (no
-        # wall-clock in the output), as in PostgreSQL.
-        timing = stmt.timing if stmt.timing is not None else True
-        instrument: dict[int, list] = {}
-        if stmt.trace:
-            profiler, tracer, restore = self._begin_trace(plan)
-            waits_before = self.stats.waits.snapshot()
-        start = time.perf_counter()
-        assert isinstance(plan, P.Project)
-        try:
-            if stmt.trace:
-                # The root span covers the whole execution window, so
-                # the RC buckets (which partition recorded span time)
-                # reconcile against the query's elapsed time.
-                with profiler.section("Executor"):
-                    if plan.batch:
-                        n_rows = sum(1 for __ in self._project_rows_batch(plan, instrument))
-                    else:
-                        n_rows = sum(1 for __ in self._project_rows(plan, instrument))
-            elif plan.batch:
-                n_rows = sum(1 for __ in self._project_rows_batch(plan, instrument))
-            else:
-                n_rows = sum(1 for __ in self._project_rows(plan, instrument))
-        finally:
-            if stmt.trace:
-                restore()
-        total = time.perf_counter() - start
-        self._record_estimation(plan, instrument)
-        self._record_strategy(plan)
-        lines = self._annotated_lines(
-            plan, 0, instrument, buffers=stmt.buffers, timing=timing, costs=stmt.costs
-        )
-        if timing:
-            lines.append(f"Execution: {n_rows} rows in {total * 1e3:.3f} ms")
-        else:
-            lines.append(f"Execution: {n_rows} rows")
-        if stmt.trace:
-            waits_delta = self.stats.waits.delta(waits_before)
-            lines.extend(self._trace_lines(tracer, waits_delta, total))
-        return P.QueryResult(
-            command="EXPLAIN",
-            columns=["QUERY PLAN"],
-            rows=[(line,) for line in lines],
-        )
-
-    def _begin_trace(self, plan: P.PlanNode, max_spans: int | None = None):
-        """Arm span tracing for one EXPLAIN (ANALYZE, TRACE) run.
-
-        One tracer-backed profiler is shared by the executor (heap
-        fetches -> "Tuple Access") and every index AM reachable from
-        the plan (their paper-named sections: fvec_L2sqr, Min-heap,
-        Pctable, ...), so the span tree nests AM work under the
-        executor root.  Returns ``(profiler, tracer, restore)`` where
-        ``restore()`` puts the previous profilers back.
-        """
-        from repro.common.profiling import Profiler
-        from repro.common.tracing import DEFAULT_MAX_SPANS, Tracer
-
-        tracer = Tracer(max_spans=max_spans if max_spans is not None else DEFAULT_MAX_SPANS)
-        profiler = Profiler(tracer=tracer)
-        ams = []
-        node: P.PlanNode | None = plan
-        while node is not None:
-            if isinstance(node, P.IndexScan):
-                ams.append(node.index.am)
-            node = getattr(node, "child", None)
-        saved = [(am, am.profiler) for am in ams]
-        saved_exec = self.trace_profiler
-        for am in ams:
-            am.profiler = profiler
-        self.trace_profiler = profiler
-
-        def restore() -> None:
-            self.trace_profiler = saved_exec
-            for am, prev in saved:
-                am.profiler = prev
-
-        #: Kept for harnesses that want the raw spans after the run
-        #: (chrome-trace export, flamegraphs).
-        self.last_trace = tracer
-        return profiler, tracer, restore
-
-    def _trace_lines(self, tracer, waits_delta, total_seconds: float) -> list[str]:
-        """Render the RC#1–RC#7 attribution block of a TRACE run."""
-        # Function-level import: repro.core imports pgsim packages.
-        from repro.core.rc_attribution import attribute_profile, format_rc_breakdown
-
-        attribution = attribute_profile(tracer, wait_events=waits_delta)
-        lines = ["Root-cause attribution (spans):"]
-        lines.extend(format_rc_breakdown(attribution).splitlines())
-        covered = attribution.total_seconds / total_seconds if total_seconds > 0 else 0.0
-        note = f"Trace: {len(tracer.spans)} spans, {covered * 100:.1f}% of elapsed attributed"
-        if tracer.dropped_spans:
-            note += f" ({tracer.dropped_spans} spans dropped)"
-        lines.append(note)
-        return lines
-
-    def _explain_dml(self, stmt: ast.Explain, inner: ast.Statement) -> P.QueryResult:
-        """EXPLAIN [ANALYZE] for INSERT/UPDATE/DELETE: plan line + counters.
-
-        The write path has no Volcano plan tree to instrument, so
-        ANALYZE executes the statement (with its side effects, exactly
-        like PostgreSQL's EXPLAIN ANALYZE on DML) and reports actual
-        rows, wall time and — with BUFFERS — the statement's buffer
-        delta on the top line.
-        """
-        if isinstance(inner, ast.Insert):
-            self.catalog.table(inner.table)  # validate before printing
-            lines = [f"Insert on {inner.table} (rows={len(inner.rows)})"]
-        elif isinstance(inner, ast.Update):
-            self.catalog.table(inner.table)
-            lines = [f"Update on {inner.table}", "->  Seq Scan on " + inner.table]
-        else:
-            assert isinstance(inner, ast.Delete)
-            self.catalog.table(inner.table)
-            lines = [f"Delete on {inner.table}", "->  Seq Scan on " + inner.table]
-        if not stmt.analyze:
-            return P.QueryResult(
-                command="EXPLAIN",
-                columns=["QUERY PLAN"],
-                rows=[(line,) for line in lines],
-            )
-        timing = stmt.timing if stmt.timing is not None else True
-        before = self.buffer.stats.snapshot()
-        start = time.perf_counter()
-        if isinstance(inner, ast.Insert):
-            result = self._insert(inner)
-        elif isinstance(inner, ast.Update):
-            result = self._update(inner)
-        else:
-            result = self._delete(inner)
-        total = time.perf_counter() - start
-        affected = int(result.command.split()[-1])
-        if timing:
-            lines[0] += f" (actual rows={affected} time={total * 1e3:.3f} ms)"
-        else:
-            lines[0] += f" (actual rows={affected})"
-        if stmt.buffers:
-            delta = self.buffer.stats.delta(before)
-            lines.insert(1, f"  Buffers: hits={delta.hits} misses={delta.misses}")
-        if timing:
-            lines.append(f"Execution: {affected} rows in {total * 1e3:.3f} ms")
-        else:
-            lines.append(f"Execution: {affected} rows")
-        return P.QueryResult(
-            command="EXPLAIN",
-            columns=["QUERY PLAN"],
-            rows=[(line,) for line in lines],
-        )
-
-    def _annotated_lines(
-        self,
-        node: P.PlanNode,
-        depth: int,
-        instrument: dict[int, list],
-        buffers: bool = False,
-        timing: bool = True,
-        costs: bool = True,
-    ) -> list[str]:
-        """Plan listing annotated with actual rows/time per node.
-
-        Each head line keeps the planner's ``(cost=.. rows=..)``
-        estimate (suppressed with COSTS off) followed by the actuals,
-        as in PostgreSQL.  With ``buffers`` on, each instrumented node
-        also gets a ``Buffers: hits=H misses=M`` line.  Instrumentation
-        captures *inclusive* deltas (a parent's pull runs its child's
-        pull); plans are single-child chains, so the child's inclusive
-        figure is subtracted to report each node's *exclusive* buffer
-        traffic — the per-node figures sum exactly to the query's
-        total.
-
-        With ``timing`` off the per-node wall-clock is withheld
-        (counters only), matching EXPLAIN (ANALYZE, TIMING off).
-        """
-        node_lines = node.own_lines(depth, costs=costs)
-        own, details = node_lines[0], node_lines[1:]
-        entry = instrument.get(id(node))
-        child = getattr(node, "child", None)
-        if entry is not None:
-            if timing:
-                own += f" (actual rows={entry[0]} time={entry[1] * 1e3:.3f} ms)"
-            else:
-                own += f" (actual rows={entry[0]})"
-        lines = [own]
-        if buffers and entry is not None:
-            child_entry = instrument.get(id(child)) if child is not None else None
-            hits = entry[2] - (child_entry[2] if child_entry is not None else 0)
-            misses = entry[3] - (child_entry[3] if child_entry is not None else 0)
-            lines.append("  " * (depth + 1) + f"Buffers: hits={hits} misses={misses}")
-        lines.extend(details)
-        if child is not None:
-            lines.extend(
-                self._annotated_lines(
-                    child, depth + 1, instrument, buffers=buffers, timing=timing, costs=costs
-                )
-            )
-        return lines
-
-    def _project_rows(
-        self, project: P.Project, instrument: dict[int, list] | None = None
-    ) -> Iterator[tuple[Any, ...]]:
-        if project.aggregated:
-            assert isinstance(project.child, (P.Aggregate, P.Limit))
-            for row in self._plan_rows(project.child, instrument):
-                yield (row["__agg__"],)
-            return
-        for row in self._plan_rows(project.child, instrument):
-            yield self._project_one(project, row)
-
-    def _project_one(self, project: P.Project, row: dict[str, Any]) -> tuple[Any, ...]:
-        out: list[Any] = []
-        for target in project.targets:
-            if isinstance(target.expr, ast.Star):
-                out.extend(row[name] for name in row if not name.startswith("__"))
-            else:
-                out.append(E.evaluate(target.expr, row))
-        return tuple(out)
-
-    def _plan_rows(
-        self, node: P.PlanNode, instrument: dict[int, list] | None = None
-    ) -> Iterator[dict[str, Any]]:
-        gen = self._plan_rows_inner(node, instrument)
-        if instrument is None:
-            return gen
-        return self._instrumented(gen, node, instrument)
-
-    def _instrumented(
-        self, gen: Iterator[dict[str, Any]], node: P.PlanNode, instrument: dict[int, list]
-    ) -> Iterator[dict[str, Any]]:
-        """Wrap a node's row stream with row/time/buffer accounting.
-
-        Entries are ``[rows, seconds, buffer_hits, buffer_misses]``;
-        the buffer figures are inclusive of child pulls (see
-        :meth:`_annotated_lines` for the exclusive subtraction).
-        """
-        entry = instrument.setdefault(id(node), [0, 0.0, 0, 0])
-        bstats = self.buffer.stats
-        while True:
-            hits0, misses0 = bstats.hits, bstats.misses
-            start = time.perf_counter()
-            try:
-                row = next(gen)
-            except StopIteration:
-                entry[1] += time.perf_counter() - start
-                entry[2] += bstats.hits - hits0
-                entry[3] += bstats.misses - misses0
-                return
-            entry[1] += time.perf_counter() - start
-            entry[2] += bstats.hits - hits0
-            entry[3] += bstats.misses - misses0
-            entry[0] += 1
-            yield row
-
-    def _plan_rows_inner(
-        self, node: P.PlanNode, instrument: dict[int, list] | None = None
-    ) -> Iterator[dict[str, Any]]:
-        if isinstance(node, P.OneRow):
-            yield {}
-            return
-        if isinstance(node, P.SeqScan):
-            names = node.table.column_names()
-            for tid, values in node.table.heap.scan(snapshot=self._snapshot):
-                row = dict(zip(names, values))
-                row["__tid__"] = tid
-                yield row
-            return
-        if isinstance(node, P.IndexScan):
-            yield from self._index_scan_rows(node)
-            return
-        if isinstance(node, P.PreFilterScan):
-            yield from self._pre_filter_topk(self._plan_rows(node.child, instrument), node)
-            return
-        if isinstance(node, P.VirtualScan):
-            names = node.view.column_names()
-            for values in node.view.rows():
-                yield dict(zip(names, values))
-            return
-        if isinstance(node, P.Filter):
-            for row in self._plan_rows(node.child, instrument):
-                if E.evaluate(node.predicate, row):
-                    yield row
-            return
-        if isinstance(node, P.Sort):
-            rows = list(self._plan_rows(node.child, instrument))
-            rows.sort(key=lambda r: E.evaluate(node.key, r), reverse=not node.ascending)
-            yield from rows
-            return
-        if isinstance(node, P.Limit):
-            yield from itertools.islice(self._plan_rows(node.child, instrument), node.count)
-            return
-        if isinstance(node, P.Aggregate):
-            yield self._aggregate_row(node, instrument)
-            return
-        if isinstance(node, P.Project):
-            # Nested projection (not produced by the current planner).
-            names = node.columns
-            for out in self._project_rows(node):
-                yield dict(zip(names, out))
-            return
-        raise ExecutionError(f"unknown plan node: {type(node).__name__}")
-
-    def _index_scan_rows(self, node: P.IndexScan) -> Iterator[dict[str, Any]]:
-        """Pull index hits nearest-first until k rows survive.
-
-        Two things can make a fetched candidate a non-result: a dead
-        heap tuple (deleted rows keep their index entries until
-        vacuum, as in PostgreSQL/PASE) and — for the hybrid shape — a
-        pushed-down filter the row fails.  Either way the scan keeps
-        going: the first pass requests ``fetch_k`` candidates (the
-        planner's ``k / selectivity`` over-fetch), and each exhausted
-        pass doubles the request through ``amrescan_continue`` until k
-        rows survive or the index returns fewer candidates than asked
-        (index exhausted) — or the ``max_filtered_overfetch`` cap is
-        hit, at which point the scan answers the remainder with one
-        brute-force pre-filter pass instead of re-scanning ever-larger
-        prefixes of the index.
-
-        The in-filter strategy bypasses this loop entirely: the
-        predicate mask rides inside the AM traversal.
-        """
-        if node.strategy == "in-filter":
-            yield from self._in_filter_scan_rows(node)
-            return
-        names = node.table.column_names()
-        heap = node.table.heap
-        prof = self.trace_profiler
-        am = node.index.am
-        fetch_k = max(node.fetch_k or node.k, node.k)
-        max_fetch = self._max_overfetch(node)
-        emitted = 0
-        emitted_tids: list[TID] = []
-        probe = self._begin_quality_probe(node)
-        seen: set = set()
-        hits: Iterator = am.scan(node.query_vector, fetch_k)
-        while True:
-            n_hits = 0
-            for tid, distance in hits:
-                n_hits += 1
-                if tid in seen:
-                    continue
-                seen.add(tid)
-                try:
-                    if prof.enabled:
-                        with prof.section("Tuple Access"):
-                            values = heap.fetch(tid, snapshot=self._snapshot)
-                    else:
-                        values = heap.fetch(tid, snapshot=self._snapshot)
-                except KeyError:
-                    continue  # dead/invisible tuple: entry awaiting vacuum
-                row = dict(zip(names, values))
-                row["__tid__"] = tid
-                row["__distance__"] = distance
-                if node.filter is not None and not E.evaluate(node.filter, row):
-                    continue  # index-time post-filter
-                emitted += 1
-                emitted_tids.append(tid)
-                if probe is not None:
-                    probe.append(tid)
-                    if emitted >= node.k:
-                        # Finish before yielding the k-th row: a Limit
-                        # above stops pulling at exactly k, leaving the
-                        # generator suspended forever after this yield.
-                        self._finish_quality_probe(node, probe)
-                        probe = None
-                # Refresh before the yield, not after: once the k-th
-                # row is out a Limit above never resumes us, and the
-                # estimation recorder reads the stash from the node.
-                node.actual_examined = len(seen)
-                node.actual_matched = emitted
-                yield row
-                if emitted >= node.k:
-                    return
-            if n_hits < fetch_k:
-                # Probed lists exhausted: fewer candidates than
-                # requested.  A pure KNN scan legitimately returns
-                # short here, but a filtered scan still owes exactly k
-                # rows whenever k rows match — e.g. nprobe < clusters
-                # leaves unprobed lists holding the matches — so finish
-                # with the brute-force fallback instead.
-                node.actual_examined = len(seen)
-                node.actual_matched = emitted
-                if probe is not None:
-                    self._finish_quality_probe(node, probe)
-                if node.filter is not None and emitted < node.k:
-                    node.overfetch_fell_back = True
-                    for row in self._filtered_bruteforce(
-                        node, set(emitted_tids), node.k - emitted
-                    ):
-                        emitted += 1
-                        node.actual_matched = emitted
-                        yield row
-                return
-            if max_fetch is not None and fetch_k >= max_fetch:
-                # Over-fetch budget exhausted on a (mis-estimated) rare
-                # predicate: one exact brute-force pass for the
-                # remaining rows beats scanning the whole index.
-                node.overfetch_fell_back = True
-                for row in self._filtered_bruteforce(
-                    node, set(emitted_tids), node.k - emitted
-                ):
-                    emitted += 1
-                    node.actual_examined = len(seen)
-                    node.actual_matched = emitted
-                    yield row
-                return
-            fetch_k *= 2
-            hits = am.amrescan_continue(node.query_vector, fetch_k)
-
-    def _max_overfetch(self, node: P.IndexScan) -> int | None:
-        """``max_filtered_overfetch * k`` for hybrid scans, else None."""
-        if node.filter is None:
-            return None
-        try:
-            cap = int(self.catalog.get_setting("max_filtered_overfetch"))
-        except (CatalogError, TypeError, ValueError):
-            return None
-        return cap * node.k if cap > 0 else None
-
-    def _filtered_bruteforce(
-        self, node: P.IndexScan, exclude: set, limit: int
-    ) -> list[dict[str, Any]]:
-        """Exact pre-filter pass backing the over-fetch fallback.
-
-        Scans the heap under the statement snapshot, keeps rows passing
-        the pushed-down filter that were not already emitted, and
-        returns the ``limit`` nearest by the index's own metric
-        (tie-broken on TID, matching every other scan path).  Because
-        the index scan is approximate, these rows are not guaranteed to
-        sort after the already-emitted ones — the fallback favours
-        returning k correct-predicate rows over global distance order,
-        the same trade the post-filter strategy already makes.
-        """
-        if limit <= 0:
-            return []
-        names = node.table.column_names()
-        heap = node.table.heap
-        col = heap.column_index(node.index.column_name)
-        rows: list[dict[str, Any]] = []
-        vectors: list[Any] = []
-        for tid, values in heap.scan(snapshot=self._snapshot):
-            if tid in exclude:
-                continue
-            vec = values[col]
-            if vec is None:
-                continue
-            row = dict(zip(names, values))
-            row["__tid__"] = tid
-            if node.filter is not None and not E.evaluate(node.filter, row):
-                continue
-            rows.append(row)
-            vectors.append(vec)
-        if not rows:
-            return []
-        try:
-            metric = DistanceType(node.index.options.get("distance_type", DistanceType.L2))
-        except ValueError:
-            metric = DistanceType.L2
-        query = np.ascontiguousarray(node.query_vector, dtype=np.float32)
-        matrix = np.ascontiguousarray(np.vstack(vectors), dtype=np.float32)
-        dists = batch_kernel(metric)(query, matrix)[0]
-        order = sorted(
-            range(len(rows)),
-            key=lambda i: (
-                float(dists[i]),
-                rows[i]["__tid__"].blkno,
-                rows[i]["__tid__"].offset,
-            ),
-        )
-        out = []
-        for i in order[:limit]:
-            rows[i]["__distance__"] = float(dists[i])
-            out.append(rows[i])
-        return out
-
-    def _make_predicate_mask(self, node: P.IndexScan):
-        """Visibility + predicate mask closure for ``amsearch_filtered``.
-
-        The AM hands batches of candidate TIDs mid-traversal; each
-        unseen TID costs one snapshot heap fetch plus one predicate
-        evaluation, cached so widening passes never re-check a TID.
-        Rows that pass are kept for the emit phase — the winners don't
-        pay a second heap fetch.  Returns ``(mask_fn, rows, state)``
-        where ``state`` counts unique TIDs checked/matched.
-        """
-        names = node.table.column_names()
-        heap = node.table.heap
-        snapshot = self._snapshot
-        predicate = node.filter
-        prof = self.trace_profiler
-        verdicts: dict = {}
-        rows: dict = {}
-        state = {"examined": 0, "matched": 0}
-
-        def mask_fn(tids):
-            out = []
-            for tid in tids:
-                ok = verdicts.get(tid)
-                if ok is None:
-                    state["examined"] += 1
-                    try:
-                        if prof.enabled:
-                            with prof.section("Tuple Access"):
-                                values = heap.fetch(tid, snapshot=snapshot)
-                        else:
-                            values = heap.fetch(tid, snapshot=snapshot)
-                    except KeyError:
-                        ok = False  # dead/invisible: entry awaiting vacuum
-                    else:
-                        row = dict(zip(names, values))
-                        row["__tid__"] = tid
-                        ok = predicate is None or bool(E.evaluate(predicate, row))
-                        if ok:
-                            rows[tid] = row
-                            state["matched"] += 1
-                    verdicts[tid] = ok
-                out.append(ok)
-            return out
-
-        return mask_fn, rows, state
-
-    def _in_filter_scan_rows(self, node: P.IndexScan) -> Iterator[dict[str, Any]]:
-        """In-filter strategy, tuple path: the AM traversal applies the
-        predicate mask itself and only matching TIDs come back."""
-        am = node.index.am
-        mask_fn, rows, state = self._make_predicate_mask(node)
-        emitted = 0
-        for tid, distance in am.amsearch_filtered(node.query_vector, node.k, mask_fn):
-            row = rows.get(tid)
-            if row is None:
-                continue  # defensive: the mask admitted this TID
-            row["__distance__"] = distance
-            emitted += 1
-            node.actual_examined = state["examined"]
-            node.actual_matched = state["matched"]
-            yield row
-            if emitted >= node.k:
-                return
-        node.actual_examined = state["examined"]
-        node.actual_matched = state["matched"]
-
-    def _pre_filter_topk(
-        self, child_rows: Iterator[dict[str, Any]], node: P.PreFilterScan
-    ) -> list[dict[str, Any]]:
-        """Pre-filter strategy core, shared by both executor paths.
-
-        Consumes the child scan fully (blocking, like Sort), keeps the
-        rows passing the predicate, runs the metric's vectorized kernel
-        once over the survivors' vectors, and selects k by
-        ``(distance, tid)`` — the same tie-break as ``topk_batch``, so
-        every strategy and both executor paths agree on output order.
-        """
-        examined = 0
-        survivors: list[dict[str, Any]] = []
-        vectors: list[Any] = []
-        for row in child_rows:
-            examined += 1
-            if not E.evaluate(node.filter, row):
-                continue
-            vec = row.get(node.column)
-            if vec is None:
-                continue
-            survivors.append(row)
-            vectors.append(vec)
-        node.actual_examined = examined
-        node.actual_matched = len(survivors)
-        if not survivors:
-            return []
-        metric = METRIC_TO_TYPE[ast.DISTANCE_OPERATORS[node.metric]]
-        query = np.ascontiguousarray(node.query_vector, dtype=np.float32)
-        matrix = np.ascontiguousarray(np.vstack(vectors), dtype=np.float32)
-        dists = batch_kernel(metric)(query, matrix)[0]
-        order = sorted(
-            range(len(survivors)),
-            key=lambda i: (
-                float(dists[i]),
-                survivors[i]["__tid__"].blkno,
-                survivors[i]["__tid__"].offset,
-            ),
-        )
-        out = []
-        for i in order[: node.k]:
-            row = survivors[i]
-            row["__distance__"] = float(dists[i])
-            out.append(row)
-        return out
-
-    # ------------------------------------------------------------------
-    # batch-at-a-time execution (``SET enable_batch_exec = on``)
-    # ------------------------------------------------------------------
-    def _project_rows_batch(
-        self, project: P.Project, instrument: dict[int, list] | None = None
-    ) -> Iterator[tuple[Any, ...]]:
-        """Batch counterpart of :meth:`_project_rows`.
-
-        Identical output (rows and ordering) to the tuple path; the
-        difference is purely in how rows move through the plan — whole
-        batches per pull instead of one dict per pull (the RC#3 fix).
-        """
-        if project.aggregated:
-            assert isinstance(project.child, (P.Aggregate, P.Limit))
-            for batch in self._plan_batches(project.child, instrument):
-                for row in batch:
-                    yield (row["__agg__"],)
-            return
-        for batch in self._plan_batches(project.child, instrument):
-            for row in batch:
-                yield self._project_one(project, row)
-
-    def _plan_batches(
-        self, node: P.PlanNode, instrument: dict[int, list] | None = None
-    ) -> Iterator[list[dict[str, Any]]]:
-        gen = self._plan_batches_inner(node, instrument)
-        if instrument is None:
-            return gen
-        return self._instrumented_batches(gen, node, instrument)
-
-    def _instrumented_batches(
-        self,
-        gen: Iterator[list[dict[str, Any]]],
-        node: P.PlanNode,
-        instrument: dict[int, list],
-    ) -> Iterator[list[dict[str, Any]]]:
-        """Row/time accounting for a batch stream.
-
-        The row counter advances by ``len(batch)`` per pull so EXPLAIN
-        ANALYZE reports tuples, not batches, on either executor path.
-        Buffer accounting matches :meth:`_instrumented`.
-        """
-        entry = instrument.setdefault(id(node), [0, 0.0, 0, 0])
-        bstats = self.buffer.stats
-        while True:
-            hits0, misses0 = bstats.hits, bstats.misses
-            start = time.perf_counter()
-            try:
-                batch = next(gen)
-            except StopIteration:
-                entry[1] += time.perf_counter() - start
-                entry[2] += bstats.hits - hits0
-                entry[3] += bstats.misses - misses0
-                return
-            entry[1] += time.perf_counter() - start
-            entry[2] += bstats.hits - hits0
-            entry[3] += bstats.misses - misses0
-            entry[0] += len(batch)
-            yield batch
-
-    def _plan_batches_inner(
-        self, node: P.PlanNode, instrument: dict[int, list] | None = None
-    ) -> Iterator[list[dict[str, Any]]]:
-        if isinstance(node, P.OneRow):
-            yield [{}]
-            return
-        if isinstance(node, P.SeqScan):
-            names = node.table.column_names()
-            for page_rows in node.table.heap.scan_batches(snapshot=self._snapshot):
-                batch = []
-                for tid, values in page_rows:
-                    row = dict(zip(names, values))
-                    row["__tid__"] = tid
-                    batch.append(row)
-                yield batch
-            return
-        if isinstance(node, P.IndexScan):
-            rows = self._index_scan_batch(node)
-            if rows:
-                yield rows
-            return
-        if isinstance(node, P.PreFilterScan):
-            rows = self._pre_filter_topk(
-                (r for batch in self._plan_batches(node.child, instrument) for r in batch),
-                node,
-            )
-            if rows:
-                yield rows
-            return
-        if isinstance(node, P.VirtualScan):
-            names = node.view.column_names()
-            batch = [dict(zip(names, values)) for values in node.view.rows()]
-            if batch:
-                yield batch
-            return
-        if isinstance(node, P.Filter):
-            for batch in self._plan_batches(node.child, instrument):
-                kept = [row for row in batch if E.evaluate(node.predicate, row)]
-                if kept:
-                    yield kept
-            return
-        if isinstance(node, P.Sort):
-            rows = [r for batch in self._plan_batches(node.child, instrument) for r in batch]
-            rows.sort(key=lambda r: E.evaluate(node.key, r), reverse=not node.ascending)
-            if rows:
-                yield rows
-            return
-        if isinstance(node, P.Limit):
-            remaining = node.count
-            if remaining <= 0:
-                return
-            for batch in self._plan_batches(node.child, instrument):
-                if len(batch) >= remaining:
-                    yield batch[:remaining]
-                    return
-                remaining -= len(batch)
-                yield batch
-            return
-        if isinstance(node, P.Aggregate):
-            rows = (
-                r for batch in self._plan_batches(node.child, instrument) for r in batch
-            )
-            yield [self._aggregate_row(node, rows=rows)]
-            return
-        if isinstance(node, P.Project):
-            # Nested projection (not produced by the current planner).
-            names = node.columns
-            batch = [dict(zip(names, out)) for out in self._project_rows_batch(node)]
-            if batch:
-                yield batch
-            return
-        raise ExecutionError(f"unknown plan node: {type(node).__name__}")
-
-    def _index_scan_batch(self, node: P.IndexScan) -> list[dict[str, Any]]:
-        """Batched index scan: ``am.get_batch`` + block-grouped heap fetch.
-
-        Same survivor semantics and over-fetch/rescan loop as
-        :meth:`_index_scan_rows` (dead tuples skipped, pushed-down
-        filter applied, ``fetch_k`` doubled via
-        ``amrescan_continue_batch`` until k survivors or exhaustion,
-        brute-force fallback at the ``max_filtered_overfetch`` cap),
-        but candidates arrive as arrays and heap fetches are grouped
-        by block (one pin per page).
-        """
-        if node.strategy == "in-filter":
-            return self._in_filter_scan_batch(node)
-        names = node.table.column_names()
-        heap = node.table.heap
-        prof = self.trace_profiler
-        am = node.index.am
-        fetch_k = max(node.fetch_k or node.k, node.k)
-        max_fetch = self._max_overfetch(node)
-        probe = self._begin_quality_probe(node)
-        seen: set = set()
-        out: list[dict[str, Any]] = []
-        batch = am.get_batch(node.query_vector, fetch_k)
-        while True:
-            n_hits = len(batch)
-            tids = batch.tids()
-            if prof.enabled:
-                with prof.section("Tuple Access"):
-                    fetched = heap.fetch_many(tids, snapshot=self._snapshot)
-            else:
-                fetched = heap.fetch_many(tids, snapshot=self._snapshot)
-            distances = batch.distances.tolist()
-            for tid, values, distance in zip(tids, fetched, distances):
-                if tid in seen:
-                    continue
-                seen.add(tid)
-                if values is None:
-                    continue  # dead tuple: index entry awaiting vacuum
-                row = dict(zip(names, values))
-                row["__tid__"] = tid
-                row["__distance__"] = distance
-                if node.filter is not None and not E.evaluate(node.filter, row):
-                    continue  # index-time post-filter
-                out.append(row)
-                if len(out) >= node.k:
-                    node.actual_examined = len(seen)
-                    node.actual_matched = len(out)
-                    if probe is not None:
-                        self._finish_quality_probe(node, [r["__tid__"] for r in out])
-                    return out
-            if n_hits < fetch_k:
-                # Probed lists exhausted: fewer candidates than
-                # requested.  As on the tuple path, a filtered scan
-                # still owes exactly k rows whenever k rows match, so
-                # answer any shortfall with the brute-force fallback.
-                if probe is not None:
-                    self._finish_quality_probe(node, [r["__tid__"] for r in out])
-                    probe = None
-                if node.filter is not None and len(out) < node.k:
-                    node.overfetch_fell_back = True
-                    out.extend(
-                        self._filtered_bruteforce(
-                            node, {r["__tid__"] for r in out}, node.k - len(out)
-                        )
-                    )
-                node.actual_examined = len(seen)
-                node.actual_matched = len(out)
-                return out
-            if max_fetch is not None and fetch_k >= max_fetch:
-                # Same cap-and-fall-back as the tuple path: answer the
-                # remainder with one exact brute-force pass.
-                node.overfetch_fell_back = True
-                out.extend(
-                    self._filtered_bruteforce(
-                        node, {r["__tid__"] for r in out}, node.k - len(out)
-                    )
-                )
-                node.actual_examined = len(seen)
-                node.actual_matched = len(out)
-                return out
-            fetch_k *= 2
-            batch = am.amrescan_continue_batch(node.query_vector, fetch_k)
-
-    def _in_filter_scan_batch(self, node: P.IndexScan) -> list[dict[str, Any]]:
-        """In-filter strategy, batch path: ``amsearch_filtered_batch``.
-
-        The predicate mask runs inside the AM traversal, so only
-        matching TIDs come back; their rows were cached by the mask
-        (no second heap fetch).
-        """
-        am = node.index.am
-        mask_fn, rows, state = self._make_predicate_mask(node)
-        batch = am.amsearch_filtered_batch(node.query_vector, node.k, mask_fn)
-        out: list[dict[str, Any]] = []
-        for tid, distance in zip(batch.tids(), batch.distances.tolist()):
-            row = rows.get(tid)
-            if row is None:
-                continue  # defensive: the mask admitted this TID
-            row["__distance__"] = distance
-            out.append(row)
-            if len(out) >= node.k:
-                break
-        node.actual_examined = state["examined"]
-        node.actual_matched = state["matched"]
-        return out
-
-    # ------------------------------------------------------------------
-    # estimate-vs-actual probes (``SET estimation_probe_rate = 0.05``)
-    # ------------------------------------------------------------------
-    def _begin_estimation_probe(self) -> dict[int, list] | None:
-        """Decide whether this ordinary SELECT runs instrumented.
-
-        Same deterministic ticket machinery as the recall probes, on a
-        *separate* ticket stream so the two sampling schedules never
-        perturb each other.  Returns the instrument dict to execute
-        with for chosen statements, else None (uninstrumented run).
-        """
-        settings = self.catalog.settings
-        try:
-            rate = float(settings.get("estimation_probe_rate", 0.0) or 0.0)
-        except (TypeError, ValueError):
-            return None
-        if rate <= 0.0:
-            return None
-        try:
-            seed = int(settings.get("estimation_probe_seed", 0) or 0)
-        except (TypeError, ValueError):
-            seed = 0
-        ticket = self.stats.next_estimation_ticket()
-        if random.Random(seed * 1_000_003 + ticket).random() >= rate:
-            return None
-        return {}
-
-    def _record_estimation(self, plan: P.PlanNode, instrument: dict[int, list]) -> None:
-        """Fold one instrumented run into pg_stat_estimation_errors."""
-        record_plan(self.estimation, self._estimation_query_key(), plan, instrument)
 
     def _estimation_query_key(self) -> str:
         """Estimation-entry key: the normalized statement text.
@@ -1598,112 +510,6 @@ class Executor:
             if stripped:
                 return stripped
         return text
-
-    # ------------------------------------------------------------------
-    # online recall probes (``SET vector_quality_probe_rate = 0.01``)
-    # ------------------------------------------------------------------
-    def _begin_quality_probe(self, node: P.IndexScan) -> list[TID] | None:
-        """Decide whether this top-k scan is sampled for a recall probe.
-
-        Sampling is deterministic: each candidate scan consumes one
-        monotonic ticket from the stats collector and a PRNG seeded
-        from ``(vector_quality_probe_seed, ticket)`` decides.  The
-        ticket is consumed whether or not the scan is chosen, so a
-        fixed seed reproduces the exact same probe schedule across
-        runs.  Hybrid (filtered) scans are never probed — their output
-        is not a pure top-k, so brute-force recall is undefined.
-        Returns the TID accumulator for chosen scans, else None.
-        """
-        if node.filter is not None:
-            return None
-        settings = self.catalog.settings
-        try:
-            rate = float(settings.get("vector_quality_probe_rate", 0.0) or 0.0)
-        except (TypeError, ValueError):
-            return None
-        if rate <= 0.0:
-            return None
-        try:
-            seed = int(settings.get("vector_quality_probe_seed", 0) or 0)
-        except (TypeError, ValueError):
-            seed = 0
-        ticket = self.stats.next_probe_ticket()
-        if random.Random(seed * 1_000_003 + ticket).random() >= rate:
-            return None
-        return []
-
-    def _finish_quality_probe(self, node: P.IndexScan, emitted: list[TID]) -> None:
-        """Re-answer a sampled scan exactly and record observed recall.
-
-        The oracle is a brute-force pass over the heap under the same
-        snapshot the index scan used, with the index's own distance
-        metric — so the only divergence it can see is the index's
-        approximation (plus dead entries awaiting vacuum), which is
-        precisely what ``pg_stat_vector_quality`` is meant to expose.
-        """
-        from repro.common.types import DistanceType
-
-        heap = node.table.heap
-        col = heap.column_index(node.index.column_name)
-        tids: list[TID] = []
-        vectors: list[Any] = []
-        for tid, values in heap.scan(snapshot=self._snapshot):
-            vec = values[col]
-            if vec is None:
-                continue
-            tids.append(tid)
-            vectors.append(vec)
-        if not tids:
-            return
-        try:
-            metric = DistanceType(node.index.options.get("distance_type", DistanceType.L2))
-        except ValueError:
-            metric = DistanceType.L2
-        query = np.ascontiguousarray(node.query_vector, dtype=np.float32)
-        matrix = np.ascontiguousarray(np.vstack(vectors), dtype=np.float32)
-        dists = batch_kernel(metric)(query, matrix)[0]
-        # Ties break on TID so the oracle is deterministic.
-        order = sorted(
-            range(len(tids)),
-            key=lambda i: (float(dists[i]), tids[i].blkno, tids[i].offset),
-        )
-        truth = {tids[i] for i in order[: node.k]}
-        denom = min(node.k, len(truth))
-        if denom <= 0:
-            return
-        recall = len(truth.intersection(emitted)) / denom
-        self.stats.record_quality(node.index.name, node.index.am_name, recall)
-
-    def _aggregate_row(
-        self,
-        node: P.Aggregate,
-        instrument: dict[int, list] | None = None,
-        rows: Iterator[dict[str, Any]] | None = None,
-    ) -> dict[str, Any]:
-        if rows is None:
-            rows = self._plan_rows(node.child, instrument)
-        values: list[Any] = []
-        count = 0
-        for row in rows:
-            count += 1
-            if node.arg is not None:
-                values.append(E.evaluate(node.arg, row))
-        func = node.func
-        if func == "count":
-            result: Any = count if node.arg is None else sum(v is not None for v in values)
-        elif not values:
-            result = None
-        elif func == "sum":
-            result = sum(values)
-        elif func == "min":
-            result = min(values)
-        elif func == "max":
-            result = max(values)
-        elif func == "avg":
-            result = sum(values) / len(values)
-        else:
-            raise ExecutionError(f"unknown aggregate {func!r}")
-        return {"__agg__": result}
 
 
 def _coerce_for_column(col: Column, value: Any) -> Any:

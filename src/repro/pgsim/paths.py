@@ -479,7 +479,6 @@ class PreFilterPath(Path):
             k=self.k,
             order_expr=stmt.order_by.expr,
             filter=stmt.where,
-            metric=stmt.order_by.expr.op,
         )
         _set_cost(node, self.startup_cost, self.total_cost, self.rows)
         node.est_selectivity = self.selectivity

@@ -1,8 +1,9 @@
 """Query plan nodes.
 
 The planner (:mod:`repro.pgsim.planner`) turns a parsed SELECT into a
-tree of these nodes; the executor (:mod:`repro.pgsim.executor`) runs
-them Volcano-style.  The node the whole paper revolves around is
+tree of these nodes; :mod:`repro.pgsim.operators` runs them, one
+batch-producing operator per node type.  The node the whole paper
+revolves around is
 :class:`IndexScan`: an ordered scan pulling ``(tid, distance)`` pairs
 from a vector index AM, produced for
 ``ORDER BY vec <-> '...'::PASE LIMIT k`` queries — with an optional
@@ -80,7 +81,8 @@ class SeqScan(PlanNode):
     """Full scan of a heap table."""
 
     table: TableInfo
-    #: True when the batch executor will run this scan page-at-a-time.
+    #: True when the scan reads ``heap.scan_batches`` (a page per pull)
+    #: instead of ``heap.scan`` (a tuple per pull).
     batch: bool = False
 
     def own_lines(self, depth: int = 0, costs: bool = True) -> list[str]:
@@ -103,7 +105,8 @@ class IndexScan(PlanNode):
     query_vector: np.ndarray
     k: int
     order_expr: ast.Expr
-    #: True when the batch executor will pull via ``am.get_batch``.
+    #: True when the scan pulls via ``am.get_batch`` + ``heap.fetch_many``
+    #: instead of ``am.scan`` + one ``heap.fetch`` per candidate.
     batch: bool = False
     #: Predicate pushed into the scan (index-time post-filter).
     filter: ast.Expr | None = None
@@ -155,8 +158,7 @@ class PreFilterScan(PlanNode):
     k: int
     order_expr: ast.Expr
     filter: ast.Expr
-    #: Distance operator (``<->``/``<=>``/``<#>``) selecting the kernel.
-    metric: str = "<->"
+    #: EXPLAIN annotation only: the child SeqScan picks the interface.
     batch: bool = False
 
     #: Class attribute (not a dataclass field): the strategy label,
@@ -187,12 +189,9 @@ class VirtualScan(PlanNode):
     """
 
     view: Any
-    #: True when the batch executor emits the view as one batch.
-    batch: bool = False
 
     def own_lines(self, depth: int = 0, costs: bool = True) -> list[str]:
-        suffix = " (batch)" if self.batch else ""
-        return [_line(depth, f"Virtual Scan on {self.view.name}{suffix}") + self.cost_suffix(costs)]
+        return [_line(depth, f"Virtual Scan on {self.view.name}") + self.cost_suffix(costs)]
 
 
 @dataclass
@@ -240,9 +239,6 @@ class Project(PlanNode):
     #: True when the child is a single-group Aggregate whose one value
     #: is the only output column.
     aggregated: bool = False
-    #: True when the executor should run the batch-at-a-time path
-    #: (``SET enable_batch_exec = on``).
-    batch: bool = False
 
     def own_lines(self, depth: int = 0, costs: bool = True) -> list[str]:
         return [_line(depth, "Project") + self.cost_suffix(costs)]
@@ -258,6 +254,10 @@ class Aggregate(PlanNode):
 
     def own_lines(self, depth: int = 0, costs: bool = True) -> list[str]:
         return [_line(depth, f"Aggregate ({self.func})") + self.cost_suffix(costs)]
+
+
+class ExecutionError(RuntimeError):
+    """Raised for runtime statement failures."""
 
 
 @dataclass

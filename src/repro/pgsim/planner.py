@@ -117,13 +117,13 @@ def _plan_view_select(stmt: ast.Select, catalog: Catalog) -> P.Project:
 
 
 def _mark_batch(project: P.Project, catalog: Catalog) -> P.Project:
-    """Flag a finished plan for the batch executor when the GUC is on."""
+    """Flag a finished plan's scans for the batch access interface
+    (``get_batch`` / ``fetch_many`` / ``scan_batches``) when the GUC is on."""
     if not catalog.get_bool("enable_batch_exec"):
         return project
-    project.batch = True
     node: P.PlanNode | None = project.child
     while node is not None:
-        if isinstance(node, (P.SeqScan, P.IndexScan, P.VirtualScan, P.PreFilterScan)):
+        if isinstance(node, (P.SeqScan, P.IndexScan, P.PreFilterScan)):
             node.batch = True
         node = getattr(node, "child", None)
     return project

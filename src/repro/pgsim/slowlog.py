@@ -6,7 +6,7 @@ queryable via the ``pg_slow_queries`` view and exported as counters —
 with an optional JSONL file sink for offline ingestion.  When
 ``auto_explain_log_min_duration`` is also armed, the record carries
 the statement's ``EXPLAIN (ANALYZE, BUFFERS)`` plan text and its
-RC#1–RC#7 attribution (see :meth:`Executor._select_captured`), so a
+RC#1–RC#7 attribution (see :meth:`Executor._run_captured`), so a
 production slow-query entry answers the paper's "why was it slow"
 question without a re-run.
 

@@ -215,3 +215,156 @@ class TestPersistence:
         db.checkpoint()
         assert (tmp_path / "t.heap.rel").exists()
         assert db.execute("SELECT count(*) FROM t").scalar() == 20
+
+
+class TestAccessInterface:
+    """``enable_batch_exec`` is the paper's RC#3 toggle: it must change
+    which AM/heap interface the plan's leaves call, and nothing else.
+    Pinned at the SQL level so tuple mode cannot silently become the
+    batch path, sliced."""
+
+    TUPLE_CALLS = {"scan", "amrescan_continue", "amsearch_filtered", "heap.fetch", "heap.scan"}
+    BATCH_CALLS = {
+        "get_batch",
+        "amrescan_continue_batch",
+        "amsearch_filtered_batch",
+        "heap.fetch_many",
+        "heap.scan_batches",
+    }
+    K = 5
+
+    @pytest.fixture()
+    def counted(self, loaded_db, small_dataset):
+        """(db, calls): one AM instance and its heap behind counting wrappers."""
+        from collections import Counter
+
+        loaded_db.execute(
+            "CREATE INDEX ix ON items USING pase_ivfflat (vec) "
+            "WITH (clusters = 12, sample_ratio = 0.5, seed = 1)"
+        )
+        loaded_db.execute("SET pase.nprobe = 12")
+        # Dead index entries inside the query's top-K candidate prefix.
+        nearest = small_dataset.ground_truth(self.K)[0]
+        for row_id in (nearest[1], nearest[3]):
+            loaded_db.execute(f"DELETE FROM items WHERE id = {int(row_id)}")
+        table = loaded_db.catalog.table("items")
+        calls = Counter()
+
+        def count(obj, name, label):
+            original = getattr(obj, name)
+
+            def wrapper(*args, **kwargs):
+                calls[label] += 1
+                return original(*args, **kwargs)
+
+            setattr(obj, name, wrapper)
+
+        for label in self.TUPLE_CALLS | self.BATCH_CALLS:
+            obj, name = (table.heap, label[5:]) if label.startswith("heap.") else (
+                table.indexes["ix"].am,
+                label,
+            )
+            count(obj, name, label)
+        return loaded_db, calls
+
+    def _sql(self, small_dataset, vec_lit, where=""):
+        lit = vec_lit(small_dataset.queries[0])
+        return f"SELECT id FROM items {where} ORDER BY vec <-> '{lit}'::PASE LIMIT {self.K}"
+
+    def _examined_before_kth(self, db, small_dataset, keep):
+        """Candidates the scan must look at until K rows survive."""
+        table = db.catalog.table("items")
+        survivors = 0
+        for examined, (tid, __) in enumerate(
+            table.indexes["ix"].am.scan(small_dataset.queries[0], 600), start=1
+        ):
+            try:
+                row_id = table.heap.fetch(tid)[0]
+            except KeyError:
+                continue  # deleted above
+            survivors += keep(row_id)
+            if survivors == self.K:
+                return examined
+        raise AssertionError("fewer than K survivors")
+
+    def _run(self, db, calls, sql, batch):
+        db.execute(f"SET enable_batch_exec = {'on' if batch else 'off'}")
+        calls.clear()
+        rows = db.query(sql)
+        used = {label for label, n in calls.items() if n}
+        return rows, used
+
+    def test_knn_tuple_mode_is_lazy_amgettuple(self, counted, small_dataset, vec_lit):
+        db, calls = counted
+        expected = self._examined_before_kth(db, small_dataset, keep=lambda i: True)
+        assert expected > self.K  # the dead entries are in the way
+        rows, used = self._run(db, calls, self._sql(small_dataset, vec_lit), batch=False)
+        assert len(rows) == self.K
+        # k candidates were not enough (two are dead), so the scan
+        # continued — and did not fetch the first pass's TIDs again.
+        assert used == {"scan", "amrescan_continue", "heap.fetch"}
+        assert calls["heap.fetch"] == expected
+
+    def test_post_filter_tuple_mode_is_lazy_amgettuple(self, counted, small_dataset, vec_lit):
+        db, calls = counted
+        db.execute("SET filtered_search_strategy = 'post-filter'")
+        sql = self._sql(small_dataset, vec_lit, "WHERE id < 400")
+        fetch_k = int(db.explain(sql).split("fetch_k=")[1].split()[0])
+        expected = self._examined_before_kth(db, small_dataset, keep=lambda i: i < 400)
+        assert expected < fetch_k  # lazy: stops at the k-th survivor, not at fetch_k
+        rows, used = self._run(db, calls, sql, batch=False)
+        assert len(rows) == self.K
+        assert used == {"scan", "heap.fetch"}
+        assert calls["heap.fetch"] == expected
+
+    def test_in_filter_tuple_mode(self, counted, small_dataset, vec_lit):
+        db, calls = counted
+        db.execute("SET filtered_search_strategy = 'in-filter'")
+        sql = self._sql(small_dataset, vec_lit, "WHERE id < 400")
+        rows, used = self._run(db, calls, sql, batch=False)
+        assert len(rows) == self.K
+        assert used == {"amsearch_filtered", "heap.fetch"}
+
+    def test_seq_scan_tuple_mode(self, counted):
+        db, calls = counted
+        __, used = self._run(db, calls, "SELECT id FROM items WHERE id < 5", batch=False)
+        assert used == {"heap.scan"}
+
+    def test_batch_mode_uses_only_the_batch_interface(self, counted, small_dataset, vec_lit):
+        db, calls = counted
+        tuple_rows, __ = self._run(db, calls, self._sql(small_dataset, vec_lit), batch=False)
+        rows, used = self._run(db, calls, self._sql(small_dataset, vec_lit), batch=True)
+        assert rows == tuple_rows
+        assert used == {"get_batch", "amrescan_continue_batch", "heap.fetch_many"}
+        # One block-grouped heap fetch per pass, not per candidate.
+        assert calls["heap.fetch_many"] == calls["get_batch"] + calls["amrescan_continue_batch"]
+
+        db.execute("SET filtered_search_strategy = 'post-filter'")
+        hybrid = self._sql(small_dataset, vec_lit, "WHERE id < 400")
+        __, used = self._run(db, calls, hybrid, batch=True)
+        assert used == {"get_batch", "heap.fetch_many"}
+
+        # In-filter: the AM call is the batched one.  The predicate
+        # mask it calls back mid-traversal checks visibility with one
+        # heap.fetch per unseen TID on either interface.
+        db.execute("SET filtered_search_strategy = 'in-filter'")
+        __, used = self._run(db, calls, hybrid, batch=True)
+        assert used == {"amsearch_filtered_batch", "heap.fetch"}
+
+        __, used = self._run(db, calls, "SELECT id FROM items WHERE id < 5", batch=True)
+        assert used == {"heap.scan_batches"}
+
+
+def test_every_plan_node_has_an_operator():
+    """A new plan node must fail here, not raise ``unknown plan node``
+    the first time a query reaches it.  Project is the root only
+    (``PlanRun.execute`` runs it), never something a parent opens."""
+    from repro.pgsim import plan as P
+    from repro.pgsim.operators import OPERATORS
+
+    nodes = {
+        cls
+        for cls in vars(P).values()
+        if isinstance(cls, type) and issubclass(cls, P.PlanNode) and cls is not P.PlanNode
+    }
+    assert nodes - {P.Project} == set(OPERATORS)
