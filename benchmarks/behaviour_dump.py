@@ -1,0 +1,169 @@
+"""Deterministic behaviour dump of the five IVF access methods.
+
+    PYTHONPATH=src python benchmarks/behaviour_dump.py [--rows N] [--queries Q] > dump.txt
+
+Builds one seeded table per IVF access method (``pase_ivfflat``,
+``pase_ivfpq``, ``pase_ivfsq8``, pgvector's ``ivfflat``,
+``bridged_ivfflat``) and index metric (``distance_type`` 0 / 1 / 2:
+L2, inner product, cosine) and walks it through three states — fresh, after
+200 single-row INSERTs, after DELETE of 30 % of the rows + VACUUM — and
+in each state drives every AM search entry point directly: ``scan``,
+``get_batch``, ``amrescan_continue[_batch]`` and
+``amsearch_filtered[_batch]`` at 1 / 10 / 50 % selectivity.  Each call
+prints one line: result TIDs, ``repr`` of every distance, candidates
+scored, ``last_filtered_examined`` and buffer pins; each state adds a
+``size_info`` line.  No clock is read, so the output is a pure function
+of the arguments.
+
+Use it as an oracle around a refactor: run it at the parent commit and
+at the change and ``diff`` the two files — every differing line is a
+behaviour change to explain.  Two runs at one commit must be
+byte-identical (CI checks this with ``cmp``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import sys
+from pathlib import Path
+from typing import Any, Callable, Iterable
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+if str(SRC) not in sys.path:
+    sys.path.insert(0, str(SRC))
+
+import repro.bridged  # noqa: E402,F401  — registers bridged_ivfflat
+import repro.pase  # noqa: E402,F401  — registers the pase_* access methods
+import repro.pgvector  # noqa: E402,F401  — registers ivfflat
+from repro.pgsim import PgSimDatabase  # noqa: E402
+
+#: AM name -> extra WITH options.
+AMS = {
+    "pase_ivfflat": "",
+    "pase_ivfpq": ", m = 4, c_pq = 16",
+    "pase_ivfsq8": "",
+    "ivfflat": "",
+    "bridged_ivfflat": "",
+}
+#: metric label -> ``distance_type``.  Inner product and cosine score
+#: rows with BLAS sgemv, whose rounding depends on how many rows one
+#: call holds, so they see drift the L2 kernel cannot.
+METRICS = {"l2": 0, "ip": 1, "cosine": 2}
+K, K_CONTINUE, NPROBE = 10, 30, 4
+SELECTIVITIES = (1, 10, 50)
+INSERTS = 200
+DIM, SEED = 32, 1
+
+
+def _lit(vec: np.ndarray) -> str:
+    return ",".join(repr(float(x)) for x in np.asarray(vec, dtype=np.float32))
+
+
+def _data(rows: int, queries: int) -> tuple[np.ndarray, ...]:
+    """Base rows, extra insert rows and queries from one Gaussian mixture."""
+    rng = np.random.default_rng(SEED)
+    centers = rng.normal(size=(max(rows // 100, 4), DIM)) * 4.0
+
+    def draw(n: int) -> np.ndarray:
+        picks = centers[rng.integers(0, centers.shape[0], n)]
+        return (picks + rng.normal(size=(n, DIM))).astype(np.float32)
+
+    return draw(rows), draw(INSERTS), draw(queries)
+
+
+class Dump:
+    """One access method's table, index and the lines it prints."""
+
+    def __init__(self, am_name: str, metric: str, base: np.ndarray) -> None:
+        self.name = f"{am_name}/{metric}"
+        self.db = PgSimDatabase(page_size=2048, buffer_pool_pages=4096)
+        self.db.execute("CREATE TABLE t (id int, vec float[])")
+        heap = self.db.catalog.table("t").heap
+        for i, vec in enumerate(base):
+            heap.insert([i, vec], xid=1)
+        self.db.wal.log_commit(1)
+        clusters = max(int(math.sqrt(base.shape[0])), 4)
+        self.db.execute(
+            f"CREATE INDEX ix ON t USING {am_name} (vec) WITH (clusters = {clusters}, "
+            f"sample_ratio = 0.5, seed = {SEED}, distance_type = {METRICS[metric]}"
+            f"{AMS[am_name]})"
+        )
+        self.db.execute(f"SET pase.nprobe = {NPROBE}")
+        self.db.execute("SET ivf_recluster_threshold = 0.05")
+        self.heap = heap
+        self.am = self.db.catalog.find_index("ix").am
+        self.id_of: dict[Any, int] = {}
+
+    def refresh_ids(self) -> None:
+        self.id_of = {tid: values[0] for tid, values in self.heap.scan()}
+
+    def call(self, state: str, qi: int, op: str, fn: Callable[[], Iterable]) -> None:
+        """Run one entry point and print what it returned and cost."""
+        stats, buffer = self.am.scan_stats, self.db.buffer.stats
+        self.am.last_filtered_examined = -1
+        candidates, pins = stats.candidates, buffer.hits + buffer.misses
+        pairs = list(fn())
+        candidates, pins = stats.candidates - candidates, buffer.hits + buffer.misses - pins
+        tids = " ".join(f"{tid.blkno}:{tid.offset}" for tid, __ in pairs)
+        dists = " ".join(repr(float(d)) for __, d in pairs)
+        print(
+            f"{self.name}\t{state}\tq{qi}\t{op}\ttids=[{tids}]\tdists=[{dists}]\t"
+            f"candidates={candidates}\texamined={self.am.last_filtered_examined}\tpins={pins}"
+        )
+
+    def state(self, state: str, queries: np.ndarray) -> None:
+        """Every entry point for every query, then the index size."""
+        am = self.am
+        self.refresh_ids()
+        for qi, q in enumerate(queries):
+            self.call(state, qi, "scan", lambda: am.scan(q, K))
+            self.call(state, qi, "amrescan_continue", lambda: am.amrescan_continue(q, K_CONTINUE))
+            self.call(state, qi, "get_batch", lambda: am.get_batch(q, K).pairs())
+            self.call(
+                state, qi, "amrescan_continue_batch",
+                lambda: am.amrescan_continue_batch(q, K_CONTINUE).pairs(),
+            )
+            for pct in SELECTIVITIES:
+                def mask_fn(tids, pct=pct):
+                    return np.asarray([self.id_of.get(t, -1) % 100 < pct for t in tids], dtype=bool)
+
+                self.call(
+                    state, qi, f"amsearch_filtered_{pct}",
+                    lambda: am.amsearch_filtered(q, K, mask_fn),
+                )
+                self.call(
+                    state, qi, f"amsearch_filtered_batch_{pct}",
+                    lambda: am.amsearch_filtered_batch(q, K, mask_fn).pairs(),
+                )
+        info = am.size_info()
+        detail = " ".join(f"{key}={value}" for key, value in sorted(info.detail.items()))
+        print(
+            f"{self.name}\t{state}\tsize_info\tallocated={info.allocated_bytes}\t"
+            f"used={info.used_bytes}\tpages={info.page_count}\t{detail}"
+        )
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rows", type=int, default=2000)
+    parser.add_argument("--queries", type=int, default=6)
+    args = parser.parse_args(argv)
+    base, extra, queries = _data(args.rows, args.queries)
+    for am_name in AMS:
+        for metric in METRICS:
+            dump = Dump(am_name, metric, base)
+            dump.state("fresh", queries)
+            for j, vec in enumerate(extra):
+                dump.db.execute(f"INSERT INTO t VALUES ({args.rows + j}, '{_lit(vec)}'::PASE)")
+            dump.state(f"+{INSERTS}_inserts", queries)
+            dump.db.execute(f"DELETE FROM t WHERE id < {int(args.rows * 0.3)}")
+            dump.db.execute("VACUUM t")
+            dump.state("delete30_vacuum", queries)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

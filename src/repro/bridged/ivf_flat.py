@@ -158,16 +158,13 @@ class BridgedIVFFlat(PaseIVFFlat):
 
         Returns the mirror, the batch kernel and the ``nprobe`` nearest
         lists nearest-first — or, with ``nprobe=None``, the full ranking
-        the in-filter widening walks.
+        the in-filter widening walks.  Equal distances rank the smaller
+        centroid id first, as the page-path ranking does.
         """
         mirror = self._ensure_mirror()
         kernel = batch_kernel(self.ivf.distance_type)
-        cent_dists = kernel(query, mirror.centroids)[0]
-        if nprobe is None:
-            return mirror, kernel, np.argsort(cent_dists, kind="stable").tolist()
-        nprobe = min(max(nprobe, 1), mirror.centroids.shape[0])
-        part = np.argpartition(cent_dists, nprobe - 1)[:nprobe]
-        return mirror, kernel, part[np.argsort(cent_dists[part], kind="stable")].tolist()
+        order = np.argsort(kernel(query, mirror.centroids)[0], kind="stable")
+        return mirror, kernel, (order if nprobe is None else order[: max(nprobe, 1)]).tolist()
 
     def scan(self, query: np.ndarray, k: int) -> Iterator[tuple[TID, float]]:
         query = self._check_query(query)

@@ -48,7 +48,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.common.distance import pairwise_kernel
+from repro.common.distance import pairwise_kernel, rows_kernel
 from repro.common.heap import BoundedMaxHeap, NaiveTopK
 from repro.common.kmeans import pase_kmeans, sample_training_rows
 from repro.common.types import BuildStats, DistanceType, IndexSizeInfo
@@ -363,10 +363,10 @@ class PagedIVF(IndexAmRoutine):
         of the entries kept.  Chains with removals are rewritten in
         place: each page is re-initialized (keeping its next pointer)
         and refilled front-to-back, so surviving items stay contiguous —
-        preserving ``_gather_bucket``'s fast path — and trailing chain
-        pages are simply left empty.  Index forks are not WAL-logged
-        (recovery rebuilds them from the DDL log), so the wholesale page
-        rewrite needs no log record.
+        the layout ``_read_records`` copies in one slice per page — and
+        trailing chain pages are simply left empty.  Index forks are not
+        WAL-logged (recovery rebuilds them from the DDL log), so the
+        wholesale page rewrite needs no log record.
         """
         rel = self.relation_name("data")
         if not self.buffer.disk.relation_exists(rel):
@@ -435,7 +435,7 @@ class PagedIVF(IndexAmRoutine):
         return max(int(self.catalog.get_setting("pase.nprobe")), 1)
 
     def _rank_centroids(
-        self, query: np.ndarray, reuse: bool = False
+        self, query: np.ndarray, reuse: bool = False, batch: bool = False
     ) -> tuple[np.ndarray, list[int]]:
         """Rank every centroid by distance to ``query``.
 
@@ -443,11 +443,25 @@ class PagedIVF(IndexAmRoutine):
         ``reuse`` (the over-fetch rescan path) a cached ranking from the
         initial scan of the same query is returned without recomputing
         the centroid distances; plain scans always recompute, keeping
-        their measured work identical to before.
+        their measured work identical to before.  The tuple interface
+        walks centroid tuples one kernel call each; ``batch`` (the batch
+        interface) pins the same pages but decodes the whole fork at
+        once, in stored-id order, and ranks it with one rows-kernel call.
         """
         key = query.tobytes()
         if reuse and self._rescan_cache is not None and self._rescan_cache[0] == key:
             return self._rescan_cache[1], self._rescan_cache[2]
+        if batch:
+            section = self.profiler.section
+            with section(SEC_TUPLE_ACCESS):
+                size = _CENTROID_HEAD.size + 4 * self.dim
+                words = self._read_records("centroid", size).view("<u4")
+                words = words[np.argsort(words[:, 0], kind="stable")]  # id | head | vector
+            with section(SEC_DISTANCE):
+                dists = rows_kernel(self._metric())(query, words[:, 2:].view("<f4"))
+            order, heads = np.argsort(dists, kind="stable"), words[:, 1].tolist()
+            self._rescan_cache = (key, order, heads)
+            return order, heads
         section = self.profiler.section
         kernel = pairwise_kernel(self._metric())
         cent_dists: list[float] = []
@@ -516,11 +530,12 @@ class PagedIVF(IndexAmRoutine):
             yield _key_tid(neighbor.vector_id), neighbor.distance
 
     def get_batch(self, query: np.ndarray, k: int) -> ScanBatch:
-        """Batched scan: whole buckets scored with one kernel call each.
+        """Batched scan: the probed lists scored with one kernel call.
 
-        Same candidates and distances as :meth:`scan`, but per-tuple
-        Python work (kernel call, profiler section, heap push — the
-        paper's RC#3/RC#6 toll) collapses into per-bucket array ops.
+        Same pages pinned and candidates scored as :meth:`scan`, but
+        per-tuple Python work (line-pointer walk, kernel call, profiler
+        section, heap push — the paper's RC#2/RC#3/RC#6 toll) collapses
+        into one copy per page and array ops per statement.
         """
         return self._batch_scan(query, k, reuse=False)
 
@@ -533,29 +548,15 @@ class PagedIVF(IndexAmRoutine):
         score_rows = self._rows_scorer(query)
         if score_rows is None:
             return ScanBatch.from_pairs(self._tuple_scan(query, k, reuse))
-        order, heads = self._rank_centroids(query, reuse)
-        return self._batch_buckets(k, order[: self._nprobe()].tolist(), heads, score_rows)
-
-    def _batch_buckets(
-        self, k: int, probes: list[int], heads: list[int], score_rows: RowsScorer
-    ) -> ScanBatch:
-        """Score the probed buckets bucket-at-a-time into a ScanBatch."""
+        order, heads = self._rank_centroids(query, reuse, batch=True)
         section = self.profiler.section
-        gather = self._gather_bucket
-        key_parts: list[np.ndarray] = []
-        dist_parts: list[np.ndarray] = []
+        with section(SEC_TUPLE_ACCESS):
+            keys, payloads = self._gather_buckets([heads[b] for b in order[: self._nprobe()]])
         self.scan_stats.scans += 1
-        for bucket in probes:
-            with section(SEC_TUPLE_ACCESS):
-                keys, payloads = gather(heads[bucket])
-            if keys.shape[0] == 0:
-                continue
-            self.scan_stats.candidates += int(keys.shape[0])
-            keys, dists = score_rows(keys, payloads)
-            key_parts.append(keys)
-            dist_parts.append(dists)
+        self.scan_stats.candidates += int(keys.shape[0])
+        keys, dists = score_rows(keys, payloads)
         with section(SEC_HEAP):
-            return topk_parts(key_parts, dist_parts, k)
+            return topk_batch(keys, dists, k)
 
     # ------------------------------------------------------------------
     # in-filter search (amsearch_filtered)
@@ -685,36 +686,46 @@ class PagedIVF(IndexAmRoutine):
             finally:
                 self.buffer.unpin(frame)
 
-    def _gather_bucket(self, head: int) -> tuple[np.ndarray, np.ndarray]:
-        """Collect one bucket as ``(packed TID keys, payload matrix)``.
+    def _read_records(
+        self, fork: str, item_size: int, heads: Sequence[int] | None = None
+    ) -> np.ndarray:
+        """Copy fixed-size tuples out of pages as one ``(n, item_size)``
+        byte matrix: the bucket chains starting at ``heads``, or with
+        ``heads=None`` every page of ``fork`` in block order.
 
-        Data pages are append-only with fixed-size tuples, so each
-        page's items sit contiguously between ``upper`` and the special
-        space (newest first) and the whole page decodes with a handful
-        of array ops — no per-tuple line-pointer walk.
+        The batch interface's only page reader.  Each page is pinned
+        once, its header read once, and its tuple area ``[upper,
+        special)`` — where fixed-size items sit back to back, newest
+        first — copied in one slice before the unpin.  These forks are
+        only appended to, refilled front to back or overwritten at the
+        same size, never holed, so the area is exactly the page's items.
+        Nothing outlives the call outside the buffer pool.
         """
-        rel = self.relation_name("data")
-        item_size = self._item_size
+        rel = self.relation_name(fork)
+        chained = heads is not None
+        chunks: list[bytearray] = []
+        for blkno in heads if chained else range(self.buffer.disk.n_blocks(rel)):
+            while blkno != _NO_BLOCK:
+                frame = self.buffer.pin(rel, blkno)
+                try:
+                    page = frame.page
+                    lower, upper, special = page.bounds()
+                    n = (lower - PAGE_HEADER_SIZE) // LINE_POINTER_SIZE
+                    assert special - upper == n * item_size, f"{rel} page {blkno} is not packed"
+                    chunks.append(page.buf[upper:special])
+                    blkno = _NEXT.unpack_from(page.buf, special)[0] if chained else _NO_BLOCK
+                finally:
+                    self.buffer.unpin(frame)
+        return np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(-1, item_size)
+
+    def _gather_buckets(self, heads: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The lists at ``heads`` as ``(packed TID keys, payload matrix)``,
+        decoded with one reshape and one key pack for all of them."""
+        records = self._read_records("data", self._item_size, heads)
+        words = records[:, : _DATA_HEAD.size].copy().view("<u4")  # blkno | offset, pad
+        keys = (words[:, 0].astype(np.int64) << 16) | (words[:, 1] & 0xFFFF)
         dtype = self._payload_dtype
-        key_parts: list[np.ndarray] = []
-        payload_parts: list[np.ndarray] = []
-        blkno = head
-        while blkno != _NO_BLOCK:
-            frame = self.buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                n = page.item_count
-                if n:
-                    keys, payloads = _decode_data_page(page, n, item_size, dtype)
-                    key_parts.append(keys)
-                    payload_parts.append(payloads)
-                (blkno,) = _NEXT.unpack(page.read_special())
-            finally:
-                self.buffer.unpin(frame)
-        if not key_parts:
-            width = (item_size - _DATA_HEAD.size) // dtype.itemsize
-            return np.empty(0, dtype=np.int64), np.empty((0, width), dtype=dtype)
-        return np.concatenate(key_parts), np.vstack(payload_parts)
+        return keys, records.view(dtype)[:, _DATA_HEAD.size // dtype.itemsize :]
 
     # ------------------------------------------------------------------
     # centroid tuple addressing
@@ -768,42 +779,6 @@ class PagedIVF(IndexAmRoutine):
             page_count=pages,
             detail=detail,
         )
-
-
-def _decode_data_page(
-    page: Page, n: int, item_size: int, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a whole data page into ``(packed TID keys, payload matrix)``.
-
-    Fast path: the tuple area ``[upper, special)`` holds exactly ``n``
-    fixed-size records, so one reshape splits header words from
-    payloads without copying them.  Records whose size is not a whole
-    number of 32-bit words (narrow PQ codes) split their headers via
-    contiguous copies instead.  Falls back to the line-pointer walk if
-    the layout ever stops being uniform (it never is for append-only
-    data forks).
-    """
-    upper = page.upper
-    if page.special - upper == n * item_size:
-        mat = np.frombuffer(
-            page.buf, dtype=np.uint8, count=n * item_size, offset=upper
-        ).reshape(n, item_size)
-        if item_size % 4 == 0:
-            words = mat.view("<u4")
-            keys = (words[:, 0].astype(np.int64) << 16) | (words[:, 1] & 0xFFFF)
-        else:
-            blks = np.ascontiguousarray(mat[:, 0:4]).view("<u4").reshape(n)
-            offs = np.ascontiguousarray(mat[:, 4:6]).view("<u2").reshape(n)
-            keys = (blks.astype(np.int64) << 16) | offs.astype(np.int64)
-        return keys, mat.view(dtype)[:, _DATA_HEAD.size // dtype.itemsize :]
-    keys = np.empty(n, dtype=np.int64)
-    payloads: list[np.ndarray] = []
-    for off in range(1, n + 1):
-        view = page.get_item_view(off)
-        heap_blk, heap_off = _DATA_HEAD.unpack_from(view, 0)
-        keys[off - 1] = (heap_blk << 16) | heap_off
-        payloads.append(np.frombuffer(view, dtype=dtype, offset=_DATA_HEAD.size))
-    return keys, np.vstack(payloads)
 
 
 def topk_parts(key_parts: list[np.ndarray], dist_parts: list[np.ndarray], k: int) -> ScanBatch:

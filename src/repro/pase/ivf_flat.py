@@ -22,9 +22,8 @@ from repro.pase.ivf_core import (
     RowsScorer,
     TupleScorer,
     _key_tid,
-    topk_parts,
 )
-from repro.pgsim.am import ScanBatch, register_am
+from repro.pgsim.am import ScanBatch, register_am, topk_batch
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
 
 
@@ -63,31 +62,30 @@ class PaseIVFFlat(PagedIVF):
         return cost.cpu_index_tuple_cost + DISTANCE_OP_WEIGHT * cost.cpu_operator_cost
 
     def amsearch_filtered_batch(self, query: np.ndarray, k: int, mask_fn: Any) -> ScanBatch:
-        """Batched in-filter: a per-bucket boolean mask ahead of one
-        row-kernel call over the surviving on-page vectors (the other
-        page-backed variants mask tuple-at-a-time)."""
+        """Batched in-filter: each visited list is decoded in one pass
+        and masked by TID, then the survivors of every list are scored
+        with one row-kernel call (the other page-backed variants mask
+        tuple-at-a-time)."""
         query = self._check_query(query)
-        order, heads = self._rank_centroids(query)
-        score_rows = self._rows_scorer(query)
+        order, heads = self._rank_centroids(query, batch=True)
         section = self.profiler.section
-        gather = self._gather_bucket
         key_parts: list[np.ndarray] = []
-        dist_parts: list[np.ndarray] = []
+        vector_parts: list[np.ndarray] = []
 
         def visit(bucket: int) -> tuple[int, int]:
             with section(SEC_TUPLE_ACCESS):
-                keys, vectors = gather(heads[bucket])
+                keys, vectors = self._gather_buckets([heads[bucket]])
             if keys.shape[0] == 0:
                 return 0, 0
             mask = np.asarray(list(mask_fn([_key_tid(key) for key in keys.tolist()])), dtype=bool)
-            keep = int(mask.sum())
-            if keep:
-                kept, dists = score_rows(keys[mask], vectors[mask])
-                key_parts.append(kept)
-                dist_parts.append(dists)
-            return int(keys.shape[0]), keep
+            key_parts.append(keys[mask])
+            vector_parts.append(vectors[mask])
+            return int(keys.shape[0]), int(mask.sum())
 
         self._widen_probes(order.tolist(), k, visit)
-        self.scan_stats.candidates += sum(int(part.shape[0]) for part in key_parts)
+        if not key_parts:
+            return ScanBatch.empty()
+        keys, dists = self._rows_scorer(query)(np.concatenate(key_parts), np.vstack(vector_parts))
+        self.scan_stats.candidates += int(keys.shape[0])
         with section(SEC_HEAP):
-            return topk_parts(key_parts, dist_parts, k)
+            return topk_batch(keys, dists, k)

@@ -79,9 +79,16 @@ def topk_batch(tid_keys: np.ndarray, distances: np.ndarray, k: int) -> ScanBatch
     ``tid_keys`` uses the AMs' ``(blkno << 16) | offset`` packing.  Ties
     break toward the smallest key — the same (distance, id) order the
     tuple-path heaps produce — so both executor paths agree exactly.
+    Only the candidates at or below the k-th distance (found with one
+    ``np.partition``) are sorted; ties at that distance all survive the
+    cut, so the result equals a full sort's prefix.
     """
     tid_keys = np.asarray(tid_keys, dtype=np.int64)
     distances = np.asarray(distances, dtype=np.float64)
+    if 0 < k < distances.shape[0]:
+        # ``~(d > kth)`` rather than ``d <= kth``: NaNs stay in and sort last.
+        keep = ~(distances > np.partition(distances, k - 1)[k - 1])
+        tid_keys, distances = tid_keys[keep], distances[keep]
     order = np.lexsort((tid_keys, distances))
     if k < order.shape[0]:
         order = order[:k]

@@ -33,6 +33,7 @@ from repro.pgsim.constants import (
 )
 
 _HEADER = struct.Struct("<QHHHHHHI")  # lsn, checksum, flags, lower, upper, special, version, prune_xid
+_BOUNDS = struct.Struct("<HHH")  # lower, upper, special (header bytes 12-17)
 _LP = struct.Struct("<HH")  # offset, length
 
 #: Page layout version written into every header.
@@ -124,6 +125,10 @@ class Page:
     def special(self) -> int:
         """Start of the special space."""
         return struct.unpack_from("<H", self.buf, 16)[0]
+
+    def bounds(self) -> tuple[int, int, int]:
+        """``(lower, upper, special)`` from one header read."""
+        return _BOUNDS.unpack_from(self.buf, 12)
 
     @property
     def version(self) -> int:

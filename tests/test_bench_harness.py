@@ -10,6 +10,10 @@ from repro.bench.runner import (
     default_params,
     timed,
 )
+from repro.common import kmeans
+from repro.core.ablation import SWITCHES
+from repro.core.root_causes import RootCause
+from repro.core.study import make_specialized_index
 
 #: Tiny scale so harness smoke tests stay fast.
 TINY = 0.0006
@@ -88,11 +92,19 @@ class TestExperimentSmoke:
         assert "fvec_L2sqr" in result.data["PASE"]
 
     def test_fig18_structure(self):
+        """Structure only: the curves schedule *measured* unit costs, so
+        which one is steeper is a wall-clock shape, gated in
+        ``benchmarks/bench_fig18_parallel_search.py``; the same finding
+        from counted costs is ``tests/test_parallel_drivers.py::
+        TestPaseParallel::test_global_heap_scales_worse_than_local``."""
         result = run_experiment("fig18", scale=TINY)
-        pase = result.data["PASE IVF_FLAT"]
-        faiss = result.data["Faiss IVF_FLAT"]
-        assert pase[1] == pytest.approx(1.0)
-        assert faiss[8] > pase[8]  # the paper's central parallel finding
+        assert set(result.data) == {
+            f"{engine} {index}" for engine in ("PASE", "Faiss") for index in ("IVF_FLAT", "IVF_PQ")
+        }
+        for curve in result.data.values():
+            assert sorted(curve) == [1, 2, 4, 8]
+            assert curve[1] == pytest.approx(1.0)
+            assert all(speedup > 0 for speedup in curve.values())
 
     def test_cli_list_and_run(self, capsys):
         from repro.bench.cli import main
@@ -118,10 +130,40 @@ class TestMoreExperimentSmoke:
             assert curve[8] <= curve[1]  # more threads never slower
 
     def test_ablation_structure(self):
+        """Structure only: "with" and "without" are measured gaps, so
+        their order is a wall-clock shape (``benchmarks/
+        bench_ablation_root_causes.py``); what the SGEMM toggle removes
+        is counted in :meth:`test_ablation_sgemm_toggle_counted`."""
         result = run_experiment("ablation", scale=TINY)
         assert "SGEMM" in result.rendered
+        assert set(result.data) == {cause.name for cause in SWITCHES}
+        for cause, row in result.data.items():
+            assert row["metric"] == SWITCHES[RootCause[cause]].metric
+            assert row["with"] > 0 and row["without"] > 0
         assert result.data["SGEMM"]["metric"] == "build"
-        assert result.data["SGEMM"]["without"] < result.data["SGEMM"]["with"]
+
+    def test_ablation_sgemm_toggle_counted(self, monkeypatch):
+        """Neutralizing RC#1 takes every SGEMM call out of the
+        specialized build while its distance computations stay equal."""
+        calls: list[int] = []
+        sgemm = kmeans.l2_sqr_batch
+
+        def counted(*args):
+            calls.append(1)
+            return sgemm(*args)
+
+        monkeypatch.setattr(kmeans, "l2_sqr_batch", counted)
+        ds = bench_dataset("sift1m", scale=TINY)
+        counts = {}
+        for use_sgemm in (True, False):
+            params = {**default_params(ds, "ivf_flat"), "use_sgemm": use_sgemm}
+            index = make_specialized_index("ivf_flat", ds.dim, params)
+            calls.clear()
+            index.train(ds.base)
+            index.add(ds.base)
+            counts[use_sgemm] = (len(calls), index.build_stats.distance_computations)
+        assert counts[True][0] > 0 and counts[False][0] == 0
+        assert counts[True][1] == counts[False][1] > 0
 
     def test_fig15_structure(self):
         result = run_experiment("fig15", scale=TINY, datasets=("sift1m",))
@@ -135,6 +177,13 @@ class TestMoreExperimentSmoke:
         assert "gap" in result.rendered
 
     def test_fig2_structure(self):
+        """The Fig. 2 ordering's cause, counted: pgvector's TID-only
+        pages add a heap pin per candidate to PASE's page walk.  The
+        wall-clock ordering is gated in ``benchmarks/
+        bench_fig02_generalized_compare.py``."""
         result = run_experiment("fig2", scale=TINY)
         systems = result.data["systems"]
-        assert systems["pgvector"][0] > systems["PASE"][0]  # Fig. 2 ordering
+        assert set(systems) == {"PASE", "pgvector"}
+        assert all(latency[0] > 0 for latency in systems.values())
+        accesses = result.data["buffer_accesses"]
+        assert accesses["pgvector"] > accesses["PASE"] > 0

@@ -9,6 +9,7 @@ variant without a failure naming it.
 
 from __future__ import annotations
 
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,6 +42,10 @@ def _lit(vec: np.ndarray) -> str:
 
 @pytest.fixture(params=sorted(AMS))
 def ivf(request) -> SimpleNamespace:
+    return _build(request.param)
+
+
+def _build(name: str, options: str = "") -> SimpleNamespace:
     """A small table indexed by one IVF variant.
 
     512-byte pages keep bucket chains several pages long, so a few
@@ -55,12 +60,12 @@ def ivf(request) -> SimpleNamespace:
     id_of = {heap.insert([i, vec], xid=1): i for i, vec in enumerate(base)}
     db.wal.log_commit(1)
     db.execute(
-        f"CREATE INDEX ix ON t USING {request.param} (vec) "
-        f"WITH (clusters = {CLUSTERS}, sample_ratio = 1.0, seed = 3{AMS[request.param]})"
+        f"CREATE INDEX ix ON t USING {name} (vec) "
+        f"WITH (clusters = {CLUSTERS}, sample_ratio = 1.0, seed = 3{AMS[name]}{options})"
     )
     queries = (centers[:4] + rng.normal(size=(4, DIM))).astype(np.float32)
     return SimpleNamespace(
-        name=request.param,
+        name=name,
         db=db,
         am=db.catalog.find_index("ix").am,
         heap=heap,
@@ -94,6 +99,76 @@ def test_tuple_and_batch_scans_return_the_same_tids(ivf):
         tuple_tids = [tid for tid, __ in ivf.am.scan(q, 10)]
         assert len(tuple_tids) == 10
         assert ivf.am.get_batch(q, 10).tids() == tuple_tids
+
+
+def test_tuple_and_batch_scans_pin_the_same_index_pages(ivf, monkeypatch):
+    """One pin per page and nothing cached outside the pool: at one
+    ``nprobe`` the batch interface pins exactly the index pages the
+    tuple interface pins.  Only pgvector's heap fetches differ by
+    design — one pin per candidate tuple-at-a-time (RC#2), one per
+    distinct heap block for the batch."""
+    ivf.db.execute("SET pase.nprobe = 3")
+    buffer, heap_rel = ivf.db.buffer, ivf.heap.relation
+    pinned: list[str] = []
+    pin = buffer.pin
+
+    def counting_pin(rel, blkno):
+        pinned.append(rel)
+        return pin(rel, blkno)
+
+    monkeypatch.setattr(buffer, "pin", counting_pin)
+    for q in ivf.queries:
+        pins = {}
+        for form, run in (
+            ("tuple", lambda: list(ivf.am.scan(q, 10))),
+            ("batch", lambda: ivf.am.get_batch(q, 10)),
+        ):
+            pinned.clear()
+            accesses = buffer.stats.hits + buffer.stats.misses
+            run()
+            assert buffer.stats.hits + buffer.stats.misses - accesses == len(pinned)
+            pins[form] = Counter(pinned)
+        heap_pins = {form: counts.pop(heap_rel, 0) for form, counts in pins.items()}
+        assert pins["batch"] == pins["tuple"]
+        if ivf.name == "ivfflat":
+            assert 0 < heap_pins["batch"] < heap_pins["tuple"]
+        else:
+            assert heap_pins["batch"] == heap_pins["tuple"] == 0
+
+
+def _batch_ranking(am, query: np.ndarray, nprobe: int) -> list[int]:
+    """The lists the batch interface probes, nearest first."""
+    if am.amname == "bridged_ivfflat":
+        return am._probe(query, nprobe)[2]
+    return am._rank_centroids(query, batch=True)[0][:nprobe].tolist()
+
+
+@pytest.mark.parametrize("metric", [0, 1, 2], ids=["l2", "inner_product", "cosine"])
+@pytest.mark.parametrize("data", ["float", "tied_int"])
+@pytest.mark.parametrize("name", sorted(AMS))
+def test_batch_ranking_probes_the_tuple_ranking_lists(name, data, metric):
+    """The batch interface ranks centroids with one kernel call over the
+    whole fork; its first ``nprobe`` lists are the per-centroid tuple
+    ranking's, ties included (they break toward the smaller centroid
+    id on both).  ``tied_int`` overwrites the centroids with two small
+    integer vectors, each twice plus a doubled copy, and queries them
+    with integer vectors (one all-zero), so every distance is exact and
+    many tie."""
+    ivf = _build(name, f", distance_type = {metric}")
+    am, nprobe = ivf.am, 3
+    queries = ivf.queries
+    if data == "tied_int":
+        rng = np.random.default_rng(metric)
+        a, b = rng.integers(-1, 2, size=(2, DIM)).astype(np.float32)
+        for cid, centroid in enumerate((a, b, a, 2 * a, b, 2 * b)):
+            am._recenter(cid, centroid)
+        queries = rng.integers(-1, 2, size=(6, DIM)).astype(np.float32)
+        queries[0] = 0.0
+        if name == "bridged_ivfflat":
+            am._mirror = None  # re-read the overwritten centroids from the pages
+    for q in queries:
+        tuple_order = am._rank_centroids(q)[0][:nprobe].tolist()
+        assert _batch_ranking(am, q, nprobe) == tuple_order
 
 
 def test_rescan_continue_equals_a_fresh_scan(ivf):

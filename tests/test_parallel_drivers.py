@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.common.parallel import speedups
+from repro.common.parallel import DEFAULT_LOCK_OP_SECONDS, WorkUnit, scaling_curve, speedups
 from repro.core.study import ComparativeStudy
 from repro.pase import parallel as pase_parallel
 from repro.specialized import parallel as spec_parallel
@@ -17,6 +17,34 @@ def study(medium_dataset):
     )
     s.compare_build()
     return s
+
+
+def _spec_list_sizes(study, query, nprobe: int) -> list[int]:
+    """Candidates in each list the specialized driver probes."""
+    index = study.specialized.index
+    index._finalize()
+    probes = spec_parallel._probe_order(index, np.asarray(query, dtype=np.float32), nprobe)
+    return [len(index._bucket_id_arrays[b]) for b in probes]
+
+
+def _record_units(monkeypatch, driver) -> list[list[WorkUnit]]:
+    """Capture the work units ``driver`` hands to the scheduler."""
+    scheduled: list[list[WorkUnit]] = []
+
+    def record(units, thread_counts, *args, **kwargs):
+        scheduled.append(list(units))
+        return scaling_curve(units, thread_counts, *args, **kwargs)
+
+    monkeypatch.setattr(driver, "scaling_curve", record)
+    return scheduled
+
+
+def _counted_speedup(lists: list[int], units: list[WorkUnit]) -> float:
+    """8-thread speedup of one unit per list, priced without a clock:
+    one modelled lock-op cost per candidate scanned, plus the serial
+    ops the driver counted for that list."""
+    counted = [WorkUnit(n * DEFAULT_LOCK_OP_SECONDS, u.serial_ops) for n, u in zip(lists, units)]
+    return speedups(scaling_curve(counted, [1, 8]))[8]
 
 
 class TestSpecializedParallel:
@@ -50,12 +78,19 @@ class TestSpecializedParallel:
         assert result.ids == serial.ids
         assert set(curve) == {1, 4}
 
-    def test_local_heap_design_scales(self, study):
+    def test_local_heap_design_scales(self, study, monkeypatch):
+        """Counted, not timed: one serial merge per probed list, and the
+        lists scheduled at a fixed cost per candidate scale past 2x."""
         query = study.dataset.queries[1]
+        scheduled = _record_units(monkeypatch, spec_parallel)
         __, curve = spec_parallel.parallel_search(
             study.specialized.index, query, 10, 16, [1, 8]
         )
-        assert speedups(curve)[8] > 2.0
+        lists = _spec_list_sizes(study, query, 16)
+        (units,) = scheduled
+        assert [u.serial_ops for u in units] == [1] * len(lists)
+        assert curve[1].serial_seconds == pytest.approx(len(lists) * DEFAULT_LOCK_OP_SECONDS)
+        assert _counted_speedup(lists, units) > 2.0
 
 
 class TestPaseParallel:
@@ -82,12 +117,32 @@ class TestPaseParallel:
         # Every scanned candidate acquired the global lock once.
         assert result.serial_seconds > 0
 
-    def test_global_heap_scales_worse_than_local(self, study):
+    def test_global_heap_scales_worse_than_local(self, study, monkeypatch):
+        """The paper's central parallel finding (Fig. 18) from counts.
+
+        The drivers count their serial sections — PASE takes the global
+        heap lock once per candidate, Faiss once per probed list — and
+        with both designs' lists scheduled at the same fixed cost per
+        candidate, the locked heap scales worse.  The wall-clock curves
+        are gated in ``benchmarks/bench_fig18_parallel_search.py``.
+        """
         query = study.dataset.queries[3]
+        spec_scheduled = _record_units(monkeypatch, spec_parallel)
+        pase_scheduled = _record_units(monkeypatch, pase_parallel)
         __, spec_curve = spec_parallel.parallel_search(
             study.specialized.index, query, 10, 16, [1, 8]
         )
         __, pase_curve = pase_parallel.parallel_search(
             study.generalized.am, query, 10, 16, [1, 8]
         )
-        assert speedups(pase_curve)[8] < speedups(spec_curve)[8]
+        spec_lists = _spec_list_sizes(study, query, 16)
+        am = study.generalized.am
+        order, heads = am._rank_centroids(am._check_query(query))
+        pase_lists = [sum(1 for __ in am._iter_bucket(heads[b])) for b in order[:16]]
+        (spec_units,), (pase_units,) = spec_scheduled, pase_scheduled
+        assert [u.serial_ops for u in spec_units] == [1] * len(spec_lists)
+        assert [u.serial_ops for u in pase_units] == pase_lists
+        lock = DEFAULT_LOCK_OP_SECONDS
+        assert spec_curve[1].serial_seconds == pytest.approx(len(spec_lists) * lock)
+        assert pase_curve[1].serial_seconds == pytest.approx(sum(pase_lists) * lock)
+        assert _counted_speedup(pase_lists, pase_units) < _counted_speedup(spec_lists, spec_units)

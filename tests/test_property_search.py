@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.common.datasets import generate_clustered
 from repro.common.kmeans import assign_nearest_batch, faiss_kmeans
 from repro.common.metrics import mean_recall_at_k, recall_at_k
+from repro.pgsim.am import topk_batch
 from repro.specialized import FlatIndex, IVFFlatIndex
 
 
@@ -98,3 +99,30 @@ def test_recall_bounds(result_ids, truth_ids):
     k = min(len(result_ids), len(truth_ids))
     value = recall_at_k(result_ids, truth_ids, k)
     assert 0.0 <= value <= 1.0
+
+
+@st.composite
+def tied_candidates(draw):
+    """Packed-TID keys and distances drawn from a handful of values, so
+    many candidates tie exactly at the k-th distance (signed zeros and
+    NaN included); ``k`` is one of 0, 1, n-1, n and n+3."""
+    n = draw(st.integers(min_value=0, max_value=60))
+    values = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.5, float("nan")])
+    distances = np.asarray(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+    keys = draw(st.lists(st.integers(min_value=0, max_value=40 << 16), min_size=n, max_size=n))
+    k = draw(st.sampled_from([0, 1, max(n - 1, 0), n, n + 3]))
+    return np.asarray(keys, dtype=np.int64), distances, k
+
+
+@given(tied_candidates())
+@settings(max_examples=200, deadline=None)
+def test_topk_batch_equals_a_full_lexsort(candidates):
+    """``topk_batch`` partitions at the k-th distance before sorting;
+    the result must be the full ``(distance, key)`` lexsort's prefix."""
+    keys, distances, k = candidates
+    order = np.lexsort((keys, distances))[:k]
+    batch = topk_batch(keys, distances, k)
+    np.testing.assert_array_equal(batch.blknos, keys[order] >> 16)
+    np.testing.assert_array_equal(batch.offsets, keys[order] & 0xFFFF)
+    # Bit patterns: the same candidates, signed zeros and NaNs included.
+    np.testing.assert_array_equal(batch.distances.view(np.int64), distances[order].view(np.int64))
