@@ -1,4 +1,5 @@
-"""Deterministic behaviour dump of the five IVF access methods.
+"""Deterministic behaviour dump of the five IVF access methods and of
+hybrid search and DML through SQL.
 
     PYTHONPATH=src python benchmarks/behaviour_dump.py [--rows N] [--queries Q] > dump.txt
 
@@ -12,8 +13,17 @@ in each state drives every AM search entry point directly: ``scan``,
 ``amsearch_filtered[_batch]`` at 1 / 10 / 50 % selectivity.  Each call
 prints one line: result TIDs, ``repr`` of every distance, candidates
 scored, ``last_filtered_examined`` and buffer pins; each state adds a
-``size_info`` line.  No clock is read, so the output is a pure function
-of the arguments.
+``size_info`` line.
+
+The ``sql`` lines that follow come from one more table with an ``a``
+column and a NULL ``note`` in every seventh row: ``WHERE a < s ORDER BY
+vec <-> q LIMIT k`` at 1 / 10 / 50 % selectivity under each forced
+filtered-search strategy and both ``enable_batch_exec`` values — output
+rows, the examined / matched counts the statement feeds
+``pg_stat_filtered_search``, buffer pins — then ``UPDATE`` / ``DELETE
+... WHERE`` with single and compound predicates (command tag, pins, a
+table checksum) and the hybrid statements again.  No clock is read, so
+the output is a pure function of the arguments.
 
 Use it as an oracle around a refactor: run it at the parent commit and
 at the change and ``diff`` the two files — every differing line is a
@@ -146,6 +156,99 @@ class Dump:
         )
 
 
+#: ``UPDATE`` / ``DELETE`` of the SQL section: single and compound
+#: predicates on ``a`` and ``id`` (never on the NULL-bearing ``note``).
+SQL_DML = (
+    "UPDATE s SET a = 1000 + a WHERE a = 3",
+    "UPDATE s SET note = 'u' WHERE a >= 90 AND id < {half}",
+    "DELETE FROM s WHERE id = 11",
+    "DELETE FROM s WHERE a = 42 OR (a > 95 AND NOT id < {half})",
+    "UPDATE s SET a = 7 WHERE a < 0 OR id = 17",
+)
+STRATEGIES = ("pre-filter", "post-filter", "in-filter")
+
+
+class SqlDump:
+    """The hybrid-search and DML statements, through SQL, on a table
+    whose every seventh row has a NULL ``note`` (tuples the projected
+    heap readers must deform with the walking decoder)."""
+
+    def __init__(self, base: np.ndarray) -> None:
+        from repro.pgsim.estimation import node_strategy
+
+        self.db = PgSimDatabase(page_size=2048, buffer_pool_pages=4096)
+        self.db.execute("CREATE TABLE s (id int, a int, note text, vec float[])")
+        heap = self.db.catalog.table("s").heap
+        for i, vec in enumerate(base):
+            heap.insert([i, i % 100, None if i % 7 == 0 else f"n{i % 3}", vec], xid=1)
+        self.db.wal.log_commit(1)
+        clusters = max(int(math.sqrt(base.shape[0])), 4)
+        self.db.execute(
+            f"CREATE INDEX s_ix ON s USING pase_ivfflat (vec) "
+            f"WITH (clusters = {clusters}, sample_ratio = 0.5, seed = {SEED})"
+        )
+        self.db.execute("ANALYZE s")
+        self.db.execute(f"SET pase.nprobe = {NPROBE}")
+        # What each hybrid statement feeds pg_stat_filtered_search.
+        self.recorded: list[str] = []
+        executor = self.db.executor
+        record_run = executor.record_run
+
+        def recording(plan: Any, instrument: Any) -> Any:
+            strategy = record_run(plan, instrument)
+            node = plan
+            while node is not None and node_strategy(node) is None:
+                node = getattr(node, "child", None)
+            if node is not None:
+                self.recorded.append(
+                    f"strategy={strategy}\texamined={node.actual_examined}\t"
+                    f"matched={node.actual_matched}\t"
+                    f"fell_back={bool(getattr(node, 'overfetch_fell_back', False))}"
+                )
+            return strategy
+
+        executor.record_run = recording
+
+    def execute(self, sql: str) -> tuple[Any, int]:
+        """Run one statement; returns its result and buffer pins."""
+        stats = self.db.buffer.stats
+        pins = stats.hits + stats.misses
+        result = self.db.execute(sql)
+        return result, stats.hits + stats.misses - pins
+
+    def state(self, state: str, queries: np.ndarray) -> None:
+        for qi, q in enumerate(queries):
+            for pct in SELECTIVITIES:
+                for strategy in STRATEGIES:
+                    for batch in ("off", "on"):
+                        self.db.execute(f"SET filtered_search_strategy = '{strategy}'")
+                        self.db.execute(f"SET enable_batch_exec = {batch}")
+                        self.recorded.clear()
+                        result, pins = self.execute(
+                            f"SELECT id, a FROM s WHERE a < {pct} "
+                            f"ORDER BY vec <-> '{_lit(q)}'::PASE LIMIT {K}"
+                        )
+                        recorded = "\t".join(self.recorded)
+                        print(
+                            f"sql\t{state}\tq{qi}\t{strategy}\tbatch={batch}\tsel={pct}\t"
+                            f"rows={result.rows}\t{recorded}\tpins={pins}"
+                        )
+
+    def dml(self, rows: int) -> None:
+        self.db.execute("SET filtered_search_strategy = 'auto'")
+        for sql in SQL_DML:
+            sql = sql.format(half=rows // 2)
+            result, pins = self.execute(sql)
+            print(f"sql\tdml\t{sql}\t{result.command}\tpins={pins}")
+        checksum = [
+            self.db.execute(f"SELECT {agg} FROM s{where}").scalar()
+            for agg, where in (
+                ("count(*)", ""), ("sum(id)", ""), ("sum(a)", ""), ("count(*)", " WHERE note = 'u'")
+            )
+        ]
+        print(f"sql\tdml\ttable\tcount_sum_id_sum_a_updated_notes={checksum}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rows", type=int, default=2000)
@@ -162,6 +265,10 @@ def main(argv: list[str] | None = None) -> int:
             dump.db.execute(f"DELETE FROM t WHERE id < {int(args.rows * 0.3)}")
             dump.db.execute("VACUUM t")
             dump.state("delete30_vacuum", queries)
+    sql = SqlDump(base)
+    sql.state("fresh", queries)
+    sql.dml(args.rows)
+    sql.state("after_dml", queries)
     return 0
 
 

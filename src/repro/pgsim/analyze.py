@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.pgsim.catalog import Catalog, TableInfo
-from repro.pgsim.expr import evaluate, is_constant
+from repro.pgsim.expr import column_refs, evaluate, is_constant
 from repro.pgsim.sql import ast
 from repro.pgsim.tuple_format import TypeOid
 
@@ -293,7 +293,7 @@ def _sampled_joint_selectivity(expr: ast.Expr, table: TableInfo) -> float | None
     stats = table.stats
     if stats is None or not stats.sample:
         return None
-    columns = _referenced_columns(expr)
+    columns = set(column_refs(expr))
     if len(columns) < 2 or not columns.issubset(stats.sample[0].keys()):
         return None
     try:
@@ -303,24 +303,6 @@ def _sampled_joint_selectivity(expr: ast.Expr, table: TableInfo) -> float | None
     # Add-half smoothing: an empty sample count estimates "rare", not
     # "impossible" — the over-fetch sizing divides by this number.
     return _clamp((matched + 0.5) / (len(stats.sample) + 1.0))
-
-
-def _referenced_columns(expr: ast.Expr | None) -> set[str]:
-    """Distinct column names referenced anywhere in ``expr``."""
-    if expr is None:
-        return set()
-    if isinstance(expr, ast.ColumnRef):
-        return {expr.name}
-    columns: set[str] = set()
-    if isinstance(expr, ast.BinaryOp):
-        columns |= _referenced_columns(expr.left)
-        columns |= _referenced_columns(expr.right)
-    elif isinstance(expr, ast.UnaryOp):
-        columns |= _referenced_columns(expr.operand)
-    elif isinstance(expr, ast.FuncCall):
-        for arg in expr.args:
-            columns |= _referenced_columns(arg)
-    return columns
 
 
 def _comparison_selectivity(expr: ast.BinaryOp, table: TableInfo) -> float:

@@ -47,6 +47,13 @@ class TableInfo:
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
 
+    def projection(self, names: list[str]) -> tuple[list[str], list[int]]:
+        """The ``names`` that are columns here, with their attribute
+        numbers (a heap projection).  Other names are dropped: evaluating
+        the expression that mentions them reports the missing column."""
+        kept = [name for name in names if name in self.column_names()]
+        return kept, [self.heap.column_index(name) for name in kept]
+
 
 #: Default GUC values; names follow PASE's SQL examples and Table II,
 #: plus PostgreSQL's planner cost constants (costsize.c defaults).

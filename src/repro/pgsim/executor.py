@@ -15,13 +15,16 @@ from __future__ import annotations
 import time
 from typing import Any
 
+import numpy as np
+
 from repro.common.profiling import NULL_PROFILER
 from repro.pgsim import explain, utility
 from repro.pgsim import expr as E
 from repro.pgsim import plan as P
 from repro.pgsim.buffer import BufferManager
-from repro.pgsim.catalog import Catalog, CatalogError
+from repro.pgsim.catalog import Catalog, CatalogError, TableInfo
 from repro.pgsim.estimation import EstimationStats, StrategyStats, node_strategy, record_plan
+from repro.pgsim.heapam import TID
 from repro.pgsim.operators import PlanRun
 from repro.pgsim.plan import ExecutionError
 from repro.pgsim.planner import plan_select
@@ -264,17 +267,36 @@ class Executor:
             values.append(_coerce_for_column(col, by_name[col.name]))
         return values
 
+    def _targets(self, table: TableInfo, where: ast.Expr | None) -> list[TID]:
+        """TIDs of the rows an UPDATE / DELETE ``WHERE`` selects.
+
+        One sequential scan under the statement snapshot that decodes
+        only the columns ``where`` references (``scan_batches`` with a
+        projection), then one column-wise evaluation of ``where`` over
+        the whole table (:func:`~repro.pgsim.expr.evaluate_batch`).
+        Target selection is not part of the RC#3 toggle, so both values
+        of ``enable_batch_exec`` run it.
+        """
+        names, positions = table.projection(E.column_refs(where))
+        rows = [
+            row
+            for page in table.heap.scan_batches(snapshot=self._snapshot, columns=positions)
+            for row in page
+        ]
+        tids = [tid for tid, __ in rows]
+        if where is None:
+            return tids
+        columns = {name: [values[i] for __, values in rows] for name, i in zip(names, positions)}
+        mask = E.evaluate_batch(where, columns, len(rows))
+        return [tids[i] for i in np.flatnonzero(mask).tolist()]
+
     def _delete(self, stmt: ast.Delete) -> P.QueryResult:
         """DELETE marks heap tuples dead; index entries remain until
         vacuum, and index scans skip them (PostgreSQL's model)."""
         table = self.catalog.table(stmt.table)
-        names = table.column_names()
         txn = self._txn
         assert txn is not None
-        victims = []
-        for tid, values in table.heap.scan(snapshot=self._snapshot):
-            if stmt.where is None or E.evaluate(stmt.where, dict(zip(names, values))):
-                victims.append(tid)
+        victims = self._targets(table, stmt.where)
         if victims:
             self._ensure_wal_begin(txn)
         for tid in victims:
@@ -295,15 +317,13 @@ class Executor:
             raise ExecutionError(f"unknown columns in UPDATE: {sorted(unknown)}")
         txn = self._txn
         assert txn is not None
-        targets = []
-        for tid, values in table.heap.scan(snapshot=self._snapshot):
-            row = dict(zip(names, values))
-            if stmt.where is None or E.evaluate(stmt.where, row):
-                targets.append((tid, values, row))
+        targets = self._targets(table, stmt.where)
+        fetched = table.heap.fetch_many(targets, snapshot=self._snapshot)
         indexes = list(table.indexes.values())
         if targets:
             self._ensure_wal_begin(txn)
-        for tid, values, row in targets:
+        for tid, values in zip(targets, fetched):
+            row = dict(zip(names, values))
             new_values = list(values)
             for col, expr in stmt.assignments:
                 idx = table.heap.column_index(col)

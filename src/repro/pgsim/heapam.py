@@ -20,18 +20,21 @@ standalone heaps in tests) it degrades to the historical
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from functools import partial
+from typing import Any, Collection, Iterator, Sequence
 
 from repro.pgsim.buffer import BufferManager
 from repro.pgsim.page import PageCorruptError, PageFullError
 from repro.pgsim.stats import HeapAccessStats
 from repro.pgsim.tuple_format import (
     Schema,
+    TupleReader,
     decode_column,
     decode_tuple,
     encode_tuple,
     set_tuple_xmax,
     tuple_header,
+    tuple_reader,
     tuple_xmax,
 )
 from repro.pgsim.wal import WriteAheadLog
@@ -93,6 +96,8 @@ class HeapTable:
         self.autovacuum_count = 0
         #: free-space hint: last block known to have room (mini-FSM).
         self._insert_block: int | None = None
+        #: Tuple decoders by projection (None: whole rows), see :meth:`_reader`.
+        self._readers: dict[frozenset[int] | None, TupleReader] = {}
         self._bootstrap_count()
 
     def _bootstrap_count(self) -> None:
@@ -407,28 +412,51 @@ class HeapTable:
             self.stats.tuples_fetched += 1
             return decode_column(self.schema, view, column_index)
 
+    def _reader(self, columns: Collection[int] | None) -> TupleReader:
+        """Tuple decoder for the whole row or — with ``columns`` — a
+        projection (see :func:`~repro.pgsim.tuple_format.tuple_reader`).
+        Built once per projection: the schema never changes, so the fixed
+        offsets it precomputes (PostgreSQL's ``attcacheoff``) hold for
+        every read of the table."""
+        key = None if columns is None else frozenset(columns)
+        reader = self._readers.get(key)
+        if reader is None:
+            reader = self._readers[key] = tuple_reader(self.schema, key)
+        return reader
+
     def fetch_many(
-        self, tids: Sequence[TID], snapshot: Snapshot | None = None
+        self,
+        tids: Sequence[TID],
+        snapshot: Snapshot | None = None,
+        columns: Collection[int] | None = None,
     ) -> list[list[Any] | None]:
         """Fetch many rows by TID with one buffer pin per heap block.
 
         Results align with ``tids``; deleted or snapshot-invisible
         tuples come back as ``None`` (the batched analogue of
         :meth:`fetch` raising ``KeyError``), so index scans can skip
-        dead entries without a per-tuple exception round trip.
+        dead entries without a per-tuple exception round trip.  With
+        ``columns`` only those attributes are decoded (see
+        :meth:`_reader`); the others are None.
         """
+        read = self._reader(columns)
+        visible = partial(tuple_visible, self.xact, snapshot)
         out: list[list[Any] | None] = [None] * len(tids)
         by_block: dict[int, list[int]] = {}
         for i, tid in enumerate(tids):
             by_block.setdefault(tid.blkno, []).append(i)
+        stats = self.stats
         for blkno, positions in by_block.items():
-            with self.buffer.page(self.relation, blkno) as page:
+            frame = self.buffer.pin(self.relation, blkno)
+            try:
+                page = frame.page
                 for i in positions:
-                    view = page.get_item_view(tids[i].offset)
-                    if not self._visible(view, snapshot):
-                        continue
-                    out[i] = decode_tuple(self.schema, view)
-                    self.stats.tuples_fetched += 1
+                    values = read(page.get_item_view(tids[i].offset), visible)
+                    if values is not None:
+                        out[i] = values
+                        stats.tuples_fetched += 1
+            finally:
+                self.buffer.unpin(frame)
         return out
 
     def fetch_column_many(
@@ -507,21 +535,28 @@ class HeapTable:
                     yield TID(blkno, off), decode_tuple(self.schema, view)
 
     def scan_batches(
-        self, snapshot: Snapshot | None = None
+        self, snapshot: Snapshot | None = None, columns: Collection[int] | None = None
     ) -> Iterator[list[tuple[TID, list[Any]]]]:
         """Block-at-a-time sequential scan: one batch per heap page.
 
         Row order across batches matches :meth:`scan` exactly; pages
-        with no visible rows produce no batch.
+        with no visible rows produce no batch.  With ``columns`` only
+        those attributes are decoded (see :meth:`_reader`); the others
+        are None.
         """
+        read = self._reader(columns)
+        visible = partial(tuple_visible, self.xact, snapshot)
         for blkno in range(self.n_blocks()):
             batch: list[tuple[TID, list[Any]]] = []
-            with self.buffer.page(self.relation, blkno) as page:
-                for off in page.live_items():
-                    view = page.get_item_view(off)
-                    if not self._visible(view, snapshot):
-                        continue
-                    batch.append((TID(blkno, off), decode_tuple(self.schema, view)))
+            frame = self.buffer.pin(self.relation, blkno)
+            try:
+                view = memoryview(frame.page.buf)
+                for offno, off, length in frame.page.live_pointers():
+                    values = read(view[off : off + length], visible)
+                    if values is not None:
+                        batch.append((TID(blkno, offno), values))
+            finally:
+                self.buffer.unpin(frame)
             if batch:
                 self.stats.tuples_fetched += len(batch)
                 yield batch

@@ -14,7 +14,12 @@ contract.  How it does so is the RC#3 toggle, and the only thing
 
 Both feed the same survivor loop (:func:`_survivor_rows`), so dead-tuple
 skipping, the pushed-down filter, the over-fetch rescans and both
-brute-force fallbacks exist once.
+brute-force fallbacks exist once.  The in-filter strategy
+(:func:`_in_filter_rows`) instead hands the AM a predicate mask: one
+``heap.fetch`` and one ``evaluate`` per TID under ``amgettuple``
+(:func:`_predicate_mask`), one projected ``heap.fetch_many`` and one
+column-wise ``evaluate_batch`` per AM callback under ``amgetbatch``
+(:func:`_column_mask`).
 """
 
 from __future__ import annotations
@@ -214,14 +219,19 @@ def _filtered_bruteforce(run: PlanRun, node: P.IndexScan, exclude: set, limit: i
 # in-filter strategy: the predicate mask rides inside the AM traversal
 # ----------------------------------------------------------------------
 def _in_filter_rows(run: PlanRun, node: P.IndexScan) -> Iterator[Row]:
-    """Only matching TIDs come back from the AM; their rows were cached
-    by the mask, so the winners don't pay a second heap fetch."""
+    """Only matching TIDs come back from the AM.  Under ``amgettuple``
+    their rows were cached by the per-TID mask, so the winners don't pay
+    a second heap fetch; under ``amgetbatch`` the mask read only the
+    predicate's columns, and the at most k winners are materialised with
+    one block-grouped fetch."""
     am = node.index.am
-    mask_fn, rows, state = _predicate_mask(run, node)
     if node.batch:
+        mask_fn, state = _column_mask(run, node)
         batch = am.amsearch_filtered_batch(node.query_vector, node.k, mask_fn)
         hits: Iterable[tuple[TID, float]] = zip(batch.tids(), batch.distances.tolist())
+        rows = _fetch_rows(run, node, batch.tids()[: node.k])
     else:
+        mask_fn, rows, state = _predicate_mask(run, node)
         hits = am.amsearch_filtered(node.query_vector, node.k, mask_fn)
     emitted = 0
     for tid, distance in hits:
@@ -276,3 +286,58 @@ def _predicate_mask(run: PlanRun, node: P.IndexScan):
         return out
 
     return mask_fn, rows, state
+
+
+def _column_mask(run: PlanRun, node: P.IndexScan):
+    """Column-wise mask closure for ``amsearch_filtered_batch``.
+
+    Per call, the TIDs never judged before are fetched with one
+    block-grouped ``heap.fetch_many`` that decodes only the predicate's
+    columns, and the predicate is evaluated once over them
+    (:func:`~repro.pgsim.expr.evaluate_batch`).  Verdicts are cached and
+    ``state`` counts unique TIDs checked/matched exactly as the per-TID
+    mask does.  Returns ``(mask_fn, state)``.
+    """
+    heap = node.table.heap
+    predicate = node.filter
+    names, positions = node.table.projection(E.column_refs(predicate))
+    verdicts: dict[TID, bool] = {}
+    state = {"examined": 0, "matched": 0}
+
+    def mask_fn(tids):
+        out = list(map(verdicts.get, tids))
+        if None not in out:
+            return out
+        unseen = list(dict.fromkeys(tid for tid, ok in zip(tids, out) if ok is None))
+        with run.profiler.section("Tuple Access"):
+            fetched = heap.fetch_many(unseen, snapshot=run.snapshot, columns=positions)
+        visible = [j for j, values in enumerate(fetched) if values is not None]
+        if predicate is None:
+            passed = [True] * len(visible)
+        else:
+            columns = {name: [fetched[j][i] for j in visible] for name, i in zip(names, positions)}
+            passed = E.evaluate_batch(predicate, columns, len(visible)).tolist()
+        judged = [False] * len(unseen)
+        for j, ok in zip(visible, passed):
+            judged[j] = ok
+        verdicts.update(zip(unseen, judged))
+        state["examined"] += len(unseen)
+        state["matched"] += sum(passed)
+        if len(unseen) == len(tids):
+            return judged  # every TID new and distinct: already in call order
+        return list(map(verdicts.get, tids))
+
+    return mask_fn, state
+
+
+def _fetch_rows(run: PlanRun, node: P.IndexScan, tids: list[TID]) -> dict[TID, Row]:
+    """Full rows of ``tids`` under the statement snapshot, from one
+    block-grouped fetch; invisible TIDs are left out."""
+    names = node.table.column_names()
+    with run.profiler.section("Tuple Access"):
+        fetched = node.table.heap.fetch_many(tids, snapshot=run.snapshot)
+    rows: dict[TID, Row] = {}
+    for tid, values in zip(tids, fetched):
+        if values is not None:
+            rows[tid] = dict(zip(names, values), __tid__=tid)
+    return rows

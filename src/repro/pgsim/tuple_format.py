@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Collection, Sequence
 
 import numpy as np
 
@@ -157,8 +157,23 @@ def encode_tuple(schema: Schema, values: Sequence[Any], xmin: int = 1) -> bytes:
     return _HEADER.pack(xmin, INVALID_XID, natts, mask) + bytes(bitmap) + bytes(body)
 
 
-def decode_tuple(schema: Schema, data: bytes | memoryview) -> list[Any]:
-    """Deserialize heap-tuple bytes back to a row of Python values."""
+def _skip_datum(type_oid: TypeOid, buf: memoryview, pos: int) -> int:
+    """Position just past the datum at ``pos``, without decoding it."""
+    if type_oid in _FIXED:
+        return pos + _FIXED[type_oid].size
+    (length,) = struct.unpack_from("<I", buf, pos)
+    return pos + 4 + length
+
+
+def decode_tuple(
+    schema: Schema, data: bytes | memoryview, columns: Collection[int] | None = None
+) -> list[Any]:
+    """Deserialize heap-tuple bytes back to a row of Python values.
+
+    With ``columns`` (attribute numbers) only those attributes are
+    decoded and the walk stops after the last of them; every other
+    attribute comes back as ``None``.
+    """
     buf = memoryview(data)
     __, xmax, natts, __ = _HEADER.unpack_from(buf, 0)
     del xmax
@@ -167,7 +182,18 @@ def decode_tuple(schema: Schema, data: bytes | memoryview) -> list[Any]:
     pos = TUPLE_HEADER_SIZE
     bitmap = bytes(buf[pos : pos + (natts + 7) // 8])
     pos += (natts + 7) // 8
-    values: list[Any] = []
+    if columns is not None:
+        values: list[Any] = [None] * natts
+        last = max(columns, default=-1)
+        for i, col in enumerate(schema[: last + 1]):
+            if bitmap[i // 8] & (1 << (i % 8)):
+                continue
+            if i in columns:
+                values[i], pos = _decode_datum(col.type_oid, buf, pos)
+            else:
+                pos = _skip_datum(col.type_oid, buf, pos)
+        return values
+    values = []
     for i, col in enumerate(schema):
         if bitmap[i // 8] & (1 << (i % 8)):
             values.append(None)
@@ -175,6 +201,75 @@ def decode_tuple(schema: Schema, data: bytes | memoryview) -> list[Any]:
         value, pos = _decode_datum(col.type_oid, buf, pos)
         values.append(value)
     return values
+
+
+#: ``tuple_reader``'s product: ``(tuple bytes, visible) -> row``, or
+#: None when ``visible(xmin, xmax)`` says no.
+TupleReader = Callable[[memoryview, Callable[[int, int], bool]], "list[Any] | None"]
+
+
+def tuple_reader(schema: Schema, columns: Collection[int] | None) -> TupleReader:
+    """A decoder for heap-tuple bytes that returns None, without
+    decoding, when the ``visible(xmin, xmax)`` it is called with says
+    no.  Everything it precomputes depends on ``schema`` and ``columns``
+    alone, so one reader serves every read of that projection.
+
+    Without ``columns`` every attribute is decoded.  With ``columns``
+    (attribute numbers: a projection) only those are, the rest come back
+    as None, and the tuple is deformed no further than the last of them.
+    When every attribute up to that one is fixed-width, a tuple without
+    NULLs has each of them at an offset known from the schema alone —
+    PostgreSQL's ``attcacheoff`` — so one precompiled unpack reads the
+    header and all of them.  A tuple with NULLs, a variable-width
+    attribute on the way, or a foreign attribute count takes the
+    walking decoder, :func:`decode_tuple`.
+    """
+    if columns is None:
+
+        def read_all(view: memoryview, visible: Callable) -> list[Any] | None:
+            xmin, xmax, __, __ = _HEADER.unpack_from(view)
+            if not visible(xmin, xmax):
+                return None
+            return decode_tuple(schema, view)
+
+        return read_all
+
+    natts = len(schema)
+    wanted = frozenset(columns)
+    for i in wanted:
+        if not 0 <= i < natts:
+            raise IndexError(f"column index {i} out of range 0..{natts - 1}")
+    walked = list(schema)[: max(wanted, default=-1) + 1]
+    # Header fields 0-3 (xmin, xmax, natts, infomask), the null bitmap
+    # skipped, then attributes 0..last at fields 4...
+    prefix = None
+    if all(col.type_oid in _FIXED for col in walked):
+        prefix = struct.Struct(
+            _HEADER.format
+            + "x" * ((natts + 7) // 8)
+            + "".join(_FIXED[col.type_oid].format[1:] for col in walked)
+        )
+    unpack_prefix = prefix.unpack_from if prefix is not None else None
+    min_length = prefix.size if prefix is not None else -1
+    picks = [(i, 4 + i) for i in sorted(wanted)]
+
+    def read_projected(view: memoryview, visible: Callable) -> list[Any] | None:
+        if unpack_prefix is not None and len(view) >= min_length:
+            fields = unpack_prefix(view)
+            if not visible(fields[0], fields[1]):
+                return None
+            if not fields[3] & MASK_HAS_NULLS and fields[2] == natts:
+                values: list[Any] = [None] * natts
+                for dst, src in picks:
+                    values[dst] = fields[src]
+                return values
+        else:
+            xmin, xmax, __, __ = _HEADER.unpack_from(view)
+            if not visible(xmin, xmax):
+                return None
+        return decode_tuple(schema, view, wanted)
+
+    return read_projected
 
 
 def tuple_xmin(data: bytes | memoryview) -> int:
@@ -222,11 +317,6 @@ def decode_column(
                 return None
             value, __ = _decode_datum(col.type_oid, buf, pos)
             return value
-        if is_null:
-            continue
-        if col.type_oid in _FIXED:
-            pos += _FIXED[col.type_oid].size
-        else:
-            (length,) = struct.unpack_from("<I", buf, pos)
-            pos += 4 + length
+        if not is_null:
+            pos = _skip_datum(col.type_oid, buf, pos)
     raise AssertionError("unreachable")

@@ -53,6 +53,68 @@ class TestSqlEdgeCases:
         rows = fresh_db.query("SELECT id FROM t WHERE name = 'x'")
         assert rows == [(2,)]
 
+    #: WHERE keeps a row only when the predicate is TRUE; rows 2 and 4
+    #: have ``a`` NULL, so every comparison on ``a`` is NULL for them.
+    NULL_WHERE = [
+        ("a < 10", [1, 3]),
+        ("a <> 5", [3, 5]),
+        ("NOT (a < 10)", [5]),
+        ("a < 10 OR id = 2", [1, 2, 3]),
+        ("a < 10 AND id < 4", [1, 3]),
+        ("NOT (a < 10 AND id = 4)", [1, 2, 3, 5]),
+        ("NOT (a < 10 OR id = 4)", [5]),
+        ("a + 1 > 0", [1, 3, 5]),
+        ("abs(a) >= 0", [1, 3, 5]),
+        ("a = NULL OR a <> NULL", []),
+    ]
+
+    @staticmethod
+    def _null_table(db):
+        db.execute("CREATE TABLE t (id int, a int, note text)")
+        db.execute(
+            "INSERT INTO t VALUES (1, 5, 'x'), (2, NULL, 'y'), (3, 7, NULL), "
+            "(4, NULL, NULL), (5, 20, 'z')"
+        )
+
+    @pytest.mark.parametrize("batch", ["off", "on"])
+    @pytest.mark.parametrize("where,expected", NULL_WHERE)
+    def test_null_comparisons_in_select(self, fresh_db, batch, where, expected):
+        self._null_table(fresh_db)
+        fresh_db.execute(f"SET enable_batch_exec = {batch}")
+        assert fresh_db.query(f"SELECT id FROM t WHERE {where}") == [(i,) for i in expected]
+
+    @pytest.mark.parametrize("where,expected", NULL_WHERE)
+    def test_null_comparisons_in_delete(self, fresh_db, where, expected):
+        self._null_table(fresh_db)
+        assert fresh_db.execute(f"DELETE FROM t WHERE {where}").command == f"DELETE {len(expected)}"
+        survivors = [(i,) for i in range(1, 6) if i not in expected]
+        assert fresh_db.query("SELECT id FROM t") == survivors
+
+    @pytest.mark.parametrize("where,expected", NULL_WHERE)
+    def test_null_comparisons_in_update(self, fresh_db, where, expected):
+        self._null_table(fresh_db)
+        tag = fresh_db.execute(f"UPDATE t SET note = 'hit' WHERE {where}").command
+        assert tag == f"UPDATE {len(expected)}"
+        rows = fresh_db.query("SELECT id FROM t WHERE note = 'hit'")
+        assert sorted(rows) == [(i,) for i in expected]
+
+    def test_null_arithmetic_and_logic(self):
+        from repro.pgsim.expr import evaluate
+        from repro.pgsim.sql.parser import parse_sql
+
+        def value(text, row):
+            return evaluate(parse_sql(f"SELECT {text}")[0].targets[0].expr, row)
+
+        row = {"a": None, "b": 3}
+        assert value("a < b", row) is None
+        assert value("a - b", row) is None
+        assert value("-a", row) is None
+        assert value("NOT a = b", row) is None
+        assert value("a = b AND b = 4", row) is False
+        assert value("a = b OR b = 3", row) is True
+        assert value("a = b OR b = 4", row) is None
+        assert value("a::float", row) is None
+
     def test_vector_dim_mismatch_in_query(self, loaded_db, small_dataset):
         loaded_db.execute(
             "CREATE INDEX ix ON items USING pase_ivfflat (vec) "

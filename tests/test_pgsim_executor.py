@@ -345,14 +345,101 @@ class TestAccessInterface:
         assert used == {"get_batch", "heap.fetch_many"}
 
         # In-filter: the AM call is the batched one.  The predicate
-        # mask it calls back mid-traversal checks visibility with one
-        # heap.fetch per unseen TID on either interface.
+        # mask it calls back mid-traversal reads the unseen TIDs of each
+        # call with one block-grouped heap.fetch_many, and the winners
+        # are materialised with one more.
         db.execute("SET filtered_search_strategy = 'in-filter'")
         __, used = self._run(db, calls, hybrid, batch=True)
-        assert used == {"amsearch_filtered_batch", "heap.fetch"}
+        assert used == {"amsearch_filtered_batch", "heap.fetch_many"}
+        assert calls["heap.fetch"] == 0
 
         __, used = self._run(db, calls, "SELECT id FROM items WHERE id < 5", batch=True)
         assert used == {"heap.scan_batches"}
+
+    def test_in_filter_batch_mask_pins_each_block_once(self, counted, small_dataset, vec_lit):
+        db, calls = counted
+        db.execute("SET filtered_search_strategy = 'in-filter'")
+        am = db.catalog.table("items").indexes["ix"].am
+        stats = db.buffer.stats
+        per_call: list[tuple[int, int]] = []
+        search = am.amsearch_filtered_batch
+
+        def spy(query, k, mask_fn):
+            def measured(tids):
+                before = stats.hits + stats.misses
+                verdicts = mask_fn(tids)
+                pins = stats.hits + stats.misses - before
+                per_call.append((pins, len({tid.blkno for tid in tids})))
+                return verdicts
+            return search(query, k, measured)
+
+        am.amsearch_filtered_batch = spy
+        sql = self._sql(small_dataset, vec_lit, "WHERE id < 400")
+        rows, __ = self._run(db, calls, sql, batch=True)
+        assert len(rows) == self.K
+        assert any(pins for pins, __ in per_call)
+        assert all(pins <= blocks for pins, blocks in per_call)
+
+    def test_in_filter_batch_rereads_only_the_winners(self, counted, small_dataset, vec_lit):
+        """``tuples_fetched`` counts heap reads.  Both masks read every
+        examined TID once; the batch mask reads only the predicate's
+        columns, so the K winners are read again, whole — K more reads
+        than the tuple mask, which keeps the rows it read."""
+        db, calls = counted
+        db.execute("SET filtered_search_strategy = 'in-filter'")
+        stats = db.catalog.table("items").heap.stats
+        sql = self._sql(small_dataset, vec_lit, "WHERE id < 400")
+        fetched = {}
+        for batch in (False, True):
+            before = stats.tuples_fetched
+            rows, __ = self._run(db, calls, sql, batch)
+            assert len(rows) == self.K
+            fetched[batch] = stats.tuples_fetched - before
+        assert fetched[True] == fetched[False] + self.K
+
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_dml_target_scan_pins_each_heap_page_once(self, counted, batch):
+        """UPDATE / DELETE ... WHERE find their targets with one projected
+        page-at-a-time scan under either GUC value: every heap page is
+        pinned once, and neither per-tuple heap call is made.  The scan
+        reads every visible row once; UPDATE then reads its targets'
+        whole rows, so ``tuples_fetched`` counts those a second time."""
+        from collections import Counter
+
+        db, calls = counted
+        heap = db.catalog.table("items").heap
+        pins: Counter = Counter()
+        pin = db.buffer.pin
+
+        def counting_pin(rel, blkno):
+            if rel == heap.relation:
+                pins[blkno] += 1
+            return pin(rel, blkno)
+
+        db.buffer.pin = counting_pin
+        every_page_once = Counter(range(heap.n_blocks()))
+        for sql in (
+            "DELETE FROM items WHERE id = -1",
+            "UPDATE items SET id = 0 WHERE id < -1 OR (id > 5 AND NOT id < 100000)",
+        ):
+            pins.clear()
+            __, used = self._run(db, calls, sql, batch)
+            assert pins == every_page_once
+            assert used <= {"heap.scan_batches", "heap.fetch_many"}
+        first, second = (row_id for (row_id,) in db.query("SELECT id FROM items LIMIT 2"))
+        for sql, tag, rereads in (
+            (f"UPDATE items SET id = 10000 WHERE id = {first}", "UPDATE 1", 1),
+            (f"DELETE FROM items WHERE id = 10000 OR id = {second}", "DELETE 2", 0),
+        ):
+            db.execute(f"SET enable_batch_exec = {'on' if batch else 'off'}")
+            (live,) = db.query("SELECT count(*) FROM items")[0]
+            calls.clear()
+            before = heap.stats.tuples_fetched
+            assert db.execute(sql).command == tag
+            assert heap.stats.tuples_fetched - before == live + rereads
+            assert not {"heap.scan", "heap.fetch"} & {label for label, n in calls.items() if n}
+        remaining = f"SELECT count(*) FROM items WHERE id = {first} OR id = {second} OR id = 10000"
+        assert db.query(remaining) == [(0,)]
 
 
 def test_every_plan_node_has_an_operator():

@@ -111,6 +111,32 @@ class TestDelete:
         assert freed == 100
         assert page.free_space == free_before + 100
 
+    def test_line_pointer_readers_match_per_item_definition(self, page):
+        """``live_items`` / ``live_pointers`` (one read of the pointer
+        array) agree with the per-item accessors on an empty page and
+        through deletes and defragmentation."""
+
+        def check():
+            n = page.item_count
+            live = [i for i in range(1, n + 1) if not page.is_dead(i)]
+            assert page.live_items() == live
+            assert page.live_pointers() == [(i, *page._pointer(i)) for i in live]
+            for i, off, length in page.live_pointers():
+                assert bytes(page.buf[off : off + length]) == page.get_item(i)
+
+        check()
+        for i in range(12):
+            page.insert_item(bytes([i]) * (i + 3))
+        check()
+        for i in (1, 5, 6, 12):
+            page.delete_item(i)
+        check()
+        page.defragment()
+        check()
+        page.insert_item(b"after")
+        page.delete_item(2)
+        check()
+
     def test_defragment_preserves_live_offsets(self, page):
         offs = [page.insert_item(bytes([i]) * 8) for i in range(4)]
         page.delete_item(2)

@@ -164,6 +164,47 @@ class TestHeapTable:
         with pytest.raises(ValueError):
             table.insert([1, np.zeros(4096, dtype=np.float32)], xid=1)
 
+    @pytest.mark.parametrize("columns", [(), (0,), (1,), (0, 1), (2,), (1, 3), (0, 1, 2, 3)])
+    def test_projection_matches_full_decode(self, schema, columns):
+        """``fetch_many`` / ``scan_batches`` with ``columns`` return the
+        full rows with every other attribute None — for tuples with and
+        without NULLs, fixed prefixes and varlenas on the way — with the
+        same visibility, pins and ``tuples_fetched`` as a full read."""
+        buffer = BufferManager(MemoryDisk(page_size=1024), capacity=32)
+        table = HeapTable("p", schema, buffer)
+        vec = np.arange(3, dtype=np.float32)
+        rows = [
+            [i, None if i % 5 == 0 else i / 4, None if i % 3 == 0 else f"r{i}", vec]
+            for i in range(40)
+        ]
+        tids = [table.insert(row, xid=1) for row in rows]
+        table.delete(tids[7], xid=1)
+
+        def project(row):
+            return None if row is None else [v if i in columns else None for i, v in enumerate(row)]
+
+        def counted(read):
+            before = (table.stats.tuples_fetched, buffer.stats.hits + buffer.stats.misses)
+            out = read()
+            after = (table.stats.tuples_fetched, buffer.stats.hits + buffer.stats.misses)
+            return out, tuple(b - a for a, b in zip(before, after))
+
+        probe = tids[::-1] + [tids[7]]
+        full, full_cost = counted(lambda: table.fetch_many(probe))
+        some, some_cost = counted(lambda: table.fetch_many(probe, columns=columns))
+        assert some_cost == full_cost
+        assert [repr(project(row)) for row in full] == [repr(row) for row in some]
+        pages, pages_cost = counted(lambda: list(table.scan_batches()))
+        projected, projected_cost = counted(lambda: list(table.scan_batches(columns=columns)))
+        assert projected_cost == pages_cost
+        assert [[(tid, repr(project(v))) for tid, v in page] for page in pages] == [
+            [(tid, repr(v)) for tid, v in page] for page in projected
+        ]
+        with pytest.raises(IndexError):
+            table.fetch_many([TID(0, 999)], columns=columns)
+        with pytest.raises(IndexError):
+            table.fetch_many(tids[:1], columns=(4,))
+
 
 class TestWalRecovery:
     def test_committed_inserts_recovered(self, table_env):
