@@ -1,12 +1,14 @@
-"""Deterministic behaviour dump of the five IVF access methods and of
-hybrid search and DML through SQL.
+"""Deterministic behaviour dump of the seven vector access methods and
+of hybrid search and DML through SQL.
 
     PYTHONPATH=src python benchmarks/behaviour_dump.py [--rows N] [--queries Q] > dump.txt
 
 Builds one seeded table per IVF access method (``pase_ivfflat``,
 ``pase_ivfpq``, ``pase_ivfsq8``, pgvector's ``ivfflat``,
 ``bridged_ivfflat``) and index metric (``distance_type`` 0 / 1 / 2:
-L2, inner product, cosine) and walks it through three states — fresh, after
+L2, inner product, cosine), and one per HNSW access method
+(``pase_hnsw``, ``bridged_hnsw``; L2 only, at a fixed ``pase.efs``), and
+walks it through three states — fresh, after
 200 single-row INSERTs, after DELETE of 30 % of the rows + VACUUM — and
 in each state drives every AM search entry point directly: ``scan``,
 ``get_batch``, ``amrescan_continue[_batch]`` and
@@ -45,7 +47,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-import repro.bridged  # noqa: E402,F401  — registers bridged_ivfflat
+import repro.bridged  # noqa: E402,F401  — registers bridged_ivfflat, bridged_hnsw
 import repro.pase  # noqa: E402,F401  — registers the pase_* access methods
 import repro.pgvector  # noqa: E402,F401  — registers ivfflat
 from repro.pgsim import PgSimDatabase  # noqa: E402
@@ -58,6 +60,10 @@ AMS = {
     "ivfflat": "",
     "bridged_ivfflat": "",
 }
+#: HNSW access method -> WITH options.  L2 only: the graph ranks by L2
+#: and HNSW refuses any other ``distance_type``.
+HNSW_AMS = {"pase_hnsw": "bnn = 8, efb = 32", "bridged_hnsw": "bnn = 8, efb = 32"}
+EFS = 40
 #: metric label -> ``distance_type``.  Inner product and cosine score
 #: rows with BLAS sgemv, whose rounding depends on how many rows one
 #: call holds, so they see drift the L2 kernel cannot.
@@ -87,21 +93,17 @@ def _data(rows: int, queries: int) -> tuple[np.ndarray, ...]:
 class Dump:
     """One access method's table, index and the lines it prints."""
 
-    def __init__(self, am_name: str, metric: str, base: np.ndarray) -> None:
-        self.name = f"{am_name}/{metric}"
+    def __init__(self, name: str, am_name: str, options: str, base: np.ndarray) -> None:
+        self.name = name
         self.db = PgSimDatabase(page_size=2048, buffer_pool_pages=4096)
         self.db.execute("CREATE TABLE t (id int, vec float[])")
         heap = self.db.catalog.table("t").heap
         for i, vec in enumerate(base):
             heap.insert([i, vec], xid=1)
         self.db.wal.log_commit(1)
-        clusters = max(int(math.sqrt(base.shape[0])), 4)
-        self.db.execute(
-            f"CREATE INDEX ix ON t USING {am_name} (vec) WITH (clusters = {clusters}, "
-            f"sample_ratio = 0.5, seed = {SEED}, distance_type = {METRICS[metric]}"
-            f"{AMS[am_name]})"
-        )
+        self.db.execute(f"CREATE INDEX ix ON t USING {am_name} (vec) WITH ({options})")
         self.db.execute(f"SET pase.nprobe = {NPROBE}")
+        self.db.execute(f"SET pase.efs = {EFS}")
         self.db.execute("SET ivf_recluster_threshold = 0.05")
         self.heap = heap
         self.am = self.db.catalog.find_index("ix").am
@@ -255,16 +257,26 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--queries", type=int, default=6)
     args = parser.parse_args(argv)
     base, extra, queries = _data(args.rows, args.queries)
-    for am_name in AMS:
-        for metric in METRICS:
-            dump = Dump(am_name, metric, base)
-            dump.state("fresh", queries)
-            for j, vec in enumerate(extra):
-                dump.db.execute(f"INSERT INTO t VALUES ({args.rows + j}, '{_lit(vec)}'::PASE)")
-            dump.state(f"+{INSERTS}_inserts", queries)
-            dump.db.execute(f"DELETE FROM t WHERE id < {int(args.rows * 0.3)}")
-            dump.db.execute("VACUUM t")
-            dump.state("delete30_vacuum", queries)
+    clusters = max(int(math.sqrt(base.shape[0])), 4)
+    runs = [
+        (
+            f"{am_name}/{metric}", am_name,
+            f"clusters = {clusters}, sample_ratio = 0.5, seed = {SEED}, "
+            f"distance_type = {METRICS[metric]}{AMS[am_name]}",
+        )
+        for am_name in AMS
+        for metric in METRICS
+    ]
+    runs += [(f"{am}/l2", am, f"{opts}, seed = {SEED}") for am, opts in HNSW_AMS.items()]
+    for name, am_name, options in runs:
+        dump = Dump(name, am_name, options, base)
+        dump.state("fresh", queries)
+        for j, vec in enumerate(extra):
+            dump.db.execute(f"INSERT INTO t VALUES ({args.rows + j}, '{_lit(vec)}'::PASE)")
+        dump.state(f"+{INSERTS}_inserts", queries)
+        dump.db.execute(f"DELETE FROM t WHERE id < {int(args.rows * 0.3)}")
+        dump.db.execute("VACUUM t")
+        dump.state("delete30_vacuum", queries)
     sql = SqlDump(base)
     sql.state("fresh", queries)
     sql.dml(args.rows)

@@ -6,135 +6,57 @@ indirection, no 24-byte neighbor tuples, fixing RC#2 and RC#4), while
 the base vectors are still persisted to a compact data fork so the
 index can be rebuilt after a restart.  The SQL surface is unchanged:
 ``CREATE INDEX ... USING bridged_hnsw (vec) WITH (bnn = 16, efb = 40)``.
+Everything but the residence is :class:`repro.pase.hnsw.HNSWCore`.
 """
 
 from __future__ import annotations
 
-import math
 import struct
-import time
-from typing import Any, Iterator
+from typing import Sequence
 
 import numpy as np
 
-from repro.common import graph
-from repro.common.profiling import NULL_PROFILER
-from repro.common.rng import make_rng
-from repro.common.types import BuildStats, IndexSizeInfo
-from repro.pase.options import parse_hnsw_options
-from repro.pgsim.am import IndexAmRoutine, register_am
+from repro.common.types import IndexSizeInfo
+from repro.pase.hnsw import HNSWCore
+from repro.pgsim.am import register_am
 from repro.pgsim.heapam import TID
-from repro.pgsim.paths import DISTANCE_OP_WEIGHT
-from repro.pgsim.page import PageFullError
 from repro.specialized.hnsw import ArrayGraphStore
 
 _DATA_HEAD = struct.Struct("<IIH2x")  # node id, heap blkno, heap offset
 
 
 @register_am
-class BridgedHNSW(IndexAmRoutine):
+class BridgedHNSW(HNSWCore):
     """HNSW with a memory-resident graph behind the SQL surface."""
 
     amname = "bridged_hnsw"
-    amcanfilter = True
+    #: Neighbor lists are array slices, not page tuples — modeled as half
+    #: the page-backed HNSW's per-candidate toll.
+    CANDIDATE_TOLL = 0.5
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.opts = parse_hnsw_options(self.options)
-        self.profiler = NULL_PROFILER
-        self.build_stats = BuildStats()
-        self.params = graph.HNSWParams(bnn=self.opts.bnn, efb=self.opts.efb)
-        self.dim: int | None = None
-        self.store: ArrayGraphStore | None = None
+    def _new_store(self) -> ArrayGraphStore:
+        """A fresh in-memory graph, sized by the first vector, and an
+        empty node -> heap TID map (node ids are positional: a list)."""
         self._heap_tids: list[TID] = []
-        #: Node ids unlinked by VACUUM (ids are positional, never reused).
-        self._removed: set[int] = set()
-        self._rng = make_rng(self.opts.seed)
-        self._data_insert_block: int | None = None
+        return ArrayGraphStore(self.dim, profiler=self.profiler)
 
-    # ------------------------------------------------------------------
-    # build / insert
-    # ------------------------------------------------------------------
-    def build(self) -> None:
-        start = time.perf_counter()
-        count = 0
-        self.progress.set_phase("insert")
-        for tid, values in self.table.scan():
-            vec = np.ascontiguousarray(values[self.column_index], dtype=np.float32)
-            self._insert_one(tid, vec)
-            count += 1
-            self.progress.tick()
-        self.progress.set_phase("link")
-        if count == 0:
-            raise RuntimeError("cannot build an HNSW index over an empty table")
-        self.build_stats.add_seconds = time.perf_counter() - start
-        self.build_stats.vectors_added = count
-        assert self.store is not None
-        self.build_stats.distance_computations = self.store.counters.distance_computations
-
-    def insert(self, tid: TID, value: Any) -> None:
-        vec = np.ascontiguousarray(value, dtype=np.float32)
-        self._insert_one(tid, vec)
-
-    def _insert_one(self, tid: TID, vec: np.ndarray) -> None:
-        if self.store is None:
-            self.dim = int(vec.shape[0])
-            self.store = ArrayGraphStore(self.dim, profiler=self.profiler)
-        node = graph.insert(self.store, self.params, vec, self._rng)
+    def _record(self, node: int, tid: TID, vec: np.ndarray) -> None:
+        """Map the node to its TID, then append (node, heap tid, vector)
+        to the data fork for durability."""
         self._heap_tids.append(tid)
-        self._persist_vector(node, tid, vec)
+        self._append_data(_DATA_HEAD.pack(node, tid.blkno, tid.offset) + vec.tobytes())
 
-    def _persist_vector(self, node: int, tid: TID, vec: np.ndarray) -> None:
-        """Durability: append (node, heap tid, vector) to the data fork."""
-        rel = self.create_fork("data")
-        item = _DATA_HEAD.pack(node, tid.blkno, tid.offset) + vec.tobytes()
-        if self._data_insert_block is not None:
-            frame = self.buffer.pin(rel, self._data_insert_block)
-            try:
-                frame.page.insert_item(item)
-            except PageFullError:
-                self.buffer.unpin(frame)
-            else:
-                self.buffer.unpin(frame, dirty=True)
-                return
-        blkno, frame = self.buffer.new_page(rel)
-        try:
-            frame.page.insert_item(item)
-        finally:
-            self.buffer.unpin(frame, dirty=True)
-        self._data_insert_block = blkno
+    def _tid_of(self, node: int) -> TID:
+        return self._heap_tids[node]
 
-    # ------------------------------------------------------------------
-    # vacuum (ambulkdelete)
-    # ------------------------------------------------------------------
-    def ambulkdelete(self, dead_tids: set[TID]) -> int:
-        """Unlink vacuumed nodes from the in-memory graph.
+    def _tids_of(self, nodes: Sequence[int]) -> list[TID]:
+        return [self._heap_tids[n] for n in nodes]
 
-        Same repair as the page-backed HNSW (bridge + re-shrink via
-        :func:`repro.common.graph.repair_after_delete`), plus removal
-        of the nodes' tuples from the durable data fork so a restart
-        rebuild never resurrects them.
-        """
-        store = self.store
-        if store is None or not dead_tids:
-            return 0
-        dead = {
-            node
-            for node, tid in enumerate(self._heap_tids)
-            if node not in self._removed and tid in dead_tids
-        }
-        if not dead:
-            return 0
-        graph.repair_after_delete(store, self.params, dead | self._removed, store._levels)
-        self._remove_data_entries(dead)
-        self._removed |= dead
-        self.vacuum_progress.tick_index_entries(len(dead))
-        return len(dead)
+    def _node_levels(self) -> list[int]:
+        return self.store._levels
 
-    def _remove_data_entries(self, dead: set[int]) -> None:
+    def _delete_data(self, dead: set[int]) -> None:
         rel = self.relation_name("data")
-        if not self.buffer.disk.relation_exists(rel):
-            return
         for blkno in range(self.buffer.disk.n_blocks(rel)):
             frame = self.buffer.pin(rel, blkno)
             dirty = False
@@ -147,103 +69,6 @@ class BridgedHNSW(IndexAmRoutine):
                         dirty = True
             finally:
                 self.buffer.unpin(frame, dirty=dirty)
-
-    # ------------------------------------------------------------------
-    # search
-    # ------------------------------------------------------------------
-    def scan(self, query: np.ndarray, k: int) -> Iterator[tuple[TID, float]]:
-        if self.store is None or self.store.node_count() == 0:
-            return
-        efs = int(self.catalog.get_setting("pase.efs"))
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        self.store.profiler = self.profiler
-        dist0 = self.store.counters.distance_computations
-        neighbors = graph.search(self.store, self.params, query, k, efs=efs)
-        self.scan_stats.scans += 1
-        self.scan_stats.candidates += self.store.counters.distance_computations - dist0
-        for neighbor in neighbors:
-            yield self._heap_tids[neighbor.vector_id], neighbor.distance
-
-    # ------------------------------------------------------------------
-    # in-filter search (amsearch_filtered)
-    # ------------------------------------------------------------------
-    def amsearch_filtered(
-        self, query: np.ndarray, k: int, mask_fn: Any
-    ) -> Iterator[tuple[TID, float]]:
-        """In-filter beam over the in-memory graph.
-
-        Same design as the page-backed HNSW: filtered-out nodes route,
-        only allowed nodes enter the result heap, and the beam widens
-        geometrically when fewer than k allowed nodes come back.  The
-        node-to-TID map is the positional ``_heap_tids`` list, so the
-        mask lookup costs no page pins at all.
-        """
-        store = self.store
-        if store is None or store.node_count() == 0:
-            self.last_filtered_examined = 0
-            return iter(())
-        efs = int(self.catalog.get_setting("pase.efs"))
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        store.profiler = self.profiler
-        allowed_cache: dict[int, bool] = {}
-
-        def allow(nodes: list[int]) -> list[bool]:
-            fresh = [n for n in nodes if n not in allowed_cache]
-            if fresh:
-                live = [n for n in fresh if n not in self._removed]
-                for n in fresh:
-                    allowed_cache[n] = False
-                if live:
-                    tids = [self._heap_tids[n] for n in live]
-                    for n, ok in zip(live, mask_fn(tids)):
-                        allowed_cache[n] = bool(ok)
-            return [allowed_cache[n] for n in nodes]
-
-        live_nodes = max(store.node_count() - len(self._removed), 1)
-        ef = max(efs, k)
-        dist0 = store.counters.distance_computations
-        while True:
-            neighbors = graph.search_filtered(
-                store, self.params, query, k, allow, efs=ef
-            )
-            if len(neighbors) >= k or ef >= live_nodes:
-                break
-            ef = min(live_nodes, ef * 2)
-        self.scan_stats.scans += 1
-        self.scan_stats.candidates += store.counters.distance_computations - dist0
-        self.last_filtered_examined = len(allowed_cache)
-        return iter(
-            (self._heap_tids[n.vector_id], n.distance) for n in neighbors
-        )
-
-    def amestimate_candidates(self, ntuples: float, fetch_k: int) -> float:
-        """Beam size the in-filter mask is charged for: ``ef * log2(n)``."""
-        n = max(float(ntuples), 2.0)
-        ef = float(max(int(self.catalog.get_setting("pase.efs")), fetch_k, 1))
-        return min(n, ef * math.log2(n))
-
-    # ------------------------------------------------------------------
-    # planner cost estimate
-    # ------------------------------------------------------------------
-    def amcostestimate(self, ntuples: float, fetch_k: int, cost: Any) -> tuple[float, float]:
-        """Beam-search cost over the in-memory array graph: the same
-        ``ef * log2(n)`` candidate count as the page-backed HNSW, but
-        neighbor lists are array slices, not page tuples — modeled as
-        half its per-candidate toll."""
-        n = max(float(ntuples), 2.0)
-        ef = float(max(int(self.catalog.get_setting("pase.efs")), fetch_k, 1))
-        candidates = min(n, ef * math.log2(n))
-        total = 0.5 * candidates * (
-            2.0 * cost.cpu_index_tuple_cost + DISTANCE_OP_WEIGHT * cost.cpu_operator_cost
-        )
-        return total, total
-
-    # ------------------------------------------------------------------
-    # size accounting
-    # ------------------------------------------------------------------
-    def relations(self) -> list[str]:
-        """Page-file names owned by this index."""
-        return [self.relation_name("data")]
 
     def size_info(self) -> IndexSizeInfo:
         """Durable pages plus the in-memory graph payload.

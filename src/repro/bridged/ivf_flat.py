@@ -17,7 +17,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.common.distance import BatchKernel, batch_kernel, squared_norms
-from repro.common.heap import BoundedMaxHeap
+from repro.common.heap import BoundedMaxHeap, offer_topk
 from repro.common.kmeans import assign_nearest_batch, faiss_kmeans
 from repro.common.parallel import WorkUnit
 from repro.pase.ivf_core import _key_tid, _tid_key, topk_parts
@@ -176,18 +176,7 @@ class BridgedIVFFlat(PaseIVFFlat):
             if vectors.shape[0] == 0:
                 continue
             self.scan_stats.candidates += int(vectors.shape[0])
-            dists = kernel(query, vectors)[0]
-            take = min(k, dists.shape[0])
-            if take < dists.shape[0]:
-                sel = np.argpartition(dists, take - 1)[:take]
-            else:
-                sel = np.arange(dists.shape[0])
-            worst = heap.worst_distance
-            keys = mirror.bucket_keys[bucket]
-            for key, d in zip(keys[sel].tolist(), dists[sel].tolist()):
-                if d < worst:
-                    heap.push(d, key)
-                    worst = heap.worst_distance
+            offer_topk(heap, kernel(query, vectors)[0], mirror.bucket_keys[bucket])
         for neighbor in heap.results():
             yield _key_tid(neighbor.vector_id), neighbor.distance
 
@@ -195,8 +184,7 @@ class BridgedIVFFlat(PaseIVFFlat):
         """Batched scan straight off the memory mirror.
 
         Same SGEMM distances as :meth:`scan`; selection is a single
-        lexsort over all probed candidates (boundary ties break toward
-        the smallest TID rather than first-seen probe order).
+        lexsort over all probed candidates.
         """
         query = self._check_query(query)
         mirror, kernel, probes = self._probe(query, self._nprobe())

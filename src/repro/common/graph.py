@@ -24,9 +24,11 @@ Table III phases (``SearchNbToAdd``, ``AddLink``, ``GreedyUpdate``,
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from itertools import repeat
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -169,6 +171,7 @@ def search_layer(
     entry_points: list[tuple[float, int]],
     ef: int,
     level: int,
+    admit: Callable[[list[int]], Sequence[bool]] | None = None,
 ) -> list[tuple[float, int]]:
     """Classic HNSW beam search within one layer.
 
@@ -176,75 +179,30 @@ def search_layer(
         entry_points: ``(distance, node)`` seeds, distances already
             computed against ``query``.
         ef: beam width (the paper's ``efb``/``efs``).
+        admit: the in-filter predicate, or None to admit every node.  It
+            takes a list of node ids and returns booleans (True = the
+            node's heap row is visible and satisfies the pushed-down
+            predicate).  Refused nodes still join the candidate frontier
+            — they *route* — because dropping them would disconnect
+            regions whose members all fail the predicate (the standard
+            filtered-ANN design; see ACORN and the filter-agnostic
+            PostgreSQL study).  Only admitted nodes enter the bounded
+            result heap, so the beam keeps expanding until ``ef``
+            admitted nodes bound it.
 
-    Returns up to ``ef`` ``(distance, node)`` pairs sorted ascending.
+    A node enters the beam when its ``(distance, node)`` beats the
+    worst kept pair — the tie rule every top-k in the repo shares — and
+    a refused node routes when its distance is strictly inside the
+    bound.  Returns up to ``ef`` ``(distance, node)`` pairs in that
+    order.
     """
-    import heapq
-
-    prof = store.profiler
-    visited = store.make_visited()
-    candidates: list[tuple[float, int]] = []
-    results = BoundedMaxHeap(ef)
-    for dist, node in entry_points:
-        visited.add(node)
-        heapq.heappush(candidates, (dist, node))
-        results.push(dist, node)
-
-    while candidates:
-        dist_c, current = heapq.heappop(candidates)
-        if dist_c > results.worst_distance:
-            break
-        store.counters.hops += 1
-        with prof.section(SEC_NEIGHBOR_FETCH):
-            nbrs = store.neighbors(current, level)
-        with prof.section(SEC_VISITED):
-            fresh = []
-            for nb in nbrs:
-                store.counters.visited_checks += 1
-                if nb not in visited:
-                    visited.add(nb)
-                    fresh.append(nb)
-        if not fresh:
-            continue
-        dists = _distance_rows(store, query, fresh)
-        worst = results.worst_distance
-        for d, nb in zip(dists.tolist(), fresh):
-            if len(results) < ef or d < worst:
-                results.push(d, nb)
-                worst = results.worst_distance
-                heapq.heappush(candidates, (d, nb))
-    return [(n.distance, n.vector_id) for n in results.results()]
-
-
-def search_layer_filtered(
-    store: GraphStore,
-    query: np.ndarray,
-    entry_points: list[tuple[float, int]],
-    ef: int,
-    level: int,
-    allow_fn,
-) -> list[tuple[float, int]]:
-    """Beam search admitting only allowed nodes to the result heap.
-
-    The in-filter variant of :func:`search_layer`: ``allow_fn`` takes a
-    list of node ids and returns booleans (True = the node's heap row
-    is visible and satisfies the pushed-down predicate).  Filtered-out
-    nodes still join the candidate frontier — they *route* — because
-    dropping them would disconnect regions whose members all fail the
-    predicate (the standard filtered-ANN design; see ACORN and the
-    filter-agnostic PostgreSQL study).  Only allowed nodes are pushed
-    into the bounded result heap, so the beam keeps expanding until
-    ``ef`` allowed nodes bound it.
-    """
-    import heapq
-
     prof = store.profiler
     visited = store.make_visited()
     candidates: list[tuple[float, int]] = []
     results = BoundedMaxHeap(ef)
     seeds = [node for __, node in entry_points]
-    seed_allowed = list(allow_fn(seeds)) if seeds else []
-    for (dist, node), ok in zip(entry_points, seed_allowed):
+    seed_admitted = repeat(True) if admit is None or not seeds else admit(seeds)
+    for (dist, node), ok in zip(entry_points, seed_admitted):
         visited.add(node)
         heapq.heappush(candidates, (dist, node))
         if ok:
@@ -267,14 +225,13 @@ def search_layer_filtered(
         if not fresh:
             continue
         dists = _distance_rows(store, query, fresh)
-        allowed = allow_fn(fresh)
+        admitted = repeat(True) if admit is None else admit(fresh)
+        push = results.push
         worst = results.worst_distance
-        for d, nb, ok in zip(dists.tolist(), fresh, allowed):
-            if len(results) < ef or d < worst:
+        for d, nb, ok in zip(dists.tolist(), fresh, admitted):
+            if d <= worst and (push(d, nb) if ok else d < worst):
+                worst = results.worst_distance
                 heapq.heappush(candidates, (d, nb))
-                if ok:
-                    results.push(d, nb)
-                    worst = results.worst_distance
     return [(n.distance, n.vector_id) for n in results.results()]
 
 
@@ -482,43 +439,16 @@ def search(
     query: np.ndarray,
     k: int,
     efs: int | None = None,
+    admit: Callable[[list[int]], Sequence[bool]] | None = None,
 ) -> list[Neighbor]:
-    """Top-``k`` HNSW search (skip-list style descent + beam at level 0)."""
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    if store.entry_point is None:
-        return []
-    prof = store.profiler
-    query = np.ascontiguousarray(query, dtype=np.float32)
-    ef = max(efs if efs is not None else params.efs, k)
+    """Top-``k`` HNSW search (skip-list style descent + beam at level 0).
 
-    entry = store.entry_point
-    entry_dist = float(_distance_rows(store, query, [entry])[0])
-    seed = (entry_dist, entry)
-    if store.max_level > 0:
-        with prof.section(SEC_GREEDY_UPDATE):
-            seed = greedy_descend(store, query, seed, store.max_level, 1)
-
-    with prof.section(SEC_SEARCH_NB_TO_ADD):
-        found = search_layer(store, query, [seed], ef, 0)
-    return [Neighbor(vector_id=nid, distance=dist) for dist, nid in found[:k]]
-
-
-def search_filtered(
-    store: GraphStore,
-    params: HNSWParams,
-    query: np.ndarray,
-    k: int,
-    allow_fn,
-    efs: int | None = None,
-) -> list[Neighbor]:
-    """Top-``k`` in-filter HNSW search: the predicate inside the beam.
-
-    The descent phase routes unfiltered (upper layers only navigate);
-    the level-0 beam runs :func:`search_layer_filtered`, so only nodes
-    ``allow_fn`` admits can land in the result.  Callers needing k
-    matches at low selectivity widen ``efs`` and retry — the AM layer's
-    expansion loop — rather than this function guessing a bound.
+    With ``admit`` this is the in-filter search: the descent still
+    routes unfiltered (upper layers only navigate) and the level-0 beam
+    admits only the nodes ``admit`` accepts (see :func:`search_layer`).
+    Callers needing k matches at low selectivity widen ``efs`` and retry
+    — the AM layer's expansion loop — rather than this function guessing
+    a bound.
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -536,5 +466,5 @@ def search_filtered(
             seed = greedy_descend(store, query, seed, store.max_level, 1)
 
     with prof.section(SEC_SEARCH_NB_TO_ADD):
-        found = search_layer_filtered(store, query, [seed], ef, 0, allow_fn)
+        found = search_layer(store, query, [seed], ef, 0, admit)
     return [Neighbor(vector_id=nid, distance=dist) for dist, nid in found[:k]]

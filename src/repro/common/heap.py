@@ -14,12 +14,20 @@ benchmarks — can switch between them:
 * :class:`LockedGlobalHeap` — a bounded heap wrapped with a lock whose
   acquisitions are *counted*, feeding the parallel-contention model of
   RC#3 (PASE's intra-query parallelism shares one global heap).
+
+Every top-k in the repo orders by ``(distance, id)``: among equal
+distances the smaller id wins, whatever order candidates arrive in, so
+the two heaps, the batch selection (``pgsim.am.topk_batch``) and the
+brute-force oracles all return the same answer on tied data.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import threading
+
+import numpy as np
 
 from repro.common.types import Neighbor
 
@@ -27,7 +35,7 @@ from repro.common.types import Neighbor
 class BoundedMaxHeap:
     """Keep the ``k`` smallest ``(distance, id)`` pairs seen so far.
 
-    Internally a max-heap on distance (stored negated for
+    Internally a max-heap on the pair (both stored negated for
     :mod:`heapq`'s min-heap semantics) so the current worst survivor is
     inspectable in O(1) via :attr:`worst_distance`.
     """
@@ -51,21 +59,22 @@ class BoundedMaxHeap:
         return -self._heap[0][0]
 
     def push(self, distance: float, vector_id: int) -> bool:
-        """Offer a candidate; returns True if it was kept."""
+        """Offer a candidate; returns True if it was kept (it beats the
+        worst survivor's ``(distance, id)``, or the heap is not full)."""
+        item = (-distance, -vector_id)
         if len(self._heap) < self.k:
-            heapq.heappush(self._heap, (-distance, vector_id))
-            self.pushes += 1
-            return True
-        if distance >= -self._heap[0][0]:
+            heapq.heappush(self._heap, item)
+        elif item <= self._heap[0]:
             self.rejections += 1
             return False
-        heapq.heapreplace(self._heap, (-distance, vector_id))
+        else:
+            heapq.heapreplace(self._heap, item)
         self.pushes += 1
         return True
 
     def results(self) -> list[Neighbor]:
-        """The kept neighbors, sorted ascending by distance."""
-        ordered = sorted(((-d, vid) for d, vid in self._heap), key=lambda t: (t[0], t[1]))
+        """The kept neighbors in ``(distance, id)`` order."""
+        ordered = sorted((-d, -vid) for d, vid in self._heap)
         return [Neighbor(vector_id=vid, distance=d) for d, vid in ordered]
 
     def merge(self, other: "BoundedMaxHeap") -> None:
@@ -75,8 +84,8 @@ class BoundedMaxHeap:
         *local* heap and local heaps are merged lock-free at the end
         (Sec. VII-D).
         """
-        for neg_d, vid in other._heap:
-            self.push(-neg_d, vid)
+        for neg_d, neg_id in other._heap:
+            self.push(-neg_d, -neg_id)
 
 
 class NaiveTopK:
@@ -139,21 +148,47 @@ class LockedGlobalHeap:
             return self._inner.results()
 
 
+def _cut(dists: np.ndarray, k: int, bound: float = math.inf) -> np.ndarray | None:
+    """Mask of the candidates at or below both the k-th smallest
+    distance and ``bound``, every one tied at the cut included, or None
+    when nothing may be cut: at most k candidates, or fewer than k that
+    are not NaN (partition sorts NaNs last, so the k-th is then NaN).
+    NaNs below a numeric cut are dropped; no top-k keeps one over a
+    number."""
+    if k >= dists.shape[0]:
+        return None
+    kth = np.partition(dists, k - 1)[k - 1]
+    return None if kth != kth else dists <= min(kth, bound)
+
+
+def offer_topk(heap: BoundedMaxHeap, dists: np.ndarray, ids: np.ndarray) -> None:
+    """Offer one list's nearest candidates to ``heap``.
+
+    Partial-selects the list first, cut at its k-th distance and at the
+    current worst survivor's, so at most ``k`` plus the ties at the cut
+    reach the heap and none that one comparison would reject — the
+    Faiss per-bucket pattern, with the ``(distance, id)`` rule intact.
+    """
+    worst = heap.worst_distance
+    keep = _cut(dists, heap.k, worst)
+    if keep is not None:
+        dists, ids = dists[keep], ids[keep]
+    push = heap.push
+    for d, vid in zip(dists.tolist(), ids.tolist()):
+        if d <= worst and push(d, vid):
+            worst = heap.worst_distance
+
+
 def exact_topk(distances, k: int) -> list[Neighbor]:
-    """Exact top-k over a dense distance row via argpartition.
+    """Exact top-k over a dense distance row, in ``(distance, index)``
+    order.
 
     Utility used for ground truth and for the specialized engine's
     batch path, where distances for a whole bucket already live in one
     array.
     """
-    import numpy as np
-
     dists = np.asarray(distances)
-    n = dists.shape[0]
-    k = min(k, n)
-    if k == n:
-        idx = np.argsort(dists, kind="stable")
-    else:
-        part = np.argpartition(dists, k)[:k]
-        idx = part[np.argsort(dists[part], kind="stable")]
+    keep = _cut(dists, k)
+    idx = np.arange(dists.shape[0]) if keep is None else np.flatnonzero(keep)
+    idx = idx[np.argsort(dists[idx], kind="stable")][:k]
     return [Neighbor(vector_id=int(i), distance=float(dists[i])) for i in idx]

@@ -1,7 +1,8 @@
-"""PASE HNSW: page-structured graph store + access method.
+"""The HNSW access-method core and PASE's page-structured residence.
 
 The graph algorithm is shared with the specialized engine
-(:mod:`repro.common.graph`); what this module supplies is PASE's
+(:mod:`repro.common.graph`).  :class:`HNSWCore` runs it behind the AM
+contract once for both HNSW AMs; what :class:`PaseHNSW` adds is PASE's
 substrate, with the two properties the paper's Secs. V-C and VI-C
 trace root causes to:
 
@@ -35,9 +36,8 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from repro.common import graph
-from repro.common.profiling import NULL_PROFILER
 from repro.common.rng import make_rng
-from repro.common.types import BuildStats, IndexSizeInfo
+from repro.common.types import BuildStats, Neighbor
 from repro.pase.options import parse_hnsw_options
 from repro.pgsim.am import IndexAmRoutine, ScanBatch, register_am
 from repro.pgsim.heapam import TID
@@ -102,12 +102,8 @@ class PageGraphStore:
         self.entry_point: int | None = None
         self.max_level = -1
         self._nodes: list[_NodeMeta] = []
-        #: Node ids unlinked by VACUUM; their data tuples are gone, so
-        #: readers (and later vacuums) must skip them.
-        self.removed: set[int] = set()
         self.data_rel = am.create_fork("data")
         self.neighbor_rel = am.create_fork("neighbors")
-        self._data_insert_block: int | None = None
 
     # ------------------------------------------------------------------
     # GraphStore protocol
@@ -184,7 +180,10 @@ class PageGraphStore:
 
     def add_node(self, vector: np.ndarray, level: int) -> int:
         node_id = len(self._nodes)
-        data_blkno, data_offset = self._insert_data_tuple(node_id, level, vector)
+        # The heap TID is stamped in once the caller knows it.
+        data_blkno, data_offset = self.am._append_data(
+            _DATA_HEAD.pack(node_id, 0, 0, level) + vector.tobytes()
+        )
         # RC#4: one fresh page per adjacency list, at every level.
         heads = [self._new_neighbor_page() for _ in range(level + 1)]
         self._nodes.append(_NodeMeta(data_blkno, data_offset, level, heads))
@@ -218,30 +217,6 @@ class PageGraphStore:
             frame.page.write_special(_NEXT.pack(next_blk))
         finally:
             self.buffer.unpin(frame, dirty=True)
-
-    def _insert_data_tuple(
-        self, node_id: int, level: int, vector: np.ndarray
-    ) -> tuple[int, int]:
-        item = (
-            _DATA_HEAD.pack(node_id, 0, 0, level)
-            + np.ascontiguousarray(vector, dtype=np.float32).tobytes()
-        )
-        if self._data_insert_block is not None:
-            frame = self.buffer.pin(self.data_rel, self._data_insert_block)
-            try:
-                offset = frame.page.insert_item(item)
-            except PageFullError:
-                self.buffer.unpin(frame)
-            else:
-                self.buffer.unpin(frame, dirty=True)
-                return self._data_insert_block, offset
-        blkno, frame = self.buffer.new_page(self.data_rel)
-        try:
-            offset = frame.page.insert_item(item)
-        finally:
-            self.buffer.unpin(frame, dirty=True)
-        self._data_insert_block = blkno
-        return blkno, offset
 
     def set_heap_tid(self, node: int, tid: TID) -> None:
         """Stamp the owning heap tuple's TID into a node's data tuple."""
@@ -283,56 +258,120 @@ def _reset_page(page: Page, special: bytes) -> None:
     page.write_special(special)
 
 
-@register_am
-class PaseHNSW(IndexAmRoutine):
-    """HNSW access method (PASE page layout)."""
+class HNSWCore(IndexAmRoutine):
+    """One HNSW access method, parameterised by where the graph lives.
 
-    amname = "pase_hnsw"
-    aliases = ("hnsw_fun",)
+    Runs :mod:`repro.common.graph` behind the AM contract — build,
+    insert, VACUUM repair, the tuple and batch scans, the in-filter beam
+    with its ef-widening loop, costs — once for both HNSW AMs.  A
+    subclass supplies only its residence: the hooks under "what a
+    residence supplies", its ``FORKS`` and ``CANDIDATE_TOLL``, and a
+    ``size_info`` if part of it lives outside pages.
+    """
+
     amcanfilter = True
+    FORKS = ("data",)
+    #: Per-candidate share of the two page-tuple reads + one distance a
+    #: beam visit costs on pages (1.0); memory residences pay less.
+    CANDIDATE_TOLL = 1.0
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.opts = parse_hnsw_options(self.options)
-        self.profiler = NULL_PROFILER
         self.build_stats = BuildStats()
         self.params = graph.HNSWParams(bnn=self.opts.bnn, efb=self.opts.efb)
         self.dim: int | None = None
-        self.store: PageGraphStore | None = None
+        self.store: Any = None
+        #: Node ids unlinked by VACUUM (ids are positional, never reused);
+        #: their data tuples are gone, so readers and later vacuums skip them.
+        self.removed: set[int] = set()
         self._rng = make_rng(self.opts.seed)
+        self._data_insert_block: int | None = None
+
+    # ------------------------------------------------------------------
+    # what a residence supplies
+    # ------------------------------------------------------------------
+    def _new_store(self) -> Any:
+        """An empty graph store (pages or memory), made at the first vector."""
+        raise NotImplementedError
+
+    def _record(self, node: int, tid: TID, vec: np.ndarray) -> None:
+        """Remember a new node's heap TID (and write its data tuple)."""
+        raise NotImplementedError
+
+    def _tid_of(self, node: int) -> TID:
+        """Node -> heap TID on the tuple interface."""
+        raise NotImplementedError
+
+    def _tids_of(self, nodes: Sequence[int]) -> list[TID]:
+        """The same for many nodes (batch interface, in-filter mask)."""
+        raise NotImplementedError
+
+    def _node_levels(self) -> Sequence[int]:
+        """Every node's top level (VACUUM repair walks each of them)."""
+        raise NotImplementedError
+
+    def _delete_data(self, dead: set[int]) -> None:
+        """Drop vacuumed nodes' data tuples."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # build / insert
     # ------------------------------------------------------------------
     def build(self) -> None:
-        self.store = PageGraphStore(self)
+        for fork in self.FORKS:
+            self.create_fork(fork)
+        self.store = self.dim = self._data_insert_block = None
+        self.removed = set()
         start = time.perf_counter()
         count = 0
         # HNSW builds incrementally: each tuple is inserted and linked
         # in one pass, so "insert" covers the whole loop and "link" is
         # the (cheap) final state, mirroring pg_stat_progress phases.
+        # An empty table builds an empty index that later inserts fill.
         self.progress.set_phase("insert")
         for tid, values in self.table.scan():
-            vec = np.ascontiguousarray(values[self.column_index], dtype=np.float32)
-            if self.dim is None:
-                self.dim = int(vec.shape[0])
-            node = graph.insert(self.store, self.params, vec, self._rng)
-            self.store.set_heap_tid(node, tid)
+            self.insert(tid, values[self.column_index])
             count += 1
             self.progress.tick()
         self.progress.set_phase("link")
         self.build_stats.add_seconds = time.perf_counter() - start
         self.build_stats.vectors_added = count
-        self.build_stats.distance_computations = self.store.counters.distance_computations
+        if self.store is not None:
+            self.build_stats.distance_computations = self.store.counters.distance_computations
 
     def insert(self, tid: TID, value: Any) -> None:
-        if self.store is None:
-            self.store = PageGraphStore(self)
         vec = np.ascontiguousarray(value, dtype=np.float32)
         if self.dim is None:
             self.dim = int(vec.shape[0])
+        # Before any page is written: a rejected row leaves no node behind.
+        if vec.shape != (self.dim,):
+            raise ValueError(f"expected a {self.dim}-dim vector, got shape {vec.shape}")
+        if self.store is None:
+            self.store = self._new_store()
         node = graph.insert(self.store, self.params, vec, self._rng)
-        self.store.set_heap_tid(node, tid)
+        self._record(node, tid, vec)
+
+    def _append_data(self, item: bytes) -> tuple[int, int]:
+        """Append one data tuple to the current insert page of the data
+        fork (a fresh page once it is full); returns its location."""
+        rel = self.relation_name("data")
+        if self._data_insert_block is not None:
+            frame = self.buffer.pin(rel, self._data_insert_block)
+            try:
+                offset = frame.page.insert_item(item)
+            except PageFullError:
+                self.buffer.unpin(frame)
+            else:
+                self.buffer.unpin(frame, dirty=True)
+                return self._data_insert_block, offset
+        blkno, frame = self.buffer.new_page(rel)
+        try:
+            offset = frame.page.insert_item(item)
+        finally:
+            self.buffer.unpin(frame, dirty=True)
+        self._data_insert_block = blkno
+        return blkno, offset
 
     # ------------------------------------------------------------------
     # vacuum (ambulkdelete)
@@ -344,72 +383,72 @@ class PaseHNSW(IndexAmRoutine):
         dead nodes' own neighbors (the shared
         :func:`repro.common.graph.repair_after_delete`), then the dead
         nodes' data tuples are deleted so their bytes stop counting as
-        used and their vectors stop costing distance computations.
+        used, their vectors stop costing distance computations and a
+        restart rebuild never resurrects them.
         """
         store = self.store
         if store is None or not dead_tids:
             return 0
-        candidates = [n for n in range(store.node_count()) if n not in store.removed]
-        tids = store.heap_tids(candidates)
+        candidates = [n for n in range(store.node_count()) if n not in self.removed]
+        tids = self._tids_of(candidates)
         dead = {n for n, tid in zip(candidates, tids) if tid in dead_tids}
         if not dead:
             return 0
-        levels = [meta.level for meta in store._nodes]
         # Previously removed nodes join the dead set so the repair
         # never picks one as a bridge or replacement entry point.
-        graph.repair_after_delete(store, self.params, dead | store.removed, levels)
-        for node in dead:
-            meta = store._nodes[node]
-            frame = self.buffer.pin(store.data_rel, meta.data_blkno)
-            try:
-                frame.page.delete_item(meta.data_offset)
-            finally:
-                self.buffer.unpin(frame, dirty=True)
-        store.removed |= dead
+        graph.repair_after_delete(store, self.params, dead | self.removed, self._node_levels())
+        self._delete_data(dead)
+        self.removed |= dead
         self.vacuum_progress.tick_index_entries(len(dead))
         return len(dead)
 
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
-    def scan(self, query: np.ndarray, k: int) -> Iterator[tuple[TID, float]]:
-        if self.store is None or self.store.node_count() == 0:
-            return
-        efs = int(self.catalog.get_setting("pase.efs"))
+    def _search(self, query: np.ndarray, k: int, admit: Any = None) -> list[Neighbor]:
+        """The graph search behind every scan, counted as one scan.
+
+        One beam at ``pase.efs`` — or, in-filter (``admit`` given), a
+        beam widened geometrically until k admitted nodes come back or
+        ef covers the live graph.  An empty index returns nothing.
+        """
+        store = self.store
+        if store is None or store.node_count() == 0:
+            return []
         query = np.ascontiguousarray(query, dtype=np.float32)
+        if query.shape != (self.dim,):
+            raise ValueError(f"query must be {self.dim}-dim, got shape {query.shape}")
         # Refresh the store's profiler in case the harness replaced ours.
-        self.store.profiler = self.profiler
-        dist0 = self.store.counters.distance_computations
-        neighbors = graph.search(self.store, self.params, query, k, efs=efs)
+        store.profiler = self.profiler
+        live = max(store.node_count() - len(self.removed), 1)
+        ef = max(int(self.catalog.get_setting("pase.efs")), k)
+        dist0 = store.counters.distance_computations
+        while True:
+            neighbors = graph.search(store, self.params, query, k, efs=ef, admit=admit)
+            if admit is None or len(neighbors) >= k or ef >= live:
+                break
+            ef = min(live, ef * 2)
         self.scan_stats.scans += 1
-        self.scan_stats.candidates += self.store.counters.distance_computations - dist0
-        for neighbor in neighbors:
-            yield self.store.heap_tid(neighbor.vector_id), neighbor.distance
+        self.scan_stats.candidates += store.counters.distance_computations - dist0
+        return neighbors
+
+    def scan(self, query: np.ndarray, k: int) -> Iterator[tuple[TID, float]]:
+        for neighbor in self._search(query, k):
+            yield self._tid_of(neighbor.vector_id), neighbor.distance
 
     def get_batch(self, query: np.ndarray, k: int) -> ScanBatch:
-        """Batched scan: graph search once, heap TIDs resolved per block.
+        """Batched scan: graph search once, heap TIDs resolved together.
 
         The traversal itself is identical to :meth:`scan` (same graph
-        walk, same float results); what batching removes is the one
-        buffer pin per result that ``heap_tid`` costs on the tuple path.
+        walk, same float results); what batching removes on pages is
+        the one buffer pin per result that the tuple path's TID lookup
+        costs.
         """
-        if self.store is None or self.store.node_count() == 0:
-            return ScanBatch.empty()
-        efs = int(self.catalog.get_setting("pase.efs"))
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        self.store.profiler = self.profiler
-        dist0 = self.store.counters.distance_computations
-        neighbors = graph.search(self.store, self.params, query, k, efs=efs)
-        self.scan_stats.scans += 1
-        self.scan_stats.candidates += self.store.counters.distance_computations - dist0
+        neighbors = self._search(query, k)
         if not neighbors:
             return ScanBatch.empty()
-        tids = self.store.heap_tids([n.vector_id for n in neighbors])
-        return ScanBatch(
-            blknos=np.array([t.blkno for t in tids], dtype=np.int64),
-            offsets=np.array([t.offset for t in tids], dtype=np.int64),
-            distances=np.array([n.distance for n in neighbors], dtype=np.float64),
-        )
+        tids = self._tids_of([n.vector_id for n in neighbors])
+        return ScanBatch.from_pairs(zip(tids, [n.distance for n in neighbors]))
 
     # ------------------------------------------------------------------
     # in-filter search (amsearch_filtered)
@@ -425,92 +464,72 @@ class PaseHNSW(IndexAmRoutine):
         When fewer than k allowed nodes come back, the beam widens
         geometrically until k match or ef covers the live graph.
         """
-        store = self.store
-        if store is None or store.node_count() == 0:
-            self.last_filtered_examined = 0
-            return iter(())
-        efs = int(self.catalog.get_setting("pase.efs"))
-        query = np.ascontiguousarray(query, dtype=np.float32)
-        store.profiler = self.profiler
-        allowed_cache: dict[int, bool] = {}
+        allowed: dict[int, bool] = {}
 
-        def allow(nodes: list[int]) -> list[bool]:
-            fresh = [n for n in nodes if n not in allowed_cache]
+        def admit(nodes: list[int]) -> list[bool]:
+            fresh = [n for n in nodes if n not in allowed]
             if fresh:
-                live = [n for n in fresh if n not in store.removed]
+                live = [n for n in fresh if n not in self.removed]
                 for n in fresh:
-                    allowed_cache[n] = False
+                    allowed[n] = False
                 if live:
-                    tids = store.heap_tids(live)
-                    for n, ok in zip(live, mask_fn(tids)):
-                        allowed_cache[n] = bool(ok)
-            return [allowed_cache[n] for n in nodes]
+                    for n, ok in zip(live, mask_fn(self._tids_of(live))):
+                        allowed[n] = bool(ok)
+            return [allowed[n] for n in nodes]
 
-        live_nodes = max(store.node_count() - len(store.removed), 1)
-        ef = max(efs, k)
-        dist0 = store.counters.distance_computations
-        while True:
-            neighbors = graph.search_filtered(
-                store, self.params, query, k, allow, efs=ef
-            )
-            if len(neighbors) >= k or ef >= live_nodes:
-                break
-            ef = min(live_nodes, ef * 2)
-        self.scan_stats.scans += 1
-        self.scan_stats.candidates += store.counters.distance_computations - dist0
-        self.last_filtered_examined = len(allowed_cache)
-        return iter(
-            (store.heap_tid(n.vector_id), n.distance) for n in neighbors
-        )
+        neighbors = self._search(query, k, admit)
+        self.last_filtered_examined = len(allowed)
+        return ((self._tid_of(n.vector_id), n.distance) for n in neighbors)
 
+    # ------------------------------------------------------------------
+    # planner cost estimate
+    # ------------------------------------------------------------------
     def amestimate_candidates(self, ntuples: float, fetch_k: int) -> float:
         """Beam size the in-filter mask is charged for: ``ef * log2(n)``."""
         n = max(float(ntuples), 2.0)
         ef = float(max(int(self.catalog.get_setting("pase.efs")), fetch_k, 1))
         return min(n, ef * math.log2(n))
 
-    # ------------------------------------------------------------------
-    # planner cost estimate
-    # ------------------------------------------------------------------
     def amcostestimate(self, ntuples: float, fetch_k: int, cost: Any) -> tuple[float, float]:
         """Beam-search cost: roughly ``ef * log2(n)`` candidates visited,
         each paying two page-tuple reads (data tuple + neighbor tuple)
-        and one distance.  ``ef`` widens with ``fetch_k`` exactly as the
-        search does when the executor over-fetches past ``ef_search``."""
-        n = max(float(ntuples), 2.0)
-        ef = float(max(int(self.catalog.get_setting("pase.efs")), fetch_k, 1))
-        candidates = min(n, ef * math.log2(n))
-        total = candidates * (
+        and one distance, times the residence's ``CANDIDATE_TOLL``.
+        ``ef`` widens with ``fetch_k`` exactly as the search does when
+        the executor over-fetches past ``ef_search``."""
+        total = self.CANDIDATE_TOLL * self.amestimate_candidates(ntuples, fetch_k) * (
             2.0 * cost.cpu_index_tuple_cost + DISTANCE_OP_WEIGHT * cost.cpu_operator_cost
         )
         return total, total
 
-    # ------------------------------------------------------------------
-    # size accounting
-    # ------------------------------------------------------------------
-    def relations(self) -> list[str]:
-        """Page-file names owned by this index."""
-        return [self.relation_name(f) for f in ("data", "neighbors")]
 
-    def size_info(self) -> IndexSizeInfo:
-        page_size = self.buffer.disk.page_size
-        detail: dict[str, int] = {}
-        pages = 0
-        used = 0
-        for fork in ("data", "neighbors"):
-            rel = self.relation_name(fork)
-            if not self.buffer.disk.relation_exists(rel):
-                continue
-            n = self.buffer.disk.n_blocks(rel)
-            pages += n
-            detail[f"{fork}_pages"] = n
-            for blkno in range(n):
-                with self.buffer.page(rel, blkno) as page:
-                    for off in page.live_items():
-                        used += len(page.get_item_view(off))
-        return IndexSizeInfo(
-            allocated_bytes=pages * page_size,
-            used_bytes=used,
-            page_count=pages,
-            detail=detail,
-        )
+@register_am
+class PaseHNSW(HNSWCore):
+    """HNSW access method (PASE page layout)."""
+
+    amname = "pase_hnsw"
+    aliases = ("hnsw_fun",)
+    FORKS = ("data", "neighbors")
+
+    def _new_store(self) -> PageGraphStore:
+        return PageGraphStore(self)
+
+    def _record(self, node: int, tid: TID, vec: np.ndarray) -> None:
+        self.store.set_heap_tid(node, tid)
+
+    def _tid_of(self, node: int) -> TID:
+        return self.store.heap_tid(node)  # one data-page pin per result (RC#2)
+
+    def _tids_of(self, nodes: Sequence[int]) -> list[TID]:
+        return self.store.heap_tids(nodes)
+
+    def _node_levels(self) -> list[int]:
+        return [meta.level for meta in self.store._nodes]
+
+    def _delete_data(self, dead: set[int]) -> None:
+        for node in dead:
+            meta = self.store._nodes[node]
+            frame = self.buffer.pin(self.store.data_rel, meta.data_blkno)
+            try:
+                frame.page.delete_item(meta.data_offset)
+            finally:
+                self.buffer.unpin(frame, dirty=True)

@@ -51,7 +51,7 @@ import numpy as np
 from repro.common.distance import pairwise_kernel, rows_kernel
 from repro.common.heap import BoundedMaxHeap, NaiveTopK
 from repro.common.kmeans import pase_kmeans, sample_training_rows
-from repro.common.types import BuildStats, DistanceType, IndexSizeInfo
+from repro.common.types import BuildStats, DistanceType
 from repro.pase.options import parse_ivf_options
 from repro.pgsim.am import IndexAmRoutine, ScanBatch, topk_batch
 from repro.pgsim.constants import LINE_POINTER_SIZE, PAGE_HEADER_SIZE
@@ -81,8 +81,7 @@ class PagedIVF(IndexAmRoutine):
     """Page-backed IVF: build, insert, vacuum, scans, costs, sizes."""
 
     amcanfilter = True
-    #: Page files owned by the index, in the order sizes are reported.
-    FORKS: tuple[str, ...] = ("meta", "centroid", "data")
+    FORKS = ("meta", "centroid", "data")
     #: Whether the data fork stores raw float32 vectors.  Only then may
     #: VACUUM re-center centroids from surviving entries; the quantized
     #: variants keep codes, so a recomputed centroid would drift from
@@ -496,7 +495,8 @@ class PagedIVF(IndexAmRoutine):
         candidates = 0
         if self.catalog.get_bool("pase.fixed_heap"):
             # RC#6 neutralized: k-sized heap, candidates rejected with a
-            # single comparison against the current worst survivor.
+            # single comparison against the current worst survivor (a
+            # tie at the worst distance is settled on TID by the push).
             heap = BoundedMaxHeap(k)
             push = heap.push
             worst = heap.worst_distance
@@ -507,8 +507,7 @@ class PagedIVF(IndexAmRoutine):
                     if dist is None:
                         continue
                     with section(SEC_HEAP):
-                        if dist < worst:
-                            push(dist, (tid.blkno << 16) | tid.offset)
+                        if dist <= worst and push(dist, (tid.blkno << 16) | tid.offset):
                             worst = heap.worst_distance
         else:
             # PASE's design: every candidate enters a size-n heap.
@@ -749,36 +748,6 @@ class PagedIVF(IndexAmRoutine):
             struct.pack_into("<I", frame.page.get_item_view(off), 4, head)
         finally:
             self.buffer.unpin(frame, dirty=True)
-
-    # ------------------------------------------------------------------
-    # size accounting
-    # ------------------------------------------------------------------
-    def relations(self) -> list[str]:
-        """Page-file names owned by this index (for DROP cleanup)."""
-        return [self.relation_name(fork) for fork in self.FORKS]
-
-    def size_info(self) -> IndexSizeInfo:
-        disk = self.buffer.disk
-        detail: dict[str, int] = {}
-        pages = 0
-        used = 0
-        for fork in self.FORKS:
-            rel = self.relation_name(fork)
-            if not disk.relation_exists(rel):
-                continue
-            n = disk.n_blocks(rel)
-            pages += n
-            detail[f"{fork}_pages"] = n
-            for blkno in range(n):
-                with self.buffer.page(rel, blkno) as page:
-                    for off in page.live_items():
-                        used += len(page.get_item_view(off))
-        return IndexSizeInfo(
-            allocated_bytes=pages * disk.page_size,
-            used_bytes=used,
-            page_count=pages,
-            detail=detail,
-        )
 
 
 def topk_parts(key_parts: list[np.ndarray], dist_parts: list[np.ndarray], k: int) -> ScanBatch:

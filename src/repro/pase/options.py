@@ -49,7 +49,6 @@ class HNSWOptions:
 
     bnn: int = 16
     efb: int = 40
-    distance_type: DistanceType = DistanceType.L2
     seed: int | None = None
 
 
@@ -122,10 +121,18 @@ def parse_ivfpq_options(options: Mapping[str, Any]) -> IVFPQOptions:
 
 
 def parse_hnsw_options(options: Mapping[str, Any]) -> HNSWOptions:
-    """Parse HNSW options (paper defaults: bnn=16, efb=40)."""
+    """Parse HNSW options (paper defaults: bnn=16, efb=40).
+
+    The graph is built and searched under L2 only, so any other
+    ``distance_type`` is refused here rather than accepted and then
+    served in L2 order under the ``<#>`` / ``<=>`` operators.
+    """
+    if _distance_type(options) != DistanceType.L2:
+        raise IndexOptionError(
+            f"HNSW supports only distance_type = 0 (L2), got {options['distance_type']!r}"
+        )
     return HNSWOptions(
         bnn=_positive_int(options, "bnn", 16),
         efb=_positive_int(options, "efb", 40),
-        distance_type=_distance_type(options),
         seed=_seed(options),
     )

@@ -117,6 +117,8 @@ class IndexAmRoutine(abc.ABC):
     #: that leave this False degrade to the post-filter strategy (the
     #: planner never generates an in-filter path for them).
     amcanfilter: bool = False
+    #: Page files the index owns, in the order sizes are reported.
+    FORKS: tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -276,13 +278,42 @@ class IndexAmRoutine(abc.ABC):
         """
         return float(ntuples)
 
-    @abc.abstractmethod
     def size_info(self) -> IndexSizeInfo:
-        """Byte-level size accounting (drives the Figs. 11-13 benches)."""
+        """Byte-level size accounting (drives the Figs. 11-13 benches).
+
+        The default counts every page of every fork in :attr:`FORKS` and
+        the live item bytes on them; AMs with memory-resident parts add
+        those themselves.
+        """
+        disk = self.buffer.disk
+        detail: dict[str, int] = {}
+        pages = 0
+        used = 0
+        for fork in self.FORKS:
+            rel = self.relation_name(fork)
+            if not disk.relation_exists(rel):
+                continue
+            n = disk.n_blocks(rel)
+            pages += n
+            detail[f"{fork}_pages"] = n
+            for blkno in range(n):
+                with self.buffer.page(rel, blkno) as page:
+                    for off in page.live_items():
+                        used += len(page.get_item_view(off))
+        return IndexSizeInfo(
+            allocated_bytes=pages * disk.page_size,
+            used_bytes=used,
+            page_count=pages,
+            detail=detail,
+        )
 
     # ------------------------------------------------------------------
     # helpers shared by vector AMs
     # ------------------------------------------------------------------
+    def relations(self) -> list[str]:
+        """Page-file names owned by this index (for DROP cleanup)."""
+        return [self.relation_name(fork) for fork in self.FORKS]
+
     def relation_name(self, fork: str) -> str:
         """Page-file name for one of this index's forks."""
         return f"{self.index_name}.{fork}"

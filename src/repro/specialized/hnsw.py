@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.common import graph
 from repro.common.rng import make_rng
-from repro.common.types import IndexSizeInfo, SearchResult
+from repro.common.types import DistanceType, IndexSizeInfo, SearchResult
 from repro.specialized.base import VectorIndex
 
 #: bytes per stored neighbor id — Faiss stores plain int32 ids
@@ -125,6 +125,8 @@ class HNSWIndex(VectorIndex):
         **kwargs,
     ) -> None:
         super().__init__(dim, **kwargs)
+        if self.distance_type != DistanceType.L2:
+            raise ValueError(f"HNSW supports only L2 distance, got {self.distance_type.name}")
         self.params = graph.HNSWParams(bnn=bnn, efb=efb, efs=efs)
         self.store = ArrayGraphStore(dim, profiler=self.profiler)
         self._rng = make_rng(seed)

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from repro.common.distance import batch_kernel, squared_norms
-from repro.common.heap import BoundedMaxHeap
+from repro.common.heap import BoundedMaxHeap, offer_topk
 from repro.common.kmeans import (
     assign_nearest_batch,
     assign_nearest_loop,
@@ -179,19 +179,7 @@ class IVFFlatIndex(VectorIndex):
                 dists = kernel(query, vectors)[0]
             ndis += vectors.shape[0]
             with prof.section(SEC_HEAP):
-                # Faiss-style: partial-select the bucket, then at most k
-                # pushes reach the global heap, most rejected by one
-                # comparison against the current worst survivor.
-                take = min(k, dists.shape[0])
-                if take < dists.shape[0]:
-                    part = np.argpartition(dists, take - 1)[:take]
-                else:
-                    part = np.arange(dists.shape[0])
-                worst = heap.worst_distance
-                for d, vid in zip(dists[part].tolist(), ids[part].tolist()):
-                    if d < worst:
-                        heap.push(d, vid)
-                        worst = heap.worst_distance
+                offer_topk(heap, dists, ids)
         neighbors = heap.results()
         return SearchResult(
             neighbors=neighbors,

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.common import pq
 from repro.common.distance import batch_kernel, squared_norms
-from repro.common.heap import BoundedMaxHeap
+from repro.common.heap import BoundedMaxHeap, offer_topk
 from repro.common.kmeans import (
     assign_nearest_batch,
     assign_nearest_loop,
@@ -177,16 +177,7 @@ class IVFPQIndex(VectorIndex):
                 dists = pq.adc_distances(table, codes)
             ndis += codes.shape[0]
             with prof.section(SEC_HEAP):
-                take = min(k, dists.shape[0])
-                if take < dists.shape[0]:
-                    part = np.argpartition(dists, take - 1)[:take]
-                else:
-                    part = np.arange(dists.shape[0])
-                worst = heap.worst_distance
-                for d, vid in zip(dists[part].tolist(), ids[part].tolist()):
-                    if d < worst:
-                        heap.push(d, vid)
-                        worst = heap.worst_distance
+                offer_topk(heap, dists, ids)
         return SearchResult(
             neighbors=heap.results(),
             elapsed_seconds=time.perf_counter() - start,

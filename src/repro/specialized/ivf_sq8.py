@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.common import sq
 from repro.common.distance import batch_kernel, squared_norms
-from repro.common.heap import BoundedMaxHeap
+from repro.common.heap import BoundedMaxHeap, offer_topk
 from repro.common.kmeans import (
     assign_nearest_batch,
     assign_nearest_loop,
@@ -145,16 +145,7 @@ class IVFSQ8Index(VectorIndex):
                 dists = kernel(query, vectors)[0]
             ndis += codes.shape[0]
             with prof.section(SEC_HEAP):
-                take = min(k, dists.shape[0])
-                if take < dists.shape[0]:
-                    sel = np.argpartition(dists, take - 1)[:take]
-                else:
-                    sel = np.arange(dists.shape[0])
-                worst = heap.worst_distance
-                for d, vid in zip(dists[sel].tolist(), ids[sel].tolist()):
-                    if d < worst:
-                        heap.push(d, vid)
-                        worst = heap.worst_distance
+                offer_topk(heap, dists, ids)
         return SearchResult(
             neighbors=heap.results(),
             elapsed_seconds=time.perf_counter() - start,

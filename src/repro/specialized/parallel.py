@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from repro.common.distance import batch_kernel
-from repro.common.heap import BoundedMaxHeap
+from repro.common.heap import BoundedMaxHeap, offer_topk
 from repro.common.parallel import ScheduleResult, WorkUnit, scaling_curve
 from repro.common.types import SearchResult
 from repro.specialized.ivf_flat import IVFFlatIndex
@@ -104,14 +104,7 @@ def parallel_search(
             else:
                 vectors = index._bucket_vectors[bucket]
                 dists = kernel(query, vectors)[0]
-            take = min(k, dists.shape[0])
-            part = (
-                np.argpartition(dists, take - 1)[:take]
-                if take < dists.shape[0]
-                else np.arange(dists.shape[0])
-            )
-            for j in part.tolist():
-                local.push(float(dists[j]), int(ids[j]))
+            offer_topk(local, dists, ids)
         cost = time.perf_counter() - start
         global_heap.merge(local)
         # One lock-free merge handoff per bucket at the end.

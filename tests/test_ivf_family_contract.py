@@ -379,3 +379,34 @@ def test_wrong_dimension_inserts_are_rejected(ivf):
     ivf.db.execute("SET enable_batch_exec = on")
     q = _lit(ivf.queries[0])
     assert len(ivf.db.query(f"SELECT id FROM t ORDER BY vec <-> '{q}'::PASE LIMIT 3")) == 3
+
+
+@pytest.mark.parametrize("name", sorted(AMS))
+def test_tied_integer_data_orders_by_distance_then_tid(name):
+    """{0,1}^4 rows: only 16 distinct vectors, so nearly every distance
+    ties.  Every scan form — the k-sized heap (``pase.fixed_heap = on``),
+    PASE's size-n heap, the batch selection — keeps the ``(distance,
+    tid)`` prefix; the RC#6 toggle changes cost, never the answer."""
+    rng = np.random.default_rng(0)
+    base = rng.integers(0, 2, size=(300, 4)).astype(np.float32)
+    db = PgSimDatabase(page_size=2048, buffer_pool_pages=2048)
+    db.execute("CREATE TABLE t (id int, vec float[])")
+    heap = db.catalog.table("t").heap
+    tids = [heap.insert([i, vec], xid=1) for i, vec in enumerate(base)]
+    db.wal.log_commit(1)
+    db.execute(
+        f"CREATE INDEX ix ON t USING {name} (vec) "
+        f"WITH (clusters = 4, sample_ratio = 1.0, seed = 1{AMS[name]})"
+    )
+    db.execute("SET pase.nprobe = 4")
+    am = db.catalog.find_index("ix").am
+    for q in rng.integers(0, 2, size=(20, 4)).astype(np.float32):
+        forms = []
+        for fixed in ("on", "off"):
+            db.execute(f"SET pase.fixed_heap = {fixed}")
+            forms.append([tid for tid, __ in am.scan(q, 5)])
+        forms.append(am.get_batch(q, 5).tids())
+        assert forms[0] == forms[1] == forms[2]
+        if name in EXACT:
+            oracle = sorted(zip(((base - q) ** 2).sum(axis=1).tolist(), tids))
+            assert forms[0] == [tid for __, tid in oracle[:5]]

@@ -8,8 +8,10 @@ planner's operator matching down to the scan kernels, on both engines.
 import numpy as np
 import pytest
 
+import repro.bridged  # noqa: F401  — registers bridged_hnsw
 from repro.common.types import DistanceType
-from repro.specialized import FlatIndex, IVFFlatIndex
+from repro.pase.options import IndexOptionError
+from repro.specialized import FlatIndex, HNSWIndex, IVFFlatIndex
 
 
 @pytest.fixture()
@@ -100,3 +102,29 @@ class TestSpecializedMetrics:
             f"SELECT id FROM items ORDER BY vec <#> '{vec_lit(q)}'::PASE LIMIT 5"
         )
         assert [r[0] for r in rows] == spec.search(q, 5, nprobe=8).ids
+
+
+class TestHNSWIsL2Only:
+    """The HNSW graph is built and searched under L2 only, so a non-L2
+    ``distance_type`` is refused on both engines — accepting it would
+    let the planner serve ``<#>`` / ``<=>`` from an index ranking by L2."""
+
+    @pytest.mark.parametrize("am", ["pase_hnsw", "bridged_hnsw"])
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_sql_index_refused(self, loaded_db, small_dataset, vec_lit, am, metric):
+        with pytest.raises(IndexOptionError, match="distance_type"):
+            loaded_db.execute(
+                f"CREATE INDEX hx ON items USING {am} (vec) WITH (distance_type = {metric})"
+            )
+        assert loaded_db.catalog.find_index("hx") is None
+        op = "<#>" if metric == 1 else "<=>"
+        plan = loaded_db.explain(
+            f"SELECT id FROM items ORDER BY vec {op} '{vec_lit(small_dataset.queries[0])}'::PASE "
+            "LIMIT 5"
+        )
+        assert "Index Scan" not in plan
+
+    @pytest.mark.parametrize("metric", [DistanceType.INNER_PRODUCT, DistanceType.COSINE])
+    def test_specialized_index_refused(self, small_dataset, metric):
+        with pytest.raises(ValueError, match="only L2"):
+            HNSWIndex(small_dataset.dim, distance_type=metric)

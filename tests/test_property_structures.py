@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.common import pq
 from repro.common.distance import l2_sqr, l2_sqr_batch
-from repro.common.heap import BoundedMaxHeap, NaiveTopK, exact_topk
+from repro.common.heap import BoundedMaxHeap, NaiveTopK, exact_topk, offer_topk
 from repro.pgsim.page import Page, PageFullError
 from repro.pgsim.tuple_format import Column, decode_column, decode_tuple, encode_tuple
 
@@ -56,6 +56,38 @@ def test_exact_topk_matches_heap(dists, k):
     assert [n.distance for n in top] == [n.distance for n in heap.results()]
     if len(set(dists)) == len(dists):
         assert [n.vector_id for n in top] == [n.vector_id for n in heap.results()]
+
+
+#: Few distinct values, so most distances tie.
+tied_distances = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=80)
+
+
+@given(tied_distances, st.integers(min_value=1, max_value=30), st.randoms())
+def test_bounded_heap_keeps_smallest_pairs_whatever_the_order(dists, k, random):
+    """Ties resolve to the smaller id however the candidates arrive."""
+    pairs = [(d, i) for i, d in enumerate(dists)]
+    random.shuffle(pairs)
+    heap = BoundedMaxHeap(k)
+    for d, i in pairs:
+        heap.push(d, i)
+    assert [(n.distance, n.vector_id) for n in heap.results()] == sorted(pairs)[:k]
+
+
+@given(tied_distances, st.integers(min_value=1, max_value=30), st.randoms(), st.data())
+def test_per_list_offers_and_exact_topk_keep_the_tie_rule(dists, k, random, data):
+    """Offering lists one at a time (partial-selected per list) and the
+    dense ``exact_topk`` both equal the ``(distance, id)`` prefix."""
+    ids = list(range(len(dists)))
+    random.shuffle(ids)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(ids)), max_size=4)))
+    heap = BoundedMaxHeap(k)
+    for lo, hi in zip([0, *cuts], [*cuts, len(ids)]):
+        part = np.asarray(ids[lo:hi], dtype=np.int64)
+        offer_topk(heap, np.asarray(dists, dtype=np.float32)[part], part)
+    expected = sorted((d, i) for i, d in enumerate(dists))[:k]
+    assert [(n.distance, n.vector_id) for n in heap.results()] == expected
+    top = exact_topk(np.asarray(dists), k)
+    assert [(n.distance, n.vector_id) for n in top] == expected
 
 
 # ----------------------------------------------------------------------
