@@ -62,10 +62,9 @@ class BridgedHNSW(HNSWCore):
             dirty = False
             try:
                 page = frame.page
-                for off in page.live_items():
-                    (node,) = struct.unpack_from("<I", page.get_item_view(off), 0)
-                    if node in dead:
-                        page.delete_item(off)
+                for item, off, __ in page.live_pointers():
+                    if _DATA_HEAD.unpack_from(page.buf, off)[0] in dead:
+                        page.delete_item(item)
                         dirty = True
             finally:
                 self.buffer.unpin(frame, dirty=dirty)

@@ -292,20 +292,24 @@ def _shrink_neighbor_list(
         cross = sq[:, None] + sq[None, :] - 2.0 * (cand_mat @ cand_mat.T)
     store.counters.distance_computations += len(candidate_ids) * (len(candidate_ids) + 1)
 
-    # Plain-Python copies make the O(capacity^2) comparison loop cheap.
-    cross_rows = cross.tolist()
+    # ``closest[i]`` is candidate i's smallest distance to a kept
+    # neighbor (inf while none is kept), so "no kept neighbor is closer
+    # than the owner" is one comparison of the same float32 values a
+    # pairwise test compares.  A NaN owner distance fails it even with
+    # nothing kept; NaNs sort last, so the nearest-first fill below puts
+    # such candidates exactly where admitting the first of them would.
     owner_dists = to_owner.tolist()
     order = np.argsort(to_owner, kind="stable").tolist()
+    closest = np.full(len(candidate_ids), np.inf, dtype=cross.dtype)
     kept: list[int] = []
     kept_set: set[int] = set()
     for idx in order:
         if len(kept) >= capacity:
             break
-        row = cross_rows[idx]
-        d_own = owner_dists[idx]
-        if all(row[j] >= d_own for j in kept):
+        if closest[idx] >= owner_dists[idx]:
             kept.append(idx)
             kept_set.add(idx)
+            np.minimum(closest, cross[:, idx], out=closest)
     # Fall back to nearest-first if the heuristic was too aggressive.
     for idx in order:
         if len(kept) >= capacity:

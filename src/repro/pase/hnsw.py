@@ -40,6 +40,7 @@ from repro.common.rng import make_rng
 from repro.common.types import BuildStats, Neighbor
 from repro.pase.options import parse_hnsw_options
 from repro.pgsim.am import IndexAmRoutine, ScanBatch, register_am
+from repro.pgsim.constants import LINE_POINTER_SIZE, PAGE_HEADER_SIZE
 from repro.pgsim.heapam import TID
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
 from repro.pgsim.page import Page, PageFullError
@@ -104,6 +105,23 @@ class PageGraphStore:
         self._nodes: list[_NodeMeta] = []
         self.data_rel = am.create_fork("data")
         self.neighbor_rel = am.create_fork("neighbors")
+        # The neighbor-page layout, fixed by the page size: the next-page
+        # pointer is the whole special space, tuples fill the page from
+        # there down, and item i always sits 24 * i bytes below it.
+        empty = Page.init(self.buffer.disk.page_size, special_size=_NEXT.size)
+        self._empty_page = bytes(empty.buf)
+        self._next_at = empty.special
+        self._per_page = (self._next_at - PAGE_HEADER_SIZE) // (
+            LINE_POINTER_SIZE + _NEIGHBOR.size
+        )
+        self._pointer_array = struct.pack(
+            f"<{2 * self._per_page}H",
+            *[
+                value
+                for i in range(1, self._per_page + 1)
+                for value in (self._next_at - _NEIGHBOR.size * i, _NEIGHBOR.size)
+            ],
+        )
 
     # ------------------------------------------------------------------
     # GraphStore protocol
@@ -131,20 +149,23 @@ class PageGraphStore:
         return out
 
     def neighbors(self, node: int, level: int) -> list[int]:
+        # Per neighbor page: one pin, one read of its line-pointer array
+        # and one unpack per 24-byte tuple.  The pages are only ever
+        # rewritten whole (never ``delete_item``'d), so every item is live.
         meta = self._nodes[node]
         if level >= len(meta.neighbor_heads):
             return []
         ids: list[int] = []
+        unpack = _NEIGHBOR.unpack_from
+        next_at = self._next_at
         blkno = meta.neighbor_heads[level]
         while blkno != _NO_BLOCK:
             frame = self.buffer.pin(self.neighbor_rel, blkno)
             try:
                 page = frame.page
-                for off in range(1, page.item_count + 1):
-                    view = page.get_item_view(off)
-                    node_id, __, __, __ = _NEIGHBOR.unpack_from(view, 0)
-                    ids.append(node_id)
-                (blkno,) = _NEXT.unpack(page.read_special())
+                buf = page.buf
+                ids += [unpack(buf, off)[0] for __, off, __ in page.live_pointers()]
+                (blkno,) = _NEXT.unpack_from(buf, next_at)
             finally:
                 self.buffer.unpin(frame)
         return ids
@@ -153,29 +174,28 @@ class PageGraphStore:
         meta = self._nodes[node]
         if level >= len(meta.neighbor_heads):
             raise IndexError(f"node {node} has no level {level}")
-        head = meta.neighbor_heads[level]
         # The head page is dedicated to this adjacency list (fresh page
-        # per list, RC#4), so rewriting in place is safe.
-        blkno = head
-        remaining = [self._neighbor_tuple(nid) for nid in ids]
+        # per list, RC#4), so rewriting in place is safe.  Pages past the
+        # end of the new list are emptied but stay linked: a shorter list
+        # must not read back the old list's tail.
+        fields = [self._neighbor_fields(nid) for nid in ids]
+        per_page = self._per_page
+        blkno = meta.neighbor_heads[level]
+        start = 0
         while True:
+            chunk = fields[start : start + per_page]
+            start += len(chunk)
             frame = self.buffer.pin(self.neighbor_rel, blkno)
             try:
-                (next_blk,) = _NEXT.unpack(frame.page.read_special())
-                _reset_page(frame.page, special=_NEXT.pack(next_blk))
-                while remaining:
-                    try:
-                        frame.page.insert_item(remaining[0])
-                    except PageFullError:
-                        break
-                    remaining.pop(0)
+                (next_blk,) = _NEXT.unpack_from(frame.page.buf, self._next_at)
+                self._write_list_page(frame.page, chunk, next_blk)
             finally:
                 self.buffer.unpin(frame, dirty=True)
-            if not remaining:
-                break
-            if next_blk == _NO_BLOCK:
+            if start < len(fields) and next_blk == _NO_BLOCK:
                 next_blk = self._new_neighbor_page()
                 self._link_next(blkno, next_blk)
+            if next_blk == _NO_BLOCK:
+                break
             blkno = next_blk
 
     def add_node(self, vector: np.ndarray, level: int) -> int:
@@ -198,10 +218,32 @@ class PageGraphStore:
     # ------------------------------------------------------------------
     # page plumbing
     # ------------------------------------------------------------------
-    def _neighbor_tuple(self, node_id: int) -> bytes:
+    def _neighbor_fields(self, node_id: int) -> tuple[int, int, int, int]:
+        """The fields of ``node_id``'s ``HNSWNeighborTuple``."""
         meta = self._nodes[node_id]
         nblkid = meta.neighbor_heads[0] if meta.neighbor_heads else _NO_BLOCK
-        return _NEIGHBOR.pack(node_id, nblkid, meta.data_blkno, meta.data_offset)
+        return (node_id, nblkid, meta.data_blkno, meta.data_offset)
+
+    def _write_list_page(self, page: Page, fields: list[tuple[int, ...]], next_blk: int) -> None:
+        """Overwrite ``page`` with one neighbor-list page image.
+
+        Byte for byte what :meth:`Page.init` followed by one
+        ``insert_item`` per tuple leaves (item 1 ends at the special
+        space, each later item below the previous one, checksum and LSN
+        zero), written as one image: the empty page, the two header
+        bounds, the pointer-array prefix and one pack of the tuple area.
+        """
+        n = len(fields)
+        buf = page.buf
+        lower = PAGE_HEADER_SIZE + LINE_POINTER_SIZE * n
+        upper = self._next_at - _NEIGHBOR.size * n
+        buf[:] = self._empty_page
+        page.lower = lower
+        page.upper = upper
+        buf[PAGE_HEADER_SIZE:lower] = self._pointer_array[: LINE_POINTER_SIZE * n]
+        values = [value for tup in reversed(fields) for value in tup]
+        struct.pack_into("<" + _NEIGHBOR.format[1:] * n, buf, upper, *values)
+        _NEXT.pack_into(buf, self._next_at, next_blk)
 
     def _new_neighbor_page(self) -> int:
         blkno, frame = self.buffer.new_page(self.neighbor_rel, special_size=_NEXT.size)
@@ -249,13 +291,6 @@ class PageGraphStore:
                     __, heap_blk, heap_off, __ = _DATA_HEAD.unpack_from(view, 0)
                     out[i] = TID(heap_blk, heap_off)
         return out  # type: ignore[return-value]
-
-
-def _reset_page(page: Page, special: bytes) -> None:
-    """Re-format a page in place, preserving its special-space size."""
-    fresh = Page.init(page.page_size, special_size=len(special))
-    page.buf[:] = fresh.buf
-    page.write_special(special)
 
 
 class HNSWCore(IndexAmRoutine):

@@ -202,15 +202,23 @@ class Page:
         """Offset numbers of all live items, in order.
 
         One unpack of the whole line-pointer array rather than a header
-        read plus a pointer read per item: heap scans, VACUUM, IVF
-        compaction, HNSW and WAL redo all walk pages through here.
+        read plus a pointer read per item.  Callers that then fetch each
+        item by offset number: the tuple heap scan, VACUUM and the tuple
+        count at open (``heapam``), loser purging in WAL recovery, the
+        default index ``size_info`` and the PQ / SQ8 codec-fork loaders.
         """
         lengths = self._line_pointers()[1::2]
         return [i for i, length in enumerate(lengths, start=1) if length]
 
     def live_pointers(self) -> list[tuple[int, int, int]]:
         """``(offset number, item offset, item length)`` of every live
-        item, in order, from the same single read of the pointer array."""
+        item, in order, from the same single read of the pointer array.
+
+        For callers that slice or unpack items straight from ``buf``
+        without a per-item locator: the batch heap scan
+        (``scan_batches``), PASE HNSW's neighbor-page reader and the
+        bridged HNSW data-fork delete.
+        """
         pointers = self._line_pointers()
         return [
             (i, off, length)

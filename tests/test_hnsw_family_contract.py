@@ -33,7 +33,9 @@ def _lit(vec: np.ndarray) -> str:
     return ",".join(repr(float(x)) for x in np.asarray(vec, dtype=np.float32))
 
 
-def _build(name: str, base: np.ndarray | None = None) -> SimpleNamespace:
+def _build(
+    name: str, base: np.ndarray | None = None, page_size: int = 1024, bnn: int = BNN
+) -> SimpleNamespace:
     """A table of ``base`` indexed by one HNSW variant; ``pase.efs``
     covers ``K_CONTINUE`` so every ``k`` up to it runs the same beam.
 
@@ -44,13 +46,13 @@ def _build(name: str, base: np.ndarray | None = None) -> SimpleNamespace:
     rng = np.random.default_rng(11)
     if base is None:
         base = rng.normal(size=(N, DIM)).astype(np.float32)
-    db = PgSimDatabase(page_size=1024, buffer_pool_pages=4096)
+    db = PgSimDatabase(page_size=page_size, buffer_pool_pages=4096)
     db.execute("CREATE TABLE t (id int, vec float[])")
     heap = db.catalog.table("t").heap
     id_of = {heap.insert([i, vec], xid=1): i for i, vec in enumerate(base)}
     db.wal.log_commit(1)
     db.execute(
-        f"CREATE INDEX ix ON t USING {name} (vec) WITH (bnn = {BNN}, efb = {EFB}, seed = {SEED})"
+        f"CREATE INDEX ix ON t USING {name} (vec) WITH (bnn = {bnn}, efb = {EFB}, seed = {SEED})"
     )
     db.execute(f"SET pase.efs = {K_CONTINUE}")
     queries = (base[:4] + rng.normal(size=(4, base.shape[1]))).astype(np.float32)
@@ -160,6 +162,36 @@ def test_vacuum_twice_leaves_a_live_graph(hnsw):
         for q in hnsw.queries:
             found = [tid for tid, __ in am.scan(q, K)]
             assert found == _brute(hnsw, q, lambda i, cut=cut: i >= cut)[:K]
+
+
+@pytest.mark.parametrize("page_size", [256, 8192])
+@pytest.mark.parametrize("name", AMS)
+def test_vacuum_leaves_bounded_lists_and_empty_dead_nodes(name, page_size):
+    """At 256-byte pages a level-0 list (2 * bnn = 16 entries, 8 per
+    page) spans a chain of neighbor pages; a list that shrinks must not
+    read back the old list's tail from the later pages."""
+    base = np.random.default_rng(7).normal(size=(400, 4)).astype(np.float32)
+    idx = _build(name, base, page_size=page_size, bnn=8)
+    am, store = idx.am, idx.am.store
+    idx.db.execute("DELETE FROM t WHERE id < 250")
+    idx.db.execute("VACUUM t")
+    assert len(am.removed) == 250
+    levels = am._node_levels()
+    for node in range(store.node_count()):
+        for level in range(levels[node] + 1):
+            nbrs = store.neighbors(node, level)
+            if node in am.removed:
+                assert nbrs == [], (node, level)
+            assert len(nbrs) <= am.params.max_neighbors(level)
+            assert len(set(nbrs)) == len(nbrs)
+            assert not set(nbrs) & am.removed
+    if name == "pase_hnsw":
+        # Neighbor pages are only ever rewritten whole, never holed, so
+        # the reader may treat every line pointer as live.
+        rel = store.neighbor_rel
+        for blkno in range(idx.db.buffer.disk.n_blocks(rel)):
+            with idx.db.buffer.page(rel, blkno) as page:
+                assert page.live_items() == list(range(1, page.item_count + 1))
 
 
 def test_same_graph_as_specialized_hnsw(built):

@@ -5,12 +5,18 @@ import pytest
 
 from repro.common.metrics import mean_recall_at_k
 from repro.common.profiling import Profiler
-from repro.pase.hnsw import _NEIGHBOR, PageGraphStore
+from repro.pase.hnsw import _NEIGHBOR, _NEXT, _NO_BLOCK, PageGraphStore
+from repro.pgsim import PgSimDatabase
+from repro.pgsim.page import Page
 
 
 def _ids(db, am, query, k):
     table = db.catalog.table("items")
     return [table.heap.fetch_column(tid, 0) for tid, __ in am.scan(query, k)]
+
+
+def _pins(db):
+    return db.buffer.stats.hits + db.buffer.stats.misses
 
 
 @pytest.fixture()
@@ -103,6 +109,75 @@ class TestPaseHNSW:
         tid = store.heap_tid(0)
         row = loaded_db.catalog.table("items").heap.fetch(tid)
         assert row[0] == 0  # node 0 was the first row inserted
+
+
+def _bare_store(page_size, nodes):
+    """An empty pase_hnsw graph store holding ``nodes`` unlinked nodes."""
+    db = PgSimDatabase(page_size=page_size, buffer_pool_pages=4096)
+    db.execute("CREATE TABLE t (id int, vec float[])")
+    db.execute("CREATE INDEX ix ON t USING pase_hnsw (vec) WITH (bnn = 4)")
+    am = db.catalog.find_index("ix").am
+    am.dim = 4
+    store = am._new_store()
+    for i in range(nodes):
+        store.add_node(np.full(4, i, dtype=np.float32), level=i % 3)
+    return db, store
+
+
+def _reference_page(store, ids, next_blk):
+    """A neighbor-list page built the slow way: ``Page.init`` plus one
+    ``insert_item`` per 24-byte tuple."""
+    page = Page.init(store.buffer.disk.page_size, special_size=_NEXT.size)
+    for nid in ids:
+        meta = store._nodes[nid]
+        page.insert_item(
+            _NEIGHBOR.pack(nid, meta.neighbor_heads[0], meta.data_blkno, meta.data_offset)
+        )
+    page.write_special(_NEXT.pack(next_blk))
+    return bytes(page.buf)
+
+
+def _chain(store, node):
+    blkno, chain = store._nodes[node].neighbor_heads[0], []
+    while blkno != _NO_BLOCK:
+        chain.append(blkno)
+        with store.buffer.page(store.neighbor_rel, blkno) as page:
+            (blkno,) = _NEXT.unpack(page.read_special())
+    return chain
+
+
+class TestNeighborPages:
+    @pytest.mark.parametrize("page_size", [256, 8192])
+    def test_writer_and_reader_across_chained_pages(self, page_size):
+        """Every length from empty to past two full pages, growing then
+        shrinking one list: each page image is what the per-tuple path
+        writes, the reader returns the list in order, and the pins are
+        the per-page ones (one per page read; one per page rewritten,
+        two per page added — its link and its write)."""
+        per_page = (page_size - 24 - _NEXT.size) // 28
+        store_nodes = 2 * per_page + 3
+        db, store = _bare_store(page_size, store_nodes)
+        node, others = 0, list(range(store_nodes - 1, 0, -1))
+        lengths = list(range(2 * per_page + 2))
+        for n in lengths + lengths[::-1]:
+            ids = others[:n]
+            before = len(_chain(store, node))
+            pins = _pins(db)
+            store.set_neighbors(node, 0, ids)
+            set_pins = _pins(db) - pins
+            chain = _chain(store, node)
+            needed = max(1, -(-n // per_page))
+            assert len(chain) == max(before, needed)  # later pages stay linked
+            added = max(needed - before, 0)
+            assert set_pins == len(chain) + added
+            for i, blkno in enumerate(chain):
+                next_blk = chain[i + 1] if i + 1 < len(chain) else _NO_BLOCK
+                chunk = ids[i * per_page : (i + 1) * per_page]
+                with db.buffer.page(store.neighbor_rel, blkno) as page:
+                    assert bytes(page.buf) == _reference_page(store, chunk, next_blk), (n, i)
+            pins = _pins(db)
+            assert store.neighbors(node, 0) == ids
+            assert _pins(db) - pins == len(chain)
 
 
 class TestPgVector:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common import pq
+from repro.common import graph, pq
 from repro.common.distance import l2_sqr, l2_sqr_batch
 from repro.common.heap import BoundedMaxHeap, NaiveTopK, exact_topk, offer_topk
 from repro.pgsim.page import Page, PageFullError
 from repro.pgsim.tuple_format import Column, decode_column, decode_tuple, encode_tuple
+from repro.specialized.hnsw import ArrayGraphStore
 
 # ----------------------------------------------------------------------
 # heaps
@@ -88,6 +89,72 @@ def test_per_list_offers_and_exact_topk_keep_the_tie_rule(dists, k, random, data
     assert [(n.distance, n.vector_id) for n in heap.results()] == expected
     top = exact_topk(np.asarray(dists), k)
     assert [(n.distance, n.vector_id) for n in top] == expected
+
+
+# ----------------------------------------------------------------------
+# HNSW neighbor-list shrink
+# ----------------------------------------------------------------------
+def _reference_shrink(store, owner, candidate_ids, capacity):
+    """The diversity heuristic as a pairwise loop: a candidate is kept
+    when ``all()`` kept neighbors are at least as far from it as the
+    owner is, then nearest-first fills what is left."""
+    owner_vec = store.vector(owner)
+    cand_mat = store.vectors(candidate_ids)
+    diff = cand_mat - owner_vec
+    to_owner = np.einsum("ij,ij->i", diff, diff)
+    sq = np.einsum("ij,ij->i", cand_mat, cand_mat)
+    cross_rows = (sq[:, None] + sq[None, :] - 2.0 * (cand_mat @ cand_mat.T)).tolist()
+    owner_dists = to_owner.tolist()
+    order = np.argsort(to_owner, kind="stable").tolist()
+    kept = []
+    for idx in order:
+        if len(kept) >= capacity:
+            break
+        if all(cross_rows[idx][j] >= owner_dists[idx] for j in kept):
+            kept.append(idx)
+    for idx in order:
+        if len(kept) >= capacity:
+            break
+        if idx not in kept:
+            kept.append(idx)
+    return [candidate_ids[i] for i in kept]
+
+
+@st.composite
+def shrink_cases(draw):
+    """An owner plus 1-24 candidates, coordinates mostly from a small
+    grid (tied distances, duplicate vectors), sometimes NaN or inf."""
+    dim = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=24))
+    elems = st.one_of(
+        st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0]),
+        st.floats(min_value=-10, max_value=10, width=32),
+        st.sampled_from([float("nan"), float("inf")]),
+    )
+    grid = st.lists(elems, min_size=dim, max_size=dim)
+    pool = draw(st.lists(grid, min_size=1, max_size=n + 1))
+    rows = draw(st.lists(st.sampled_from(pool) | grid, min_size=n + 1, max_size=n + 1))
+    capacity = draw(st.integers(min_value=1, max_value=n + 1))
+    return np.asarray(rows, dtype=np.float32), capacity
+
+
+@given(shrink_cases(), st.randoms())
+@settings(max_examples=300, deadline=None)
+def test_shrink_equals_the_pairwise_reference(case, random):
+    vectors, capacity = case
+    store = ArrayGraphStore(vectors.shape[1])
+    for vec in vectors:
+        store.add_node(vec, 0)
+    candidates = list(range(1, len(vectors)))
+    random.shuffle(candidates)
+    before = store.counters.distance_computations
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = graph._shrink_neighbor_list(store, 0, candidates, capacity)
+        expected = _reference_shrink(store, 0, candidates, capacity)
+    assert got == expected
+    assert store.counters.distance_computations - before == len(candidates) * (
+        len(candidates) + 1
+    )
 
 
 # ----------------------------------------------------------------------
