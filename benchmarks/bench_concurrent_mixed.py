@@ -9,8 +9,8 @@ behind the global statement lock counts, exactly like an overloaded
 server would show it.  The statement-lock contention recorded by the
 session layer is reported alongside the latency percentiles.
 
-Emits ``BENCH_concurrent_mixed.json`` (repro-bench/v1, trend-gated in
-CI) with p50/p99 overall and per-operation-type, achieved vs target
+Emits ``BENCH_concurrent_mixed.json`` (repro-bench/v1, uploaded as a
+CI artifact) with p50/p99 overall and per-operation-type, achieved vs target
 QPS, and the wait-event breakdown.
 """
 
@@ -74,7 +74,7 @@ def test_concurrent_mixed_open_loop():
         db.query(sql)
     # Statement logging on for the contended phase: the slowest
     # statements land in pg_slow_queries and ride along in the BENCH
-    # JSON (rendered by the trend gate on a regression).
+    # JSON.
     db.execute("SET log_min_duration_statement = 0")
     # Time-series layer on for the contended phase: the ASH sampler
     # snapshots backend states (including SessionStatementLock waits),

@@ -3,10 +3,6 @@
 Paper shape: the absolute fvec_L2sqr time is similar in both systems
 (114s vs 107s in the paper), while PASE adds large Tuple Access /
 HVTGet / pasepfirst overheads on top.
-
-The breakdown is regenerated from recorded spans (tracer-backed
-profilers), so the same numbers drive the flamegraph/chrome-trace
-exports.
 """
 
 import pytest
@@ -20,13 +16,12 @@ from repro.common.graph import (
     SEC_VISITED,
 )
 from repro.common.profiling import Profiler
-from repro.common.tracing import Tracer
 from repro.core.study import ComparativeStudy, GeneralizedVectorDB, SpecializedVectorDB
 
 
 @pytest.fixture(scope="module")
 def profiles(sift_hnsw):
-    profs = {"PASE": Profiler(tracer=Tracer()), "Faiss": Profiler(tracer=Tracer())}
+    profs = {"PASE": Profiler(), "Faiss": Profiler()}
     study = ComparativeStudy(
         sift_hnsw,
         "hnsw",
@@ -35,12 +30,8 @@ def profiles(sift_hnsw):
         specialized=SpecializedVectorDB(profiler=profs["Faiss"]),
     )
     study.compare_build()
-    # Regenerate the Fig. 8 drill-down from the span trees.
     return {
-        name: {
-            r.name: r.seconds
-            for r in prof.tracer.to_profiler().breakdown(within=SEC_SEARCH_NB_TO_ADD)
-        }
+        name: {r.name: r.seconds for r in prof.breakdown(within=SEC_SEARCH_NB_TO_ADD)}
         for name, prof in profs.items()
     }
 

@@ -9,8 +9,8 @@ to exploit — pre-filter empirically fastest at <= 1% selectivity,
 post- or in-filter fastest at >= 50% — and that auto's latency lands
 within 25% of the per-point fastest strategy at every swept
 selectivity.  Reports pooled auto-mode per-query latency through the
-repro-bench/v1 schema (gated by the CI trend check) plus per-strategy
-medians and the strategy each selectivity chose.
+repro-bench/v1 schema plus per-strategy medians and the strategy each
+selectivity chose.
 """
 
 import statistics

@@ -1,5 +1,5 @@
 """Overhead of per-query stats tracking (``track_query_stats`` GUC)
-and of span tracing (``Profiler(tracer=Tracer())``).
+and of span recording (``Profiler(max_spans=DEFAULT_MAX_SPANS)``).
 
 The observability layer's acceptance bar: snapshot/delta accounting
 around every statement must stay well under 10% of a Fig. 14-style SQL
@@ -7,15 +7,13 @@ search, and recording real spans for every profiler section must stay
 under 10% on the batch search path. Measured as best-of-N batch times
 on vs off; the assertion bounds are deliberately looser than the
 target (CI timers are noisy) and the measured ratios land in
-``BENCH_obs_overhead.json`` so the trend is machine-checkable across
-PRs.
+``BENCH_obs_overhead.json`` for the CI artifact.
 """
 
 import time
 
 from conftest import K, N_QUERIES, NPROBE, emit_bench
-from repro.common.profiling import NULL_PROFILER, Profiler
-from repro.common.tracing import Tracer
+from repro.common.profiling import DEFAULT_MAX_SPANS, NULL_PROFILER, Profiler
 
 REPEATS = 7
 
@@ -70,10 +68,10 @@ def test_tracking_overhead(ivf_study):
 def test_tracing_overhead(ivf_study):
     """Span recording must stay cheap on the batch search path.
 
-    Compares best-of-N batch search times with a tracer-backed
+    Compares best-of-N batch search times with a span-recording
     profiler installed on the PASE AM against no profiler at all — the
     full price of observability (sections + spans), not just the
-    tracer increment.
+    span increment.
     """
     db = ivf_study.generalized.db
     am = ivf_study.generalized.am
@@ -84,10 +82,10 @@ def test_tracing_overhead(ivf_study):
         for sql in sqls:  # warm the buffer pool and plan paths
             db.execute(sql)
 
-        tracer = Tracer()
-        am.profiler = Profiler(tracer=tracer)
+        profiler = Profiler(max_spans=DEFAULT_MAX_SPANS)
+        am.profiler = profiler
         traced = _best_batch_seconds(db, sqls)
-        span_count = len(tracer.spans)
+        span_count = len(profiler.spans)
         am.profiler = NULL_PROFILER
         untraced = _best_batch_seconds(db, sqls)
     finally:
@@ -95,7 +93,7 @@ def test_tracing_overhead(ivf_study):
         db.execute("SET enable_batch_exec = off")
 
     ratio = traced / untraced if untraced > 0 else 1.0
-    assert span_count > 0, "tracer recorded no spans"
+    assert span_count > 0, "profiler recorded no spans"
     emit_bench(
         "tracing_overhead",
         params={"k": K, "nprobe": NPROBE, "n_queries": N_QUERIES, "repeats": REPEATS},

@@ -16,7 +16,7 @@ a brute-force oracle at four checkpoints:
   ``tests/test_churn.py``).
 
 Search latency is sampled throughout the churn stream, so the emitted
-``BENCH_recall_under_churn.json`` (repro-bench/v1, trend-gated in CI)
+``BENCH_recall_under_churn.json`` (repro-bench/v1, a CI artifact)
 also tracks the p99 cost of searching through tombstones.
 """
 

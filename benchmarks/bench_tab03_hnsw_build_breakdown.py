@@ -2,10 +2,6 @@
 
 Paper shape: SearchNbToAdd dominates both systems (~70-76%), with
 PASE's absolute time several times Faiss's.
-
-The build is recorded with tracer-backed profilers and the Table III
-shape assertions run against the profile *regenerated from the span
-tree*, proving the spans carry the full build timeline.
 """
 
 import pytest
@@ -13,13 +9,12 @@ import pytest
 from conftest import HNSW_PARAMS
 from repro.common.graph import SEC_SEARCH_NB_TO_ADD
 from repro.common.profiling import Profiler
-from repro.common.tracing import Tracer
 from repro.core.study import ComparativeStudy, GeneralizedVectorDB, SpecializedVectorDB
 
 
 @pytest.fixture(scope="module")
 def profiles(sift_hnsw):
-    profs = {"PASE": Profiler(tracer=Tracer()), "Faiss": Profiler(tracer=Tracer())}
+    profs = {"PASE": Profiler(), "Faiss": Profiler()}
     study = ComparativeStudy(
         sift_hnsw,
         "hnsw",
@@ -28,8 +23,7 @@ def profiles(sift_hnsw):
         specialized=SpecializedVectorDB(profiler=profs["Faiss"]),
     )
     study.compare_build()
-    # Table III from spans, not the live aggregate counters.
-    return {name: prof.tracer.to_profiler() for name, prof in profs.items()}
+    return profs
 
 
 def test_tab3_profiled_build(benchmark, sift_hnsw):

@@ -3,11 +3,10 @@
 Paper shape: Faiss spends ~95% in fvec_L2sqr; PASE's distance share is
 much lower, with large Tuple Access and Min-heap shares.
 
-Since the tracing PR the PASE profile is span-backed: the breakdown
-below is *regenerated from the recorded span tree* (not the live
-aggregate counters), the same spans also produce the RC#1–RC#7
-attribution and a chrome-trace timeline emitted next to the
-``BENCH_*.json`` results for CI artifact upload.
+Both profilers also keep spans: the same run yields the breakdown and
+the RC#1–RC#7 attribution (from the section totals) and a chrome-trace
+timeline (from the spans) emitted next to the ``BENCH_*.json`` results
+for CI artifact upload.
 """
 
 import json
@@ -18,8 +17,7 @@ import pytest
 
 from conftest import IVF_PARAMS, K, N_QUERIES, NPROBE, emit_bench
 from repro.common.obs import BENCH_DIR_ENV
-from repro.common.profiling import Profiler
-from repro.common.tracing import Tracer
+from repro.common.profiling import DEFAULT_MAX_SPANS, Profiler
 from repro.core.rc_attribution import attribute_profile, format_rc_breakdown
 from repro.core.root_causes import RootCause
 from repro.core.study import ComparativeStudy, GeneralizedVectorDB, SpecializedVectorDB
@@ -28,8 +26,8 @@ from repro.core.study import ComparativeStudy, GeneralizedVectorDB, SpecializedV
 @pytest.fixture(scope="module")
 def profilers(sift):
     profs = {
-        "PASE": Profiler(tracer=Tracer()),
-        "Faiss": Profiler(tracer=Tracer()),
+        "PASE": Profiler(max_spans=DEFAULT_MAX_SPANS),
+        "Faiss": Profiler(max_spans=DEFAULT_MAX_SPANS),
     }
     study = ComparativeStudy(
         sift,
@@ -44,9 +42,9 @@ def profilers(sift):
 
 @pytest.fixture(scope="module")
 def profiles(profilers):
-    """Breakdown rows regenerated from each engine's span tree."""
+    """Table V breakdown rows per engine."""
     return {
-        name: {r.name: r for r in prof.tracer.to_profiler().breakdown()}
+        name: {r.name: r for r in prof.breakdown()}
         for name, prof in profilers.items()
     }
 
@@ -78,16 +76,17 @@ def test_tab5_shape_pase_tuple_access_large(profiles):
 
 
 def test_tab5_spans_agree_with_aggregate(profilers):
-    """Span-derived totals must match the live aggregate counters."""
+    """The root spans cover exactly the time the section totals hold."""
     for prof in profilers.values():
-        assert prof.tracer.spans
-        span_total = prof.tracer.to_profiler().total_seconds()
-        assert span_total == pytest.approx(prof.total_seconds(), rel=0.05)
+        assert prof.spans and not prof.dropped_spans
+        span_total = sum(s.end - s.start for s in prof.spans if s.parent_id == 0)
+        assert span_total == pytest.approx(prof.total_seconds(), rel=1e-6)
 
 
 def test_tab5_rc_attribution_from_spans(profilers):
     """The paper's Table V conclusions, restated as an RC attribution."""
-    attribution = attribute_profile(profilers["PASE"].tracer)
+    pase = profilers["PASE"]
+    attribution = attribute_profile(pase)
     assert attribution.buckets
     # Buckets partition the recorded span time exactly.
     assert sum(b.seconds for b in attribution.buckets) == pytest.approx(
@@ -99,16 +98,15 @@ def test_tab5_rc_attribution_from_spans(profilers):
     report = format_rc_breakdown(attribution, title="Table V (PASE, from spans):")
     assert "RC#2" in report and "RC#6" in report
 
-    tracer = profilers["PASE"].tracer
     out_dir = Path(os.environ.get(BENCH_DIR_ENV, "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = out_dir / "TRACE_tab05_ivfflat_search.json"
-    trace_path.write_text(tracer.to_chrome_trace() + "\n")
+    trace_path.write_text(pase.to_chrome_trace() + "\n")
     json.loads(trace_path.read_text())  # artifact must be valid JSON
     emit_bench(
         "tab05_rc_breakdown",
         params=dict(IVF_PARAMS, k=K, nprobe=NPROBE, n_queries=N_QUERIES),
-        counters={"spans": len(tracer.spans)},
+        counters={"spans": len(pase.spans)},
         extra={
             "rc_attribution": attribution.as_dict(),
             "report": report,

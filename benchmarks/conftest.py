@@ -93,9 +93,8 @@ def metrics_extras(db) -> dict:
     ``metrics_snapshot`` is the final scrape flattened to plain
     counters/gauges (histogram series dropped — they would bloat the
     JSON); ``slow_queries`` is the top-5 of ``pg_slow_queries`` with
-    plan text omitted.  The trend gate renders the slow queries under
-    a regressed workload, so a latency regression in CI arrives with
-    the offending statements attached.
+    plan text omitted, so a bench's uploaded result carries the
+    statements that were slowest in it.
     """
     from repro.common.metrics_export import parse_exposition
 

@@ -6,7 +6,6 @@ Examples::
     repro-bench --experiment fig3
     repro-bench --experiment fig14 --scale 0.002
     repro-bench --all
-    repro-bench trend --baseline benchmarks/results --current bench-results
     repro-bench metrics --out bench-results/metrics.prom
     repro-bench report --out bench-results/REPORT_demo.txt
 """
@@ -24,11 +23,6 @@ def main(argv: list[str] | None = None) -> int:
     """CLI driver; returns a process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "trend":
-        # Subcommand: benchmark trend gate (see repro.bench.trend).
-        from repro.bench.trend import main as trend_main
-
-        return trend_main(argv[1:])
     if argv and argv[0] == "metrics":
         return _metrics_main(argv[1:])
     if argv and argv[0] == "report":

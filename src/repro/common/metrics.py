@@ -9,6 +9,7 @@ query-side metrics.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -72,14 +73,18 @@ class LatencyStats:
 
 
 def latency_stats(latencies: Iterable[float]) -> LatencyStats:
-    """Summarize a sequence of per-query wall-clock latencies."""
+    """Summarize a sequence of per-query wall-clock latencies.
+
+    Percentiles are nearest-rank: the ``ceil(q * n)``-th smallest
+    sample, the rank :meth:`repro.common.obs.LatencyHistogram.percentile`
+    also uses.
+    """
     values = sorted(float(v) for v in latencies)
     if not values:
         raise ValueError("need at least one latency sample")
 
-    def pct(p: float) -> float:
-        idx = min(int(round(p * (len(values) - 1))), len(values) - 1)
-        return values[idx]
+    def pct(q: float) -> float:
+        return values[max(math.ceil(q * len(values)) - 1, 0)]
 
     return LatencyStats(
         count=len(values),

@@ -32,15 +32,6 @@ from typing import Any, Iterable
 
 _METRIC_TYPES = ("counter", "gauge", "histogram", "summary", "untyped")
 
-#: Old family name -> current name.  Families renamed for Prometheus
-#: naming-convention compliance stay resolvable through
-#: :meth:`Exposition.value`, so dashboards migrating off the old names
-#: keep working against fresh scrapes during the transition.
-LEGACY_RENAMES = {
-    "pgsim_index_recall_last": "pgsim_index_recall_last_ratio",
-    "pgsim_index_recall": "pgsim_index_recall_ratio",
-}
-
 #: Unit suffixes that violate the base-unit rule (prometheus.io/docs
 #: naming): durations are ``_seconds``, sizes are ``_bytes``, ratios
 #: are ``_ratio`` — never milliseconds, kilobytes, or percentages.
@@ -455,23 +446,11 @@ class Exposition:
     helps: dict[str, str] = field(default_factory=dict)
 
     def value(self, name: str, **labels: str) -> float | None:
-        """The value of the sample matching ``name`` and ``labels`` exactly.
-
-        Legacy family names (see :data:`LEGACY_RENAMES`) resolve to
-        their renamed successors, including derived histogram series —
-        ``pgsim_index_recall_count`` finds
-        ``pgsim_index_recall_ratio_count``.
-        """
+        """The value of the sample matching ``name`` and ``labels`` exactly."""
         want = {k: str(v) for k, v in labels.items()}
         for s in self.samples:
             if s.name == name and s.labels == want:
                 return s.value
-        for old, new in LEGACY_RENAMES.items():
-            if name == old or name.startswith(old + "_"):
-                renamed = name.replace(old, new, 1)
-                for s in self.samples:
-                    if s.name == renamed and s.labels == want:
-                        return s.value
         return None
 
     def family(self, name: str) -> list[Sample]:

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from repro.common.metrics import latency_stats
+
 
 class CounterDeltaMixin:
     """snapshot/delta arithmetic for flat counter dataclasses.
@@ -438,22 +440,18 @@ BENCH_DIR_ENV = "BENCH_RESULTS_DIR"
 
 
 def latency_summary(latencies_seconds: Sequence[float]) -> dict[str, Any]:
-    """Percentile summary of raw latency samples (milliseconds)."""
+    """:func:`~repro.common.metrics.latency_stats` of raw samples, in ms."""
     if not latencies_seconds:
         return {"count": 0}
-    ordered = sorted(latencies_seconds)
-
-    def at(q: float) -> float:
-        return ordered[min(int(q * len(ordered)), len(ordered) - 1)]
-
+    stats = latency_stats(latencies_seconds)
     return {
-        "count": len(ordered),
-        "mean_ms": sum(ordered) / len(ordered) * 1e3,
-        "p50_ms": at(0.50) * 1e3,
-        "p95_ms": at(0.95) * 1e3,
-        "p99_ms": at(0.99) * 1e3,
-        "min_ms": ordered[0] * 1e3,
-        "max_ms": ordered[-1] * 1e3,
+        "count": stats.count,
+        "mean_ms": stats.mean * 1e3,
+        "p50_ms": stats.p50 * 1e3,
+        "p95_ms": stats.p95 * 1e3,
+        "p99_ms": stats.p99 * 1e3,
+        "min_ms": min(latencies_seconds) * 1e3,
+        "max_ms": max(latencies_seconds) * 1e3,
     }
 
 

@@ -1,4 +1,4 @@
-"""A ``perf``-like category profiler.
+"""A ``perf``-like section profiler with optional span recording.
 
 The paper uses Linux ``perf`` and Flame Graphs to attribute execution
 time to functions such as ``fvec_L2sqr``, ``Tuple Access``,
@@ -14,6 +14,13 @@ section, keyed by the full section path, so both flat totals
 are available — mirroring how the paper first shows the
 ``SearchNbToAdd`` share of HNSW construction (Table III) and then
 drills into it (Fig. 8).
+
+With ``max_spans > 0`` every section entry is also kept as a
+:class:`Span` (real start/end timestamps, deterministic id, parent
+link) for the timeline export :meth:`Profiler.to_chrome_trace`.  Spans
+past the cap are counted, not kept.  Every other reader — breakdowns,
+collapsed stacks, the RC#1–RC#7 attribution — uses the per-path
+totals, which never depend on the cap.
 """
 
 from __future__ import annotations
@@ -22,6 +29,17 @@ import json
 import time
 from collections import defaultdict
 from dataclasses import dataclass
+
+#: Span cap for ``EXPLAIN (ANALYZE, TRACE)`` and the bench chrome
+#: traces (an OOM guard for tracing long loops).
+DEFAULT_MAX_SPANS = 1_000_000
+
+#: Span cap for always-on capture (auto_explain): statements crossing
+#: the slow-query threshold trace with this much smaller cap, so a
+#: pathological query can't balloon the serving process the way an
+#: explicit EXPLAIN (ANALYZE, TRACE) is allowed to.  Only the timeline
+#: loses detail; the totals the attribution reads stay exact.
+AUTO_CAPTURE_MAX_SPANS = 50_000
 
 
 @dataclass(slots=True)
@@ -32,6 +50,24 @@ class BreakdownRow:
     seconds: float
     fraction: float
     calls: int
+
+
+@dataclass(slots=True)
+class Span:
+    """One recorded section entry: a named interval with parent linkage.
+
+    ``span_id`` values are sequential from 1 in section-entry order and
+    ``parent_id`` is 0 for roots — deterministic for a given execution,
+    so trace-diffing across runs lines spans up by id.  ``end`` is None
+    while the section is open.
+    """
+
+    span_id: int
+    parent_id: int
+    name: str
+    path: tuple[str, ...]
+    start: float
+    end: float | None = None
 
 
 class _NullSection:
@@ -69,11 +105,11 @@ class _Section:
         if prof._stack:
             prof._exclusive[tuple(prof._stack)] += now - prof._last_ts
         prof._stack.append(self._name)
-        prof._calls[tuple(prof._stack)] += 1
+        path = tuple(prof._stack)
+        prof._calls[path] += 1
         prof._last_ts = now
-        tracer = prof.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.begin(self._name, now)
+        if prof.max_spans:
+            prof._open_span(path, now)
 
     def __exit__(self, *exc_info) -> None:
         prof = self._profiler
@@ -81,42 +117,43 @@ class _Section:
         prof._exclusive[tuple(prof._stack)] += now - prof._last_ts
         prof._stack.pop()
         prof._last_ts = now
-        tracer = prof.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.end(now)
+        if prof.max_spans:
+            span = prof._open_spans.pop()
+            if span is not None:
+                span.end = now
 
 
 class Profiler:
-    """Hierarchical category profiler with exclusive-time accounting.
+    """Hierarchical section profiler with exclusive-time accounting.
 
     A disabled profiler (``enabled=False``) turns :meth:`section` into
     a near-no-op so production paths can keep their instrumentation.
-
-    With a :class:`~repro.common.tracing.Tracer` attached (``tracer=``),
-    every section additionally records a real timestamped span — the
-    exports then render the actual timeline (see
-    :meth:`to_chrome_trace` / :meth:`to_collapsed`) while breakdown
-    tables keep coming from the aggregate counters.
+    ``max_spans`` bounds how many section entries are also kept as
+    :class:`Span` records; 0 keeps none.
     """
 
-    def __init__(self, enabled: bool = True, tracer=None) -> None:
+    def __init__(self, enabled: bool = True, max_spans: int = 0) -> None:
         self.enabled = enabled
-        #: Optional attached :class:`repro.common.tracing.Tracer`;
-        #: sections open/close spans on it using their own timestamps.
-        self.tracer = tracer
+        self.max_spans = max_spans
+        #: Recorded spans in section-entry order (at most ``max_spans``).
+        self.spans: list[Span] = []
+        #: Section entries past ``max_spans``, counted instead of kept.
+        self.dropped_spans = 0
         self._stack: list[str] = []
+        #: Open spans, innermost last; None stands for a dropped one.
+        self._open_spans: list[Span | None] = []
         self._last_ts = 0.0
         self._exclusive: dict[tuple[str, ...], float] = defaultdict(float)
         self._calls: dict[tuple[str, ...], int] = defaultdict(int)
 
     def reset(self) -> None:
-        """Drop all recorded samples (open sections must be closed)."""
+        """Drop all recorded samples and spans (open sections must be closed)."""
         if self._stack:
             raise RuntimeError(f"cannot reset with open sections: {self._stack}")
         self._exclusive.clear()
         self._calls.clear()
-        if self.tracer is not None:
-            self.tracer.reset()
+        self.spans.clear()
+        self.dropped_spans = 0
 
     def section(self, name: str) -> "_Section | _NullSection":
         """Attribute enclosed wall time to ``name`` (nested-aware)."""
@@ -124,13 +161,20 @@ class Profiler:
             return _NULL_SECTION
         return _Section(self, name)
 
+    def _open_span(self, path: tuple[str, ...], now: float) -> None:
+        # A kept span's parent was entered earlier, so it is kept too.
+        if len(self.spans) < self.max_spans:
+            parent = self._open_spans[-1].span_id if self._open_spans else 0
+            span = Span(len(self.spans) + 1, parent, path[-1], path, now)
+            self.spans.append(span)
+        else:
+            span = None
+            self.dropped_spans += 1
+        self._open_spans.append(span)
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def exclusive_seconds(self, name: str) -> float:
-        """Time spent directly inside sections named ``name``."""
-        return sum(t for path, t in self._exclusive.items() if path[-1] == name)
-
     def inclusive_seconds(self, name: str) -> float:
         """Time spent inside ``name`` including nested child sections."""
         return sum(t for path, t in self._exclusive.items() if name in path)
@@ -138,10 +182,6 @@ class Profiler:
     def total_seconds(self) -> float:
         """All recorded time."""
         return sum(self._exclusive.values())
-
-    def call_count(self, name: str) -> int:
-        """Number of times a section named ``name`` was entered."""
-        return sum(c for path, c in self._calls.items() if path[-1] == name)
 
     def breakdown(self, within: str | None = None, self_label: str = "Others") -> list[BreakdownRow]:
         """Group recorded time into top-level buckets.
@@ -199,22 +239,13 @@ class Profiler:
         rows.sort(key=lambda r: r.seconds, reverse=True)
         return rows
 
-    def merge(self, other: "Profiler") -> None:
-        """Accumulate another profiler's samples into this one."""
-        for path, seconds in other._exclusive.items():
-            self._exclusive[path] += seconds
-        for path, count in other._calls.items():
-            self._calls[path] += count
-
     # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
     def to_collapsed(self) -> str:
         """Collapsed-stack export (``flamegraph.pl`` input format).
 
-        With an attached tracer that holds spans, weights come from the
-        recorded span tree (identical totals, span-exact attribution).
-        Otherwise, one line per recorded section path: frame names joined by
+        One line per recorded section path: frame names joined by
         ``;`` followed by a space and the path's *exclusive* time as
         integer microseconds (flamegraph.pl splits each line on the
         last whitespace run, so frame names may themselves contain
@@ -227,8 +258,6 @@ class Profiler:
 
             flamegraph.pl profile.collapsed > profile.svg
         """
-        if self.tracer is not None and self.tracer.spans:
-            return self.tracer.to_collapsed()
         lines = []
         for path in sorted(self._exclusive):
             micros = round(self._exclusive[path] * 1e6)
@@ -240,83 +269,37 @@ class Profiler:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_chrome_trace(self) -> str:
-        """Chrome ``trace_event`` JSON export (``chrome://tracing``).
+        """Chrome ``trace_event`` JSON of the recorded span timeline.
 
-        With an attached tracer that holds spans, this is the *real*
-        recorded timeline — every section entry as its own event with
-        actual timestamps (see
-        :meth:`repro.common.tracing.Tracer.to_chrome_trace`).
-
-        Without one, the profiler only has per-path aggregates, so it
-        synthesises one complete (``ph: "X"``) event
-        per path: children are laid out consecutively inside their
-        parent starting at the parent's start, durations are the
-        path's *inclusive* time.  Relative widths and nesting match
-        the recorded profile exactly; absolute positions are
-        synthetic.  Deterministic for a given set of samples.
+        One complete (``ph: "X"``) event per kept span with the real
+        timestamps (relative to the first span's start), so gaps,
+        ordering and repeated entries appear exactly as they ran
+        (``chrome://tracing`` / Perfetto).  Dropped spans are reported
+        under ``metadata``.  Raises ValueError for a profiler built
+        without spans (``max_spans=0``).
         """
-        if self.tracer is not None and self.tracer.spans:
-            return self.tracer.to_chrome_trace()
-        children: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
-        for path in self._exclusive:
-            for depth in range(1, len(path) + 1):
-                prefix, parent = path[:depth], path[: depth - 1]
-                siblings = children.setdefault(parent, [])
-                if prefix not in siblings:
-                    siblings.append(prefix)
-        for siblings in children.values():
-            siblings.sort()
-
-        def inclusive(path: tuple[str, ...]) -> float:
-            total = self._exclusive.get(path, 0.0)
-            for child in children.get(path, []):
-                total += inclusive(child)
-            return total
-
-        events: list[dict] = []
-
-        def emit(path: tuple[str, ...], start_us: int) -> None:
+        if not self.max_spans:
+            raise ValueError("no spans recorded: build the Profiler with max_spans > 0")
+        t0 = self.spans[0].start if self.spans else 0.0
+        events = []
+        for span in self.spans:
+            end = span.end if span.end is not None else span.start
             events.append(
                 {
-                    "name": path[-1],
-                    "cat": "profiler",
+                    "name": span.name,
+                    "cat": "trace",
                     "ph": "X",
-                    "ts": start_us,
-                    "dur": max(round(inclusive(path) * 1e6), 1),
+                    "ts": round((span.start - t0) * 1e6, 3),
+                    "dur": round((end - span.start) * 1e6, 3),
                     "pid": 1,
                     "tid": 1,
-                    "args": {
-                        "calls": self._calls.get(path, 0),
-                        "exclusive_us": round(self._exclusive.get(path, 0.0) * 1e6),
-                    },
+                    "args": {"span_id": span.span_id, "parent_id": span.parent_id},
                 }
             )
-            cursor = start_us
-            for child in children.get(path, []):
-                emit(child, cursor)
-                cursor += max(round(inclusive(child) * 1e6), 1)
-
-        cursor = 0
-        for root in children.get((), []):
-            emit(root, cursor)
-            cursor += max(round(inclusive(root) * 1e6), 1)
-        return json.dumps({"traceEvents": events, "displayTimeUnit": "ms"}, indent=1)
-
-    def report(self, within: str | None = None, title: str | None = None) -> str:
-        """Render a paper-style breakdown table (relative % + absolute)."""
-        rows = self.breakdown(within=within)
-        lines: list[str] = []
-        if title:
-            lines.append(title)
-        width = max((len(r.name) for r in rows), default=10)
-        for row in rows:
-            lines.append(
-                f"  {row.name:<{width}}  {row.fraction * 100:6.2f}%  "
-                f"{row.seconds * 1e3:10.2f} ms  ({row.calls} calls)"
-            )
-        if not rows:
-            lines.append("  (no samples)")
-        return "\n".join(lines)
+        doc: dict = {"traceEvents": events, "displayTimeUnit": "ms"}
+        if self.dropped_spans:
+            doc["metadata"] = {"dropped_spans": self.dropped_spans}
+        return json.dumps(doc, indent=1)
 
 
 class _FrozenProfiler(Profiler):
@@ -325,8 +308,7 @@ class _FrozenProfiler(Profiler):
     ``NULL_PROFILER`` is shared by every engine that opts out of
     profiling; a caller flipping ``.enabled = True`` on it would
     silently turn on profiling — and mix samples — for all of them.
-    This subclass makes that a loud error instead, as does merging
-    samples into it.
+    This subclass makes that a loud error instead.
     """
 
     def __setattr__(self, name: str, value) -> None:
@@ -336,12 +318,6 @@ class _FrozenProfiler(Profiler):
                 "create your own Profiler() instead of enabling it"
             )
         super().__setattr__(name, value)
-
-    def merge(self, other: Profiler) -> None:
-        raise TypeError(
-            "NULL_PROFILER is shared and cannot accumulate samples; "
-            "merge into your own Profiler() instead"
-        )
 
 
 #: Shared do-nothing profiler for callers that do not want profiling.

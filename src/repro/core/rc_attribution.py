@@ -1,9 +1,9 @@
-"""Automated root-cause (RC#1–RC#7) attribution from profiles/traces.
+"""Automated root-cause (RC#1–RC#7) attribution from section profiles.
 
 The paper's method is manual: run ``perf``, eyeball the flamegraph,
 and file each hot region under one of the seven root causes (Sec.
-IX-B).  This module automates the filing step.  Input is the span or
-section profile a query/build recorded (every instrumented region in
+IX-B).  This module automates the filing step.  Input is the section
+profile a query/build recorded (every instrumented region in
 this codebase uses the paper's own region names — ``fvec_L2sqr``,
 ``Tuple Access``, ``Min-heap``, ``HVTGet``, ``pasepfirst``,
 ``Pctable`` …); output is a bucketed breakdown keyed by
@@ -115,10 +115,10 @@ def attribute_profile(profiler, wait_events=None) -> RCAttribution:
     """Bucket a profiler's recorded time into root causes.
 
     Args:
-        profiler: a :class:`~repro.common.profiling.Profiler` (or a
-            :class:`~repro.common.tracing.Tracer`, converted via
-            ``to_profiler()``) whose section names follow the paper's
-            region vocabulary.
+        profiler: a :class:`~repro.common.profiling.Profiler` whose
+            section names follow the paper's region vocabulary.  Its
+            per-path totals are read, never its spans, so the result
+            is exact however many spans the profiler dropped.
         wait_events: optional
             :class:`~repro.common.obs.WaitEventStats` delta covering
             the same window, attached as annotations.
@@ -128,8 +128,6 @@ def attribute_profile(profiler, wait_events=None) -> RCAttribution:
     RC#1 while ``SearchNbToAdd``'s own remaining time files under
     ``Others`` — the same rule the paper's flamegraph reading applies.
     """
-    if hasattr(profiler, "to_profiler"):  # a Tracer
-        profiler = profiler.to_profiler()
     seconds_by_bucket: dict[tuple[str, RootCause | None], float] = {}
     sections_by_bucket: dict[tuple[str, RootCause | None], set[str]] = {}
     for path, seconds in profiler._exclusive.items():

@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.common.profiling import NULL_PROFILER
+from repro.common.profiling import AUTO_CAPTURE_MAX_SPANS, NULL_PROFILER
 from repro.pgsim import explain, utility
 from repro.pgsim import expr as E
 from repro.pgsim import plan as P
@@ -80,7 +80,8 @@ class Executor:
         #: scan paths file under "Tuple Access".  NULL_PROFILER (and a
         #: cheap ``.enabled`` guard) outside trace runs.
         self.trace_profiler = NULL_PROFILER
-        #: Tracer of the most recent EXPLAIN (ANALYZE, TRACE) run.
+        #: Span-recording profiler of the most recent
+        #: EXPLAIN (ANALYZE, TRACE) run.
         self.last_trace = None
         #: Slow-query ring (installed by the database facade); None in
         #: bare-executor unit tests, which disables auto_explain and
@@ -416,24 +417,22 @@ class Executor:
         """auto_explain path: run the SELECT instrumented and traced.
 
         The plan executes exactly as the plain path would (same rows,
-        same order) but with per-node instrumentation and a span tracer
-        armed, so a statement that crosses
+        same order) but with per-node instrumentation and a
+        span-recording profiler armed, so a statement that crosses
         ``auto_explain_log_min_duration`` leaves behind its
         EXPLAIN (ANALYZE, BUFFERS) plan text plus the RC#1–RC#7
         attribution — reconstructed after the fact, like PostgreSQL's
         auto_explain logging the plan it already ran.  Under-threshold
-        statements discard the capture.  The tracer is bounded at
-        :data:`~repro.common.tracing.AUTO_CAPTURE_MAX_SPANS` spans so
+        statements discard the capture.  The profiler keeps at most
+        :data:`~repro.common.profiling.AUTO_CAPTURE_MAX_SPANS` spans so
         an always-on setting cannot grow memory without limit.
         """
-        from repro.common.tracing import AUTO_CAPTURE_MAX_SPANS
-
         # Function-level import: repro.core imports pgsim packages.
         from repro.core.rc_attribution import attribute_profile
 
         self.last_plan_capture = None
         instrument: dict[int, list] = {}
-        tracer, restore = explain.begin_trace(self, plan, max_spans=AUTO_CAPTURE_MAX_SPANS)
+        profiler, restore = explain.begin_trace(self, plan, max_spans=AUTO_CAPTURE_MAX_SPANS)
         waits_before = self.stats.waits.snapshot()
         start = time.perf_counter()
         try:
@@ -444,7 +443,7 @@ class Executor:
         strategy = self.record_run(plan, instrument)
         if total * 1e3 >= auto_ms:
             waits_delta = self.stats.waits.delta(waits_before)
-            attribution = attribute_profile(tracer, wait_events=waits_delta)
+            attribution = attribute_profile(profiler, wait_events=waits_delta)
             self.last_plan_capture = {
                 "plan": "\n".join(
                     explain.annotated_lines(plan, 0, instrument, buffers=True, timing=True)

@@ -3,9 +3,10 @@
 ``EXPLAIN`` plans the inner statement and prints the tree; ``EXPLAIN
 ANALYZE`` also runs it with per-node instrumentation
 (:meth:`repro.pgsim.operators.PlanRun.open`) and annotates each node
-with what it actually produced.  ``TRACE`` additionally arms a span
-tracer (:func:`begin_trace`, also used by the executor's auto_explain
-capture) and appends the RC#1–RC#7 attribution of the recorded spans.
+with what it actually produced.  ``TRACE`` additionally arms a
+span-recording profiler (:func:`begin_trace`, also used by the
+executor's auto_explain capture) and appends the RC#1–RC#7 attribution
+of the recorded sections.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING
 
+from repro.common.profiling import DEFAULT_MAX_SPANS, Profiler
 from repro.pgsim import plan as P
 from repro.pgsim.planner import explain_plan
 from repro.pgsim.sql import ast
@@ -56,7 +58,7 @@ def _explain_select(ex: Executor, stmt: ast.Explain, inner: ast.Select) -> list[
     timing = stmt.timing if stmt.timing is not None else True
     instrument: dict[int, list] = {}
     if stmt.trace:
-        tracer, restore = begin_trace(ex, plan)
+        profiler, restore = begin_trace(ex, plan)
         waits_before = ex.stats.waits.snapshot()
     start = time.perf_counter()
     try:
@@ -75,26 +77,22 @@ def _explain_select(ex: Executor, stmt: ast.Explain, inner: ast.Select) -> list[
         lines.append(f"Execution: {n_rows} rows")
     if stmt.trace:
         waits_delta = ex.stats.waits.delta(waits_before)
-        lines.extend(_trace_lines(tracer, waits_delta, total))
+        lines.extend(_trace_lines(profiler, waits_delta, total))
     return lines
 
 
-def begin_trace(ex: Executor, plan: P.PlanNode, max_spans: int | None = None):
-    """Arm span tracing for one EXPLAIN (ANALYZE, TRACE) run.
+def begin_trace(ex: Executor, plan: P.PlanNode, max_spans: int = DEFAULT_MAX_SPANS):
+    """Arm span recording for one EXPLAIN (ANALYZE, TRACE) run.
 
-    One tracer-backed profiler is shared by the executor (heap
-    fetches -> "Tuple Access") and every index AM reachable from
-    the plan (their paper-named sections: fvec_L2sqr, Min-heap,
-    Pctable, ...), so the span tree nests AM work under the
+    One profiler keeping up to ``max_spans`` spans is shared by the
+    executor (heap fetches -> "Tuple Access") and every index AM
+    reachable from the plan (their paper-named sections: fvec_L2sqr,
+    Min-heap, Pctable, ...), so the span tree nests AM work under the
     "Executor" root span :meth:`Executor.run_plan` opens.  Returns
-    ``(tracer, restore)`` where ``restore()`` puts the previous
+    ``(profiler, restore)`` where ``restore()`` puts the previous
     profilers back.
     """
-    from repro.common.profiling import Profiler
-    from repro.common.tracing import DEFAULT_MAX_SPANS, Tracer
-
-    tracer = Tracer(max_spans=max_spans if max_spans is not None else DEFAULT_MAX_SPANS)
-    profiler = Profiler(tracer=tracer)
+    profiler = Profiler(max_spans=max_spans)
     ams = []
     node: P.PlanNode | None = plan
     while node is not None:
@@ -114,22 +112,22 @@ def begin_trace(ex: Executor, plan: P.PlanNode, max_spans: int | None = None):
 
     #: Kept for harnesses that want the raw spans after the run
     #: (chrome-trace export, flamegraphs).
-    ex.last_trace = tracer
-    return tracer, restore
+    ex.last_trace = profiler
+    return profiler, restore
 
 
-def _trace_lines(tracer, waits_delta, total_seconds: float) -> list[str]:
+def _trace_lines(profiler: Profiler, waits_delta, total_seconds: float) -> list[str]:
     """Render the RC#1–RC#7 attribution block of a TRACE run."""
     # Function-level import: repro.core imports pgsim packages.
     from repro.core.rc_attribution import attribute_profile, format_rc_breakdown
 
-    attribution = attribute_profile(tracer, wait_events=waits_delta)
+    attribution = attribute_profile(profiler, wait_events=waits_delta)
     lines = ["Root-cause attribution (spans):"]
     lines.extend(format_rc_breakdown(attribution).splitlines())
     covered = attribution.total_seconds / total_seconds if total_seconds > 0 else 0.0
-    note = f"Trace: {len(tracer.spans)} spans, {covered * 100:.1f}% of elapsed attributed"
-    if tracer.dropped_spans:
-        note += f" ({tracer.dropped_spans} spans dropped)"
+    note = f"Trace: {len(profiler.spans)} spans, {covered * 100:.1f}% of elapsed attributed"
+    if profiler.dropped_spans:
+        note += f" ({profiler.dropped_spans} spans dropped)"
     lines.append(note)
     return lines
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.common import parallel
 from repro.common.metrics import LatencyStats, latency_stats, mean_recall_at_k, recall_at_k
+from repro.common.obs import LatencyHistogram, latency_summary
 from repro.common.profiling import NULL_PROFILER, Profiler
 from repro.common.rng import derive_seed, make_rng
 
@@ -54,6 +55,29 @@ class TestLatencyStats:
         with pytest.raises(ValueError):
             latency_stats([])
 
+    def test_percentiles_are_nearest_rank(self):
+        stats = latency_stats([ms / 1e3 for ms in range(1, 11)])
+        assert (stats.p50, stats.p95, stats.p99) == (0.005, 0.010, 0.010)
+        # Even n: the lower middle sample, not the upper one.
+        assert latency_stats([0.001, 0.002, 0.003, 0.004]).p50 == 0.002
+        assert latency_stats([0.007]).p50 == 0.007
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 20, 99, 100, 101])
+    def test_bench_summary_pinned_to_stats(self, n):
+        """``BENCH_*.json`` latency blocks use the same rank rule, and
+        the histogram's bucket bound lies within one bucket of it."""
+        samples = [(7 * i % n + 1) / 1e3 for i in range(n)]
+        stats = latency_stats(samples)
+        summary = latency_summary(samples)
+        hist = LatencyHistogram()
+        for value in samples:
+            hist.record(value)
+        for q, key in ((0.50, "p50"), (0.95, "p95"), (0.99, "p99")):
+            exact = getattr(stats, key)
+            assert summary[f"{key}_ms"] == exact * 1e3
+            assert exact <= hist.percentile(q) <= exact * 10 ** (1 / 20) * (1 + 1e-9)
+        assert summary["mean_ms"] == pytest.approx(stats.mean * 1e3)
+
 
 class TestProfiler:
     def test_exclusive_vs_inclusive(self):
@@ -62,8 +86,9 @@ class TestProfiler:
             time.sleep(0.002)
             with prof.section("inner"):
                 time.sleep(0.002)
-        assert prof.inclusive_seconds("outer") >= prof.exclusive_seconds("outer")
-        assert prof.exclusive_seconds("inner") >= 0.001
+        exclusive = {r.name: r.seconds for r in prof.breakdown(within="outer")}
+        assert prof.inclusive_seconds("outer") >= exclusive["Others"]
+        assert exclusive["inner"] >= 0.001
         assert prof.inclusive_seconds("outer") >= 0.003
 
     def test_breakdown_top_level(self):
@@ -99,7 +124,8 @@ class TestProfiler:
         for __ in range(3):
             with prof.section("s"):
                 pass
-        assert prof.call_count("s") == 3
+        (row,) = prof.breakdown()
+        assert row.calls == 3
 
     def test_breakdown_calls_exclude_nested_children(self):
         """Regression: nested-child entries must not inflate the parent
@@ -143,15 +169,6 @@ class TestProfiler:
             pass
         assert NULL_PROFILER.total_seconds() == 0.0
 
-    def test_merge(self):
-        a, b = Profiler(), Profiler()
-        with a.section("x"):
-            pass
-        with b.section("x"):
-            pass
-        a.merge(b)
-        assert a.call_count("x") == 2
-
     def test_reset_rejects_open_sections(self):
         prof = Profiler()
         ctx = prof.section("open")
@@ -161,14 +178,6 @@ class TestProfiler:
         ctx.__exit__(None, None, None)
         prof.reset()
         assert prof.total_seconds() == 0.0
-
-    def test_report_renders(self):
-        prof = Profiler()
-        with prof.section("alpha"):
-            pass
-        text = prof.report(title="T")
-        assert "T" in text and "alpha" in text
-
 
 class TestParallelScheduler:
     def test_lpt_balanced(self):

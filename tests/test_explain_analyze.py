@@ -213,11 +213,53 @@ class TestExplainTrace:
         import json
 
         indexed_db.execute(self.KNN_SQL)
-        tracer = indexed_db.executor.last_trace
-        assert tracer is not None and tracer.spans
-        doc = json.loads(tracer.to_chrome_trace())
+        profiler = indexed_db.executor.last_trace
+        assert profiler is not None and profiler.spans
+        doc = json.loads(profiler.to_chrome_trace())
         names = {e["name"] for e in doc["traceEvents"]}
         assert "Executor" in names
+
+    def test_span_cap_leaves_attribution_exact(self, monkeypatch):
+        """Dropping spans past the cap (auto_explain, long traces) must
+        not move time between root causes: attribution reads the
+        section totals, which are the same with or without a cap."""
+        import time
+
+        import numpy as np
+
+        from repro.common.profiling import DEFAULT_MAX_SPANS
+        from repro.core.rc_attribution import attribute_profile
+        from repro.core.study import GeneralizedVectorDB
+        from repro.pgsim import explain
+        from repro.pgsim.sql import parse_sql
+
+        rng = np.random.default_rng(7)
+        gen = GeneralizedVectorDB()
+        gen.load(rng.standard_normal((2000, 16)).astype(np.float32))
+        gen.create_index("ivf_flat", clusters=16, sample_ratio=0.5, seed=1)
+        gen.db.execute("SET pase.nprobe = 8")
+        literal = ",".join(f"{x:.4f}" for x in rng.standard_normal(16))
+        (stmt,) = parse_sql(
+            f"SELECT id FROM vectors ORDER BY vec <-> '{literal}'::PASE LIMIT 10"
+        )
+        ex = gen.db.executor
+        plan = ex.plan_select(stmt)
+        ex.run_plan(plan)  # warm the buffer pool: both traced runs hit
+        # One tick per clock read makes both runs' timings identical.
+        ticks = iter(range(10**9))
+        monkeypatch.setattr(time, "perf_counter", lambda: float(next(ticks)))
+
+        def traced(max_spans):
+            profiler, restore = explain.begin_trace(ex, plan, max_spans=max_spans)
+            try:
+                ex.run_plan(plan)
+            finally:
+                restore()
+            return profiler
+
+        capped, full = traced(50), traced(DEFAULT_MAX_SPANS)
+        assert capped.dropped_spans > 1000 and full.dropped_spans == 0
+        assert attribute_profile(capped).as_dict() == attribute_profile(full).as_dict()
 
 
 class TestExplainAnalyzeBatch:

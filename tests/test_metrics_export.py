@@ -209,21 +209,16 @@ class TestNamingConventions:
 
 
 class TestLegacyRenames:
-    """Dashboards on the pre-rename recall family keep resolving."""
+    """The recall family is scraped under its base-unit names only."""
 
-    def test_legacy_names_resolve_to_renamed_series(self):
+    def test_renamed_series_resolve_and_old_names_are_absent(self):
         db = _workload_db()
         exp = parse_exposition(db.metrics_text())
-        # No sample carries the old name any more...
         assert not any(s.name.startswith("pgsim_index_recall_last ") for s in exp.samples)
+        assert not any(s.name == "pgsim_index_recall_count" for s in exp.samples)
         new_last = exp.value("pgsim_index_recall_last_ratio", index="ix", am="pase_ivfflat")
         new_count = exp.value("pgsim_index_recall_ratio_count", index="ix", am="pase_ivfflat")
         assert new_last is not None and new_count is not None
-        # ...but lookups through the old names still land, including
-        # the derived histogram series.
-        assert exp.value("pgsim_index_recall_last", index="ix", am="pase_ivfflat") == new_last
-        assert exp.value("pgsim_index_recall_count", index="ix", am="pase_ivfflat") == new_count
-        assert exp.value("pgsim_index_recall_sum", index="ix", am="pase_ivfflat") is not None
 
     def test_unknown_names_still_miss(self):
         exp = parse_exposition(_workload_db().metrics_text())
