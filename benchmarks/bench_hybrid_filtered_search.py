@@ -6,10 +6,14 @@ filtered-search strategies (pre-filter, post-filter, in-filter) forced
 through the ``filtered_search_strategy`` GUC plus the planner's
 cost-based ``auto`` pick.  Asserts the crossover the optimizer exists
 to exploit — pre-filter empirically fastest at <= 1% selectivity,
-post- or in-filter fastest at >= 50% — and that auto's latency lands
-within 25% of the per-point fastest strategy at every swept
-selectivity.  Reports pooled auto-mode per-query latency through the
-repro-bench/v1 schema plus per-strategy medians and the strategy each
+post- or in-filter fastest at >= 50% — and that auto's regret stays
+within 25% at every swept selectivity.  Regret is a paired ratio
+measured in this process: query by query, auto and the per-point
+fastest forced strategy run back to back (alternating which goes
+first), and the median of the per-query ratios is gated, so a noisy
+moment on a shared machine spoils one pair rather than the verdict.
+Reports pooled auto-mode per-query latency through the repro-bench/v1
+schema plus per-strategy medians, the regrets and the strategy each
 selectivity chose.
 """
 
@@ -31,11 +35,11 @@ N_QUERIES = 6
 #: Fraction of rows satisfying ``a < cut`` (a is uniform 0..999).
 SELECTIVITIES = (0.001, 0.01, 0.10, 0.50, 0.90)
 STRATEGIES = ("pre-filter", "post-filter", "in-filter")
-#: Auto must land within 25% of the fastest forced strategy (the
-#: acceptance window), plus a small absolute slack for timer noise on
-#: millisecond-scale runs.
+#: Auto's median per-query regret over the fastest forced strategy.
 AUTO_WINDOW = 1.25
-NOISE_S = 5e-4
+#: Passes over the queries for the paired regret (one ratio per query
+#: per pass).
+PAIRED_ROUNDS = 3
 
 INDEX_OPTIONS = "clusters = 16, sample_ratio = 1.0, seed = 42"
 
@@ -81,6 +85,31 @@ def _median_latency(db: PgSimDatabase, queries: list[str], cut: int) -> float:
     return statistics.median(samples)
 
 
+def _paired_regret(
+    db: PgSimDatabase, queries: list[str], cut: int, fastest: str
+) -> tuple[float, list[float]]:
+    """Median of auto's latency over ``fastest``'s, per query, each pair
+    run back to back in alternating order; also auto's latencies."""
+    ratios: list[float] = []
+    auto_latencies: list[float] = []
+    try:
+        for round_no in range(PAIRED_ROUNDS):
+            for i, literal in enumerate(queries):
+                sql = _hybrid_sql(literal, cut)
+                order = ("auto", fastest) if (round_no + i) % 2 == 0 else (fastest, "auto")
+                seconds = {}
+                for strategy in order:
+                    db.execute(f"SET filtered_search_strategy = '{strategy}'")
+                    start = time.perf_counter()
+                    db.query(sql)
+                    seconds[strategy] = time.perf_counter() - start
+                ratios.append(seconds["auto"] / seconds[fastest])
+                auto_latencies.append(seconds["auto"])
+    finally:
+        db.execute("SET filtered_search_strategy = 'auto'")
+    return statistics.median(ratios), auto_latencies
+
+
 def _auto_strategy(db: PgSimDatabase, sql: str) -> str:
     for line in db.explain(sql).splitlines():
         line = line.strip().lstrip("-> ")
@@ -94,6 +123,7 @@ def test_hybrid_filtered_search_sweep():
     db, queries = _build_db()
     auto_latencies: list[float] = []
     medians: dict[str, float] = {}
+    regrets: dict[str, float] = {}
     picks: dict[str, str] = {}
     for sel in SELECTIVITIES:
         cut = max(1, round(sel * 1000))
@@ -107,11 +137,6 @@ def test_hybrid_filtered_search_sweep():
         picks[f"sel{sel:g}"] = _auto_strategy(db, _hybrid_sql(queries[0], cut))
         # Warm pass inside _median_latency keeps auto's numbers honest.
         auto_median = _median_latency(db, queries, cut)
-        for literal in queries:
-            sql = _hybrid_sql(literal, cut)
-            start = time.perf_counter()
-            db.query(sql)
-            auto_latencies.append(time.perf_counter() - start)
 
         fastest = min(per_strategy, key=per_strategy.get)
         for strategy, median in per_strategy.items():
@@ -123,14 +148,11 @@ def test_hybrid_filtered_search_sweep():
             assert fastest == "pre-filter", (sel, per_strategy)
         if sel >= 0.50:
             assert fastest in ("post-filter", "in-filter"), (sel, per_strategy)
-        # Auto within the acceptance window of the per-point fastest.
-        floor = per_strategy[fastest]
-        assert auto_median <= floor * AUTO_WINDOW + NOISE_S, (
-            sel,
-            picks[f"sel{sel:g}"],
-            auto_median,
-            per_strategy,
-        )
+        # Auto's paired regret against the per-point fastest.
+        regret, paired_auto = _paired_regret(db, queries, cut, fastest)
+        auto_latencies += paired_auto
+        regrets[f"sel{sel:g}"] = regret
+        assert regret <= AUTO_WINDOW, (sel, picks[f"sel{sel:g}"], fastest, regret, per_strategy)
 
     path = emit_bench(
         "hybrid_filtered_search",
@@ -144,6 +166,6 @@ def test_hybrid_filtered_search_sweep():
             "index": f"pase_ivfflat ({INDEX_OPTIONS}), nprobe = 4",
         },
         latencies_seconds=auto_latencies,
-        extra={"per_strategy_median_ms": medians, "auto_picks": picks},
+        extra={"per_strategy_median_ms": medians, "auto_regret": regrets, "auto_picks": picks},
     )
     assert path.exists()

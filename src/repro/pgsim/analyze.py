@@ -104,32 +104,32 @@ def analyze_table(table: TableInfo, catalog: Catalog) -> TableStats:
     """Scan ``table`` and attach fresh statistics to its catalog entry.
 
     Reads every live tuple (pgsim tables are small enough that we skip
-    PostgreSQL's row sampling), computes per-column stats, and stores
-    the result on ``table.stats``.
+    PostgreSQL's row sampling) with a column-wise scan that decodes the
+    scalar columns only, computes per-column stats, and stores the
+    result on ``table.stats``.
     """
     target = int(catalog.get_setting("default_statistics_target"))
     scalar_cols = [
         (i, col) for i, col in enumerate(table.columns) if col.type_oid in _SCALAR_TYPES
     ]
+    column_values: list[list[Any]] = [[] for _ in scalar_cols]
+    ntuples = 0
+    for chunk in table.heap.scan_batches(None, columns=[i for i, __ in scalar_cols]):
+        ntuples += len(chunk)
+        for values, (i, __) in zip(column_values, scalar_cols):
+            values += chunk.values(i)
     values_by_col: list[list[Any]] = [[] for _ in table.columns]
     nulls_by_col = [0 for _ in table.columns]
-    scalar_rows: list[dict[str, Any]] = []
-    ntuples = 0
-    for _tid, values in table.heap.scan():
-        ntuples += 1
-        for i, col in scalar_cols:
-            value = values[i]
-            if value is None:
-                nulls_by_col[i] += 1
-            else:
-                values_by_col[i].append(value)
-        scalar_rows.append({col.name: values[i] for i, col in scalar_cols})
+    for values, (i, __) in zip(column_values, scalar_cols):
+        values_by_col[i] = [value for value in values if value is not None]
+        nulls_by_col[i] = len(values) - len(values_by_col[i])
+    names = [col.name for __, col in scalar_cols]
     stats = TableStats(
         reltuples=float(ntuples),
         relpages=max(table.heap.n_blocks(), 1),
         last_analyze=time.time(),
         dead_at_analyze=float(table.heap.n_dead_tup),
-        sample=_stride_sample(scalar_rows),
+        sample=_stride_sample(names, column_values, ntuples),
     )
     for i, col in scalar_cols:
         col_stats = _column_stats(values_by_col[i], nulls_by_col[i], ntuples, target)
@@ -139,17 +139,21 @@ def analyze_table(table: TableInfo, catalog: Catalog) -> TableStats:
     return stats
 
 
-def _stride_sample(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Every ``stride``-th row, capped near :data:`SAMPLE_TARGET`.
+def _stride_sample(
+    names: list[str], columns: list[list[Any]], n_rows: int
+) -> list[dict[str, Any]]:
+    """Every ``stride``-th of ``n_rows`` rows given column-wise, as row
+    dicts, capped near :data:`SAMPLE_TARGET`.
 
     Deterministic (no RNG state to manage) and order-preserving; the
     stride makes the sample span the whole heap, so physically
     clustered values are represented proportionally.
     """
-    if not rows:
-        return []
-    stride = max(1, len(rows) // SAMPLE_TARGET)
-    return rows[::stride]
+    stride = max(1, n_rows // SAMPLE_TARGET)
+    return [
+        {name: column[j] for name, column in zip(names, columns)}
+        for j in range(0, n_rows, stride)
+    ]
 
 
 def _correlation(values: list[Any]) -> float:

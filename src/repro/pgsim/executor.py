@@ -271,25 +271,23 @@ class Executor:
     def _targets(self, table: TableInfo, where: ast.Expr | None) -> list[TID]:
         """TIDs of the rows an UPDATE / DELETE ``WHERE`` selects.
 
-        One sequential scan under the statement snapshot that decodes
-        only the columns ``where`` references (``scan_batches`` with a
-        projection), then one column-wise evaluation of ``where`` over
-        the whole table (:func:`~repro.pgsim.expr.evaluate_batch`).
-        Target selection is not part of the RC#3 toggle, so both values
-        of ``enable_batch_exec`` run it.
+        One column-wise sequential scan under the statement snapshot
+        that decodes only the columns ``where`` references (a projected
+        :meth:`~repro.pgsim.heapam.HeapTable.scan_batches`), then one
+        column-wise evaluation of ``where`` per chunk of pages
+        (:func:`~repro.pgsim.expr.evaluate_batch`); TIDs are built for
+        the targets only.  Target selection is not part of the RC#3
+        toggle, so both values of ``enable_batch_exec`` run it.
         """
         names, positions = table.projection(E.column_refs(where))
-        rows = [
-            row
-            for page in table.heap.scan_batches(snapshot=self._snapshot, columns=positions)
-            for row in page
-        ]
-        tids = [tid for tid, __ in rows]
-        if where is None:
-            return tids
-        columns = {name: [values[i] for __, values in rows] for name, i in zip(names, positions)}
-        mask = E.evaluate_batch(where, columns, len(rows))
-        return [tids[i] for i in np.flatnonzero(mask).tolist()]
+        targets: list[TID] = []
+        for chunk in table.heap.scan_batches(self._snapshot, columns=positions):
+            if where is None:
+                targets += chunk.tids()
+                continue
+            columns = {name: chunk.columns[i] for name, i in zip(names, positions)}
+            targets += chunk.tids(np.flatnonzero(E.evaluate_batch(where, columns, len(chunk))))
+        return targets
 
     def _delete(self, stmt: ast.Delete) -> P.QueryResult:
         """DELETE marks heap tuples dead; index entries remain until

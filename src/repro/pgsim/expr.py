@@ -254,8 +254,10 @@ _MIN_VECTORISED_ROWS = 8
 def evaluate_batch(expr: ast.Expr, columns: Mapping[str, Sequence[Any]], n: int) -> np.ndarray:
     """WHERE verdicts for ``n`` rows given column-wise.
 
-    ``columns`` maps each column ``expr`` references to its ``n`` values.
-    Returns a bool mask whose ``i``-th entry is True exactly when
+    ``columns`` maps each column ``expr`` references to its ``n`` values:
+    a sequence of Python values, or an int64 / float64 array (a
+    NULL-free numeric column, as the heap's column-wise scan hands them
+    out).  Returns a bool mask whose ``i``-th entry is True exactly when
     ``evaluate(expr, row_i)`` is TRUE (FALSE and NULL both drop a row).
 
     ``= <> != < > <= >=`` between int / float columns and numeric
@@ -263,7 +265,7 @@ def evaluate_batch(expr: ast.Expr, columns: Mapping[str, Sequence[Any]], n: int)
     in int64 / float64.  Any other expression (text, vectors, functions,
     arithmetic), every row holding a NULL in a referenced column, and
     batches too small to repay the column set-up go through
-    :func:`evaluate` row by row.
+    :func:`evaluate` row by row, on Python values.
     """
     names = column_refs(expr)
     vectorised = None if n < _MIN_VECTORISED_ROWS else _vectorised(expr, names, columns, n)
@@ -271,8 +273,15 @@ def evaluate_batch(expr: ast.Expr, columns: Mapping[str, Sequence[Any]], n: int)
         mask, row_by_row = np.zeros(n, dtype=bool), range(n)
     else:
         mask, row_by_row = vectorised
+    if not len(row_by_row):
+        return mask
+    values = {
+        name: column.tolist() if isinstance(column, np.ndarray) else column
+        for name, column in columns.items()
+        if name in names
+    }
     for i in row_by_row:
-        row = {name: columns[name][i] for name in names if name in columns}
+        row = {name: column[i] for name, column in values.items()}
         mask[i] = bool(evaluate(expr, row))
     return mask
 
@@ -329,6 +338,8 @@ def _numeric_column(values: Sequence[Any]) -> tuple[np.ndarray, list[int]] | Non
     """``(array, NULL positions)`` of an all-int (int64) or all-float
     (float64) column, NULLs reading as 0 in the array; None for any other
     column, or ints beyond int64."""
+    if isinstance(values, np.ndarray):
+        return values, []
     kinds = set(map(type, values))
     null_rows: list[int] = []
     if type(None) in kinds:

@@ -30,7 +30,12 @@ from repro.pgsim import expr as E
 from repro.pgsim import plan as P
 from repro.pgsim.catalog import CatalogError
 from repro.pgsim.heapam import TID, HeapTable
-from repro.pgsim.probes import begin_quality_probe, finish_quality_probe, nearest_rows
+from repro.pgsim.probes import (
+    begin_quality_probe,
+    finish_quality_probe,
+    nearest_rows,
+    qualifying_rows,
+)
 
 if TYPE_CHECKING:
     from repro.pgsim.operators import PlanRun
@@ -197,13 +202,20 @@ def _filtered_bruteforce(run: PlanRun, node: P.IndexScan, exclude: set, limit: i
     approximate, these rows are not guaranteed to sort after the
     already-emitted ones — the fallback favours returning k
     correct-predicate rows over global distance order, the same trade
-    the post-filter strategy already makes.
+    the post-filter strategy already makes.  The batch interface reads
+    the heap column-wise (:func:`qualifying_rows`); the tuple interface
+    scans it row by row.
     """
+    if node.batch:
+        rows, vectors, __ = qualifying_rows(
+            run, node.table, node.filter, node.index.column_name, exclude
+        )
+        return nearest_rows(node, rows, vectors, limit)
     names = node.table.column_names()
     heap = node.table.heap
     col = heap.column_index(node.index.column_name)
-    rows: list[Row] = []
-    vectors: list[Any] = []
+    rows = []
+    vectors = []
     for tid, values in heap.scan(snapshot=run.snapshot):
         if tid in exclude or values[col] is None:
             continue

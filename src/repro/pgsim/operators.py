@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sized
 
 from repro.common.profiling import NULL_PROFILER
 from repro.pgsim import expr as E
 from repro.pgsim import plan as P
 from repro.pgsim.index_scan import index_scan
-from repro.pgsim.probes import nearest_rows
+from repro.pgsim.probes import nearest_rows, qualifying_rows
 from repro.pgsim.sql import ast
 from repro.pgsim.xact import Snapshot
 
@@ -66,12 +66,17 @@ class PlanRun:
             operator = OPERATORS[type(node)]
         except KeyError:
             raise P.ExecutionError(f"unknown plan node: {type(node).__name__}") from None
-        batches = operator(self, node)
+        return self.drive(node, operator(self, node))
+
+    def drive(self, node: P.PlanNode, batches: Iterator[Sized]) -> Iterator[Sized]:
+        """``batches`` as ``node``'s output (instrumented when the run
+        is): how :meth:`open` runs an operator, and how a parent that
+        reads its child's relation itself still accounts for the child."""
         if self.instrument is None:
             return batches
         return self._instrumented(batches, node)
 
-    def _instrumented(self, batches: Batches, node: P.PlanNode) -> Batches:
+    def _instrumented(self, batches: Iterator[Sized], node: P.PlanNode) -> Iterator[Sized]:
         """Wrap a node's batch stream with row/time/buffer accounting.
 
         The row counter advances by ``len(batch)`` per pull, so EXPLAIN
@@ -135,21 +140,29 @@ def _pre_filter_scan(run: PlanRun, node: P.PreFilterScan) -> Batches:
     passing the predicate, runs the metric's vectorized kernel once
     over the survivors' vectors, and selects k by ``(distance, tid)`` —
     the same tie-break as ``topk_batch``, so every strategy agrees on
-    output order.
+    output order.  Under the batch interface the operator reads the
+    child's heap itself, column-wise (:func:`qualifying_rows`), and
+    accounts the chunks to the child Seq Scan; under the tuple
+    interface it pulls the child row by row.
     """
-    examined = 0
-    survivors: list[Row] = []
-    vectors: list[Any] = []
-    for batch in run.open(node.child):
-        examined += len(batch)
-        for row in batch:
-            if not E.evaluate(node.filter, row):
-                continue
-            vec = row.get(node.column)
-            if vec is None:
-                continue
-            survivors.append(row)
-            vectors.append(vec)
+    if isinstance(node.child, P.SeqScan) and node.child.batch:
+        survivors, vectors, examined = qualifying_rows(
+            run, node.table, node.filter, node.column, scan=node.child
+        )
+    else:
+        examined = 0
+        survivors = []
+        vectors = []
+        for batch in run.open(node.child):
+            examined += len(batch)
+            for row in batch:
+                if not E.evaluate(node.filter, row):
+                    continue
+                vec = row.get(node.column)
+                if vec is None:
+                    continue
+                survivors.append(row)
+                vectors.append(vec)
     node.actual_examined = examined
     node.actual_matched = len(survivors)
     rows = nearest_rows(node, survivors, vectors, node.k)

@@ -26,6 +26,8 @@ from __future__ import annotations
 import struct
 import zlib
 
+import numpy as np
+
 from repro.pgsim.constants import (
     LINE_POINTER_SIZE,
     MIN_PAGE_SIZE,
@@ -203,9 +205,9 @@ class Page:
 
         One unpack of the whole line-pointer array rather than a header
         read plus a pointer read per item.  Callers that then fetch each
-        item by offset number: the tuple heap scan, VACUUM and the tuple
-        count at open (``heapam``), loser purging in WAL recovery, the
-        default index ``size_info`` and the PQ / SQ8 codec-fork loaders.
+        item by offset number: the tuple heap scan (``heapam``), loser
+        purging in WAL recovery, the default index ``size_info`` and the
+        PQ / SQ8 codec-fork loaders.
         """
         lengths = self._line_pointers()[1::2]
         return [i for i, length in enumerate(lengths, start=1) if length]
@@ -215,9 +217,11 @@ class Page:
         item, in order, from the same single read of the pointer array.
 
         For callers that slice or unpack items straight from ``buf``
-        without a per-item locator: the batch heap scan
+        without a per-item locator: the whole-row batch heap scan
         (``scan_batches``), PASE HNSW's neighbor-page reader and the
-        bridged HNSW data-fork delete.
+        bridged HNSW data-fork delete.  The column-wise heap scan, VACUUM
+        and the heap's tuple count at open read many pages' pointer
+        arrays at once with :func:`live_item_arrays`.
         """
         pointers = self._line_pointers()
         return [
@@ -303,3 +307,32 @@ class Page:
         """The whole pointer array, ``offset, length`` flattened."""
         count = max(self.item_count, 0)
         return struct.unpack_from(f"<{2 * count}H", self.buf, PAGE_HEADER_SIZE)
+
+
+_LINE_POINTER = np.dtype([("off", "<u2"), ("len", "<u2")])
+assert _LINE_POINTER.itemsize == LINE_POINTER_SIZE == _LP.size
+
+
+def live_item_arrays(pages: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`Page.live_pointers` for many pages at once.
+
+    ``pages`` is an ``(n pages, page size)`` byte matrix.  Returns the
+    page index, the 0-based item index (offset number - 1), the item's
+    byte offset within ``pages.ravel()`` and its length, for every live
+    item, in page order then offset order — one NumPy read of each
+    page's ``lower`` and line-pointer array.
+    """
+    n_pages, page_size = pages.shape
+    lower = pages[:, 12:14].copy().view("<u2")[:, 0]  # header bytes 12-13
+    counts = np.maximum((lower.astype(np.int64) - PAGE_HEADER_SIZE) // LINE_POINTER_SIZE, 0)
+    width = int(counts.max(initial=0))
+    pointers = (
+        pages[:, PAGE_HEADER_SIZE : PAGE_HEADER_SIZE + width * LINE_POINTER_SIZE]
+        .copy()
+        .view(_LINE_POINTER)
+    )
+    live = (np.arange(width) < counts[:, None]) & (pointers["len"] > 0)
+    page_idx, item_idx = np.nonzero(live)
+    found = pointers[page_idx, item_idx]
+    starts = page_idx * page_size + found["off"]
+    return page_idx, item_idx, starts, found["len"].astype(np.int64)

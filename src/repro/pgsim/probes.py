@@ -13,17 +13,19 @@ so the two schedules never perturb each other.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Collection, Sequence
 
 import numpy as np
 
 from repro.common.distance import batch_kernel
+from repro.pgsim import expr as E
 from repro.pgsim import plan as P
 from repro.pgsim.heapam import TID
 from repro.pgsim.paths import METRIC_TO_TYPE
 from repro.pgsim.sql import ast
 
 if TYPE_CHECKING:
+    from repro.pgsim.catalog import TableInfo
     from repro.pgsim.operators import PlanRun
 
 
@@ -80,6 +82,50 @@ def nearest_rows(
         rows[i]["__distance__"] = distance
         out.append(rows[i])
     return out
+
+
+def qualifying_rows(
+    run: PlanRun,
+    table: TableInfo,
+    predicate: ast.Expr,
+    column: str,
+    exclude: Collection[TID] = (),
+    scan: P.SeqScan | None = None,
+) -> tuple[list[dict[str, Any]], list[Any], int]:
+    """The batch interface's brute-force filter: the rows visible under
+    the run's snapshot that pass ``predicate``, hold a non-NULL
+    ``column`` and are not in ``exclude``.  Returns them whole (with
+    ``__tid__``), their ``column`` values, and how many visible rows
+    were examined.
+
+    One projected :meth:`~repro.pgsim.heapam.HeapTable.scan_batches`
+    reads only the predicate's columns and one
+    :func:`~repro.pgsim.expr.evaluate_batch` per chunk judges them; the
+    survivors alone are decoded whole, from the page copies the scan
+    already holds, so every heap page is pinned once.  With ``scan``
+    the chunks are accounted as that Seq Scan node's output.
+    """
+    names = table.column_names()
+    predicate_names, positions = table.projection(E.column_refs(predicate))
+    col = table.heap.column_index(column)
+    chunks = table.heap.scan_batches(run.snapshot, columns=positions)
+    if scan is not None:
+        chunks = run.drive(scan, chunks)
+    rows: list[dict[str, Any]] = []
+    vectors: list[Any] = []
+    examined = 0
+    for chunk in chunks:
+        examined += len(chunk)
+        columns = {name: chunk.columns[i] for name, i in zip(predicate_names, positions)}
+        hits = np.flatnonzero(E.evaluate_batch(predicate, columns, len(chunk)))
+        for tid, values in zip(chunk.tids(hits), chunk.decode(hits)):
+            if values[col] is None or tid in exclude:
+                continue
+            row = dict(zip(names, values))
+            row["__tid__"] = tid
+            rows.append(row)
+            vectors.append(values[col])
+    return rows, vectors, examined
 
 
 def begin_quality_probe(run: PlanRun, node: P.IndexScan) -> bool:

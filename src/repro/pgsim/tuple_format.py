@@ -236,14 +236,11 @@ def tuple_reader(schema: Schema, columns: Collection[int] | None) -> TupleReader
 
     natts = len(schema)
     wanted = frozenset(columns)
-    for i in wanted:
-        if not 0 <= i < natts:
-            raise IndexError(f"column index {i} out of range 0..{natts - 1}")
-    walked = list(schema)[: max(wanted, default=-1) + 1]
+    walked = _fixed_walk(schema, wanted)
     # Header fields 0-3 (xmin, xmax, natts, infomask), the null bitmap
     # skipped, then attributes 0..last at fields 4...
     prefix = None
-    if all(col.type_oid in _FIXED for col in walked):
+    if walked is not None:
         prefix = struct.Struct(
             _HEADER.format
             + "x" * ((natts + 7) // 8)
@@ -270,6 +267,48 @@ def tuple_reader(schema: Schema, columns: Collection[int] | None) -> TupleReader
         return decode_tuple(schema, view, wanted)
 
     return read_projected
+
+
+def _fixed_walk(schema: Schema, wanted: Collection[int]) -> list[Column] | None:
+    """Attributes ``0..max(wanted)`` — what a projection deforms — or
+    None when one of them is variable-width, so that their offsets are
+    not known from the schema alone.
+
+    Raises:
+        IndexError: for an attribute number outside the schema.
+    """
+    natts = len(schema)
+    for i in wanted:
+        if not 0 <= i < natts:
+            raise IndexError(f"column index {i} out of range 0..{natts - 1}")
+    walked = list(schema)[: max(wanted, default=-1) + 1]
+    return walked if all(col.type_oid in _FIXED for col in walked) else None
+
+
+#: The tuple header as a NumPy record, for reading many headers at once.
+HEADER_DTYPE = np.dtype([("xmin", "<u4"), ("xmax", "<u4"), ("natts", "<u2"), ("infomask", "<u2")])
+assert HEADER_DTYPE.itemsize == TUPLE_HEADER_SIZE
+
+
+def prefix_dtype(schema: Schema, columns: Collection[int]) -> np.dtype | None:
+    """:func:`tuple_reader`'s fixed-offset prefix as one NumPy record:
+    the header fields of :data:`HEADER_DTYPE`, the null bitmap, then
+    attributes ``0..max(columns)`` as fields ``a0``, ``a1``, ... at their
+    ``attcacheoff`` offsets.  The heap's page-at-a-time reader gathers it
+    from every tuple of a chunk in one call.  The fields hold a tuple's
+    values only when it has no NULLs, carries the schema's attribute
+    count and is at least ``itemsize`` bytes long.  None when a
+    variable-width attribute lies on the way.
+
+    Raises:
+        IndexError: for an attribute number outside the schema.
+    """
+    walked = _fixed_walk(schema, columns)
+    if walked is None:
+        return None
+    fields = HEADER_DTYPE.descr + [("nulls", f"V{(len(schema) + 7) // 8}")]
+    fields += [(f"a{i}", _FIXED[col.type_oid].format) for i, col in enumerate(walked)]
+    return np.dtype(fields)
 
 
 def tuple_xmin(data: bytes | memoryview) -> int:

@@ -6,7 +6,8 @@ two logical clients saw each other's uncommitted work.  This module is
 the missing piece: a per-database :class:`TransactionManager` playing
 the role of PostgreSQL's xid allocator + clog + ProcArray, plus the
 :class:`Snapshot` value and the ``HeapTupleSatisfiesMVCC``-style
-predicate (:func:`tuple_visible`) the heap AM evaluates per tuple.
+predicate the heap AM evaluates: per tuple (:func:`tuple_visible`) or
+over arrays of headers (:func:`visible_mask`).
 
 Commit-state model (the "clog"): an xid is **aborted** if ``abort()``
 was called for it, **in progress** while its :class:`Transaction` is
@@ -31,6 +32,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pgsim.heapam import HeapTable
@@ -200,6 +203,16 @@ class TransactionManager:
         with self._lock:
             return sorted(self._txns)
 
+    def clog_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(aborted, in progress)`` xids as int64 arrays, read together
+        under the lock: the commit log :func:`visible_mask` and VACUUM
+        judge a page's worth of tuples against."""
+        with self._lock:
+            return (
+                np.fromiter(self._aborted, dtype=np.int64, count=len(self._aborted)),
+                np.fromiter(self._txns, dtype=np.int64, count=len(self._txns)),
+            )
+
     # ------------------------------------------------------------------
     # undo bookkeeping (called by the heap AM)
     # ------------------------------------------------------------------
@@ -288,6 +301,55 @@ def tuple_visible(
     if xmax >= snapshot.xmax or xmax in snapshot.xip:
         return True  # deleter not yet visible to us: row still live
     return xact is not None and not xact.is_committed(xmax)
+
+
+def commit_state(
+    xact: TransactionManager | None, xids: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(aborted, committed)`` masks over ``xids``: the commit-log
+    queries :meth:`TransactionManager.is_aborted` / ``is_committed`` for
+    a whole array, from one read of the log.  Without a manager nothing
+    is aborted and everything is committed."""
+    if xact is None:
+        return np.zeros(len(xids), dtype=bool), np.ones(len(xids), dtype=bool)
+    aborted, running = xact.clog_arrays()
+    is_aborted = np.isin(xids, aborted)
+    return is_aborted, ~(is_aborted | np.isin(xids, running))
+
+
+def visible_mask(
+    xact: TransactionManager | None,
+    snapshot: Snapshot | None,
+    xmin: np.ndarray,
+    xmax: np.ndarray,
+) -> np.ndarray:
+    """:func:`tuple_visible` over arrays of headers at once: entry ``i``
+    is ``tuple_visible(xact, snapshot, xmin[i], xmax[i])``.  The heap's
+    page-at-a-time reader judges a whole chunk of pages with it."""
+    xmin = np.asarray(xmin, dtype=np.int64)
+    xmax = np.asarray(xmax, dtype=np.int64)
+    n = len(xmin)
+    __, committed = commit_state(xact, np.concatenate([xmin, xmax]))
+    committed_min, committed_max = committed[:n], committed[n:]
+    deleted = xmax != 0
+    if snapshot is None:
+        # Latest-committed: inserter committed, no committed deleter
+        # (without a manager: the historical xmax != 0 dead test).
+        if xact is None:
+            return ~deleted
+        return committed_min & ~(deleted & committed_max)
+    xip = np.fromiter(snapshot.xip, dtype=np.int64, count=len(snapshot.xip))
+    # Insertion visible: ours, or committed before the snapshot.
+    inserted = (xmin < snapshot.xmax) & ~np.isin(xmin, xip) & committed_min
+    # Deletion invisible: the deleter started after us, ran at snapshot
+    # time, or did not commit (standalone heaps: every deleter commits).
+    survives = (xmax >= snapshot.xmax) | np.isin(xmax, xip)
+    if xact is not None:
+        survives |= ~committed_max
+    if snapshot.xid:
+        inserted |= xmin == snapshot.xid
+        survives &= xmax != snapshot.xid  # we deleted it ourselves
+    return inserted & (~deleted | survives)
 
 
 def losers_after_replay(

@@ -319,6 +319,41 @@ class TestExplainAnalyzeBatch:
         assert 3 <= scanned <= 40
         assert lines[-1].startswith("Execution: 3 rows")
 
+    def test_pre_filter_child_seq_scan_keeps_its_accounting(self, db):
+        """The batch pre-filter reads its child's heap itself, column-wise.
+        The child Seq Scan still reports the visible tuples as its actual
+        rows, the per-node buffer figures still sum to the statement's,
+        and the scan pins exactly what the tuple path's scan pins."""
+        db.execute(
+            "CREATE INDEX ix ON t USING pase_ivfflat (vec) "
+            "WITH (clusters = 4, sample_ratio = 1.0, seed = 1)"
+        )
+        db.execute("DELETE FROM t WHERE id > 30")
+        db.execute("SET filtered_search_strategy = 'pre-filter'")
+        sql = (
+            "EXPLAIN (ANALYZE, BUFFERS) SELECT id FROM t WHERE id < 10 "
+            "ORDER BY vec <-> '0.0,0.0'::PASE LIMIT 5"
+        )
+        stats = db.buffer.stats
+        scan_buffers = {}
+        for mode in ("off", "on"):
+            db.execute(f"SET enable_batch_exec = {mode}")
+            before = stats.hits + stats.misses
+            lines = _lines(db, sql)
+            total = stats.hits + stats.misses - before
+            assert "actual rows=5" in next(line for line in lines if "Pre-Filter Scan" in line)
+            at = next(i for i, line in enumerate(lines) if "Seq Scan" in line)
+            assert "actual rows=31" in lines[at]
+            buffers = [
+                sum(int(part.split("=")[1]) for part in line.split()[1:])
+                for line in lines
+                if "Buffers:" in line
+            ]
+            assert sum(buffers) == total
+            scan_buffers[mode] = lines[at + 1]
+        assert "Buffers: hits=" in scan_buffers["on"]
+        assert scan_buffers["on"] == scan_buffers["off"]
+
     @pytest.mark.parametrize(
         "sql",
         [

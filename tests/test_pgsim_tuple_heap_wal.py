@@ -166,10 +166,11 @@ class TestHeapTable:
 
     @pytest.mark.parametrize("columns", [(), (0,), (1,), (0, 1), (2,), (1, 3), (0, 1, 2, 3)])
     def test_projection_matches_full_decode(self, schema, columns):
-        """``fetch_many`` / ``scan_batches`` with ``columns`` return the
-        full rows with every other attribute None — for tuples with and
-        without NULLs, fixed prefixes and varlenas on the way — with the
-        same visibility, pins and ``tuples_fetched`` as a full read."""
+        """``fetch_many`` with ``columns`` returns the full rows with
+        every other attribute None, and ``scan_batches`` the same values
+        column-wise — for tuples with and without NULLs, fixed prefixes
+        and varlenas on the way — with the same visibility, pins and
+        ``tuples_fetched`` as a full read."""
         buffer = BufferManager(MemoryDisk(page_size=1024), capacity=32)
         table = HeapTable("p", schema, buffer)
         vec = np.arange(3, dtype=np.float32)
@@ -195,15 +196,26 @@ class TestHeapTable:
         assert some_cost == full_cost
         assert [repr(project(row)) for row in full] == [repr(row) for row in some]
         pages, pages_cost = counted(lambda: list(table.scan_batches()))
-        projected, projected_cost = counted(lambda: list(table.scan_batches(columns=columns)))
+
+        def column_wise():
+            rows = []
+            for chunk in table.scan_batches(columns=columns):
+                values = {i: chunk.values(i) for i in columns}
+                for j, tid in enumerate(chunk.tids()):
+                    rows.append((tid, [values[i][j] if i in columns else None for i in range(4)]))
+            return rows
+
+        projected, projected_cost = counted(column_wise)
         assert projected_cost == pages_cost
-        assert [[(tid, repr(project(v))) for tid, v in page] for page in pages] == [
-            [(tid, repr(v)) for tid, v in page] for page in projected
+        assert [(tid, repr(project(v))) for page in pages for tid, v in page] == [
+            (tid, repr(v)) for tid, v in projected
         ]
         with pytest.raises(IndexError):
             table.fetch_many([TID(0, 999)], columns=columns)
         with pytest.raises(IndexError):
             table.fetch_many(tids[:1], columns=(4,))
+        with pytest.raises(IndexError):
+            next(table.scan_batches(columns=(4,)))
 
 
 class TestWalRecovery:

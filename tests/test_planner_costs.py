@@ -75,6 +75,60 @@ class TestAnalyze:
         with pytest.raises(Exception):
             db.execute("ANALYZE nope")
 
+    def test_column_wise_analyze_matches_row_at_a_time_stats(self):
+        """ANALYZE reads only the scalar columns, page-at-a-time.  On a
+        table with NULLs, a TEXT column, scalars stored after the vector,
+        deleted, updated and aborted rows, its ``pg_stats`` /
+        ``pg_stat_user_tables`` rows are the ones the row-at-a-time
+        ANALYZE over ``heap.scan()`` produced (recorded below), and its
+        joint-selectivity sample is every live row's scalar columns."""
+        db = PgSimDatabase()
+        db.execute(
+            "CREATE TABLE t (id int, score real, name text, vec float[], big bigint, w float8)"
+        )
+        for i in range(40):
+            score = "NULL" if i % 7 == 0 else f"{(i * 37) % 50 / 4}"
+            name = "NULL" if i % 5 == 0 else f"'n{i % 9}'"
+            w = "NULL" if i % 11 == 3 else f"{(i * 13) % 17 - 8.5}"
+            db.execute(
+                f"INSERT INTO t VALUES ({i}, {score}, {name}, '{i}.0,1.0'::PASE, "
+                f"{i * 1000003 % 97}, {w})"
+            )
+        db.execute("DELETE FROM t WHERE id > 10 AND id < 20")
+        db.execute("UPDATE t SET name = 'moved' WHERE id > 35")
+        writer = db.session("writer")
+        writer.execute("BEGIN")
+        writer.execute("INSERT INTO t VALUES (500, 1.5, 'gone', '1.0,1.0'::PASE, 5, 2.5)")
+        writer.execute("ROLLBACK")
+        db.execute("ANALYZE t")
+        assert db.execute("SELECT * FROM pg_stats").rows == [
+            ("t", "big", 0.0, 31, None, None,
+             "{0,4,6,9,11,13,16,18,20,23,27,30,34,41,43,46,48,50,53,57,60,64,71,73,76,78,"
+             "80,83,87,90,94}", 0.043145),
+            ("t", "id", 0.0, 31, None, None,
+             "{0,1,2,3,4,5,6,7,8,9,10,20,21,22,23,24,25,26,27,28,29,30,31,32,33,34,35,36,"
+             "37,38,39}", 1.0),
+            ("t", "name", 0.22580645161290322, 10, "{moved,n4,n6,n1,n2,n3,n7,n8,n0,n5}",
+             "{0.129032,0.0967742,0.0967742,0.0645161,0.0645161,0.0645161,0.0645161,"
+             "0.0645161,0.0645161,0.0645161}", None, -0.305578),
+            ("t", "score", 0.16129032258064516, 26, None, None,
+             "{0.25,1.5,2.0,2.5,2.75,3.0,3.5,4.75,5.0,5.25,5.5,5.75,6.0,6.25,8.0,8.25,8.5,"
+             "8.75,9.25,9.5,10.0,10.75,11.5,11.75,12.0,12.25}", -0.19453),
+            ("t", "w", 0.0967741935483871, 17, "{-7.5,5.5,-8.5,4.5,1.5,-2.5,6.5,2.5,-3.5}",
+             "{0.0967742,0.0967742,0.0645161,0.0645161,0.0645161,0.0645161,0.0645161,"
+             "0.0645161,0.0645161}", "{-6.5,-5.5,-4.5,-1.5,-0.5,0.5,3.5,7.5}", 0.019471),
+        ]
+        user_tables = db.execute(
+            "SELECT relname, reltuples, relpages, n_live_tup, n_dead_tup, n_tup_upd, "
+            "vacuum_count, autovacuum_count FROM pg_stat_user_tables"
+        ).rows
+        assert user_tables == [("t", 31.0, 1, 31, 14, 4, 0, 0)]
+        table = db.catalog.table("t")
+        assert table.stats.sample == [
+            {col.name: values[i] for i, col in enumerate(table.columns) if col.name != "vec"}
+            for __, values in table.heap.scan()
+        ]
+
 
 class TestSelectivity:
     def test_range_estimates_track_truth(self, analyzed_db):
