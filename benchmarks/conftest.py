@@ -16,6 +16,8 @@ import pytest
 
 from repro.common.datasets import Dataset, load_dataset
 from repro.common.obs import write_bench_json
+from repro.common.profiling import Profiler
+from repro.common.types import BuildStats
 from repro.core.study import ComparativeStudy, GeneralizedVectorDB, SpecializedVectorDB
 
 #: Scale relative to the paper's dataset sizes (SIFT1M -> 1000 rows).
@@ -27,6 +29,9 @@ HNSW_SCALE = 6e-4
 IVF_PARAMS = {"clusters": 24, "sample_ratio": 0.25, "seed": 42}
 PQ_PARAMS = {"clusters": 24, "m": 16, "c_pq": 32, "sample_ratio": 0.5, "seed": 42}
 HNSW_PARAMS = {"bnn": 12, "efb": 32, "seed": 42}
+
+#: PASE/Faiss build pairs behind each paired HNSW build-time gate.
+BUILD_PAIRS = 3
 
 K = 20
 NPROBE = 8
@@ -69,6 +74,26 @@ def pq_study(sift) -> ComparativeStudy:
 @pytest.fixture(scope="session")
 def hnsw_study(sift_hnsw) -> ComparativeStudy:
     return build_study(sift_hnsw, "hnsw", HNSW_PARAMS)
+
+
+def alternating_hnsw_builds(
+    dataset: Dataset, profiled: bool = False
+) -> list[dict[str, tuple[BuildStats, Profiler | None]]]:
+    """:data:`BUILD_PAIRS` PASE and Faiss HNSW builds of ``dataset`` in
+    this process, alternating which engine builds first, so that a slow
+    spell on a shared machine lands on both sides of a ratio.  Returns,
+    per pair, engine name -> (build stats, its profiler when ``profiled``)."""
+    engines = {"PASE": GeneralizedVectorDB, "Faiss": SpecializedVectorDB}
+    out = []
+    for i in range(BUILD_PAIRS):
+        pair = {}
+        for name in ("PASE", "Faiss") if i % 2 == 0 else ("Faiss", "PASE"):
+            profiler = Profiler() if profiled else None
+            engine = engines[name](profiler=profiler)
+            engine.load(dataset.base)
+            pair[name] = (engine.create_index("hnsw", **HNSW_PARAMS), profiler)
+        out.append(pair)
+    return out
 
 
 def search_batch(engine, queries, k=K, **opts) -> None:

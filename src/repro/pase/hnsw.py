@@ -50,6 +50,9 @@ from repro.pgsim.page import Page, PageFullError
 #: pointer ("virtual link") plays in PASE.
 _NEIGHBOR = struct.Struct("<QIIH6x")
 assert _NEIGHBOR.size == 24
+#: The same tuple with only its node id decoded (the neighbor reader's unit).
+_NEIGHBOR_ID = "Q16x"
+assert struct.calcsize("<" + _NEIGHBOR_ID) == _NEIGHBOR.size
 
 _DATA_HEAD = struct.Struct("<IIHH")  # node id, heap blkno, heap offset, level
 _NEXT = struct.Struct("<I")
@@ -127,47 +130,50 @@ class PageGraphStore:
     # GraphStore protocol
     # ------------------------------------------------------------------
     def vector(self, node: int) -> np.ndarray:
-        meta = self._nodes[node]
-        with self.buffer.page(self.data_rel, meta.data_blkno) as page:
-            view = page.get_item_view(meta.data_offset)
-            return np.frombuffer(view, dtype=np.float32, offset=_DATA_HEAD.size).copy()
+        return self.vectors([node])[0]
 
     def vectors(self, nodes: Sequence[int]) -> np.ndarray:
         # One buffer-manager round trip per vector: PASE cannot gather
         # with a single pointer dereference the way Faiss does (RC#2).
-        out = np.empty((len(nodes), self.am.dim), dtype=np.float32)
-        buffer = self.buffer
-        rel = self.data_rel
-        for i, node in enumerate(nodes):
-            meta = self._nodes[node]
+        # Under each pin the line pointer is read and the vector bytes
+        # copied out; the copies are decoded as one matrix afterwards.
+        buffer, rel, metas = self.buffer, self.data_rel, self._nodes
+        head = _DATA_HEAD.size
+        parts: list[bytearray] = []
+        for node in nodes:
+            meta = metas[node]
             frame = buffer.pin(rel, meta.data_blkno)
             try:
-                view = frame.page.get_item_view(meta.data_offset)
-                out[i] = np.frombuffer(view, dtype=np.float32, offset=_DATA_HEAD.size)
+                page = frame.page
+                off, length = page.item_bounds(meta.data_offset)
+                parts.append(page.buf[off + head : off + length])
             finally:
                 buffer.unpin(frame)
-        return out
+        matrix = np.frombuffer(b"".join(parts), dtype=np.float32)
+        return matrix.reshape(len(parts), self.am.dim)
 
     def neighbors(self, node: int, level: int) -> list[int]:
-        # Per neighbor page: one pin, one read of its line-pointer array
-        # and one unpack per 24-byte tuple.  The pages are only ever
-        # rewritten whole (never ``delete_item``'d), so every item is live.
+        # Per neighbor page: one pin, one header read and one unpack of
+        # the tuple area.  The pages are only ever rewritten whole (never
+        # ``delete_item``'d), so the area is exactly the page's items,
+        # last item first.
         meta = self._nodes[node]
         if level >= len(meta.neighbor_heads):
             return []
         ids: list[int] = []
-        unpack = _NEIGHBOR.unpack_from
-        next_at = self._next_at
+        buffer, rel = self.buffer, self.neighbor_rel
         blkno = meta.neighbor_heads[level]
         while blkno != _NO_BLOCK:
-            frame = self.buffer.pin(self.neighbor_rel, blkno)
+            frame = buffer.pin(rel, blkno)
             try:
                 page = frame.page
-                buf = page.buf
-                ids += [unpack(buf, off)[0] for __, off, __ in page.live_pointers()]
-                (blkno,) = _NEXT.unpack_from(buf, next_at)
+                lower, upper, special = page.bounds()
+                n = (lower - PAGE_HEADER_SIZE) // LINE_POINTER_SIZE
+                assert special - upper == _NEIGHBOR.size * n, f"{rel} page {blkno} is not packed"
+                ids += struct.unpack_from("<" + _NEIGHBOR_ID * n, page.buf, upper)[::-1]
+                (blkno,) = _NEXT.unpack_from(page.buf, special)
             finally:
-                self.buffer.unpin(frame)
+                buffer.unpin(frame)
         return ids
 
     def set_neighbors(self, node: int, level: int, ids: Sequence[int]) -> None:
@@ -272,11 +278,7 @@ class PageGraphStore:
 
     def heap_tid(self, node: int) -> TID:
         """Read back the heap TID stored in a node's data tuple."""
-        meta = self._nodes[node]
-        with self.buffer.page(self.data_rel, meta.data_blkno) as page:
-            view = page.get_item_view(meta.data_offset)
-            __, heap_blk, heap_off, __ = _DATA_HEAD.unpack_from(view, 0)
-            return TID(heap_blk, heap_off)
+        return self.heap_tids([node])[0]
 
     def heap_tids(self, nodes: Sequence[int]) -> list[TID]:
         """Batched :meth:`heap_tid`: one buffer pin per data block."""
@@ -287,8 +289,8 @@ class PageGraphStore:
         for blkno, positions in by_block.items():
             with self.buffer.page(self.data_rel, blkno) as page:
                 for i in positions:
-                    view = page.get_item_view(self._nodes[nodes[i]].data_offset)
-                    __, heap_blk, heap_off, __ = _DATA_HEAD.unpack_from(view, 0)
+                    off, __ = page.item_bounds(self._nodes[nodes[i]].data_offset)
+                    __, heap_blk, heap_off, __ = _DATA_HEAD.unpack_from(page.buf, off)
                     out[i] = TID(heap_blk, heap_off)
         return out  # type: ignore[return-value]
 

@@ -37,6 +37,7 @@ from repro.pgsim.constants import (
 _HEADER = struct.Struct("<QHHHHHHI")  # lsn, checksum, flags, lower, upper, special, version, prune_xid
 _BOUNDS = struct.Struct("<HHH")  # lower, upper, special (header bytes 12-17)
 _LP = struct.Struct("<HH")  # offset, length
+_LOWER = struct.Struct("<H")  # lower (header bytes 12-13)
 
 #: Page layout version written into every header.
 PAGE_VERSION = 4
@@ -170,23 +171,34 @@ class Page:
         self.upper = new_upper
         return self.item_count
 
-    def get_item(self, offset_number: int) -> bytes:
-        """Fetch an item by 1-based offset number.
+    def item_bounds(self, offset_number: int) -> tuple[int, int]:
+        """``(item offset, item length)`` of a live item by 1-based
+        offset number: the one per-item locator every item accessor
+        slices over, with one read of ``lower`` and one of the pointer.
 
         Raises:
             IndexError: for out-of-range offsets.
             PageCorruptError: for dead (deleted) items.
         """
-        off, length = self._pointer(offset_number)
+        buf = self.buf
+        count = (_LOWER.unpack_from(buf, 12)[0] - PAGE_HEADER_SIZE) // LINE_POINTER_SIZE
+        if not 1 <= offset_number <= count:
+            raise IndexError(f"offset number {offset_number} out of range 1..{count}")
+        off, length = _LP.unpack_from(
+            buf, PAGE_HEADER_SIZE + (offset_number - 1) * LINE_POINTER_SIZE
+        )
         if length == 0:
             raise PageCorruptError(f"item {offset_number} is dead")
+        return off, length
+
+    def get_item(self, offset_number: int) -> bytes:
+        """Copy of an item, located by :meth:`item_bounds`."""
+        off, length = self.item_bounds(offset_number)
         return bytes(self.buf[off : off + length])
 
     def get_item_view(self, offset_number: int) -> memoryview:
         """Zero-copy view of an item (valid while the page is pinned)."""
-        off, length = self._pointer(offset_number)
-        if length == 0:
-            raise PageCorruptError(f"item {offset_number} is dead")
+        off, length = self.item_bounds(offset_number)
         return memoryview(self.buf)[off : off + length]
 
     def delete_item(self, offset_number: int) -> None:
@@ -218,10 +230,10 @@ class Page:
 
         For callers that slice or unpack items straight from ``buf``
         without a per-item locator: the whole-row batch heap scan
-        (``scan_batches``), PASE HNSW's neighbor-page reader and the
-        bridged HNSW data-fork delete.  The column-wise heap scan, VACUUM
-        and the heap's tuple count at open read many pages' pointer
-        arrays at once with :func:`live_item_arrays`.
+        (``scan_batches``) and the bridged HNSW data-fork delete.  The
+        column-wise heap scan, VACUUM and the heap's tuple count at open
+        read many pages' pointer arrays at once with
+        :func:`live_item_arrays`.
         """
         pointers = self._line_pointers()
         return [

@@ -67,6 +67,28 @@ class SqlSyntaxError(ValueError):
         self.pos = pos
 
 
+def _string_literal(sql: str, i: int) -> tuple[str, int, int]:
+    """Scan the ``'...'`` literal opening at ``sql[i]``.
+
+    Returns ``(value, token position, index of the closing quote)``.  It
+    jumps from quote to quote, since a vector literal runs to ~1 000
+    characters.  A doubled quote is an escaped one; the position moves
+    to the second quote of the last such pair, and an unterminated
+    literal is reported there too.
+    """
+    parts: list[str] = []
+    while True:
+        end = sql.find("'", i + 1)
+        if end < 0:
+            raise SqlSyntaxError("unterminated string literal", sql, i)
+        if not sql.startswith("'", end + 1):
+            break
+        parts.append(sql[i + 1 : end + 1])
+        i = end + 1
+    parts.append(sql[i + 1 : end])
+    return "".join(parts), i, end
+
+
 def tokenize(sql: str) -> list[Token]:
     """Scan ``sql`` into tokens (always ends with an EOF token)."""
     tokens: list[Token] = []
@@ -82,21 +104,8 @@ def tokenize(sql: str) -> list[Token]:
             i = n if nl < 0 else nl + 1
             continue
         if ch == "'":
-            end = i + 1
-            parts: list[str] = []
-            while True:
-                if end >= n:
-                    raise SqlSyntaxError("unterminated string literal", sql, i)
-                if sql[end] == "'":
-                    if end + 1 < n and sql[end + 1] == "'":  # escaped quote
-                        parts.append(sql[i + 1 : end + 1])
-                        i = end + 1
-                        end += 2
-                        continue
-                    break
-                end += 1
-            parts.append(sql[i + 1 : end])
-            tokens.append(Token(TokenType.STRING, "".join(parts), i))
+            value, pos, end = _string_literal(sql, i)
+            tokens.append(Token(TokenType.STRING, value, pos))
             i = end + 1
             continue
         if ch == '"':  # quoted identifier

@@ -1,13 +1,17 @@
 """Tests for PASE HNSW (page graph store) and the pgvector comparator."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.common.metrics import mean_recall_at_k
 from repro.common.profiling import Profiler
-from repro.pase.hnsw import _NEIGHBOR, _NEXT, _NO_BLOCK, PageGraphStore
+from repro.pase.hnsw import _DATA_HEAD, _NEIGHBOR, _NEXT, _NO_BLOCK, PageGraphStore
 from repro.pgsim import PgSimDatabase
-from repro.pgsim.page import Page
+from repro.pgsim.page import Page, PageCorruptError
 
 
 def _ids(db, am, query, k):
@@ -119,8 +123,9 @@ def _bare_store(page_size, nodes):
     am = db.catalog.find_index("ix").am
     am.dim = 4
     store = am._new_store()
-    for i in range(nodes):
-        store.add_node(np.full(4, i, dtype=np.float32), level=i % 3)
+    vecs = np.random.default_rng(nodes).standard_normal((nodes, 4)).astype(np.float32)
+    for i, vec in enumerate(vecs):
+        store.add_node(vec, level=i % 3)
     return db, store
 
 
@@ -137,13 +142,82 @@ def _reference_page(store, ids, next_blk):
     return bytes(page.buf)
 
 
-def _chain(store, node):
-    blkno, chain = store._nodes[node].neighbor_heads[0], []
+def _chain(store, node, level=0):
+    blkno, chain = store._nodes[node].neighbor_heads[level], []
     while blkno != _NO_BLOCK:
         chain.append(blkno)
         with store.buffer.page(store.neighbor_rel, blkno) as page:
             (blkno,) = _NEXT.unpack(page.read_special())
     return chain
+
+
+def _reference_neighbors(store, node, level=0):
+    """A list decoded the slow way: one unpack per live pointer of
+    every page in the chain."""
+    ids = []
+    for blkno in _chain(store, node, level):
+        with store.buffer.page(store.neighbor_rel, blkno) as page:
+            ids += [_NEIGHBOR.unpack_from(page.buf, off)[0] for __, off, __ in page.live_pointers()]
+    return ids
+
+
+def _reference_vectors(store, nodes):
+    """Per-item decode through ``get_item_view``, stacked."""
+    out = np.empty((len(nodes), store.am.dim), dtype=np.float32)
+    for i, node in enumerate(nodes):
+        meta = store._nodes[node]
+        with store.buffer.page(store.data_rel, meta.data_blkno) as page:
+            view = page.get_item_view(meta.data_offset)
+            out[i] = np.frombuffer(view, dtype=np.float32, offset=_DATA_HEAD.size)
+    return out
+
+
+@functools.cache
+def _read_only_store(page_size):
+    """A store the vector-reader properties share (they never write)."""
+    return _bare_store(page_size, 40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([256, 8192]), st.lists(st.integers(0, 39), max_size=30))
+@example(256, [])
+@example(8192, [7, 7, 0, 39, 7])
+def test_vectors_equal_per_item_decode(page_size, nodes):
+    """The gather is the stacked per-item decode, duplicates and the
+    empty list included, at one pin per requested vector."""
+    db, store = _read_only_store(page_size)
+    want = _reference_vectors(store, nodes)
+    pins = _pins(db)
+    got = store.vectors(nodes)
+    assert _pins(db) - pins == len(nodes)
+    assert got.shape == (len(nodes), 4) and got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+    assert db.buffer.pinned_pages() == 0
+
+
+@pytest.mark.parametrize("page_size", [256, 8192])
+def test_data_readers_raise_like_get_item_view(page_size):
+    """A dead or out-of-range data item fails every reader with the
+    exception ``get_item_view`` raises, and leaves nothing pinned."""
+    db, store = _bare_store(page_size, 6)
+    meta = store._nodes[3]
+    pins = _pins(db)
+    assert store.heap_tid(3) == store.heap_tids([3])[0]
+    assert _pins(db) - pins == 2  # one data-page pin per lookup
+    for bad_offset, error in ((meta.data_offset, PageCorruptError), (999, IndexError)):
+        with db.buffer.page(store.data_rel, meta.data_blkno, dirty=True) as page:
+            if error is PageCorruptError:
+                page.delete_item(meta.data_offset)
+            with pytest.raises(error):
+                page.get_item_view(bad_offset)
+        meta.data_offset = bad_offset
+        for read in (store.vectors, store.heap_tids):
+            with pytest.raises(error):
+                read([1, 3])
+        for read in (store.vector, store.heap_tid):
+            with pytest.raises(error):
+                read(3)
+        assert db.buffer.pinned_pages() == 0
 
 
 class TestNeighborPages:
@@ -175,9 +249,41 @@ class TestNeighborPages:
                 chunk = ids[i * per_page : (i + 1) * per_page]
                 with db.buffer.page(store.neighbor_rel, blkno) as page:
                     assert bytes(page.buf) == _reference_page(store, chunk, next_blk), (n, i)
+            assert _reference_neighbors(store, node) == ids
             pins = _pins(db)
             assert store.neighbors(node, 0) == ids
             assert _pins(db) - pins == len(chain)
+
+    @settings(max_examples=25, deadline=None)
+    @given(page_size=st.sampled_from([256, 8192]), data=st.data())
+    def test_reader_matches_live_pointer_decode(self, page_size, data):
+        """Any level's list, grown then shrunk through random lengths
+        across chained pages, reads back as its live-pointer decode at
+        one pin per chain page."""
+        per_page = (page_size - 24 - _NEXT.size) // 28
+        db, store = _bare_store(page_size, 2 * per_page + 3)
+        node, level = 2, data.draw(st.integers(0, 2))  # node 2 has levels 0..2
+        others = [i for i in range(store.node_count()) if i != node]
+        lengths = data.draw(st.lists(st.integers(0, 2 * per_page + 2), min_size=1, max_size=5))
+        for n in sorted(lengths) + sorted(lengths, reverse=True):
+            ids = data.draw(st.permutations(others))[:n]
+            store.set_neighbors(node, level, ids)
+            pins = _pins(db)
+            got = store.neighbors(node, level)
+            assert _pins(db) - pins == len(_chain(store, node, level))
+            assert got == _reference_neighbors(store, node, level) == ids
+
+    def test_reader_rejects_an_unpacked_page(self):
+        """A neighbor page whose tuple area is not exactly its items
+        fails the reader's layout check instead of decoding garbage."""
+        db, store = _bare_store(256, 6)
+        store.set_neighbors(0, 0, [1, 2, 3])
+        (head,) = _chain(store, 0)
+        with db.buffer.page(store.neighbor_rel, head, dirty=True) as page:
+            page.upper -= 4
+        with pytest.raises(AssertionError, match="not packed"):
+            store.neighbors(0, 0)
+        assert db.buffer.pinned_pages() == 0
 
 
 class TestPgVector:

@@ -77,6 +77,20 @@ class TestItems:
         with pytest.raises(IndexError):
             page.get_item(2)
 
+    def test_item_bounds_is_every_accessors_locator(self, page):
+        page.insert_item(b"abc")
+        page.insert_item(b"de")
+        off, length = page.item_bounds(2)
+        assert bytes(page.buf[off : off + length]) == page.get_item(2) == b"de"
+        assert bytes(page.get_item_view(2)) == b"de"
+        page.delete_item(1)
+        for accessor in (page.item_bounds, page.get_item, page.get_item_view):
+            with pytest.raises(PageCorruptError):
+                accessor(1)
+            for offset_number in (0, 3):
+                with pytest.raises(IndexError):
+                    accessor(offset_number)
+
     def test_item_view_is_zero_copy(self, page):
         page.insert_item(b"abcd")
         view = page.get_item_view(1)

@@ -1,10 +1,14 @@
 """Tests for the SQL lexer, parser, and expression evaluator."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.pgsim import expr as E
-from repro.pgsim.sql import ast, parse_sql
+from repro.pgsim.sql import ast, lexer, parse_sql
 from repro.pgsim.sql.lexer import SqlSyntaxError, TokenType, tokenize
 
 
@@ -53,6 +57,54 @@ class TestLexer:
     def test_unexpected_character(self):
         with pytest.raises(SqlSyntaxError):
             tokenize("SELECT @")
+
+
+def _reference_string_literal(sql, i):
+    """The character-at-a-time literal scan the lexer's quote-to-quote
+    ``_string_literal`` replaced, kept verbatim as its oracle."""
+    n = len(sql)
+    end = i + 1
+    parts = []
+    while True:
+        if end >= n:
+            raise SqlSyntaxError("unterminated string literal", sql, i)
+        if sql[end] == "'":
+            if end + 1 < n and sql[end + 1] == "'":  # escaped quote
+                parts.append(sql[i + 1 : end + 1])
+                i = end + 1
+                end += 2
+                continue
+            break
+        end += 1
+    parts.append(sql[i + 1 : end])
+    return "".join(parts), i, end
+
+
+def _lex_outcome(sql):
+    """Every token's (type, value, pos), or the error's message and pos."""
+    try:
+        return [(t.type, t.value, t.pos) for t in tokenize(sql)]
+    except SqlSyntaxError as exc:
+        return ("error", str(exc), exc.pos)
+
+
+_SQL_FRAGMENTS = st.lists(
+    st.sampled_from(
+        ["'", "''", "'''", "--", "\n", " ", "a", "it", "1.5,-2e3", "::PASE", '"', "<->", "@"]
+    ),
+    max_size=24,
+).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_SQL_FRAGMENTS, st.text(alphabet="'-\n a1,\"", max_size=40)))
+def test_string_literal_scan_matches_character_loop(sql):
+    """Quote-to-quote scanning changes no token, value, position or
+    error message: escapes, unterminated literals and comments included."""
+    got = _lex_outcome(sql)
+    with mock.patch.object(lexer, "_string_literal", _reference_string_literal):
+        want = _lex_outcome(sql)
+    assert got == want
 
 
 class TestParser:
