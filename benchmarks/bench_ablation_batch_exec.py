@@ -14,7 +14,11 @@ Run with::
 
 import time
 
-from conftest import EFS, K, N_QUERIES, NPROBE
+from repro.bench import SMOKE
+
+K, NPROBE, EFS, N_QUERIES = (
+    SMOKE.search.k, SMOKE.search.nprobe, SMOKE.search.efs, SMOKE.search.n_queries
+)
 
 
 def _search_all(engine, queries, **opts) -> list[list[int]]:

@@ -11,8 +11,11 @@ import time
 
 import pytest
 
-from conftest import IVF_PARAMS, K, N_QUERIES, NPROBE
+from repro.bench import SMOKE
 from repro.core.study import GeneralizedVectorDB
+
+IVF_PARAMS = dict(SMOKE.params["ivf_flat"])
+K, NPROBE, N_QUERIES = SMOKE.search.k, SMOKE.search.nprobe, SMOKE.search.n_queries
 
 
 def _engine(sift, pool_pages):

@@ -8,8 +8,11 @@ like gaps (sequential access pattern) with 4x smaller code payloads.
 
 import pytest
 
-from conftest import IVF_PARAMS, K, N_QUERIES, NPROBE
+from repro.bench import SMOKE
 from repro.core.study import ComparativeStudy
+
+IVF_PARAMS = dict(SMOKE.params["ivf_flat"])
+K, NPROBE, N_QUERIES = SMOKE.search.k, SMOKE.search.nprobe, SMOKE.search.n_queries
 
 
 @pytest.fixture(scope="module")

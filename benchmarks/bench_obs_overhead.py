@@ -12,8 +12,11 @@ target (CI timers are noisy) and the measured ratios land in
 
 import time
 
-from conftest import K, N_QUERIES, NPROBE, emit_bench
+from conftest import emit_bench
+from repro.bench import SMOKE
 from repro.common.profiling import DEFAULT_MAX_SPANS, NULL_PROFILER, Profiler
+
+K, NPROBE, N_QUERIES = SMOKE.search.k, SMOKE.search.nprobe, SMOKE.search.n_queries
 
 REPEATS = 7
 

@@ -1,5 +1,10 @@
 """Command-line entry point: ``repro-bench`` / ``python -m repro.bench``.
 
+Each experiment prints its rows, then one verdict per shape
+predicate (measured value, bound, ✓/✗).  A ✗ is a finding recorded in
+EXPERIMENTS.md, not a failure: the exit code stays 0.  The smoke-scale
+gates that must hold are ``benchmarks/bench_paper_figures.py``.
+
 Examples::
 
     repro-bench --list
@@ -15,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 
@@ -74,6 +80,49 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _demo_vector(rng, dim: int) -> str:
+    return "[" + ",".join(f"{rng.random():.5f}" for _ in range(dim)) + "]"
+
+
+def _demo(argv: list[str], command: str, description: str, out_help: str):
+    """Parse a demo subcommand's options and load its ``<command>_demo``
+    table (``--rows`` seeded random vectors under a ``pase_ivfflat``
+    index); returns ``(args, rng, db)``."""
+    import random
+
+    from repro.pgsim.database import PgSimDatabase
+
+    parser = argparse.ArgumentParser(prog=f"repro-bench {command}", description=description)
+    parser.add_argument("--out", default=None, help=out_help)
+    parser.add_argument("--rows", type=int, default=200, help="demo table size")
+    parser.add_argument("--dim", type=int, default=16, help="vector dimensionality")
+    parser.add_argument("--queries", type=int, default=20, help="top-k queries to run")
+    args = parser.parse_args(argv)
+
+    rng = random.Random(42)
+    db = PgSimDatabase()
+    table = f"{command}_demo"
+    db.execute(f"CREATE TABLE {table} (id int, v float[])")
+    for i in range(args.rows):
+        db.execute(f"INSERT INTO {table} VALUES ({i}, '{_demo_vector(rng, args.dim)}')")
+    db.execute(
+        f"CREATE INDEX {table}_idx ON {table} "
+        "USING pase_ivfflat (v) WITH (clustering_sample_ratio = 1)"
+    )
+    return args, rng, db
+
+
+def _emit(text: str, out: str | None, summary: str) -> None:
+    """Write ``text`` to ``out`` and print ``summary``, or print ``text``."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    path = Path(out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    print(summary.format(path=path))
+
+
 def _metrics_main(argv: list[str]) -> int:
     """``repro-bench metrics``: exercise a tiny workload and scrape it.
 
@@ -83,50 +132,23 @@ def _metrics_main(argv: list[str]) -> int:
     parser, and prints it (or writes it with ``--out``).  CI runs this
     once per build to prove the scrape endpoint stays parseable.
     """
-    import random
-
     from repro.common.metrics_export import parse_exposition
-    from repro.pgsim.database import PgSimDatabase
 
-    parser = argparse.ArgumentParser(
-        prog="repro-bench metrics",
-        description="Scrape a demo workload's metrics in Prometheus text format.",
-    )
-    parser.add_argument("--out", default=None, help="write the exposition to this file")
-    parser.add_argument("--rows", type=int, default=200, help="demo table size")
-    parser.add_argument("--dim", type=int, default=16, help="vector dimensionality")
-    parser.add_argument("--queries", type=int, default=20, help="top-k queries to run")
-    args = parser.parse_args(argv)
-
-    rng = random.Random(42)
-    db = PgSimDatabase()
-    db.execute("CREATE TABLE metrics_demo (id int, v float[])")
-    for i in range(args.rows):
-        vec = "[" + ",".join(f"{rng.random():.5f}" for _ in range(args.dim)) + "]"
-        db.execute(f"INSERT INTO metrics_demo VALUES ({i}, '{vec}')")
-    db.execute(
-        "CREATE INDEX metrics_demo_idx ON metrics_demo "
-        "USING pase_ivfflat (v) WITH (clustering_sample_ratio = 1)"
+    args, rng, db = _demo(
+        argv, "metrics", "Scrape a demo workload's metrics in Prometheus text format.",
+        "write the exposition to this file",
     )
     db.execute("SET vector_quality_probe_rate = 0.5")
     db.execute("SET log_min_duration_statement = 0")
     for __ in range(args.queries):
-        q = "[" + ",".join(f"{rng.random():.5f}" for _ in range(args.dim)) + "]"
+        q = _demo_vector(rng, args.dim)
         db.query(f"SELECT id FROM metrics_demo ORDER BY v <-> '{q}' LIMIT 10")
     db.execute("DELETE FROM metrics_demo WHERE id < 20")
     db.execute("VACUUM metrics_demo")
 
     text = db.metrics_text()
     exposition = parse_exposition(text)  # raises on malformed output
-    if args.out:
-        from pathlib import Path
-
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-        print(f"wrote {len(exposition.samples)} samples to {out}")
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out, f"wrote {len(exposition.samples)} samples to {{path}}")
     return 0
 
 
@@ -140,30 +162,11 @@ def _report_main(argv: list[str]) -> int:
     (``sample_once``/``tick``) instead of by the background thread so
     the demo is deterministic and fast.
     """
-    import random
-
     from repro.bench.report import build_report
-    from repro.pgsim.database import PgSimDatabase
 
-    parser = argparse.ArgumentParser(
-        prog="repro-bench report",
-        description="Render a demo workload's observability report.",
-    )
-    parser.add_argument("--out", default=None, help="write the report to this file")
-    parser.add_argument("--rows", type=int, default=200, help="demo table size")
-    parser.add_argument("--dim", type=int, default=16, help="vector dimensionality")
-    parser.add_argument("--queries", type=int, default=20, help="top-k queries to run")
-    args = parser.parse_args(argv)
-
-    rng = random.Random(42)
-    db = PgSimDatabase()
-    db.execute("CREATE TABLE report_demo (id int, v float[])")
-    for i in range(args.rows):
-        vec = "[" + ",".join(f"{rng.random():.5f}" for _ in range(args.dim)) + "]"
-        db.execute(f"INSERT INTO report_demo VALUES ({i}, '{vec}')")
-    db.execute(
-        "CREATE INDEX report_demo_idx ON report_demo "
-        "USING pase_ivfflat (v) WITH (clustering_sample_ratio = 1)"
+    args, rng, db = _demo(
+        argv, "report", "Render a demo workload's observability report.",
+        "write the report to this file",
     )
     db.execute("SET vector_quality_probe_rate = 0.5")
     db.execute("SET estimation_probe_rate = 1.0")
@@ -171,7 +174,7 @@ def _report_main(argv: list[str]) -> int:
     db.stat_history.tick()
     with db.session("report-demo") as sess:
         for i in range(args.queries):
-            q = "[" + ",".join(f"{rng.random():.5f}" for _ in range(args.dim)) + "]"
+            q = _demo_vector(rng, args.dim)
             sess.query(f"SELECT id FROM report_demo ORDER BY v <-> '{q}' LIMIT 10")
             sess.query(f"SELECT id FROM report_demo WHERE id < {10 + i}")
             # Deterministic sampling: snapshot between statements so
@@ -185,15 +188,7 @@ def _report_main(argv: list[str]) -> int:
 
     text = build_report(db, "demo")
     db.close()
-    if args.out:
-        from pathlib import Path
-
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-        print(f"wrote report to {out}")
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out, "wrote report to {path}")
     return 0
 
 

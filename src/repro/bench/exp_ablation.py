@@ -7,43 +7,66 @@ closes, turning Sec. IX-B's qualitative claims into numbers.
 
 from __future__ import annotations
 
-from repro.bench.runner import ExperimentResult, bench_dataset, default_params
+from typing import Any
+
+from repro.bench.runner import Figure, Scale, Verdict
 from repro.core.ablation import SWITCHES, run_ablation
 from repro.core.report import render_table
 
+#: Cause -> how far the gap without it may sit above the gap with it.
+#: Removing SGEMM must close the build gap; the k-heap and the
+#: optimized PQ table must not make PASE slower (they usually help a
+#: little, inside search-time noise).  RC#5's k-means toggle is
+#: measured but not gated (EXPERIMENTS note 3).
+_SLACK = {"SGEMM": 1.0, "HEAP_SIZE": 1.3, "PRECOMPUTED_TABLE": 1.2}
 
-def ablation(scale: float | None = None, dataset: str = "sift1m") -> ExperimentResult:
+
+def _ablation_build(scale: Scale) -> dict[str, Any]:
     """Run every togglable root-cause ablation on one dataset."""
-    ds = bench_dataset(dataset, scale=scale)
-    rows = []
+    ds = scale.dataset(scale.datasets[0])
+    search = scale.ablation_search
     data = {}
     for cause, switch in SWITCHES.items():
-        params = default_params(ds, switch.index_type)
-        result = run_ablation(cause, ds, params)
-        rows.append(
-            [
-                f"RC#{cause.value} {cause.name}",
-                switch.metric,
-                f"{result.gap_with_cause:.2f}x",
-                f"{result.gap_without_cause:.2f}x",
-                f"{result.gap_closed_fraction * 100:.0f}%",
-            ]
+        result = run_ablation(
+            cause, ds, scale.index_params(ds, switch.index_type),
+            k=search.k, nprobe=search.nprobe, n_queries=search.n_queries,
         )
         data[cause.name] = {
             "metric": switch.metric,
             "with": result.gap_with_cause,
             "without": result.gap_without_cause,
+            "closed": result.gap_closed_fraction,
         }
-    rendered = render_table(
-        ["root cause", "metric", "gap with", "gap without", "gap closed"], rows
-    )
-    return ExperimentResult(
-        exp_id="ablation",
-        title="Root-cause ablation sweep",
-        expected_shape=(
-            "each toggle reduces its gap: SGEMM closes most of the build "
-            "gap; heap/pctable/k-means toggles each shave the search gap"
-        ),
-        rendered=rendered,
-        data=data,
-    )
+    return data
+
+
+def _ablation_shape(rows: dict[str, Any]) -> list[Verdict]:
+    return [
+        Verdict(
+            f"{cause} gap without / with the cause", row["without"] / row["with"],
+            f"< {_SLACK[cause]:g}", row["without"] < row["with"] * _SLACK[cause],
+            detail=f"{row['with']:.2f}x -> {row['without']:.2f}x",
+        )
+        for cause, row in rows.items()
+        if cause in _SLACK
+    ]
+
+
+ABLATION = Figure(
+    "ablation",
+    "Root-cause ablation sweep",
+    "each toggle reduces its gap: SGEMM closes most of the build "
+    "gap; heap/pctable/k-means toggles each shave the search gap",
+    build=_ablation_build,
+    shape=_ablation_shape,
+    render=lambda rows: render_table(
+        ["root cause", "metric", "gap with", "gap without", "gap closed"],
+        [
+            [
+                f"RC#{cause.value} {cause.name}", row["metric"], f"{row['with']:.2f}x",
+                f"{row['without']:.2f}x", f"{row['closed'] * 100:.0f}%",
+            ]
+            for cause, row in ((c, rows[c.name]) for c in SWITCHES)
+        ],
+    ),
+)

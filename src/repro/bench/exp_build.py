@@ -1,18 +1,20 @@
-"""Index-construction experiments: Figs. 3-8, 10 and Table III."""
+"""Index-construction figures: Figs. 3-8, 10 and Table III."""
 
 from __future__ import annotations
 
-from typing import Sequence
+import statistics
+from typing import Any
 
 from repro.bench.runner import (
-    ALL_DATASETS,
-    HNSW_DATASETS,
-    HNSW_SCALE_FACTOR,
-    ExperimentResult,
-    bench_dataset,
-    default_params,
+    Figure,
+    Scale,
+    Verdict,
+    grouped,
+    per_group,
+    ratio,
+    ratios,
+    within,
 )
-from repro.common.datasets import PROFILES
 from repro.common.graph import (
     SEC_ADD_LINK,
     SEC_DISTANCE,
@@ -23,269 +25,302 @@ from repro.common.graph import (
     SEC_TUPLE_ACCESS,
     SEC_VISITED,
 )
-from repro.common.profiling import Profiler
 from repro.core.report import render_breakdown, render_grouped_series
-from repro.core.study import ComparativeStudy, GeneralizedVectorDB, SpecializedVectorDB
+from repro.core.study import ComparativeStudy, SpecializedVectorDB
+
+_PHASES = ("total", "train", "add")
 
 
-def _build_series(
-    index_type: str,
-    datasets: Sequence[str],
-    scale: float | None,
-    use_sgemm: bool,
-) -> tuple[list[str], dict[str, list[float]]]:
+def _build_series(scale: Scale, index_type: str, use_sgemm: bool) -> dict[str, Any]:
+    """PASE vs Faiss build phases per dataset; Faiss rebuilt without
+    SGEMM when ``use_sgemm`` is off (PASE has no SGEMM to turn off)."""
     groups: list[str] = []
     series: dict[str, list[float]] = {
-        "PASE total": [],
-        "PASE train": [],
-        "PASE add": [],
-        "Faiss total": [],
-        "Faiss train": [],
-        "Faiss add": [],
+        f"{engine} {phase}": [] for engine in ("PASE", "Faiss") for phase in _PHASES
     }
-    for name in datasets:
-        ds = bench_dataset(name, scale=scale)
-        params = default_params(ds, index_type)
-        params["use_sgemm"] = use_sgemm
-        study = ComparativeStudy(ds, index_type, params)
-        cmp = study.compare_build()
-        groups.append(f"{name}(n={ds.n})")
-        series["PASE total"].append(cmp.generalized.total_seconds)
-        series["PASE train"].append(cmp.generalized.train_seconds)
-        series["PASE add"].append(cmp.generalized.add_seconds)
-        series["Faiss total"].append(cmp.specialized.total_seconds)
-        series["Faiss train"].append(cmp.specialized.train_seconds)
-        series["Faiss add"].append(cmp.specialized.add_seconds)
-    return groups, series
+    for name in scale.datasets:
+        study, cmp = scale.study(name, index_type)
+        faiss = cmp.specialized
+        if not use_sgemm:
+            spec = SpecializedVectorDB()
+            spec.load(study.dataset.base)
+            faiss = spec.create_index(index_type, **study.params, use_sgemm=False)
+        groups.append(f"{name}(n={study.dataset.n})")
+        for engine, stats in (("PASE", cmp.generalized), ("Faiss", faiss)):
+            for phase in _PHASES:
+                series[f"{engine} {phase}"].append(getattr(stats, f"{phase}_seconds"))
+    return {"groups": groups, "series": series}
 
 
-def fig03(scale: float | None = None, datasets: Sequence[str] = ALL_DATASETS) -> ExperimentResult:
-    """IVF_FLAT construction time, PASE vs Faiss (SGEMM enabled)."""
-    groups, series = _build_series("ivf_flat", datasets, scale, use_sgemm=True)
-    rendered = render_grouped_series(
-        "IVF_FLAT build", groups, series, unit="s", gap_of=("PASE total", "Faiss total")
-    )
-    return ExperimentResult(
-        exp_id="fig3",
-        title="IVF_FLAT index construction time",
-        expected_shape="PASE 35.0x-84.8x slower; adding phase dominates both systems",
-        rendered=rendered,
-        data={"groups": groups, "series": series},
-    )
+def _phase(rows: dict[str, Any], phase: str) -> list[tuple[str, float]]:
+    return ratios(rows, f"PASE {phase}", f"Faiss {phase}")
 
 
-def fig04(scale: float | None = None, datasets: Sequence[str] = ALL_DATASETS) -> ExperimentResult:
-    """IVF_FLAT construction with SGEMM disabled in Faiss (RC#1 ablation)."""
-    groups, series = _build_series("ivf_flat", datasets, scale, use_sgemm=False)
-    rendered = render_grouped_series(
-        "IVF_FLAT build (no SGEMM)",
-        groups,
-        series,
-        unit="s",
-        gap_of=("PASE add", "Faiss add"),
-    )
-    return ExperimentResult(
-        exp_id="fig4",
-        title="IVF_FLAT construction with SGEMM disabled in Faiss",
-        expected_shape=(
-            "adding phases converge (gap ~1x); remaining minor gap is the "
-            "k-means implementation difference"
-        ),
-        rendered=rendered,
-        data={"groups": groups, "series": series},
-    )
+FIG3 = Figure(
+    "fig3",
+    "IVF_FLAT index construction time",
+    "PASE 35.0x-84.8x slower; adding phase dominates both systems",
+    build=lambda scale: _build_series(scale, "ivf_flat", use_sgemm=True),
+    # The gap lives in the adding phase (SGEMM vs per-row loops).
+    shape=lambda rows: per_group("PASE/Faiss build time", _phase(rows, "total"), lo=1.0)
+    + per_group("PASE/Faiss adding time", _phase(rows, "add"), lo=3.0),
+    render=grouped("IVF_FLAT build", gap_of=("PASE total", "Faiss total")),
+)
+
+FIG4 = Figure(
+    "fig4",
+    "IVF_FLAT construction with SGEMM disabled in Faiss",
+    "adding phases converge (gap ~1x); remaining minor gap is the "
+    "k-means implementation difference",
+    build=lambda scale: _build_series(scale, "ivf_flat", use_sgemm=False),
+    # Converged, vs > 3x with SGEMM on.
+    shape=lambda rows: per_group("PASE/Faiss adding time", _phase(rows, "add"), 0.4, 3.0),
+    render=grouped("IVF_FLAT build (no SGEMM)", gap_of=("PASE add", "Faiss add")),
+)
+
+FIG5 = Figure(
+    "fig5",
+    "IVF_PQ index construction time",
+    "PASE 6.5x-20.2x slower, same trend as IVF_FLAT",
+    build=lambda scale: _build_series(scale, "ivf_pq", use_sgemm=True),
+    shape=lambda rows: per_group("PASE/Faiss build time", _phase(rows, "total"), lo=1.0),
+    render=grouped("IVF_PQ build", gap_of=("PASE total", "Faiss total")),
+)
+
+FIG6 = Figure(
+    "fig6",
+    "IVF_PQ construction with SGEMM disabled in Faiss",
+    "gap becomes negligible (k-means/PQ implementation noise only)",
+    build=lambda scale: _build_series(scale, "ivf_pq", use_sgemm=False),
+    shape=lambda rows: per_group("PASE/Faiss adding time", _phase(rows, "add"), hi=3.0),
+    render=grouped("IVF_PQ build (no SGEMM)", gap_of=("PASE add", "Faiss add")),
+)
 
 
-def fig05(scale: float | None = None, datasets: Sequence[str] = ALL_DATASETS) -> ExperimentResult:
-    """IVF_PQ construction time, PASE vs Faiss."""
-    groups, series = _build_series("ivf_pq", datasets, scale, use_sgemm=True)
-    rendered = render_grouped_series(
-        "IVF_PQ build", groups, series, unit="s", gap_of=("PASE total", "Faiss total")
-    )
-    return ExperimentResult(
-        exp_id="fig5",
-        title="IVF_PQ index construction time",
-        expected_shape="PASE 6.5x-20.2x slower, same trend as IVF_FLAT",
-        rendered=rendered,
-        data={"groups": groups, "series": series},
-    )
-
-
-def fig06(scale: float | None = None, datasets: Sequence[str] = ALL_DATASETS) -> ExperimentResult:
-    """IVF_PQ construction with SGEMM disabled in Faiss."""
-    groups, series = _build_series("ivf_pq", datasets, scale, use_sgemm=False)
-    rendered = render_grouped_series(
-        "IVF_PQ build (no SGEMM)",
-        groups,
-        series,
-        unit="s",
-        gap_of=("PASE add", "Faiss add"),
-    )
-    return ExperimentResult(
-        exp_id="fig6",
-        title="IVF_PQ construction with SGEMM disabled in Faiss",
-        expected_shape="gap becomes negligible (k-means/PQ implementation noise only)",
-        rendered=rendered,
-        data={"groups": groups, "series": series},
-    )
-
-
-def _hnsw_scale(scale: float | None, name: str) -> float:
-    base = scale if scale is not None else PROFILES[name].default_scale
-    return base * HNSW_SCALE_FACTOR
-
-
-def fig07(scale: float | None = None, datasets: Sequence[str] = HNSW_DATASETS) -> ExperimentResult:
-    """HNSW construction time, PASE vs Faiss (RC#2)."""
+def _fig07_build(scale: Scale) -> dict[str, Any]:
     groups: list[str] = []
     series: dict[str, list[float]] = {"PASE": [], "Faiss": []}
-    for name in datasets:
-        ds = bench_dataset(name, scale=_hnsw_scale(scale, name))
-        params = default_params(ds, "hnsw")
-        study = ComparativeStudy(ds, "hnsw", params)
-        cmp = study.compare_build()
+    pair_gaps: list[list[float]] = []
+    for name in scale.hnsw_datasets:
+        ds, pairs = scale.hnsw_builds(name, scale.build_pairs)
         groups.append(f"{name}(n={ds.n})")
-        series["PASE"].append(cmp.generalized.total_seconds)
-        series["Faiss"].append(cmp.specialized.total_seconds)
-    rendered = render_grouped_series(
-        "HNSW build", groups, series, unit="s", gap_of=("PASE", "Faiss")
-    )
-    return ExperimentResult(
-        exp_id="fig7",
-        title="HNSW index construction time",
-        expected_shape="PASE 1.6x-8.7x slower; cause is buffer-manager indirection (RC#2)",
-        rendered=rendered,
-        data={"groups": groups, "series": series},
-    )
+        for engine in series:
+            series[engine].append(statistics.median(p[engine][0].total_seconds for p in pairs))
+        pair_gaps.append(
+            [ratio(p["PASE"][0].total_seconds, p["Faiss"][0].total_seconds) for p in pairs]
+        )
+    return {"groups": groups, "series": series, "pair_gaps": pair_gaps}
 
 
-_TAB3_COLUMNS = (
-    SEC_SEARCH_NB_TO_ADD,
-    SEC_ADD_LINK,
-    SEC_GREEDY_UPDATE,
-    SEC_SHRINK_NB_LIST,
+def _pairs_detail(values: list[float]) -> str:
+    return "pairs " + ", ".join(f"{v:.2f}" for v in values)
+
+
+FIG7 = Figure(
+    "fig7",
+    "HNSW index construction time",
+    "PASE 1.6x-8.7x slower; cause is buffer-manager indirection (RC#2)",
+    build=_fig07_build,
+    # The median PASE/Faiss build-time ratio of alternating build pairs.
+    shape=lambda rows: [
+        within(
+            f"{group} median PASE/Faiss build time", statistics.median(gaps),
+            lo=1.3, hi=30.0, detail=_pairs_detail(gaps),
+        )
+        for group, gaps in zip(rows["groups"], rows["pair_gaps"])
+    ],
+    render=grouped("HNSW build (median of pairs)"),
 )
 
-_FIG8_COLUMNS = (
-    SEC_DISTANCE,
-    SEC_TUPLE_ACCESS,
-    SEC_VISITED,
-    SEC_NEIGHBOR_FETCH,
-)
+_TAB3_COLUMNS = (SEC_SEARCH_NB_TO_ADD, SEC_ADD_LINK, SEC_GREEDY_UPDATE, SEC_SHRINK_NB_LIST)
+_FIG8_COLUMNS = (SEC_DISTANCE, SEC_TUPLE_ACCESS, SEC_VISITED, SEC_NEIGHBOR_FETCH)
 
 
-def _profiled_hnsw_build(scale: float | None, dataset: str) -> dict[str, Profiler]:
-    """Build HNSW on both engines with profiling; returns the profiles."""
-    ds = bench_dataset(dataset, scale=_hnsw_scale(scale, dataset))
-    params = default_params(ds, "hnsw")
-    profs = {"PASE": Profiler(), "Faiss": Profiler()}
-    study = ComparativeStudy(
-        ds,
-        "hnsw",
-        params,
-        generalized=GeneralizedVectorDB(profiler=profs["PASE"]),
-        specialized=SpecializedVectorDB(profiler=profs["Faiss"]),
+def _tab03_build(scale: Scale) -> dict[str, Any]:
+    """Profiled alternating HNSW build pairs: per pair, each engine's
+    breakdown rows and its inclusive SearchNbToAdd time."""
+    name = scale.hnsw_datasets[0]
+    __, pairs = scale.hnsw_builds(name, scale.build_pairs, profiled=True)
+    return {
+        "dataset": name,
+        "breakdowns": [
+            {engine: {r.name: r for r in prof.breakdown()} for engine, (__, prof) in p.items()}
+            for p in pairs
+        ],
+        "search_nb_to_add": [
+            {
+                engine: prof.inclusive_seconds(SEC_SEARCH_NB_TO_ADD)
+                for engine, (__, prof) in p.items()
+            }
+            for p in pairs
+        ],
+    }
+
+
+def _tab03_shape(rows: dict[str, Any]) -> list[Verdict]:
+    out = []
+    for i, pair in enumerate(rows["breakdowns"]):
+        for engine, breakdown in sorted(pair.items()):
+            top = max(breakdown.values(), key=lambda r: r.fraction)
+            snta = breakdown.get(SEC_SEARCH_NB_TO_ADD)
+            share = snta.fraction if snta is not None else 0.0
+            out.append(
+                Verdict(
+                    f"pair {i} {engine} {SEC_SEARCH_NB_TO_ADD} share", share,
+                    f"is the largest (largest: {top.name})", top.name == SEC_SEARCH_NB_TO_ADD,
+                )
+            )
+    pair_ratios = [ratio(p["PASE"], p["Faiss"]) for p in rows["search_nb_to_add"]]
+    out.append(
+        within(
+            f"median PASE/Faiss {SEC_SEARCH_NB_TO_ADD} time", statistics.median(pair_ratios),
+            lo=1.5, detail=_pairs_detail(pair_ratios),
+        )
     )
-    study.compare_build()
-    return profs
+    return out
 
 
-def tab03(scale: float | None = None, dataset: str = "sift1m") -> ExperimentResult:
-    """HNSW construction-time breakdown (the paper's Table III)."""
-    profs = _profiled_hnsw_build(scale, dataset)
-    rendered = render_breakdown(
-        f"HNSW build on {dataset}",
-        {name: prof.breakdown(within=None) for name, prof in profs.items()},
+TAB3 = Figure(
+    "tab3",
+    "Time breakdown of HNSW building",
+    "SearchNbToAdd dominates both systems (~70-76%), with PASE's "
+    "absolute time several times Faiss's",
+    build=_tab03_build,
+    shape=_tab03_shape,
+    render=lambda rows: render_breakdown(
+        f"HNSW build on {rows['dataset']} (first pair)",
+        {engine: list(b.values()) for engine, b in rows["breakdowns"][0].items()},
         columns=_TAB3_COLUMNS,
-    )
-    data = {
-        name: {row.name: row.seconds for row in prof.breakdown(within=None)}
-        for name, prof in profs.items()
-    }
-    return ExperimentResult(
-        exp_id="tab3",
-        title="Time breakdown of HNSW building",
-        expected_shape=(
-            "SearchNbToAdd dominates both systems (~70-76%), with PASE's "
-            "absolute time several times Faiss's"
-        ),
-        rendered=rendered,
-        data=data,
-    )
+    ),
+)
 
 
-def fig08(scale: float | None = None, dataset: str = "sift1m") -> ExperimentResult:
-    """Breakdown inside SearchNbToAdd (the paper's Fig. 8)."""
-    profs = _profiled_hnsw_build(scale, dataset)
-    rendered = render_breakdown(
-        f"SearchNbToAdd on {dataset}",
-        {
-            name: prof.breakdown(within=SEC_SEARCH_NB_TO_ADD)
-            for name, prof in profs.items()
+def _fig08_build(scale: Scale) -> dict[str, Any]:
+    name = scale.hnsw_datasets[0]
+    __, (pair,) = scale.hnsw_builds(name, 1, profiled=True)
+    return {
+        "dataset": name,
+        **{
+            engine: {r.name: r for r in prof.breakdown(within=SEC_SEARCH_NB_TO_ADD)}
+            for engine, (__, prof) in pair.items()
         },
-        columns=_FIG8_COLUMNS,
-    )
-    data = {
-        name: {
-            row.name: row.seconds
-            for row in prof.breakdown(within=SEC_SEARCH_NB_TO_ADD)
-        }
-        for name, prof in profs.items()
     }
-    return ExperimentResult(
-        exp_id="fig8",
-        title="Time breakdown of SearchNbToAdd",
-        expected_shape=(
-            "Faiss spends ~80% on fvec_L2sqr; PASE's distance share is small "
-            "because Tuple Access / HVTGet / pasepfirst dominate — absolute "
-            "distance time is similar on both sides"
+
+
+def _seconds(rows: dict[str, Any], engine: str, section: str, default: float = 0.0) -> float:
+    row = rows[engine].get(section)
+    return row.seconds if row is not None else default
+
+
+def _fig08_shape(rows: dict[str, Any]) -> list[Verdict]:
+    pase_dist = _seconds(rows, "PASE", SEC_DISTANCE)
+    # Tuple Access + pasepfirst + HVTGet dwarf distance time in PASE.
+    indirection = sum(
+        _seconds(rows, "PASE", s) for s in (SEC_TUPLE_ACCESS, SEC_NEIGHBOR_FETCH, SEC_VISITED)
+    )
+    return [
+        within(
+            f"PASE/Faiss {SEC_DISTANCE} time",
+            ratio(pase_dist, _seconds(rows, "Faiss", SEC_DISTANCE)), lo=0.4, hi=2.5,
         ),
-        rendered=rendered,
-        data=data,
-    )
+        within(f"PASE indirection / {SEC_DISTANCE} time", ratio(indirection, pase_dist), lo=2.0),
+        within(
+            f"Faiss {SEC_NEIGHBOR_FETCH} / {SEC_DISTANCE} time",
+            ratio(
+                _seconds(rows, "Faiss", SEC_NEIGHBOR_FETCH),
+                _seconds(rows, "Faiss", SEC_DISTANCE, default=1e9),
+            ),
+            hi=1.5,
+        ),
+    ]
 
 
-def fig10(scale: float | None = None, dataset: str = "sift1m") -> ExperimentResult:
-    """Build-time gap vs. parameters: c for IVF, bnn for HNSW (Fig. 10).
+FIG8 = Figure(
+    "fig8",
+    "Time breakdown of SearchNbToAdd",
+    "Faiss spends ~80% on fvec_L2sqr; PASE's distance share is small "
+    "because Tuple Access / HVTGet / pasepfirst dominate — absolute "
+    "distance time is similar on both sides",
+    build=_fig08_build,
+    shape=_fig08_shape,
+    render=lambda rows: render_breakdown(
+        f"SearchNbToAdd on {rows['dataset']}",
+        {engine: list(rows[engine].values()) for engine in ("PASE", "Faiss")},
+        columns=_FIG8_COLUMNS,
+    ),
+)
 
-    The paper sweeps c in {100, 500, 1000} on SIFT1M (n=1e6); we keep
-    the same c/sqrt(n) proportions on the scaled dataset.
-    """
-    ds = bench_dataset(dataset, scale=scale)
-    base_c = default_params(ds, "ivf_flat")["clusters"]
-    c_values = [max(base_c // 3, 4), base_c, base_c * 2]
-    gaps: dict[str, list[float]] = {"IVF_FLAT": [], "IVF_PQ": []}
-    for index_type in ("ivf_flat", "ivf_pq"):
-        for c in c_values:
-            params = default_params(ds, index_type)
-            params["clusters"] = c
-            cmp = ComparativeStudy(ds, index_type, params).compare_build()
-            gaps[index_type.upper()].append(cmp.gap)
-    ivf_table = render_grouped_series(
-        f"build gap vs c ({dataset})",
-        [f"c={c}" for c in c_values],
-        gaps,
-        unit="x",
-    )
 
-    hnsw_ds = bench_dataset(dataset, scale=_hnsw_scale(scale, dataset))
-    bnn_values = [8, 16, 32]
-    hnsw_gaps: dict[str, list[float]] = {"HNSW": []}
-    for bnn in bnn_values:
-        params = default_params(hnsw_ds, "hnsw")
-        params["bnn"] = bnn
-        cmp = ComparativeStudy(hnsw_ds, "hnsw", params).compare_build()
-        hnsw_gaps["HNSW"].append(cmp.gap)
-    hnsw_table = render_grouped_series(
-        f"build gap vs bnn ({dataset})",
-        [f"bnn={b}" for b in bnn_values],
-        hnsw_gaps,
-        unit="x",
+def _fig10_build(scale: Scale) -> dict[str, Any]:
+    """Build-time gap vs c (IVF) and bnn (HNSW).  The paper sweeps c in
+    {100, 500, 1000} on SIFT1M (n=1e6); the default keeps the same
+    c/sqrt(n) proportions on the scaled dataset."""
+    name = scale.datasets[0]
+    ds = scale.dataset(name)
+    hnsw_ds = scale.dataset(name, hnsw=True)
+
+    def params(dataset, index_type, **sweep):
+        base = (
+            scale.fig10_params[index_type]
+            if scale.fig10_params is not None
+            else scale.index_params(dataset, index_type)
+        )
+        return {**base, **sweep}
+
+    def gap(dataset, index_type, **sweep) -> float:
+        study = ComparativeStudy(dataset, index_type, params(dataset, index_type, **sweep))
+        return study.compare_build().gap
+
+    c_values = scale.fig10_c
+    if c_values is None:
+        base_c = scale.index_params(ds, "ivf_flat")["clusters"]
+        c_values = (max(base_c // 3, 4), base_c, base_c * 2)
+    return {
+        "dataset": name,
+        "c_values": list(c_values),
+        "ivf_gaps": {
+            index_type.upper(): [gap(ds, index_type, clusters=c) for c in c_values]
+            for index_type in ("ivf_flat", "ivf_pq")
+        },
+        "bnn_values": list(scale.fig10_bnn),
+        "hnsw_gaps": {"HNSW": [gap(hnsw_ds, "hnsw", bnn=b) for b in scale.fig10_bnn]},
+    }
+
+
+def _fig10_shape(rows: dict[str, Any]) -> list[Verdict]:
+    pq = rows["ivf_gaps"]["IVF_PQ"]
+    points = [len(g) for g in rows["ivf_gaps"].values()]
+    out = [
+        Verdict(
+            "IVF gaps per c value", min(points), f"== {len(rows['c_values'])}",
+            set(points) == {len(rows["c_values"])},
+        ),
+        # Growth, modulo micro-scale noise.
+        within(
+            f"IVF_PQ gap at c={rows['c_values'][-1]} / at c={rows['c_values'][0]}",
+            ratio(pq[-1], pq[0]), lo=0.8, detail=f"gaps {pq[0]:.2f} -> {pq[-1]:.2f}",
+        ),
+    ]
+    out += [
+        within(f"HNSW gap at bnn={bnn}", g, lo=1.2)
+        for bnn, g in zip(rows["bnn_values"], rows["hnsw_gaps"]["HNSW"])
+    ]
+    return out
+
+
+FIG10 = Figure(
+    "fig10",
+    "Impact of parameters on construction gap",
+    "gap grows with c (IVF) and with bnn (HNSW)",
+    build=_fig10_build,
+    shape=_fig10_shape,
+    render=lambda rows: render_grouped_series(
+        f"build gap vs c ({rows['dataset']})", [f"c={c}" for c in rows["c_values"]],
+        rows["ivf_gaps"], unit="x",
     )
-    return ExperimentResult(
-        exp_id="fig10",
-        title="Impact of parameters on construction gap",
-        expected_shape="gap grows with c (IVF) and with bnn (HNSW)",
-        rendered=ivf_table + "\n\n" + hnsw_table,
-        data={"c_values": c_values, "ivf_gaps": gaps, "bnn_values": bnn_values, "hnsw_gaps": hnsw_gaps},
-    )
+    + "\n\n"
+    + render_grouped_series(
+        f"build gap vs bnn ({rows['dataset']})", [f"bnn={b}" for b in rows["bnn_values"]],
+        rows["hnsw_gaps"], unit="x",
+    ),
+)

@@ -1,4 +1,4 @@
-"""Parallelism experiments: Figs. 9 and 18 (RC#3).
+"""Parallelism figures: Figs. 9 and 18 (RC#3).
 
 Work is executed for real; wall-clock under t threads comes from the
 deterministic scheduler (DESIGN.md §2 explains the substitution).
@@ -6,116 +6,145 @@ deterministic scheduler (DESIGN.md §2 explains the substitution).
 
 from __future__ import annotations
 
-from repro.bench.runner import ExperimentResult, bench_dataset, default_params
+from typing import Any
+
+from repro.bench.runner import Figure, Scale, Verdict, bench_dataset, ratio, within
+from repro.common.datasets import PROFILES
 from repro.common.parallel import speedups
 from repro.core.report import render_grouped_series
-from repro.core.study import ComparativeStudy, make_specialized_index
+from repro.core.study import make_specialized_index
 from repro.pase import parallel as pase_parallel
 from repro.specialized import parallel as spec_parallel
 
 THREADS = [1, 2, 4, 8]
 
 
-def _ivf_build_scale(scale: float | None, dataset: str) -> float:
-    """Fig. 9 needs the adding phase to dominate (as at paper scale),
-    so it runs on 6x the usual synthetic size — training cost is fixed
-    while adding grows linearly."""
-    from repro.common.datasets import PROFILES
-
-    base = scale if scale is not None else PROFILES[dataset].default_scale
-    return base * 6
+def _thread_labels() -> list[str]:
+    return [f"{t} thr" for t in THREADS]
 
 
-def fig09(scale: float | None = None, dataset: str = "sift1m") -> ExperimentResult:
-    """Parallel IVF construction in Faiss, SGEMM on/off (Fig. 9).
+def _fig09_build(scale: Scale) -> dict[str, Any]:
+    """Parallel IVF construction in Faiss, SGEMM on/off.
 
     PASE supports no parallel construction, so — like the paper —
     only the specialized engine is swept.
     """
-    ds = bench_dataset(dataset, scale=_ivf_build_scale(scale, dataset))
-    tables = []
-    data: dict[str, dict[int, float]] = {}
-    for index_type in ("ivf_flat", "ivf_pq"):
+    name = scale.datasets[0]
+    base = scale.scale if scale.scale is not None else PROFILES[name].default_scale
+    ds = bench_dataset(name, base * scale.parallel_build_factor)
+    curves: dict[str, dict[int, float]] = {}
+    for index_type in scale.parallel_index_types:
         for use_sgemm in (True, False):
-            params = default_params(ds, index_type)
+            params = scale.index_params(ds, index_type)
             params["use_sgemm"] = use_sgemm
             index = make_specialized_index(index_type, ds.dim, params)
             index.train(ds.base)
-            curve = spec_parallel.simulate_parallel_build(index, ds.base, THREADS)
             label = f"{index_type.upper()} {'with' if use_sgemm else 'no'} SGEMM"
-            data[label] = curve
-            series = {
-                "build time": [curve[t] for t in THREADS],
-                "speedup": [curve[1] / curve[t] for t in THREADS],
-            }
-            tables.append(
-                render_grouped_series(
-                    label, [f"{t} thr" for t in THREADS], {"build time": series["build time"]}, unit="s"
-                )
-                + "\n"
-                + render_grouped_series(
-                    "", [f"{t} thr" for t in THREADS], {"speedup": series["speedup"]}, unit="x"
-                )
-            )
-    return ExperimentResult(
-        exp_id="fig9",
-        title="Parallel index construction (Faiss), SGEMM enabled/disabled",
-        expected_shape=(
-            "all configurations scale with threads except IVF_FLAT with "
-            "SGEMM, whose adding phase is already too fast to matter"
-        ),
-        rendered="\n\n".join(tables),
-        data=data,
+            curves[label] = spec_parallel.simulate_parallel_build(index, ds.base, THREADS)
+    return curves
+
+
+def _fig09_shape(rows: dict[str, Any]) -> list[Verdict]:
+    if "IVF_FLAT no SGEMM" not in rows:
+        return []
+    without, with_sgemm = rows["IVF_FLAT no SGEMM"], rows["IVF_FLAT with SGEMM"]
+    return [
+        within(
+            "IVF_FLAT 8-thread speedup, no SGEMM / with SGEMM",
+            ratio(without[1] / without[8], with_sgemm[1] / with_sgemm[8]), lo=1.0,
+        )
+    ]
+
+
+def _fig09_render(rows: dict[str, Any]) -> str:
+    return "\n\n".join(
+        render_grouped_series(
+            label, _thread_labels(), {"build time": [curve[t] for t in THREADS]}, unit="s"
+        )
+        + "\n"
+        + render_grouped_series(
+            "", _thread_labels(), {"speedup": [curve[1] / curve[t] for t in THREADS]}, unit="x"
+        )
+        for label, curve in rows.items()
     )
 
 
-def fig18(scale: float | None = None, dataset: str = "sift1m") -> ExperimentResult:
-    """Intra-query parallel search scaling (Fig. 18).
+FIG9 = Figure(
+    "fig9",
+    "Parallel index construction (Faiss), SGEMM enabled/disabled",
+    "all configurations scale with threads except IVF_FLAT with "
+    "SGEMM, whose adding phase is already too fast to matter",
+    build=_fig09_build,
+    shape=_fig09_shape,
+    render=_fig09_render,
+)
+
+
+def _fig18_build(scale: Scale) -> dict[str, Any]:
+    """Intra-query parallel search scaling.
 
     Faiss partitions buckets across threads with local heaps merged at
     the end; PASE pushes every candidate into one global locked heap.
+    The parallel Faiss answer to a second query is compared with the
+    serial one.
     """
-    ds = bench_dataset(dataset, scale=scale)
-    query = ds.queries[0]
-    k, nprobe = 50, 20
-    tables = []
-    data: dict[str, dict[int, float]] = {}
-    for index_type in ("ivf_flat", "ivf_pq"):
-        params = default_params(ds, index_type)
-        study = ComparativeStudy(ds, index_type, params)
-        study.compare_build()
-
+    name = scale.datasets[0]
+    k, nprobe = scale.search.k, scale.search.nprobe
+    speedup: dict[str, dict[int, float]] = {}
+    ids_match: dict[str, bool] = {}
+    for index_type in scale.parallel_index_types:
+        study, __ = scale.study(name, index_type)
+        query = study.dataset.queries[0]
         spec_index = study.specialized.index
-        assert spec_index is not None
-        __, spec_curve = spec_parallel.parallel_search(spec_index, query, k, nprobe, THREADS)
-        spec_speedup = speedups(spec_curve)
-
-        pase_am = study.generalized.am
-        assert pase_am is not None
-        __, pase_curve = pase_parallel.parallel_search(pase_am, query, k, nprobe, THREADS)
-        pase_speedup = speedups(pase_curve)
-
         label = index_type.upper()
-        data[f"Faiss {label}"] = spec_speedup
-        data[f"PASE {label}"] = pase_speedup
-        tables.append(
-            render_grouped_series(
-                f"{label} intra-query speedup",
-                [f"{t} thr" for t in THREADS],
-                {
-                    "Faiss (local heaps)": [spec_speedup[t] for t in THREADS],
-                    "PASE (global locked heap)": [pase_speedup[t] for t in THREADS],
-                },
-                unit="x",
+        __, spec_curve = spec_parallel.parallel_search(spec_index, query, k, nprobe, THREADS)
+        speedup[f"Faiss {label}"] = speedups(spec_curve)
+        pase_am = study.generalized.am
+        __, pase_curve = pase_parallel.parallel_search(pase_am, query, k, nprobe, THREADS)
+        speedup[f"PASE {label}"] = speedups(pase_curve)
+        other = study.dataset.queries[2]
+        parallel, __ = spec_parallel.parallel_search(spec_index, other, k, nprobe, THREADS)
+        ids_match[label] = parallel.ids == study.specialized.search(other, k, nprobe=nprobe).ids
+    return {"speedups": speedup, "ids_match": ids_match}
+
+
+def _fig18_shape(rows: dict[str, Any]) -> list[Verdict]:
+    out = []
+    for label, match in rows["ids_match"].items():
+        spec, pase = rows["speedups"][f"Faiss {label}"], rows["speedups"][f"PASE {label}"]
+        # Local heaps scale; the global locked heap falls clearly behind
+        # (thresholds kept loose: unit costs are measured under load).
+        out.append(within(f"Faiss {label} 8-thread speedup", spec[8], lo=2.0))
+        out.append(
+            Verdict(
+                f"Faiss - PASE {label} 8-thread speedup", spec[8] - pase[8], "> 0.3",
+                spec[8] > pase[8] + 0.3, detail=f"{spec[8]:.2f} vs {pase[8]:.2f}",
             )
         )
-    return ExperimentResult(
-        exp_id="fig18",
-        title="Intra-query parallel search scaling",
-        expected_shape=(
-            "Faiss scales nearly linearly; PASE's global locked heap keeps "
-            "its speedup flat"
-        ),
-        rendered="\n\n".join(tables),
-        data=data,
-    )
+        out.append(Verdict(f"Faiss {label} parallel ids == serial ids", match, "is true", match))
+    return out
+
+
+FIG18 = Figure(
+    "fig18",
+    "Intra-query parallel search scaling",
+    "Faiss scales nearly linearly; PASE's global locked heap keeps "
+    "its speedup flat",
+    build=_fig18_build,
+    shape=_fig18_shape,
+    render=lambda rows: "\n\n".join(
+        render_grouped_series(
+            f"{label} intra-query speedup",
+            _thread_labels(),
+            {
+                legend: [rows["speedups"][f"{engine} {label}"][t] for t in THREADS]
+                for engine, legend in (
+                    ("Faiss", "Faiss (local heaps)"),
+                    ("PASE", "PASE (global locked heap)"),
+                )
+            },
+            unit="x",
+        )
+        for label in rows["ids_match"]
+    ),
+)

@@ -10,57 +10,58 @@ k-means flavours.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any
 
-from repro.bench.exp_build import _hnsw_scale
-from repro.bench.runner import ExperimentResult, bench_dataset, default_params
+from repro.bench.exp_search import _RECALL_TOLERANCE
+from repro.bench.runner import Figure, Scale, Verdict
 from repro.core.report import render_table
-from repro.core.study import ComparativeStudy
 
-K = 10
-N_QUERIES = 12
+_INDEX_TYPES = ("ivf_flat", "ivf_pq", "hnsw")
 
 
-def recall_parity(
-    scale: float | None = None, datasets: Sequence[str] = ("sift1m", "deep1m")
-) -> ExperimentResult:
-    """Recall@10 of every index type on both engines."""
-    rows = []
+def _recall_build(scale: Scale) -> dict[str, Any]:
+    """Recall@k of every index type on both engines."""
     data: dict[str, dict[str, tuple[float, float]]] = {}
-    for name in datasets:
+    for name in scale.pair_datasets:
         data[name] = {}
-        for index_type in ("ivf_flat", "ivf_pq", "hnsw"):
-            ds_scale = _hnsw_scale(scale, name) if index_type == "hnsw" else scale
-            ds = bench_dataset(name, scale=ds_scale)
-            params = default_params(ds, index_type)
-            study = ComparativeStudy(ds, index_type, params)
-            cmp = study.compare_search(
-                k=K,
-                nprobe=None if index_type == "hnsw" else 10,
-                efs=100 if index_type == "hnsw" else None,
-                n_queries=N_QUERIES,
-                recall=True,
-            )
+        for index_type in _INDEX_TYPES:
+            cmp = scale.recall_search.run(scale.study(name, index_type)[0], recall=True)
             data[name][index_type] = (cmp.generalized_recall, cmp.specialized_recall)
-            rows.append(
-                [
-                    name,
-                    index_type,
-                    f"{cmp.generalized_recall:.3f}",
-                    f"{cmp.specialized_recall:.3f}",
-                    "exact" if index_type == "hnsw" else "same clusters modulo RC#5",
-                ]
+    return {"k": scale.recall_search.k, "recalls": data}
+
+
+def _recall_shape(rows: dict[str, Any]) -> list[Verdict]:
+    out = []
+    for name, by_index in rows["recalls"].items():
+        for index_type, (pase, faiss) in by_index.items():
+            # HNSW builds the same seeded graph on both engines.
+            tolerance = 0.0 if index_type == "hnsw" else _RECALL_TOLERANCE
+            out.append(
+                Verdict(
+                    f"{name} {index_type} |PASE - Faiss recall|", abs(pase - faiss),
+                    "== 0" if index_type == "hnsw" else f"< {tolerance:g}",
+                    pase == faiss or abs(pase - faiss) < tolerance,
+                )
             )
-    rendered = render_table(
-        ["dataset", "index", "PASE recall@10", "Faiss recall@10", "parity"], rows
-    )
-    return ExperimentResult(
-        exp_id="recall",
-        title="Recall parity between the engines (Sec. IV-D premise)",
-        expected_shape=(
-            "recall matches across engines: exactly for HNSW (identical "
-            "graphs), within RC#5 noise for the IVF family"
-        ),
-        rendered=rendered,
-        data=data,
-    )
+    return out
+
+
+RECALL = Figure(
+    "recall",
+    "Recall parity between the engines (Sec. IV-D premise)",
+    "recall matches across engines: exactly for HNSW (identical "
+    "graphs), within RC#5 noise for the IVF family",
+    build=_recall_build,
+    shape=_recall_shape,
+    render=lambda rows: render_table(
+        ["dataset", "index", f"PASE recall@{rows['k']}", f"Faiss recall@{rows['k']}", "parity"],
+        [
+            [
+                name, index_type, f"{pase:.3f}", f"{faiss:.3f}",
+                "exact" if index_type == "hnsw" else "same clusters modulo RC#5",
+            ]
+            for name, by_index in rows["recalls"].items()
+            for index_type, (pase, faiss) in by_index.items()
+        ],
+    ),
+)

@@ -1,68 +1,43 @@
-"""Search-latency experiments: Figs. 2, 14-17, 19 and Table V."""
+"""Search-latency figures: Figs. 2, 14-17, 19 and Table V."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any
 
-from repro.bench.exp_build import _hnsw_scale
 from repro.bench.runner import (
-    ALL_DATASETS,
-    HNSW_DATASETS,
-    ExperimentResult,
-    bench_dataset,
-    default_params,
+    Figure,
+    Scale,
+    Verdict,
+    grouped,
+    per_group,
+    ratio,
+    ratios,
+    within,
 )
 from repro.common.metrics import latency_stats
-from repro.common.profiling import Profiler
+from repro.common.profiling import DEFAULT_MAX_SPANS, Profiler
+from repro.core.rc_attribution import attribute_profile, format_rc_breakdown
 from repro.core.report import render_breakdown, render_grouped_series
+from repro.core.root_causes import RootCause
 from repro.core.study import ComparativeStudy, GeneralizedVectorDB, SpecializedVectorDB
 
 #: Table V column order.
 _TAB5_COLUMNS = ("fvec_L2sqr", "Tuple Access", "Min-heap")
 
-#: paper defaults (Table II), rescaled k for the smaller datasets.
-DEFAULT_K = 50
-DEFAULT_NPROBE = 20
-DEFAULT_EFS = 200
-N_QUERIES = 15
+#: Recall may differ across engines only by the two k-means flavours (RC#5).
+_RECALL_TOLERANCE = 0.3
 
 
-def _search_series(
-    index_type: str,
-    datasets: Sequence[str],
-    scale: float | None,
-    nprobe: int | None = DEFAULT_NPROBE,
-    efs: int | None = None,
-    hnsw_scaled: bool = False,
-) -> tuple[list[str], dict[str, list[float]], dict[str, list[float]]]:
-    groups: list[str] = []
-    series: dict[str, list[float]] = {"PASE": [], "Faiss": []}
-    recalls: dict[str, list[float]] = {"PASE": [], "Faiss": []}
-    for name in datasets:
-        ds_scale = _hnsw_scale(scale, name) if hnsw_scaled else scale
-        ds = bench_dataset(name, scale=ds_scale)
-        params = default_params(ds, index_type)
-        study = ComparativeStudy(ds, index_type, params)
-        cmp = study.compare_search(
-            k=DEFAULT_K, nprobe=nprobe, efs=efs, n_queries=N_QUERIES, recall=True
-        )
-        groups.append(f"{name}(n={ds.n})")
-        series["PASE"].append(cmp.generalized.mean)
-        series["Faiss"].append(cmp.specialized.mean)
-        recalls["PASE"].append(cmp.generalized_recall)
-        recalls["Faiss"].append(cmp.specialized_recall)
-    return groups, series, recalls
-
-
-def fig02(scale: float | None = None, dataset: str = "sift1m") -> ExperimentResult:
-    """Generalized systems compared: PASE vs pgvector (the paper's Fig. 2).
+def _fig02_build(scale: Scale) -> dict[str, Any]:
+    """Generalized systems compared: PASE vs pgvector.
 
     Both run IVF_FLAT with the same parameters on pgsim; pgvector's
     TID-only index pages force one heap fetch per scanned candidate.
     """
-    ds = bench_dataset(dataset, scale=scale)
-    params = default_params(ds, "ivf_flat")
-
+    name = scale.datasets[0]
+    ds = scale.dataset(name)
+    params = scale.index_params(ds, "ivf_flat")
+    search = scale.search
     systems: dict[str, list[float]] = {}
     #: Mean buffer accesses per query: the counted cause of the ordering.
     accesses: dict[str, float] = {}
@@ -75,187 +50,324 @@ def fig02(scale: float | None = None, dataset: str = "sift1m") -> ExperimentResu
         gen.db.execute(
             f"CREATE INDEX {gen.index_name} ON {gen.table_name} USING {am_name} (vec) WITH ({opts})"
         )
-        info = gen.db.catalog.find_index(gen.index_name)
-        assert info is not None
-        gen.am = info.am
-        latencies = []
-        touched = 0
-        gen.db.execute(f"SET pase.nprobe = {DEFAULT_NPROBE}")
-        for q in ds.queries[:N_QUERIES]:
-            r = gen.search(q, DEFAULT_K)
-            latencies.append(r.elapsed_seconds)
-            touched += r.tuples_accessed
-        systems[label] = [latency_stats(latencies).mean]
-        accesses[label] = touched / len(latencies)
-    rendered = render_grouped_series(
-        f"IVF_FLAT search on {dataset}",
-        [f"{dataset}(n={ds.n})"],
-        systems,
-        unit="s",
+        gen.am = gen.db.catalog.find_index(gen.index_name).am
+        results = [
+            gen.search(q, search.k, nprobe=search.nprobe) for q in ds.queries[: search.n_queries]
+        ]
+        systems[label] = [latency_stats([r.elapsed_seconds for r in results]).mean]
+        accesses[label] = sum(r.tuples_accessed for r in results) / len(results)
+    return {
+        "dataset": name, "group": f"{name}(n={ds.n})", "systems": systems,
+        "buffer_accesses": accesses,
+    }
+
+
+FIG2 = Figure(
+    "fig2",
+    "Generalized vector databases compared (PASE vs pgvector)",
+    "PASE is the fastest generalized system; pgvector trails it",
+    build=_fig02_build,
+    shape=lambda rows: [
+        within(
+            "pgvector/PASE search time",
+            ratio(rows["systems"]["pgvector"][0], rows["systems"]["PASE"][0]), lo=1.0,
+        )
+    ],
+    render=lambda rows: render_grouped_series(
+        f"IVF_FLAT search on {rows['dataset']}", [rows["group"]], rows["systems"], unit="s",
         gap_of=("pgvector", "PASE"),
-    )
-    return ExperimentResult(
-        exp_id="fig2",
-        title="Generalized vector databases compared (PASE vs pgvector)",
-        expected_shape="PASE is the fastest generalized system; pgvector trails it",
-        rendered=rendered,
-        data={"systems": systems, "buffer_accesses": accesses},
-    )
+    ),
+)
 
 
-def fig14(scale: float | None = None, datasets: Sequence[str] = ALL_DATASETS) -> ExperimentResult:
-    """IVF_FLAT search time (Fig. 14)."""
-    groups, series, recalls = _search_series("ivf_flat", datasets, scale)
-    rendered = render_grouped_series(
-        "IVF_FLAT search", groups, series, unit="s", gap_of=("PASE", "Faiss")
-    )
-    return ExperimentResult(
-        exp_id="fig14",
-        title="Search time for IVF_FLAT",
-        expected_shape="PASE 2.0x-3.4x slower (k-means diff, tuple access, n-sized heap)",
-        rendered=rendered,
-        data={"groups": groups, "series": series, "recalls": recalls},
-    )
+def _search_series(scale: Scale, index_type: str) -> dict[str, Any]:
+    """PASE vs Faiss mean search latency and recall per dataset."""
+    groups: list[str] = []
+    series: dict[str, list[float]] = {"PASE": [], "Faiss": []}
+    recalls: dict[str, list[float]] = {"PASE": [], "Faiss": []}
+    for name in scale.hnsw_datasets if index_type == "hnsw" else scale.datasets:
+        study, __ = scale.study(name, index_type)
+        cmp = scale.search.run(study, recall=True)
+        groups.append(f"{name}(n={study.dataset.n})")
+        series["PASE"].append(cmp.generalized.mean)
+        series["Faiss"].append(cmp.specialized.mean)
+        recalls["PASE"].append(cmp.generalized_recall)
+        recalls["Faiss"].append(cmp.specialized_recall)
+    return {"groups": groups, "series": series, "recalls": recalls}
 
 
-def tab05(scale: float | None = None, dataset: str = "sift1m") -> ExperimentResult:
-    """IVF_FLAT search-time breakdown (the paper's Table V)."""
-    ds = bench_dataset(dataset, scale=scale)
-    params = default_params(ds, "ivf_flat")
-    profs = {"PASE": Profiler(), "Faiss": Profiler()}
+def _fig14_shape(rows: dict[str, Any]) -> list[Verdict]:
+    recalls = zip(rows["groups"], rows["recalls"]["PASE"], rows["recalls"]["Faiss"])
+    return per_group("PASE/Faiss search time", ratios(rows), lo=1.5) + [
+        Verdict(
+            f"{group} |PASE - Faiss recall|", abs(pase - faiss), f"< {_RECALL_TOLERANCE:g}",
+            pase == faiss or abs(pase - faiss) < _RECALL_TOLERANCE,
+        )
+        for group, pase, faiss in recalls
+    ]
+
+
+FIG14 = Figure(
+    "fig14",
+    "Search time for IVF_FLAT",
+    "PASE 2.0x-3.4x slower (k-means diff, tuple access, n-sized heap)",
+    build=lambda scale: _search_series(scale, "ivf_flat"),
+    shape=_fig14_shape,
+    render=grouped("IVF_FLAT search"),
+)
+
+
+def _fig16_build(scale: Scale) -> dict[str, Any]:
+    rows = _search_series(scale, "ivf_pq")
+    rows["flat_gaps"] = [
+        scale.search.run(scale.study(name, "ivf_flat")[0]).gap for name in scale.datasets
+    ]
+    return rows
+
+
+FIG16 = Figure(
+    "fig16",
+    "Search time for IVF_PQ",
+    "PASE 3.9x-11.2x slower; precomputed table (RC#7) adds to the gap",
+    build=_fig16_build,
+    # The PQ gap is at least comparable to the FLAT gap, usually larger.
+    shape=lambda rows: per_group("PASE/Faiss IVF_PQ search time", ratios(rows), lo=1.5)
+    + per_group(
+        "IVF_PQ gap / IVF_FLAT gap",
+        [(g, ratio(gap, flat)) for (g, gap), flat in zip(ratios(rows), rows["flat_gaps"])],
+        lo=0.8,
+    ),
+    render=grouped("IVF_PQ search"),
+)
+
+FIG17 = Figure(
+    "fig17",
+    "Search time for HNSW",
+    "PASE 2.2x-7.3x slower; gap is almost entirely tuple access (RC#2)",
+    build=lambda scale: _search_series(scale, "hnsw"),
+    shape=lambda rows: per_group("PASE/Faiss search time", ratios(rows), 1.5, 30.0),
+    render=grouped("HNSW search"),
+)
+
+
+def _tab05_build(scale: Scale) -> dict[str, Any]:
+    """IVF_FLAT search profiled on both engines.  The profilers keep
+    spans, so one run yields the breakdown (from the section totals),
+    the RC#1-RC#7 attribution and a chrome-trace timeline."""
+    name = scale.datasets[0]
+    ds = scale.dataset(name)
+    profs = {engine: Profiler(max_spans=DEFAULT_MAX_SPANS) for engine in ("PASE", "Faiss")}
     study = ComparativeStudy(
         ds,
         "ivf_flat",
-        params,
+        scale.index_params(ds, "ivf_flat"),
         generalized=GeneralizedVectorDB(profiler=profs["PASE"]),
         specialized=SpecializedVectorDB(profiler=profs["Faiss"]),
     )
-    study.compare_search(k=DEFAULT_K, nprobe=DEFAULT_NPROBE, n_queries=N_QUERIES)
-    rendered = render_breakdown(
-        f"IVF_FLAT search on {dataset}",
-        {name: prof.breakdown(within=None) for name, prof in profs.items()},
+    scale.search.run(study)
+    attribution = attribute_profile(profs["PASE"])
+    return {
+        "dataset": name,
+        **{engine: {r.name: r for r in prof.breakdown()} for engine, prof in profs.items()},
+        "spans": {
+            engine: {
+                "kept": len(prof.spans),
+                "dropped": prof.dropped_spans,
+                "root_seconds": sum(s.end - s.start for s in prof.spans if s.parent_id == 0),
+                "total_seconds": prof.total_seconds(),
+            }
+            for engine, prof in profs.items()
+        },
+        "rc_attribution": attribution.as_dict(),
+        "rc_seconds": {cause: attribution.seconds_for(cause) for cause in RootCause},
+        "rc_report": format_rc_breakdown(attribution, title="Table V (PASE, from spans):"),
+        "chrome_trace": profs["PASE"].to_chrome_trace(),
+    }
+
+
+def _close(a: float, b: float, rel: float) -> bool:
+    """``a == pytest.approx(b, rel=rel)``."""
+    return abs(a - b) <= max(rel * abs(b), 1e-12)
+
+
+def _tab05_shape(rows: dict[str, Any]) -> list[Verdict]:
+    faiss, pase = rows["Faiss"], rows["PASE"]
+    faiss_dist = faiss["fvec_L2sqr"].fraction
+    out = [
+        within("Faiss fvec_L2sqr share", faiss_dist, lo=0.35),
+        Verdict(
+            "Faiss fvec_L2sqr share", faiss_dist, "is the largest",
+            faiss_dist == max(r.fraction for r in faiss.values()),
+        ),
+        within("PASE Tuple Access share", pase["Tuple Access"].fraction, lo=0.2),
+        within("PASE Min-heap share", pase["Min-heap"].fraction, lo=0.05),
+        # PASE's distance share is well below Faiss's.
+        within("PASE fvec_L2sqr share", pase["fvec_L2sqr"].fraction, hi=faiss_dist),
+    ]
+    # The root spans cover exactly the time the section totals hold.
+    for engine, spans in sorted(rows["spans"].items()):
+        out.append(
+            Verdict(
+                f"{engine} spans kept / dropped", spans["kept"], f"> 0, {spans['dropped']} dropped",
+                spans["kept"] > 0 and not spans["dropped"],
+            )
+        )
+        out.append(
+            Verdict(
+                f"{engine} root-span / section-total seconds",
+                ratio(spans["root_seconds"], spans["total_seconds"]), "== 1 (rel 1e-6)",
+                _close(spans["root_seconds"], spans["total_seconds"], 1e-6),
+            )
+        )
+    # The paper's Table V conclusions, restated as an RC attribution:
+    # buckets partition the recorded span time exactly, and PASE search
+    # pays RC#2 (page indirection) and RC#6 (size-n heap).
+    rc = rows["rc_attribution"]
+    bucket_seconds = sum(b["seconds"] for b in rc["buckets"])
+    out.append(Verdict("RC buckets", len(rc["buckets"]), "> 0", bool(rc["buckets"])))
+    out.append(
+        Verdict(
+            "RC bucket seconds / attributed total", ratio(bucket_seconds, rc["total_seconds"]),
+            "== 1 (rel 1e-6)", _close(bucket_seconds, rc["total_seconds"], 1e-6),
+        )
+    )
+    for cause in (RootCause.MEMORY_MANAGEMENT, RootCause.HEAP_SIZE):
+        out.append(within(f"PASE RC#{cause.value} seconds", rows["rc_seconds"][cause], lo=0.0))
+    missing = [label for label in ("RC#2", "RC#6") if label not in rows["rc_report"]]
+    out.append(Verdict("RC report names RC#2 and RC#6", len(missing), "== 0 missing", not missing))
+    return out
+
+
+TAB5 = Figure(
+    "tab5",
+    "Time breakdown of IVF_FLAT search",
+    "Faiss ~95% in fvec_L2sqr; PASE's distance share much lower with "
+    "large Tuple Access and Min-heap shares",
+    build=_tab05_build,
+    shape=_tab05_shape,
+    render=lambda rows: render_breakdown(
+        f"IVF_FLAT search on {rows['dataset']}",
+        {engine: list(rows[engine].values()) for engine in ("PASE", "Faiss")},
         columns=_TAB5_COLUMNS,
     )
-    data = {
-        name: {row.name: row.seconds for row in prof.breakdown(within=None)}
-        for name, prof in profs.items()
-    }
-    return ExperimentResult(
-        exp_id="tab5",
-        title="Time breakdown of IVF_FLAT search",
-        expected_shape=(
-            "Faiss ~95% in fvec_L2sqr; PASE's distance share much lower with "
-            "large Tuple Access and Min-heap shares"
-        ),
-        rendered=rendered,
-        data=data,
-    )
+    + "\n\n"
+    + rows["rc_report"],
+)
+
+#: Queries whose PASE and Faiss* result ids Fig. 15 compares.
+_FIG15_ID_QUERIES = 4
 
 
-def fig15(scale: float | None = None, datasets: Sequence[str] = ("sift1m", "deep1m")) -> ExperimentResult:
-    """IVF_FLAT search with PASE's centroids transplanted into Faiss (Fig. 15)."""
+def _fig15_build(scale: Scale) -> dict[str, Any]:
+    """IVF_FLAT search with PASE's centroids transplanted into Faiss."""
+    search = scale.search
     groups: list[str] = []
     series: dict[str, list[float]] = {"PASE": [], "Faiss": [], "Faiss*": []}
-    for name in datasets:
-        ds = bench_dataset(name, scale=scale)
-        params = default_params(ds, "ivf_flat")
-        study = ComparativeStudy(ds, "ivf_flat", params)
-        before = study.compare_search(k=DEFAULT_K, nprobe=DEFAULT_NPROBE, n_queries=N_QUERIES)
+    star_gaps: list[float] = []
+    ids: list[list[tuple[list[int], list[int]]]] = []
+    for name in scale.pair_datasets:
+        ds = scale.dataset(name)
+        study = ComparativeStudy(ds, "ivf_flat", scale.index_params(ds, "ivf_flat"))
+        before = search.run(study)
         study.transplant_centroids()
-        after = study.compare_search(k=DEFAULT_K, nprobe=DEFAULT_NPROBE, n_queries=N_QUERIES)
+        ids.append(
+            [
+                tuple(
+                    engine.search(q, search.k, nprobe=search.nprobe).ids
+                    for engine in (study.generalized, study.specialized)
+                )
+                for q in ds.queries[:_FIG15_ID_QUERIES]
+            ]
+        )
+        after = search.run(study)
         groups.append(f"{name}(n={ds.n})")
         series["PASE"].append(before.generalized.mean)
         series["Faiss"].append(before.specialized.mean)
         series["Faiss*"].append(after.specialized.mean)
-    rendered = render_grouped_series(
-        "IVF_FLAT search with replaced centroids",
-        groups,
-        series,
-        unit="s",
-        gap_of=("PASE", "Faiss*"),
-    )
-    return ExperimentResult(
-        exp_id="fig15",
-        title="IVF_FLAT search with replaced centroids (Faiss*)",
-        expected_shape="gap PASE/Faiss* smaller than PASE/Faiss (RC#5 isolated)",
-        rendered=rendered,
-        data={"groups": groups, "series": series},
-    )
+        # Gated on the post-transplant pair, measured back to back.
+        star_gaps.append(after.gap)
+    return {"groups": groups, "series": series, "faiss_star_gaps": star_gaps, "ids": ids}
 
 
-def fig16(scale: float | None = None, datasets: Sequence[str] = ALL_DATASETS) -> ExperimentResult:
-    """IVF_PQ search time (Fig. 16)."""
-    groups, series, recalls = _search_series("ivf_pq", datasets, scale)
-    rendered = render_grouped_series(
-        "IVF_PQ search", groups, series, unit="s", gap_of=("PASE", "Faiss")
-    )
-    return ExperimentResult(
-        exp_id="fig16",
-        title="Search time for IVF_PQ",
-        expected_shape="PASE 3.9x-11.2x slower; precomputed table (RC#7) adds to the gap",
-        rendered=rendered,
-        data={"groups": groups, "series": series, "recalls": recalls},
-    )
+def _fig15_shape(rows: dict[str, Any]) -> list[Verdict]:
+    out = []
+    for group, gap, ids in zip(rows["groups"], rows["faiss_star_gaps"], rows["ids"]):
+        differing = sum(gen != spec for gen, spec in ids)
+        out.append(
+            Verdict(
+                f"{group} queries where PASE and Faiss* ids differ", differing,
+                f"== 0 of {len(ids)}", differing == 0,
+            )
+        )
+        # Even with RC#5 removed, RC#2/RC#6 keep PASE slower.
+        out.append(within(f"{group} PASE/Faiss* search time", gap, lo=1.5))
+    return out
 
 
-def fig17(scale: float | None = None, datasets: Sequence[str] = HNSW_DATASETS) -> ExperimentResult:
-    """HNSW search time (Fig. 17)."""
-    groups, series, recalls = _search_series(
-        "hnsw", datasets, scale, nprobe=None, efs=DEFAULT_EFS, hnsw_scaled=True
-    )
-    rendered = render_grouped_series(
-        "HNSW search", groups, series, unit="s", gap_of=("PASE", "Faiss")
-    )
-    return ExperimentResult(
-        exp_id="fig17",
-        title="Search time for HNSW",
-        expected_shape="PASE 2.2x-7.3x slower; gap is almost entirely tuple access (RC#2)",
-        rendered=rendered,
-        data={"groups": groups, "series": series, "recalls": recalls},
-    )
+FIG15 = Figure(
+    "fig15",
+    "IVF_FLAT search with replaced centroids (Faiss*)",
+    "gap PASE/Faiss* smaller than PASE/Faiss (RC#5 isolated)",
+    build=_fig15_build,
+    shape=_fig15_shape,
+    render=grouped("IVF_FLAT search with replaced centroids", gap_of=("PASE", "Faiss*")),
+)
 
 
-def fig19(scale: float | None = None, dataset: str = "sift1m") -> ExperimentResult:
-    """Search gap vs. nprobe (IVF) and efs (HNSW) — the paper's Fig. 19."""
-    ds = bench_dataset(dataset, scale=scale)
-    nprobes = [10, 20, 50]
-    gaps: dict[str, list[float]] = {"IVF_FLAT": [], "IVF_PQ": []}
-    for index_type in ("ivf_flat", "ivf_pq"):
-        params = default_params(ds, index_type)
-        study = ComparativeStudy(ds, index_type, params)
-        study.compare_build()
-        for nprobe in nprobes:
-            cmp = study.compare_search(k=DEFAULT_K, nprobe=nprobe, n_queries=N_QUERIES)
-            gaps[index_type.upper()].append(cmp.gap)
-    ivf_table = render_grouped_series(
-        f"search gap vs nprobe ({dataset})",
-        [f"nprobe={p}" for p in nprobes],
-        gaps,
-        unit="x",
-    )
+def _fig19_build(scale: Scale) -> dict[str, Any]:
+    """Search gap vs nprobe (IVF) and efs (HNSW)."""
+    name = scale.datasets[0]
+    search = scale.search
+    ivf_gaps = {
+        index_type.upper(): [
+            search.run(scale.study(name, index_type)[0], nprobe=nprobe).gap
+            for nprobe in scale.fig19_nprobe
+        ]
+        for index_type in ("ivf_flat", "ivf_pq")
+    }
+    hnsw, __ = scale.study(name, "hnsw")
+    hnsw_gaps = [search.run(hnsw, k=k, efs=efs).gap for efs, k in scale.fig19_efs]
+    return {
+        "dataset": name,
+        "nprobes": list(scale.fig19_nprobe),
+        "ivf_gaps": ivf_gaps,
+        "efs": [efs for efs, __ in scale.fig19_efs],
+        "hnsw_gaps": {"HNSW": hnsw_gaps},
+    }
 
-    hnsw_ds = bench_dataset(dataset, scale=_hnsw_scale(scale, dataset))
-    efs_values = [16, 100, 200]
-    hnsw_gaps: dict[str, list[float]] = {"HNSW": []}
-    params = default_params(hnsw_ds, "hnsw")
-    study = ComparativeStudy(hnsw_ds, "hnsw", params)
-    study.compare_build()
-    for efs in efs_values:
-        cmp = study.compare_search(k=min(DEFAULT_K, efs), nprobe=None, efs=efs, n_queries=N_QUERIES)
-        hnsw_gaps["HNSW"].append(cmp.gap)
-    hnsw_table = render_grouped_series(
-        f"search gap vs efs ({dataset})",
-        [f"efs={e}" for e in efs_values],
-        hnsw_gaps,
-        unit="x",
+
+def _fig19_shape(rows: dict[str, Any]) -> list[Verdict]:
+    flat, pq = rows["ivf_gaps"]["IVF_FLAT"], rows["ivf_gaps"]["IVF_PQ"]
+    nprobes = rows["nprobes"]
+    out = [within(f"IVF_FLAT gap at nprobe={p}", g, lo=1.0) for p, g in zip(nprobes, flat)]
+    # Grows (or holds within noise).
+    out.append(
+        within(
+            f"IVF_PQ gap at nprobe={nprobes[-1]} / at nprobe={nprobes[0]}",
+            ratio(pq[-1], pq[0]), lo=0.7, detail=f"gaps {pq[0]:.2f} -> {pq[-1]:.2f}",
+        )
     )
-    return ExperimentResult(
-        exp_id="fig19",
-        title="Impact of parameters on the search gap",
-        expected_shape=(
-            "IVF_FLAT gap roughly flat in nprobe; IVF_PQ gap grows with "
-            "nprobe; HNSW gap grows with efs"
-        ),
-        rendered=ivf_table + "\n\n" + hnsw_table,
-        data={"nprobes": nprobes, "ivf_gaps": gaps, "efs": efs_values, "hnsw_gaps": hnsw_gaps},
+    out += [
+        within(f"HNSW gap at efs={efs}", g, lo=1.3)
+        for efs, g in zip(rows["efs"], rows["hnsw_gaps"]["HNSW"])
+    ]
+    return out
+
+
+FIG19 = Figure(
+    "fig19",
+    "Impact of parameters on the search gap",
+    "IVF_FLAT gap roughly flat in nprobe; IVF_PQ gap grows with "
+    "nprobe; HNSW gap grows with efs",
+    build=_fig19_build,
+    shape=_fig19_shape,
+    render=lambda rows: render_grouped_series(
+        f"search gap vs nprobe ({rows['dataset']})", [f"nprobe={p}" for p in rows["nprobes"]],
+        rows["ivf_gaps"], unit="x",
     )
+    + "\n\n"
+    + render_grouped_series(
+        f"search gap vs efs ({rows['dataset']})", [f"efs={e}" for e in rows["efs"]],
+        rows["hnsw_gaps"], unit="x",
+    ),
+)

@@ -8,7 +8,6 @@ from repro.bench.runner import (
     HNSW_DATASETS,
     bench_dataset,
     default_params,
-    timed,
 )
 from repro.common import kmeans
 from repro.core.ablation import SWITCHES
@@ -42,13 +41,6 @@ class TestRegistry:
 
 
 class TestRunner:
-    def test_timed_protocol(self):
-        calls = []
-        mean, result = timed(lambda: calls.append(1) or len(calls), repeats=3, warmup=1)
-        assert len(calls) == 4  # 1 warmup + 3 timed
-        assert result == 4
-        assert mean >= 0
-
     def test_default_params_ivf(self):
         ds = bench_dataset("sift1m", scale=0.001)
         params = default_params(ds, "ivf_flat")
@@ -69,10 +61,12 @@ class TestRunner:
 
 class TestExperimentSmoke:
     """Each experiment runs end-to-end at micro scale and reports the
-    right structure.  (Shape assertions live in benchmarks/.)"""
+    right structure.  (Its shape verdicts are asserted at SMOKE scale
+    in ``benchmarks/bench_paper_figures.py``.)"""
 
     def test_fig3_structure(self):
         result = run_experiment("fig3", scale=TINY, datasets=("sift1m",))
+        assert result.verdicts
         assert result.exp_id == "fig3"
         assert "PASE total" in result.data["series"]
         assert len(result.data["series"]["Faiss add"]) == 1
@@ -80,28 +74,32 @@ class TestExperimentSmoke:
 
     def test_fig11_structure(self):
         result = run_experiment("fig11", scale=TINY, datasets=("deep1m",))
+        assert result.verdicts
         assert result.data["series"]["PASE"][0] > 0
 
     def test_fig14_structure(self):
         result = run_experiment("fig14", scale=TINY, datasets=("sift1m",))
+        assert result.verdicts
         assert result.data["series"]["PASE"][0] > result.data["series"]["Faiss"][0] * 0
 
     def test_tab5_structure(self):
         result = run_experiment("tab5", scale=TINY)
+        assert result.verdicts
         assert "PASE" in result.data and "Faiss" in result.data
         assert "fvec_L2sqr" in result.data["PASE"]
 
     def test_fig18_structure(self):
         """Structure only: the curves schedule *measured* unit costs, so
-        which one is steeper is a wall-clock shape, gated in
-        ``benchmarks/bench_fig18_parallel_search.py``; the same finding
-        from counted costs is ``tests/test_parallel_drivers.py::
+        which one is steeper is a wall-clock shape, gated by the fig18
+        verdicts in ``benchmarks/bench_paper_figures.py``; the same
+        finding from counted costs is ``tests/test_parallel_drivers.py::
         TestPaseParallel::test_global_heap_scales_worse_than_local``."""
         result = run_experiment("fig18", scale=TINY)
-        assert set(result.data) == {
+        assert result.verdicts
+        assert set(result.data["speedups"]) == {
             f"{engine} {index}" for engine in ("PASE", "Faiss") for index in ("IVF_FLAT", "IVF_PQ")
         }
-        for curve in result.data.values():
+        for curve in result.data["speedups"].values():
             assert sorted(curve) == [1, 2, 4, 8]
             assert curve[1] == pytest.approx(1.0)
             assert all(speedup > 0 for speedup in curve.values())
@@ -119,6 +117,7 @@ class TestExperimentSmoke:
 class TestMoreExperimentSmoke:
     def test_fig9_structure(self):
         result = run_experiment("fig9", scale=TINY)
+        assert result.verdicts
         assert set(result.data) == {
             "IVF_FLAT with SGEMM",
             "IVF_FLAT no SGEMM",
@@ -131,10 +130,11 @@ class TestMoreExperimentSmoke:
 
     def test_ablation_structure(self):
         """Structure only: "with" and "without" are measured gaps, so
-        their order is a wall-clock shape (``benchmarks/
-        bench_ablation_root_causes.py``); what the SGEMM toggle removes
-        is counted in :meth:`test_ablation_sgemm_toggle_counted`."""
+        their order is a wall-clock shape (the ablation verdicts in
+        ``benchmarks/bench_paper_figures.py``); what the SGEMM toggle
+        removes is counted in :meth:`test_ablation_sgemm_toggle_counted`."""
         result = run_experiment("ablation", scale=TINY)
+        assert result.verdicts
         assert "SGEMM" in result.rendered
         assert set(result.data) == {cause.name for cause in SWITCHES}
         for cause, row in result.data.items():
@@ -167,21 +167,24 @@ class TestMoreExperimentSmoke:
 
     def test_fig15_structure(self):
         result = run_experiment("fig15", scale=TINY, datasets=("sift1m",))
+        assert result.verdicts
         series = result.data["series"]
         assert set(series) == {"PASE", "Faiss", "Faiss*"}
         assert len(series["Faiss*"]) == 1
 
     def test_fig5_structure(self):
         result = run_experiment("fig5", scale=TINY, datasets=("sift1m",))
+        assert result.verdicts
         assert result.data["series"]["PASE total"][0] > 0
         assert "gap" in result.rendered
 
     def test_fig2_structure(self):
         """The Fig. 2 ordering's cause, counted: pgvector's TID-only
         pages add a heap pin per candidate to PASE's page walk.  The
-        wall-clock ordering is gated in ``benchmarks/
-        bench_fig02_generalized_compare.py``."""
+        wall-clock ordering is the fig2 verdict in ``benchmarks/
+        bench_paper_figures.py``."""
         result = run_experiment("fig2", scale=TINY)
+        assert result.verdicts
         systems = result.data["systems"]
         assert set(systems) == {"PASE", "pgvector"}
         assert all(latency[0] > 0 for latency in systems.values())

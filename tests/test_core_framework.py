@@ -47,9 +47,16 @@ class TestAblationRegistry:
             RootCause.PRECOMPUTED_TABLE,
         }
 
-    def test_architectural_causes_raise(self, small_dataset):
+    @pytest.mark.parametrize(
+        "cause",
+        [RootCause.MEMORY_MANAGEMENT, RootCause.PARALLEL_EXECUTION, RootCause.PAGE_STRUCTURE],
+        ids=lambda cause: cause.name,
+    )
+    def test_architectural_causes_raise(self, small_dataset, cause):
+        """RC#2-RC#4 have no toggle: the profiler, parallelism and size
+        figures measure them instead."""
         with pytest.raises(KeyError):
-            ablation.run_ablation(RootCause.MEMORY_MANAGEMENT, small_dataset, {})
+            ablation.run_ablation(cause, small_dataset, {})
 
     def test_sgemm_ablation_closes_build_gap(self, medium_dataset):
         result = ablation.run_ablation(

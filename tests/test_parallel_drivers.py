@@ -124,7 +124,8 @@ class TestPaseParallel:
         heap lock once per candidate, Faiss once per probed list — and
         with both designs' lists scheduled at the same fixed cost per
         candidate, the locked heap scales worse.  The wall-clock curves
-        are gated in ``benchmarks/bench_fig18_parallel_search.py``.
+        are gated by the fig18 verdicts in
+        ``benchmarks/bench_paper_figures.py``.
         """
         query = study.dataset.queries[3]
         spec_scheduled = _record_units(monkeypatch, spec_parallel)
