@@ -51,8 +51,7 @@ def metrics_extras(db) -> dict:
     """Observability attachment for a bench's ``extra`` block.
 
     ``metrics_snapshot`` is the final scrape flattened to plain
-    counters/gauges (histogram series dropped — they would bloat the
-    JSON); ``slow_queries`` is the top-5 of ``pg_slow_queries`` with
+    counters/gauges; ``slow_queries`` is the top-5 of ``pg_slow_queries`` with
     plan text omitted, so a bench's uploaded result carries the
     statements that were slowest in it.
     """
@@ -60,8 +59,6 @@ def metrics_extras(db) -> dict:
 
     snapshot: dict[str, float] = {}
     for sample in parse_exposition(db.metrics_text()).samples:
-        if sample.name.endswith(("_bucket", "_sum", "_count")):
-            continue
         key = sample.name
         if sample.labels:
             key += "{" + ",".join(f"{k}={v}" for k, v in sorted(sample.labels.items())) + "}"

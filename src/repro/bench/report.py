@@ -23,6 +23,8 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro.core.report import render_table
+
 #: Rows shown per section — a report is a page, not a dump.
 _TOP_N = 8
 
@@ -32,30 +34,18 @@ def _rows(db: Any, view: str) -> list[tuple]:
     return db.query(f"SELECT * FROM {view}")
 
 
-def _fmt(value: Any, width: int = 0) -> str:
+def _fmt(value: Any) -> str:
     if value is None:
-        text = "-"
-    elif isinstance(value, float):
-        text = f"{value:.3f}"
-    else:
-        text = str(value)
-    return text.rjust(width) if width else text
+        return "-"
+    if isinstance(value, float):
+        return f"{value:.3f}"
+    return str(value)
 
 
 def _table(headers: list[str], rows: list[tuple], limit: int = _TOP_N) -> list[str]:
     """Render an aligned text table (shared by every section)."""
-    shown = rows[:limit]
-    cells = [[_fmt(v) for v in row] for row in shown]
-    widths = [
-        max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-        for i, h in enumerate(headers)
-    ]
-    lines = [
-        "  " + "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  " + "  ".join("-" * w for w in widths),
-    ]
-    for row in cells:
-        lines.append("  " + "  ".join(row[i].ljust(widths[i]) for i in range(len(headers))))
+    cells = [[_fmt(v) for v in row] for row in rows[:limit]]
+    lines = ["  " + line for line in render_table(headers, cells).splitlines()]
     if len(rows) > limit:
         lines.append(f"  ... {len(rows) - limit} more")
     if not rows:

@@ -1,21 +1,21 @@
-"""Prometheus text-exposition exporter over pgsim's counter families.
+"""Prometheus text exposition generated from the ``pg_stat_*`` views.
 
-:class:`MetricsRegistry` snapshots every cumulative counter the engine
-keeps — buffer manager, WAL, heap tuple traffic, wait events,
-``pg_stat_statements`` (including the latency histogram as cumulative
-buckets), per-index scan and recall-probe stats, live backend states
-and the slow-query log — into the Prometheus text format, served by
-``PgSimDatabase.metrics_text()`` and the ``repro-bench metrics`` CLI.
+:func:`render_metrics` walks the views a catalog registers (each a
+:class:`~repro.common.obs.StatView`) and exports every column declared
+``counter`` or ``gauge``; nothing here names a counter.  The naming
+rule:
 
-The registry is duck-typed against the database facade (``db.stats``,
-``db.activity``, ``db.slowlog``) rather than importing
-:mod:`repro.pgsim`, keeping ``repro.common`` import-light; families
-whose backing object is absent are simply skipped, so a bare
-``Executor(...)`` harness still renders the counters it has.
+* the family is ``pgsim_<view>_<column>``, where ``<view>`` is the
+  view name without its ``pg_stat_`` (or ``pg_``) prefix;
+* a ``_ms`` column is divided by 1e3 and renamed ``_seconds``;
+* a counter family gets ``_total``;
+* the row's ``label`` columns become Prometheus labels, and ``None``
+  cells are skipped.
 
-A scrape is a read-only snapshot: it allocates its output buffer and
-walks live dicts via ``.copy()``/list snapshots, never mutating or
-locking engine state, so scraping from a monitoring thread is safe
+Served by ``PgSimDatabase.metrics_text()`` and the ``repro-bench
+metrics`` CLI.  A scrape is a read-only snapshot: it reads each view's
+rows once through the same lock-free path SQL monitoring uses, never
+executing a statement, so scraping from a monitoring thread is safe
 alongside running statements.
 
 :func:`parse_exposition` is the matching strict parser — tests
@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
+
+from repro.common.obs import COUNTER, GAUGE
 
 _METRIC_TYPES = ("counter", "gauge", "histogram", "summary", "untyped")
 
@@ -130,297 +132,37 @@ class _Writer:
         else:
             self._lines.append(f"{name} {_format_value(value)}")
 
-    def histogram(
-        self,
-        name: str,
-        cumulative: Iterable[tuple[float, int]],
-        count: int,
-        total: float,
-        labels: dict[str, Any] | None = None,
-    ) -> None:
-        """Emit ``_bucket``/``_sum``/``_count`` series for one histogram."""
-        base = dict(labels or {})
-        for upper, seen in cumulative:
-            self.sample(f"{name}_bucket", seen, {**base, "le": _format_value(upper)})
-        self.sample(f"{name}_bucket", count, {**base, "le": "+Inf"})
-        self.sample(f"{name}_sum", total, base or None)
-        self.sample(f"{name}_count", count, base or None)
-
     def render(self) -> str:
         return "\n".join(self._lines) + "\n"
 
 
-class MetricsRegistry:
-    """Snapshot a database's counter families into Prometheus text."""
+def family_name(view: str, column: str, kind: str) -> str:
+    """The family exporting ``view.column`` (see the module docstring)."""
+    prefix = "pg_stat_" if view.startswith("pg_stat_") else "pg_"
+    if column.endswith("_ms"):
+        column = column[: -len("_ms")] + "_seconds"
+    name = f"pgsim_{view.removeprefix(prefix)}_{column}"
+    return name + "_total" if kind == COUNTER else name
 
-    def __init__(self, db: Any) -> None:
-        self.db = db
 
-    def render(self) -> str:
-        w = _Writer()
-        stats = getattr(self.db, "stats", None)
-        if stats is not None:
-            self._buffer_family(w, stats)
-            self._wal_family(w, stats)
-            self._heap_family(w, stats)
-            self._wait_family(w, stats)
-            self._statement_family(w, stats)
-            self._index_family(w, stats)
-            self._quality_family(w, stats)
-        activity = getattr(self.db, "activity", None)
-        if activity is not None:
-            self._activity_family(w, activity)
-        slowlog = getattr(self.db, "slowlog", None)
-        if slowlog is not None:
-            self._slowlog_family(w, slowlog)
-        ash = getattr(self.db, "ash", None)
-        if ash is not None:
-            self._ash_family(w, ash)
-        history = getattr(self.db, "stat_history", None)
-        if history is not None:
-            self._history_family(w, history)
-        estimation = getattr(getattr(self.db, "executor", None), "estimation", None)
-        if estimation is not None:
-            self._estimation_family(w, estimation)
-        return w.render()
-
-    # ------------------------------------------------------------------
-    # families
-    # ------------------------------------------------------------------
-    def _buffer_family(self, w: _Writer, stats: Any) -> None:
-        s = stats.buffer.stats
-        w.family("pgsim_buffer_ops_total", "counter", "Buffer-manager operations.")
-        for op in ("hits", "misses", "evictions", "dirty_writebacks"):
-            w.sample("pgsim_buffer_ops_total", getattr(s, op), {"op": op})
-        w.family("pgsim_buffer_hit_ratio", "gauge", "Buffer-pool hit ratio.")
-        w.sample("pgsim_buffer_hit_ratio", float(s.hit_ratio))
-
-    def _wal_family(self, w: _Writer, stats: Any) -> None:
-        s = stats.wal.stats
-        w.family("pgsim_wal_records_total", "counter", "WAL records appended.")
-        w.sample("pgsim_wal_records_total", s.records)
-        w.family("pgsim_wal_bytes_total", "counter", "WAL bytes appended.")
-        w.sample("pgsim_wal_bytes_total", s.bytes_written)
-        w.family("pgsim_wal_flushes_total", "counter", "WAL flush calls.")
-        w.sample("pgsim_wal_flushes_total", s.flushes)
-        w.family("pgsim_wal_flushed_lsn", "gauge", "Durable WAL position.")
-        w.sample("pgsim_wal_flushed_lsn", stats.wal.flushed_lsn)
-
-    def _heap_family(self, w: _Writer, stats: Any) -> None:
-        s = stats.heap
-        w.family("pgsim_heap_tuples_total", "counter", "Heap tuple operations.")
-        for op in ("fetched", "inserted", "deleted", "updated"):
-            w.sample(
-                "pgsim_heap_tuples_total", getattr(s, f"tuples_{op}"), {"op": op}
-            )
-
-    def _wait_family(self, w: _Writer, stats: Any) -> None:
-        # Local import intentionally avoided: the event-type mapping
-        # lives next to the wait stats in repro.common.obs.
-        from repro.common.obs import WAIT_EVENT_TYPES
-
-        waits = stats.waits
-        counts = dict(waits.counts)
-        seconds = dict(waits.seconds)
-        w.family("pgsim_wait_events_total", "counter", "Wait-event occurrences.")
-        for event in sorted(counts):
-            w.sample(
-                "pgsim_wait_events_total",
-                counts[event],
-                {"type": WAIT_EVENT_TYPES.get(event, "Extension"), "event": event},
-            )
-        w.family(
-            "pgsim_wait_seconds_total", "counter", "Seconds blocked per wait event."
-        )
-        for event in sorted(counts):
-            w.sample(
-                "pgsim_wait_seconds_total",
-                seconds.get(event, 0.0),
-                {"type": WAIT_EVENT_TYPES.get(event, "Extension"), "event": event},
-            )
-
-    def _statement_family(self, w: _Writer, stats: Any) -> None:
-        statements = dict(stats.statements)
-        w.family(
-            "pgsim_statement_calls_total",
-            "counter",
-            "Executions per normalized statement.",
-        )
-        for text in sorted(statements):
-            w.sample(
-                "pgsim_statement_calls_total",
-                statements[text].calls,
-                {"query": text},
-            )
-        w.family(
-            "pgsim_statement_rows_total",
-            "counter",
-            "Rows returned per normalized statement.",
-        )
-        for text in sorted(statements):
-            w.sample(
-                "pgsim_statement_rows_total", statements[text].rows, {"query": text}
-            )
-        # One merged duration histogram across all statements: the
-        # per-query split lives in the calls/rows counters, while the
-        # latency distribution is what dashboards alert on.
-        merged_count = 0
-        merged_total = 0.0
-        merged: Any = None
-        for entry in statements.values():
-            h = entry.histogram
-            merged_count += h.count
-            merged_total += h.total_seconds
-            if merged is None:
-                merged = type(h)()
-            merged.merge(h)
-        w.family(
-            "pgsim_statement_duration_seconds",
-            "histogram",
-            "Statement latency across all normalized statements.",
-        )
-        w.histogram(
-            "pgsim_statement_duration_seconds",
-            merged.cumulative_buckets() if merged is not None else [],
-            merged_count,
-            merged_total,
-        )
-
-    def _index_family(self, w: _Writer, stats: Any) -> None:
-        infos = list(stats.iter_indexes())
-        w.family("pgsim_index_scans_total", "counter", "Index scans per index.")
-        for info in infos:
-            s = getattr(info.am, "scan_stats", None)
-            if s is not None:
-                w.sample(
-                    "pgsim_index_scans_total",
-                    s.scans,
-                    {"index": info.name, "table": info.table_name, "am": info.am_name},
-                )
-        w.family(
-            "pgsim_index_candidates_total",
-            "counter",
-            "Distance computations per index (the nprobe/efs amplification).",
-        )
-        for info in infos:
-            s = getattr(info.am, "scan_stats", None)
-            if s is not None:
-                w.sample(
-                    "pgsim_index_candidates_total",
-                    s.candidates,
-                    {"index": info.name, "table": info.table_name, "am": info.am_name},
-                )
-
-    def _quality_family(self, w: _Writer, stats: Any) -> None:
-        quality = dict(getattr(stats, "quality", {}) or {})
-        w.family(
-            "pgsim_index_recall_ratio",
-            "histogram",
-            "Observed recall@k of sampled index scans vs the brute-force oracle.",
-        )
-        for name in sorted(quality):
-            entry = quality[name]
-            h = entry.histogram
-            w.histogram(
-                "pgsim_index_recall_ratio",
-                h.cumulative_buckets(),
-                h.count,
-                h.total,
-                {"index": entry.index_name, "am": entry.am_name},
-            )
-        w.family(
-            "pgsim_index_recall_last_ratio",
-            "gauge",
-            "Most recently observed recall@k.",
-        )
-        for name in sorted(quality):
-            entry = quality[name]
-            w.sample(
-                "pgsim_index_recall_last_ratio",
-                entry.histogram.last_value,
-                {"index": entry.index_name, "am": entry.am_name},
-            )
-
-    def _activity_family(self, w: _Writer, activity: Any) -> None:
-        counts = activity.state_counts()
-        w.family("pgsim_backends", "gauge", "Live backends by state.")
-        for state in sorted(counts):
-            w.sample("pgsim_backends", counts[state], {"state": state})
-        backends = activity.backends()
-        w.family(
-            "pgsim_backend_statements_total",
-            "counter",
-            "Statements executed per backend.",
-        )
-        for b in backends:
-            w.sample(
-                "pgsim_backend_statements_total",
-                b.statements,
-                {"pid": b.backend_id, "name": b.name},
-            )
-        w.family(
-            "pgsim_backend_lock_wait_seconds_total",
-            "counter",
-            "Seconds spent waiting on the statement lock per backend.",
-        )
-        for b in backends:
-            w.sample(
-                "pgsim_backend_lock_wait_seconds_total",
-                b.lock_wait_seconds,
-                {"pid": b.backend_id, "name": b.name},
-            )
-
-    def _slowlog_family(self, w: _Writer, slowlog: Any) -> None:
-        w.family(
-            "pgsim_slow_queries_total",
-            "counter",
-            "Statements logged past log_min_duration_statement.",
-        )
-        w.sample("pgsim_slow_queries_total", slowlog.total_logged)
-        w.family(
-            "pgsim_slow_queries_retained", "gauge", "Slow-query records in the ring."
-        )
-        w.sample("pgsim_slow_queries_retained", len(slowlog.records()))
-
-    def _ash_family(self, w: _Writer, ash: Any) -> None:
-        w.family(
-            "pgsim_ash_samples_total",
-            "counter",
-            "Active-session-history samples taken (pg_ash).",
-        )
-        w.sample("pgsim_ash_samples_total", ash.total_samples)
-        w.family(
-            "pgsim_ash_retained", "gauge", "ASH samples currently in the ring."
-        )
-        w.sample("pgsim_ash_retained", len(ash))
-
-    def _history_family(self, w: _Writer, history: Any) -> None:
-        w.family(
-            "pgsim_stat_history_ticks_total",
-            "counter",
-            "Stat-history sampling ticks taken (pg_stat_history).",
-        )
-        w.sample("pgsim_stat_history_ticks_total", history.total_ticks)
-        w.family(
-            "pgsim_stat_history_retained",
-            "gauge",
-            "Stat-history rows currently in the ring.",
-        )
-        w.sample("pgsim_stat_history_retained", len(history))
-
-    def _estimation_family(self, w: _Writer, estimation: Any) -> None:
-        w.family(
-            "pgsim_estimation_records_total",
-            "counter",
-            "Plan nodes recorded into pg_stat_estimation_errors.",
-        )
-        w.sample("pgsim_estimation_records_total", estimation.total_recorded)
-        w.family(
-            "pgsim_estimation_max_q_error",
-            "gauge",
-            "Worst estimate-vs-actual q-error across tracked plan nodes.",
-        )
-        w.sample("pgsim_estimation_max_q_error", estimation.max_q_error())
+def render_metrics(catalog: Any) -> str:
+    """Every counter/gauge cell of ``catalog``'s views as exposition text."""
+    w = _Writer()
+    for view_name in catalog.view_names():
+        view = catalog.view(view_name)
+        metrics = view.columns_of(COUNTER, GAUGE)
+        if not metrics:
+            continue
+        rows = view.rows()
+        labels = [dict(view.row_labels(row)) for row in rows]
+        for i, column in metrics:
+            name = family_name(view_name, column, view.kinds[i])
+            per_ms = column.endswith("_ms")
+            w.family(name, view.kinds[i], f"{view_name}.{column}")
+            for row, row_labels in zip(rows, labels):
+                if row[i] is not None:
+                    w.sample(name, row[i] / 1e3 if per_ms else row[i], row_labels)
+    return w.render()
 
 
 # ----------------------------------------------------------------------
@@ -445,7 +187,7 @@ class Exposition:
     types: dict[str, str] = field(default_factory=dict)
     helps: dict[str, str] = field(default_factory=dict)
 
-    def value(self, name: str, **labels: str) -> float | None:
+    def value(self, name: str, /, **labels: str) -> float | None:
         """The value of the sample matching ``name`` and ``labels`` exactly."""
         want = {k: str(v) for k, v in labels.items()}
         for s in self.samples:

@@ -14,6 +14,8 @@ reports:
   p50/p95/p99, the shape ``pg_stat_statements`` summarises queries in;
 * :class:`IndexScanStats` — cumulative per-index scan/candidate
   counters, shared by pgsim index AMs and the specialized engines;
+* :class:`StatView` — a ``pg_stat_*`` virtual table whose columns
+  declare which cells are labels, counters and gauges;
 * :func:`write_bench_json` — the unified ``BENCH_*.json`` emitter all
   benchmark scripts report through.
 
@@ -29,7 +31,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from repro.common.metrics import latency_stats
 
@@ -358,48 +360,17 @@ class LatencyHistogram:
     def mean(self) -> float:
         return self.total_seconds / self.count if self.count else 0.0
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        """Accumulate another histogram's samples into this one."""
-        for index, n in other._buckets.items():
-            self._buckets[index] = self._buckets.get(index, 0) + n
-        self.count += other.count
-        self.total_seconds += other.total_seconds
-        self.max_seconds = max(self.max_seconds, other.max_seconds)
 
-    def cumulative_buckets(self) -> list[tuple[float, int]]:
-        """``(upper_bound_seconds, cumulative_count)`` pairs, ascending.
+class RecallStats:
+    """Running recall@k summary for the online quality probes.
 
-        The Prometheus histogram shape: each entry counts every sample
-        at or below its bound, so counts are non-decreasing and the
-        last entry equals ``count`` (the exporter adds the ``+Inf``
-        bucket itself).  Only occupied buckets are materialized — the
-        log-bucket grid is sparse by construction.
-        """
-        out: list[tuple[float, int]] = []
-        seen = 0
-        for index in sorted(self._buckets):
-            seen += self._buckets[index]
-            out.append((self._upper_bound(index), seen))
-        return out
-
-
-class RecallHistogram:
-    """Fixed-bucket recall@k histogram for the online quality probes.
-
-    Recall lives in [0, 1], so linear buckets 0.05 wide beat the
-    latency histogram's log spacing: the interesting signal is mass
-    shifting from the 1.0 bucket toward 0.9 and below as an index
-    degrades under churn.  Tracks count/sum/min and the most recent
-    observation so a view can show both the trend and "right now".
+    Tracks count/sum/min and the most recent observation so
+    ``pg_stat_vector_quality`` can show both the trend and "right now".
     """
 
-    N_BUCKETS = 20
-
-    __slots__ = ("_buckets", "count", "total", "min_value", "last_value")
+    __slots__ = ("count", "total", "min_value", "last_value")
 
     def __init__(self) -> None:
-        #: bucket index -> count; bucket i covers (i/20, (i+1)/20].
-        self._buckets: dict[int, int] = {}
         self.count = 0
         self.total = 0.0
         self.min_value = 1.0
@@ -411,21 +382,92 @@ class RecallHistogram:
         self.total += recall
         self.min_value = min(self.min_value, recall)
         self.last_value = recall
-        index = min(int(recall * self.N_BUCKETS), self.N_BUCKETS - 1)
-        self._buckets[index] = self._buckets.get(index, 0) + 1
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def cumulative_buckets(self) -> list[tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` over the full [0, 1] grid."""
-        out: list[tuple[float, int]] = []
-        seen = 0
-        for index in range(self.N_BUCKETS):
-            seen += self._buckets.get(index, 0)
-            out.append(((index + 1) / self.N_BUCKETS, seen))
-        return out
+
+# ----------------------------------------------------------------------
+# statistics views: the one declaration of every exported counter
+# ----------------------------------------------------------------------
+
+#: Column kinds of a :class:`StatView`.  A ``label`` column keys its
+#: row; a ``counter`` only grows (until ``pg_stat_reset()``); a
+#: ``gauge`` is a current level.  Plain columns carry neither kind and
+#: are visible to SQL only.
+LABEL, COUNTER, GAUGE = "label", "counter", "gauge"
+
+
+class Column(NamedTuple):
+    """One declared view column: its name and kind (None = plain)."""
+
+    name: str
+    kind: str | None = None
+
+
+def label(name: str) -> Column:
+    """Declare a column that keys its row (a Prometheus label)."""
+    return Column(name, LABEL)
+
+
+def counter(name: str) -> Column:
+    """Declare a cumulative column (scraped ``_total``, kept in history)."""
+    return Column(name, COUNTER)
+
+
+def gauge(name: str) -> Column:
+    """Declare a current-level column (scraped, not kept in history)."""
+    return Column(name, GAUGE)
+
+
+class StatView:
+    """A read-only virtual table backed by a row-producing callable.
+
+    Quacks enough like :class:`~repro.pgsim.catalog.TableInfo` for the
+    planner's projection logic (``column_names()``) while carrying no
+    heap — the executor materialises ``rows()`` on every scan, so a
+    view always reflects the current counters.
+
+    ``columns`` mixes bare names (plain columns) with :func:`label` /
+    :func:`counter` / :func:`gauge` declarations.  Those kinds are the
+    only registry of exported metrics: the Prometheus scrape
+    (:mod:`repro.common.metrics_export`) and ``pg_stat_history``
+    (:class:`~repro.pgsim.ash.StatHistory`) are generated from them.
+    """
+
+    __slots__ = ("name", "columns", "kinds", "_kinded", "_rows_fn")
+
+    def __init__(
+        self,
+        name: str,
+        columns: Sequence[str | Column],
+        rows_fn: Callable[[], list[tuple]],
+    ) -> None:
+        declared = [c if isinstance(c, Column) else Column(c) for c in columns]
+        self.name = name
+        self.columns = [c.name for c in declared]
+        self.kinds = [c.kind for c in declared]
+        #: ``(position, name, kind)`` of the non-plain columns, which the
+        #: exporters walk on every scrape and history tick.
+        self._kinded = [(i, c.name, c.kind) for i, c in enumerate(declared) if c.kind]
+        self._rows_fn = rows_fn
+
+    def column_names(self) -> list[str]:
+        return list(self.columns)
+
+    def rows(self) -> list[tuple]:
+        return self._rows_fn()
+
+    def columns_of(self, *kinds: str) -> list[tuple[int, str]]:
+        """``(position, name)`` of every column declared as one of ``kinds``."""
+        return [(i, name) for i, name, kind in self._kinded if kind in kinds]
+
+    def row_labels(self, row: tuple) -> list[tuple[str, Any]]:
+        """The row's ``(label column, value)`` pairs, None cells skipped."""
+        return [
+            (name, row[i]) for i, name, kind in self._kinded if kind == LABEL and row[i] is not None
+        ]
 
 
 # ----------------------------------------------------------------------

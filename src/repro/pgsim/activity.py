@@ -22,7 +22,7 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-from repro.common.obs import WAIT_EVENT_TYPES
+from repro.common.obs import WAIT_EVENT_TYPES, StatView, counter, label
 
 STATE_ACTIVE = "active"
 STATE_IDLE = "idle"
@@ -117,13 +117,6 @@ class SessionRegistry:
         with self._lock:
             return self._backends.get(backend_id)
 
-    def state_counts(self) -> dict[str, int]:
-        """``state -> number of backends`` (the exporter's gauge family)."""
-        counts: dict[str, int] = {}
-        for entry in self.backends():
-            counts[entry.state] = counts.get(entry.state, 0) + 1
-        return counts
-
     def reset(self) -> None:
         """``pg_stat_reset()``: zero counters, keep the backends."""
         for entry in self.backends():
@@ -132,9 +125,6 @@ class SessionRegistry:
 
 def install_activity_view(catalog: Any, registry: SessionRegistry) -> None:
     """Register the ``pg_stat_activity`` virtual table."""
-    # Function-level import: stats.py does not import this module, so
-    # the dependency stays one-way (activity -> stats).
-    from repro.pgsim.stats import StatView
 
     def rows() -> list[tuple]:
         out = []
@@ -161,17 +151,17 @@ def install_activity_view(catalog: Any, registry: SessionRegistry) -> None:
         StatView(
             "pg_stat_activity",
             [
-                "pid",
-                "name",
+                label("pid"),
+                label("name"),
                 "state",
                 "wait_event_type",
                 "wait_event",
                 "backend_xid",
                 "query",
                 "query_start",
-                "statements",
-                "lock_waits",
-                "lock_wait_ms",
+                counter("statements"),
+                counter("lock_waits"),
+                counter("lock_wait_ms"),
             ],
             rows,
         )

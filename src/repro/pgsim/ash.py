@@ -8,10 +8,9 @@ the Prometheus scrape); this module adds the time dimension:
   ``pg_wait_sampling`` / Oracle ASH shape.  Served as ``pg_ash`` and
   aggregated into ``pg_wait_profile`` (wait-event x query time-share
   over the retained window);
-* :class:`StatHistory` — periodic deltas of the cumulative counter
-  families (buffers, WAL, heap, statements, per-index scans, recall
-  probes, wait seconds) into a ``pg_stat_history`` ring, so rates and
-  trends are queryable from plain SQL;
+* :class:`StatHistory` — periodic deltas of every ``counter`` column
+  the catalog's views declare into a ``pg_stat_history`` ring, so
+  rates and trends are queryable from plain SQL;
 * :class:`TimeSeriesSampler` — the background daemon thread driving
   both, controlled by the ``ash_enable`` / ``ash_sampling_interval_ms``
   / ``stat_history_interval_ms`` GUCs.
@@ -31,7 +30,7 @@ import time
 from collections import deque
 from typing import Any
 
-from repro.common.obs import WAIT_EVENT_TYPES
+from repro.common.obs import COUNTER, WAIT_EVENT_TYPES, StatView
 from repro.pgsim.activity import STATE_ACTIVE, SessionRegistry
 
 
@@ -129,14 +128,17 @@ class ActiveSessionHistory:
             return len(self._ring)
 
 
-#: Stat-history metrics drawn per tick from the collector's cumulative
-#: families.  Long format (metric, label) so new families need no
-#: schema change — the same reason WaitEventStats is dict-keyed.
 class StatHistory:
-    """Bounded ring of periodic counter deltas (``pg_stat_history``)."""
+    """Bounded ring of periodic counter deltas (``pg_stat_history``).
 
-    def __init__(self, collector: Any, ring_size: int = 512) -> None:
-        self._collector = collector
+    Long format, one row per counter cell: the metric is
+    ``<view>.<column>`` in the view's own units and the label is the
+    row's label columns as ``k=v,...``, so a new counter column in any
+    view needs no change here.
+    """
+
+    def __init__(self, catalog: Any, ring_size: int = 512) -> None:
+        self._catalog = catalog
         self._lock = threading.Lock()
         self._ring: deque[tuple] = deque(maxlen=max(int(ring_size), 1))
         self._last: dict[tuple[str, str], float] = {}
@@ -149,44 +151,18 @@ class StatHistory:
             self._ring = deque(self._ring, maxlen=max(int(ring_size), 1))
 
     def _collect(self) -> dict[tuple[str, str], float]:
-        """Current cumulative values, keyed (metric, label)."""
-        c = self._collector
-        buf = c.buffer.stats
-        wal = c.wal.stats
-        heap = c.heap
-        values: dict[tuple[str, str], float] = {
-            ("buffer_hits", ""): buf.hits,
-            ("buffer_misses", ""): buf.misses,
-            ("buffer_evictions", ""): buf.evictions,
-            ("wal_records", ""): wal.records,
-            ("wal_bytes", ""): wal.bytes_written,
-            ("heap_tuples_fetched", ""): heap.tuples_fetched,
-            ("heap_tuples_inserted", ""): heap.tuples_inserted,
-            ("heap_tuples_deleted", ""): heap.tuples_deleted,
-            ("heap_tuples_updated", ""): heap.tuples_updated,
-        }
-        calls = 0
-        seconds = 0.0
-        rows = 0
-        for entry in c.statements.copy().values():
-            calls += entry.calls
-            rows += entry.rows
-            seconds += entry.histogram.total_seconds
-        values[("statement_calls", "")] = calls
-        values[("statement_rows", "")] = rows
-        values[("statement_seconds", "")] = seconds
-        for info in c.iter_indexes():
-            stats = getattr(info.am, "scan_stats", None)
-            if stats is not None:
-                values[("index_scans", info.name)] = stats.scans
-                values[("index_candidates", info.name)] = stats.candidates
-        for name, entry in c.quality.copy().items():
-            values[("recall_probes", name)] = entry.histogram.count
-            values[("recall_sum", name)] = entry.histogram.total
-        waits = c.waits.snapshot()
-        for event in waits.events():
-            values[("wait_count", event)] = waits.counts[event]
-            values[("wait_seconds", event)] = waits.seconds.get(event, 0.0)
+        """Current value of every counter cell, keyed (metric, label)."""
+        values: dict[tuple[str, str], float] = {}
+        for name in self._catalog.view_names():
+            view = self._catalog.view(name)
+            counters = view.columns_of(COUNTER)
+            if not counters:
+                continue
+            for row in view.rows():
+                label = ",".join(f"{k}={v}" for k, v in view.row_labels(row))
+                for i, column in counters:
+                    if row[i] is not None:
+                        values[(f"{name}.{column}", label)] = row[i]
         return values
 
     def tick(self, now: float | None = None) -> int:
@@ -290,10 +266,6 @@ def install_timeseries_views(
     read path serves them without the statement lock — a blocked
     workload can be diagnosed *while* it is blocked.
     """
-    # Local import mirrors activity.py: stats imports nothing from
-    # here, keeping the view dependency one-way.
-    from repro.pgsim.stats import StatView
-
     for view in (
         StatView(
             "pg_ash",

@@ -119,8 +119,8 @@ DEFAULT_SETTINGS: dict[str, Any] = {
     "ash_enable": False,
     "ash_sampling_interval_ms": 10,
     "ash_ring_size": 4096,
-    # Stat-history ring: the same sampler thread records deltas of the
-    # cumulative counter families into pg_stat_history every
+    # Stat-history ring: the same sampler thread records deltas of
+    # every counter view column into pg_stat_history every
     # ``stat_history_interval_ms`` (ring size in rows, not ticks).
     "stat_history_interval_ms": 1000,
     "stat_history_ring_size": 512,

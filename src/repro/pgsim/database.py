@@ -12,6 +12,7 @@ import threading
 from pathlib import Path
 from typing import Any
 
+from repro.common.metrics_export import render_metrics
 from repro.common.obs import WaitEventStats
 from repro.pgsim.activity import SessionRegistry, install_activity_view
 from repro.pgsim.ash import (
@@ -119,11 +120,11 @@ class PgSimDatabase:
             self.activity, ring_size=self._int_setting("ash_ring_size", 4096)
         )
         self.stat_history = StatHistory(
-            self.stats, ring_size=self._int_setting("stat_history_ring_size", 512)
+            self.catalog, ring_size=self._int_setting("stat_history_ring_size", 512)
         )
         self._sampler = TimeSeriesSampler(self.catalog, self.ash, self.stat_history)
         self.executor.settings_listener = self._on_setting_changed
-        install_stat_views(self.catalog, self.stats)
+        install_stat_views(self.catalog, self.stats, self.xact)
         install_activity_view(self.catalog, self.activity)
         install_slowlog_view(self.catalog, self.slowlog)
         install_timeseries_views(self.catalog, self.ash, self.stat_history)
@@ -179,16 +180,13 @@ class PgSimDatabase:
         return Session(self, name=name)
 
     def metrics_text(self) -> str:
-        """Every counter family as Prometheus text exposition.
+        """Every counter and gauge view column as Prometheus text.
 
-        One consolidated scrape surface over the same numbers the
-        pg_stat_* views expose (see
+        Generated from the catalog's views (see
         :mod:`repro.common.metrics_export`); also served by the
         ``repro-bench metrics`` CLI subcommand.
         """
-        from repro.common.metrics_export import MetricsRegistry
-
-        return MetricsRegistry(self).render()
+        return render_metrics(self.catalog)
 
     def _tracking_enabled(self) -> bool:
         try:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.common.obs import StatView, counter, gauge, label
+
 
 def q_error(est_rows: float, actual_rows: float) -> float:
     """``max(est/actual, actual/est)`` with both sides clamped to 1."""
@@ -120,9 +122,6 @@ class EstimationStats:
             if entry.query == query and entry.node == node:
                 return entry
         return None
-
-    def max_q_error(self) -> float:
-        return max((e.max_q_error for e in self.entries()), default=0.0)
 
     def reset(self) -> None:
         """``pg_stat_reset()``: drop entries, keep the lifetime total."""
@@ -303,22 +302,20 @@ class StrategyStats:
 
 def install_estimation_view(catalog: Any, stats: EstimationStats) -> None:
     """Register ``pg_stat_estimation_errors`` on a catalog."""
-    from repro.pgsim.stats import StatView
-
     catalog.register_view(
         StatView(
             "pg_stat_estimation_errors",
             [
-                "query",
-                "node",
-                "calls",
+                label("query"),
+                label("node"),
+                counter("calls"),
                 "est_rows",
                 "actual_rows",
-                "mean_q_error",
-                "max_q_error",
+                gauge("mean_q_error"),
+                gauge("max_q_error"),
                 "est_selectivity",
                 "actual_selectivity",
-                "strategy",
+                label("strategy"),
             ],
             stats.rows,
         )
@@ -327,17 +324,15 @@ def install_estimation_view(catalog: Any, stats: EstimationStats) -> None:
 
 def install_strategy_view(catalog: Any, stats: StrategyStats) -> None:
     """Register ``pg_stat_filtered_search`` on a catalog."""
-    from repro.pgsim.stats import StatView
-
     catalog.register_view(
         StatView(
             "pg_stat_filtered_search",
             [
-                "strategy",
-                "chosen",
-                "fallbacks",
-                "est_selectivity",
-                "actual_selectivity",
+                label("strategy"),
+                counter("chosen"),
+                counter("fallbacks"),
+                gauge("est_selectivity"),
+                gauge("actual_selectivity"),
             ],
             stats.rows,
         )

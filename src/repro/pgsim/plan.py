@@ -183,7 +183,7 @@ class PreFilterScan(PlanNode):
 class VirtualScan(PlanNode):
     """Scan of a read-only virtual table (a pg_stat_* view).
 
-    ``view`` is a :class:`~repro.pgsim.stats.StatView`; the executor
+    ``view`` is a :class:`~repro.common.obs.StatView`; the executor
     materialises its rows on every pull, so the output always reflects
     the live counters.
     """

@@ -2,7 +2,7 @@
 
 Statements crossing the threshold become structured
 :class:`SlowQueryRecord` entries in a bounded in-memory ring —
-queryable via the ``pg_slow_queries`` view and exported as counters —
+queryable via the ``pg_slow_queries`` view —
 with an optional JSONL file sink for offline ingestion.  When
 ``auto_explain_log_min_duration`` is also armed, the record carries
 the statement's ``EXPLAIN (ANALYZE, BUFFERS)`` plan text and its
@@ -21,6 +21,8 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
+
+from repro.common.obs import StatView
 
 
 @dataclass(slots=True)
@@ -146,7 +148,6 @@ class SlowQueryLog:
 
 def install_slowlog_view(catalog: Any, slowlog: SlowQueryLog) -> None:
     """Register the ``pg_slow_queries`` virtual table (slowest first)."""
-    from repro.pgsim.stats import StatView
 
     def rows() -> list[tuple]:
         return [

@@ -10,8 +10,9 @@ Three pieces, mirroring how PostgreSQL exposes its own bookkeeping:
   owns the shared heap-access counters, snapshots/deltas all counter
   families around statements, and keeps the
   ``pg_stat_statements``-style per-normalized-query histograms;
-* :class:`StatView` + :func:`install_stat_views` — read-only virtual
-  tables (``pg_stat_buffers``, ``pg_stat_wal``, ``pg_stat_indexes``,
+* :func:`install_stat_views` — read-only virtual tables
+  (:class:`~repro.common.obs.StatView`: ``pg_stat_database``,
+  ``pg_stat_buffers``, ``pg_stat_wal``, ``pg_stat_indexes``,
   ``pg_stat_statements``, ``pg_stat_wait_events``,
   ``pg_stat_progress_create_index``, ``pg_stat_progress_vacuum``,
   ``pg_stat_vector_quality``, and the ANALYZE-backed ``pg_stats`` /
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.common.obs import (
     WAIT_EVENT_TYPES,
@@ -37,9 +38,13 @@ from repro.common.obs import (
     CounterDeltaMixin,
     IndexScanStats,
     LatencyHistogram,
-    RecallHistogram,
+    RecallStats,
+    StatView,
     VacuumProgress,
     WaitEventStats,
+    counter,
+    gauge,
+    label,
 )
 from repro.pgsim.buffer import BufferManager, BufferStats
 from repro.pgsim.sql.lexer import TokenType, tokenize
@@ -48,7 +53,7 @@ from repro.pgsim.wal import WalStats, WriteAheadLog
 
 @dataclass(slots=True)
 class HeapAccessStats(CounterDeltaMixin):
-    """Cumulative heap-AM tuple traffic (``pg_stat_user_tables``-ish).
+    """Cumulative heap-AM tuple traffic (``pg_stat_database``'s ``tup_*``).
 
     One instance is shared by every :class:`~repro.pgsim.heapam.HeapTable`
     of a database (wired up by the executor), so a single delta covers
@@ -151,31 +156,6 @@ def _normalize_cached(sql: str) -> tuple[str, ...]:
     return tuple(" ".join(group) for group in groups if group)
 
 
-class StatView:
-    """A read-only virtual table backed by a row-producing callable.
-
-    Quacks enough like :class:`~repro.pgsim.catalog.TableInfo` for the
-    planner's projection logic (``column_names()``) while carrying no
-    heap — the executor materialises ``rows()`` on every scan, so a
-    view always reflects the current counters.
-    """
-
-    __slots__ = ("name", "columns", "_rows_fn")
-
-    def __init__(
-        self, name: str, columns: list[str], rows_fn: Callable[[], list[tuple]]
-    ) -> None:
-        self.name = name
-        self.columns = list(columns)
-        self._rows_fn = rows_fn
-
-    def column_names(self) -> list[str]:
-        return list(self.columns)
-
-    def rows(self) -> list[tuple]:
-        return self._rows_fn()
-
-
 @dataclass
 class _Baseline:
     """Counter snapshots taken at statement start."""
@@ -197,12 +177,12 @@ _VACUUM_HISTORY_LIMIT = 32
 class QualityEntry:
     """Accumulated recall-probe observations for one index."""
 
-    __slots__ = ("index_name", "am_name", "histogram")
+    __slots__ = ("index_name", "am_name", "recall")
 
     def __init__(self, index_name: str, am_name: str) -> None:
         self.index_name = index_name
         self.am_name = am_name
-        self.histogram = RecallHistogram()
+        self.recall = RecallStats()
 
 
 class StatsCollector:
@@ -321,7 +301,7 @@ class StatsCollector:
         entry = self.quality.get(index_name)
         if entry is None:
             entry = self.quality[index_name] = QualityEntry(index_name, am_name)
-        entry.histogram.record(recall)
+        entry.recall.record(recall)
 
     # ------------------------------------------------------------------
     # reset wiring
@@ -383,8 +363,25 @@ class StatsCollector:
             surface.reset()
 
 
-def install_stat_views(catalog: Any, collector: StatsCollector) -> None:
-    """Register the pg_stat_* virtual tables on a catalog."""
+def install_stat_views(catalog: Any, collector: StatsCollector, xact: Any) -> None:
+    """Register the pg_stat_* virtual tables on a catalog.
+
+    ``xact`` is the database's transaction manager, whose commit and
+    abort counts ``pg_stat_database`` reports beside the heap traffic.
+    """
+
+    def database_rows() -> list[tuple]:
+        heap = collector.heap
+        return [
+            (
+                xact.commits,
+                xact.aborts,
+                heap.tuples_fetched,
+                heap.tuples_inserted,
+                heap.tuples_updated,
+                heap.tuples_deleted,
+            )
+        ]
 
     def buffers_rows() -> list[tuple]:
         s = collector.buffer.stats
@@ -490,7 +487,7 @@ def install_stat_views(catalog: Any, collector: StatsCollector) -> None:
         rows = []
         for name in sorted(collector.quality.copy()):
             entry = collector.quality[name]
-            h = entry.histogram
+            h = entry.recall
             rows.append(
                 (
                     entry.index_name,
@@ -552,44 +549,70 @@ def install_stat_views(catalog: Any, collector: StatsCollector) -> None:
 
     for view in (
         StatView(
+            "pg_stat_database",
+            [
+                counter("xact_commit"),
+                counter("xact_rollback"),
+                counter("tup_fetched"),
+                counter("tup_inserted"),
+                counter("tup_updated"),
+                counter("tup_deleted"),
+            ],
+            database_rows,
+        ),
+        StatView(
             "pg_stat_buffers",
-            ["hits", "misses", "evictions", "dirty_writebacks", "accesses", "hit_ratio"],
+            [
+                counter("hits"),
+                counter("misses"),
+                counter("evictions"),
+                counter("dirty_writebacks"),
+                counter("accesses"),
+                gauge("hit_ratio"),
+            ],
             buffers_rows,
         ),
         StatView(
             "pg_stat_wal",
             [
-                "records",
-                "bytes_written",
-                "flushes",
-                "records_flushed",
-                "bytes_flushed",
-                "flushed_lsn",
+                counter("records"),
+                counter("bytes_written"),
+                counter("flushes"),
+                counter("records_flushed"),
+                counter("bytes_flushed"),
+                gauge("flushed_lsn"),
             ],
             wal_rows,
         ),
         StatView(
             "pg_stat_indexes",
-            ["index", "table", "am", "scans", "candidates", "candidates_per_scan"],
+            [
+                label("index"),
+                label("table"),
+                label("am"),
+                counter("scans"),
+                counter("candidates"),
+                gauge("candidates_per_scan"),
+            ],
             index_rows,
         ),
         StatView(
             "pg_stat_statements",
             [
-                "query",
-                "calls",
-                "rows",
-                "total_ms",
-                "mean_ms",
-                "p50_ms",
-                "p95_ms",
-                "p99_ms",
+                label("query"),
+                counter("calls"),
+                counter("rows"),
+                counter("total_ms"),
+                gauge("mean_ms"),
+                gauge("p50_ms"),
+                gauge("p95_ms"),
+                gauge("p99_ms"),
             ],
             statement_rows,
         ),
         StatView(
             "pg_stat_wait_events",
-            ["wait_event_type", "wait_event", "count", "total_ms"],
+            [label("wait_event_type"), label("wait_event"), counter("count"), counter("total_ms")],
             wait_event_rows,
         ),
         StatView(
@@ -615,7 +638,14 @@ def install_stat_views(catalog: Any, collector: StatsCollector) -> None:
         ),
         StatView(
             "pg_stat_vector_quality",
-            ["index", "am", "probes", "mean_recall", "min_recall", "last_recall"],
+            [
+                label("index"),
+                label("am"),
+                counter("probes"),
+                gauge("mean_recall"),
+                gauge("min_recall"),
+                gauge("last_recall"),
+            ],
             vector_quality_rows,
         ),
         StatView(
@@ -635,14 +665,14 @@ def install_stat_views(catalog: Any, collector: StatsCollector) -> None:
         StatView(
             "pg_stat_user_tables",
             [
-                "relname",
-                "reltuples",
-                "relpages",
-                "n_live_tup",
-                "n_dead_tup",
-                "n_tup_upd",
-                "vacuum_count",
-                "autovacuum_count",
+                label("relname"),
+                gauge("reltuples"),
+                gauge("relpages"),
+                gauge("n_live_tup"),
+                gauge("n_dead_tup"),
+                counter("n_tup_upd"),
+                counter("vacuum_count"),
+                counter("autovacuum_count"),
                 "last_analyze",
             ],
             user_table_rows,

@@ -197,14 +197,6 @@ class TestLatencyHistogram:
         with pytest.raises(ValueError):
             LatencyHistogram().percentile(1.5)
 
-    def test_merge(self):
-        a, b = LatencyHistogram(), LatencyHistogram()
-        a.record(0.001)
-        b.record(0.1)
-        a.merge(b)
-        assert a.count == 2
-        assert a.max_seconds == pytest.approx(0.1)
-
 
 class TestBenchJson:
     def test_schema_and_roundtrip(self, tmp_path):

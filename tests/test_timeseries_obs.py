@@ -179,6 +179,11 @@ class TestActiveSessionHistory:
 
 
 class TestStatHistory:
+    """``pg_stat_history`` rows are generated from the views' counter
+    columns: metric ``<view>.<column>``, label ``k=v,...``."""
+
+    INSERTS = ("pg_stat_statements.calls", "query=insert into t values ( ? )")
+
     def test_deltas_between_ticks(self):
         db = PgSimDatabase()
         db.execute("CREATE TABLE t (id int)")
@@ -191,12 +196,14 @@ class TestStatHistory:
             for r in db.query("SELECT * FROM pg_stat_history")
             if r[0] == 101.0
         }
-        inserted = rows[("heap_tuples_inserted", "")]
+        inserted = rows[("pg_stat_database.tup_inserted", "")]
         assert inserted[3] >= 5  # cumulative value
         assert inserted[4] == 5  # delta over this window
         assert inserted[5] == 1.0  # window_seconds
-        calls = rows[("statement_calls", "")]
-        assert calls[4] >= 5
+        calls = rows[self.INSERTS]
+        assert calls[4] == 5
+        # Gauges are scrape-only: no history row for them.
+        assert not any(metric.endswith(".hit_ratio") for metric, _ in rows)
 
     def test_counter_reset_clamps_delta(self):
         """A family cleared by pg_stat_reset mid-window must not
@@ -210,10 +217,10 @@ class TestStatHistory:
         db.execute("INSERT INTO t VALUES (2)")
         db.stat_history.tick(now=2.0)
         second = [
-            r for r in db.stat_history.rows() if r[0] == 2.0 and r[1] == "statement_calls"
+            r for r in db.stat_history.rows() if r[0] == 2.0 and (r[1], r[2]) == self.INSERTS
         ][0]
         assert second[4] >= 0  # clamped: treated as freshly restarted
-        assert second[4] == second[3]  # delta == value after restart
+        assert second[4] == second[3] == 1  # delta == value after restart
 
     def test_first_tick_window_is_zero(self):
         db = PgSimDatabase()
@@ -229,21 +236,22 @@ class TestStatHistory:
         db.query(f"SELECT id FROM items ORDER BY vec <-> '{_lit(rng)}' LIMIT 5")
         db.stat_history.tick(now=2.0)
         rows = {(r[1], r[2]): r for r in db.stat_history.rows() if r[0] == 2.0}
-        assert rows[("index_scans", "ix")][4] == 1
-        assert rows[("index_candidates", "ix")][4] > 0
-        assert rows[("recall_probes", "ix")][4] == 1
+        index = "index=ix,table=items,am=pase_ivfflat"
+        assert rows[("pg_stat_indexes.scans", index)][4] == 1
+        assert rows[("pg_stat_indexes.candidates", index)][4] > 0
+        assert rows[("pg_stat_vector_quality.probes", "index=ix,am=pase_ivfflat")][4] == 1
 
     def test_unit_stat_history_reset_keeps_last_snapshot(self):
         db = PgSimDatabase()
         db.execute("CREATE TABLE t (id int)")
-        history = StatHistory(db.stats, ring_size=8)
+        history = StatHistory(db.catalog, ring_size=64)
         history.tick(now=1.0)
         db.execute("INSERT INTO t VALUES (1)")
         history.reset()
         assert len(history) == 0
         history.tick(now=2.0)
         inserted = [
-            r for r in history.rows() if r[1] == "heap_tuples_inserted"
+            r for r in history.rows() if r[1] == "pg_stat_database.tup_inserted"
         ][0]
         # _last survived the reset: the post-reset delta is the real
         # one-row movement, not the whole cumulative value.
