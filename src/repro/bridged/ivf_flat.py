@@ -76,22 +76,19 @@ class BridgedIVFFlat(PaseIVFFlat):
         """Durability first — the same page layout PASE uses — then the
         mirror, straight from the build's arrays."""
         super()._flush(centroids, tids, payloads, buckets)
-        self._set_mirror(
-            centroids, [([tids[row] for row in rows], payloads[rows]) for rows in buckets]
-        )
+        keys = np.asarray([_tid_key(tid) for tid in tids], dtype=np.int64)
+        self._set_mirror(centroids, [(keys[rows], payloads[rows]) for rows in buckets])
 
     def _set_mirror(
-        self, centroids: np.ndarray, buckets: list[tuple[list[TID], np.ndarray]]
+        self, centroids: np.ndarray, buckets: list[tuple[np.ndarray, np.ndarray]]
     ) -> _MemoryMirror:
+        """Install the mirror from per-list ``(packed TID keys, vectors)``."""
         self._mirror = _MemoryMirror(
             centroids=np.ascontiguousarray(centroids, dtype=np.float32),
             centroid_sq_norms=squared_norms(centroids),
             bucket_vectors=[vectors for __, vectors in buckets],
-            bucket_tids=[tids for tids, __ in buckets],
-            bucket_keys=[
-                np.asarray([_tid_key(tid) for tid in tids], dtype=np.int64)
-                for tids, __ in buckets
-            ],
+            bucket_tids=[[_key_tid(key) for key in keys.tolist()] for keys, __ in buckets],
+            bucket_keys=[keys for keys, __ in buckets],
         )
         return self._mirror
 
@@ -108,11 +105,13 @@ class BridgedIVFFlat(PaseIVFFlat):
             heads.append(head)
         buckets = []
         for head in heads:
-            entries = list(self._iter_bucket(head))
-            vectors = np.empty((0, self.dim), dtype=np.float32)
-            if entries:
-                vectors = np.vstack([vec for __, vec in entries])
-            buckets.append(([tid for tid, __ in entries], vectors))
+            keys: list[int] = []
+            vectors: list[np.ndarray] = []
+            for page_keys, payloads in self._chain_pages(head):
+                keys += page_keys
+                vectors += payloads
+            matrix = np.vstack(vectors) if vectors else np.empty((0, self.dim), np.float32)
+            buckets.append((np.asarray(keys, dtype=np.int64), matrix))
         return self._set_mirror(np.vstack(centroids), buckets)
 
     # ------------------------------------------------------------------

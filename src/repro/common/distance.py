@@ -31,15 +31,16 @@ def l2_sqr(a: np.ndarray, b: np.ndarray) -> float:
     """Squared Euclidean distance between two vectors (per-pair path).
 
     This is the Python analogue of PASE's ``fvec_L2sqr_ref``: one call
-    per pair, no batching.
+    per pair, no batching.  ``ndarray.dot`` is the same BLAS ``sdot``
+    as ``np.dot`` with the same value, minus its Python-level dispatch.
     """
     diff = a - b
-    return float(np.dot(diff, diff))
+    return float(diff.dot(diff))
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> float:
     """Inner product between two vectors (per-pair path)."""
-    return float(np.dot(a, b))
+    return float(a.dot(b))
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -47,7 +48,7 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
     denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
     if denom == 0.0:
         return 1.0
-    return 1.0 - float(np.dot(a, b)) / denom
+    return 1.0 - float(a.dot(b)) / denom
 
 
 def l2_sqr_batch(

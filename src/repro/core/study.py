@@ -70,14 +70,21 @@ class GeneralizedVectorDB:
         Rows get ids 0..n-1.  Loading goes through the heap access
         method directly (the SQL INSERT path is exercised separately in
         tests/examples); index builds and searches still pay the full
-        buffer-manager costs.
+        buffer-manager costs.  The WAL is flushed each time the load
+        moves to a new heap block, so the filled pages may be evicted
+        (no-steal only pins pages past the durable horizon) and a pool
+        smaller than the table can still load it.
         """
         self.db.execute(f"CREATE TABLE {self.table_name} (id int, vec float[])")
         table = self.db.catalog.table(self.table_name)
         arr = np.ascontiguousarray(vectors, dtype=np.float32)
+        blkno = None
         for i in range(arr.shape[0]):
             tid = table.heap.insert([i, arr[i]], xid=1)
             self._id_by_tid[tid] = i
+            if tid.blkno != blkno:
+                blkno = tid.blkno
+                self.db.wal.flush()
         self.db.wal.log_commit(1)
 
     # ------------------------------------------------------------------

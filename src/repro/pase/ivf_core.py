@@ -32,7 +32,7 @@ What a variant overrides:
 ``FORKS``                  page files it owns, in size-report order
 ``_encode``                vectors -> payload matrix (dtype and width)
 ``_train_codec`` etc.      codec training, its fork and meta tail
-``_tuple_scorer``          per-query ``score_one(tid, payload)``
+``_tuple_scorer``          per-query ``score_one(key, payload)``
 ``_rows_scorer``           per-query ``score_rows(keys, payloads)``
 ``_candidate_cost``        planner weight of one scored candidate
 ``_train_coarse/_assign``  the two build-algorithm hooks (RC#5, RC#1)
@@ -71,8 +71,9 @@ SEC_DISTANCE = "fvec_L2sqr"
 SEC_TUPLE_ACCESS = "Tuple Access"
 SEC_HEAP = "Min-heap"
 
-#: ``score_one(tid, payload) -> distance`` (None: entry lags a VACUUM).
-TupleScorer = Callable[[TID, np.ndarray], "float | None"]
+#: ``score_one(key, payload) -> distance`` (None: entry lags a VACUUM);
+#: ``key`` is the packed heap TID ``(blkno << 16) | offset``.
+TupleScorer = Callable[[int, np.ndarray], "float | None"]
 #: ``score_rows(keys, payloads) -> (keys, distances)``; may drop rows.
 RowsScorer = Callable[[np.ndarray, np.ndarray], "tuple[np.ndarray, np.ndarray]"]
 
@@ -491,7 +492,7 @@ class PagedIVF(IndexAmRoutine):
     ) -> Iterator[tuple[TID, float]]:
         """Walk the probed buckets, yielding the k nearest ``(tid, dist)``."""
         section = self.profiler.section
-        iter_bucket = self._iter_bucket
+        chain_pages = self._chain_pages
         candidates = 0
         if self.catalog.get_bool("pase.fixed_heap"):
             # RC#6 neutralized: k-sized heap, candidates rejected with a
@@ -501,26 +502,28 @@ class PagedIVF(IndexAmRoutine):
             push = heap.push
             worst = heap.worst_distance
             for bucket in probes:
-                for tid, payload in iter_bucket(heads[bucket]):
-                    candidates += 1
-                    dist = score_one(tid, payload)
-                    if dist is None:
-                        continue
-                    with section(SEC_HEAP):
-                        if dist <= worst and push(dist, (tid.blkno << 16) | tid.offset):
-                            worst = heap.worst_distance
+                for keys, payloads in chain_pages(heads[bucket]):
+                    candidates += len(keys)
+                    for key, payload in zip(keys, payloads):
+                        dist = score_one(key, payload)
+                        if dist is None:
+                            continue
+                        with section(SEC_HEAP):
+                            if dist <= worst and push(dist, key):
+                                worst = heap.worst_distance
         else:
             # PASE's design: every candidate enters a size-n heap.
             heap = NaiveTopK(k)
             push = heap.push
             for bucket in probes:
-                for tid, payload in iter_bucket(heads[bucket]):
-                    candidates += 1
-                    dist = score_one(tid, payload)
-                    if dist is None:
-                        continue
-                    with section(SEC_HEAP):
-                        push(dist, (tid.blkno << 16) | tid.offset)
+                for keys, payloads in chain_pages(heads[bucket]):
+                    candidates += len(keys)
+                    for key, payload in zip(keys, payloads):
+                        dist = score_one(key, payload)
+                        if dist is None:
+                            continue
+                        with section(SEC_HEAP):
+                            push(dist, key)
         self.scan_stats.scans += 1
         self.scan_stats.candidates += candidates
         with section(SEC_HEAP):
@@ -571,24 +574,28 @@ class PagedIVF(IndexAmRoutine):
         query = self._check_query(query)
         order, heads = self._rank_centroids(query)
         score_one = self._tuple_scorer(query)
-        iter_bucket = self._iter_bucket
+        chain_pages = self._chain_pages
         scored: list[tuple[float, int]] = []
         keep = scored.append
 
         def visit(bucket: int) -> tuple[int, int]:
-            entries = list(iter_bucket(heads[bucket]))
-            if not entries:
+            keys: list[int] = []
+            payloads: list[np.ndarray] = []
+            for page_keys, page_payloads in chain_pages(heads[bucket]):
+                keys += page_keys
+                payloads += page_payloads
+            if not keys:
                 return 0, 0
             matched = 0
-            mask = mask_fn([tid for tid, __ in entries])
-            for (tid, payload), ok in zip(entries, mask):
+            mask = mask_fn([_key_tid(key) for key in keys])
+            for key, payload, ok in zip(keys, payloads, mask):
                 if not ok:
                     continue
                 matched += 1
-                dist = score_one(tid, payload)
+                dist = score_one(key, payload)
                 if dist is not None:
-                    keep((dist, (tid.blkno << 16) | tid.offset))
-            return len(entries), matched
+                    keep((dist, key))
+            return len(keys), matched
 
         self._widen_probes(order.tolist(), k, visit)
         self.scan_stats.candidates += len(scored)
@@ -652,38 +659,60 @@ class PagedIVF(IndexAmRoutine):
         """Yield ``(centroid_id, bucket_head, vector)`` from centroid pages."""
         rel = self.relation_name("centroid")
         section = self.profiler.section
+        unpack, frombuffer = _CENTROID_HEAD.unpack_from, np.frombuffer
+        head_size, dim = _CENTROID_HEAD.size, self.dim
         for blkno in range(self.buffer.disk.n_blocks(rel)):
             frame = self.buffer.pin(rel, blkno)
             try:
                 page = frame.page
-                for off in range(1, page.item_count + 1):
+                buf, item_bounds = page.buf, page.item_bounds
+                for offno in range(1, page.item_count + 1):
                     with section(SEC_TUPLE_ACCESS):
-                        view = page.get_item_view(off)
-                        cent_id, head = _CENTROID_HEAD.unpack_from(view, 0)
-                        vec = np.frombuffer(view, dtype=np.float32, offset=_CENTROID_HEAD.size)
+                        off, __ = item_bounds(offno)
+                        cent_id, head = unpack(buf, off)
+                        vec = frombuffer(buf, np.float32, dim, off + head_size)
                     yield cent_id, head, vec
             finally:
                 self.buffer.unpin(frame)
 
-    def _iter_bucket(self, head: int) -> Iterator[tuple[TID, np.ndarray]]:
-        """Walk one bucket's page chain, yielding ``(heap tid, payload)``."""
+    def _chain_pages(self, head: int) -> Iterator[tuple[list[int], list[np.ndarray]]]:
+        """Walk one bucket's page chain, yielding per page ``(packed heap
+        TID keys, payload views)`` — the tuple interface's list reader.
+
+        Per page: one pin; per data tuple, inside its own ``Tuple
+        Access`` section, one line-pointer lookup (``item_bounds``, with
+        its range and dead-item checks), one head unpack and one view of
+        the fixed-width payload; the next pointer from one unpack at the
+        special space.  The page stays pinned while the caller consumes
+        it; the views stay valid after the unpin, because a frame read
+        back in gets a fresh buffer rather than overwriting this one.
+        """
         rel = self.relation_name("data")
         section = self.profiler.section
+        buffer = self.buffer
+        unpack, frombuffer = _DATA_HEAD.unpack_from, np.frombuffer
         dtype = self._payload_dtype
+        head_size = _DATA_HEAD.size
+        width = (self._item_size - head_size) // dtype.itemsize
         blkno = head
         while blkno != _NO_BLOCK:
-            frame = self.buffer.pin(rel, blkno)
+            frame = buffer.pin(rel, blkno)
             try:
                 page = frame.page
-                for off in range(1, page.item_count + 1):
+                buf, item_bounds = page.buf, page.item_bounds
+                keys: list[int] = []
+                payloads: list[np.ndarray] = []
+                add_key, add_payload = keys.append, payloads.append
+                for offno in range(1, page.item_count + 1):
                     with section(SEC_TUPLE_ACCESS):
-                        view = page.get_item_view(off)
-                        heap_blk, heap_off = _DATA_HEAD.unpack_from(view, 0)
-                        payload = np.frombuffer(view, dtype=dtype, offset=_DATA_HEAD.size)
-                    yield TID(heap_blk, heap_off), payload
-                (blkno,) = _NEXT.unpack(page.read_special())
+                        off, __ = item_bounds(offno)
+                        heap_blk, heap_off = unpack(buf, off)
+                        add_key((heap_blk << 16) | heap_off)
+                        add_payload(frombuffer(buf, dtype, width, off + head_size))
+                (blkno,) = _NEXT.unpack_from(buf, page.special)
+                yield keys, payloads
             finally:
-                self.buffer.unpin(frame)
+                buffer.unpin(frame)
 
     def _read_records(
         self, fork: str, item_size: int, heads: Sequence[int] | None = None

@@ -42,7 +42,7 @@ class PaseIVFFlat(PagedIVF):
         kernel = pairwise_kernel(self._metric())
         section = self.profiler.section
 
-        def score_one(_tid, vec):
+        def score_one(_key, vec):
             with section(SEC_DISTANCE):
                 return kernel(query, vec)
 

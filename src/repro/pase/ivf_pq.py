@@ -138,7 +138,7 @@ class PaseIVFPQ(PagedIVF):
         adc = pq.adc_distance_single
         section = self.profiler.section
 
-        def score_one(_tid, code):
+        def score_one(_key, code):
             with section(SEC_DISTANCE):
                 return adc(table, code)
 

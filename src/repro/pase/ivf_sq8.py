@@ -82,11 +82,11 @@ class PaseIVFSQ8(PagedIVF):
         vmin = codec.vmin
         section = self.profiler.section
 
-        def score_one(_tid, code):
+        def score_one(_key, code):
             with section(SEC_DISTANCE):
                 # Tuple-at-a-time dequantize + distance (PASE style).
                 diff = code.astype(np.float32) * scale + vmin - query
-                return float(np.dot(diff, diff))
+                return float(diff.dot(diff))
 
         return score_one
 

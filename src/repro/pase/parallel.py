@@ -19,7 +19,7 @@ import numpy as np
 from repro.common.heap import LockedGlobalHeap
 from repro.common.parallel import ScheduleResult, WorkUnit, scaling_curve
 from repro.common.types import SearchResult
-from repro.pase.ivf_core import PagedIVF, _tid_key
+from repro.pase.ivf_core import PagedIVF
 
 
 def parallel_search(
@@ -44,11 +44,12 @@ def parallel_search(
     for bucket in order[: max(nprobe, 1)].tolist():
         start = time.perf_counter()
         ops_before = heap.lock_acquisitions
-        for tid, payload in am._iter_bucket(heads[bucket]):
-            dist = score_one(tid, payload)
-            if dist is not None:
-                # Every candidate goes through the global locked heap.
-                heap.push(dist, _tid_key(tid))
+        for keys, payloads in am._chain_pages(heads[bucket]):
+            for key, payload in zip(keys, payloads):
+                dist = score_one(key, payload)
+                if dist is not None:
+                    # Every candidate goes through the global locked heap.
+                    heap.push(dist, key)
         cost = time.perf_counter() - start
         units.append(
             WorkUnit(

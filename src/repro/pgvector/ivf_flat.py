@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from repro.common.distance import pairwise_kernel, rows_kernel
-from repro.pase.ivf_core import SEC_DISTANCE, PagedIVF, RowsScorer, TupleScorer
+from repro.pase.ivf_core import SEC_DISTANCE, PagedIVF, RowsScorer, TupleScorer, _key_tid
 from repro.pgsim.am import register_am
 from repro.pgsim.heapam import TID
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
@@ -42,13 +42,13 @@ class PgVectorIVFFlat(PagedIVF):
         column = self.column_index
         section = self.profiler.section
 
-        def score_one(tid, _payload):
+        def score_one(key, _payload):
             # The defining pgvector cost: fetch the candidate's vector
             # from the base heap table.  Any-version fetch: tombstoned
             # tuples still score (the executor filters by snapshot);
             # only physically reclaimed slots skip.
             with section(SEC_HEAP_FETCH):
-                vec = fetch(tid, column)
+                vec = fetch(_key_tid(key), column)
             if vec is None:
                 return None
             with section(SEC_DISTANCE):

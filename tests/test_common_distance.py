@@ -34,6 +34,26 @@ class TestPairwiseKernels:
         b = np.array([0.0, 5.0], dtype=np.float32)
         assert distance.cosine_distance(a, b) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dim", [1, 3, 128, 960])
+    def test_per_pair_kernels_equal_np_dot_exactly(self, dim):
+        """``ndarray.dot`` is ``np.dot`` minus its dispatcher: the same
+        value to the bit, for contiguous vectors and for ``frombuffer``
+        views at a page offset (how the scans hand payloads over)."""
+        rng = np.random.default_rng(dim)
+        for __ in range(20):
+            a = rng.normal(size=dim).astype(np.float32)
+            b = rng.normal(size=dim).astype(np.float32)
+            page = bytearray(8192 + 8 * dim)
+            page[56 : 56 + 4 * dim] = a.tobytes()
+            page[4100 : 4100 + 4 * dim] = b.tobytes()
+            a_view = np.frombuffer(page, np.float32, dim, 56)
+            b_view = np.frombuffer(page, np.float32, dim, 4100)
+            for x, y in ((a, b), (a, b_view), (a_view, b_view)):
+                assert distance.l2_sqr(x, y) == float(np.dot(x - y, x - y))
+                assert distance.inner_product(x, y) == float(np.dot(x, y))
+                denom = float(np.linalg.norm(x)) * float(np.linalg.norm(y))
+                assert distance.cosine_distance(x, y) == 1.0 - float(np.dot(x, y)) / denom
+
     def test_cosine_distance_parallel(self):
         a = np.array([2.0, 2.0], dtype=np.float32)
         assert distance.cosine_distance(a, 3 * a) == pytest.approx(0.0, abs=1e-6)

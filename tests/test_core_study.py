@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.common.datasets import tiny_dataset
 from repro.common.profiling import Profiler
 from repro.core.study import (
     ComparativeStudy,
@@ -31,6 +32,22 @@ class TestGeneralizedWrapper:
         result = gen.search(small_dataset.queries[0], 5, nprobe=8)
         assert result.ids == small_dataset.ground_truth(5)[0].tolist()
         assert result.tuples_accessed > 0
+
+    def test_pool_smaller_than_the_table(self):
+        """A 16-frame pool holds a fraction of a 1 000 x 128 table: the
+        load must leave its filled pages evictable, and the index built
+        and searched through that pool must answer like a roomy one."""
+        data = tiny_dataset(n=1000, dim=128, n_queries=3, seed=303)
+        engines = {}
+        for pages in (16, 4096):
+            gen = GeneralizedVectorDB(buffer_pool_pages=pages)
+            gen.load(data.base)
+            gen.create_index("ivf_flat", clusters=24, sample_ratio=0.25, seed=42)
+            engines[pages] = gen
+        assert engines[16].db.buffer_stats.evictions > 0
+        for q in data.queries:
+            ids = engines[16].search(q, 10, nprobe=8).ids
+            assert ids == engines[4096].search(q, 10, nprobe=8).ids
 
     def test_search_before_index_rejected(self, small_dataset):
         gen = GeneralizedVectorDB(buffer_pool_pages=512)

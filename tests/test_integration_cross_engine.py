@@ -10,6 +10,7 @@ import pytest
 
 from repro.common.metrics import mean_recall_at_k
 from repro.core.study import ComparativeStudy, GeneralizedVectorDB, SpecializedVectorDB
+from repro.pase.ivf_core import _key_tid
 from repro.specialized import HNSWIndex, IVFFlatIndex
 
 
@@ -42,8 +43,9 @@ class TestIVFEquivalence:
         pase_buckets = {}
         for cent_id, head, __ in gen.am._iter_centroids():
             members = set()
-            for tid, __ in gen.am._iter_bucket(head):
-                members.add(table.heap.fetch_column(tid, 0))
+            for keys, __ in gen.am._chain_pages(head):
+                for key in keys:
+                    members.add(table.heap.fetch_column(_key_tid(key), 0))
             pase_buckets[cent_id] = members
         for b in range(16):
             assert pase_buckets[b] == set(spec.bucket_members(b).tolist())

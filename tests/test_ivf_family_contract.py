@@ -77,7 +77,8 @@ def _build(name: str, options: str = "") -> SimpleNamespace:
 
 def _indexed_entries(am) -> int:
     return sum(
-        sum(1 for __ in am._iter_bucket(head)) for __, head, __v in list(am._iter_centroids())
+        sum(len(keys) for keys, __ in am._chain_pages(head))
+        for __, head, __v in list(am._iter_centroids())
     )
 
 

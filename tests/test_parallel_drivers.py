@@ -139,7 +139,9 @@ class TestPaseParallel:
         spec_lists = _spec_list_sizes(study, query, 16)
         am = study.generalized.am
         order, heads = am._rank_centroids(am._check_query(query))
-        pase_lists = [sum(1 for __ in am._iter_bucket(heads[b])) for b in order[:16]]
+        pase_lists = [
+            sum(len(keys) for keys, __ in am._chain_pages(heads[b])) for b in order[:16]
+        ]
         (spec_units,), (pase_units,) = spec_scheduled, pase_scheduled
         assert [u.serial_ops for u in spec_units] == [1] * len(spec_lists)
         assert [u.serial_ops for u in pase_units] == pase_lists

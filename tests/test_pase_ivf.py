@@ -99,7 +99,7 @@ class TestPaseIVFFlat:
     def test_all_vectors_indexed(self, flat_am, small_dataset):
         total = 0
         for __, head, __ in flat_am._iter_centroids():
-            total += sum(1 for __ in flat_am._iter_bucket(head))
+            total += sum(len(keys) for keys, __ in flat_am._chain_pages(head))
         assert total == small_dataset.n
 
     def test_fixed_heap_same_results(self, loaded_db, flat_am, small_dataset):
