@@ -43,7 +43,7 @@ from repro.pgsim.am import IndexAmRoutine, ScanBatch, register_am
 from repro.pgsim.constants import LINE_POINTER_SIZE, PAGE_HEADER_SIZE
 from repro.pgsim.heapam import TID
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
-from repro.pgsim.page import Page, PageFullError
+from repro.pgsim.page import Page, PageCorruptError, PageFullError
 
 #: The 24-byte HNSWNeighborTuple (Sec. VI-C2).  The 8-byte PaseTuple
 #: pointer field carries the neighbor's node id — the role the char
@@ -169,7 +169,8 @@ class PageGraphStore:
                 page = frame.page
                 lower, upper, special = page.bounds()
                 n = (lower - PAGE_HEADER_SIZE) // LINE_POINTER_SIZE
-                assert special - upper == _NEIGHBOR.size * n, f"{rel} page {blkno} is not packed"
+                if special - upper != _NEIGHBOR.size * n:
+                    raise PageCorruptError(f"{rel} page {blkno} is not packed")
                 ids += struct.unpack_from("<" + _NEIGHBOR_ID * n, page.buf, upper)[::-1]
                 (blkno,) = _NEXT.unpack_from(page.buf, special)
             finally:

@@ -56,7 +56,7 @@ from repro.pase.options import parse_ivf_options
 from repro.pgsim.am import IndexAmRoutine, ScanBatch, topk_batch
 from repro.pgsim.constants import LINE_POINTER_SIZE, PAGE_HEADER_SIZE
 from repro.pgsim.heapam import TID
-from repro.pgsim.page import Page, PageFullError
+from repro.pgsim.page import Page, PageCorruptError, PageFullError
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
 
 _META = struct.Struct("<III")  # dim, clusters, distance_type
@@ -462,13 +462,11 @@ class PagedIVF(IndexAmRoutine):
             order, heads = np.argsort(dists, kind="stable"), words[:, 1].tolist()
             self._rescan_cache = (key, order, heads)
             return order, heads
-        section = self.profiler.section
-        kernel = pairwise_kernel(self._metric())
+        kernel = self.profiler.timed(SEC_DISTANCE, pairwise_kernel(self._metric()))
         cent_dists: list[float] = []
         heads: list[int] = []
         for __, head, centroid in self._iter_centroids():
-            with section(SEC_DISTANCE):
-                cent_dists.append(kernel(query, centroid))
+            cent_dists.append(kernel(query, centroid))
             heads.append(head)
         order = np.argsort(np.asarray(cent_dists), kind="stable")
         self._rescan_cache = (key, order, heads)
@@ -490,8 +488,11 @@ class PagedIVF(IndexAmRoutine):
     def _scan_buckets(
         self, k: int, probes: list[int], heads: list[int], score_one: TupleScorer
     ) -> Iterator[tuple[TID, float]]:
-        """Walk the probed buckets, yielding the k nearest ``(tid, dist)``."""
-        section = self.profiler.section
+        """Walk the probed buckets, yielding the k nearest ``(tid, dist)``.
+
+        Every scored candidate is offered to the heap once, inside its
+        own ``Min-heap`` section when profiling."""
+        timed = self.profiler.timed
         chain_pages = self._chain_pages
         candidates = 0
         if self.catalog.get_bool("pase.fixed_heap"):
@@ -501,34 +502,27 @@ class PagedIVF(IndexAmRoutine):
             heap = BoundedMaxHeap(k)
             push = heap.push
             worst = heap.worst_distance
-            for bucket in probes:
-                for keys, payloads in chain_pages(heads[bucket]):
-                    candidates += len(keys)
-                    for key, payload in zip(keys, payloads):
-                        dist = score_one(key, payload)
-                        if dist is None:
-                            continue
-                        with section(SEC_HEAP):
-                            if dist <= worst and push(dist, key):
-                                worst = heap.worst_distance
+
+            def offer(dist: float, key: int) -> None:
+                nonlocal worst
+                if dist <= worst and push(dist, key):
+                    worst = heap.worst_distance
+
         else:
             # PASE's design: every candidate enters a size-n heap.
             heap = NaiveTopK(k)
-            push = heap.push
-            for bucket in probes:
-                for keys, payloads in chain_pages(heads[bucket]):
-                    candidates += len(keys)
-                    for key, payload in zip(keys, payloads):
-                        dist = score_one(key, payload)
-                        if dist is None:
-                            continue
-                        with section(SEC_HEAP):
-                            push(dist, key)
+            offer = heap.push
+        offer = timed(SEC_HEAP, offer)
+        for bucket in probes:
+            for keys, payloads in chain_pages(heads[bucket]):
+                candidates += len(keys)
+                for key, payload in zip(keys, payloads):
+                    dist = score_one(key, payload)
+                    if dist is not None:
+                        offer(dist, key)
         self.scan_stats.scans += 1
         self.scan_stats.candidates += candidates
-        with section(SEC_HEAP):
-            results = heap.results()
-        for neighbor in results:
+        for neighbor in timed(SEC_HEAP, heap.results)():
             yield _key_tid(neighbor.vector_id), neighbor.distance
 
     def get_batch(self, query: np.ndarray, k: int) -> ScanBatch:
@@ -599,8 +593,7 @@ class PagedIVF(IndexAmRoutine):
 
         self._widen_probes(order.tolist(), k, visit)
         self.scan_stats.candidates += len(scored)
-        with self.profiler.section(SEC_HEAP):
-            nearest = heapq.nsmallest(k, scored)
+        nearest = self.profiler.timed(SEC_HEAP, heapq.nsmallest)(k, scored)
         return iter([(_key_tid(key), dist) for dist, key in nearest])
 
     def _widen_probes(
@@ -656,22 +649,26 @@ class PagedIVF(IndexAmRoutine):
     # page iteration
     # ------------------------------------------------------------------
     def _iter_centroids(self) -> Iterator[tuple[int, int, np.ndarray]]:
-        """Yield ``(centroid_id, bucket_head, vector)`` from centroid pages."""
+        """Yield ``(centroid_id, bucket_head, vector)`` from centroid pages,
+        each centroid decoded in its own ``Tuple Access`` section."""
         rel = self.relation_name("centroid")
-        section = self.profiler.section
         unpack, frombuffer = _CENTROID_HEAD.unpack_from, np.frombuffer
         head_size, dim = _CENTROID_HEAD.size, self.dim
+        buf = item_bounds = None  # the pinned page's, rebound per page
+
+        def read_tuple(offno: int) -> tuple[int, int, np.ndarray]:
+            off, __ = item_bounds(offno)
+            cent_id, head = unpack(buf, off)
+            return cent_id, head, frombuffer(buf, np.float32, dim, off + head_size)
+
+        read_tuple = self.profiler.timed(SEC_TUPLE_ACCESS, read_tuple)
         for blkno in range(self.buffer.disk.n_blocks(rel)):
             frame = self.buffer.pin(rel, blkno)
             try:
                 page = frame.page
                 buf, item_bounds = page.buf, page.item_bounds
                 for offno in range(1, page.item_count + 1):
-                    with section(SEC_TUPLE_ACCESS):
-                        off, __ = item_bounds(offno)
-                        cent_id, head = unpack(buf, off)
-                        vec = frombuffer(buf, np.float32, dim, off + head_size)
-                    yield cent_id, head, vec
+                    yield read_tuple(offno)
             finally:
                 self.buffer.unpin(frame)
 
@@ -688,12 +685,20 @@ class PagedIVF(IndexAmRoutine):
         back in gets a fresh buffer rather than overwriting this one.
         """
         rel = self.relation_name("data")
-        section = self.profiler.section
         buffer = self.buffer
         unpack, frombuffer = _DATA_HEAD.unpack_from, np.frombuffer
         dtype = self._payload_dtype
         head_size = _DATA_HEAD.size
         width = (self._item_size - head_size) // dtype.itemsize
+        buf = item_bounds = add_key = add_payload = None  # the pinned page's, rebound per page
+
+        def read_tuple(offno: int) -> None:
+            off, __ = item_bounds(offno)
+            heap_blk, heap_off = unpack(buf, off)
+            add_key((heap_blk << 16) | heap_off)
+            add_payload(frombuffer(buf, dtype, width, off + head_size))
+
+        read_tuple = self.profiler.timed(SEC_TUPLE_ACCESS, read_tuple)
         blkno = head
         while blkno != _NO_BLOCK:
             frame = buffer.pin(rel, blkno)
@@ -704,11 +709,7 @@ class PagedIVF(IndexAmRoutine):
                 payloads: list[np.ndarray] = []
                 add_key, add_payload = keys.append, payloads.append
                 for offno in range(1, page.item_count + 1):
-                    with section(SEC_TUPLE_ACCESS):
-                        off, __ = item_bounds(offno)
-                        heap_blk, heap_off = unpack(buf, off)
-                        add_key((heap_blk << 16) | heap_off)
-                        add_payload(frombuffer(buf, dtype, width, off + head_size))
+                    read_tuple(offno)
                 (blkno,) = _NEXT.unpack_from(buf, page.special)
                 yield keys, payloads
             finally:
@@ -739,7 +740,8 @@ class PagedIVF(IndexAmRoutine):
                     page = frame.page
                     lower, upper, special = page.bounds()
                     n = (lower - PAGE_HEADER_SIZE) // LINE_POINTER_SIZE
-                    assert special - upper == n * item_size, f"{rel} page {blkno} is not packed"
+                    if special - upper != n * item_size:
+                        raise PageCorruptError(f"{rel} page {blkno} is not packed")
                     chunks.append(page.buf[upper:special])
                     blkno = _NEXT.unpack_from(page.buf, special)[0] if chained else _NO_BLOCK
                 finally:

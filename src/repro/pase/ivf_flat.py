@@ -39,12 +39,10 @@ class PaseIVFFlat(PagedIVF):
         return vectors
 
     def _tuple_scorer(self, query: np.ndarray) -> TupleScorer:
-        kernel = pairwise_kernel(self._metric())
-        section = self.profiler.section
+        kernel = self.profiler.timed(SEC_DISTANCE, pairwise_kernel(self._metric()))
 
         def score_one(_key, vec):
-            with section(SEC_DISTANCE):
-                return kernel(query, vec)
+            return kernel(query, vec)
 
         return score_one
 

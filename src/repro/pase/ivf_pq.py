@@ -127,20 +127,18 @@ class PaseIVFPQ(PagedIVF):
     # scoring: per-query ADC table, then lookups
     # ------------------------------------------------------------------
     def _adc_table(self, query: np.ndarray) -> np.ndarray:
-        codebook = self._load_codebook()
-        with self.profiler.section(SEC_PCTABLE):
-            if self.catalog.get_bool("pase.optimized_pctable"):
-                return pq.optimized_adc_table(codebook, query)
-            return pq.naive_adc_table(codebook, query)
+        if self.catalog.get_bool("pase.optimized_pctable"):
+            build = pq.optimized_adc_table
+        else:
+            build = pq.naive_adc_table
+        return self.profiler.timed(SEC_PCTABLE, build)(self._load_codebook(), query)
 
     def _tuple_scorer(self, query: np.ndarray) -> TupleScorer:
         table = self._adc_table(query)
-        adc = pq.adc_distance_single
-        section = self.profiler.section
+        adc = self.profiler.timed(SEC_DISTANCE, pq.adc_distance_single)
 
         def score_one(_key, code):
-            with section(SEC_DISTANCE):
-                return adc(table, code)
+            return adc(table, code)
 
         return score_one
 

@@ -80,15 +80,13 @@ class PaseIVFSQ8(PagedIVF):
         codec = self._load_codec()
         scale = codec.vdiff / sq.LEVELS
         vmin = codec.vmin
-        section = self.profiler.section
 
         def score_one(_key, code):
-            with section(SEC_DISTANCE):
-                # Tuple-at-a-time dequantize + distance (PASE style).
-                diff = code.astype(np.float32) * scale + vmin - query
-                return float(diff.dot(diff))
+            # Tuple-at-a-time dequantize + distance (PASE style).
+            diff = code.astype(np.float32) * scale + vmin - query
+            return float(diff.dot(diff))
 
-        return score_one
+        return self.profiler.timed(SEC_DISTANCE, score_one)
 
     def _candidate_cost(self, cost: Any) -> float:
         """Each probed candidate also pays a tuple-at-a-time SQ8

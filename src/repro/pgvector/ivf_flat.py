@@ -37,22 +37,20 @@ class PgVectorIVFFlat(PagedIVF):
         return np.empty((vectors.shape[0], 0), dtype=np.uint8)
 
     def _tuple_scorer(self, query: np.ndarray) -> TupleScorer:
-        kernel = pairwise_kernel(self._metric())
-        fetch = self.table.fetch_column_any
+        timed = self.profiler.timed
+        kernel = timed(SEC_DISTANCE, pairwise_kernel(self._metric()))
+        fetch = timed(SEC_HEAP_FETCH, self.table.fetch_column_any)
         column = self.column_index
-        section = self.profiler.section
 
         def score_one(key, _payload):
             # The defining pgvector cost: fetch the candidate's vector
             # from the base heap table.  Any-version fetch: tombstoned
             # tuples still score (the executor filters by snapshot);
             # only physically reclaimed slots skip.
-            with section(SEC_HEAP_FETCH):
-                vec = fetch(_key_tid(key), column)
+            vec = fetch(_key_tid(key), column)
             if vec is None:
                 return None
-            with section(SEC_DISTANCE):
-                return kernel(query, np.asarray(vec, dtype=np.float32))
+            return kernel(query, np.asarray(vec, dtype=np.float32))
 
         return score_one
 

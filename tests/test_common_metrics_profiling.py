@@ -169,6 +169,21 @@ class TestProfiler:
             pass
         assert NULL_PROFILER.total_seconds() == 0.0
 
+    def test_timed_binds_a_section_around_each_call(self):
+        """Disabled: the step itself, nothing recorded.  Enabled: one
+        entry per call, nested under whatever is open, closed when the
+        step raises."""
+        assert NULL_PROFILER.timed("s", divmod) is divmod
+
+        prof = Profiler()
+        step = prof.timed("s", divmod)
+        with prof.section("outer"):
+            assert [step(7, 2), step(9, 4)] == [(3, 1), (2, 1)]
+        with pytest.raises(ZeroDivisionError):
+            step(1, 0)
+        assert prof._calls == {("outer",): 1, ("outer", "s"): 2, ("s",): 1}
+        assert prof._stack == []
+
     def test_reset_rejects_open_sections(self):
         prof = Profiler()
         ctx = prof.section("open")

@@ -8,7 +8,7 @@ from repro.common.graph import HNSWParams
 from repro.common.heap import BoundedMaxHeap
 from repro.common.profiling import Profiler
 from repro.pgsim import PgSimDatabase
-from repro.pgsim.page import Page, PageFullError
+from repro.pgsim.page import Page, PageCorruptError, PageFullError
 from repro.pgsim.sql.lexer import SqlSyntaxError
 from repro.pgsim.wal import REC_CHECKPOINT, WriteAheadLog, replay
 from repro.pgsim.storage import MemoryDisk
@@ -210,6 +210,37 @@ class TestPageEdgeCases:
         item = b"z" * page.free_space
         page.insert_item(item)
         assert page.free_space == 0
+
+    def test_forged_tuple_area_raises_page_corrupt(self, loaded_db, small_dataset):
+        """An IVF data page and an HNSW neighbour page whose tuple area
+        is not exactly their items fail the readers' layout checks with
+        ``PageCorruptError`` (a real check, not an ``assert`` that
+        ``python -O`` strips) and leave nothing pinned."""
+        db, query = loaded_db, small_dataset.queries[0]
+        db.execute(
+            "CREATE INDEX ix ON items USING pase_ivfflat (vec) "
+            "WITH (clusters = 4, sample_ratio = 1.0, seed = 1)"
+        )
+        db.execute(
+            "CREATE INDEX hx ON items USING pase_hnsw (vec) WITH (bnn = 8, efb = 24, seed = 4)"
+        )
+        db.execute("SET pase.nprobe = 4")
+        ivf, hnsw = db.catalog.find_index("ix").am, db.catalog.find_index("hx").am
+        assert len(ivf.get_batch(query, 5)) == len(list(hnsw.scan(query, 5))) == 5
+
+        store = hnsw.store
+        entry = store._nodes[store.entry_point]
+        for rel, blkno in (
+            (ivf.relation_name("data"), 0),
+            (store.neighbor_rel, entry.neighbor_heads[store.max_level]),
+        ):
+            with db.buffer.page(rel, blkno, dirty=True) as page:
+                page.upper -= 4
+        with pytest.raises(PageCorruptError, match="not packed"):
+            ivf.get_batch(query, 5)
+        with pytest.raises(PageCorruptError, match="not packed"):
+            list(hnsw.scan(query, 5))
+        assert db.buffer.pinned_pages() == 0
 
 
 class TestProfilerEdgeCases:

@@ -161,6 +161,18 @@ def _reference_scan(am, query: np.ndarray, k: int, nprobe: int):
     return nearest, candidates, chain_pages, len(centroids), centroid_pages
 
 
+class _CountingOffProfiler(Profiler):
+    """A disabled profiler that counts the ``section`` calls made on it."""
+
+    def __init__(self) -> None:
+        super().__init__(enabled=False)
+        self.section_calls = 0
+
+    def section(self, name: str):
+        self.section_calls += 1
+        return super().section(name)
+
+
 # ----------------------------------------------------------------------
 # properties
 # ----------------------------------------------------------------------
@@ -172,11 +184,13 @@ def _reference_scan(am, query: np.ndarray, k: int, nprobe: int):
     k=st.integers(1, 40),
     nprobe=st.integers(1, CLUSTERS),
     fixed_heap=st.booleans(),
+    profiled=st.booleans(),
 )
-def test_scan_matches_the_per_item_walk(name, state, seed, k, nprobe, fixed_heap):
-    """Same answers to the bit, same candidates, same pins, and one
-    ``Tuple Access`` / ``fvec_L2sqr`` section per centroid and candidate
-    plus one ``Min-heap`` section per scored candidate and the pop."""
+def test_scan_matches_the_per_item_walk(name, state, seed, k, nprobe, fixed_heap, profiled):
+    """Same answers to the bit, same candidates, same pins.  Profiled:
+    one ``Tuple Access`` / ``fvec_L2sqr`` section per centroid and
+    candidate plus one ``Min-heap`` section per scored candidate and the
+    pop.  Not profiled: no ``section`` call at all."""
     db, am, centers = _index(name, state)
     rng = np.random.default_rng(seed)
     query = (centers[rng.integers(CLUSTERS)] + rng.normal(size=DIM)).astype(np.float32)
@@ -186,7 +200,7 @@ def test_scan_matches_the_per_item_walk(name, state, seed, k, nprobe, fixed_heap
         am, query, k, nprobe
     )
 
-    original, am.profiler = am.profiler, Profiler()
+    original, am.profiler = am.profiler, Profiler() if profiled else _CountingOffProfiler()
     before_pins, before_candidates = _pins(db), am.scan_stats.candidates
     try:
         got = list(am.scan(query, k))
@@ -198,11 +212,15 @@ def test_scan_matches_the_per_item_walk(name, state, seed, k, nprobe, fixed_heap
     assert am.scan_stats.candidates - before_candidates == candidates
     heap_fetches = candidates if name == "ivfflat" else 0
     assert pins == centroid_pages + chain_pages + heap_fetches
-    calls = {row.name: row.calls for row in profiler.breakdown()}
-    assert calls[SEC_TUPLE_ACCESS] == n_centroids + candidates
-    assert calls[SEC_DISTANCE] == n_centroids + candidates
-    assert calls[SEC_HEAP] == candidates + 1
     assert db.buffer.pinned_pages() == 0
+    if profiled:
+        calls = {row.name: row.calls for row in profiler.breakdown()}
+        assert calls[SEC_TUPLE_ACCESS] == n_centroids + candidates
+        assert calls[SEC_DISTANCE] == n_centroids + candidates
+        assert calls[SEC_HEAP] == candidates + 1
+    else:
+        assert profiler.section_calls == 0
+        assert profiler.breakdown() == []
 
     # The shared-heap parallel driver reads the same chains.
     result, __ = parallel_search(am, query, k, nprobe, [1])

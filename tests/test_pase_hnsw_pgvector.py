@@ -281,7 +281,7 @@ class TestNeighborPages:
         (head,) = _chain(store, 0)
         with db.buffer.page(store.neighbor_rel, head, dirty=True) as page:
             page.upper -= 4
-        with pytest.raises(AssertionError, match="not packed"):
+        with pytest.raises(PageCorruptError, match="not packed"):
             store.neighbors(0, 0)
         assert db.buffer.pinned_pages() == 0
 
