@@ -418,7 +418,8 @@ class PagedIVF(IndexAmRoutine):
                 blkno = nxt
             finally:
                 self.buffer.unpin(frame, dirty=True)
-        assert item is None, "surviving items exceeded original chain capacity"
+        if item is not None:
+            raise PageCorruptError(f"{rel} chain at {head}: survivors exceed its capacity")
 
     # ------------------------------------------------------------------
     # search

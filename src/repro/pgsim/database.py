@@ -144,7 +144,11 @@ class PgSimDatabase:
         self._statement_lock = threading.Lock()
         self._replaying_catalog = False
         if data_dir is not None:
-            self._recover()
+            try:
+                self._recover()
+            except BaseException:
+                self.close()
+                raise
         #: Default session backing the facade's own ``execute()``.
         self._default_session = Session(self, name="default")
 
@@ -223,14 +227,25 @@ class PgSimDatabase:
             self.stat_history.resize(self._int_setting("stat_history_ring_size", 512))
 
     def close(self) -> None:
-        """Shut the database down: stop the sampler, flush the sinks.
+        """Shut the database down: stop the sampler, release every file.
 
-        Idempotent.  Stops the ASH sampler thread (if running) and
-        flushes + closes the slow-query JSONL sink so every record is
-        durable on disk when the process moves on.
+        Idempotent.  Stops the ASH sampler thread (if running), flushes
+        + closes the slow-query JSONL sink so every record is durable on
+        disk when the process moves on, and closes the relation and WAL
+        handles.  It neither flushes the buffer pool nor checkpoints, and
+        the held handles are unbuffered, so closing an instance that a
+        crash abandoned leaves every data file as the crash left it.
         """
         self._sampler.stop()
         self.slowlog.close_sink()
+        self.disk.close()
+        self.wal.close()
+
+    def __enter__(self) -> "PgSimDatabase":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def _sync_slowlog_sink(self) -> None:
         """Point the slow-query log's file sink at the current GUC."""

@@ -8,14 +8,18 @@ Two backends are provided:
   page indirection, which is exactly the configuration under which the
   paper still observed the 35–85× construction gap.
 - :class:`FileDisk` — pages live in one file per relation, for
-  demonstrating durability (WAL recovery tests run against it).
+  demonstrating durability (WAL recovery tests run against it).  Each
+  file is opened once, unbuffered, and read and written by offset on
+  the held descriptor; the block count is kept in memory.
 
 Both expose the same interface, so every layer above is oblivious to
-the backend.
+the backend.  Both raise :class:`IndexError` for a block number outside
+``[0, n_blocks)`` on write, and for a negative one on read.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from repro.pgsim.constants import DEFAULT_PAGE_SIZE
@@ -60,6 +64,9 @@ class DiskManager:
         """Append a page; returns its block number."""
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release held file handles (nothing to release by default)."""
+
     # -- shared helpers ---------------------------------------------------
     def relation_bytes(self, name: str) -> int:
         """Allocated size of a relation in bytes."""
@@ -99,6 +106,8 @@ class MemoryDisk(DiskManager):
     def read_block(self, name: str, blkno: int) -> bytes:
         pages = self._pages(name)
         self.reads += 1
+        if blkno < 0:
+            raise IndexError(f"negative block {blkno} in {name!r}")
         try:
             return pages[blkno]
         except IndexError:
@@ -126,12 +135,32 @@ class MemoryDisk(DiskManager):
             raise RelationNotFoundError(f"no such relation: {name!r}") from None
 
 
+class _RelFile:
+    """A relation file held open by :class:`FileDisk`, with its block count."""
+
+    __slots__ = ("file", "fd", "n_blocks")
+
+    def __init__(self, file, n_blocks: int) -> None:
+        self.file = file
+        self.fd = file.fileno()
+        self.n_blocks = n_blocks
+
+
 class FileDisk(DiskManager):
     """One binary file per relation under a data directory.
 
+    Each relation file is opened once, unbuffered, and held until
+    :meth:`drop_relation` or :meth:`close` (PostgreSQL's ``fd.c`` keeps
+    segments open the same way).  Pages are read with ``os.pread``.  The
+    relation's block count is cached beside the handle: ``fstat`` sets
+    it when the file is first opened, and only :meth:`create_relation`,
+    :meth:`extend` and :meth:`drop_relation` change it afterwards.
+
     All page writes flow through a :class:`FaultInjector` so the
     crash-recovery harness can tear or abort them deterministically;
-    the default injector performs plain, unbroken I/O.
+    the default injector performs plain, unbroken I/O.  Unbuffered
+    handles hold no bytes of their own, so closing an instance that a
+    simulated crash abandoned writes nothing.
     """
 
     def __init__(
@@ -144,6 +173,7 @@ class FileDisk(DiskManager):
         self.faults = faults if faults is not None else NO_FAULTS
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
+        self._files: dict[str, _RelFile] = {}
 
     def _path(self, name: str) -> Path:
         if "/" in name or name.startswith("."):
@@ -151,63 +181,81 @@ class FileDisk(DiskManager):
         return self.data_dir / f"{name}.rel"
 
     def create_relation(self, name: str) -> None:
-        path = self._path(name)
-        if path.exists():
-            raise ValueError(f"relation {name!r} already exists")
-        path.touch()
+        try:
+            file = open(self._path(name), "xb+", buffering=0)
+        except FileExistsError:
+            raise ValueError(f"relation {name!r} already exists") from None
+        self._files[name] = _RelFile(file, 0)
 
     def drop_relation(self, name: str) -> None:
-        path = self._existing(name)
-        path.unlink()
+        self._open(name)
+        self._files.pop(name).file.close()
+        self._path(name).unlink()
 
     def relation_exists(self, name: str) -> bool:
-        return self._path(name).exists()
+        return name in self._files or self._path(name).exists()
 
     def list_relations(self) -> list[str]:
         """Names of all relations on disk."""
         return sorted(p.stem for p in self.data_dir.glob("*.rel"))
 
     def n_blocks(self, name: str) -> int:
-        return self._existing(name).stat().st_size // self.page_size
+        return self._open(name).n_blocks
 
     def read_block(self, name: str, blkno: int) -> bytes:
-        path = self._existing(name)
+        rel = self._open(name)
         self.reads += 1
-        with path.open("rb") as f:
-            f.seek(blkno * self.page_size)
-            data = f.read(self.page_size)
+        if blkno < 0:
+            raise IndexError(f"negative block {blkno} in {name!r}")
+        data = os.pread(rel.fd, self.page_size, blkno * self.page_size)
         if len(data) != self.page_size:
             raise IndexError(f"block {blkno} beyond end of {name!r}")
         return data
 
     def write_block(self, name: str, blkno: int, data: bytes) -> None:
         self._check_page(data)
-        path = self._existing(name)
-        if blkno >= self.n_blocks(name):
-            raise IndexError(f"block {blkno} beyond end of {name!r}")
-        with path.open("r+b") as f:
-            f.seek(blkno * self.page_size)
-            self.faults.write("disk.write", f, data)
+        rel = self._open(name)
+        if not 0 <= blkno < rel.n_blocks:
+            raise IndexError(f"block {blkno} beyond end of {name!r} ({rel.n_blocks} blocks)")
+        rel.file.seek(blkno * self.page_size)
+        self.faults.write("disk.write", rel.file, data)
         self.writes += 1
 
     def extend(self, name: str, data: bytes) -> int:
         self._check_page(data)
-        path = self._existing(name)
-        full = self.n_blocks(name) * self.page_size
-        with path.open("r+b") as f:
-            # Heal any torn tail a crashed extend left behind: without
-            # the truncate the new page would land misaligned after the
-            # partial one and every later block read would be garbage.
-            f.truncate(full)
-            f.seek(full)
-            blkno = full // self.page_size
-            self.faults.write("disk.extend", f, data)
-            self.faults.fsync("disk.fsync", f)
+        rel = self._open(name)
+        f = rel.file
+        blkno = rel.n_blocks
+        full = blkno * self.page_size
+        # Heal any torn tail a crashed extend left behind: without
+        # the truncate the new page would land misaligned after the
+        # partial one and every later block read would be garbage.
+        f.truncate(full)
+        f.seek(full)
+        self.faults.write("disk.extend", f, data)
+        # The page is in the file now, whether or not the barrier below
+        # succeeds.
+        rel.n_blocks = blkno + 1
+        self.faults.fsync("disk.fsync", f)
         self.writes += 1
         return blkno
 
-    def _existing(self, name: str) -> Path:
-        path = self._path(name)
-        if not path.exists():
-            raise RelationNotFoundError(f"no such relation: {name!r}")
-        return path
+    def close(self) -> None:
+        """Close every held relation file (idempotent; writes nothing).
+
+        A later call reopens the relation it names.
+        """
+        files, self._files = self._files, {}
+        for rel in files.values():
+            rel.file.close()
+
+    def _open(self, name: str) -> _RelFile:
+        rel = self._files.get(name)
+        if rel is None:
+            try:
+                file = open(self._path(name), "rb+", buffering=0)
+            except FileNotFoundError:
+                raise RelationNotFoundError(f"no such relation: {name!r}") from None
+            n_blocks = os.fstat(file.fileno()).st_size // self.page_size
+            rel = self._files[name] = _RelFile(file, n_blocks)
+        return rel

@@ -33,6 +33,12 @@ failed fsync the kernel may have dropped the dirty pages, so retrying
 in-process proves nothing; the instance must be abandoned and recovery
 run from the files (PostgreSQL reached the same conclusion after
 *fsyncgate*).
+
+File handle: a file-backed log opens its file once, unbuffered, at the
+first flush and keeps the append handle; :meth:`WriteAheadLog.truncate_before`
+closes it after its rename and the next flush opens the new file.
+Every write goes straight to the OS, so :meth:`WriteAheadLog.close` on
+an instance a crash abandoned leaves the file as the crash left it.
 """
 
 from __future__ import annotations
@@ -146,6 +152,9 @@ class WriteAheadLog:
         self.faults = faults if faults is not None else NO_FAULTS
         self.waits = waits if waits is not None else WaitEventStats()
         self.path = Path(path) if path is not None else None
+        #: Append handle, opened unbuffered by the first :meth:`flush`
+        #: and held until :meth:`close` or a :meth:`truncate_before`.
+        self._file = None
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -279,8 +288,11 @@ class WriteAheadLog:
     def flush(self) -> None:
         """Make everything appended so far durable.
 
-        ``flushed_lsn`` advances only after the file append and fsync
-        both succeed; on failure the log panics (see module docstring).
+        Appends each pending record to the held append handle (opened
+        unbuffered on first use, so a crashed instance's handle holds no
+        bytes) and fsyncs it.  ``flushed_lsn`` advances only after the
+        file append and fsync both succeed; on failure the log panics
+        (see module docstring).
         """
         self._check_panic()
         if self.path is None:
@@ -291,14 +303,16 @@ class WriteAheadLog:
             self.flushed_lsn = self._next_lsn - 1
             return
         try:
-            with self.path.open("ab") as f:
-                write_start = perf_counter()
-                for record in self._records[self._durable_count :]:
-                    self.faults.write("wal.append", f, self._FRAME.pack(len(record)) + record)
-                sync_start = perf_counter()
-                self.waits.record(EV_WAL_WRITE, sync_start - write_start)
-                self.faults.fsync("wal.fsync", f)
-                self.waits.record(EV_WAL_SYNC, perf_counter() - sync_start)
+            f = self._file
+            if f is None:
+                f = self._file = self.path.open("ab", buffering=0)
+            write_start = perf_counter()
+            for record in self._records[self._durable_count :]:
+                self.faults.write("wal.append", f, self._FRAME.pack(len(record)) + record)
+            sync_start = perf_counter()
+            self.waits.record(EV_WAL_WRITE, sync_start - write_start)
+            self.faults.fsync("wal.fsync", f)
+            self.waits.record(EV_WAL_SYNC, perf_counter() - sync_start)
         except Exception:
             self._panicked = True
             raise
@@ -325,7 +339,9 @@ class WriteAheadLog:
         flushed first so the rewritten log is self-contained.  The
         rewrite is atomic — new log to a temp file, fsync, rename — so
         a crash mid-truncation leaves either the old or the new log,
-        both of which recover correctly.
+        both of which recover correctly.  The append handle still names
+        the replaced file after the rename, so it is closed and the next
+        :meth:`flush` opens the new one.
         """
         self.flush()
         keep_from = 0
@@ -349,10 +365,17 @@ class WriteAheadLog:
                 self._panicked = True
                 raise
             os.replace(tmp, self.path)
+            self.close()
             self._fsync_dir()
         self._records = kept
         self._durable_count = len(self._records)
         return dropped
+
+    def close(self) -> None:
+        """Close the append handle (idempotent; writes nothing)."""
+        if self._file is not None:
+            self._file.close()
+            self._file = None
 
     def _fsync_dir(self) -> None:
         """Persist the rename of the rewritten log file."""

@@ -242,6 +242,24 @@ class TestPageEdgeCases:
             list(hnsw.scan(query, 5))
         assert db.buffer.pinned_pages() == 0
 
+    def test_refill_overflow_raises_page_corrupt(self, loaded_db):
+        """More survivors than a bucket chain holds is a corrupt chain:
+        ``_refill_chain`` raises ``PageCorruptError`` (not an ``assert``
+        that ``python -O`` strips) and leaves nothing pinned."""
+        db = loaded_db
+        db.execute(
+            "CREATE INDEX ix ON items USING pase_ivfflat (vec) "
+            "WITH (clusters = 4, sample_ratio = 1.0, seed = 1)"
+        )
+        am = db.catalog.find_index("ix").am
+        rel = am.relation_name("data")
+        __, head, __ = next(am._iter_centroids())
+        per_page = db.disk.page_size // am._item_size
+        survivors = [bytes(am._item_size)] * ((db.disk.n_blocks(rel) + 1) * per_page)
+        with pytest.raises(PageCorruptError, match="exceed"):
+            am._refill_chain(rel, head, survivors)
+        assert db.buffer.pinned_pages() == 0
+
 
 class TestProfilerEdgeCases:
     def test_deep_nesting(self):

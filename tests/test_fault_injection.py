@@ -14,6 +14,10 @@ its durability-relevant I/O operations with a pass-through
 :class:`FaultInjector`, then re-runs it once per operation with a
 failure scheduled at exactly that boundary — a crash, a torn write,
 or a failed fsync — and recovers from the files left behind.
+
+Every instance is closed, crashed ones too: ``close()`` writes nothing,
+so the files stay as the crash left them, and CI runs this module with
+``ResourceWarning`` as an error, so a leaked descriptor fails it.
 """
 
 import pytest
@@ -36,6 +40,10 @@ POOL = 16
 N_ROWS = 8
 CHECKPOINT_AFTER = 3
 INDEX_AFTER = 5
+#: Durability-relevant operations of ``_run_workload`` without faults,
+#: counted at the commit before relation files were held open: the
+#: number of boundaries each crash sweep below iterates over.
+SWEEP_BOUNDARIES = 47
 
 
 def _insert(db: PgSimDatabase, i: int) -> None:
@@ -50,6 +58,7 @@ def _run_workload(datadir, injector: FaultInjector | None) -> tuple[list[int], b
     truncation), an index build, and inserts that maintain the index.
     """
     acked: list[int] = []
+    db = None
     try:
         db = PgSimDatabase(data_dir=datadir, buffer_pool_pages=POOL, fault_injector=injector)
         db.execute("CREATE TABLE t (id int, vec float[])")
@@ -66,13 +75,16 @@ def _run_workload(datadir, injector: FaultInjector | None) -> tuple[list[int], b
         return acked, False
     except (SimulatedCrash, SimulatedIOError, WalPanicError):
         return acked, True
+    finally:
+        if db is not None:
+            db.close()
 
 
 def _recovered_ids(datadir) -> list[int]:
-    db = PgSimDatabase(data_dir=datadir, buffer_pool_pages=POOL)
-    if not db.catalog.has_table("t"):
-        return []
-    return sorted(row[0] for row in db.query("SELECT id FROM t"))
+    with PgSimDatabase(data_dir=datadir, buffer_pool_pages=POOL) as db:
+        if not db.catalog.has_table("t"):
+            return []
+        return sorted(row[0] for row in db.query("SELECT id FROM t"))
 
 
 def _assert_contract(recovered: list[int], acked: list[int]) -> None:
@@ -91,7 +103,7 @@ def _baseline_ops(tmp_path) -> int:
     acked, crashed = _run_workload(tmp_path / "baseline", counter)
     assert not crashed
     assert acked == list(range(N_ROWS))
-    assert counter.ops > 20, "workload too small to be an interesting crash sweep"
+    assert counter.ops == SWEEP_BOUNDARIES, "the workload's fault boundaries moved"
     return counter.ops
 
 
@@ -148,6 +160,7 @@ class TestFlushedLsnHonesty:
         assert wal.flushed_lsn == 0
         # And replay must treat nothing as durable.
         assert replay(wal, MemoryDisk()) == 0
+        wal.close()
 
     def test_torn_append_does_not_advance_flushed_lsn(self, tmp_path):
         injector = FaultInjector(schedule={0: Fault(TORN_WRITE, keep_fraction=0.4)})
@@ -156,6 +169,7 @@ class TestFlushedLsnHonesty:
         with pytest.raises(SimulatedCrash):
             wal.log_commit(1)
         assert wal.flushed_lsn == 0
+        wal.close()
 
     def test_wal_panics_after_flush_failure(self, tmp_path):
         injector = FaultInjector(schedule={2: Fault(FAIL_FSYNC)})
@@ -167,6 +181,7 @@ class TestFlushedLsnHonesty:
             wal.log_insert(2, "t.heap", 0, b"y")
         with pytest.raises(WalPanicError):
             wal.flush()
+        wal.close()
 
     def test_heap_insert_undone_when_wal_panicked(self, tmp_path):
         """After a WAL panic, a failed insert must not leave a phantom
@@ -181,6 +196,7 @@ class TestFlushedLsnHonesty:
         db0.execute("CREATE TABLE t (id int, vec float[])")
         _insert(db0, 0)
         base = counter.ops
+        db0.close()
 
         schedule = {base + i: Fault(FAIL_FSYNC) for i in range(20)}
         injector = FaultInjector(schedule=schedule)
@@ -199,6 +215,7 @@ class TestFlushedLsnHonesty:
         table = db.catalog.table("t")
         assert table.heap.tuple_count == 1
         assert [r[0] for r in db.query("SELECT id FROM t")] == [0]
+        db.close()
         # After recovery: row 0 was acknowledged and must be there; row
         # 1's records reached the OS before its fsync failed, so it may
         # legitimately be durable too; row 2 must never appear.
@@ -219,6 +236,7 @@ class TestCheckpointTruncation:
         db.checkpoint()
         assert len(db.wal) == 1  # just the checkpoint record
         assert db.wal.disk_size() < before_bytes
+        db.close()
 
     def test_log_stays_bounded_with_periodic_checkpoints(self, tmp_path):
         db = PgSimDatabase(data_dir=tmp_path / "db", buffer_pool_pages=POOL)
@@ -228,6 +246,7 @@ class TestCheckpointTruncation:
             if i % 10 == 9:
                 db.checkpoint()
         assert len(db.wal) <= 2 * 10 + 1
+        db.close()
 
     def test_recovery_after_checkpoint_truncation(self, tmp_path):
         datadir = tmp_path / "db"
@@ -238,7 +257,7 @@ class TestCheckpointTruncation:
         db.checkpoint()
         for i in range(10, 15):
             _insert(db, i)
-        del db  # crash: post-checkpoint rows only exist in WAL + buffers
+        db.close()  # crash: post-checkpoint rows only exist in WAL + buffers
         assert _recovered_ids(datadir) == list(range(15))
 
     def test_checkpoint_record_carries_durable_horizon(self, tmp_path):
@@ -254,6 +273,7 @@ class TestCheckpointTruncation:
         assert in_progress == (5, 6)
         # A checkpoint record must itself be durable (satellite fix).
         assert wal.flushed_lsn == checkpoint.lsn
+        wal.close()
 
     def test_truncate_is_crash_atomic(self, tmp_path):
         """A crash while rewriting the log leaves the old log intact."""
@@ -266,6 +286,7 @@ class TestCheckpointTruncation:
         wal.faults = FaultInjector(schedule={0: Fault(CRASH)})
         with pytest.raises(SimulatedCrash):
             wal.truncate_before(wal.flushed_lsn)
+        wal.close()
         reopened = WriteAheadLog(path)
         assert len(reopened) == 6
         assert reopened.flushed_lsn == wal.records()[-1].lsn
@@ -290,7 +311,7 @@ class TestTransactionRecovery:
         session.execute("INSERT INTO t VALUES (1, '1.5,1.25'::PASE)")
         session.execute("INSERT INTO t VALUES (2, '2.5,1.25'::PASE)")
         db.wal.flush()  # data + BEGIN records durable; no commit record
-        del db  # crash before COMMIT
+        db.close()  # crash before COMMIT
         assert _recovered_ids(datadir) == [0]
 
     def test_aborted_insert_does_not_shift_later_commits(self, tmp_path):
@@ -304,7 +325,7 @@ class TestTransactionRecovery:
         session.execute("INSERT INTO t VALUES (99, '9.5,1.25'::PASE)")
         session.execute("ROLLBACK")
         _insert(db, 0)  # committed; lands on the same page, next offset
-        del db
+        db.close()
         assert _recovered_ids(datadir) == [0]
 
     def test_checkpoint_mid_transaction_still_rolls_back(self, tmp_path):
@@ -319,7 +340,7 @@ class TestTransactionRecovery:
         session.execute("BEGIN")
         session.execute("INSERT INTO t VALUES (1, '1.5,1.25'::PASE)")
         db.checkpoint()
-        del db  # crash before COMMIT
+        db.close()  # crash before COMMIT
         assert _recovered_ids(datadir) == [0]
 
     def test_uncommitted_delete_resurrects_on_recovery(self, tmp_path):
@@ -332,7 +353,7 @@ class TestTransactionRecovery:
         session.execute("BEGIN")
         session.execute("DELETE FROM t WHERE id = 1")
         db.wal.flush()  # the delete's xmax stamp is durable
-        del db  # crash before COMMIT
+        db.close()  # crash before COMMIT
         assert _recovered_ids(datadir) == [0, 1, 2]
 
     def test_crash_sweep_between_heap_writes_and_commit(self, tmp_path):
@@ -357,6 +378,8 @@ class TestTransactionRecovery:
                 return marks, False
             except (SimulatedCrash, SimulatedIOError, WalPanicError):
                 return marks, True
+            finally:
+                db.close()
 
         counter = FaultInjector()
         marks, crashed = run(tmp_path / "baseline", counter)
@@ -394,10 +417,10 @@ class TestChurnRecovery:
     def _live_rows(self, datadir) -> dict[int, float]:
         """Recovered ``{id: vec[0]}`` — the first component identifies
         whether a row carries its original or its updated vector."""
-        db = PgSimDatabase(data_dir=datadir, buffer_pool_pages=POOL)
-        if not db.catalog.has_table("t"):
-            return {}
-        return {row[0]: float(row[1][0]) for row in db.query("SELECT id, vec FROM t")}
+        with PgSimDatabase(data_dir=datadir, buffer_pool_pages=POOL) as db:
+            if not db.catalog.has_table("t"):
+                return {}
+            return {row[0]: float(row[1][0]) for row in db.query("SELECT id, vec FROM t")}
 
     def test_crash_sweep_mid_update(self, tmp_path):
         """Crash at every I/O boundary of a multi-row UPDATE: recovery
@@ -406,6 +429,7 @@ class TestChurnRecovery:
 
         def run(datadir, injector):
             marks = []
+            db = None
             try:
                 db = self._fresh(datadir, injector)
                 db.execute("CREATE TABLE t (id int, vec float[])")
@@ -427,6 +451,9 @@ class TestChurnRecovery:
                 return marks, False
             except (SimulatedCrash, SimulatedIOError, WalPanicError):
                 return marks, True
+            finally:
+                if db is not None:
+                    db.close()
 
         counter = FaultInjector()
         marks, crashed = run(tmp_path / "baseline", counter)
@@ -457,6 +484,7 @@ class TestChurnRecovery:
 
         def run(datadir, injector):
             marks = []
+            db = None
             try:
                 db = self._fresh(datadir, injector)
                 db.execute("CREATE TABLE t (id int, vec float[])")
@@ -477,6 +505,9 @@ class TestChurnRecovery:
                 return marks, False
             except (SimulatedCrash, SimulatedIOError, WalPanicError):
                 return marks, True
+            finally:
+                if db is not None:
+                    db.close()
 
         counter = FaultInjector()
         marks, crashed = run(tmp_path / "baseline", counter)
@@ -494,15 +525,112 @@ class TestChurnRecovery:
                 f"op {op}: updated values lost {rows}"
             )
             # The recovered index serves the live set and nothing else.
-            db = PgSimDatabase(data_dir=datadir, buffer_pool_pages=POOL)
-            db.execute("SET enable_seqscan = off")
-            got = [
-                r[0]
-                for r in db.query(
-                    "SELECT id FROM t ORDER BY vec <-> '0.5,1.25' LIMIT 10"
-                )
-            ]
+            with PgSimDatabase(data_dir=datadir, buffer_pool_pages=POOL) as db:
+                db.execute("SET enable_seqscan = off")
+                got = [
+                    r[0]
+                    for r in db.query(
+                        "SELECT id FROM t ORDER BY vec <-> '0.5,1.25' LIMIT 10"
+                    )
+                ]
             assert sorted(got) == [0, 1, 2, 3, 4, 5], f"op {op}: index served {got}"
+
+
+class _RecordingInjector(FaultInjector):
+    """Pass-through injector that notes the site of every operation."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sites: list[str] = []
+
+    def write(self, site: str, fobj, payload: bytes) -> None:
+        self.sites.append(site)
+        super().write(site, fobj, payload)
+
+    def fsync(self, site: str, fobj) -> None:
+        self.sites.append(site)
+        super().fsync(site, fobj)
+
+
+#: One letter per fault site, so a step's op sequence reads as a word.
+_SITE_LETTERS = {
+    "disk.extend": "e",
+    "disk.fsync": "f",
+    "disk.write": "w",
+    "wal.append": "a",
+    "wal.fsync": "s",
+    "wal.truncate": "t",
+}
+
+
+def _vec8(i: int) -> str:
+    return ",".join(f"{(i * 7 + j) % 11}.5" for j in range(8))
+
+
+def _scripted_boundaries(datadir) -> list[tuple[str, str]]:
+    """``(step, op letters)`` for a fixed durable workload: page extends,
+    eviction write-back (1 KiB pages, 5 frames), CREATE INDEX,
+    UPDATE/DELETE, VACUUM, and two checkpoints that truncate the WAL."""
+    injector = _RecordingInjector()
+    db = PgSimDatabase(
+        data_dir=datadir, page_size=1024, buffer_pool_pages=5, fault_injector=injector
+    )
+
+    def insert(ids):
+        for i in ids:
+            db.execute(f"INSERT INTO t VALUES ({i}, '{_vec8(i)}'::PASE)")
+
+    steps = [
+        ("create table", lambda: db.execute("CREATE TABLE t (id int, vec float[])")),
+        ("insert 48", lambda: insert(range(48))),
+        ("checkpoint", db.checkpoint),
+        ("create index", lambda: db.execute(
+            "CREATE INDEX ix ON t USING pase_ivfflat (vec) "
+            "WITH (clusters = 2, sample_ratio = 1.0, seed = 1)"
+        )),
+        ("insert 4 indexed", lambda: insert(range(48, 52))),
+        ("update", lambda: db.execute(f"UPDATE t SET vec = '{_vec8(99)}'::PASE WHERE id < 4")),
+        ("delete", lambda: db.execute("DELETE FROM t WHERE id >= 44")),
+        ("vacuum", lambda: db.execute("VACUUM t")),
+        ("checkpoint again", db.checkpoint),
+        ("insert after truncation", lambda: insert([60])),
+    ]
+    out = []
+    try:
+        for label, step in steps:
+            start = len(injector.sites)
+            step()
+            out.append((label, "".join(_SITE_LETTERS[s] for s in injector.sites[start:])))
+    finally:
+        db.close()
+    return out
+
+
+#: ``_scripted_boundaries`` recorded at the commit before relation files
+#: were held open (e/f = disk.extend/fsync, w = disk.write, a/s/t =
+#: wal.append/fsync/truncate).  An autocommit INSERT is "aaas" (BEGIN,
+#: INSERT and COMMIT records, one fsync); a new page is "ef".
+EXPECTED_BOUNDARIES = [
+    ("create table", ""),
+    ("insert 48", "ef" + "aaas" * 17 + "ef" + "aaas" * 17 + "ef" + "aaas" * 14),
+    ("checkpoint", "wwwasts"),
+    ("create index", "efefefwefwefw"),
+    ("insert 4 indexed", "waaasaaasaaasefaaas"),
+    ("update", "wwwaaaaaaaaaas"),
+    ("delete", "waaaaaaaaaas"),
+    ("vacuum", "wwww"),
+    ("checkpoint again", "wwwwwasts"),
+    ("insert after truncation", "efefaaas"),
+]
+
+
+class TestFaultBoundaries:
+    """Holding files open must not move a single fault boundary: same
+    sites, same order, same count.  (The crash sweeps check their own
+    boundary count against ``SWEEP_BOUNDARIES`` in ``_baseline_ops``.)"""
+
+    def test_scripted_workload_op_sequence(self, tmp_path):
+        assert _scripted_boundaries(tmp_path / "db") == EXPECTED_BOUNDARIES
 
 
 class TestInjector:

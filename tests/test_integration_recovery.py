@@ -1,4 +1,10 @@
-"""Crash-recovery integration tests for file-backed databases."""
+"""Crash-recovery integration tests for file-backed databases.
+
+A crash is simulated by closing the instance without a checkpoint:
+``close()`` releases the held files and writes nothing.  CI runs this
+module with ``ResourceWarning`` as an error, so every instance and every
+flushed log is closed.
+"""
 
 import pytest
 
@@ -24,6 +30,7 @@ class TestWalFilePersistence:
         wal = WriteAheadLog(path)
         wal.log_insert(5, "t.heap", 0, b"tuple-bytes")
         wal.log_commit(5)
+        wal.close()
         reopened = WriteAheadLog(path)
         records = reopened.records()
         assert len(records) == 2
@@ -36,6 +43,7 @@ class TestWalFilePersistence:
         wal.log_insert(5, "t.heap", 0, b"a")
         wal.log_commit(5)  # flushes
         wal.log_insert(6, "t.heap", 0, b"b")  # never flushed
+        wal.close()
         reopened = WriteAheadLog(path)
         assert len(reopened.records()) == 2
 
@@ -44,6 +52,7 @@ class TestWalFilePersistence:
         wal = WriteAheadLog(path)
         wal.log_insert(5, "t.heap", 0, b"good")
         wal.log_commit(5)
+        wal.close()
         with path.open("ab") as f:
             f.write(b"\xff\xff\xff\x7f partial garbage")
         reopened = WriteAheadLog(path)
@@ -54,6 +63,7 @@ class TestWalFilePersistence:
         wal = WriteAheadLog(path)
         first = wal.log_insert(5, "t.heap", 0, b"a")
         wal.log_commit(5)
+        wal.close()
         reopened = WriteAheadLog(path)
         assert reopened.log_insert(6, "t.heap", 0, b"b") > first + 1
 
@@ -64,6 +74,7 @@ class TestWalFilePersistence:
         wal = WriteAheadLog(path)
         wal.log_insert(5, "t.heap", 0, b"good")
         wal.log_commit(5)
+        wal.close()
         intact = path.read_bytes()
         # Frame the third record correctly, then tear it in half.
         record = intact[WriteAheadLog._FRAME.size :]
@@ -82,6 +93,7 @@ class TestWalFilePersistence:
         wal = WriteAheadLog(path)
         wal.log_insert(5, "t.heap", 0, b"a")
         wal.log_commit(5)
+        wal.close()
         path.write_bytes(path.read_bytes() * 2)
         reopened = WriteAheadLog(path)
         assert [r.lsn for r in reopened.records()] == [1, 2]
@@ -94,6 +106,7 @@ class TestWalFilePersistence:
         for i in range(3):
             wal.log_insert(7, "t.heap", 0, b"tuple-%d" % i)
         wal.log_commit(7)
+        wal.close()
         disk = MemoryDisk()
         assert replay(wal, disk) == 3
         after_first = disk.read_block("t.heap", 0)
@@ -105,9 +118,9 @@ class TestDatabaseRecovery:
     def test_rows_survive_crash(self, datadir, small_dataset):
         db = PgSimDatabase(data_dir=datadir, buffer_pool_pages=32)
         _load(db, small_dataset, n=150)
-        del db  # crash: dirty buffer pages never flushed
-        db2 = PgSimDatabase(data_dir=datadir, buffer_pool_pages=32)
-        assert db2.execute("SELECT count(*) FROM items").scalar() == 150
+        db.close()  # crash: dirty buffer pages never flushed
+        with PgSimDatabase(data_dir=datadir, buffer_pool_pages=32) as db2:
+            assert db2.execute("SELECT count(*) FROM items").scalar() == 150
 
     def test_index_rebuilt_and_consistent(self, datadir, small_dataset, vec_lit):
         db = PgSimDatabase(data_dir=datadir, buffer_pool_pages=64)
@@ -122,44 +135,44 @@ class TestDatabaseRecovery:
             f"'{vec_lit(small_dataset.queries[0])}'::PASE LIMIT 5"
         )
         before = db.query(sql)
-        del db
-        db2 = PgSimDatabase(data_dir=datadir, buffer_pool_pages=64)
-        db2.execute("SET pase.nprobe = 6")
-        assert db2.query(sql) == before
-        assert "Index Scan using ix" in db2.explain(sql)
+        db.close()
+        with PgSimDatabase(data_dir=datadir, buffer_pool_pages=64) as db2:
+            db2.execute("SET pase.nprobe = 6")
+            assert db2.query(sql) == before
+            assert "Index Scan using ix" in db2.explain(sql)
 
     def test_deletes_survive_crash(self, datadir, small_dataset):
         db = PgSimDatabase(data_dir=datadir, buffer_pool_pages=32)
         _load(db, small_dataset, n=100)
         db.execute("DELETE FROM items WHERE id < 40")
-        del db
-        db2 = PgSimDatabase(data_dir=datadir, buffer_pool_pages=32)
-        assert db2.execute("SELECT count(*) FROM items").scalar() == 60
+        db.close()
+        with PgSimDatabase(data_dir=datadir, buffer_pool_pages=32) as db2:
+            assert db2.execute("SELECT count(*) FROM items").scalar() == 60
 
     def test_dropped_table_stays_dropped(self, datadir, small_dataset):
         db = PgSimDatabase(data_dir=datadir, buffer_pool_pages=32)
         _load(db, small_dataset, n=20)
         db.execute("DROP TABLE items")
-        del db
-        db2 = PgSimDatabase(data_dir=datadir, buffer_pool_pages=32)
-        assert not db2.catalog.has_table("items")
+        db.close()
+        with PgSimDatabase(data_dir=datadir, buffer_pool_pages=32) as db2:
+            assert not db2.catalog.has_table("items")
 
     def test_updates_survive_crash(self, datadir, small_dataset):
         db = PgSimDatabase(data_dir=datadir, buffer_pool_pages=32)
         _load(db, small_dataset, n=50)
         db.execute("UPDATE items SET id = 900 WHERE id = 9")
-        del db
-        db2 = PgSimDatabase(data_dir=datadir, buffer_pool_pages=32)
-        assert db2.query("SELECT id FROM items WHERE id = 900") == [(900,)]
-        assert db2.query("SELECT id FROM items WHERE id = 9") == []
+        db.close()
+        with PgSimDatabase(data_dir=datadir, buffer_pool_pages=32) as db2:
+            assert db2.query("SELECT id FROM items WHERE id = 900") == [(900,)]
+            assert db2.query("SELECT id FROM items WHERE id = 9") == []
 
     def test_second_recovery_idempotent(self, datadir, small_dataset):
         db = PgSimDatabase(data_dir=datadir, buffer_pool_pages=32)
         _load(db, small_dataset, n=60)
-        del db
-        PgSimDatabase(data_dir=datadir, buffer_pool_pages=32)
-        db3 = PgSimDatabase(data_dir=datadir, buffer_pool_pages=32)
-        assert db3.execute("SELECT count(*) FROM items").scalar() == 60
+        db.close()
+        PgSimDatabase(data_dir=datadir, buffer_pool_pages=32).close()
+        with PgSimDatabase(data_dir=datadir, buffer_pool_pages=32) as db3:
+            assert db3.execute("SELECT count(*) FROM items").scalar() == 60
 
     def test_in_memory_database_has_no_ddl_log(self, small_dataset):
         db = PgSimDatabase()
