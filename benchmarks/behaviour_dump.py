@@ -15,7 +15,9 @@ in each state drives every AM search entry point directly: ``scan``,
 ``amsearch_filtered[_batch]`` at 1 / 10 / 50 % selectivity.  Each call
 prints one line: result TIDs, ``repr`` of every distance, candidates
 scored, ``last_filtered_examined`` and buffer pins; each state adds a
-``size_info`` line.
+``size_info`` line and a ``pages`` line: one SHA-256 over every block of
+every fork in ``relations()`` order, as the buffer pool holds it, so a
+diff covers the on-page bytes too.
 
 The ``sql`` lines that follow come from one more table with an ``a``
 column and a NULL ``note`` in every seventh row: ``WHERE a < s ORDER BY
@@ -36,6 +38,7 @@ byte-identical (CI checks this with ``cmp``).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import sys
 from pathlib import Path
@@ -156,6 +159,21 @@ class Dump:
             f"{self.name}\t{state}\tsize_info\tallocated={info.allocated_bytes}\t"
             f"used={info.used_bytes}\tpages={info.page_count}\t{detail}"
         )
+        print(f"{self.name}\t{state}\tpages\tsha256={self.page_fingerprint()}")
+
+    def page_fingerprint(self) -> str:
+        """SHA-256 over every block of every fork, in ``relations()``
+        order, as the buffer pool holds it (a scoped pin per block)."""
+        digest = hashlib.sha256()
+        buffer = self.db.buffer
+        for rel in self.am.relations():
+            if not buffer.disk.relation_exists(rel):
+                continue
+            digest.update(rel.encode())
+            for blkno in range(buffer.disk.n_blocks(rel)):
+                with buffer.page(rel, blkno) as page:
+                    digest.update(page.buf)
+        return digest.hexdigest()
 
 
 #: ``UPDATE`` / ``DELETE`` of the SQL section: single and compound

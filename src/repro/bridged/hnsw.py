@@ -11,18 +11,16 @@ Everything but the residence is :class:`repro.pase.hnsw.HNSWCore`.
 
 from __future__ import annotations
 
-import struct
 from typing import Sequence
 
 import numpy as np
 
 from repro.common.types import IndexSizeInfo
 from repro.pase.hnsw import HNSWCore
+from repro.pase.layout import HNSW_DATA
 from repro.pgsim.am import register_am
 from repro.pgsim.heapam import TID
 from repro.specialized.hnsw import ArrayGraphStore
-
-_DATA_HEAD = struct.Struct("<IIH2x")  # node id, heap blkno, heap offset
 
 
 @register_am
@@ -38,13 +36,18 @@ class BridgedHNSW(HNSWCore):
         """A fresh in-memory graph, sized by the first vector, and an
         empty node -> heap TID map (node ids are positional: a list)."""
         self._heap_tids: list[TID] = []
+        self.layouts = {"data": HNSW_DATA.bind(self.dim)}
         return ArrayGraphStore(self.dim, profiler=self.profiler)
 
     def _record(self, node: int, tid: TID, vec: np.ndarray) -> None:
-        """Map the node to its TID, then append (node, heap tid, vector)
-        to the data fork for durability."""
+        """Map the node to its TID, then append its data tuple (PASE's
+        HNSW data format) to the data fork for durability."""
         self._heap_tids.append(tid)
-        self._append_data(_DATA_HEAD.pack(node, tid.blkno, tid.offset) + vec.tobytes())
+        item = self.layouts["data"].pack(
+            1, node=node, heap_blkno=tid.blkno, heap_offset=tid.offset,
+            level=self.store._levels[node], payload=vec,
+        )
+        self._append_data(item.tobytes())
 
     def _tid_of(self, node: int) -> TID:
         return self._heap_tids[node]
@@ -62,9 +65,9 @@ class BridgedHNSW(HNSWCore):
             dirty = False
             try:
                 page = frame.page
-                for item, off, __ in page.live_pointers():
-                    if _DATA_HEAD.unpack_from(page.buf, off)[0] in dead:
-                        page.delete_item(item)
+                for offno in page.live_items():
+                    if HNSW_DATA.get(page, offno, "node") in dead:
+                        page.delete_item(offno)
                         dirty = True
             finally:
                 self.buffer.unpin(frame, dirty=dirty)

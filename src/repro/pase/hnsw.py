@@ -13,22 +13,16 @@ trace root causes to:
   node to its ``HNSWGlobalId`` before each membership test
   (``HVTGet``).
 - **RC#4** — every adjacency list starts on a **fresh page**, and each
-  neighbor entry is a 24-byte ``HNSWNeighborTuple``::
+  neighbor entry is a 24-byte ``HNSWNeighborTuple`` versus Faiss's
+  4-byte ids — the paper's exact Sec. VI-C2 numbers.
 
-      PaseTuple pointer (8 B) | nblkid (u32) | dblkid (u32)
-      | doffset (u16) | alignment padding (6 B)       = 24 bytes
-
-  versus Faiss's 4-byte ids — the paper's exact Sec. VI-C2 numbers.
-
-Vectors live in packed data-fork tuples:
-``node_id (u32) | heap_blkno (u32) | heap_offset (u16) | level (u16) |
-vector``.
+Vectors live in data-fork tuples.  Both formats are declared in
+:mod:`repro.pase.layout`.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 import time
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
@@ -38,25 +32,11 @@ import numpy as np
 from repro.common import graph
 from repro.common.rng import make_rng
 from repro.common.types import BuildStats, Neighbor
+from repro.pase.layout import HNSW_DATA, HNSW_NEIGHBOR, NO_BLOCK, PageLayout
 from repro.pase.options import parse_hnsw_options
 from repro.pgsim.am import IndexAmRoutine, ScanBatch, register_am
-from repro.pgsim.constants import LINE_POINTER_SIZE, PAGE_HEADER_SIZE
 from repro.pgsim.heapam import TID
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
-from repro.pgsim.page import Page, PageCorruptError, PageFullError
-
-#: The 24-byte HNSWNeighborTuple (Sec. VI-C2).  The 8-byte PaseTuple
-#: pointer field carries the neighbor's node id — the role the char
-#: pointer ("virtual link") plays in PASE.
-_NEIGHBOR = struct.Struct("<QIIH6x")
-assert _NEIGHBOR.size == 24
-#: The same tuple with only its node id decoded (the neighbor reader's unit).
-_NEIGHBOR_ID = "Q16x"
-assert struct.calcsize("<" + _NEIGHBOR_ID) == _NEIGHBOR.size
-
-_DATA_HEAD = struct.Struct("<IIHH")  # node id, heap blkno, heap offset, level
-_NEXT = struct.Struct("<I")
-_NO_BLOCK = 0xFFFFFFFF
 
 
 @dataclass(slots=True)
@@ -85,7 +65,7 @@ class _TupleVisited:
 
     def _global_id(self, node: int) -> tuple[int, int, int]:
         meta = self._store._nodes[node]
-        nblkid = meta.neighbor_heads[0] if meta.neighbor_heads else _NO_BLOCK
+        nblkid = meta.neighbor_heads[0] if meta.neighbor_heads else NO_BLOCK
         return (nblkid, meta.data_blkno, meta.data_offset)
 
     def add(self, node: int) -> None:
@@ -108,23 +88,6 @@ class PageGraphStore:
         self._nodes: list[_NodeMeta] = []
         self.data_rel = am.create_fork("data")
         self.neighbor_rel = am.create_fork("neighbors")
-        # The neighbor-page layout, fixed by the page size: the next-page
-        # pointer is the whole special space, tuples fill the page from
-        # there down, and item i always sits 24 * i bytes below it.
-        empty = Page.init(self.buffer.disk.page_size, special_size=_NEXT.size)
-        self._empty_page = bytes(empty.buf)
-        self._next_at = empty.special
-        self._per_page = (self._next_at - PAGE_HEADER_SIZE) // (
-            LINE_POINTER_SIZE + _NEIGHBOR.size
-        )
-        self._pointer_array = struct.pack(
-            f"<{2 * self._per_page}H",
-            *[
-                value
-                for i in range(1, self._per_page + 1)
-                for value in (self._next_at - _NEIGHBOR.size * i, _NEIGHBOR.size)
-            ],
-        )
 
     # ------------------------------------------------------------------
     # GraphStore protocol
@@ -138,7 +101,7 @@ class PageGraphStore:
         # Under each pin the line pointer is read and the vector bytes
         # copied out; the copies are decoded as one matrix afterwards.
         buffer, rel, metas = self.buffer, self.data_rel, self._nodes
-        head = _DATA_HEAD.size
+        head = HNSW_DATA.head.size
         parts: list[bytearray] = []
         for node in nodes:
             meta = metas[node]
@@ -153,29 +116,11 @@ class PageGraphStore:
         return matrix.reshape(len(parts), self.am.dim)
 
     def neighbors(self, node: int, level: int) -> list[int]:
-        # Per neighbor page: one pin, one header read and one unpack of
-        # the tuple area.  The pages are only ever rewritten whole (never
-        # ``delete_item``'d), so the area is exactly the page's items,
-        # last item first.
-        meta = self._nodes[node]
-        if level >= len(meta.neighbor_heads):
+        # The pages are only ever rewritten whole, so they stay packed.
+        heads = self._nodes[node].neighbor_heads
+        if level >= len(heads):
             return []
-        ids: list[int] = []
-        buffer, rel = self.buffer, self.neighbor_rel
-        blkno = meta.neighbor_heads[level]
-        while blkno != _NO_BLOCK:
-            frame = buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                lower, upper, special = page.bounds()
-                n = (lower - PAGE_HEADER_SIZE) // LINE_POINTER_SIZE
-                if special - upper != _NEIGHBOR.size * n:
-                    raise PageCorruptError(f"{rel} page {blkno} is not packed")
-                ids += struct.unpack_from("<" + _NEIGHBOR_ID * n, page.buf, upper)[::-1]
-                (blkno,) = _NEXT.unpack_from(page.buf, special)
-            finally:
-                buffer.unpin(frame)
-        return ids
+        return HNSW_NEIGHBOR.column(self.buffer, self.neighbor_rel, heads[level], "node")
 
     def set_neighbors(self, node: int, level: int, ids: Sequence[int]) -> None:
         meta = self._nodes[node]
@@ -185,23 +130,24 @@ class PageGraphStore:
         # per list, RC#4), so rewriting in place is safe.  Pages past the
         # end of the new list are emptied but stay linked: a shorter list
         # must not read back the old list's tail.
-        fields = [self._neighbor_fields(nid) for nid in ids]
-        per_page = self._per_page
-        blkno = meta.neighbor_heads[level]
-        start = 0
+        rows = [self._neighbor_fields(nid) for nid in ids]
+        buffer, rel, layout = self.buffer, self.neighbor_rel, HNSW_NEIGHBOR
+        per_page = layout.per_page(buffer.disk.page_size)
+        blkno, start = meta.neighbor_heads[level], 0
         while True:
-            chunk = fields[start : start + per_page]
+            chunk = rows[start : start + per_page]
             start += len(chunk)
-            frame = self.buffer.pin(self.neighbor_rel, blkno)
+            frame = buffer.pin(rel, blkno)
             try:
-                (next_blk,) = _NEXT.unpack_from(frame.page.buf, self._next_at)
-                self._write_list_page(frame.page, chunk, next_blk)
+                next_blk = layout.next_block(frame.page)
+                layout.write_page(frame.page, layout.pack_area(chunk), next_blk)
             finally:
-                self.buffer.unpin(frame, dirty=True)
-            if start < len(fields) and next_blk == _NO_BLOCK:
+                buffer.unpin(frame, dirty=True)
+            if start < len(rows) and next_blk == NO_BLOCK:
                 next_blk = self._new_neighbor_page()
-                self._link_next(blkno, next_blk)
-            if next_blk == _NO_BLOCK:
+                with buffer.page(rel, blkno, dirty=True) as page:
+                    layout.set_next(page, next_blk)
+            if next_blk == NO_BLOCK:
                 break
             blkno = next_blk
 
@@ -209,7 +155,7 @@ class PageGraphStore:
         node_id = len(self._nodes)
         # The heap TID is stamped in once the caller knows it.
         data_blkno, data_offset = self.am._append_data(
-            _DATA_HEAD.pack(node_id, 0, 0, level) + vector.tobytes()
+            self.am.layouts["data"].pack(1, node=node_id, level=level, payload=vector).tobytes()
         )
         # RC#4: one fresh page per adjacency list, at every level.
         heads = [self._new_neighbor_page() for _ in range(level + 1)]
@@ -228,54 +174,17 @@ class PageGraphStore:
     def _neighbor_fields(self, node_id: int) -> tuple[int, int, int, int]:
         """The fields of ``node_id``'s ``HNSWNeighborTuple``."""
         meta = self._nodes[node_id]
-        nblkid = meta.neighbor_heads[0] if meta.neighbor_heads else _NO_BLOCK
+        nblkid = meta.neighbor_heads[0] if meta.neighbor_heads else NO_BLOCK
         return (node_id, nblkid, meta.data_blkno, meta.data_offset)
 
-    def _write_list_page(self, page: Page, fields: list[tuple[int, ...]], next_blk: int) -> None:
-        """Overwrite ``page`` with one neighbor-list page image.
-
-        Byte for byte what :meth:`Page.init` followed by one
-        ``insert_item`` per tuple leaves (item 1 ends at the special
-        space, each later item below the previous one, checksum and LSN
-        zero), written as one image: the empty page, the two header
-        bounds, the pointer-array prefix and one pack of the tuple area.
-        """
-        n = len(fields)
-        buf = page.buf
-        lower = PAGE_HEADER_SIZE + LINE_POINTER_SIZE * n
-        upper = self._next_at - _NEIGHBOR.size * n
-        buf[:] = self._empty_page
-        page.lower = lower
-        page.upper = upper
-        buf[PAGE_HEADER_SIZE:lower] = self._pointer_array[: LINE_POINTER_SIZE * n]
-        values = [value for tup in reversed(fields) for value in tup]
-        struct.pack_into("<" + _NEIGHBOR.format[1:] * n, buf, upper, *values)
-        _NEXT.pack_into(buf, self._next_at, next_blk)
-
     def _new_neighbor_page(self) -> int:
-        blkno, frame = self.buffer.new_page(self.neighbor_rel, special_size=_NEXT.size)
-        try:
-            frame.page.write_special(_NEXT.pack(_NO_BLOCK))
-        finally:
-            self.buffer.unpin(frame, dirty=True)
-        return blkno
-
-    def _link_next(self, blkno: int, next_blk: int) -> None:
-        frame = self.buffer.pin(self.neighbor_rel, blkno)
-        try:
-            frame.page.write_special(_NEXT.pack(next_blk))
-        finally:
-            self.buffer.unpin(frame, dirty=True)
+        return HNSW_NEIGHBOR.new_page(self.buffer, self.neighbor_rel)[0]
 
     def set_heap_tid(self, node: int, tid: TID) -> None:
         """Stamp the owning heap tuple's TID into a node's data tuple."""
         meta = self._nodes[node]
-        frame = self.buffer.pin(self.data_rel, meta.data_blkno)
-        try:
-            view = frame.page.get_item_view(meta.data_offset)
-            struct.pack_into("<IH", view, 4, tid.blkno, tid.offset)
-        finally:
-            self.buffer.unpin(frame, dirty=True)
+        with self.buffer.page(self.data_rel, meta.data_blkno, dirty=True) as page:
+            HNSW_DATA.put(page, meta.data_offset, heap_blkno=tid.blkno, heap_offset=tid.offset)
 
     def heap_tid(self, node: int) -> TID:
         """Read back the heap TID stored in a node's data tuple."""
@@ -290,9 +199,9 @@ class PageGraphStore:
         for blkno, positions in by_block.items():
             with self.buffer.page(self.data_rel, blkno) as page:
                 for i in positions:
-                    off, __ = page.item_bounds(self._nodes[nodes[i]].data_offset)
-                    __, heap_blk, heap_off, __ = _DATA_HEAD.unpack_from(page.buf, off)
-                    out[i] = TID(heap_blk, heap_off)
+                    offno = self._nodes[nodes[i]].data_offset
+                    get = HNSW_DATA.get
+                    out[i] = TID(get(page, offno, "heap_blkno"), get(page, offno, "heap_offset"))
         return out  # type: ignore[return-value]
 
 
@@ -324,13 +233,16 @@ class HNSWCore(IndexAmRoutine):
         #: their data tuples are gone, so readers and later vacuums skip them.
         self.removed: set[int] = set()
         self._rng = make_rng(self.opts.seed)
-        self._data_insert_block: int | None = None
+        #: Each fork's page format, bound to ``dim`` by ``_new_store``.
+        self.layouts: dict[str, PageLayout] = {}
+        self._data_insert_block = NO_BLOCK
 
     # ------------------------------------------------------------------
     # what a residence supplies
     # ------------------------------------------------------------------
     def _new_store(self) -> Any:
-        """An empty graph store (pages or memory), made at the first vector."""
+        """An empty graph store (pages or memory) and its forks' layouts,
+        made at the first vector."""
         raise NotImplementedError
 
     def _record(self, node: int, tid: TID, vec: np.ndarray) -> None:
@@ -359,7 +271,8 @@ class HNSWCore(IndexAmRoutine):
     def build(self) -> None:
         for fork in self.FORKS:
             self.create_fork(fork)
-        self.store = self.dim = self._data_insert_block = None
+        self.store = self.dim = None
+        self._data_insert_block = NO_BLOCK
         self.removed = set()
         start = time.perf_counter()
         count = 0
@@ -394,22 +307,10 @@ class HNSWCore(IndexAmRoutine):
         """Append one data tuple to the current insert page of the data
         fork (a fresh page once it is full); returns its location."""
         rel = self.relation_name("data")
-        if self._data_insert_block is not None:
-            frame = self.buffer.pin(rel, self._data_insert_block)
-            try:
-                offset = frame.page.insert_item(item)
-            except PageFullError:
-                self.buffer.unpin(frame)
-            else:
-                self.buffer.unpin(frame, dirty=True)
-                return self._data_insert_block, offset
-        blkno, frame = self.buffer.new_page(rel)
-        try:
-            offset = frame.page.insert_item(item)
-        finally:
-            self.buffer.unpin(frame, dirty=True)
-        self._data_insert_block = blkno
-        return blkno, offset
+        self._data_insert_block, offno = HNSW_DATA.append(
+            self.buffer, rel, item, self._data_insert_block
+        )
+        return self._data_insert_block, offno
 
     # ------------------------------------------------------------------
     # vacuum (ambulkdelete)
@@ -549,6 +450,7 @@ class PaseHNSW(HNSWCore):
     FORKS = ("data", "neighbors")
 
     def _new_store(self) -> PageGraphStore:
+        self.layouts = {"data": HNSW_DATA.bind(self.dim), "neighbors": HNSW_NEIGHBOR}
         return PageGraphStore(self)
 
     def _record(self, node: int, tid: TID, vec: np.ndarray) -> None:
@@ -566,8 +468,5 @@ class PaseHNSW(HNSWCore):
     def _delete_data(self, dead: set[int]) -> None:
         for node in dead:
             meta = self.store._nodes[node]
-            frame = self.buffer.pin(self.store.data_rel, meta.data_blkno)
-            try:
-                frame.page.delete_item(meta.data_offset)
-            finally:
-                self.buffer.unpin(frame, dirty=True)
+            with self.buffer.page(self.store.data_rel, meta.data_blkno, dirty=True) as page:
+                page.delete_item(meta.data_offset)

@@ -6,19 +6,12 @@ The paper varies two things across its IVF systems — how a list entry is
 :class:`PagedIVF` owns everything else; each registered AM subclasses it
 and supplies only those two.
 
-Layout (following the paper's description of PASE, Sec. II-E/VI-A):
-
-- **meta fork** — one page, one tuple: ``(dim, clusters, distance_type)``
-  plus whatever the codec appends.
-- **centroid fork** — fixed-size centroid tuples packed into pages:
-  ``centroid_id (u32) | bucket_head_blkno (u32) | vector (d * f32)``.
-  Because tuples are fixed-size, centroid *i*'s page and offset are
-  computable, like PASE's centroid pages.
-- **data fork** — per-bucket chains of data pages.  Each data tuple is
-  ``heap_blkno (u32) | heap_offset (u16) | pad (2) | payload``; each
-  page's 8-byte special space holds the next block in the chain.  The
-  payload is the variant's encoding of the vector (possibly empty).
-- codec forks (PQ codebook, SQ8 ranges) written by the variant.
+Forks (following the paper's description of PASE, Sec. II-E/VI-A):
+one meta tuple, fixed-size centroid tuples (centroid *i*'s page and
+slot are computable), per-bucket chains of data pages whose payload is
+the variant's encoding of the vector (possibly empty), and the
+variant's codec forks.  Their page formats are declared in
+:mod:`repro.pase.layout`.
 
 Construction trains centroids with PASE's k-means flavour (RC#5) and
 assigns base vectors one at a time without SGEMM (RC#1).  Search walks
@@ -42,8 +35,8 @@ What a variant overrides:
 from __future__ import annotations
 
 import heapq
-import struct
 import time
+from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -52,20 +45,12 @@ from repro.common.distance import pairwise_kernel, rows_kernel
 from repro.common.heap import BoundedMaxHeap, NaiveTopK
 from repro.common.kmeans import pase_kmeans, sample_training_rows
 from repro.common.types import BuildStats, DistanceType
+from repro.pase.layout import IVF_CENTROID, IVF_DATA, IVF_META, PageLayout
 from repro.pase.options import parse_ivf_options
 from repro.pgsim.am import IndexAmRoutine, ScanBatch, topk_batch
-from repro.pgsim.constants import LINE_POINTER_SIZE, PAGE_HEADER_SIZE
 from repro.pgsim.heapam import TID
-from repro.pgsim.page import Page, PageCorruptError, PageFullError
+from repro.pgsim.page import Page, PageCorruptError
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
-
-_META = struct.Struct("<III")  # dim, clusters, distance_type
-_CENTROID_HEAD = struct.Struct("<II")  # centroid_id, bucket_head_blkno
-_DATA_HEAD = struct.Struct("<IHxx")  # heap blkno, heap offset, pad
-_NEXT = struct.Struct("<I")  # chain pointer in the special space
-
-#: "no bucket page" sentinel.
-_NO_BLOCK = 0xFFFFFFFF
 
 SEC_DISTANCE = "fvec_L2sqr"
 SEC_TUPLE_ACCESS = "Tuple Access"
@@ -95,9 +80,8 @@ class PagedIVF(IndexAmRoutine):
         self.ivf = self.opts = parse_ivf_options(self.options)
         self.build_stats = BuildStats()
         self.dim: int | None = None
-        self._centroids_per_page: int | None = None
-        self._payload_dtype = np.dtype(np.uint8)
-        self._item_size = _DATA_HEAD.size
+        #: Each fork's page format, bound to this index's widths at build.
+        self.layouts: dict[str, PageLayout] = {}
         #: ``(query bytes, full centroid order, bucket heads)`` from the
         #: most recent scan — lets ``amrescan_continue`` skip re-ranking
         #: the centroids when the over-fetch loop widens ``k``.
@@ -127,8 +111,9 @@ class PagedIVF(IndexAmRoutine):
     def _write_codec_fork(self) -> None:
         """Persist the codec's own fork (default: none)."""
 
-    def _meta_item(self, n_clusters: int) -> bytes:
-        return _META.pack(self.dim, n_clusters, int(self.ivf.distance_type))
+    def _meta_tail(self) -> list[int]:
+        """What the codec appends to the meta tuple (IVF_PQ: m, c_pq)."""
+        return []
 
     def _tuple_scorer(self, query: np.ndarray) -> TupleScorer:
         """Per-query scorer for one data tuple; owns its profiler sections."""
@@ -190,8 +175,11 @@ class PagedIVF(IndexAmRoutine):
         start = time.perf_counter()
         self.progress.set_phase("assign", tuples_total=len(rows))
         payloads = self._encode(vectors)
-        self._payload_dtype = payloads.dtype
-        self._item_size = _DATA_HEAD.size + payloads.shape[1] * payloads.itemsize
+        self.layouts = {
+            "meta": IVF_META.bind(len(self._meta_tail())),
+            "centroid": IVF_CENTROID.bind(self.dim),
+            "data": IVF_DATA.bind(payloads.shape[1], payloads.dtype),
+        }
         buckets: list[list[int]] = [[] for _ in range(n_clusters)]
         for row, bucket in enumerate(self._assign(vectors, centroids).tolist()):
             buckets[bucket].append(row)
@@ -211,57 +199,25 @@ class PagedIVF(IndexAmRoutine):
         payloads: np.ndarray,
         buckets: list[list[int]],
     ) -> None:
-        """Write the trained lists out as pages."""
-        heads = [self._write_bucket(tids, payloads, rows) for rows in buckets]
-        self._write_centroids(centroids, heads)
+        """Write the trained lists out as pages: each bucket a chain of
+        data pages, then the centroids carrying the chain heads."""
+        layouts, buffer = self.layouts, self.buffer
+        data, centroid, meta = layouts["data"], layouts["centroid"], layouts["meta"]
+        records = data.pack(
+            len(tids), heap_blkno=[tid.blkno for tid in tids],
+            heap_offset=[tid.offset for tid in tids], payload=payloads,
+        )
+        rel = self.create_fork("data")
+        heads = [data.write(buffer, rel, records[rows]) for rows in buckets]
+        centroid.write(buffer, self.create_fork("centroid"), centroid.pack(
+            len(heads), centroid_id=range(len(heads)), bucket_head=heads, payload=centroids
+        ))
         self._write_codec_fork()
         if "meta" in self.FORKS:
-            __, frame = self.buffer.new_page(self.create_fork("meta"))
-            try:
-                frame.page.insert_item(self._meta_item(len(heads)))
-            finally:
-                self.buffer.unpin(frame, dirty=True)
-
-    def _write_centroids(self, centroids: np.ndarray, heads: list[int]) -> None:
-        rel = self.create_fork("centroid")
-        tuple_size = _CENTROID_HEAD.size + centroids.shape[1] * 4
-        self._centroids_per_page = max(
-            (self.buffer.disk.page_size - PAGE_HEADER_SIZE)
-            // (tuple_size + LINE_POINTER_SIZE),
-            1,
-        )
-        frame = None
-        for i, (centroid, head) in enumerate(zip(centroids, heads)):
-            if i % self._centroids_per_page == 0:
-                if frame is not None:
-                    self.buffer.unpin(frame, dirty=True)
-                __, frame = self.buffer.new_page(rel)
-            frame.page.insert_item(_CENTROID_HEAD.pack(i, head) + centroid.tobytes())
-        if frame is not None:
-            self.buffer.unpin(frame, dirty=True)
-
-    def _write_bucket(self, tids: list[TID], payloads: np.ndarray, rows: list[int]) -> int:
-        """Write one bucket as a page chain; returns its head block."""
-        rel = self.create_fork("data")
-        head = _NO_BLOCK
-        frame = None
-        for row in rows:
-            tid = tids[row]
-            item = _DATA_HEAD.pack(tid.blkno, tid.offset) + payloads[row].tobytes()
-            if frame is not None:
-                try:
-                    frame.page.insert_item(item)
-                    continue
-                except PageFullError:
-                    self.buffer.unpin(frame, dirty=True)
-                    frame = None
-            blkno, frame = self.buffer.new_page(rel, special_size=_NEXT.size)
-            frame.page.write_special(_NEXT.pack(head))
-            head = blkno
-            frame.page.insert_item(item)
-        if frame is not None:
-            self.buffer.unpin(frame, dirty=True)
-        return head
+            meta.write(buffer, self.create_fork("meta"), meta.pack(
+                1, dim=self.dim, clusters=len(heads), distance_type=self.ivf.distance_type,
+                payload=self._meta_tail(),
+            ))
 
     # ------------------------------------------------------------------
     # insert
@@ -281,25 +237,14 @@ class PagedIVF(IndexAmRoutine):
             if dist < best_dist:
                 best_id, best_dist = cent_id, dist
         self._bucket_inserts[best_id] = self._bucket_inserts.get(best_id, 0) + 1
-        item = _DATA_HEAD.pack(tid.blkno, tid.offset) + payload.tobytes()
-        head = self._bucket_head(best_id)
-        rel = self.relation_name("data")
-        if head != _NO_BLOCK:
-            frame = self.buffer.pin(rel, head)
-            try:
-                frame.page.insert_item(item)
-            except PageFullError:
-                self.buffer.unpin(frame)
-            else:
-                self.buffer.unpin(frame, dirty=True)
-                return
-        blkno, frame = self.buffer.new_page(rel, special_size=_NEXT.size)
-        try:
-            frame.page.write_special(_NEXT.pack(head))
-            frame.page.insert_item(item)
-        finally:
-            self.buffer.unpin(frame, dirty=True)
-        self._set_bucket_head(best_id, blkno)
+        data = self.layouts["data"]
+        item = data.pack(1, heap_blkno=tid.blkno, heap_offset=tid.offset, payload=payload)
+        with self._centroid(best_id) as (page, offno):
+            head = self.layouts["centroid"].get(page, offno, "bucket_head")
+        blkno, __ = data.append(self.buffer, self.relation_name("data"), item.tobytes(), head)
+        if blkno != head:  # the chain grew a new head page
+            with self._centroid(best_id, dirty=True) as (page, offno):
+                self.layouts["centroid"].put(page, offno, bucket_head=blkno)
 
     # ------------------------------------------------------------------
     # vacuum (ambulkdelete)
@@ -324,18 +269,12 @@ class PagedIVF(IndexAmRoutine):
                 # Per-bucket progress tick (pg_stat_progress_vacuum):
                 # observers see entry reclamation advance chain by chain.
                 self.vacuum_progress.tick_index_entries(removed)
-            if not self.PAYLOAD_IS_VECTOR or not survivors:
+            if not self.PAYLOAD_IS_VECTOR or not len(survivors):
                 continue
             inserts = self._bucket_inserts.get(cent_id, 0)
             if (removed + inserts) / len(survivors) <= threshold:
                 continue
-            mat = np.vstack(
-                [
-                    np.frombuffer(item, dtype=np.float32, offset=_DATA_HEAD.size)
-                    for item in survivors
-                ]
-            )
-            self._recenter(cent_id, mat.mean(axis=0).astype(np.float32))
+            self._recenter(cent_id, survivors["payload"].mean(axis=0).astype(np.float32))
             self._bucket_inserts[cent_id] = 0
         if removed_total:
             self._rescan_cache = None
@@ -343,82 +282,42 @@ class PagedIVF(IndexAmRoutine):
 
     def _recenter(self, centroid_id: int, centroid: np.ndarray) -> None:
         """Overwrite one centroid vector in place (chain head unchanged)."""
-        blkno, off = self._centroid_location(centroid_id)
-        frame = self.buffer.pin(self.relation_name("centroid"), blkno)
-        try:
-            view = frame.page.get_item_view(off)
-            view[_CENTROID_HEAD.size :] = centroid.tobytes()
-        finally:
-            self.buffer.unpin(frame, dirty=True)
+        with self._centroid(centroid_id, dirty=True) as (page, offno):
+            self.layouts["centroid"].put(page, offno, payload=centroid)
 
     def _compact_bucket_chains(
         self, dead_tids: set[TID]
-    ) -> Iterator[tuple[int, int, list[bytes]]]:
+    ) -> Iterator[tuple[int, int, np.ndarray]]:
         """Drop dead entries from every bucket chain.
 
-        Compaction only needs the raw item bytes (every variant shares
-        the ``heap_blkno | heap_off | pad`` item prefix), so it never
-        decodes the payload.  For each bucket, yields ``(centroid_id,
-        removed, survivor_items)`` where survivor items are byte copies
-        of the entries kept.  Chains with removals are rewritten in
-        place: each page is re-initialized (keeping its next pointer)
-        and refilled front-to-back, so surviving items stay contiguous —
-        the layout ``_read_records`` copies in one slice per page — and
-        trailing chain pages are simply left empty.  Index forks are not
-        WAL-logged (recovery rebuilds them from the DDL log), so the
-        wholesale page rewrite needs no log record.
+        For each bucket, yields ``(centroid_id, removed, survivors)``,
+        the survivors a record array of the entries kept.  Chains with
+        removals are refilled in place front to back (next pointers
+        kept, trailing pages left empty), so they stay packed.  Index
+        forks are not WAL-logged (recovery rebuilds them from the DDL
+        log), so the wholesale page rewrite needs no log record.
         """
         rel = self.relation_name("data")
         if not self.buffer.disk.relation_exists(rel):
             return
-        buckets = [(cent_id, head) for cent_id, head, __ in self._iter_centroids()]
-        for cent_id, head in buckets:
-            survivors: list[bytes] = []
-            removed = 0
-            blkno = head
-            while blkno != _NO_BLOCK:
-                frame = self.buffer.pin(rel, blkno)
-                try:
-                    page = frame.page
-                    for off in range(1, page.item_count + 1):
-                        view = page.get_item_view(off)
-                        heap_blk, heap_off = _DATA_HEAD.unpack_from(view, 0)
-                        if TID(heap_blk, heap_off) in dead_tids:
-                            removed += 1
-                        else:
-                            # Copy: the view dangles once the frame is
-                            # unpinned (the buffer may recycle it).
-                            survivors.append(bytes(view))
-                    (blkno,) = _NEXT.unpack(page.read_special())
-                finally:
-                    self.buffer.unpin(frame)
-            if removed:
+        dead = {_tid_key(tid) for tid in dead_tids}
+        for cent_id, head, __ in list(self._iter_centroids()):
+            items = self.layouts["data"].read_packed(self.buffer, rel, [head], item_order=True)
+            survivors = items[[key not in dead for key in _record_keys(items).tolist()]]
+            if len(survivors) < len(items):
                 self._refill_chain(rel, head, survivors)
-            yield cent_id, removed, survivors
+            yield cent_id, len(items) - len(survivors), survivors
 
-    def _refill_chain(self, rel: str, head: int, survivors: list[bytes]) -> None:
-        """Rewrite a bucket chain's pages in place with the surviving items."""
-        pending = iter(survivors)
-        item = next(pending, None)
-        blkno = head
-        while blkno != _NO_BLOCK:
-            frame = self.buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                (nxt,) = _NEXT.unpack(page.read_special())
-                fresh = Page.init(page.page_size, special_size=_NEXT.size)
-                page.buf[:] = fresh.buf
-                page.write_special(_NEXT.pack(nxt))
-                while item is not None:
-                    try:
-                        page.insert_item(item)
-                    except PageFullError:
-                        break
-                    item = next(pending, None)
-                blkno = nxt
-            finally:
-                self.buffer.unpin(frame, dirty=True)
-        if item is not None:
+    def _refill_chain(self, rel: str, head: int, survivors: np.ndarray) -> None:
+        """Rewrite a bucket chain's pages in place with the surviving
+        records, each page a packed image."""
+        data = self.layouts["data"]
+        per_page, start = data.per_page(self.buffer.disk.page_size), 0
+        for page in data.pages(self.buffer, rel, head, dirty=True):
+            chunk = survivors[start : start + per_page][::-1].tobytes()
+            data.write_page(page, chunk, data.next_block(page))
+            start += per_page
+        if start < len(survivors):
             raise PageCorruptError(f"{rel} chain at {head}: survivors exceed its capacity")
 
     # ------------------------------------------------------------------
@@ -455,12 +354,12 @@ class PagedIVF(IndexAmRoutine):
         if batch:
             section = self.profiler.section
             with section(SEC_TUPLE_ACCESS):
-                size = _CENTROID_HEAD.size + 4 * self.dim
-                words = self._read_records("centroid", size).view("<u4")
-                words = words[np.argsort(words[:, 0], kind="stable")]  # id | head | vector
+                rel = self.relation_name("centroid")
+                recs = self.layouts["centroid"].read_packed(self.buffer, rel)
+                recs = recs[np.argsort(recs["centroid_id"], kind="stable")]
             with section(SEC_DISTANCE):
-                dists = rows_kernel(self._metric())(query, words[:, 2:].view("<f4"))
-            order, heads = np.argsort(dists, kind="stable"), words[:, 1].tolist()
+                dists = rows_kernel(self._metric())(query, recs["payload"])
+            order, heads = np.argsort(dists, kind="stable"), recs["bucket_head"].tolist()
             self._rescan_cache = (key, order, heads)
             return order, heads
         kernel = self.profiler.timed(SEC_DISTANCE, pairwise_kernel(self._metric()))
@@ -652,134 +551,40 @@ class PagedIVF(IndexAmRoutine):
     def _iter_centroids(self) -> Iterator[tuple[int, int, np.ndarray]]:
         """Yield ``(centroid_id, bucket_head, vector)`` from centroid pages,
         each centroid decoded in its own ``Tuple Access`` section."""
+        timed = self.profiler.timed
         rel = self.relation_name("centroid")
-        unpack, frombuffer = _CENTROID_HEAD.unpack_from, np.frombuffer
-        head_size, dim = _CENTROID_HEAD.size, self.dim
-        buf = item_bounds = None  # the pinned page's, rebound per page
-
-        def read_tuple(offno: int) -> tuple[int, int, np.ndarray]:
-            off, __ = item_bounds(offno)
-            cent_id, head = unpack(buf, off)
-            return cent_id, head, frombuffer(buf, np.float32, dim, off + head_size)
-
-        read_tuple = self.profiler.timed(SEC_TUPLE_ACCESS, read_tuple)
-        for blkno in range(self.buffer.disk.n_blocks(rel)):
-            frame = self.buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                buf, item_bounds = page.buf, page.item_bounds
-                for offno in range(1, page.item_count + 1):
-                    yield read_tuple(offno)
-            finally:
-                self.buffer.unpin(frame)
+        for items in self.layouts["centroid"].items(
+            self.buffer, rel, timed=lambda read: timed(SEC_TUPLE_ACCESS, read)
+        ):
+            for (cent_id, head), vector in items:
+                yield cent_id, head, vector
 
     def _chain_pages(self, head: int) -> Iterator[tuple[list[int], list[np.ndarray]]]:
         """Walk one bucket's page chain, yielding per page ``(packed heap
-        TID keys, payload views)`` — the tuple interface's list reader.
-
-        Per page: one pin; per data tuple, inside its own ``Tuple
-        Access`` section, one line-pointer lookup (``item_bounds``, with
-        its range and dead-item checks), one head unpack and one view of
-        the fixed-width payload; the next pointer from one unpack at the
-        special space.  The page stays pinned while the caller consumes
-        it; the views stay valid after the unpin, because a frame read
-        back in gets a fresh buffer rather than overwriting this one.
-        """
+        TID keys, payload views)`` — the tuple interface's list reader,
+        each data tuple decoded in its own ``Tuple Access`` section."""
+        timed = self.profiler.timed
         rel = self.relation_name("data")
-        buffer = self.buffer
-        unpack, frombuffer = _DATA_HEAD.unpack_from, np.frombuffer
-        dtype = self._payload_dtype
-        head_size = _DATA_HEAD.size
-        width = (self._item_size - head_size) // dtype.itemsize
-        buf = item_bounds = add_key = add_payload = None  # the pinned page's, rebound per page
-
-        def read_tuple(offno: int) -> None:
-            off, __ = item_bounds(offno)
-            heap_blk, heap_off = unpack(buf, off)
-            add_key((heap_blk << 16) | heap_off)
-            add_payload(frombuffer(buf, dtype, width, off + head_size))
-
-        read_tuple = self.profiler.timed(SEC_TUPLE_ACCESS, read_tuple)
-        blkno = head
-        while blkno != _NO_BLOCK:
-            frame = buffer.pin(rel, blkno)
-            try:
-                page = frame.page
-                buf, item_bounds = page.buf, page.item_bounds
-                keys: list[int] = []
-                payloads: list[np.ndarray] = []
-                add_key, add_payload = keys.append, payloads.append
-                for offno in range(1, page.item_count + 1):
-                    read_tuple(offno)
-                (blkno,) = _NEXT.unpack_from(buf, page.special)
-                yield keys, payloads
-            finally:
-                buffer.unpin(frame)
-
-    def _read_records(
-        self, fork: str, item_size: int, heads: Sequence[int] | None = None
-    ) -> np.ndarray:
-        """Copy fixed-size tuples out of pages as one ``(n, item_size)``
-        byte matrix: the bucket chains starting at ``heads``, or with
-        ``heads=None`` every page of ``fork`` in block order.
-
-        The batch interface's only page reader.  Each page is pinned
-        once, its header read once, and its tuple area ``[upper,
-        special)`` — where fixed-size items sit back to back, newest
-        first — copied in one slice before the unpin.  These forks are
-        only appended to, refilled front to back or overwritten at the
-        same size, never holed, so the area is exactly the page's items.
-        Nothing outlives the call outside the buffer pool.
-        """
-        rel = self.relation_name(fork)
-        chained = heads is not None
-        chunks: list[bytearray] = []
-        for blkno in heads if chained else range(self.buffer.disk.n_blocks(rel)):
-            while blkno != _NO_BLOCK:
-                frame = self.buffer.pin(rel, blkno)
-                try:
-                    page = frame.page
-                    lower, upper, special = page.bounds()
-                    n = (lower - PAGE_HEADER_SIZE) // LINE_POINTER_SIZE
-                    if special - upper != n * item_size:
-                        raise PageCorruptError(f"{rel} page {blkno} is not packed")
-                    chunks.append(page.buf[upper:special])
-                    blkno = _NEXT.unpack_from(page.buf, special)[0] if chained else _NO_BLOCK
-                finally:
-                    self.buffer.unpin(frame)
-        return np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(-1, item_size)
+        for items in self.layouts["data"].items(
+            self.buffer, rel, head, timed=lambda read: timed(SEC_TUPLE_ACCESS, read)
+        ):
+            yield [(blk << 16) | off for (blk, off), __ in items], [p for __, p in items]
 
     def _gather_buckets(self, heads: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """The lists at ``heads`` as ``(packed TID keys, payload matrix)``,
-        decoded with one reshape and one key pack for all of them."""
-        records = self._read_records("data", self._item_size, heads)
-        words = records[:, : _DATA_HEAD.size].copy().view("<u4")  # blkno | offset, pad
-        keys = (words[:, 0].astype(np.int64) << 16) | (words[:, 1] & 0xFFFF)
-        dtype = self._payload_dtype
-        return keys, records.view(dtype)[:, _DATA_HEAD.size // dtype.itemsize :]
+        read page-granular and decoded with one key pack for all."""
+        rel = self.relation_name("data")
+        records = self.layouts["data"].read_packed(self.buffer, rel, heads)
+        return _record_keys(records), records["payload"]
 
-    # ------------------------------------------------------------------
-    # centroid tuple addressing
-    # ------------------------------------------------------------------
-    def _centroid_location(self, centroid_id: int) -> tuple[int, int]:
-        assert self._centroids_per_page is not None
-        return (
-            centroid_id // self._centroids_per_page,
-            centroid_id % self._centroids_per_page + 1,
-        )
-
-    def _bucket_head(self, centroid_id: int) -> int:
-        blkno, off = self._centroid_location(centroid_id)
-        with self.buffer.page(self.relation_name("centroid"), blkno) as page:
-            return _CENTROID_HEAD.unpack_from(page.get_item_view(off), 0)[1]
-
-    def _set_bucket_head(self, centroid_id: int, head: int) -> None:
-        blkno, off = self._centroid_location(centroid_id)
-        frame = self.buffer.pin(self.relation_name("centroid"), blkno)
-        try:
-            struct.pack_into("<I", frame.page.get_item_view(off), 4, head)
-        finally:
-            self.buffer.unpin(frame, dirty=True)
+    @contextmanager
+    def _centroid(self, centroid_id: int, dirty: bool = False) -> Iterator[tuple[Page, int]]:
+        """Centroid ``centroid_id``'s page, pinned, and its offset
+        number: computable, as the tuples are fixed-size."""
+        per_page = self.layouts["centroid"].per_page(self.buffer.disk.page_size)
+        blkno, slot = divmod(centroid_id, per_page)
+        with self.buffer.page(self.relation_name("centroid"), blkno, dirty) as page:
+            yield page, slot + 1
 
 
 def topk_parts(key_parts: list[np.ndarray], dist_parts: list[np.ndarray], k: int) -> ScanBatch:
@@ -787,6 +592,11 @@ def topk_parts(key_parts: list[np.ndarray], dist_parts: list[np.ndarray], k: int
     if not key_parts:
         return ScanBatch.empty()
     return topk_batch(np.concatenate(key_parts), np.concatenate(dist_parts), k)
+
+
+def _record_keys(records: np.ndarray) -> np.ndarray:
+    """Packed heap TID keys of IVF data records."""
+    return (records["heap_blkno"].astype(np.int64) << 16) | records["heap_offset"]
 
 
 def _tid_key(tid: TID) -> int:

@@ -1,8 +1,8 @@
 """PASE IVF_FLAT: the paged IVF core with raw float32 vectors on the page.
 
-Data tuples are ``heap_blkno (u32) | heap_offset (u16) | pad (2) |
-vector (d * f32)``, so a candidate is scored straight off the index
-page with one float kernel call — no decode, no heap round trip.
+Data tuples carry the vector (``ivf_data`` in :mod:`repro.pase.layout`),
+so a candidate is scored straight off the index page with one float
+kernel call — no decode, no heap round trip.
 Everything else (build, insert, VACUUM, the scans, costs, sizes) is
 :class:`repro.pase.ivf_core.PagedIVF`.
 """

@@ -3,13 +3,12 @@
 Two PQ-specific pieces on top of :class:`repro.pase.ivf_core.PagedIVF`:
 
 - a **codebook fork** storing the ``m * c_pq`` codeword sub-vectors as
-  page tuples (``sub_space (u16) | codeword (u16) | sub-vector``);
-  the decoded codebook is cached in memory after build/first load,
-  like PASE's memory-resident PQ metadata — the paper's RC#7 is about
-  how the *per-query table* is computed, not codebook storage;
-- data tuples carry PQ codes instead of raw vectors:
-  ``heap_blkno (u32) | heap_offset (u16) | pad | code (m bytes)``,
-  and the meta tuple appends ``m`` and ``c_pq``.
+  page tuples; the decoded codebook is cached in memory after
+  build/first load, like PASE's memory-resident PQ metadata — the
+  paper's RC#7 is about how the *per-query table* is computed, not
+  codebook storage;
+- data tuples carry ``m``-byte PQ codes instead of raw vectors, and the
+  meta tuple appends ``m`` and ``c_pq`` (formats: :mod:`repro.pase.layout`).
 
 Search builds the per-query ADC table the PASE way — one
 ``fvec_L2sqr`` per table cell (RC#7) — unless
@@ -19,7 +18,6 @@ decomposition, then scores candidates by table lookups.
 
 from __future__ import annotations
 
-import struct
 from typing import Any
 
 import numpy as np
@@ -27,12 +25,9 @@ import numpy as np
 from repro.common import pq
 from repro.common.types import DistanceType
 from repro.pase.ivf_core import SEC_DISTANCE, PagedIVF, RowsScorer, TupleScorer
+from repro.pase.layout import IVF_META, PQ_CODEBOOK
 from repro.pase.options import parse_ivfpq_options
 from repro.pgsim.am import register_am
-from repro.pgsim.page import PageFullError
-
-_META = struct.Struct("<IIIII")  # dim, clusters, distance_type, m, c_pq
-_CODEBOOK_HEAD = struct.Struct("<HH")  # sub-space, codeword id
 
 SEC_PCTABLE = "Pctable"
 
@@ -75,48 +70,30 @@ class PaseIVFPQ(PagedIVF):
     def _encode(self, vectors: np.ndarray) -> np.ndarray:
         return pq.encode(self._load_codebook(), vectors)
 
-    def _meta_item(self, n_clusters: int) -> bytes:
+    def _meta_tail(self) -> list[int]:
         codebook = self._load_codebook()
-        return _META.pack(
-            self.dim, n_clusters, int(self.ivf.distance_type), codebook.m, codebook.c_pq
-        )
+        return [codebook.m, codebook.c_pq]
 
     def _write_codec_fork(self) -> None:
-        codebook = self._load_codebook()
-        rel = self.create_fork("codebook")
-        frame = None
-        for j in range(codebook.m):
-            for c in range(codebook.c_pq):
-                item = _CODEBOOK_HEAD.pack(j, c) + codebook.codebooks[j, c].tobytes()
-                if frame is not None:
-                    try:
-                        frame.page.insert_item(item)
-                        continue
-                    except PageFullError:
-                        self.buffer.unpin(frame, dirty=True)
-                        frame = None
-                __, frame = self.buffer.new_page(rel)
-                frame.page.insert_item(item)
-        if frame is not None:
-            self.buffer.unpin(frame, dirty=True)
+        books = self._load_codebook().codebooks  # (m, c_pq, d_sub)
+        m, c_pq, d_sub = books.shape
+        layout = self.layouts["codebook"] = PQ_CODEBOOK.bind(d_sub)
+        codewords = layout.pack(
+            m * c_pq, sub_space=np.repeat(np.arange(m), c_pq),
+            codeword=np.tile(np.arange(c_pq), m), payload=books.reshape(m * c_pq, d_sub),
+        )
+        layout.write(self.buffer, self.create_fork("codebook"), codewords)
 
     def _load_codebook(self) -> pq.PQCodebook:
         """Decode codebook pages once and cache (PASE keeps it resident)."""
         if self._codebook is not None:
             return self._codebook
-        rel = self.relation_name("codebook")
-        with self.buffer.page(self.relation_name("meta"), 0) as page:
-            dim, __, __, m, c_pq = _META.unpack_from(page.get_item_view(1), 0)
-        d_sub = dim // m
-        books = np.empty((m, c_pq, d_sub), dtype=np.float32)
-        for blkno in range(self.buffer.disk.n_blocks(rel)):
-            with self.buffer.page(rel, blkno) as page:
-                for off in page.live_items():
-                    view = page.get_item_view(off)
-                    j, c = _CODEBOOK_HEAD.unpack_from(view, 0)
-                    books[j, c] = np.frombuffer(
-                        view, dtype=np.float32, offset=_CODEBOOK_HEAD.size
-                    )
+        meta = IVF_META.bind(2).read_packed(self.buffer, self.relation_name("meta"))[0]
+        m, c_pq = meta["payload"].tolist()
+        layout = PQ_CODEBOOK.bind(int(meta["dim"]) // m)
+        recs = layout.read_packed(self.buffer, self.relation_name("codebook"))
+        books = np.empty((m, c_pq, layout.width), dtype=np.float32)
+        books[recs["sub_space"], recs["codeword"]] = recs["payload"]
         norms = np.stack(
             [np.einsum("ij,ij->i", books[j], books[j]) for j in range(m)]
         )

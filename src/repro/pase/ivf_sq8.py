@@ -11,7 +11,6 @@ There is no vectorised scorer, so batch scans wrap the tuple scan.
 
 from __future__ import annotations
 
-import struct
 from typing import Any
 
 import numpy as np
@@ -19,10 +18,9 @@ import numpy as np
 from repro.common import sq
 from repro.common.types import DistanceType
 from repro.pase.ivf_core import SEC_DISTANCE, PagedIVF, TupleScorer
+from repro.pase.layout import SQ8_CODEC
 from repro.pgsim.am import register_am
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
-
-_CODEC_HEAD = struct.Struct("<H")  # 0 = vmin row, 1 = vdiff row
 
 
 @register_am
@@ -52,24 +50,15 @@ class PaseIVFSQ8(PagedIVF):
 
     def _write_codec_fork(self) -> None:
         codec = self._load_codec()
-        __, frame = self.buffer.new_page(self.create_fork("codec"))
-        try:
-            frame.page.insert_item(_CODEC_HEAD.pack(0) + codec.vmin.tobytes())
-            frame.page.insert_item(_CODEC_HEAD.pack(1) + codec.vdiff.tobytes())
-        finally:
-            self.buffer.unpin(frame, dirty=True)
+        layout = self.layouts["codec"] = SQ8_CODEC.bind(self.dim)
+        rows = layout.pack(2, row=[0, 1], payload=[codec.vmin, codec.vdiff])
+        layout.write(self.buffer, self.create_fork("codec"), rows)
 
     def _load_codec(self) -> sq.SQ8Codec:
         if self._codec is not None:
             return self._codec
-        parts: dict[int, np.ndarray] = {}
-        with self.buffer.page(self.relation_name("codec"), 0) as page:
-            for off in page.live_items():
-                view = page.get_item_view(off)
-                (which,) = _CODEC_HEAD.unpack_from(view, 0)
-                parts[which] = np.frombuffer(
-                    view, dtype=np.float32, offset=_CODEC_HEAD.size
-                ).copy()
+        recs = SQ8_CODEC.bind(self.dim).read_packed(self.buffer, self.relation_name("codec"))
+        parts = dict(zip(recs["row"].tolist(), recs["payload"].copy()))
         self._codec = sq.SQ8Codec(vmin=parts[0], vdiff=parts[1])
         return self._codec
 

@@ -756,8 +756,8 @@ class HeapTable:
 
     def _page_chunks(self, pad: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """The heap's pages, :data:`CHUNK_PAGES` at a time, each pinned
-        once and copied before its unpin (PASE IVF's ``_read_records``
-        idiom): ``(first block, (pages, page size) byte matrix, the same
+        once and copied before its unpin (the pattern of the index
+        layouts' page-granular reader): ``(first block, (pages, page size) byte matrix, the same
         bytes flat plus ``pad`` zero bytes)``.  The padding keeps a
         fixed-width record read at any tuple's start inside the copy."""
         page_size = self.buffer.disk.page_size

@@ -219,7 +219,7 @@ class Page:
         read plus a pointer read per item.  Callers that then fetch each
         item by offset number: the tuple heap scan (``heapam``), loser
         purging in WAL recovery, the default index ``size_info`` and the
-        PQ / SQ8 codec-fork loaders.
+        bridged HNSW data-fork delete.
         """
         lengths = self._line_pointers()[1::2]
         return [i for i, length in enumerate(lengths, start=1) if length]
@@ -230,10 +230,9 @@ class Page:
 
         For callers that slice or unpack items straight from ``buf``
         without a per-item locator: the whole-row batch heap scan
-        (``scan_batches``) and the bridged HNSW data-fork delete.  The
-        column-wise heap scan, VACUUM and the heap's tuple count at open
-        read many pages' pointer arrays at once with
-        :func:`live_item_arrays`.
+        (``scan_batches``).  The column-wise heap scan, VACUUM and the
+        heap's tuple count at open read many pages' pointer arrays at
+        once with :func:`live_item_arrays`.
         """
         pointers = self._line_pointers()
         return [

@@ -254,8 +254,9 @@ class TestPageEdgeCases:
         am = db.catalog.find_index("ix").am
         rel = am.relation_name("data")
         __, head, __ = next(am._iter_centroids())
-        per_page = db.disk.page_size // am._item_size
-        survivors = [bytes(am._item_size)] * ((db.disk.n_blocks(rel) + 1) * per_page)
+        data = am.layouts["data"]
+        per_page = db.disk.page_size // data.item_size
+        survivors = np.zeros((db.disk.n_blocks(rel) + 1) * per_page, data.record)
         with pytest.raises(PageCorruptError, match="exceed"):
             am._refill_chain(rel, head, survivors)
         assert db.buffer.pinned_pages() == 0

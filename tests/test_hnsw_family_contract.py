@@ -10,6 +10,7 @@ of `test_ivf_family_contract.py`.
 
 from __future__ import annotations
 
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.pase.hnsw import HNSWCore
 from repro.pase.options import IndexOptionError
 from repro.pgsim import PgSimDatabase
 from repro.pgsim.am import lookup_am
+from repro.pgsim.page import PageCorruptError
 from repro.specialized import HNSWIndex
 
 AMS = ("pase_hnsw", "bridged_hnsw")
@@ -277,6 +279,52 @@ def test_non_l2_distance_type_is_rejected(name, metric):
     with pytest.raises(IndexOptionError, match="distance_type"):
         db.execute(f"CREATE INDEX ix ON t USING {name} (vec) WITH (distance_type = {metric})")
     db.execute(f"CREATE INDEX ix ON t USING {name} (vec) WITH (distance_type = 0)")
+
+
+def _verify_every_page(am) -> int:
+    """Check every page of every fork against its layout; the page count."""
+    pages = 0
+    for fork in am.FORKS:
+        layout = am.layouts[fork]
+        for page in layout.pages(am.buffer, am.relation_name(fork)):
+            layout.verify(page)
+            pages += 1
+    return pages
+
+
+def test_every_page_verifies_in_every_state(hnsw):
+    """Every page of every fork is its layout's: as built, after INSERTs,
+    and after DELETE + VACUUM, whose dead node tuples are the only holes
+    (data pages) while neighbor pages stay packed."""
+    built = _verify_every_page(hnsw.am)
+    rng = np.random.default_rng(2)
+    for j in range(40):
+        vec = rng.normal(size=DIM).astype(np.float32)
+        hnsw.db.execute(f"INSERT INTO t VALUES ({N + j}, '{_lit(vec)}'::PASE)")
+    assert _verify_every_page(hnsw.am) > built
+    hnsw.db.execute(f"DELETE FROM t WHERE id < {N // 2}")
+    hnsw.db.execute("VACUUM t")
+    assert len(hnsw.am.removed) == N // 2
+    _verify_every_page(hnsw.am)
+    assert hnsw.db.buffer.pinned_pages() == 0
+
+
+def test_a_torn_line_pointer_fails_verify_and_the_neighbor_reader(hnsw):
+    """One line pointer whose length is off by one on block 0 of each
+    fork: ``verify`` refuses the page, and on pages ``neighbors()``
+    refuses node 0's level-0 list (block 0 of the neighbor fork),
+    pinning nothing afterwards."""
+    am, buffer = hnsw.am, hnsw.db.buffer
+    for fork in am.FORKS:
+        with buffer.page(am.relation_name(fork), 0, dirty=True) as page:
+            off, length = struct.unpack_from("<HH", page.buf, 24)  # line pointer 1
+            struct.pack_into("<HH", page.buf, 24, off, length - 1)
+            with pytest.raises(PageCorruptError, match="not packed"):
+                am.layouts[fork].verify(page)
+    if "neighbors" in am.FORKS:
+        with pytest.raises(PageCorruptError, match="not packed"):
+            am.store.neighbors(0, 0)
+    assert buffer.pinned_pages() == 0
 
 
 def test_size_info_reports_every_fork(built):

@@ -111,7 +111,7 @@ def _ref_chain(am, head: int) -> tuple[list[tuple[TID, np.ndarray]], int]:
             for off in range(1, page.item_count + 1):
                 view = page.get_item_view(off)
                 heap_blk, heap_off = struct.unpack_from("<IHxx", view, 0)
-                payload = np.frombuffer(view, dtype=am._payload_dtype, offset=8).copy()
+                payload = np.frombuffer(view, dtype=am.layouts["data"].dtype, offset=8).copy()
                 entries.append((TID(heap_blk, heap_off), payload))
             (blkno,) = struct.unpack("<I", page.read_special())
     return entries, pages
@@ -243,7 +243,7 @@ def test_chain_pages_yield_every_item_in_order(name):
         payloads = [payload for __, page_payloads in got for payload in page_payloads]
         assert [_key_tid(key) for key in keys] == [tid for tid, __ in entries]
         assert [p.tobytes() for p in payloads] == [p.tobytes() for __, p in entries]
-        assert all(p.dtype == am._payload_dtype for p in payloads)
+        assert all(p.dtype == am.layouts["data"].dtype for p in payloads)
     assert saw_empty_page
     assert db.buffer.pinned_pages() == 0
 

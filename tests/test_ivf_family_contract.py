@@ -9,6 +9,7 @@ variant without a failure naming it.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from types import SimpleNamespace
 
@@ -19,9 +20,11 @@ import repro.bridged  # noqa: F401  — registers bridged_ivfflat
 import repro.pase  # noqa: F401  — registers the pase_* access methods
 import repro.pgvector  # noqa: F401  — registers ivfflat
 from repro.common import heap as heap_mod
+from repro.pase.layout import NO_BLOCK
 from repro.pase.parallel import parallel_search
 from repro.pgsim import PgSimDatabase
 from repro.pgsim.am import lookup_am
+from repro.pgsim.page import PageCorruptError
 
 #: AM name -> extra WITH options.
 AMS = {
@@ -315,6 +318,49 @@ def test_vacuum_leaves_exactly_the_live_rows_indexed(ivf):
     assert _indexed_entries(ivf.am) == N - 100
     ivf.db.execute(f"SET pase.nprobe = {CLUSTERS}")
     assert len(list(ivf.am.scan(ivf.queries[0], N))) == N - 100
+
+
+def _verify_every_page(am) -> int:
+    """Check every page of every fork against its layout; the page count."""
+    pages = 0
+    for fork in am.FORKS:
+        layout = am.layouts[fork]
+        for page in layout.pages(am.buffer, am.relation_name(fork)):
+            layout.verify(page)
+            pages += 1
+    return pages
+
+
+def test_every_page_verifies_in_every_state(ivf):
+    """Every page of every fork is its layout's, packed: as built, after
+    INSERTs that grow chain heads, after DELETE + VACUUM compaction."""
+    built = _verify_every_page(ivf.am)
+    assert built >= len(ivf.am.FORKS)
+    q = _far_query(ivf)
+    for j in range(40):
+        ivf.db.execute(f"INSERT INTO t VALUES ({N + j}, '{_lit(q + 0.01 * j)}'::PASE)")
+    assert _verify_every_page(ivf.am) > built
+    ivf.db.execute("DELETE FROM t WHERE id < 100")
+    ivf.db.execute("VACUUM t")
+    _verify_every_page(ivf.am)
+    assert ivf.db.buffer.pinned_pages() == 0
+
+
+def test_a_torn_line_pointer_fails_verify_and_the_batch_reader(ivf):
+    """One data-page line pointer whose length is off by one: ``verify``
+    and the page-granular batch reader refuse the page, pinning nothing
+    afterwards."""
+    am, buffer = ivf.am, ivf.db.buffer
+    rel, data = am.relation_name("data"), am.layouts["data"]
+    head = next(head for __, head, __ in am._iter_centroids() if head != NO_BLOCK)
+    with buffer.page(rel, head, dirty=True) as page:
+        off, length = struct.unpack_from("<HH", page.buf, 24)  # line pointer 1
+        struct.pack_into("<HH", page.buf, 24, off, length + 1)
+        with pytest.raises(PageCorruptError, match="not packed"):
+            data.verify(page)
+    with pytest.raises(PageCorruptError, match="not packed"):
+        am._gather_buckets([head])
+    assert buffer.pinned_pages() == 0
 
 
 def test_size_info_reports_every_fork(ivf):

@@ -1,6 +1,7 @@
 """Tests for PASE HNSW (page graph store) and the pgvector comparator."""
 
 import functools
+import struct
 
 import numpy as np
 import pytest
@@ -9,9 +10,17 @@ from hypothesis import strategies as st
 
 from repro.common.metrics import mean_recall_at_k
 from repro.common.profiling import Profiler
-from repro.pase.hnsw import _DATA_HEAD, _NEIGHBOR, _NEXT, _NO_BLOCK, PageGraphStore
+from repro.pase.layout import HNSW_DATA, HNSW_NEIGHBOR
 from repro.pgsim import PgSimDatabase
 from repro.pgsim.page import Page, PageCorruptError
+
+# Reference formats, declared here with literal struct strings rather
+# than imported from the module under test, so a changed declaration
+# there fails these tests instead of silently moving the reference.
+_NEIGHBOR = struct.Struct("<QIIH6x")  # node id, nblkid, dblkid, doffset
+_DATA_HEAD = struct.Struct("<IIHH")  # node id, heap blkno, heap offset, level
+_NEXT = struct.Struct("<I")  # next block in the special space
+_NO_BLOCK = 0xFFFFFFFF
 
 
 def _ids(db, am, query, k):
@@ -33,8 +42,11 @@ def hnsw_am(loaded_db):
 
 class TestNeighborTupleLayout:
     def test_24_byte_neighbor_tuple(self):
-        """Sec. VI-C2: each HNSWNeighborTuple takes 24 bytes."""
-        assert _NEIGHBOR.size == 24
+        """Sec. VI-C2: each HNSWNeighborTuple takes 24 bytes; both page
+        formats are the references above."""
+        assert HNSW_NEIGHBOR.item_size == _NEIGHBOR.size == 24
+        assert HNSW_NEIGHBOR.head.format == _NEIGHBOR.format
+        assert HNSW_DATA.head.format == _DATA_HEAD.format
 
 
 class TestPaseHNSW:

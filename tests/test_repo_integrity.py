@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -98,3 +99,24 @@ class TestPublicApiDocstrings:
                     if ast.get_docstring(node) is None:
                         undocumented.append(f"{path.name}:{node.name}")
         assert not undocumented, f"public items without docstrings: {undocumented}"
+
+
+class TestPageFormats:
+    """Each index page format is declared once, in ``pase/layout.py``;
+    the access methods read and write pages only through it."""
+
+    def test_page_format_code_lives_only_in_the_layout_module(self):
+        pattern = re.compile(
+            r"\bimport struct\b|\bfrom struct import\b|PAGE_HEADER_SIZE|LINE_POINTER_SIZE"
+        )
+        layout = REPO / "src" / "repro" / "pase" / "layout.py"
+        offenders = [
+            f"{path.relative_to(REPO)}:{lineno}"
+            for package in ("pase", "bridged", "pgvector")
+            for path in sorted((REPO / "src" / "repro" / package).glob("*.py"))
+            if path != layout
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+            if pattern.search(line)
+        ]
+        assert not offenders, f"page format code outside pase/layout.py: {offenders}"
+        assert pattern.search(layout.read_text())
