@@ -26,8 +26,19 @@ filtered-search strategy and both ``enable_batch_exec`` values — output
 rows, the examined / matched counts the statement feeds
 ``pg_stat_filtered_search``, buffer pins — then ``UPDATE`` / ``DELETE
 ... WHERE`` with single and compound predicates (command tag, pins, a
-table checksum) and the hybrid statements again.  No clock is read, so
-the output is a pure function of the arguments.
+table checksum) and the hybrid statements again.
+
+The ``spec`` lines close the dump: the specialized (Faiss-side)
+``IVFFlatIndex`` / ``IVFPQIndex`` / ``IVFSQ8Index`` built on the same
+rows for each ``distance_type`` the variant accepts x ``use_sgemm`` on /
+off x ``kmeans_style`` faiss / pase, plus IVF_PQ with
+``optimized_pctable`` off.  Each build prints SHA-256s of the centroids
+and of every list's ids and codes in list order, ``bucket_sizes``, the
+``size_info`` detail and the build's distance count; each query its ids,
+``repr`` distances and distance count; one profiled search its section
+names and entry counts (no seconds); IVF_FLAT and IVF_PQ also
+``parallel_search``'s ids and each work unit's ``serial_ops``.  No
+clock is read, so the output is a pure function of the arguments.
 
 Use it as an oracle around a refactor: run it at the parent commit and
 at the change and ``diff`` the two files — every differing line is a
@@ -53,7 +64,11 @@ if str(SRC) not in sys.path:
 import repro.bridged  # noqa: E402,F401  — registers bridged_ivfflat, bridged_hnsw
 import repro.pase  # noqa: E402,F401  — registers the pase_* access methods
 import repro.pgvector  # noqa: E402,F401  — registers ivfflat
+import repro.specialized.parallel as spec_parallel  # noqa: E402
+from repro.common.profiling import Profiler  # noqa: E402
+from repro.common.types import DistanceType  # noqa: E402
 from repro.pgsim import PgSimDatabase  # noqa: E402
+from repro.specialized import IVFFlatIndex, IVFPQIndex, IVFSQ8Index  # noqa: E402
 
 #: AM name -> extra WITH options.
 AMS = {
@@ -269,6 +284,95 @@ class SqlDump:
         print(f"sql\tdml\ttable\tcount_sum_id_sum_a_updated_notes={checksum}")
 
 
+#: Specialized variant -> (class, extra constructor arguments, the
+#: metrics it accepts, whether ``parallel_search`` drives it here).
+SPEC_VARIANTS = {
+    "ivf_flat": (IVFFlatIndex, {}, ("l2", "ip", "cosine"), True),
+    "ivf_pq": (IVFPQIndex, {"m": 4, "c_pq": 16}, ("l2",), True),
+    "ivf_sq8": (IVFSQ8Index, {}, ("l2", "ip", "cosine"), False),
+}
+
+
+def _sha(*arrays: np.ndarray) -> str:
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+def _spec_lists(index: Any) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(ids, codes)`` of every list, in list order."""
+    index._finalize()
+    payloads = getattr(index, "_bucket_vectors", None)
+    if payloads is None:
+        payloads = index._bucket_code_arrays
+    return list(zip(index._bucket_id_arrays, payloads))
+
+
+def spec_dump(base: np.ndarray, queries: np.ndarray, clusters: int) -> None:
+    """The ``spec`` lines: one block per specialized build."""
+    configs = [
+        (variant, metric, sgemm, style, {})
+        for variant, (__, __, metrics, __) in SPEC_VARIANTS.items()
+        for metric in metrics
+        for sgemm in (True, False)
+        for style in ("faiss", "pase")
+    ]
+    configs.append(("ivf_pq", "l2", True, "faiss", {"optimized_pctable": False}))
+    split = base.shape[0] * 3 // 5
+    for variant, metric, sgemm, style, extra in configs:
+        cls, args, __, parallel = SPEC_VARIANTS[variant]
+        name = f"spec\t{variant}/{metric}/sgemm={int(sgemm)}/{style}" + "".join(
+            f"/{key}={value}" for key, value in extra.items()
+        )
+        index = cls(
+            DIM, n_clusters=clusters, sample_ratio=0.5, use_sgemm=sgemm, kmeans_style=style,
+            seed=SEED, distance_type=DistanceType(METRICS[metric]), **args, **extra,
+        )
+        index.train(base)
+        index.add(base[:split])
+        index.add(base[split:])
+        lists = _spec_lists(index)
+        sizes = " ".join(str(int(n)) for n in index.bucket_sizes())
+        detail = " ".join(f"{key}={value}" for key, value in sorted(index.size_info().detail.items()))
+        print(
+            f"{name}\tbuild\tcentroids={_sha(index.centroids)}\t"
+            f"lists={_sha(*(arr for pair in lists for arr in pair))}\t"
+            f"build_ndis={index.build_stats.distance_computations}"
+        )
+        print(f"{name}\tsizes\t[{sizes}]\t{detail}")
+        for qi, q in enumerate(queries):
+            result = index.search(q, K, nprobe=NPROBE)
+            dists = " ".join(repr(float(n.distance)) for n in result.neighbors)
+            print(
+                f"{name}\tq{qi}\tsearch\tids={result.ids}\tdists=[{dists}]\t"
+                f"ndis={result.distance_computations}"
+            )
+        index.profiler = Profiler()
+        index.search(queries[0], K, nprobe=NPROBE)
+        calls = " ".join(
+            f"{row.name}={row.calls}" for row in sorted(index.profiler.breakdown(), key=lambda r: r.name)
+        )
+        print(f"{name}\tprofile\t{calls}")
+        if not parallel:
+            continue
+        scheduled: list[list[Any]] = []
+        curve = spec_parallel.scaling_curve
+
+        def record(units, *rest, **kwargs):
+            scheduled.append(list(units))
+            return curve(units, *rest, **kwargs)
+
+        spec_parallel.scaling_curve = record
+        try:
+            for qi, q in enumerate(queries):
+                result, __ = spec_parallel.parallel_search(index, q, K, NPROBE, [1, 2])
+                serial_ops = [unit.serial_ops for unit in scheduled.pop()]
+                print(f"{name}\tq{qi}\tparallel\tids={result.ids}\tserial_ops={serial_ops}")
+        finally:
+            spec_parallel.scaling_curve = curve
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rows", type=int, default=2000)
@@ -299,6 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     sql.state("fresh", queries)
     sql.dml(args.rows)
     sql.state("after_dml", queries)
+    spec_dump(base, queries, clusters)
     return 0
 
 
