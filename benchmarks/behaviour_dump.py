@@ -6,7 +6,8 @@ of hybrid search and DML through SQL.
 Builds one seeded table per IVF access method (``pase_ivfflat``,
 ``pase_ivfpq``, ``pase_ivfsq8``, pgvector's ``ivfflat``,
 ``bridged_ivfflat``) and index metric (``distance_type`` 0 / 1 / 2:
-L2, inner product, cosine), and one per HNSW access method
+L2, inner product, cosine; ``pase_ivfpq`` and ``pase_ivfsq8`` score in L2
+only and refuse the others), and one per HNSW access method
 (``pase_hnsw``, ``bridged_hnsw``; L2 only, at a fixed ``pase.efs``), and
 walks it through three states — fresh, after
 200 single-row INSERTs, after DELETE of 30 % of the rows + VACUUM — and
@@ -86,6 +87,8 @@ EFS = 40
 #: rows with BLAS sgemv, whose rounding depends on how many rows one
 #: call holds, so they see drift the L2 kernel cannot.
 METRICS = {"l2": 0, "ip": 1, "cosine": 2}
+#: IVF access methods that refuse a non-L2 ``distance_type``.
+L2_ONLY_AMS = {"pase_ivfpq", "pase_ivfsq8"}
 K, K_CONTINUE, NPROBE = 10, 30, 4
 SELECTIVITIES = (1, 10, 50)
 INSERTS = 200
@@ -301,7 +304,10 @@ def _sha(*arrays: np.ndarray) -> str:
 
 
 def _spec_lists(index: Any) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(ids, codes)`` of every list, in list order."""
+    """``(ids, codes)`` of every list, in list order (through the
+    per-class arrays on trees older than ``IVFIndex.lists``)."""
+    if hasattr(index, "lists"):
+        return index.lists()
     index._finalize()
     payloads = getattr(index, "_bucket_vectors", None)
     if payloads is None:
@@ -334,7 +340,9 @@ def spec_dump(base: np.ndarray, queries: np.ndarray, clusters: int) -> None:
         index.add(base[split:])
         lists = _spec_lists(index)
         sizes = " ".join(str(int(n)) for n in index.bucket_sizes())
-        detail = " ".join(f"{key}={value}" for key, value in sorted(index.size_info().detail.items()))
+        detail = " ".join(
+            f"{key}={value}" for key, value in sorted(index.size_info().detail.items())
+        )
         print(
             f"{name}\tbuild\tcentroids={_sha(index.centroids)}\t"
             f"lists={_sha(*(arr for pair in lists for arr in pair))}\t"
@@ -350,9 +358,8 @@ def spec_dump(base: np.ndarray, queries: np.ndarray, clusters: int) -> None:
             )
         index.profiler = Profiler()
         index.search(queries[0], K, nprobe=NPROBE)
-        calls = " ".join(
-            f"{row.name}={row.calls}" for row in sorted(index.profiler.breakdown(), key=lambda r: r.name)
-        )
+        rows = sorted(index.profiler.breakdown(), key=lambda row: row.name)
+        calls = " ".join(f"{row.name}={row.calls}" for row in rows)
         print(f"{name}\tprofile\t{calls}")
         if not parallel:
             continue
@@ -388,6 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         for am_name in AMS
         for metric in METRICS
+        if metric == "l2" or am_name not in L2_ONLY_AMS
     ]
     runs += [(f"{am}/l2", am, f"{opts}, seed = {SEED}") for am, opts in HNSW_AMS.items()]
     for name, am_name, options in runs:

@@ -15,7 +15,7 @@ from repro.bench.runner import (
     ratios,
     within,
 )
-from repro.common.graph import (
+from repro.common.profiling import (
     SEC_ADD_LINK,
     SEC_DISTANCE,
     SEC_GREEDY_UPDATE,

@@ -15,14 +15,20 @@ from repro.bench.runner import (
     within,
 )
 from repro.common.metrics import latency_stats
-from repro.common.profiling import DEFAULT_MAX_SPANS, Profiler
+from repro.common.profiling import (
+    DEFAULT_MAX_SPANS,
+    SEC_DISTANCE,
+    SEC_HEAP,
+    SEC_TUPLE_ACCESS,
+    Profiler,
+)
 from repro.core.rc_attribution import attribute_profile, format_rc_breakdown
 from repro.core.report import render_breakdown, render_grouped_series
 from repro.core.root_causes import RootCause
 from repro.core.study import ComparativeStudy, GeneralizedVectorDB, SpecializedVectorDB
 
 #: Table V column order.
-_TAB5_COLUMNS = ("fvec_L2sqr", "Tuple Access", "Min-heap")
+_TAB5_COLUMNS = (SEC_DISTANCE, SEC_TUPLE_ACCESS, SEC_HEAP)
 
 #: Recall may differ across engines only by the two k-means flavours (RC#5).
 _RECALL_TOLERANCE = 0.3
@@ -192,17 +198,17 @@ def _close(a: float, b: float, rel: float) -> bool:
 
 def _tab05_shape(rows: dict[str, Any]) -> list[Verdict]:
     faiss, pase = rows["Faiss"], rows["PASE"]
-    faiss_dist = faiss["fvec_L2sqr"].fraction
+    faiss_dist = faiss[SEC_DISTANCE].fraction
     out = [
         within("Faiss fvec_L2sqr share", faiss_dist, lo=0.35),
         Verdict(
             "Faiss fvec_L2sqr share", faiss_dist, "is the largest",
             faiss_dist == max(r.fraction for r in faiss.values()),
         ),
-        within("PASE Tuple Access share", pase["Tuple Access"].fraction, lo=0.2),
-        within("PASE Min-heap share", pase["Min-heap"].fraction, lo=0.05),
+        within("PASE Tuple Access share", pase[SEC_TUPLE_ACCESS].fraction, lo=0.2),
+        within("PASE Min-heap share", pase[SEC_HEAP].fraction, lo=0.05),
         # PASE's distance share is well below Faiss's.
-        within("PASE fvec_L2sqr share", pase["fvec_L2sqr"].fraction, hi=faiss_dist),
+        within("PASE fvec_L2sqr share", pase[SEC_DISTANCE].fraction, hi=faiss_dist),
     ]
     # The root spans cover exactly the time the section totals hold.
     for engine, spans in sorted(rows["spans"].items()):

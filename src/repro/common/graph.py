@@ -33,18 +33,18 @@ from typing import Callable, Protocol, Sequence
 import numpy as np
 
 from repro.common.heap import BoundedMaxHeap
-from repro.common.profiling import Profiler
+from repro.common.profiling import (
+    SEC_ADD_LINK,
+    SEC_DISTANCE,
+    SEC_GREEDY_UPDATE,
+    SEC_NEIGHBOR_FETCH,
+    SEC_SEARCH_NB_TO_ADD,
+    SEC_SHRINK_NB_LIST,
+    SEC_TUPLE_ACCESS,
+    SEC_VISITED,
+    Profiler,
+)
 from repro.common.types import Neighbor
-
-# Paper-aligned profiling section names (Table III and Fig. 8).
-SEC_SEARCH_NB_TO_ADD = "SearchNbToAdd"
-SEC_ADD_LINK = "AddLink"
-SEC_GREEDY_UPDATE = "GreedyUpdate"
-SEC_SHRINK_NB_LIST = "ShrinkNbList"
-SEC_DISTANCE = "fvec_L2sqr"
-SEC_TUPLE_ACCESS = "Tuple Access"
-SEC_VISITED = "HVTGet"
-SEC_NEIGHBOR_FETCH = "pasepfirst"
 
 
 @dataclass(slots=True)

@@ -33,6 +33,22 @@ from typing import Callable, TypeVar
 
 _F = TypeVar("_F", bound=Callable)
 
+# Section names: the paper's own region names (Tables III and V,
+# Fig. 8), declared once here for every engine.
+SEC_DISTANCE = "fvec_L2sqr"  #: one distance kernel call
+SEC_TUPLE_ACCESS = "Tuple Access"  #: reaching a stored tuple or list
+SEC_HEAP = "Min-heap"  #: offering candidates to the top-k heap
+SEC_COARSE = "Coarse Quantizer"  #: ranking the IVF centroids
+SEC_PCTABLE = "Pctable"  #: building IVF_PQ's per-query ADC table
+SEC_SEARCH_NB_TO_ADD = "SearchNbToAdd"  #: HNSW build: candidate search
+SEC_ADD_LINK = "AddLink"  #: HNSW build: writing the new edges
+SEC_GREEDY_UPDATE = "GreedyUpdate"  #: HNSW build: upper-layer descent
+SEC_SHRINK_NB_LIST = "ShrinkNbList"  #: HNSW build: pruning a full list
+SEC_VISITED = "HVTGet"  #: HNSW: the visited-set probe
+SEC_NEIGHBOR_FETCH = "pasepfirst"  #: HNSW: reading a neighbor list
+SEC_HEAP_FETCH = "Heap Fetch"  #: pgvector: the heap read behind a TID
+SEC_EXECUTOR = "Executor"  #: the executor's root span of a statement
+
 #: Span cap for ``EXPLAIN (ANALYZE, TRACE)`` and the bench chrome
 #: traces (an OOM guard for tracing long loops).
 DEFAULT_MAX_SPANS = 1_000_000

@@ -26,32 +26,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.common.profiling import (
+    SEC_COARSE,
+    SEC_DISTANCE,
+    SEC_EXECUTOR,
+    SEC_HEAP,
+    SEC_NEIGHBOR_FETCH,
+    SEC_PCTABLE,
+    SEC_TUPLE_ACCESS,
+    SEC_VISITED,
+)
 from repro.core.root_causes import RootCause
 
 #: Profiler section name -> root cause.  Section names are the
 #: paper's own region names, shared by every engine in this repo.
 SECTION_ROOT_CAUSES: dict[str, RootCause] = {
     # One-at-a-time distance kernels (vs. Faiss's SGEMM batching).
-    "fvec_L2sqr": RootCause.SGEMM,
-    "Coarse Quantizer": RootCause.SGEMM,
+    SEC_DISTANCE: RootCause.SGEMM,
+    SEC_COARSE: RootCause.SGEMM,
     # Buffer-manager / page indirection on every tuple touch.
-    "Tuple Access": RootCause.MEMORY_MANAGEMENT,
-    "HVTGet": RootCause.MEMORY_MANAGEMENT,
-    "pasepfirst": RootCause.MEMORY_MANAGEMENT,
+    SEC_TUPLE_ACCESS: RootCause.MEMORY_MANAGEMENT,
+    SEC_VISITED: RootCause.MEMORY_MANAGEMENT,
+    SEC_NEIGHBOR_FETCH: RootCause.MEMORY_MANAGEMENT,
     # Size-n candidate heap (vs. Faiss's bounded k-heap).
-    "Min-heap": RootCause.HEAP_SIZE,
+    SEC_HEAP: RootCause.HEAP_SIZE,
     # Cell-by-cell ADC table construction (IVF_PQ).
-    "Pctable": RootCause.PRECOMPUTED_TABLE,
-    # K-means training (build phase).
-    "Kmeans": RootCause.KMEANS_IMPLEMENTATION,
+    SEC_PCTABLE: RootCause.PRECOMPUTED_TABLE,
 }
-
-#: Sections whose *exclusive* time is the executor's own per-tuple
-#: work: Volcano pulls, row-dict construction, expression evaluation.
-#: The repo files that interface toll under RC#3 (the paper's serial
-#: single-worker executor; its fix — batching — is the same lever
-#: parallel execution pulls).
-EXECUTOR_SECTIONS = frozenset({"Executor", "ExecuteQuery"})
 
 #: Bucket label for instrumented regions no root cause claims
 #: (e.g. HNSW graph maintenance: AddLink, ShrinkNbList).
@@ -105,7 +106,12 @@ def _bucket_for(section: str) -> tuple[str, RootCause | None]:
     cause = SECTION_ROOT_CAUSES.get(section)
     if cause is not None:
         return f"RC#{cause.value} {cause.info.title}", cause
-    if section in EXECUTOR_SECTIONS:
+    if section == SEC_EXECUTOR:
+        # The executor's *exclusive* time is its own per-tuple work:
+        # Volcano pulls, row-dict construction, expression evaluation.
+        # The repo files that interface toll under RC#3 (the paper's
+        # serial single-worker executor; its fix — batching — is the
+        # same lever parallel execution pulls).
         cause = RootCause.PARALLEL_EXECUTION
         return f"RC#{cause.value} {cause.info.title} (per-tuple executor)", cause
     return OTHER_LABEL, None

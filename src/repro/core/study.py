@@ -23,11 +23,9 @@ from repro.common.profiling import NULL_PROFILER, Profiler
 from repro.common.types import BuildStats, IndexSizeInfo, SearchResult
 from repro.pgsim import PgSimDatabase
 from repro.pgsim.heapam import TID
+from repro.specialized import IVFFlatIndex
 from repro.specialized.base import VectorIndex
-from repro.specialized.hnsw import HNSWIndex
-from repro.specialized.ivf_flat import IVFFlatIndex
-from repro.specialized.ivf_pq import IVFPQIndex
-from repro.specialized.ivf_sq8 import IVFSQ8Index
+from repro.specialized.database import INDEX_TYPES as _SPEC_CLASSES
 
 #: Index types the paper studies.
 INDEX_TYPES = ("ivf_flat", "ivf_pq", "ivf_sq8", "hnsw")
@@ -224,11 +222,10 @@ class SpecializedVectorDB:
     ) -> SearchResult:
         if self.index is None:
             raise RuntimeError("create an index before searching")
-        kwargs: dict[str, Any] = {}
-        if isinstance(self.index, (IVFFlatIndex, IVFPQIndex, IVFSQ8Index)) and nprobe is not None:
-            kwargs["nprobe"] = nprobe
-        if isinstance(self.index, HNSWIndex) and efs is not None:
-            kwargs["efs"] = efs
+        given = {"nprobe": nprobe, "efs": efs}
+        kwargs = {
+            name: given[name] for name in self.index.search_params if given[name] is not None
+        }
         return self.index.search(query, k, **kwargs)
 
     def index_size(self) -> IndexSizeInfo:
@@ -295,16 +292,9 @@ def make_specialized_index(
     kwargs["profiler"] = profiler if profiler is not None else NULL_PROFILER
     if "distance_type" in params:
         kwargs["distance_type"] = params["distance_type"]
-    if index_type == "ivf_flat":
+    if "clusters" in kwargs:  # every IVF variant
         kwargs["n_clusters"] = kwargs.pop("clusters")
-        return IVFFlatIndex(dim, **kwargs)
-    if index_type == "ivf_pq":
-        kwargs["n_clusters"] = kwargs.pop("clusters")
-        return IVFPQIndex(dim, **kwargs)
-    if index_type == "ivf_sq8":
-        kwargs["n_clusters"] = kwargs.pop("clusters")
-        return IVFSQ8Index(dim, **kwargs)
-    return HNSWIndex(dim, **kwargs)
+    return _SPEC_CLASSES[index_type](dim, **kwargs)
 
 
 def _pase_options(index_type: str, params: dict[str, Any]) -> dict[str, Any]:

@@ -44,17 +44,14 @@ import numpy as np
 from repro.common.distance import pairwise_kernel, rows_kernel
 from repro.common.heap import BoundedMaxHeap, NaiveTopK
 from repro.common.kmeans import pase_kmeans, sample_training_rows
-from repro.common.types import BuildStats, DistanceType
+from repro.common.profiling import SEC_DISTANCE, SEC_HEAP, SEC_TUPLE_ACCESS
+from repro.common.types import BuildStats
 from repro.pase.layout import IVF_CENTROID, IVF_DATA, IVF_META, PageLayout
 from repro.pase.options import parse_ivf_options
 from repro.pgsim.am import IndexAmRoutine, ScanBatch, topk_batch
 from repro.pgsim.heapam import TID
 from repro.pgsim.page import Page, PageCorruptError
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
-
-SEC_DISTANCE = "fvec_L2sqr"
-SEC_TUPLE_ACCESS = "Tuple Access"
-SEC_HEAP = "Min-heap"
 
 #: ``score_one(key, payload) -> distance`` (None: entry lags a VACUUM);
 #: ``key`` is the packed heap TID ``(blkno << 16) | offset``.
@@ -93,10 +90,6 @@ class PagedIVF(IndexAmRoutine):
     # ------------------------------------------------------------------
     # what a variant supplies
     # ------------------------------------------------------------------
-    def _metric(self) -> DistanceType:
-        """Metric the lists are ranked (and float payloads scored) under."""
-        return self.ivf.distance_type
-
     def _encode(self, vectors: np.ndarray) -> np.ndarray:
         """``(n, d)`` float32 vectors -> ``(n, width)`` payload matrix."""
         raise NotImplementedError
@@ -358,11 +351,11 @@ class PagedIVF(IndexAmRoutine):
                 recs = self.layouts["centroid"].read_packed(self.buffer, rel)
                 recs = recs[np.argsort(recs["centroid_id"], kind="stable")]
             with section(SEC_DISTANCE):
-                dists = rows_kernel(self._metric())(query, recs["payload"])
+                dists = rows_kernel(self.ivf.distance_type)(query, recs["payload"])
             order, heads = np.argsort(dists, kind="stable"), recs["bucket_head"].tolist()
             self._rescan_cache = (key, order, heads)
             return order, heads
-        kernel = self.profiler.timed(SEC_DISTANCE, pairwise_kernel(self._metric()))
+        kernel = self.profiler.timed(SEC_DISTANCE, pairwise_kernel(self.ivf.distance_type))
         cent_dists: list[float] = []
         heads: list[int] = []
         for __, head, centroid in self._iter_centroids():

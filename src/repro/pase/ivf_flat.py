@@ -14,15 +14,8 @@ from typing import Any
 import numpy as np
 
 from repro.common.distance import pairwise_kernel, rows_kernel
-from repro.pase.ivf_core import (
-    SEC_DISTANCE,
-    SEC_HEAP,
-    SEC_TUPLE_ACCESS,
-    PagedIVF,
-    RowsScorer,
-    TupleScorer,
-    _key_tid,
-)
+from repro.common.profiling import SEC_DISTANCE, SEC_HEAP, SEC_TUPLE_ACCESS
+from repro.pase.ivf_core import PagedIVF, RowsScorer, TupleScorer, _key_tid
 from repro.pgsim.am import ScanBatch, register_am, topk_batch
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
 
@@ -39,7 +32,7 @@ class PaseIVFFlat(PagedIVF):
         return vectors
 
     def _tuple_scorer(self, query: np.ndarray) -> TupleScorer:
-        kernel = self.profiler.timed(SEC_DISTANCE, pairwise_kernel(self._metric()))
+        kernel = self.profiler.timed(SEC_DISTANCE, pairwise_kernel(self.ivf.distance_type))
 
         def score_one(_key, vec):
             return kernel(query, vec)
@@ -47,7 +40,7 @@ class PaseIVFFlat(PagedIVF):
         return score_one
 
     def _rows_scorer(self, query: np.ndarray) -> RowsScorer:
-        rows = rows_kernel(self._metric())
+        rows = rows_kernel(self.ivf.distance_type)
         section = self.profiler.section
 
         def score_rows(keys, vectors):

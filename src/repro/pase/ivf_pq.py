@@ -23,13 +23,11 @@ from typing import Any
 import numpy as np
 
 from repro.common import pq
-from repro.common.types import DistanceType
-from repro.pase.ivf_core import SEC_DISTANCE, PagedIVF, RowsScorer, TupleScorer
+from repro.common.profiling import SEC_DISTANCE, SEC_PCTABLE
+from repro.pase.ivf_core import PagedIVF, RowsScorer, TupleScorer
 from repro.pase.layout import IVF_META, PQ_CODEBOOK
 from repro.pase.options import parse_ivfpq_options
 from repro.pgsim.am import register_am
-
-SEC_PCTABLE = "Pctable"
 
 
 @register_am
@@ -44,10 +42,6 @@ class PaseIVFPQ(PagedIVF):
         super().__init__(*args, **kwargs)
         self.opts = parse_ivfpq_options(self.options)
         self._codebook: pq.PQCodebook | None = None
-
-    def _metric(self) -> DistanceType:
-        # ADC tables hold squared L2 terms, so lists rank under L2 too.
-        return DistanceType.L2
 
     # ------------------------------------------------------------------
     # codec: train, persist, load, encode

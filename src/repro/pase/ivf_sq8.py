@@ -16,9 +16,10 @@ from typing import Any
 import numpy as np
 
 from repro.common import sq
-from repro.common.types import DistanceType
-from repro.pase.ivf_core import SEC_DISTANCE, PagedIVF, TupleScorer
+from repro.common.profiling import SEC_DISTANCE
+from repro.pase.ivf_core import PagedIVF, TupleScorer
 from repro.pase.layout import SQ8_CODEC
+from repro.pase.options import require_l2
 from repro.pgsim.am import register_am
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
 
@@ -33,11 +34,8 @@ class PaseIVFSQ8(PagedIVF):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        require_l2(self.options, "IVF_SQ8")  # codes are scored in squared L2
         self._codec: sq.SQ8Codec | None = None
-
-    def _metric(self) -> DistanceType:
-        # Dequantized candidates are scored under squared L2 only.
-        return DistanceType.L2
 
     # ------------------------------------------------------------------
     # codec: train, persist, load, encode

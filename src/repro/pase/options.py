@@ -110,8 +110,20 @@ def parse_ivf_options(options: Mapping[str, Any]) -> IVFOptions:
     )
 
 
+def require_l2(options: Mapping[str, Any], method: str) -> None:
+    """Refuse a non-L2 ``distance_type`` for an index that ranks and
+    scores in L2 only, rather than accept it and then serve the
+    ``<#>`` / ``<=>`` operators in L2 order."""
+    if _distance_type(options) != DistanceType.L2:
+        raise IndexOptionError(
+            f"{method} supports only distance_type = 0 (L2), got {options['distance_type']!r}"
+        )
+
+
 def parse_ivfpq_options(options: Mapping[str, Any]) -> IVFPQOptions:
-    """Parse IVF_PQ options (IVF options plus m and c_pq)."""
+    """Parse IVF_PQ options (IVF options plus m and c_pq); L2 only, as
+    the ADC tables hold squared L2 terms."""
+    require_l2(options, "IVF_PQ")
     ivf = parse_ivf_options(options)
     m = _positive_int(options, "m", 16)
     c_pq = _positive_int(options, "c_pq", 256)
@@ -121,16 +133,9 @@ def parse_ivfpq_options(options: Mapping[str, Any]) -> IVFPQOptions:
 
 
 def parse_hnsw_options(options: Mapping[str, Any]) -> HNSWOptions:
-    """Parse HNSW options (paper defaults: bnn=16, efb=40).
-
-    The graph is built and searched under L2 only, so any other
-    ``distance_type`` is refused here rather than accepted and then
-    served in L2 order under the ``<#>`` / ``<=>`` operators.
-    """
-    if _distance_type(options) != DistanceType.L2:
-        raise IndexOptionError(
-            f"HNSW supports only distance_type = 0 (L2), got {options['distance_type']!r}"
-        )
+    """Parse HNSW options (paper defaults: bnn=16, efb=40); L2 only, as
+    the graph is built and searched under L2."""
+    require_l2(options, "HNSW")
     return HNSWOptions(
         bnn=_positive_int(options, "bnn", 16),
         efb=_positive_int(options, "efb", 40),

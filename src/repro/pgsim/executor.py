@@ -17,7 +17,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.common.profiling import AUTO_CAPTURE_MAX_SPANS, NULL_PROFILER
+from repro.common.profiling import AUTO_CAPTURE_MAX_SPANS, NULL_PROFILER, SEC_EXECUTOR
 from repro.pgsim import explain, utility
 from repro.pgsim import expr as E
 from repro.pgsim import plan as P
@@ -355,7 +355,7 @@ class Executor:
         """
         profiler = self.trace_profiler
         run = PlanRun(self, self._snapshot, profiler, instrument)
-        with profiler.section("Executor"):
+        with profiler.section(SEC_EXECUTOR):
             return run.execute(plan)
 
     def record_run(self, plan: P.Project, instrument: dict[int, list] | None) -> str | None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
+from repro.common.profiling import SEC_TUPLE_ACCESS
 from repro.pgsim import expr as E
 from repro.pgsim import plan as P
 from repro.pgsim.catalog import CatalogError
@@ -64,7 +65,7 @@ def _heap_fetcher(run: PlanRun, heap: HeapTable) -> Callable[[TID], list[Any] | 
     dead or invisible tuple (an index entry awaiting vacuum).  This is
     the per-candidate path, so its ``Tuple Access`` section is bound
     once here and costs nothing per call outside trace runs."""
-    fetch_tuple = run.profiler.timed("Tuple Access", heap.fetch)
+    fetch_tuple = run.profiler.timed(SEC_TUPLE_ACCESS, heap.fetch)
     snapshot = run.snapshot
 
     def fetch(tid: TID) -> list[Any] | None:
@@ -93,7 +94,7 @@ def _batch_pass(run: PlanRun, node: P.IndexScan, fetch_k: int, rescan: bool) -> 
     get_batch = am.amrescan_continue_batch if rescan else am.get_batch
     batch = get_batch(node.query_vector, fetch_k)
     tids = batch.tids()
-    with run.profiler.section("Tuple Access"):
+    with run.profiler.section(SEC_TUPLE_ACCESS):
         fetched = node.table.heap.fetch_many(tids, snapshot=run.snapshot)
     return zip(tids, batch.distances.tolist(), fetched)
 
@@ -318,7 +319,7 @@ def _column_mask(run: PlanRun, node: P.IndexScan):
         if None not in out:
             return out
         unseen = list(dict.fromkeys(tid for tid, ok in zip(tids, out) if ok is None))
-        with run.profiler.section("Tuple Access"):
+        with run.profiler.section(SEC_TUPLE_ACCESS):
             fetched = heap.fetch_many(unseen, snapshot=run.snapshot, columns=positions)
         visible = [j for j, values in enumerate(fetched) if values is not None]
         if predicate is None:
@@ -343,7 +344,7 @@ def _fetch_rows(run: PlanRun, node: P.IndexScan, tids: list[TID]) -> dict[TID, R
     """Full rows of ``tids`` under the statement snapshot, from one
     block-grouped fetch; invisible TIDs are left out."""
     names = node.table.column_names()
-    with run.profiler.section("Tuple Access"):
+    with run.profiler.section(SEC_TUPLE_ACCESS):
         fetched = node.table.heap.fetch_many(tids, snapshot=run.snapshot)
     rows: dict[TID, Row] = {}
     for tid, values in zip(tids, fetched):

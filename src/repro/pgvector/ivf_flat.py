@@ -19,12 +19,11 @@ from typing import Any
 import numpy as np
 
 from repro.common.distance import pairwise_kernel, rows_kernel
-from repro.pase.ivf_core import SEC_DISTANCE, PagedIVF, RowsScorer, TupleScorer, _key_tid
+from repro.common.profiling import SEC_DISTANCE, SEC_HEAP_FETCH
+from repro.pase.ivf_core import PagedIVF, RowsScorer, TupleScorer, _key_tid
 from repro.pgsim.am import register_am
 from repro.pgsim.heapam import TID
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
-
-SEC_HEAP_FETCH = "Heap Fetch"
 
 
 @register_am
@@ -39,7 +38,7 @@ class PgVectorIVFFlat(PagedIVF):
 
     def _tuple_scorer(self, query: np.ndarray) -> TupleScorer:
         timed = self.profiler.timed
-        kernel = timed(SEC_DISTANCE, pairwise_kernel(self._metric()))
+        kernel = timed(SEC_DISTANCE, pairwise_kernel(self.ivf.distance_type))
         fetch = timed(SEC_HEAP_FETCH, self.table.fetch_column_any)
         column = self.column_index
 
@@ -60,7 +59,7 @@ class PgVectorIVFFlat(PagedIVF):
         :meth:`HeapTable.fetch_column_many_any` — one buffer pin per
         heap block instead of one per candidate — and are scored in a
         single row-wise kernel call."""
-        rows = rows_kernel(self._metric())
+        rows = rows_kernel(self.ivf.distance_type)
         fetch_many = self.table.fetch_column_many_any
         column = self.column_index
         section = self.profiler.section

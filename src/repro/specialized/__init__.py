@@ -7,6 +7,14 @@ are dereferenced directly (no buffer manager, no page indirection),
 batched kernels run through BLAS SGEMM (:mod:`repro.common.distance`),
 and top-k selection uses a size-``k`` bounded heap.
 
+The three IVF variants are one index: :class:`~repro.specialized.ivf_core.IVFIndex`
+trains, assigns, stores the lists, ranks the probes and runs the
+search loop, and ``IVFFlatIndex`` / ``IVFPQIndex`` / ``IVFSQ8Index``
+state only how a list entry is encoded and scored (raw floats, PQ codes
+scored through an ADC table, SQ8 codes dequantised).  ``FlatIndex`` is
+the exact baseline and ``HNSWIndex`` the graph index;
+:mod:`repro.specialized.parallel` drives any IVF variant in parallel.
+
 Every optimization the paper credits Faiss for is implemented *and
 individually switchable* so the ablation experiments can turn it off:
 

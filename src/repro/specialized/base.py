@@ -27,6 +27,8 @@ class VectorIndex(abc.ABC):
     """
 
     requires_training: bool = True
+    #: Keyword arguments :meth:`search` accepts beyond the query and k.
+    search_params: tuple[str, ...] = ()
 
     def __init__(
         self,

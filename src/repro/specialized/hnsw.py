@@ -114,6 +114,7 @@ class HNSWIndex(VectorIndex):
     """Faiss-style HNSW index (direct memory access)."""
 
     requires_training = False
+    search_params = ("efs",)
 
     def __init__(
         self,

@@ -15,16 +15,14 @@ import time
 
 import numpy as np
 
-from repro.common.distance import batch_kernel
 from repro.common.heap import BoundedMaxHeap, offer_topk
 from repro.common.parallel import ScheduleResult, WorkUnit, scaling_curve
 from repro.common.types import SearchResult
-from repro.specialized.ivf_flat import IVFFlatIndex
-from repro.specialized.ivf_pq import IVFPQIndex
+from repro.specialized.ivf_core import IVFIndex
 
 
 def build_work_units(
-    index: IVFFlatIndex | IVFPQIndex,
+    index: IVFIndex,
     data: np.ndarray,
     n_chunks: int = 16,
 ) -> list[WorkUnit]:
@@ -47,7 +45,7 @@ def build_work_units(
 
 
 def simulate_parallel_build(
-    index: IVFFlatIndex | IVFPQIndex,
+    index: IVFIndex,
     data: np.ndarray,
     thread_counts: list[int],
     train_seconds: float | None = None,
@@ -65,7 +63,7 @@ def simulate_parallel_build(
 
 
 def parallel_search(
-    index: IVFFlatIndex | IVFPQIndex,
+    index: IVFIndex,
     query: np.ndarray,
     k: int,
     nprobe: int,
@@ -73,54 +71,27 @@ def parallel_search(
 ) -> tuple[SearchResult, dict[int, ScheduleResult]]:
     """Intra-query parallel search with local heaps (the Faiss design).
 
-    Each probed bucket is a work unit: scan the bucket, fill a *local*
-    heap.  The final lock-free merge is charged as one serial op per
-    bucket (a few comparisons).  Returns the (correct) search result
-    and the simulated scaling curve.
+    Each probed list is a work unit: score it with the index's own
+    scorer, fill a *local* heap.  The final lock-free merge is charged
+    as one serial op per list (a few comparisons).  Returns the
+    (correct) search result and the simulated scaling curve.
     """
-    from repro.common import pq as pq_mod
-
-    index._finalize()
     query = np.ascontiguousarray(query, dtype=np.float32)
-    probes = _probe_order(index, query, nprobe)
-
+    lists = index.lists()
+    probes = index.probe_order(query, nprobe)
+    score = index._list_scorer(query)
     global_heap = BoundedMaxHeap(k)
     units: list[WorkUnit] = []
-    kernel = batch_kernel(index.distance_type)
-    is_pq = isinstance(index, IVFPQIndex)
-    table = None
-    if is_pq:
-        assert index.codebook is not None
-        table = pq_mod.optimized_adc_table(index.codebook, query)
-
     for bucket in probes.tolist():
         start = time.perf_counter()
         local = BoundedMaxHeap(k)
-        ids = index._bucket_id_arrays[bucket]
+        ids, payloads = lists[bucket]
         if ids.shape[0] > 0:
-            if is_pq:
-                codes = index._bucket_code_arrays[bucket]
-                dists = pq_mod.adc_distances(table, codes)
-            else:
-                vectors = index._bucket_vectors[bucket]
-                dists = kernel(query, vectors)[0]
-            offer_topk(local, dists, ids)
+            offer_topk(local, score(payloads), ids)
         cost = time.perf_counter() - start
         global_heap.merge(local)
-        # One lock-free merge handoff per bucket at the end.
+        # One lock-free merge handoff per list at the end.
         units.append(WorkUnit(compute_seconds=cost, serial_ops=1))
 
     curve = scaling_curve(units, thread_counts)
-    result = SearchResult(neighbors=global_heap.results())
-    return result, curve
-
-
-def _probe_order(index, query: np.ndarray, nprobe: int) -> np.ndarray:
-    if isinstance(index, IVFFlatIndex):
-        return index.probe_order(query, nprobe)
-    assert index.centroids is not None
-    kernel = batch_kernel(index.distance_type)
-    dists = kernel(query, index.centroids)[0]
-    nprobe = min(nprobe, index.n_clusters)
-    part = np.argpartition(dists, nprobe - 1)[:nprobe]
-    return part[np.argsort(dists[part], kind="stable")]
+    return SearchResult(neighbors=global_heap.results()), curve

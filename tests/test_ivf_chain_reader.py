@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 import repro.pase  # noqa: F401  — registers the pase_* access methods
 import repro.pgvector  # noqa: F401  — registers ivfflat
 from repro.common import pq, sq
-from repro.common.profiling import Profiler
-from repro.pase.ivf_core import SEC_DISTANCE, SEC_HEAP, SEC_TUPLE_ACCESS, _key_tid
+from repro.common.profiling import SEC_DISTANCE, SEC_HEAP, SEC_TUPLE_ACCESS, Profiler
+from repro.pase.ivf_core import _key_tid
 from repro.pase.parallel import parallel_search
 from repro.pgsim import PgSimDatabase
 from repro.pgsim.heapam import TID

@@ -36,6 +36,8 @@ AMS = {
 }
 #: Variants whose distances are exact float L2 (no quantization).
 EXACT = {"pase_ivfflat", "ivfflat", "bridged_ivfflat"}
+#: Variants that refuse a non-L2 ``distance_type`` (they score in L2 only).
+L2_ONLY = {"pase_ivfpq", "pase_ivfsq8"}
 N, DIM, CLUSTERS = 240, 8, 6
 
 
@@ -147,9 +149,16 @@ def _batch_ranking(am, query: np.ndarray, nprobe: int) -> list[int]:
     return am._rank_centroids(query, batch=True)[0][:nprobe].tolist()
 
 
-@pytest.mark.parametrize("metric", [0, 1, 2], ids=["l2", "inner_product", "cosine"])
-@pytest.mark.parametrize("data", ["float", "tied_int"])
-@pytest.mark.parametrize("name", sorted(AMS))
+@pytest.mark.parametrize(
+    ("name", "data", "metric"),
+    [
+        pytest.param(name, data, metric, id=f"{name}-{data}-{label}")
+        for name in sorted(AMS)
+        for data in ("float", "tied_int")
+        for metric, label in ((0, "l2"), (1, "inner_product"), (2, "cosine"))
+        if metric == 0 or name not in L2_ONLY
+    ],
+)
 def test_batch_ranking_probes_the_tuple_ranking_lists(name, data, metric):
     """The batch interface ranks centroids with one kernel call over the
     whole fork; its first ``nprobe`` lists are the per-centroid tuple

@@ -67,9 +67,6 @@ class TestSpecializedIVFSQ8:
         flat.add(small_dataset.base)
         assert index.size_info().detail["codes"] * 4 == flat.size_info().detail["vectors"]
 
-    def test_partition_total(self, index, small_dataset):
-        assert index.bucket_sizes().sum() == small_dataset.n
-
 
 class TestPaseIVFSQ8:
     @pytest.fixture()

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import repro.bridged  # noqa: F401  — registers bridged_hnsw
+from repro.common import sq
 from repro.common.types import DistanceType
 from repro.pase.options import IndexOptionError
-from repro.specialized import FlatIndex, HNSWIndex, IVFFlatIndex
+from repro.specialized import FlatIndex, HNSWIndex, IVFFlatIndex, IVFPQIndex, IVFSQ8Index
 
 
 @pytest.fixture()
@@ -128,3 +129,46 @@ class TestHNSWIsL2Only:
     def test_specialized_index_refused(self, small_dataset, metric):
         with pytest.raises(ValueError, match="only L2"):
             HNSWIndex(small_dataset.dim, distance_type=metric)
+
+
+class TestQuantizedIVFIsL2Only:
+    """PASE's IVF_PQ scores ADC tables of squared L2 terms and its IVF_SQ8
+    scores dequantized codes in squared L2, and the specialized IVF_PQ
+    does the same, so each refuses a non-L2 ``distance_type`` — accepting
+    it would let the planner serve ``<#>`` / ``<=>`` in L2 order."""
+
+    @pytest.mark.parametrize("am", ["pase_ivfpq", "pase_ivfsq8"])
+    @pytest.mark.parametrize("metric", [1, 2])
+    def test_sql_index_refused(self, loaded_db, small_dataset, vec_lit, am, metric):
+        with pytest.raises(IndexOptionError, match="distance_type"):
+            loaded_db.execute(
+                f"CREATE INDEX qx ON items USING {am} (vec) "
+                f"WITH (clusters = 4, m = 4, c_pq = 16, distance_type = {metric})"
+            )
+        assert loaded_db.catalog.find_index("qx") is None
+        op = "<#>" if metric == 1 else "<=>"
+        plan = loaded_db.explain(
+            f"SELECT id FROM items ORDER BY vec {op} '{vec_lit(small_dataset.queries[0])}'::PASE "
+            "LIMIT 5"
+        )
+        assert "Index Scan" not in plan
+
+    @pytest.mark.parametrize("metric", [DistanceType.INNER_PRODUCT, DistanceType.COSINE])
+    def test_specialized_pq_refused(self, small_dataset, metric):
+        with pytest.raises(ValueError, match="only L2"):
+            IVFPQIndex(small_dataset.dim, n_clusters=4, m=4, distance_type=metric)
+
+    @pytest.mark.parametrize("metric", [DistanceType.INNER_PRODUCT, DistanceType.COSINE])
+    def test_specialized_sq8_scores_other_metrics(self, small_dataset, metric):
+        """The specialized IVF_SQ8 decodes before its batched kernel, so
+        it keeps every metric: with every list probed it is the brute
+        force over the decoded vectors."""
+        index = IVFSQ8Index(
+            small_dataset.dim, n_clusters=4, sample_ratio=0.5, seed=1, distance_type=metric
+        )
+        index.train(small_dataset.base)
+        index.add(small_dataset.base)
+        exact = FlatIndex(small_dataset.dim, distance_type=metric)
+        exact.add(sq.decode(index.codec, sq.encode(index.codec, small_dataset.base)))
+        q = small_dataset.queries[0]
+        assert index.search(q, 5, nprobe=4).ids == exact.search(q, 5).ids

@@ -22,9 +22,8 @@ def study(medium_dataset):
 def _spec_list_sizes(study, query, nprobe: int) -> list[int]:
     """Candidates in each list the specialized driver probes."""
     index = study.specialized.index
-    index._finalize()
-    probes = spec_parallel._probe_order(index, np.asarray(query, dtype=np.float32), nprobe)
-    return [len(index._bucket_id_arrays[b]) for b in probes]
+    probes = index.probe_order(np.asarray(query, dtype=np.float32), nprobe)
+    return [len(index.lists()[b][0]) for b in probes]
 
 
 def _record_units(monkeypatch, driver) -> list[list[WorkUnit]]:

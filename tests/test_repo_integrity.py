@@ -120,3 +120,22 @@ class TestPageFormats:
         ]
         assert not offenders, f"page format code outside pase/layout.py: {offenders}"
         assert pattern.search(layout.read_text())
+
+
+class TestSectionNames:
+    """Each profiler section name is declared once, in
+    ``common/profiling.py``; every engine imports it from there."""
+
+    def test_section_names_are_declared_only_in_the_profiler(self):
+        pattern = re.compile(r"^\s*SEC_\w+\s*=\s*[\"']")
+        profiling = REPO / "src" / "repro" / "common" / "profiling.py"
+        offenders = [
+            f"{path.relative_to(REPO)}:{lineno}"
+            for root in ("src", "tests", "benchmarks")
+            for path in sorted((REPO / root).rglob("*.py"))
+            if path != profiling
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+            if pattern.search(line)
+        ]
+        assert not offenders, f"section names declared outside profiling.py: {offenders}"
+        assert any(pattern.search(line) for line in profiling.read_text().splitlines())

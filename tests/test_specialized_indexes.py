@@ -170,9 +170,6 @@ class TestIVFPQIndex:
         flat.add(small_dataset.base)
         assert index.size_info().detail["codes"] < flat.size_info().detail["vectors"]
 
-    def test_bucket_partition(self, index, small_dataset):
-        assert index.bucket_sizes().sum() == small_dataset.n
-
 
 class TestHNSWIndex:
     @pytest.fixture(scope="class")
