@@ -230,7 +230,7 @@ class IVFIndex(VectorIndex):
 
     def bucket_members(self, bucket: int) -> np.ndarray:
         """Vector ids assigned to ``bucket``."""
-        return self.lists()[bucket][0]
+        return self.lists()[bucket][0].copy()
 
     def size_info(self) -> IndexSizeInfo:
         assert self.centroids is not None

@@ -36,6 +36,7 @@ class IVFPQIndex(IVFIndex):
         n_clusters: int,
         m: int,
         c_pq: int = 256,
+        *,
         optimized_pctable: bool = True,
         **kwargs,
     ) -> None:

@@ -140,10 +140,11 @@ class TestQuantizedIVFIsL2Only:
     @pytest.mark.parametrize("am", ["pase_ivfpq", "pase_ivfsq8"])
     @pytest.mark.parametrize("metric", [1, 2])
     def test_sql_index_refused(self, loaded_db, small_dataset, vec_lit, am, metric):
+        codec = ", m = 4, c_pq = 16" if am == "pase_ivfpq" else ""
         with pytest.raises(IndexOptionError, match="distance_type"):
             loaded_db.execute(
                 f"CREATE INDEX qx ON items USING {am} (vec) "
-                f"WITH (clusters = 4, m = 4, c_pq = 16, distance_type = {metric})"
+                f"WITH (clusters = 4{codec}, distance_type = {metric})"
             )
         assert loaded_db.catalog.find_index("qx") is None
         op = "<#>" if metric == 1 else "<=>"
