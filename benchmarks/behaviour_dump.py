@@ -13,7 +13,9 @@ walks it through three states — fresh, after
 200 single-row INSERTs, after DELETE of 30 % of the rows + VACUUM — and
 in each state drives every AM search entry point directly: ``scan``,
 ``get_batch``, ``amrescan_continue[_batch]`` and
-``amsearch_filtered[_batch]`` at 1 / 10 / 50 % selectivity.  Each call
+``amsearch_filtered[_batch]`` at 1 / 10 / 50 % selectivity (the batch
+form's mask takes packed TID keys, the tuple form's TIDs; both judge
+by one verdict function).  Each call
 prints one line: result TIDs, ``repr`` of every distance, candidates
 scored, ``last_filtered_examined`` and buffer pins; each state adds a
 ``size_info`` line and a ``pages`` line: one SHA-256 over every block of
@@ -69,6 +71,7 @@ import repro.specialized.parallel as spec_parallel  # noqa: E402
 from repro.common.profiling import Profiler  # noqa: E402
 from repro.common.types import DistanceType  # noqa: E402
 from repro.pgsim import PgSimDatabase  # noqa: E402
+from repro.pgsim.heapam import TID  # noqa: E402
 from repro.specialized import IVFFlatIndex, IVFPQIndex, IVFSQ8Index  # noqa: E402
 
 #: AM name -> extra WITH options.
@@ -163,13 +166,16 @@ class Dump:
                 def mask_fn(tids, pct=pct):
                     return np.asarray([self.id_of.get(t, -1) % 100 < pct for t in tids], dtype=bool)
 
+                def key_mask(keys, mask_fn=mask_fn):
+                    return mask_fn([TID(key >> 16, key & 0xFFFF) for key in keys.tolist()])
+
                 self.call(
                     state, qi, f"amsearch_filtered_{pct}",
                     lambda: am.amsearch_filtered(q, K, mask_fn),
                 )
                 self.call(
                     state, qi, f"amsearch_filtered_batch_{pct}",
-                    lambda: am.amsearch_filtered_batch(q, K, mask_fn).pairs(),
+                    lambda: am.amsearch_filtered_batch(q, K, key_mask).pairs(),
                 )
         info = am.size_info()
         detail = " ".join(f"{key}={value}" for key, value in sorted(info.detail.items()))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -32,10 +32,9 @@ class _MemoryMirror:
 
     centroids: np.ndarray
     centroid_sq_norms: np.ndarray
-    #: Per list, aligned: the vectors, their heap TIDs (what the
-    #: in-filter mask takes) and the packed TID keys (what top-k takes).
+    #: Per list, aligned: the vectors and their packed heap TID keys
+    #: (what the in-filter mask and top-k take).
     bucket_vectors: list[np.ndarray]
-    bucket_tids: list[list[TID]]
     bucket_keys: list[np.ndarray]
 
 
@@ -87,7 +86,6 @@ class BridgedIVFFlat(PaseIVFFlat):
             centroids=np.ascontiguousarray(centroids, dtype=np.float32),
             centroid_sq_norms=squared_norms(centroids),
             bucket_vectors=[vectors for __, vectors in buckets],
-            bucket_tids=[[_key_tid(key) for key in keys.tolist()] for keys, __ in buckets],
             bucket_keys=[keys for keys, __ in buckets],
         )
         return self._mirror
@@ -127,7 +125,6 @@ class BridgedIVFFlat(PaseIVFFlat):
         mirror.bucket_vectors[bucket] = np.vstack(
             [mirror.bucket_vectors[bucket], vec.reshape(1, -1)]
         )
-        mirror.bucket_tids[bucket].append(tid)
         mirror.bucket_keys[bucket] = np.append(mirror.bucket_keys[bucket], _tid_key(tid))
 
     # ------------------------------------------------------------------
@@ -214,30 +211,39 @@ class BridgedIVFFlat(PaseIVFFlat):
     def amsearch_filtered(
         self, query: np.ndarray, k: int, mask_fn: Any
     ) -> Iterator[tuple[TID, float]]:
-        """Tuple-stream form of the mirror-based in-filter scan."""
-        return iter(self.amsearch_filtered_batch(query, k, mask_fn).pairs())
+        """Tuple-stream form of the mirror-based in-filter scan: the
+        keys of each round become TIDs for the tuple-form mask."""
+
+        def key_mask(keys: np.ndarray) -> Any:
+            return mask_fn([_key_tid(key) for key in keys.tolist()])
+
+        return iter(self.amsearch_filtered_batch(query, k, key_mask).pairs())
 
     def amsearch_filtered_batch(self, query: np.ndarray, k: int, mask_fn: Any) -> ScanBatch:
-        """In-filter off the memory mirror: a boolean mask over each
-        probed bucket's TIDs ahead of the SGEMM distance call, widened
-        by the core's probe loop while fewer than k survive."""
+        """In-filter off the memory mirror: one boolean mask over each
+        widening round's packed TID keys ahead of the per-list SGEMM
+        distance calls, widened by the core's probe loop while fewer
+        than k survive."""
         query = self._check_query(query)
         mirror, kernel, order = self._probe(query, None)
         key_parts: list[np.ndarray] = []
         dist_parts: list[np.ndarray] = []
 
-        def visit(bucket: int) -> tuple[int, int]:
-            tids = mirror.bucket_tids[bucket]
-            if not tids:
+        def visit(buckets: Sequence[int]) -> tuple[int, int]:
+            lists = [mirror.bucket_keys[bucket] for bucket in buckets]
+            keys = np.concatenate(lists) if lists else np.empty(0, dtype=np.int64)
+            if not len(keys):
                 return 0, 0
-            mask = np.asarray(list(mask_fn(tids)), dtype=bool)
-            keep = int(mask.sum())
-            if keep:
-                dist_parts.append(
-                    kernel(query, mirror.bucket_vectors[bucket][mask])[0].astype(np.float64)
-                )
-                key_parts.append(mirror.bucket_keys[bucket][mask])
-            return len(tids), keep
+            mask = np.asarray(mask_fn(keys), dtype=bool)
+            start = 0
+            for bucket, bucket_keys in zip(buckets, lists):
+                keep = mask[start : start + len(bucket_keys)]
+                start += len(bucket_keys)
+                if keep.any():
+                    vectors = mirror.bucket_vectors[bucket][keep]
+                    dist_parts.append(kernel(query, vectors)[0].astype(np.float64))
+                    key_parts.append(bucket_keys[keep])
+            return len(keys), int(mask.sum())
 
         self._widen_probes(order, k, visit)
         self.scan_stats.candidates += sum(int(part.shape[0]) for part in key_parts)

@@ -465,12 +465,13 @@ class PagedIVF(IndexAmRoutine):
         scored: list[tuple[float, int]] = []
         keep = scored.append
 
-        def visit(bucket: int) -> tuple[int, int]:
+        def visit(buckets: Sequence[int]) -> tuple[int, int]:
             keys: list[int] = []
             payloads: list[np.ndarray] = []
-            for page_keys, page_payloads in chain_pages(heads[bucket]):
-                keys += page_keys
-                payloads += page_payloads
+            for bucket in buckets:
+                for page_keys, page_payloads in chain_pages(heads[bucket]):
+                    keys += page_keys
+                    payloads += page_payloads
             if not keys:
                 return 0, 0
             matched = 0
@@ -490,25 +491,26 @@ class PagedIVF(IndexAmRoutine):
         return iter([(_key_tid(key), dist) for dist, key in nearest])
 
     def _widen_probes(
-        self, order: Sequence[int], k: int, visit: Callable[[int], tuple[int, int]]
+        self, order: Sequence[int], k: int, visit: Callable[[Sequence[int]], tuple[int, int]]
     ) -> None:
         """The in-filter probe loop shared by every filtered scan.
 
-        Visits lists in the caller's *full* centroid ranking, ``nprobe``
-        first; while fewer than k candidates have passed the mask the
-        probe set widens geometrically over the remaining ranking until
-        k match or every list has been scanned.  ``visit(bucket)``
-        masks and scores one list and returns ``(examined, matched)``.
-        Records the scan and sets ``last_filtered_examined`` to the
-        number of mask-judged candidates.
+        Visits lists in the caller's *full* centroid ranking, a round at
+        a time: the first ``nprobe`` lists, then — while fewer than k
+        candidates have passed the mask — the rest of a probe set
+        doubled over the remaining ranking, until k match or every list
+        has been scanned.  ``visit(buckets)`` masks and scores one
+        round's lists (in ranking order, with one mask call) and returns
+        ``(examined, matched)``.  Records the scan and sets
+        ``last_filtered_examined`` to the number of mask-judged
+        candidates.
         """
         examined = matched = probed = 0
         target = min(self._nprobe(), len(order))
         while True:
-            for bucket in order[probed:target]:
-                seen, passed = visit(bucket)
-                examined += seen
-                matched += passed
+            seen, passed = visit(order[probed:target])
+            examined += seen
+            matched += passed
             probed = target
             if matched >= k or probed >= len(order):
                 break

@@ -9,13 +9,13 @@ Everything else (build, insert, VACUUM, the scans, costs, sizes) is
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.common.distance import pairwise_kernel, rows_kernel
 from repro.common.profiling import SEC_DISTANCE, SEC_HEAP, SEC_TUPLE_ACCESS
-from repro.pase.ivf_core import PagedIVF, RowsScorer, TupleScorer, _key_tid
+from repro.pase.ivf_core import PagedIVF, RowsScorer, TupleScorer
 from repro.pgsim.am import ScanBatch, register_am, topk_batch
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
 
@@ -53,8 +53,9 @@ class PaseIVFFlat(PagedIVF):
         return cost.cpu_index_tuple_cost + DISTANCE_OP_WEIGHT * cost.cpu_operator_cost
 
     def amsearch_filtered_batch(self, query: np.ndarray, k: int, mask_fn: Any) -> ScanBatch:
-        """Batched in-filter: each visited list is decoded in one pass
-        and masked by TID, then the survivors of every list are scored
+        """Batched in-filter: each widening round's lists are read
+        page-granular in one pass and masked by packed TID key with one
+        ``mask_fn`` call, then the survivors of every round are scored
         with one row-kernel call (the other page-backed variants mask
         tuple-at-a-time)."""
         query = self._check_query(query)
@@ -63,12 +64,12 @@ class PaseIVFFlat(PagedIVF):
         key_parts: list[np.ndarray] = []
         vector_parts: list[np.ndarray] = []
 
-        def visit(bucket: int) -> tuple[int, int]:
+        def visit(buckets: Sequence[int]) -> tuple[int, int]:
             with section(SEC_TUPLE_ACCESS):
-                keys, vectors = self._gather_buckets([heads[bucket]])
+                keys, vectors = self._gather_buckets([heads[bucket] for bucket in buckets])
             if keys.shape[0] == 0:
                 return 0, 0
-            mask = np.asarray(list(mask_fn([_key_tid(key) for key in keys.tolist()])), dtype=bool)
+            mask = np.asarray(mask_fn(keys), dtype=bool)
             key_parts.append(keys[mask])
             vector_parts.append(vectors[mask])
             return int(keys.shape[0]), int(mask.sum())

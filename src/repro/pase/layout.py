@@ -63,7 +63,7 @@ class PageLayout:
                 at = self.record.fields[name][1]
                 rest = self.item_size - at - struct.calcsize("<" + code)
                 self.fields[name] = (struct.Struct("<" + code), at, f"{at}x{code}{rest}x")
-        self._geometry_by_size: dict[int, tuple[bytes, int, int, bytes]] = {}
+        self._geometry_by_size: dict[int, tuple[bytes, int, int, bytes, dict[int, bytes]]] = {}
 
     def bind(self, width: int, dtype: Any = None) -> PageLayout:
         """This format with ``width`` payload elements (of ``dtype``)."""
@@ -72,9 +72,11 @@ class PageLayout:
             self.dtype if dtype is None else dtype, width, self.chained, self.holes,
         )
 
-    def _geometry(self, page_size: int) -> tuple[bytes, int, int, bytes]:
+    def _geometry(self, page_size: int) -> tuple[bytes, int, int, bytes, dict[int, bytes]]:
         """``(empty page image, special offset, items per page, a full
-        page's line-pointer array)`` at ``page_size``."""
+        page's line-pointer array, byte length -> that array's prefix of
+        the length, filled in by :meth:`verify` as lengths occur)`` at
+        ``page_size``."""
         geometry = self._geometry_by_size.get(page_size)
         if geometry is None:
             empty = Page.init(page_size, special_size=self.special_size)
@@ -86,7 +88,7 @@ class PageLayout:
                 f"<{2 * per_page}H",
                 *[v for i in range(1, per_page + 1) for v in (special - size * i, size)],
             )
-            geometry = (bytes(empty.buf), special, per_page, pointers)
+            geometry = (bytes(empty.buf), special, per_page, pointers, {})
             self._geometry_by_size[page_size] = geometry
         return geometry
 
@@ -105,11 +107,20 @@ class PageLayout:
         """
         lower, upper, special = page.bounds()
         geometry = self._geometry_by_size.get(page.page_size) or self._geometry(page.page_size)
-        n, got = (lower - PAGE_HEADER_SIZE) // LINE_POINTER_SIZE, page.buf[PAGE_HEADER_SIZE:lower]
+        # The pointer array is compared in place against the packed
+        # array's prefix of its length, built once per length.
+        length = lower - PAGE_HEADER_SIZE
+        n = length // LINE_POINTER_SIZE
+        prefix = geometry[4].get(length)
+        if prefix is None and length <= len(geometry[3]):
+            prefix = geometry[4][length] = geometry[3][: max(length, 0)]
         if (
             special != geometry[1]
             or special - upper != n * self.item_size
-            or not (geometry[3].startswith(got) or self.holes and _holed(got, geometry[3]))
+            or not (
+                prefix is not None and page.buf.startswith(prefix, PAGE_HEADER_SIZE)
+                or self.holes and _holed(page.buf[PAGE_HEADER_SIZE:lower], geometry[3])
+            )
         ):
             raise PageCorruptError(f"{self.name} page is not packed")
         return n
@@ -157,7 +168,7 @@ class PageLayout:
         ``area`` (items newest first, as they lie on the page): byte for
         byte what :meth:`Page.init` plus one ``insert_item`` per item
         leaves, checksum and LSN zero."""
-        empty, special, per_page, pointers = self._geometry(page.page_size)
+        empty, special, per_page, pointers, __ = self._geometry(page.page_size)
         n, rest = divmod(len(area), self.item_size)
         if rest or n > per_page:
             raise PageFullError(f"{len(area)} bytes are not a {self.name} page's items")

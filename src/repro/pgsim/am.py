@@ -251,7 +251,7 @@ class IndexAmRoutine(abc.ABC):
         boolean array — True where the heap row is visible and satisfies
         the pushed-down predicate.  The AM applies it *inside* its
         traversal: IVF list scans mask candidates before the distance
-        top-k; HNSW neighbor expansion keeps routing through masked-out
+        top-k, one call per widening round; HNSW neighbor expansion keeps routing through masked-out
         nodes but never admits them to the result heap.  When fewer than
         ``k`` candidates survive the AM widens its own search (more
         probe lists, larger ef) until k match or the index is exhausted.
@@ -262,9 +262,20 @@ class IndexAmRoutine(abc.ABC):
     def amsearch_filtered_batch(self, query: np.ndarray, k: int, mask_fn: Any) -> ScanBatch:
         """Batched counterpart of :meth:`amsearch_filtered`.
 
-        The default wraps the tuple form; vectorized AMs override it.
+        Here ``mask_fn`` takes the candidates as an int64 array of packed
+        TID keys ``(blkno << 16) | offset`` — the form the AMs already
+        hold and :func:`topk_batch` takes — and returns a bool array
+        aligned with it, so no TID object is built per candidate.  The
+        IVF AMs hand it a whole widening round per call.  The default
+        wraps the tuple form, packing each batch of TIDs it would have
+        passed into keys; vectorized AMs override it.
         """
-        return ScanBatch.from_pairs(self.amsearch_filtered(query, k, mask_fn))
+
+        def tid_mask(tids: list[TID]) -> np.ndarray:
+            keys = [(tid.blkno << 16) | tid.offset for tid in tids]
+            return mask_fn(np.array(keys, dtype=np.int64))
+
+        return ScanBatch.from_pairs(self.amsearch_filtered(query, k, tid_mask))
 
     def amestimate_candidates(self, ntuples: float, fetch_k: int) -> float:
         """Candidates one scan pass examines (planner's in-filter model).

@@ -267,8 +267,9 @@ def evaluate_batch(expr: ast.Expr, columns: Mapping[str, Sequence[Any]], n: int)
     batches too small to repay the column set-up go through
     :func:`evaluate` row by row, on Python values.
     """
-    names = column_refs(expr)
-    vectorised = None if n < _MIN_VECTORISED_ROWS else _vectorised(expr, names, columns, n)
+    vectorised = None
+    if n >= _MIN_VECTORISED_ROWS:
+        vectorised = _vectorised(expr, column_refs(expr), columns, n)
     if vectorised is None:
         mask, row_by_row = np.zeros(n, dtype=bool), range(n)
     else:
@@ -278,7 +279,6 @@ def evaluate_batch(expr: ast.Expr, columns: Mapping[str, Sequence[Any]], n: int)
     values = {
         name: column.tolist() if isinstance(column, np.ndarray) else column
         for name, column in columns.items()
-        if name in names
     }
     for i in row_by_row:
         row = {name: column[i] for name, column in values.items()}

@@ -17,14 +17,18 @@ skipping, the pushed-down filter, the over-fetch rescans and both
 brute-force fallbacks exist once.  The in-filter strategy
 (:func:`_in_filter_rows`) instead hands the AM a predicate mask: one
 ``heap.fetch`` and one ``evaluate`` per TID under ``amgettuple``
-(:func:`_predicate_mask`), one projected ``heap.fetch_many`` and one
-column-wise ``evaluate_batch`` per AM callback under ``amgetbatch``
-(:func:`_column_mask`).
+(:func:`_predicate_mask`, the RC#3 control); under ``amgetbatch`` a mask
+over packed TID keys (:func:`_column_mask`) that the IVF AMs call once
+per widening round, each call one by-key projected ``heap.fetch_many``
+— every distinct heap block pinned once — and one column-wise
+``evaluate_batch``.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.common.profiling import SEC_TUPLE_ACCESS
 from repro.pgsim import expr as E
@@ -301,41 +305,46 @@ def _predicate_mask(run: PlanRun, node: P.IndexScan):
 def _column_mask(run: PlanRun, node: P.IndexScan):
     """Column-wise mask closure for ``amsearch_filtered_batch``.
 
-    Per call, the TIDs never judged before are fetched with one
-    block-grouped ``heap.fetch_many`` that decodes only the predicate's
-    columns, and the predicate is evaluated once over them
-    (:func:`~repro.pgsim.expr.evaluate_batch`).  Verdicts are cached and
-    ``state`` counts unique TIDs checked/matched exactly as the per-TID
-    mask does.  Returns ``(mask_fn, state)``.
+    The AM hands over packed TID keys ``(blkno << 16) | offset`` — for
+    the IVF AMs a whole widening round at a time — and gets a bool array
+    back.  Per call, the keys never judged before are read with one
+    by-key projected ``heap.fetch_many`` (each distinct block pinned
+    once; only the predicate's columns decoded), and the predicate is
+    evaluated once over them (:func:`~repro.pgsim.expr.evaluate_batch`).
+    Verdicts are cached by key and ``state`` counts unique keys
+    checked/matched exactly as the per-TID mask does.  Returns
+    ``(mask_fn, state)``.
     """
     heap = node.table.heap
     predicate = node.filter
     names, positions = node.table.projection(E.column_refs(predicate))
-    verdicts: dict[TID, bool] = {}
+    verdicts: dict[int, bool] = {}
     state = {"examined": 0, "matched": 0}
 
-    def mask_fn(tids):
-        out = list(map(verdicts.get, tids))
+    def mask_fn(keys: np.ndarray) -> np.ndarray:
+        keys = np.asarray(keys, dtype=np.int64)
+        key_list = keys.tolist()
+        out = list(map(verdicts.get, key_list))
         if None not in out:
-            return out
-        unseen = list(dict.fromkeys(tid for tid, ok in zip(tids, out) if ok is None))
+            return np.array(out, dtype=bool)
+        unseen = list(dict.fromkeys(key for key, ok in zip(key_list, out) if ok is None))
+        fresh = len(unseen) == len(key_list)  # every key new and distinct
         with run.profiler.section(SEC_TUPLE_ACCESS):
-            fetched = heap.fetch_many(unseen, snapshot=run.snapshot, columns=positions)
-        visible = [j for j, values in enumerate(fetched) if values is not None]
-        if predicate is None:
-            passed = [True] * len(visible)
-        else:
-            columns = {name: [fetched[j][i] for j in visible] for name, i in zip(names, positions)}
-            passed = E.evaluate_batch(predicate, columns, len(visible)).tolist()
-        judged = [False] * len(unseen)
-        for j, ok in zip(visible, passed):
-            judged[j] = ok
-        verdicts.update(zip(unseen, judged))
+            judged, columns = heap.fetch_many(
+                keys if fresh else np.array(unseen, dtype=np.int64),
+                snapshot=run.snapshot,
+                columns=positions,
+            )
+        if predicate is not None:
+            (visible,) = judged.nonzero()
+            named = {name: columns[i] for name, i in zip(names, positions)}
+            judged[visible] = E.evaluate_batch(predicate, named, len(visible))
+        verdicts.update(zip(unseen, judged.tolist()))
         state["examined"] += len(unseen)
-        state["matched"] += sum(passed)
-        if len(unseen) == len(tids):
-            return judged  # every TID new and distinct: already in call order
-        return list(map(verdicts.get, tids))
+        state["matched"] += int(np.count_nonzero(judged))
+        if fresh:
+            return judged  # already in call order
+        return np.array(list(map(verdicts.get, key_list)), dtype=bool)
 
     return mask_fn, state
 

@@ -347,3 +347,37 @@ def live_item_arrays(pages: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     found = pointers[page_idx, item_idx]
     starts = page_idx * page_size + found["off"]
     return page_idx, item_idx, starts, found["len"].astype(np.int64)
+
+
+def item_arrays(
+    pages: np.ndarray, page_idx: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`Page.item_bounds` for many addressed items at once.
+
+    ``pages`` is an ``(n pages, page size)`` byte matrix; item ``i`` is
+    offset number ``offsets[i]`` on page ``page_idx[i]``.  Returns each
+    item's byte offset within ``pages.ravel()`` and its length — one
+    read of every page's ``lower``, one range check and one gather of
+    the addressed line pointers for all items.
+
+    Raises:
+        IndexError, PageCorruptError: as :meth:`Page.item_bounds` does,
+            for the first failing item in page order, then array order —
+            the one a loop over the pages, each page's items in turn,
+            meets first.
+    """
+    page_size = pages.shape[1]
+    lower = pages[:, 12:14].copy().view("<u2")[:, 0]  # header bytes 12-13
+    counts = (lower.astype(np.int64) - PAGE_HEADER_SIZE) // LINE_POINTER_SIZE
+    in_range = (offsets >= 1) & (offsets <= counts[page_idx])
+    # Out-of-range items read their page's first pointer slot instead.
+    slots = np.where(in_range, offsets, 1) - 1
+    at = page_idx * page_size + PAGE_HEADER_SIZE + slots * LINE_POINTER_SIZE
+    pointer_bytes = pages.reshape(-1)[at[:, None] + np.arange(LINE_POINTER_SIZE)]
+    pointers = pointer_bytes.view(_LINE_POINTER)[:, 0]
+    failed = ~in_range | (pointers["len"] == 0)
+    if failed.any():
+        bad = np.flatnonzero(failed)
+        first = int(bad[np.lexsort((bad, page_idx[bad]))[0]])
+        Page(bytearray(pages[page_idx[first]])).item_bounds(int(offsets[first]))
+    return page_idx * page_size + pointers["off"], pointers["len"].astype(np.int64)

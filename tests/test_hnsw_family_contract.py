@@ -103,6 +103,13 @@ def test_scan_batch_and_continuations_agree(built):
         assert built.am.amrescan_continue_batch(q, K_CONTINUE).pairs()[:K] == pairs
 
 
+def _key_mask(passing: set) -> object:
+    """The batch form's mask (packed TID keys in, bools out) with the
+    verdicts of ``tid in passing``."""
+    keys = {(tid.blkno << 16) | tid.offset for tid in passing}
+    return lambda batch: np.asarray([key in keys for key in batch.tolist()], dtype=bool)
+
+
 def test_filtered_forms_agree_with_masked_brute_force(built):
     """At ef >= live rows the in-filter beam visits the whole connected
     graph, so it is exact; both forms judge every node once."""
@@ -112,13 +119,14 @@ def test_filtered_forms_agree_with_masked_brute_force(built):
     def mask_fn(tids):
         return np.asarray([tid in passing for tid in tids], dtype=bool)
 
+    key_mask = _key_mask(passing)
     try:
         for q in built.queries:
             built.am.last_filtered_examined = -1
             tuple_form = list(built.am.amsearch_filtered(q, 7, mask_fn))
             assert built.am.last_filtered_examined == N
             built.am.last_filtered_examined = -1
-            assert built.am.amsearch_filtered_batch(q, 7, mask_fn).pairs() == tuple_form
+            assert built.am.amsearch_filtered_batch(q, 7, key_mask).pairs() == tuple_form
             assert built.am.last_filtered_examined == N
             assert [tid for tid, __ in tuple_form] == _brute(built, q, lambda i: i % 5 == 0)[:7]
     finally:
@@ -136,7 +144,7 @@ def test_filtered_scans_widen_until_k_match(built):
         q = built.queries[0]
         for form in (
             lambda: [tid for tid, __ in built.am.amsearch_filtered(q, 2, mask_fn)],
-            lambda: built.am.amsearch_filtered_batch(q, 2, mask_fn).tids(),
+            lambda: built.am.amsearch_filtered_batch(q, 2, _key_mask(passing)).tids(),
         ):
             tids = form()
             assert set(tids) == passing

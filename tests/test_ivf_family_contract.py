@@ -258,6 +258,13 @@ def test_ranking_cache_dropped_by_build(ivf):
     assert continued == list(ivf.am.scan(q, 40))
 
 
+def _key_mask(passing: set) -> object:
+    """The batch form's mask (packed TID keys in, bools out) with the
+    verdicts of ``tid in passing``."""
+    keys = {(tid.blkno << 16) | tid.offset for tid in passing}
+    return lambda batch: np.asarray([key in keys for key in batch.tolist()], dtype=bool)
+
+
 def test_filtered_scans_agree_with_masked_brute_force(ivf):
     ivf.db.execute(f"SET pase.nprobe = {CLUSTERS}")  # exhaustive: exact for EXACT
     passing = {tid for tid, i in ivf.id_of.items() if i % 5 == 0}
@@ -266,12 +273,13 @@ def test_filtered_scans_agree_with_masked_brute_force(ivf):
     def mask_fn(tids):
         return np.asarray([tid in passing for tid in tids], dtype=bool)
 
+    key_mask = _key_mask(passing)
     for q in ivf.queries:
         ivf.am.last_filtered_examined = -1
         tuple_form = [tid for tid, __ in ivf.am.amsearch_filtered(q, 7, mask_fn)]
         assert ivf.am.last_filtered_examined == N
         ivf.am.last_filtered_examined = -1
-        batch_form = ivf.am.amsearch_filtered_batch(q, 7, mask_fn).tids()
+        batch_form = ivf.am.amsearch_filtered_batch(q, 7, key_mask).tids()
         assert ivf.am.last_filtered_examined == N
         assert tuple_form == batch_form
         assert len(tuple_form) == 7 and set(tuple_form) <= passing
@@ -311,7 +319,7 @@ def test_filtered_scans_widen_until_k_match(ivf):
     q = ivf.queries[0]
     for form in (
         lambda: [tid for tid, __ in ivf.am.amsearch_filtered(q, 7, mask_fn)],
-        lambda: ivf.am.amsearch_filtered_batch(q, 7, mask_fn).tids(),
+        lambda: ivf.am.amsearch_filtered_batch(q, 7, _key_mask(passing)).tids(),
     ):
         ivf.am.last_filtered_examined = -1
         tids = form()

@@ -365,11 +365,11 @@ class TestAccessInterface:
         search = am.amsearch_filtered_batch
 
         def spy(query, k, mask_fn):
-            def measured(tids):
+            def measured(keys):
                 before = stats.hits + stats.misses
-                verdicts = mask_fn(tids)
+                verdicts = mask_fn(keys)
                 pins = stats.hits + stats.misses - before
-                per_call.append((pins, len({tid.blkno for tid in tids})))
+                per_call.append((pins, len({key >> 16 for key in keys.tolist()})))
                 return verdicts
             return search(query, k, measured)
 

@@ -1,10 +1,14 @@
 """Tests for tuple encoding, the heap access method, and WAL recovery."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.pgsim.buffer import BufferManager
+from repro.pgsim import heapam
 from repro.pgsim.heapam import TID, HeapTable
+from repro.pgsim.page import PageCorruptError
 from repro.pgsim.storage import MemoryDisk
 from repro.pgsim.tuple_format import (
     Column,
@@ -216,6 +220,79 @@ class TestHeapTable:
             table.fetch_many(tids[:1], columns=(4,))
         with pytest.raises(IndexError):
             next(table.scan_batches(columns=(4,)))
+
+
+    @pytest.mark.parametrize("column_wise", [False, True])
+    @pytest.mark.parametrize("columns", [(), (0,), (1, 3), (0, 1, 2, 3), None])
+    def test_keyed_read_matches_tid_read(self, schema, monkeypatch, columns, column_wise):
+        """``fetch_many`` by packed key — walked below
+        ``KEYED_READ_MIN`` keys, column-wise from it — gives the TID
+        form's visibility and values, with its pins and
+        ``tuples_fetched``, for tuples with and without NULLs, deleted
+        and vacuumed-away ones left out, keys repeated and out of block
+        order."""
+        monkeypatch.setattr(heapam, "KEYED_READ_MIN", 0 if column_wise else 10**9)
+        buffer = BufferManager(MemoryDisk(page_size=1024), capacity=32)
+        table = HeapTable("k", schema, buffer)
+        vec = np.arange(3, dtype=np.float32)
+        tids = [
+            table.insert([i, None if i % 5 == 0 else i / 4, f"r{i}" if i % 3 else None, vec], xid=1)
+            for i in range(60)
+        ]
+        for i in (7, 21, 22):
+            table.delete(tids[i], xid=1)
+        table.vacuum()
+        table.delete(tids[40], xid=1)  # deleted, not yet vacuumed
+        probe = [tid for i, tid in enumerate(tids) if i not in (7, 21, 22)][::-1]
+        probe += probe[:5]
+        keys = np.array([(tid.blkno << 16) | tid.offset for tid in probe], dtype=np.int64)
+
+        def counted(read):
+            before = (table.stats.tuples_fetched, buffer.stats.hits + buffer.stats.misses)
+            out = read()
+            after = (table.stats.tuples_fetched, buffer.stats.hits + buffer.stats.misses)
+            return out, tuple(b - a for a, b in zip(before, after))
+
+        rows, rows_cost = counted(lambda: table.fetch_many(probe, columns=columns))
+        (visible, values), keyed_cost = counted(
+            lambda: table.fetch_many(keys, columns=columns)
+        )
+        assert keyed_cost == rows_cost
+        assert visible.tolist() == [row is not None for row in rows]
+        wanted = range(4) if columns is None else columns
+        assert sorted(values) == sorted(wanted)
+        kept = [row for row in rows if row is not None]
+        for i in wanted:
+            column = values[i]
+            got = column.tolist() if isinstance(column, np.ndarray) else column
+            assert repr(got) == repr([row[i] for row in kept])
+
+    @pytest.mark.parametrize("column_wise", [False, True])
+    def test_keyed_read_raises_as_tid_read(self, schema, monkeypatch, column_wise):
+        """An out-of-range offset and a dead line pointer raise the TID
+        form's ``IndexError`` / ``PageCorruptError``, message included,
+        for the first bad address the TID form meets."""
+        monkeypatch.setattr(heapam, "KEYED_READ_MIN", 0 if column_wise else 10**9)
+        buffer = BufferManager(MemoryDisk(page_size=1024), capacity=32)
+        table = HeapTable("e", schema, buffer)
+        vec = np.arange(3, dtype=np.float32)
+        tids = [table.insert([i, 1.0, "x", vec], xid=1) for i in range(30)]
+        table.delete(tids[3], xid=1)
+        table.vacuum()
+        last = tids[-1].blkno
+        out_of_range = TID(tids[0].blkno, 999)
+        for bad in (
+            [tids[1], out_of_range],
+            [tids[1], tids[3]],
+            # Block order decides: the later block's error comes second.
+            [TID(last, tids[-1].offset), TID(last, 999), tids[2], tids[3]],
+            [tids[3], out_of_range],
+        ):
+            keys = np.array([(tid.blkno << 16) | tid.offset for tid in bad], dtype=np.int64)
+            with pytest.raises((IndexError, PageCorruptError)) as expected:
+                table.fetch_many(bad, columns=(0,))
+            with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+                table.fetch_many(keys, columns=(0,))
 
 
 class TestWalRecovery:
