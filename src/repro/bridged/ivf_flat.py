@@ -20,10 +20,10 @@ from repro.common.distance import BatchKernel, batch_kernel, squared_norms
 from repro.common.heap import BoundedMaxHeap, offer_topk
 from repro.common.kmeans import assign_nearest_batch, faiss_kmeans
 from repro.common.parallel import WorkUnit
-from repro.pase.ivf_core import _key_tid, _tid_key, topk_parts
+from repro.pase.ivf_core import topk_parts
 from repro.pase.ivf_flat import PaseIVFFlat
 from repro.pgsim.am import ScanBatch, register_am
-from repro.pgsim.heapam import TID
+from repro.pgsim.heapam import TID, key_tid, tid_key
 
 
 @dataclass(slots=True)
@@ -75,7 +75,7 @@ class BridgedIVFFlat(PaseIVFFlat):
         """Durability first — the same page layout PASE uses — then the
         mirror, straight from the build's arrays."""
         super()._flush(centroids, tids, payloads, buckets)
-        keys = np.asarray([_tid_key(tid) for tid in tids], dtype=np.int64)
+        keys = np.asarray([tid_key(tid) for tid in tids], dtype=np.int64)
         self._set_mirror(centroids, [(keys[rows], payloads[rows]) for rows in buckets])
 
     def _set_mirror(
@@ -125,7 +125,7 @@ class BridgedIVFFlat(PaseIVFFlat):
         mirror.bucket_vectors[bucket] = np.vstack(
             [mirror.bucket_vectors[bucket], vec.reshape(1, -1)]
         )
-        mirror.bucket_keys[bucket] = np.append(mirror.bucket_keys[bucket], _tid_key(tid))
+        mirror.bucket_keys[bucket] = np.append(mirror.bucket_keys[bucket], tid_key(tid))
 
     # ------------------------------------------------------------------
     # vacuum (ambulkdelete)
@@ -174,7 +174,7 @@ class BridgedIVFFlat(PaseIVFFlat):
             self.scan_stats.candidates += int(vectors.shape[0])
             offer_topk(heap, kernel(query, vectors)[0], mirror.bucket_keys[bucket])
         for neighbor in heap.results():
-            yield _key_tid(neighbor.vector_id), neighbor.distance
+            yield key_tid(neighbor.vector_id), neighbor.distance
 
     def get_batch(self, query: np.ndarray, k: int) -> ScanBatch:
         """Batched scan straight off the memory mirror.
@@ -215,7 +215,7 @@ class BridgedIVFFlat(PaseIVFFlat):
         keys of each round become TIDs for the tuple-form mask."""
 
         def key_mask(keys: np.ndarray) -> Any:
-            return mask_fn([_key_tid(key) for key in keys.tolist()])
+            return mask_fn([key_tid(key) for key in keys.tolist()])
 
         return iter(self.amsearch_filtered_batch(query, k, key_mask).pairs())
 
@@ -286,5 +286,5 @@ class BridgedIVFFlat(PaseIVFFlat):
             cost = time.perf_counter() - start
             global_heap.merge(local)
             units.append(WorkUnit(compute_seconds=cost, serial_ops=1))
-        merged = [(_key_tid(n.vector_id), n.distance) for n in global_heap.results()]
+        merged = [(key_tid(n.vector_id), n.distance) for n in global_heap.results()]
         return merged, units

@@ -49,7 +49,7 @@ from repro.common.types import BuildStats
 from repro.pase.layout import IVF_CENTROID, IVF_DATA, IVF_META, PageLayout
 from repro.pase.options import parse_ivf_options
 from repro.pgsim.am import IndexAmRoutine, ScanBatch, topk_batch
-from repro.pgsim.heapam import TID
+from repro.pgsim.heapam import TID, key_tid, tid_key
 from repro.pgsim.page import Page, PageCorruptError
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
 
@@ -293,7 +293,7 @@ class PagedIVF(IndexAmRoutine):
         rel = self.relation_name("data")
         if not self.buffer.disk.relation_exists(rel):
             return
-        dead = {_tid_key(tid) for tid in dead_tids}
+        dead = {tid_key(tid) for tid in dead_tids}
         for cent_id, head, __ in list(self._iter_centroids()):
             items = self.layouts["data"].read_packed(self.buffer, rel, [head], item_order=True)
             survivors = items[[key not in dead for key in _record_keys(items).tolist()]]
@@ -416,7 +416,7 @@ class PagedIVF(IndexAmRoutine):
         self.scan_stats.scans += 1
         self.scan_stats.candidates += candidates
         for neighbor in timed(SEC_HEAP, heap.results)():
-            yield _key_tid(neighbor.vector_id), neighbor.distance
+            yield key_tid(neighbor.vector_id), neighbor.distance
 
     def get_batch(self, query: np.ndarray, k: int) -> ScanBatch:
         """Batched scan: the probed lists scored with one kernel call.
@@ -475,7 +475,7 @@ class PagedIVF(IndexAmRoutine):
             if not keys:
                 return 0, 0
             matched = 0
-            mask = mask_fn([_key_tid(key) for key in keys])
+            mask = mask_fn([key_tid(key) for key in keys])
             for key, payload, ok in zip(keys, payloads, mask):
                 if not ok:
                     continue
@@ -488,7 +488,7 @@ class PagedIVF(IndexAmRoutine):
         self._widen_probes(order.tolist(), k, visit)
         self.scan_stats.candidates += len(scored)
         nearest = self.profiler.timed(SEC_HEAP, heapq.nsmallest)(k, scored)
-        return iter([(_key_tid(key), dist) for dist, key in nearest])
+        return iter([(key_tid(key), dist) for dist, key in nearest])
 
     def _widen_probes(
         self, order: Sequence[int], k: int, visit: Callable[[Sequence[int]], tuple[int, int]]
@@ -593,11 +593,3 @@ def _record_keys(records: np.ndarray) -> np.ndarray:
     """Packed heap TID keys of IVF data records."""
     return (records["heap_blkno"].astype(np.int64) << 16) | records["heap_offset"]
 
-
-def _tid_key(tid: TID) -> int:
-    """Pack a TID into one int for heap entries."""
-    return (tid.blkno << 16) | tid.offset
-
-
-def _key_tid(key: int) -> TID:
-    return TID(key >> 16, key & 0xFFFF)

@@ -23,7 +23,7 @@ from repro.common.profiling import NULL_PROFILER
 from repro.common.types import IndexSizeInfo
 from repro.pgsim.buffer import BufferManager
 from repro.pgsim.catalog import Catalog
-from repro.pgsim.heapam import TID, HeapTable
+from repro.pgsim.heapam import TID, HeapTable, tid_key
 
 
 @dataclass(slots=True)
@@ -76,9 +76,9 @@ class ScanBatch:
 def topk_batch(tid_keys: np.ndarray, distances: np.ndarray, k: int) -> ScanBatch:
     """Select the k nearest candidates from packed-TID/distance arrays.
 
-    ``tid_keys`` uses the AMs' ``(blkno << 16) | offset`` packing.  Ties
-    break toward the smallest key — the same (distance, id) order the
-    tuple-path heaps produce — so both executor paths agree exactly.
+    ``tid_keys`` uses the AMs' packing (:func:`~repro.pgsim.heapam.tid_key`).
+    Ties break toward the smallest key — the same (distance, id) order
+    the tuple-path heaps produce — so both executor paths agree exactly.
     Only the candidates at or below the k-th distance (found with one
     ``np.partition``) are sorted; ties at that distance all survive the
     cut, so the result equals a full sort's prefix.
@@ -251,10 +251,11 @@ class IndexAmRoutine(abc.ABC):
         boolean array — True where the heap row is visible and satisfies
         the pushed-down predicate.  The AM applies it *inside* its
         traversal: IVF list scans mask candidates before the distance
-        top-k, one call per widening round; HNSW neighbor expansion keeps routing through masked-out
-        nodes but never admits them to the result heap.  When fewer than
-        ``k`` candidates survive the AM widens its own search (more
-        probe lists, larger ef) until k match or the index is exhausted.
+        top-k, one call per widening round; HNSW neighbor expansion
+        keeps routing through masked-out nodes but never admits them to
+        the result heap.  When fewer than ``k`` candidates survive the
+        AM widens its own search (more probe lists, larger ef) until k
+        match or the index is exhausted.
         Only called when :attr:`amcanfilter` is True.
         """
         raise NotImplementedError(f"{self.amname} does not support in-filter search")
@@ -262,18 +263,17 @@ class IndexAmRoutine(abc.ABC):
     def amsearch_filtered_batch(self, query: np.ndarray, k: int, mask_fn: Any) -> ScanBatch:
         """Batched counterpart of :meth:`amsearch_filtered`.
 
-        Here ``mask_fn`` takes the candidates as an int64 array of packed
-        TID keys ``(blkno << 16) | offset`` — the form the AMs already
-        hold and :func:`topk_batch` takes — and returns a bool array
-        aligned with it, so no TID object is built per candidate.  The
-        IVF AMs hand it a whole widening round per call.  The default
-        wraps the tuple form, packing each batch of TIDs it would have
-        passed into keys; vectorized AMs override it.
+        Here ``mask_fn`` takes the candidates as an int64 array of
+        packed TID keys (:func:`~repro.pgsim.heapam.tid_key`) — the form
+        the AMs already hold and :func:`topk_batch` takes — and returns a
+        bool array aligned with it, so no TID object is built per
+        candidate.  The IVF AMs hand it a whole widening round per call.
+        The default wraps the tuple form, packing each batch of TIDs it
+        would have passed into keys; vectorized AMs override it.
         """
 
         def tid_mask(tids: list[TID]) -> np.ndarray:
-            keys = [(tid.blkno << 16) | tid.offset for tid in tids]
-            return mask_fn(np.array(keys, dtype=np.int64))
+            return mask_fn(np.array(list(map(tid_key, tids)), dtype=np.int64))
 
         return ScanBatch.from_pairs(self.amsearch_filtered(query, k, tid_mask))
 

@@ -90,6 +90,17 @@ class TID:
         return f"({self.blkno},{self.offset})"
 
 
+def tid_key(tid: TID) -> int:
+    """``tid`` packed into one int, ``(blkno << 16) | offset``: how the
+    index AMs hold heap addresses, and what a by-key read takes."""
+    return (tid.blkno << 16) | tid.offset
+
+
+def key_tid(key: int) -> TID:
+    """The TID a :func:`tid_key` key packs."""
+    return TID(key >> 16, key & 0xFFFF)
+
+
 @dataclass(slots=True)
 class HeapChunk:
     """The visible rows of a run of heap pages, column by column: one
@@ -553,7 +564,7 @@ class HeapTable:
         :meth:`_reader`); the others are None.
 
         ``tids`` may instead be an int64 array of packed keys
-        ``(blkno << 16) | offset`` — the index AMs' own form — for a
+        (:func:`tid_key`) — the index AMs' own form — for a
         projected read by key (``columns=None``: every attribute):
         ``(visible, columns)``, a bool array aligned with the keys and
         attribute number -> that attribute of every visible key, in key
@@ -562,7 +573,7 @@ class HeapTable:
         """
         if isinstance(tids, np.ndarray):
             return self._fetch_keys(tids, snapshot, columns)
-        return self._fetch_at([(tid.blkno << 16) | tid.offset for tid in tids], snapshot, columns)
+        return self._fetch_at(list(map(tid_key, tids)), snapshot, columns)
 
     def _fetch_at(
         self, keys: list[int], snapshot: Snapshot | None, columns: Collection[int] | None
@@ -629,7 +640,7 @@ class HeapTable:
                 self.buffer.unpin(frame)
         data = np.frombuffer(buf, dtype=np.uint8)
         pages = data[: len(blocks) * page_size].reshape(len(blocks), page_size)
-        starts, lengths = item_arrays(pages, rank[slot.reshape(-1)], keys & 0xFFFF)
+        starts, lengths = item_arrays(pages, rank[slot], keys & 0xFFFF)
         headers = _records(data, starts, record)
         visible = visible_mask(self.xact, snapshot, headers["xmin"], headers["xmax"])
         keep = np.flatnonzero(visible)

@@ -305,15 +305,15 @@ def _predicate_mask(run: PlanRun, node: P.IndexScan):
 def _column_mask(run: PlanRun, node: P.IndexScan):
     """Column-wise mask closure for ``amsearch_filtered_batch``.
 
-    The AM hands over packed TID keys ``(blkno << 16) | offset`` — for
-    the IVF AMs a whole widening round at a time — and gets a bool array
-    back.  Per call, the keys never judged before are read with one
-    by-key projected ``heap.fetch_many`` (each distinct block pinned
-    once; only the predicate's columns decoded), and the predicate is
-    evaluated once over them (:func:`~repro.pgsim.expr.evaluate_batch`).
-    Verdicts are cached by key and ``state`` counts unique keys
-    checked/matched exactly as the per-TID mask does.  Returns
-    ``(mask_fn, state)``.
+    The AM hands over packed TID keys
+    (:func:`~repro.pgsim.heapam.tid_key`) — for the IVF AMs a whole
+    widening round at a time — and gets a bool array back.  Per call,
+    the keys never judged before are read with one by-key projected
+    ``heap.fetch_many`` (each distinct block pinned once; only the
+    predicate's columns decoded), and the predicate is evaluated once
+    over them (:func:`~repro.pgsim.expr.evaluate_batch`).  Verdicts are
+    cached by key and ``state`` counts unique keys checked/matched
+    exactly as the per-TID mask does.  Returns ``(mask_fn, state)``.
     """
     heap = node.table.heap
     predicate = node.filter

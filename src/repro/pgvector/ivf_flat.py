@@ -20,9 +20,9 @@ import numpy as np
 
 from repro.common.distance import pairwise_kernel, rows_kernel
 from repro.common.profiling import SEC_DISTANCE, SEC_HEAP_FETCH
-from repro.pase.ivf_core import PagedIVF, RowsScorer, TupleScorer, _key_tid
+from repro.pase.ivf_core import PagedIVF, RowsScorer, TupleScorer
 from repro.pgsim.am import register_am
-from repro.pgsim.heapam import TID
+from repro.pgsim.heapam import TID, key_tid
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
 
 
@@ -47,7 +47,7 @@ class PgVectorIVFFlat(PagedIVF):
             # from the base heap table.  Any-version fetch: tombstoned
             # tuples still score (the executor filters by snapshot);
             # only physically reclaimed slots skip.
-            vec = fetch(_key_tid(key), column)
+            vec = fetch(key_tid(key), column)
             if vec is None:
                 return None
             return kernel(query, np.asarray(vec, dtype=np.float32))

@@ -10,7 +10,7 @@ import pytest
 
 from repro.common.metrics import mean_recall_at_k
 from repro.core.study import ComparativeStudy, GeneralizedVectorDB, SpecializedVectorDB
-from repro.pase.ivf_core import _key_tid
+from repro.pgsim.heapam import key_tid
 from repro.specialized import HNSWIndex, IVFFlatIndex
 
 
@@ -45,7 +45,7 @@ class TestIVFEquivalence:
             members = set()
             for keys, __ in gen.am._chain_pages(head):
                 for key in keys:
-                    members.add(table.heap.fetch_column(_key_tid(key), 0))
+                    members.add(table.heap.fetch_column(key_tid(key), 0))
             pase_buckets[cent_id] = members
         for b in range(16):
             assert pase_buckets[b] == set(spec.bucket_members(b).tolist())

@@ -24,10 +24,9 @@ import repro.pase  # noqa: F401  — registers the pase_* access methods
 import repro.pgvector  # noqa: F401  — registers ivfflat
 from repro.common import pq, sq
 from repro.common.profiling import SEC_DISTANCE, SEC_HEAP, SEC_TUPLE_ACCESS, Profiler
-from repro.pase.ivf_core import _key_tid
 from repro.pase.parallel import parallel_search
 from repro.pgsim import PgSimDatabase
-from repro.pgsim.heapam import TID
+from repro.pgsim.heapam import TID, key_tid
 from repro.pgsim.page import PageCorruptError
 
 #: AM name -> extra WITH options.
@@ -157,7 +156,7 @@ def _reference_scan(am, query: np.ndarray, k: int, nprobe: int):
         candidates += len(entries)
         for tid, payload in entries:
             scored.append((score(tid, payload), (tid.blkno << 16) | tid.offset))
-    nearest = [(_key_tid(key), dist) for dist, key in heapq.nsmallest(k, scored)]
+    nearest = [(key_tid(key), dist) for dist, key in heapq.nsmallest(k, scored)]
     return nearest, candidates, chain_pages, len(centroids), centroid_pages
 
 
@@ -224,7 +223,7 @@ def test_scan_matches_the_per_item_walk(name, state, seed, k, nprobe, fixed_heap
 
     # The shared-heap parallel driver reads the same chains.
     result, __ = parallel_search(am, query, k, nprobe, [1])
-    assert [(_key_tid(n.vector_id), n.distance) for n in result.neighbors] == want
+    assert [(key_tid(n.vector_id), n.distance) for n in result.neighbors] == want
 
 
 @pytest.mark.parametrize("name", sorted(AMS))
@@ -241,7 +240,7 @@ def test_chain_pages_yield_every_item_in_order(name):
         saw_empty_page |= any(not keys for keys, __ in got)
         keys = [key for page_keys, __ in got for key in page_keys]
         payloads = [payload for __, page_payloads in got for payload in page_payloads]
-        assert [_key_tid(key) for key in keys] == [tid for tid, __ in entries]
+        assert [key_tid(key) for key in keys] == [tid for tid, __ in entries]
         assert [p.tobytes() for p in payloads] == [p.tobytes() for __, p in entries]
         assert all(p.dtype == am.layouts["data"].dtype for p in payloads)
     assert saw_empty_page
