@@ -322,7 +322,6 @@ def _column_mask(run: PlanRun, node: P.IndexScan):
     state = {"examined": 0, "matched": 0}
 
     def mask_fn(keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys, dtype=np.int64)
         key_list = keys.tolist()
         out = list(map(verdicts.get, key_list))
         if None not in out:
@@ -338,10 +337,15 @@ def _column_mask(run: PlanRun, node: P.IndexScan):
         if predicate is not None:
             (visible,) = judged.nonzero()
             named = {name: columns[i] for name, i in zip(names, positions)}
-            judged[visible] = E.evaluate_batch(predicate, named, len(visible))
-        verdicts.update(zip(unseen, judged.tolist()))
+            passed = E.evaluate_batch(predicate, named, len(visible))
+            if len(visible) == len(judged):
+                judged = passed
+            else:
+                judged[visible] = passed
+        verdict_list = judged.tolist()
+        verdicts.update(zip(unseen, verdict_list))
         state["examined"] += len(unseen)
-        state["matched"] += int(np.count_nonzero(judged))
+        state["matched"] += sum(verdict_list)
         if fresh:
             return judged  # already in call order
         return np.array(list(map(verdicts.get, key_list)), dtype=bool)
