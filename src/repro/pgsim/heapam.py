@@ -149,8 +149,9 @@ def _records(data: np.ndarray, starts: np.ndarray, dtype: np.dtype) -> np.ndarra
     """One ``dtype`` record read at each of ``starts`` in ``data``: one
     row gather from the byte windows of ``data``, which must extend
     ``dtype.itemsize`` bytes past every start."""
-    windows = np.ndarray((len(data) - dtype.itemsize + 1,), dtype, data, strides=(1,))
-    return windows[starts]
+    size = dtype.itemsize
+    windows = np.ndarray((len(data) - size + 1, size), np.uint8, data, strides=(1, 1))
+    return windows[starts].view(dtype)[:, 0]
 
 
 class HeapTable:
