@@ -1,7 +1,8 @@
 """Deterministic behaviour dump of the seven vector access methods and
 of hybrid search and DML through SQL.
 
-    PYTHONPATH=src python benchmarks/behaviour_dump.py [--rows N] [--queries Q] > dump.txt
+    PYTHONPATH=src python benchmarks/behaviour_dump.py [--rows N] [--queries Q]
+        [--pool-pages P] > dump.txt
 
 Builds one seeded table per IVF access method (``pase_ivfflat``,
 ``pase_ivfpq``, ``pase_ivfsq8``, pgvector's ``ivfflat``,
@@ -19,8 +20,9 @@ by one verdict function).  Each call
 prints one line: result TIDs, ``repr`` of every distance, candidates
 scored, ``last_filtered_examined`` and buffer pins; each state adds a
 ``size_info`` line and a ``pages`` line: one SHA-256 over every block of
-every fork in ``relations()`` order, as the buffer pool holds it, so a
-diff covers the on-page bytes too.
+every fork in ``relations()`` order, as the buffer pool holds it (all
+but the checksum field, which only write-back stamps), so a diff covers
+the on-page bytes too.
 
 The ``sql`` lines that follow come from one more table with an ``a``
 column and a NULL ``note`` in every seventh row: ``WHERE a < s ORDER BY
@@ -46,7 +48,10 @@ clock is read, so the output is a pure function of the arguments.
 Use it as an oracle around a refactor: run it at the parent commit and
 at the change and ``diff`` the two files — every differing line is a
 behaviour change to explain.  Two runs at one commit must be
-byte-identical (CI checks this with ``cmp``).
+byte-identical, and so must a run with ``--pool-pages 16``, where every
+reader works through eviction (CI checks both with ``cmp``).  The rows
+are loaded under one transaction, the WAL flushed after each so that
+even a small pool may evict them.
 """
 
 from __future__ import annotations
@@ -117,13 +122,16 @@ def _data(rows: int, queries: int) -> tuple[np.ndarray, ...]:
 class Dump:
     """One access method's table, index and the lines it prints."""
 
-    def __init__(self, name: str, am_name: str, options: str, base: np.ndarray) -> None:
+    def __init__(
+        self, name: str, am_name: str, options: str, base: np.ndarray, pool_pages: int
+    ) -> None:
         self.name = name
-        self.db = PgSimDatabase(page_size=2048, buffer_pool_pages=4096)
+        self.db = PgSimDatabase(page_size=2048, buffer_pool_pages=pool_pages)
         self.db.execute("CREATE TABLE t (id int, vec float[])")
         heap = self.db.catalog.table("t").heap
         for i, vec in enumerate(base):
             heap.insert([i, vec], xid=1)
+            self.db.wal.flush()  # lets a small pool evict the loaded pages
         self.db.wal.log_commit(1)
         self.db.execute(f"CREATE INDEX ix ON t USING {am_name} (vec) WITH ({options})")
         self.db.execute(f"SET pase.nprobe = {NPROBE}")
@@ -187,7 +195,9 @@ class Dump:
 
     def page_fingerprint(self) -> str:
         """SHA-256 over every block of every fork, in ``relations()``
-        order, as the buffer pool holds it (a scoped pin per block)."""
+        order, as the buffer pool holds it (a scoped pin per block),
+        the checksum field left out: write-back stamps it, so it tells
+        an evicted page from one the pool never let go."""
         digest = hashlib.sha256()
         buffer = self.db.buffer
         for rel in self.am.relations():
@@ -196,7 +206,8 @@ class Dump:
             digest.update(rel.encode())
             for blkno in range(buffer.disk.n_blocks(rel)):
                 with buffer.page(rel, blkno) as page:
-                    digest.update(page.buf)
+                    digest.update(page.buf[:8])  # header bytes 8-9: checksum
+                    digest.update(page.buf[10:])
         return digest.hexdigest()
 
 
@@ -217,14 +228,15 @@ class SqlDump:
     whose every seventh row has a NULL ``note`` (tuples the projected
     heap readers must deform with the walking decoder)."""
 
-    def __init__(self, base: np.ndarray) -> None:
+    def __init__(self, base: np.ndarray, pool_pages: int) -> None:
         from repro.pgsim.estimation import node_strategy
 
-        self.db = PgSimDatabase(page_size=2048, buffer_pool_pages=4096)
+        self.db = PgSimDatabase(page_size=2048, buffer_pool_pages=pool_pages)
         self.db.execute("CREATE TABLE s (id int, a int, note text, vec float[])")
         heap = self.db.catalog.table("s").heap
         for i, vec in enumerate(base):
             heap.insert([i, i % 100, None if i % 7 == 0 else f"n{i % 3}", vec], xid=1)
+            self.db.wal.flush()
         self.db.wal.log_commit(1)
         clusters = max(int(math.sqrt(base.shape[0])), 4)
         self.db.execute(
@@ -390,6 +402,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rows", type=int, default=2000)
     parser.add_argument("--queries", type=int, default=6)
+    parser.add_argument(
+        "--pool-pages", type=int, default=4096,
+        help="buffer pool size of every database (a small pool evicts; "
+        "the output must not change)",
+    )
     args = parser.parse_args(argv)
     base, extra, queries = _data(args.rows, args.queries)
     clusters = max(int(math.sqrt(base.shape[0])), 4)
@@ -405,7 +422,7 @@ def main(argv: list[str] | None = None) -> int:
     ]
     runs += [(f"{am}/l2", am, f"{opts}, seed = {SEED}") for am, opts in HNSW_AMS.items()]
     for name, am_name, options in runs:
-        dump = Dump(name, am_name, options, base)
+        dump = Dump(name, am_name, options, base, args.pool_pages)
         dump.state("fresh", queries)
         for j, vec in enumerate(extra):
             dump.db.execute(f"INSERT INTO t VALUES ({args.rows + j}, '{_lit(vec)}'::PASE)")
@@ -413,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         dump.db.execute(f"DELETE FROM t WHERE id < {int(args.rows * 0.3)}")
         dump.db.execute("VACUUM t")
         dump.state("delete30_vacuum", queries)
-    sql = SqlDump(base)
+    sql = SqlDump(base, args.pool_pages)
     sql.state("fresh", queries)
     sql.dml(args.rows)
     sql.state("after_dml", queries)

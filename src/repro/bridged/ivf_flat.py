@@ -96,19 +96,22 @@ class BridgedIVFFlat(PaseIVFFlat):
         if self.dim is None:
             raise RuntimeError("index has not been built")
         # Rebuild the mirror from the durable pages (restart path).
+        # The readers' payloads are views of pinned pages: each is
+        # copied (by vstack) before its page is unpinned.
         centroids = []
         heads = []
         for __, head, vec in self._iter_centroids():
-            centroids.append(vec)
+            centroids.append(vec.copy())
             heads.append(head)
         buckets = []
         for head in heads:
             keys: list[int] = []
-            vectors: list[np.ndarray] = []
+            vectors: list[np.ndarray] = [np.empty((0, self.dim), np.float32)]
             for page_keys, payloads in self._chain_pages(head):
                 keys += page_keys
-                vectors += payloads
-            matrix = np.vstack(vectors) if vectors else np.empty((0, self.dim), np.float32)
+                if payloads:
+                    vectors.append(np.vstack(payloads))
+            matrix = np.vstack(vectors)
             buckets.append((np.asarray(keys, dtype=np.int64), matrix))
         return self._set_mirror(np.vstack(centroids), buckets)
 

@@ -89,24 +89,6 @@ def _format_value(value: float, unit: str) -> str:
     return f"{value:.3g}{unit}"
 
 
-def format_query_stats(stats) -> str:
-    """One-line rendering of a per-query stats object.
-
-    Accepts anything shaped like :class:`repro.pgsim.stats.QueryStats`
-    (duck-typed so this module never imports pgsim): elapsed time plus
-    buffer / heap / index counters.
-    """
-    parts = [format_seconds(stats.elapsed_seconds)]
-    parts.append(f"buffers hit={stats.buffer.hits} miss={stats.buffer.misses}")
-    if stats.heap.tuples_fetched:
-        parts.append(f"heap fetched={stats.heap.tuples_fetched}")
-    if stats.index.candidates:
-        parts.append(f"index candidates={stats.index.candidates}")
-    if stats.wal.records:
-        parts.append(f"wal records={stats.wal.records}")
-    return " | ".join(parts)
-
-
 def render_breakdown(
     title: str,
     rows_by_system: Mapping[str, Sequence[BreakdownRow]],

@@ -99,21 +99,23 @@ class PageGraphStore:
         # One buffer-manager round trip per vector: PASE cannot gather
         # with a single pointer dereference the way Faiss does (RC#2).
         # Under each pin the line pointer is read and the vector bytes
-        # copied out; the copies are decoded as one matrix afterwards.
+        # copied out (after the unpin the slot may hold another page);
+        # the copies are decoded as one matrix afterwards.
         buffer, rel, metas = self.buffer, self.data_rel, self._nodes
-        head = HNSW_DATA.head.size
-        parts: list[bytearray] = []
+        head, row = HNSW_DATA.head.size, 4 * self.am.dim
+        out = memoryview(bytearray(len(nodes) * row))
+        at = 0
         for node in nodes:
             meta = metas[node]
             frame = buffer.pin(rel, meta.data_blkno)
             try:
                 page = frame.page
                 off, length = page.item_bounds(meta.data_offset)
-                parts.append(page.buf[off + head : off + length])
+                out[at : at + row] = page.buf[off + head : off + length]
             finally:
                 buffer.unpin(frame)
-        matrix = np.frombuffer(b"".join(parts), dtype=np.float32)
-        return matrix.reshape(len(parts), self.am.dim)
+            at += row
+        return np.frombuffer(out, dtype=np.float32).reshape(len(nodes), self.am.dim)
 
     def neighbors(self, node: int, level: int) -> list[int]:
         # The pages are only ever rewritten whole, so they stay packed.

@@ -471,7 +471,9 @@ class PagedIVF(IndexAmRoutine):
             for bucket in buckets:
                 for page_keys, page_payloads in chain_pages(heads[bucket]):
                     keys += page_keys
-                    payloads += page_payloads
+                    # Copied while the page is pinned: the round's
+                    # payloads outlive it (and the heap mask below).
+                    payloads += [payload.copy() for payload in page_payloads]
             if not keys:
                 return 0, 0
             matched = 0
@@ -557,7 +559,9 @@ class PagedIVF(IndexAmRoutine):
     def _chain_pages(self, head: int) -> Iterator[tuple[list[int], list[np.ndarray]]]:
         """Walk one bucket's page chain, yielding per page ``(packed heap
         TID keys, payload views)`` — the tuple interface's list reader,
-        each data tuple decoded in its own ``Tuple Access`` section."""
+        each data tuple decoded in its own ``Tuple Access`` section.  The
+        views are valid until the next pull, while the page is pinned
+        (see :meth:`~repro.pase.layout.PageLayout.items`)."""
         timed = self.profiler.timed
         rel = self.relation_name("data")
         for items in self.layouts["data"].items(

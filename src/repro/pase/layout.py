@@ -24,9 +24,9 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.pgsim.buffer import BufferManager
+from repro.pgsim.buffer import BufferManager, Frame
 from repro.pgsim.constants import INVALID_BLOCK, LINE_POINTER_SIZE, PAGE_HEADER_SIZE
-from repro.pgsim.page import Page, PageCorruptError, PageFullError
+from repro.pgsim.page import Page, PageCorruptError, PageFullError, gather_records
 
 #: Terminator of a page chain (and "no bucket / neighbor page").
 NO_BLOCK = INVALID_BLOCK
@@ -114,16 +114,27 @@ class PageLayout:
         prefix = geometry[4].get(length)
         if prefix is None and length <= len(geometry[3]):
             prefix = geometry[4][length] = geometry[3][: max(length, 0)]
+        buf = page.buf
         if (
             special != geometry[1]
             or special - upper != n * self.item_size
             or not (
-                prefix is not None and page.buf.startswith(prefix, PAGE_HEADER_SIZE)
-                or self.holes and _holed(page.buf[PAGE_HEADER_SIZE:lower], geometry[3])
+                prefix is not None and buf[PAGE_HEADER_SIZE:lower] == prefix
+                or self.holes and _holed(buf[PAGE_HEADER_SIZE:lower], geometry[3])
             )
         ):
             raise PageCorruptError(f"{self.name} page is not packed")
         return n
+
+    def count(self, frame: Frame) -> int:
+        """:meth:`verify` of a pinned frame's page, once per page image:
+        the verdict stays on the frame (``Frame.checked``) until the
+        buffer manager reloads the page or a writer unpins it dirty, as
+        PostgreSQL checks a page once, when it is read in."""
+        checked = frame.checked
+        if checked is None or checked[0] is not self:
+            checked = frame.checked = (self, self.verify(frame.page))
+        return checked[1]
 
     # -- items ----------------------------------------------------------
     def pack(self, n: int, **columns: Any) -> np.ndarray:
@@ -251,8 +262,9 @@ class PageLayout:
         ``(head fields, payload view)`` in offset order.  One call per
         item — one ``item_bounds`` (range and dead-item checks), one
         head unpack, one ``frombuffer`` — wrapped once in ``timed``.
-        The views outlive the pin: a frame read back in gets a fresh
-        buffer rather than overwriting this one."""
+        The payload views are views of the page's buffer-pool slot, so
+        they are valid only while the page is pinned — until the next
+        pull: a caller that keeps payloads past it copies them first."""
         unpack, frombuffer = self.head.unpack_from, np.frombuffer
         dtype, width, head_size = self.dtype, self.width, self.head.size
         buf = item_bounds = None  # the pinned page's, rebound per page
@@ -272,31 +284,43 @@ class PageLayout:
     ) -> np.ndarray:
         """The page-granular reader: every item of the chains at
         ``heads`` (``None``: every page of ``rel``) as one record array.
-        Per page one pin, one :meth:`verify` and one view of its tuple
-        area, newest item first unless ``item_order``; one copy joins
-        them, and nothing outlives the call outside the buffer pool."""
-        chunks: list[Any] = []
-        for head in [None] if heads is None else heads:
-            for page in self.pages(buffer, rel, head):
-                special = page.page_size - self.special_size
-                area = memoryview(page.buf)[special - self.verify(page) * self.item_size : special]
-                if item_order:
-                    area = np.frombuffer(area, self.record)[::-1].tobytes()
-                chunks.append(area)
-        return np.frombuffer(b"".join(chunks), self.record)
+        Per page one pin and one :meth:`count` (a :meth:`verify` the
+        first time the image is read); per window of pinned pages
+        (:meth:`~repro.pgsim.buffer.BufferManager.pin_windows`) one
+        gather of the items straight from the buffer pool's arena,
+        newest item first unless ``item_order``.  The result is a copy:
+        nothing of it refers to the pool."""
+        size, page_size = self.item_size, buffer.disk.page_size
+        special = page_size - self.special_size
+        blocks, follow = (range(buffer.disk.n_blocks(rel)), None) if heads is None else (
+            heads, self.next_block
+        )
+        parts = []
+        for window in buffer.pin_windows(rel, blocks, follow):
+            counts = np.array([self.count(frame) for frame in window], dtype=np.int64)
+            slots = np.array([frame.slot for frame in window], dtype=np.int64)
+            # Item j of a page lies j items above its tuple area's start.
+            area = np.repeat(slots * page_size + special - counts * size, counts)
+            j = np.arange(len(area)) - np.repeat(np.cumsum(counts) - counts, counts)
+            if item_order:
+                j = np.repeat(counts, counts) - 1 - j
+            parts.append(gather_records(buffer.arena, area + j * size, self.record))
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.empty(0, self.record)
 
     def column(self, buffer: BufferManager, rel: str, head: int, name: str) -> list:
         """One head field of every item of the chain at ``head`` (a
         chained layout), in item order: per page one pin, one
-        :meth:`verify` and one unpack of the tuple area.  A plain loop,
+        :meth:`count` and one unpack of the tuple area.  A plain loop,
         not :meth:`pages`: it is HNSW's neighbor reader, run per visited
         node."""
         values: list = []
-        verify, fmt, size = self.verify, self.fields[name][2], self.item_size
+        count, fmt, size = self.count, self.fields[name][2], self.item_size
         while head != NO_BLOCK:
             frame = buffer.pin(rel, head)
             try:
-                buf, n = frame.page.buf, verify(frame.page)
+                buf, n = frame.page.buf, count(frame)
                 special = len(buf) - _NEXT.size
                 values += struct.unpack_from("<" + fmt * n, buf, special - n * size)[::-1]
                 head = _NEXT.unpack_from(buf, special)[0]

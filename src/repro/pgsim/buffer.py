@@ -7,9 +7,15 @@ this and dereference a pointer — the paper measures that difference as
 the ``Tuple Access`` rows of Tables III/V and Fig. 8.
 
 The implementation is a faithful miniature of PostgreSQL's shared
-buffers: fixed capacity, pin counts, usage counters with clock-sweep
-eviction, dirty-page write-back with checksum stamping, and hit/miss
-statistics.
+buffers: one page arena of fixed capacity (``capacity`` page slots in
+one byte array, like PostgreSQL's ``BufferBlocks``), pin counts, usage
+counters with clock-sweep eviction, dirty-page write-back with checksum
+stamping, and hit/miss statistics.  A frame's page is a view of its
+slot: a miss reads the block straight into a free slot, and eviction
+hands the victim's slot to the next load.  Page bytes are therefore
+valid only while the page is pinned — after the unpin the slot may
+hold another block.  Batch readers pin a window of pages
+(:meth:`BufferManager.pin_windows`) and gather from the arena in place.
 """
 
 from __future__ import annotations
@@ -17,7 +23,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from repro.common.obs import (
     EV_BUFFER_READ,
@@ -26,7 +34,7 @@ from repro.common.obs import (
     CounterDeltaMixin,
     WaitEventStats,
 )
-from repro.pgsim.constants import DEFAULT_BUFFER_POOL_PAGES
+from repro.pgsim.constants import DEFAULT_BUFFER_POOL_PAGES, INVALID_BLOCK
 from repro.pgsim.page import Page
 from repro.pgsim.storage import DiskManager
 
@@ -39,17 +47,25 @@ class BufferPoolExhaustedError(RuntimeError):
 
 
 class Frame:
-    """One buffer-pool slot holding a page image."""
+    """One resident page: the arena slot holding its image, pins, usage."""
 
-    __slots__ = ("rel", "blkno", "page", "pin_count", "dirty", "usage")
+    __slots__ = ("rel", "blkno", "page", "slot", "pin_count", "dirty", "usage", "checked")
 
-    def __init__(self, rel: str, blkno: int, page: Page) -> None:
+    def __init__(self, rel: str, blkno: int, page: Page, slot: int) -> None:
         self.rel = rel
         self.blkno = blkno
         self.page = page
+        #: Index of the arena slot ``page.buf`` views.
+        self.slot = slot
         self.pin_count = 0
         self.dirty = False
         self.usage = 1
+        #: A page-format check's verdict on this image, ``(checker,
+        #: result)``, kept until the image changes (PostgreSQL verifies a
+        #: page once, at read-in): cleared on load, on :meth:`BufferManager.
+        #: new_page` and on every dirty unpin.  See
+        #: :meth:`repro.pase.layout.PageLayout.count`.
+        self.checked: tuple[object, int] | None = None
 
 
 @dataclass(slots=True)
@@ -106,9 +122,20 @@ class BufferManager:
         #: cannot erase what is already in the pages).
         self.wal = wal
         self.stats = BufferStats()
+        #: The page arena: ``capacity`` slots of ``page_size`` bytes, then
+        #: one spare page of zeros, so a fixed-width record read at any
+        #: tuple's start stays inside it.  Allocated at the first load,
+        #: zero-filled on demand by the OS, so untouched slots cost no
+        #: memory.
+        self.arena = np.empty(0, dtype=np.uint8)
+        self._arena_view: memoryview | None = None
+        #: Slots no resident page holds, next one last.
+        self._free: list[int] = list(range(capacity - 1, -1, -1))
         self._frames: dict[tuple[str, int], Frame] = {}
         self._clock_keys: list[tuple[str, int]] = []
         self._hand = 0
+        #: Formatted empty page images by special-space size.
+        self._blank: dict[int, bytes] = {}
 
     # ------------------------------------------------------------------
     # pin/unpin
@@ -123,24 +150,20 @@ class BufferManager:
             if frame.usage < MAX_USAGE_COUNT:
                 frame.usage += 1
             return frame
-        self.stats.misses += 1
         miss_start = perf_counter()
-        evict_seconds = 0.0
-        if len(self._frames) >= self.capacity:
-            self._evict_one()
-            evict_end = perf_counter()
-            evict_seconds = evict_end - miss_start
-            self.waits.record(EV_LWLOCK_BUFFER_CLOCK, evict_seconds)
+        slot, evict_seconds = self._take_slot()
+        self.stats.misses += 1
         read_start = perf_counter()
-        data = self.disk.read_block(rel, blkno)
-        read_seconds = perf_counter() - read_start
-        self.waits.record(EV_DATA_FILE_READ, read_seconds)
-        page = Page(bytearray(data))
-        page.verify_checksum()
-        frame = Frame(rel, blkno, page)
-        frame.pin_count = 1
-        self._frames[key] = frame
-        self._clock_keys.append(key)
+        page = Page(self._slot_view(slot))
+        try:
+            self.disk.read_block(rel, blkno, page.buf)
+            read_seconds = perf_counter() - read_start
+            self.waits.record(EV_DATA_FILE_READ, read_seconds)
+            page.verify_checksum()
+        except BaseException:
+            self._free.append(slot)
+            raise
+        frame = self._install(rel, blkno, page, slot)
         # Remaining miss handling (checksum verify, frame install):
         # blocked time that a pointer dereference would not pay.
         self.waits.record(
@@ -149,12 +172,14 @@ class BufferManager:
         return frame
 
     def unpin(self, frame: Frame, dirty: bool = False) -> None:
-        """Release a pin, optionally marking the page dirty."""
+        """Release a pin, optionally marking the page dirty (which drops
+        the frame's cached format verdict: the image may have changed)."""
         if frame.pin_count <= 0:
             raise RuntimeError(f"frame ({frame.rel}, {frame.blkno}) is not pinned")
         frame.pin_count -= 1
         if dirty:
             frame.dirty = True
+            frame.checked = None
 
     @contextmanager
     def page(self, rel: str, blkno: int, dirty: bool = False) -> Iterator[Page]:
@@ -165,6 +190,50 @@ class BufferManager:
         finally:
             self.unpin(frame, dirty=dirty)
 
+    def pin_windows(
+        self,
+        rel: str,
+        blocks: Iterable[int],
+        follow: Callable[[Page], int] | None = None,
+    ) -> Iterator[list[Frame]]:
+        """Pin ``blocks`` of ``rel`` in order, a window at a time, for
+        readers that gather straight from :attr:`arena`.
+
+        Each block is pinned once, through :meth:`pin`, as a pin/unpin
+        loop over them would pin it.  A window grows until the pool has
+        no frame left to give (a failed :meth:`pin` counts nothing), so a
+        small pool answers in more windows; its frames stay
+        pinned until the next pull (or until the generator is closed),
+        and bytes read from their slots are valid only until then.
+        With ``follow``, each of ``blocks`` heads a chain and
+        ``follow(page)`` names each page's successor
+        (:data:`~repro.pgsim.constants.INVALID_BLOCK` ends it).
+        """
+        pin, unpin = self.pin, self.unpin
+        window: list[Frame] = []
+        try:
+            for blkno in blocks:
+                while blkno != INVALID_BLOCK:
+                    try:
+                        frame = pin(rel, blkno)
+                    except BufferPoolExhaustedError:
+                        # Every other frame is pinned or holds uncommitted
+                        # changes: finish this window, then retry.
+                        if not window:
+                            raise
+                        yield window
+                        window, done = [], window
+                        for frame in done:
+                            unpin(frame)
+                        continue
+                    window.append(frame)
+                    blkno = INVALID_BLOCK if follow is None else follow(frame.page)
+            if window:
+                yield window
+        finally:
+            for frame in window:
+                unpin(frame)
+
     # ------------------------------------------------------------------
     # allocation
     # ------------------------------------------------------------------
@@ -174,19 +243,45 @@ class BufferManager:
         Returns ``(blkno, pinned frame)``; the frame is already marked
         dirty and must be unpinned by the caller.
         """
-        page = Page.init(self.disk.page_size, special_size=special_size)
-        blkno = self.disk.extend(rel, bytes(page.buf))
-        key = (rel, blkno)
-        if len(self._frames) >= self.capacity:
-            evict_start = perf_counter()
-            self._evict_one()
-            self.waits.record(EV_LWLOCK_BUFFER_CLOCK, perf_counter() - evict_start)
-        frame = Frame(rel, blkno, page)
-        frame.pin_count = 1
+        image = self._blank.get(special_size)
+        if image is None:
+            image = bytes(Page.init(self.disk.page_size, special_size=special_size).buf)
+            self._blank[special_size] = image
+        blkno = self.disk.extend(rel, image)
+        slot, __ = self._take_slot()
+        page = Page(self._slot_view(slot))
+        page.buf[:] = image
+        frame = self._install(rel, blkno, page, slot)
         frame.dirty = True
+        return blkno, frame
+
+    def _take_slot(self) -> tuple[int, float]:
+        """A slot for a page about to be loaded — an unused one, else the
+        clock-sweep victim's — and the seconds eviction took."""
+        if len(self._frames) < self.capacity:
+            if not len(self.arena):
+                page_size = self.disk.page_size
+                self.arena = np.zeros((self.capacity + 1) * page_size, dtype=np.uint8)
+                self._arena_view = memoryview(self.arena)
+            return self._free.pop(), 0.0
+        evict_start = perf_counter()
+        slot = self._evict_one()
+        evict_seconds = perf_counter() - evict_start
+        self.waits.record(EV_LWLOCK_BUFFER_CLOCK, evict_seconds)
+        return slot, evict_seconds
+
+    def _slot_view(self, slot: int) -> memoryview:
+        page_size = self.disk.page_size
+        return self._arena_view[slot * page_size : (slot + 1) * page_size]
+
+    def _install(self, rel: str, blkno: int, page: Page, slot: int) -> Frame:
+        """Enter a loaded page into the frame table, pinned once."""
+        key = (rel, blkno)
+        frame = Frame(rel, blkno, page, slot)
+        frame.pin_count = 1
         self._frames[key] = frame
         self._clock_keys.append(key)
-        return blkno, frame
+        return frame
 
     # ------------------------------------------------------------------
     # write-back
@@ -196,7 +291,7 @@ class BufferManager:
         if not frame.dirty:
             return
         frame.page.update_checksum()
-        self.disk.write_block(frame.rel, frame.blkno, bytes(frame.page.buf))
+        self.disk.write_block(frame.rel, frame.blkno, frame.page.buf)
         frame.dirty = False
         self.stats.dirty_writebacks += 1
 
@@ -213,14 +308,16 @@ class BufferManager:
             if frame.pin_count:
                 raise RuntimeError(f"cannot drop {rel!r}: block {key[1]} is pinned")
             del self._frames[key]
+            self._free.append(frame.slot)
         self._clock_keys = [k for k in self._clock_keys if k[0] != rel]
         self._hand = 0
 
     # ------------------------------------------------------------------
     # eviction
     # ------------------------------------------------------------------
-    def _evict_one(self) -> None:
-        """Clock sweep: find an unpinned frame with zero usage, evict it."""
+    def _evict_one(self) -> int:
+        """Clock sweep: find an unpinned frame with zero usage, evict it;
+        returns its slot."""
         if not self._clock_keys:
             raise BufferPoolExhaustedError("buffer pool is empty but full?")
         sweeps = 0
@@ -249,7 +346,7 @@ class BufferManager:
                         self._clock_keys[self._hand] = last
                         self._hand += 1
                     self.stats.evictions += 1
-                    return
+                    return frame.slot
             self._hand += 1
             sweeps += 1
         raise BufferPoolExhaustedError(

@@ -33,7 +33,13 @@ from typing import Any, Collection, Iterator, Sequence
 import numpy as np
 
 from repro.pgsim.buffer import BufferManager
-from repro.pgsim.page import PageCorruptError, PageFullError, item_arrays, live_item_arrays
+from repro.pgsim.page import (
+    PageCorruptError,
+    PageFullError,
+    gather_records,
+    item_arrays,
+    live_item_arrays,
+)
 from repro.pgsim.stats import HeapAccessStats
 from repro.pgsim.tuple_format import (
     HEADER_DTYPE,
@@ -70,13 +76,14 @@ from repro.pgsim.xact import (
 CHUNK_PAGES = 64
 
 #: Fewest keys a by-key :meth:`HeapTable.fetch_many` reads column-wise;
-#: smaller calls walk tuple by tuple.  The column-wise read costs ~100 us
-#: of NumPy calls before its first key, then ~1.5 us per distinct block
-#: (pin and page copy).  Measured on a 2-core Xeon over a 20 000-row
-#: 128-d table, it beats the walk from ~64 keys when they share 8
-#: blocks and from ~250 when each key has a block of its own; HNSW
-#: masks a few keys per hop, the IVF AMs hundreds per widening round.
-KEYED_READ_MIN = 128
+#: smaller calls walk tuple by tuple.  The column-wise read costs ~120 us
+#: of NumPy calls before its first key, then ~0.8 us per distinct block
+#: (its pin and unpin: the tuples are gathered from the pinned slots, no
+#: page is copied).  Measured on a 2-core Xeon over a 20 000-row 128-d
+#: table (best of 60 calls), it beats the walk from 48-64 keys whether
+#: they share 8 blocks or each has a block of its own.  HNSW masks a few
+#: keys per hop, the IVF AMs hundreds per widening round.
+KEYED_READ_MIN = 64
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -145,13 +152,29 @@ class HeapChunk:
         ]
 
 
-def _records(data: np.ndarray, starts: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """One ``dtype`` record read at each of ``starts`` in ``data``: one
-    row gather from the byte windows of ``data``, which must extend
-    ``dtype.itemsize`` bytes past every start."""
-    size = dtype.itemsize
-    windows = np.ndarray((len(data) - size + 1, size), np.uint8, data, strides=(1, 1))
-    return windows[starts].view(dtype)[:, 0]
+def _merge_windows(
+    n_keys: int,
+    parts: list[tuple[np.ndarray | None, np.ndarray, np.ndarray, dict]],
+    wanted: frozenset[int],
+) -> tuple[np.ndarray, dict[int, np.ndarray | list[Any]]]:
+    """One by-key read's ``(visible, columns)`` from its windows' parts,
+    each ``(positions of its keys, their verdicts, the visible ones
+    among them, those keys' columns)``, back in key order."""
+    visible = np.zeros(n_keys, dtype=bool)
+    for at, judged, __, __ in parts:
+        visible[at] = judged
+    order = np.argsort(np.concatenate([at[keep] for at, __, keep, __ in parts]), kind="stable")
+    columns: dict[int, np.ndarray | list[Any]] = {}
+    for i in wanted:
+        pieces = [part[3][i] for part in parts]
+        if all(isinstance(piece, np.ndarray) for piece in pieces):
+            columns[i] = np.concatenate(pieces)[order]
+        else:
+            merged = [v for piece in pieces for v in (
+                piece.tolist() if isinstance(piece, np.ndarray) else piece
+            )]
+            columns[i] = [merged[j] for j in order.tolist()]
+    return visible, columns
 
 
 class HeapTable:
@@ -210,7 +233,7 @@ class HeapTable:
         dead = 0
         for __, pages, data in self._page_chunks(0):
             __, __, starts, __ = live_item_arrays(pages)
-            deleted = int(np.count_nonzero(_records(data, starts, HEADER_DTYPE)["xmax"]))
+            deleted = int(np.count_nonzero(gather_records(data, starts, HEADER_DTYPE)["xmax"]))
             count += len(starts) - deleted
             dead += deleted
         self.tuple_count = count
@@ -435,7 +458,8 @@ class HeapTable:
         unstamped = 0
         for first, pages, data in self._page_chunks(0):
             page_idx, items, starts, __ = live_item_arrays(pages)
-            dead, cleared = self._vacuum_verdicts(_records(data, starts, HEADER_DTYPE), horizon)
+            headers = gather_records(data, starts, HEADER_DTYPE)
+            dead, cleared = self._vacuum_verdicts(headers, horizon)
             changes: dict[int, tuple[list[int], list[int]]] = {}
             judged = np.flatnonzero(dead | cleared)
             for p, item, is_dead in zip(
@@ -608,47 +632,61 @@ class HeapTable:
         """:meth:`fetch_many` by packed key, projected.
 
         Each distinct block is pinned once, in order of first
-        appearance, and copied under its pin.  Then, for all keys at
-        once: one line-pointer range and dead-item check
-        (:func:`~repro.pgsim.page.item_arrays`), one gather of each
-        tuple's header and fixed-offset prefix, one visibility verdict
-        (:func:`~repro.pgsim.xact.visible_mask`), and :meth:`_columns`'
-        decode — the projected :meth:`scan_batches` over addressed
-        tuples.  Below :data:`KEYED_READ_MIN` keys that fixed cost
-        exceeds a walk, so :meth:`_fetch_at` reads them one by one.
-        Either way the errors, verdicts, values, pins and
-        ``tuples_fetched`` are those of the TID form.
+        appearance, a window of them at a time
+        (:meth:`~repro.pgsim.buffer.BufferManager.pin_windows`).  Then,
+        for all keys of a window at once, straight from the buffer
+        pool's arena while the window is pinned: one line-pointer range
+        and dead-item check (:func:`~repro.pgsim.page.item_arrays`), one
+        gather of each tuple's header and fixed-offset prefix, one
+        visibility verdict (:func:`~repro.pgsim.xact.visible_mask`), and
+        :meth:`_columns`' decode — the projected :meth:`scan_batches`
+        over addressed tuples, without copying a page.  Below
+        :data:`KEYED_READ_MIN` keys that fixed cost exceeds a walk, so
+        :meth:`_fetch_at` reads them one by one.  Either way the errors,
+        verdicts, values, pins and ``tuples_fetched`` are those of the
+        TID form.
         """
         wanted = frozenset(range(len(self.schema)) if columns is None else columns)
-        if len(keys) < KEYED_READ_MIN:
+        if len(keys) < max(KEYED_READ_MIN, 1):
             rows = self._fetch_at(keys.tolist(), snapshot, wanted)
             kept = [row for row in rows if row is not None]
             visible = np.array([row is not None for row in rows], dtype=bool)
             return visible, {i: [row[i] for row in kept] for i in wanted}
         prefix = self._prefix(wanted)
         record = HEADER_DTYPE if prefix is None else prefix
-        blocks, first, slot = np.unique(keys >> 16, return_index=True, return_inverse=True)
+        blocks, first, block_of = np.unique(keys >> 16, return_index=True, return_inverse=True)
         pin_order = np.argsort(first, kind="stable")
-        rank = np.empty_like(pin_order)
-        rank[pin_order] = np.arange(len(pin_order))
-        page_size = self.buffer.disk.page_size
-        buf = bytearray(len(blocks) * page_size + record.itemsize)
-        for i, blkno in enumerate(blocks[pin_order].tolist()):
-            frame = self.buffer.pin(self.relation, blkno)
-            try:
-                buf[i * page_size : (i + 1) * page_size] = frame.page.buf
-            finally:
-                self.buffer.unpin(frame)
-        data = np.frombuffer(buf, dtype=np.uint8)
-        pages = data[: len(blocks) * page_size].reshape(len(blocks), page_size)
-        starts, lengths = item_arrays(pages, rank[slot], keys & 0xFFFF)
-        headers = _records(data, starts, record)
-        visible = visible_mask(self.xact, snapshot, headers["xmin"], headers["xmax"])
-        keep = np.flatnonzero(visible)
-        self.stats.tuples_fetched += len(keep)
-        return visible, self._columns(
-            data, headers[keep], starts[keep], lengths[keep], wanted, prefix
-        )
+        block_rank = np.empty_like(pin_order)
+        block_rank[pin_order] = np.arange(len(pin_order))
+        rank = block_rank[block_of]  # each key's block's place in pin order
+        offsets = keys & 0xFFFF
+        buffer = self.buffer
+        parts: list[tuple[np.ndarray | None, np.ndarray, np.ndarray, dict]] = []
+        done = 0
+        for window in buffer.pin_windows(self.relation, blocks[pin_order].tolist()):
+            slots = np.array([frame.slot for frame in window])
+            if len(window) == len(blocks):
+                at, in_rank = None, rank
+                page_idx, key_offsets = slots[rank], offsets
+            else:
+                at = np.flatnonzero((rank >= done) & (rank < done + len(window)))
+                in_rank = rank[at]
+                page_idx, key_offsets = slots[in_rank - done], offsets[at]
+            done += len(window)
+            data = buffer.arena
+            starts, lengths = item_arrays(
+                data, buffer.disk.page_size, page_idx, key_offsets, in_rank
+            )
+            headers = gather_records(data, starts, record)
+            visible = visible_mask(self.xact, snapshot, headers["xmin"], headers["xmax"])
+            keep = np.flatnonzero(visible)
+            parts.append((at, visible, keep, self._columns(
+                data, headers[keep], starts[keep], lengths[keep], wanted, prefix
+            )))
+        self.stats.tuples_fetched += sum(len(keep) for __, __, keep, __ in parts)
+        if len(parts) == 1 and parts[0][0] is None:
+            return parts[0][1], parts[0][3]
+        return _merge_windows(len(keys), parts, wanted)
 
     def fetch_column_many(
         self, tids: Sequence[TID], column_index: int, snapshot: Snapshot | None = None
@@ -787,7 +825,7 @@ class HeapTable:
         record = HEADER_DTYPE if prefix is None else prefix
         for first, pages, data in self._page_chunks(record.itemsize):
             page_idx, items, starts, lengths = live_item_arrays(pages)
-            headers = _records(data, starts, record)
+            headers = gather_records(data, starts, record)
             visible = visible_mask(self.xact, snapshot, headers["xmin"], headers["xmax"])
             keep = np.flatnonzero(visible)
             if not len(keep):
@@ -852,10 +890,15 @@ class HeapTable:
 
     def _page_chunks(self, pad: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """The heap's pages, :data:`CHUNK_PAGES` at a time, each pinned
-        once and copied before its unpin (the pattern of the index
-        layouts' page-granular reader): ``(first block, (pages, page size) byte matrix, the same
-        bytes flat plus ``pad`` zero bytes)``.  The padding keeps a
-        fixed-width record read at any tuple's start inside the copy."""
+        once and copied before its unpin: ``(first block, (pages, page
+        size) byte matrix, the same bytes flat plus ``pad`` zero
+        bytes)``.  The padding keeps a fixed-width record read at any
+        tuple's start inside the copy.  Unlike the by-key read, which
+        finishes with its pages while they are pinned, a chunk of
+        :meth:`scan_batches` goes up to the executor, which holds it
+        across the pulls of the operators above (and decodes whole rows
+        from it later, :meth:`HeapChunk.decode`); pinning its pages that
+        long could starve a small pool, so they are copied."""
         page_size = self.buffer.disk.page_size
         n_blocks = self.n_blocks()
         for first in range(0, n_blocks, CHUNK_PAGES):

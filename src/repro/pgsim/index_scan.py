@@ -10,7 +10,10 @@ contract.  How it does so is the RC#3 toggle, and the only thing
   candidate, lazily, so the scan stops paying the moment the k-th row
   survives;
 * ``amgetbatch`` (:func:`_batch_pass`): one ``get_batch`` and one
-  block-grouped ``heap.fetch_many`` per pass.
+  block-grouped ``heap.fetch_many`` per pass — with a pushed-down
+  filter, candidates are first qualified by key through the in-filter's
+  column mask (:func:`_column_mask`), and only the rows the scan can
+  still emit are fetched whole.
 
 Both feed the same survivor loop (:func:`_survivor_rows`), so dead-tuple
 skipping, the pushed-down filter, the over-fetch rescans and both
@@ -93,14 +96,38 @@ def _tuple_pass(
         yield tid, distance, None if tid in seen else fetch(tid)
 
 
-def _batch_pass(run: PlanRun, node: P.IndexScan, fetch_k: int, rescan: bool) -> Candidates:
+def _batch_pass(
+    run: PlanRun,
+    node: P.IndexScan,
+    fetch_k: int,
+    rescan: bool,
+    qualify: Callable[[np.ndarray], np.ndarray] | None,
+    seen: set,
+    owed: int,
+) -> Candidates:
+    """One ``get_batch`` pass.  Without a filter: every candidate's row
+    from one block-grouped ``heap.fetch_many``.  With one (``qualify``,
+    a :func:`_column_mask`): the candidates no earlier pass examined
+    are qualified by key, reading only the predicate's columns, and
+    whole rows are fetched only for the first ``owed`` that pass — the
+    rows the scan can still emit; every other candidate comes back
+    without values, as a dead one does."""
     am = node.index.am
     get_batch = am.amrescan_continue_batch if rescan else am.get_batch
     batch = get_batch(node.query_vector, fetch_k)
     tids = batch.tids()
+    heap = node.table.heap
+    if qualify is None:
+        with run.profiler.section(SEC_TUPLE_ACCESS):
+            fetched = heap.fetch_many(tids, snapshot=run.snapshot)
+        return zip(tids, batch.distances.tolist(), fetched)
+    fresh = [i for i, tid in enumerate(tids) if tid not in seen]
+    keys = (batch.blknos[fresh] << 16) | batch.offsets[fresh]
+    passed = qualify(keys).tolist()
+    winners = [tids[i] for i, ok in zip(fresh, passed) if ok][:owed]
     with run.profiler.section(SEC_TUPLE_ACCESS):
-        fetched = node.table.heap.fetch_many(tids, snapshot=run.snapshot)
-    return zip(tids, batch.distances.tolist(), fetched)
+        rows = dict(zip(winners, heap.fetch_many(winners, snapshot=run.snapshot)))
+    return ((tid, distance, rows.get(tid)) for tid, distance in zip(tids, batch.distances.tolist()))
 
 
 def _survivor_rows(run: PlanRun, node: P.IndexScan) -> Iterator[Row]:
@@ -125,9 +152,12 @@ def _survivor_rows(run: PlanRun, node: P.IndexScan) -> Iterator[Row]:
     probing = begin_quality_probe(run, node)
     emitted: list[TID] = []
     rescan = False
+    qualify = _column_mask(run, node)[0] if node.batch and node.filter is not None else None
     while True:
         if node.batch:
-            candidates = _batch_pass(run, node, fetch_k, rescan)
+            candidates = _batch_pass(
+                run, node, fetch_k, rescan, qualify, seen, node.k - len(emitted)
+            )
         else:
             candidates = _tuple_pass(run, node, seen, fetch_k, rescan)
         n_hits = 0
@@ -141,8 +171,8 @@ def _survivor_rows(run: PlanRun, node: P.IndexScan) -> Iterator[Row]:
             row = dict(zip(names, values))
             row["__tid__"] = tid
             row["__distance__"] = distance
-            if node.filter is not None and not E.evaluate(node.filter, row):
-                continue  # index-time post-filter
+            if qualify is None and node.filter is not None and not E.evaluate(node.filter, row):
+                continue  # index-time post-filter (batch passes qualified by key)
             emitted.append(tid)
             if probing and len(emitted) >= node.k:
                 # Finish before yielding the k-th row: a Limit above
@@ -303,7 +333,8 @@ def _predicate_mask(run: PlanRun, node: P.IndexScan):
 
 
 def _column_mask(run: PlanRun, node: P.IndexScan):
-    """Column-wise mask closure for ``amsearch_filtered_batch``.
+    """Column-wise mask closure for ``amsearch_filtered_batch`` (and the
+    batch post-filter's qualification, :func:`_batch_pass`).
 
     The AM hands over packed TID keys
     (:func:`~repro.pgsim.heapam.tid_key`) — for the IVF AMs a whole

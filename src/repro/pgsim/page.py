@@ -1,6 +1,7 @@
 """Slotted pages with PostgreSQL-style headers and line pointers.
 
-A page is a fixed-size ``bytearray``::
+A page is a fixed-size writable byte buffer — a ``bytearray``, or in the
+buffer pool a ``memoryview`` of the page's arena slot::
 
     +----------------------+  0
     | page header (24 B)   |
@@ -59,7 +60,7 @@ class Page:
 
     __slots__ = ("buf", "page_size")
 
-    def __init__(self, buf: bytearray) -> None:
+    def __init__(self, buf: bytearray | memoryview) -> None:
         if len(buf) < MIN_PAGE_SIZE:
             raise ValueError(f"page buffer too small: {len(buf)} bytes")
         self.buf = buf
@@ -197,7 +198,9 @@ class Page:
         return bytes(self.buf[off : off + length])
 
     def get_item_view(self, offset_number: int) -> memoryview:
-        """Zero-copy view of an item (valid while the page is pinned)."""
+        """Zero-copy view of an item.  In the buffer pool it is valid
+        only while the page is pinned: after the unpin its arena slot
+        may hold another block.  Copy what must outlive the pin."""
         off, length = self.item_bounds(offset_number)
         return memoryview(self.buf)[off : off + length]
 
@@ -281,8 +284,9 @@ class Page:
     # ------------------------------------------------------------------
     def compute_checksum(self) -> int:
         """CRC-16-ish checksum over everything but the checksum field."""
-        crc = zlib.crc32(self.buf[:8])
-        crc = zlib.crc32(self.buf[10:], crc)
+        view = memoryview(self.buf)  # slices of a view copy nothing
+        crc = zlib.crc32(view[:8])
+        crc = zlib.crc32(view[10:], crc)
         return crc & 0xFFFF
 
     def update_checksum(self) -> None:
@@ -349,35 +353,52 @@ def live_item_arrays(pages: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return page_idx, item_idx, starts, found["len"].astype(np.int64)
 
 
+def gather_records(data: np.ndarray, starts: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """One ``dtype`` record copied out of the flat byte array ``data`` at
+    each of ``starts``: one row gather from the byte windows of
+    ``data``, which must extend ``dtype.itemsize`` bytes past every
+    start.  The records are a copy; nothing of them refers to ``data``."""
+    size = dtype.itemsize
+    windows = np.ndarray((len(data) - size + 1, size), np.uint8, data, strides=(1, 1))
+    return windows[starts].view(dtype)[:, 0]
+
+
 def item_arrays(
-    pages: np.ndarray, page_idx: np.ndarray, offsets: np.ndarray
+    data: np.ndarray,
+    page_size: int,
+    page_idx: np.ndarray,
+    offsets: np.ndarray,
+    rank: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:meth:`Page.item_bounds` for many addressed items at once.
 
-    ``pages`` is an ``(n pages, page size)`` byte matrix; item ``i`` is
-    offset number ``offsets[i]`` on page ``page_idx[i]``.  Returns each
-    item's byte offset within ``pages.ravel()`` and its length — one
-    read of every page's ``lower``, one range check and one gather of
-    the addressed line pointers for all items.
+    ``data`` is a flat byte array of pages (the buffer pool's arena, or
+    page copies); item ``i`` is offset number ``offsets[i]`` on page
+    ``page_idx[i]`` of it.  Returns each item's byte offset within
+    ``data`` and its length — one read of each item's page ``lower``,
+    one range check and one gather of the addressed line pointers, all
+    reading only the addressed pages.
 
     Raises:
         IndexError, PageCorruptError: as :meth:`Page.item_bounds` does,
-            for the first failing item in page order, then array order —
-            the one a loop over the pages, each page's items in turn,
-            meets first.
+            for the first failing item in ``rank`` order (default: page
+            order), then array order — the one a loop over the pages in
+            that order, each page's items in turn, meets first.
     """
-    page_size = pages.shape[1]
-    lower = pages[:, 12:14].copy().view("<u2")[:, 0]  # header bytes 12-13
-    counts = (lower.astype(np.int64) - PAGE_HEADER_SIZE) // LINE_POINTER_SIZE
-    in_range = (offsets >= 1) & (offsets <= counts[page_idx])
+    base = page_idx * page_size
+    lower = data[base + 12].astype(np.int64) | data[base + 13].astype(np.int64) << 8
+    counts = (lower - PAGE_HEADER_SIZE) // LINE_POINTER_SIZE
+    in_range = (offsets >= 1) & (offsets <= counts)
     # Out-of-range items read their page's first pointer slot instead.
     slots = np.where(in_range, offsets, 1) - 1
-    at = page_idx * page_size + PAGE_HEADER_SIZE + slots * LINE_POINTER_SIZE
-    pointer_bytes = pages.reshape(-1)[at[:, None] + np.arange(LINE_POINTER_SIZE)]
+    at = base + PAGE_HEADER_SIZE + slots * LINE_POINTER_SIZE
+    pointer_bytes = data[at[:, None] + np.arange(LINE_POINTER_SIZE)]
     pointers = pointer_bytes.view(_LINE_POINTER)[:, 0]
     failed = ~in_range | (pointers["len"] == 0)
     if failed.any():
         bad = np.flatnonzero(failed)
-        first = int(bad[np.lexsort((bad, page_idx[bad]))[0]])
-        Page(bytearray(pages[page_idx[first]])).item_bounds(int(offsets[first]))
-    return page_idx * page_size + pointers["off"], pointers["len"].astype(np.int64)
+        order = page_idx if rank is None else rank
+        first = int(bad[np.lexsort((bad, order[bad]))[0]])
+        page = data[base[first] : base[first] + page_size]
+        Page(bytearray(page)).item_bounds(int(offsets[first]))
+    return base + pointers["off"], pointers["len"].astype(np.int64)

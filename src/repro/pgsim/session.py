@@ -36,6 +36,7 @@ from repro.pgsim.executor import ExecutionError
 from repro.pgsim.plan import QueryResult
 from repro.pgsim.slowlog import SlowQueryRecord
 from repro.pgsim.sql import ast, parse_sql
+from repro.pgsim.sql.lexer import tokenize
 from repro.pgsim.stats import normalize_sql
 from repro.pgsim.xact import Transaction
 
@@ -83,10 +84,11 @@ class Session:
     def execute_all(self, sql: str) -> list[QueryResult]:
         """Run statements and return every result."""
         db = self.db
-        statements = parse_sql(sql)
+        tokens = tokenize(sql)  # one lex feeds the parser and the fingerprints
+        statements = parse_sql(sql, tokens)
         track = db._tracking_enabled()
         log_ms = db.executor._duration_setting_ms("log_min_duration_statement")
-        normalized = normalize_sql(sql)
+        normalized = normalize_sql(sql, tokens)
         activity = self._activity
         results: list[QueryResult] = []
         for i, stmt in enumerate(statements):

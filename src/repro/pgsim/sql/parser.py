@@ -32,15 +32,16 @@ _ADDITIVE_OPS = {"+", "-"}
 _MULTIPLICATIVE_OPS = {"*", "/"}
 
 
-def parse_sql(sql: str) -> list[ast.Statement]:
-    """Parse a SQL string into a list of statements."""
-    return _Parser(sql).parse_statements()
+def parse_sql(sql: str, tokens: list[Token] | None = None) -> list[ast.Statement]:
+    """Parse a SQL string into a list of statements (from ``tokens``,
+    its :func:`tokenize` stream, when the caller already has it)."""
+    return _Parser(sql, tokens).parse_statements()
 
 
 class _Parser:
-    def __init__(self, sql: str) -> None:
+    def __init__(self, sql: str, tokens: list[Token] | None = None) -> None:
         self.sql = sql
-        self.tokens = tokenize(sql)
+        self.tokens = tokenize(sql) if tokens is None else tokens
         self.pos = 0
 
     # ------------------------------------------------------------------

@@ -29,7 +29,6 @@ they are plain integer increments on hot paths that already exist.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Iterator
 
 from repro.common.obs import (
@@ -47,7 +46,7 @@ from repro.common.obs import (
     label,
 )
 from repro.pgsim.buffer import BufferManager, BufferStats
-from repro.pgsim.sql.lexer import TokenType, tokenize
+from repro.pgsim.sql.lexer import Token, TokenType, tokenize
 from repro.pgsim.wal import WalStats, WriteAheadLog
 
 
@@ -122,7 +121,7 @@ class StatementStats:
         self.histogram.record(seconds)
 
 
-def normalize_sql(sql: str) -> list[str]:
+def normalize_sql(sql: str, tokens: list[Token] | None = None) -> list[str]:
     """Normalize a SQL string into per-statement fingerprint texts.
 
     Literal constants (numbers and strings) are replaced with ``?`` so
@@ -133,17 +132,13 @@ def normalize_sql(sql: str) -> list[str]:
     ``;`` exactly like the parser splits them, so the i-th normalized
     text corresponds to the i-th parsed statement.
 
-    Memoized on the raw text: normalization is a full second lexer
-    pass, and repeated statements (the common case in benchmark loops)
-    would otherwise pay it on every execution.
+    ``tokens`` is ``sql``'s :func:`tokenize` stream when the caller
+    already lexed it for the parser (the session does), so a statement
+    is lexed once.  Nothing is memoized: statements carrying vector
+    literals are nearly all distinct texts.
     """
-    return list(_normalize_cached(sql))
-
-
-@lru_cache(maxsize=512)
-def _normalize_cached(sql: str) -> tuple[str, ...]:
     groups: list[list[str]] = [[]]
-    for token in tokenize(sql):
+    for token in tokenize(sql) if tokens is None else tokens:
         if token.type == TokenType.EOF:
             break
         if token.type == TokenType.PUNCT and token.value == ";":
@@ -153,7 +148,7 @@ def _normalize_cached(sql: str) -> tuple[str, ...]:
             groups[-1].append("?")
         else:
             groups[-1].append(token.value)
-    return tuple(" ".join(group) for group in groups if group)
+    return [" ".join(group) for group in groups if group]
 
 
 @dataclass

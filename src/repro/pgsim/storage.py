@@ -54,7 +54,10 @@ class DiskManager:
     def n_blocks(self, name: str) -> int:
         raise NotImplementedError
 
-    def read_block(self, name: str, blkno: int) -> bytes:
+    def read_block(self, name: str, blkno: int, out: memoryview | None = None) -> bytes | memoryview:
+        """Block ``blkno`` of ``name``: a copy, or — given ``out``, a
+        writable buffer of one page — read straight into ``out``, which
+        is returned."""
         raise NotImplementedError
 
     def write_block(self, name: str, blkno: int, data: bytes) -> None:
@@ -103,15 +106,19 @@ class MemoryDisk(DiskManager):
     def n_blocks(self, name: str) -> int:
         return len(self._pages(name))
 
-    def read_block(self, name: str, blkno: int) -> bytes:
+    def read_block(self, name: str, blkno: int, out: memoryview | None = None) -> bytes | memoryview:
         pages = self._pages(name)
         self.reads += 1
         if blkno < 0:
             raise IndexError(f"negative block {blkno} in {name!r}")
         try:
-            return pages[blkno]
+            data = pages[blkno]
         except IndexError:
             raise IndexError(f"block {blkno} beyond end of {name!r} ({len(pages)} blocks)") from None
+        if out is None:
+            return data
+        out[:] = data
+        return out
 
     def write_block(self, name: str, blkno: int, data: bytes) -> None:
         self._check_page(data)
@@ -151,7 +158,8 @@ class FileDisk(DiskManager):
 
     Each relation file is opened once, unbuffered, and held until
     :meth:`drop_relation` or :meth:`close` (PostgreSQL's ``fd.c`` keeps
-    segments open the same way).  Pages are read with ``os.pread``.  The
+    segments open the same way).  Pages are read with ``os.pread``, or
+    with ``os.preadv`` straight into a buffer-pool slot.  The
     relation's block count is cached beside the handle: ``fstat`` sets
     it when the file is first opened, and only :meth:`create_relation`,
     :meth:`extend` and :meth:`drop_relation` change it afterwards.
@@ -202,13 +210,19 @@ class FileDisk(DiskManager):
     def n_blocks(self, name: str) -> int:
         return self._open(name).n_blocks
 
-    def read_block(self, name: str, blkno: int) -> bytes:
+    def read_block(self, name: str, blkno: int, out: memoryview | None = None) -> bytes | memoryview:
         rel = self._open(name)
         self.reads += 1
         if blkno < 0:
             raise IndexError(f"negative block {blkno} in {name!r}")
-        data = os.pread(rel.fd, self.page_size, blkno * self.page_size)
-        if len(data) != self.page_size:
+        offset = blkno * self.page_size
+        if out is None:
+            data = os.pread(rel.fd, self.page_size, offset)
+            got = len(data)
+        else:
+            data = out
+            got = os.preadv(rel.fd, [out], offset)
+        if got != self.page_size:
             raise IndexError(f"block {blkno} beyond end of {name!r}")
         return data
 

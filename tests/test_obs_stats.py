@@ -4,8 +4,9 @@ import pytest
 
 from repro.pgsim import PgSimDatabase
 from repro.pgsim.catalog import CatalogError
+from repro.pgsim.sql.lexer import tokenize
 from repro.pgsim.sql.parser import SqlSyntaxError
-from repro.pgsim.stats import _normalize_cached, normalize_sql
+from repro.pgsim.stats import normalize_sql
 
 
 @pytest.fixture()
@@ -41,21 +42,30 @@ class TestNormalizeSql:
         assert len(texts) == 2
         assert texts[1] == "select id from t"
 
-    def test_memo_cache_is_bounded(self):
-        """The normalization memo must not grow without bound under a
-        stream of distinct statement texts (ad-hoc queries with inlined
-        vector literals are exactly that)."""
-        maxsize = _normalize_cached.cache_info().maxsize
-        assert maxsize is not None
-        _normalize_cached.cache_clear()
-        for i in range(maxsize + 100):
-            normalize_sql(f"SELECT id FROM t WHERE id < {i} AND tag = 'q{i}'")
-        info = _normalize_cached.cache_info()
-        assert info.currsize <= maxsize
-        # LRU, not a freeze-once cache: recent entries are retained.
-        hits0 = info.hits
-        normalize_sql(f"SELECT id FROM t WHERE id < {maxsize + 99} AND tag = 'q{maxsize + 99}'")
-        assert _normalize_cached.cache_info().hits == hits0 + 1
+    def test_one_lex_per_statement(self, db, monkeypatch):
+        """A statement is lexed once: the parser and the fingerprint
+        read the same token stream, and the fingerprint is the one the
+        text alone gives."""
+        import repro.pgsim.session as session_mod
+        import repro.pgsim.sql.parser as parser_mod
+        import repro.pgsim.stats as stats_mod
+
+        calls = []
+
+        def counting(sql):
+            calls.append(sql)
+            return tokenize(sql)
+
+        for module in (session_mod, parser_mod, stats_mod):
+            monkeypatch.setattr(module, "tokenize", counting)
+        sql = "SELECT id FROM t WHERE id < 7; SELECT 1"
+        db.execute(sql)
+        assert calls == [sql]
+        assert normalize_sql(sql, tokenize(sql)) == normalize_sql(sql) == [
+            "select id from t where id < ?",
+            "select ?",
+        ]
+        assert "select id from t where id < ?" in db.stats.statements
 
 
 class TestQueryStatsOnResults:
