@@ -16,9 +16,12 @@ in each state drives every AM search entry point directly: ``scan``,
 ``get_batch``, ``amrescan_continue[_batch]`` and
 ``amsearch_filtered[_batch]`` at 1 / 10 / 50 % selectivity (the batch
 form's mask takes packed TID keys, the tuple form's TIDs; both judge
-by one verdict function).  Each call
+by one verdict function), and for the IVF methods the intra-query
+parallel search (PASE's shared locked heap; local heaps on
+``bridged_ivfflat``).  Each call
 prints one line: result TIDs, ``repr`` of every distance, candidates
-scored, ``last_filtered_examined`` and buffer pins; each state adds a
+scored, ``last_filtered_examined`` and buffer pins (the parallel line:
+TIDs, distances, pins and each work unit's ``serial_ops``); each state adds a
 ``size_info`` line and a ``pages`` line: one SHA-256 over every block of
 every fork in ``relations()`` order, as the buffer pool holds it (all
 but the checksum field, which only write-back stamps), so a diff covers
@@ -57,11 +60,12 @@ even a small pool may evict them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -72,6 +76,7 @@ if str(SRC) not in sys.path:
 import repro.bridged  # noqa: E402,F401  — registers bridged_ivfflat, bridged_hnsw
 import repro.pase  # noqa: E402,F401  — registers the pase_* access methods
 import repro.pgvector  # noqa: E402,F401  — registers ivfflat
+import repro.pase.parallel as pase_parallel  # noqa: E402
 import repro.specialized.parallel as spec_parallel  # noqa: E402
 from repro.common.profiling import Profiler  # noqa: E402
 from repro.common.types import DistanceType  # noqa: E402
@@ -107,6 +112,36 @@ def _lit(vec: np.ndarray) -> str:
     return ",".join(repr(float(x)) for x in np.asarray(vec, dtype=np.float32))
 
 
+@contextlib.contextmanager
+def _scheduled_units(driver: Any) -> Iterator[list[list[Any]]]:
+    """Record the work units ``driver`` hands to its ``scaling_curve``
+    (the simulated clock is left out of the dump)."""
+    scheduled: list[list[Any]] = []
+    curve = driver.scaling_curve
+
+    def record(units, *rest, **kwargs):
+        scheduled.append(list(units))
+        return curve(units, *rest, **kwargs)
+
+    driver.scaling_curve = record
+    try:
+        yield scheduled
+    finally:
+        driver.scaling_curve = curve
+
+
+def _parallel_search(am: Any, q: np.ndarray) -> tuple[list[tuple[TID, float]], list[int]]:
+    """An IVF access method's intra-query parallel search at ``NPROBE``:
+    ``(tid, distance)`` pairs and each work unit's ``serial_ops``."""
+    if am.amname == "bridged_ivfflat":
+        pairs, units = am.parallel_search_units(q, K, NPROBE)
+        return pairs, [unit.serial_ops for unit in units]
+    with _scheduled_units(pase_parallel) as scheduled:
+        result, __ = pase_parallel.parallel_search(am, q, K, NPROBE, [1, 2])
+    pairs = [(TID(n.vector_id >> 16, n.vector_id & 0xFFFF), n.distance) for n in result.neighbors]
+    return pairs, [unit.serial_ops for unit in scheduled.pop()]
+
+
 def _data(rows: int, queries: int) -> tuple[np.ndarray, ...]:
     """Base rows, extra insert rows and queries from one Gaussian mixture."""
     rng = np.random.default_rng(SEED)
@@ -139,6 +174,7 @@ class Dump:
         self.db.execute("SET ivf_recluster_threshold = 0.05")
         self.heap = heap
         self.am = self.db.catalog.find_index("ix").am
+        self.ivf = am_name in AMS
         self.id_of: dict[Any, int] = {}
 
     def refresh_ids(self) -> None:
@@ -185,6 +221,8 @@ class Dump:
                     state, qi, f"amsearch_filtered_batch_{pct}",
                     lambda: am.amsearch_filtered_batch(q, K, key_mask).pairs(),
                 )
+            if self.ivf:
+                self.parallel(state, qi, q)
         info = am.size_info()
         detail = " ".join(f"{key}={value}" for key, value in sorted(info.detail.items()))
         print(
@@ -192,6 +230,19 @@ class Dump:
             f"used={info.used_bytes}\tpages={info.page_count}\t{detail}"
         )
         print(f"{self.name}\t{state}\tpages\tsha256={self.page_fingerprint()}")
+
+    def parallel(self, state: str, qi: int, q: np.ndarray) -> None:
+        """Print one parallel search: TIDs, distances, pins, serial ops."""
+        buffer = self.db.buffer.stats
+        pins = buffer.hits + buffer.misses
+        pairs, serial_ops = _parallel_search(self.am, q)
+        pins = buffer.hits + buffer.misses - pins
+        tids = " ".join(f"{tid.blkno}:{tid.offset}" for tid, __ in pairs)
+        dists = " ".join(repr(float(d)) for __, d in pairs)
+        print(
+            f"{self.name}\t{state}\tq{qi}\tparallel\ttids=[{tids}]\tdists=[{dists}]\t"
+            f"pins={pins}\tserial_ops={serial_ops}"
+        )
 
     def page_fingerprint(self) -> str:
         """SHA-256 over every block of every fork, in ``relations()``
@@ -321,18 +372,6 @@ def _sha(*arrays: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _spec_lists(index: Any) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(ids, codes)`` of every list, in list order (through the
-    per-class arrays on trees older than ``IVFIndex.lists``)."""
-    if hasattr(index, "lists"):
-        return index.lists()
-    index._finalize()
-    payloads = getattr(index, "_bucket_vectors", None)
-    if payloads is None:
-        payloads = index._bucket_code_arrays
-    return list(zip(index._bucket_id_arrays, payloads))
-
-
 def spec_dump(base: np.ndarray, queries: np.ndarray, clusters: int) -> None:
     """The ``spec`` lines: one block per specialized build."""
     configs = [
@@ -356,7 +395,7 @@ def spec_dump(base: np.ndarray, queries: np.ndarray, clusters: int) -> None:
         index.train(base)
         index.add(base[:split])
         index.add(base[split:])
-        lists = _spec_lists(index)
+        lists = index.lists()
         sizes = " ".join(str(int(n)) for n in index.bucket_sizes())
         detail = " ".join(
             f"{key}={value}" for key, value in sorted(index.size_info().detail.items())
@@ -381,21 +420,11 @@ def spec_dump(base: np.ndarray, queries: np.ndarray, clusters: int) -> None:
         print(f"{name}\tprofile\t{calls}")
         if not parallel:
             continue
-        scheduled: list[list[Any]] = []
-        curve = spec_parallel.scaling_curve
-
-        def record(units, *rest, **kwargs):
-            scheduled.append(list(units))
-            return curve(units, *rest, **kwargs)
-
-        spec_parallel.scaling_curve = record
-        try:
+        with _scheduled_units(spec_parallel) as scheduled:
             for qi, q in enumerate(queries):
                 result, __ = spec_parallel.parallel_search(index, q, K, NPROBE, [1, 2])
                 serial_ops = [unit.serial_ops for unit in scheduled.pop()]
                 print(f"{name}\tq{qi}\tparallel\tids={result.ids}\tserial_ops={serial_ops}")
-        finally:
-            spec_parallel.scaling_curve = curve
 
 
 def main(argv: list[str] | None = None) -> int:
