@@ -76,8 +76,7 @@ if str(SRC) not in sys.path:
 import repro.bridged  # noqa: E402,F401  — registers bridged_ivfflat, bridged_hnsw
 import repro.pase  # noqa: E402,F401  — registers the pase_* access methods
 import repro.pgvector  # noqa: E402,F401  — registers ivfflat
-import repro.pase.parallel as pase_parallel  # noqa: E402
-import repro.specialized.parallel as spec_parallel  # noqa: E402
+import repro.common.parallel as parallel_driver  # noqa: E402
 from repro.common.profiling import Profiler  # noqa: E402
 from repro.common.types import DistanceType  # noqa: E402
 from repro.pgsim import PgSimDatabase  # noqa: E402
@@ -133,11 +132,8 @@ def _scheduled_units(driver: Any) -> Iterator[list[list[Any]]]:
 def _parallel_search(am: Any, q: np.ndarray) -> tuple[list[tuple[TID, float]], list[int]]:
     """An IVF access method's intra-query parallel search at ``NPROBE``:
     ``(tid, distance)`` pairs and each work unit's ``serial_ops``."""
-    if am.amname == "bridged_ivfflat":
-        pairs, units = am.parallel_search_units(q, K, NPROBE)
-        return pairs, [unit.serial_ops for unit in units]
-    with _scheduled_units(pase_parallel) as scheduled:
-        result, __ = pase_parallel.parallel_search(am, q, K, NPROBE, [1, 2])
+    with _scheduled_units(parallel_driver) as scheduled:
+        result, __ = am.parallel_search(q, K, NPROBE, [1, 2])
     pairs = [(TID(n.vector_id >> 16, n.vector_id & 0xFFFF), n.distance) for n in result.neighbors]
     return pairs, [unit.serial_ops for unit in scheduled.pop()]
 
@@ -420,9 +416,11 @@ def spec_dump(base: np.ndarray, queries: np.ndarray, clusters: int) -> None:
         print(f"{name}\tprofile\t{calls}")
         if not parallel:
             continue
-        with _scheduled_units(spec_parallel) as scheduled:
+        with _scheduled_units(parallel_driver) as scheduled:
             for qi, q in enumerate(queries):
-                result, __ = spec_parallel.parallel_search(index, q, K, NPROBE, [1, 2])
+                result, __ = parallel_driver.parallel_search(
+                    index.probe_order(q, NPROBE), index.list_scores(q), K, [1, 2]
+                )
                 serial_ops = [unit.serial_ops for unit in scheduled.pop()]
                 print(f"{name}\tq{qi}\tparallel\tids={result.ids}\tserial_ops={serial_ops}")
 

@@ -7,6 +7,7 @@ eviction traffic — while a pool that fits the index behaves like the
 paper's warmed configuration.
 """
 
+import statistics
 import time
 
 import pytest
@@ -16,6 +17,8 @@ from repro.core.study import GeneralizedVectorDB
 
 IVF_PARAMS = dict(SMOKE.params["ivf_flat"])
 K, NPROBE, N_QUERIES = SMOKE.search.k, SMOKE.search.nprobe, SMOKE.search.n_queries
+#: Alternating tiny/large timing pairs behind the thrash gate.
+PAIRS = 7
 
 
 def _engine(sift, pool_pages):
@@ -26,13 +29,27 @@ def _engine(sift, pool_pages):
     return gen
 
 
-def _mean_latency(gen, queries):
-    for q in queries:  # warm
-        gen.search(q, K)
+def _seconds(gen, queries) -> float:
     start = time.perf_counter()
     for q in queries:
         gen.search(q, K)
-    return (time.perf_counter() - start) / len(queries)
+    return time.perf_counter() - start
+
+
+def _paired_slowdown(slow_gen, fast_gen, queries) -> tuple[float, list[float]]:
+    """``PAIRS`` tiny/large-pool timings of the same queries after one
+    warm pass each, alternating which pool goes first; returns the
+    median per-pair slow/fast ratio and every pair's ratio."""
+    for gen in (slow_gen, fast_gen):
+        _seconds(gen, queries)
+    ratios = []
+    for pair in range(PAIRS):
+        if pair % 2 == 0:
+            slow, fast = _seconds(slow_gen, queries), _seconds(fast_gen, queries)
+        else:
+            fast, slow = _seconds(fast_gen, queries), _seconds(slow_gen, queries)
+        ratios.append(slow / fast)
+    return statistics.median(ratios), ratios
 
 
 @pytest.fixture(scope="module")
@@ -52,9 +69,12 @@ def test_buffer_pool_tiny(benchmark, engines, sift):
 
 def test_shape_tiny_pool_thrashes(engines, sift):
     queries = sift.queries[:N_QUERIES]
-    fast = _mean_latency(engines[4096], queries)
-    slow = _mean_latency(engines[16], queries)
-    assert slow > fast  # evictions + re-reads cost real time
+    slowdown, ratios = _paired_slowdown(engines[16], engines[4096], queries)
+    # Evictions + re-reads cost real time: slow > fast in the median pair.
+    assert slowdown > 1.0, (
+        f"16-page pool should be slower: median of {PAIRS} pairs {slowdown:.2f}x "
+        f"(pairs {', '.join(f'{r:.2f}' for r in ratios)})"
+    )
     # And the statistics show why:
     assert engines[16].db.buffer_stats.evictions > 0
     assert engines[4096].db.buffer_stats.hit_ratio > engines[16].db.buffer_stats.hit_ratio

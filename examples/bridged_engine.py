@@ -17,7 +17,7 @@ Run:  python examples/bridged_engine.py
 import time
 
 from repro.common.datasets import load_dataset
-from repro.common.parallel import scaling_curve, speedups
+from repro.common.parallel import speedups
 from repro.core.report import render_table
 from repro.core.study import GeneralizedVectorDB, SpecializedVectorDB
 
@@ -86,8 +86,8 @@ def main() -> None:
     print(render_table(["engine", "build", "search/query", "vs Faiss"], rows))
 
     # Step#4: the bridged engine's parallel path uses local heaps.
-    results, units = bridged.am.parallel_search_units(queries[0], K, NPROBE)
-    curve = speedups(scaling_curve(units, [1, 2, 4, 8]))
+    __, curve = bridged.am.parallel_search(queries[0], K, NPROBE, [1, 2, 4, 8])
+    curve = speedups(curve)
     print(f"\nbridged 8-thread intra-query speedup (local heaps): {curve[8]:.1f}x")
 
     # Same SQL surface, same answers.

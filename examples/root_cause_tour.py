@@ -9,14 +9,12 @@ Run:  python examples/root_cause_tour.py
 """
 
 from repro.common.datasets import load_dataset
-from repro.common.parallel import speedups
+from repro.common.parallel import parallel_search, speedups
 from repro.common.profiling import Profiler
 from repro.core import guidelines
 from repro.core.ablation import run_ablation
 from repro.core.root_causes import ROOT_CAUSES, RootCause
 from repro.core.study import ComparativeStudy, GeneralizedVectorDB, SpecializedVectorDB
-from repro.pase import parallel as pase_parallel
-from repro.specialized import parallel as spec_parallel
 
 PARAMS = {"clusters": 32, "sample_ratio": 0.2, "seed": 13}
 PQ_PARAMS = {"clusters": 32, "m": 16, "c_pq": 128, "sample_ratio": 0.4, "seed": 13}
@@ -55,8 +53,9 @@ def main() -> None:
     ivf = ComparativeStudy(dataset, "ivf_flat", dict(PARAMS))
     ivf.compare_build()
     q = dataset.queries[0]
-    __, spec_curve = spec_parallel.parallel_search(ivf.specialized.index, q, 20, 10, [1, 8])
-    __, pase_curve = pase_parallel.parallel_search(ivf.generalized.am, q, 20, 10, [1, 8])
+    index = ivf.specialized.index
+    __, spec_curve = parallel_search(index.probe_order(q, 10), index.list_scores(q), 20, [1, 8])
+    __, pase_curve = ivf.generalized.am.parallel_search(q, 20, 10, [1, 8])
     print(f"    8-thread intra-query speedup, Faiss local heaps:    "
           f"{speedups(spec_curve)[8]:.1f}x")
     print(f"    8-thread intra-query speedup, PASE global lock:     "

@@ -10,10 +10,9 @@ from typing import Any
 
 from repro.bench.runner import Figure, Scale, Verdict, bench_dataset, ratio, within
 from repro.common.datasets import PROFILES
-from repro.common.parallel import speedups
+from repro.common.parallel import parallel_search, speedups
 from repro.core.report import render_grouped_series
 from repro.core.study import make_specialized_index
-from repro.pase import parallel as pase_parallel
 from repro.specialized import parallel as spec_parallel
 
 THREADS = [1, 2, 4, 8]
@@ -84,12 +83,18 @@ def _fig18_build(scale: Scale) -> dict[str, Any]:
     """Intra-query parallel search scaling.
 
     Faiss partitions buckets across threads with local heaps merged at
-    the end; PASE pushes every candidate into one global locked heap.
-    The parallel Faiss answer to a second query is compared with the
-    serial one.
+    the end; PASE pushes every candidate into one global locked heap
+    (one driver, the two heap designs).  The parallel Faiss answer to a
+    second query is compared with the serial one.
     """
     name = scale.datasets[0]
     k, nprobe = scale.search.k, scale.search.nprobe
+
+    def faiss(index, query):
+        return parallel_search(
+            index.probe_order(query, nprobe), index.list_scores(query), k, THREADS
+        )
+
     speedup: dict[str, dict[int, float]] = {}
     ids_match: dict[str, bool] = {}
     for index_type in scale.parallel_index_types:
@@ -97,13 +102,12 @@ def _fig18_build(scale: Scale) -> dict[str, Any]:
         query = study.dataset.queries[0]
         spec_index = study.specialized.index
         label = index_type.upper()
-        __, spec_curve = spec_parallel.parallel_search(spec_index, query, k, nprobe, THREADS)
+        __, spec_curve = faiss(spec_index, query)
         speedup[f"Faiss {label}"] = speedups(spec_curve)
-        pase_am = study.generalized.am
-        __, pase_curve = pase_parallel.parallel_search(pase_am, query, k, nprobe, THREADS)
+        __, pase_curve = study.generalized.am.parallel_search(query, k, nprobe, THREADS)
         speedup[f"PASE {label}"] = speedups(pase_curve)
         other = study.dataset.queries[2]
-        parallel, __ = spec_parallel.parallel_search(spec_index, other, k, nprobe, THREADS)
+        parallel, __ = faiss(spec_index, other)
         ids_match[label] = parallel.ids == study.specialized.search(other, k, nprobe=nprobe).ids
     return {"speedups": speedup, "ids_match": ids_match}
 

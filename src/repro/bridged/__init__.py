@@ -9,14 +9,17 @@ every root cause neutralized:
 - **Step#1 — in-memory layout (RC#2, RC#4):** indexes persist pages
   for durability but serve searches from a memory-resident
   *memory-optimized table* (the GaussDB-style design the paper
-  recommends), bypassing the buffer manager on the hot path.
+  recommends), bypassing the buffer manager on the hot path: the
+  specialized engine's own structures (``IVFFlatIndex``,
+  ``ArrayGraphStore``) keyed by heap TIDs.
 - **Step#2 — SGEMM (RC#1):** construction assigns vectors to
   centroids with batched BLAS matmuls.
 - **Step#3 — k-sized heap (RC#6):** top-k selection uses a bounded
   heap with single-comparison rejection.
 - **Step#4 — parallelism (RC#3):** bucket scans partition into work
-  units with per-thread local heaps (see
-  :func:`repro.bridged.ivf_flat.parallel_search_units`).
+  units with per-thread local heaps
+  (:meth:`repro.bridged.ivf_flat.BridgedIVFFlat.parallel_search`, over
+  the one driver :func:`repro.common.parallel.parallel_search`).
 - **Step#5 — optimized implementations (RC#5, RC#7):** Faiss-flavour
   k-means and the norm/inner-product ADC decomposition.
 

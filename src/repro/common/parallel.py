@@ -19,12 +19,26 @@ Two effects the paper identifies are modelled explicitly:
   none.  Serial sections cannot overlap, and every handoff between
   threads costs extra (cache-line bouncing), so lock-heavy designs stop
   scaling — exactly Fig. 18's PASE curves.
+
+:func:`parallel_search` is the one intra-query search driver, for both
+heap designs and every engine.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
+
+from repro.common.heap import BoundedMaxHeap, LockedGlobalHeap, offer_topk
+from repro.common.types import SearchResult
+
+#: ``score(list) -> (ids, distances)``: one probed list's ids and its
+#: candidates' distances, as aligned arrays.
+ListScores = Callable[[int], "tuple[np.ndarray, np.ndarray]"]
 
 #: Modelled cost of one uncontended lock acquire/release + heap push
 #: critical section, in seconds.  Calibrated to a few hundred ns, the
@@ -59,12 +73,6 @@ class ScheduleResult:
     wall_seconds: float
     compute_seconds: float
     serial_seconds: float
-    thread_loads: list[float] = field(default_factory=list)
-
-    @property
-    def speedup_base(self) -> float:
-        """Ideal single-thread time (for external speedup computation)."""
-        return self.compute_seconds + self.serial_seconds
 
 
 def lpt_makespan(costs: list[float], n_threads: int) -> tuple[float, list[float]]:
@@ -88,48 +96,34 @@ def lpt_makespan(costs: list[float], n_threads: int) -> tuple[float, list[float]
     return max(loads), loads
 
 
-def simulate_schedule(
-    units: list[WorkUnit],
-    n_threads: int,
-    lock_op_seconds: float = DEFAULT_LOCK_OP_SECONDS,
-    contention_factor: float = DEFAULT_CONTENTION_FACTOR,
-) -> ScheduleResult:
+def simulate_schedule(units: list[WorkUnit], n_threads: int) -> ScheduleResult:
     """Simulate wall-clock of running ``units`` on ``n_threads`` threads.
 
     The model: compute parts schedule freely (LPT); serial sections
     form a single global critical path whose per-op cost grows with the
     number of *other* threads contending:
 
-    ``serial = total_ops * lock_op_seconds * (1 + contention_factor * (t - 1))``
+    ``serial = total_ops * DEFAULT_LOCK_OP_SECONDS * (1 + DEFAULT_CONTENTION_FACTOR * (t - 1))``
 
     Wall time is the compute makespan plus the serial critical path —
     a conservative (paper-consistent) Amdahl-style composition.
     """
     compute = sum(u.compute_seconds for u in units)
     total_ops = sum(u.serial_ops for u in units)
-    makespan, loads = lpt_makespan([u.compute_seconds for u in units], n_threads)
-    contention = 1.0 + contention_factor * max(n_threads - 1, 0)
-    serial = total_ops * lock_op_seconds * contention
+    makespan, __ = lpt_makespan([u.compute_seconds for u in units], n_threads)
+    contention = 1.0 + DEFAULT_CONTENTION_FACTOR * max(n_threads - 1, 0)
+    serial = total_ops * DEFAULT_LOCK_OP_SECONDS * contention
     return ScheduleResult(
         n_threads=n_threads,
         wall_seconds=makespan + serial,
         compute_seconds=compute,
         serial_seconds=serial,
-        thread_loads=loads,
     )
 
 
-def scaling_curve(
-    units: list[WorkUnit],
-    thread_counts: list[int],
-    lock_op_seconds: float = DEFAULT_LOCK_OP_SECONDS,
-    contention_factor: float = DEFAULT_CONTENTION_FACTOR,
-) -> dict[int, ScheduleResult]:
+def scaling_curve(units: list[WorkUnit], thread_counts: list[int]) -> dict[int, ScheduleResult]:
     """Simulate a whole thread sweep (the paper uses 1, 2, 4, 8)."""
-    return {
-        t: simulate_schedule(units, t, lock_op_seconds, contention_factor)
-        for t in thread_counts
-    }
+    return {t: simulate_schedule(units, t) for t in thread_counts}
 
 
 def speedups(curve: dict[int, ScheduleResult]) -> dict[int, float]:
@@ -138,3 +132,36 @@ def speedups(curve: dict[int, ScheduleResult]) -> dict[int, float]:
         raise ValueError("scaling curve must include the 1-thread baseline")
     base = curve[1].wall_seconds
     return {t: (base / r.wall_seconds if r.wall_seconds > 0 else float("inf")) for t, r in curve.items()}
+
+
+def parallel_search(
+    probes: Sequence[int], score: ListScores, k: int, thread_counts: list[int], heap: str = "local"
+) -> tuple[SearchResult, dict[int, ScheduleResult]]:
+    """Intra-query parallel IVF search: each probed list, scored for
+    real, is one work unit; the clock is the scheduler's.
+
+    ``heap="local"`` is Faiss's design (Sec. VII-D): each list fills its
+    own k-sized heap, merged lock-free at the end, one serial op per
+    list.  ``heap="global"`` is PASE's: every candidate is pushed into
+    one :class:`~repro.common.heap.LockedGlobalHeap`, each push a serial
+    op, which is why its Fig. 18 curves stay flat.
+    """
+    if heap not in ("local", "global"):
+        raise ValueError(f"heap must be 'local' or 'global', got {heap!r}")
+    shared, merged = LockedGlobalHeap(k), BoundedMaxHeap(k)
+    units: list[WorkUnit] = []
+    for bucket in probes:
+        start = time.perf_counter()
+        ids, dists = score(bucket)
+        if heap == "global":
+            ops = shared.lock_acquisitions
+            for dist, vid in zip(dists.tolist(), ids.tolist()):
+                shared.push(dist, vid)
+            units.append(WorkUnit(time.perf_counter() - start, shared.lock_acquisitions - ops))
+        else:
+            local = BoundedMaxHeap(k)
+            offer_topk(local, dists, ids)
+            units.append(WorkUnit(time.perf_counter() - start, serial_ops=1))
+            merged.merge(local)
+    result = SearchResult(neighbors=(shared if heap == "global" else merged).results())
+    return result, scaling_curve(units, thread_counts)

@@ -8,8 +8,8 @@ as described:
 
 - per-row (non-SGEMM) distance computation during construction (RC#1),
 - all tuple and neighbor access through the buffer manager (RC#2),
-- a global locked heap for intra-query parallelism (RC#3, in
-  :mod:`repro.pase.parallel`),
+- a global locked heap for intra-query parallelism (RC#3,
+  ``PagedIVF.parallel_search`` over :mod:`repro.common.parallel`),
 - 24-byte ``HNSWNeighborTuple`` entries and one fresh page per
   adjacency list (RC#4),
 - PASE's own k-means flavour (RC#5),

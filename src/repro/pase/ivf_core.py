@@ -2,7 +2,7 @@
 
 The paper varies two things across its IVF systems — how a list entry is
 *encoded* (raw float / PQ code / SQ8 code) and where the vector *lives*
-(on the index page, in the heap behind a TID, in a memory mirror).
+(on the index page, in the heap behind a TID, in memory as well).
 :class:`PagedIVF` owns everything else; each registered AM subclasses it
 and supplies only those two.
 
@@ -44,8 +44,9 @@ import numpy as np
 from repro.common.distance import pairwise_kernel, rows_kernel
 from repro.common.heap import BoundedMaxHeap, NaiveTopK
 from repro.common.kmeans import pase_kmeans, sample_training_rows
+from repro.common.parallel import ScheduleResult, parallel_search
 from repro.common.profiling import SEC_DISTANCE, SEC_HEAP, SEC_TUPLE_ACCESS
-from repro.common.types import BuildStats
+from repro.common.types import BuildStats, SearchResult
 from repro.pase.layout import IVF_CENTROID, IVF_DATA, IVF_META, PageLayout
 from repro.pase.options import parse_ivf_options
 from repro.pgsim.am import IndexAmRoutine, ScanBatch, topk_batch
@@ -215,7 +216,9 @@ class PagedIVF(IndexAmRoutine):
     # ------------------------------------------------------------------
     # insert
     # ------------------------------------------------------------------
-    def insert(self, tid: TID, value: Any) -> None:
+    def insert(self, tid: TID, value: Any) -> int:
+        """Append one row to the list of its nearest centroid (exact L2,
+        one centroid tuple at a time); returns that list's id."""
         if self.dim is None:
             raise RuntimeError("index must be built before single inserts")
         self._rescan_cache = None
@@ -238,6 +241,7 @@ class PagedIVF(IndexAmRoutine):
         if blkno != head:  # the chain grew a new head page
             with self._centroid(best_id, dirty=True) as (page, offno):
                 self.layouts["centroid"].put(page, offno, bucket_head=blkno)
+        return best_id
 
     # ------------------------------------------------------------------
     # vacuum (ambulkdelete)
@@ -519,6 +523,32 @@ class PagedIVF(IndexAmRoutine):
             target = min(len(order), target * 2)
         self.scan_stats.scans += 1
         self.last_filtered_examined = examined
+
+    # ------------------------------------------------------------------
+    # intra-query parallel search (RC#3)
+    # ------------------------------------------------------------------
+    def parallel_search(
+        self, query: np.ndarray, k: int, nprobe: int, thread_counts: list[int]
+    ) -> tuple[SearchResult, dict[int, ScheduleResult]]:
+        """PASE's design (Sec. VII-D): each of the ``nprobe`` nearest
+        chains is walked and scored by the variant's tuple scorer, and
+        every candidate goes into one global locked heap.  Result ids
+        are packed heap TID keys."""
+        query = self._check_query(query)
+        order, heads = self._rank_centroids(query)
+        score_one = self._tuple_scorer(query)
+
+        def score(bucket: int) -> tuple[np.ndarray, np.ndarray]:
+            keys, dists = [], []
+            for page_keys, payloads in self._chain_pages(heads[bucket]):
+                for key, payload in zip(page_keys, payloads):
+                    if (dist := score_one(key, payload)) is not None:
+                        keys.append(key)
+                        dists.append(dist)
+            return np.asarray(keys, dtype=np.int64), np.asarray(dists, dtype=np.float64)
+
+        probes = order[: max(nprobe, 1)].tolist()
+        return parallel_search(probes, score, k, thread_counts, heap="global")
 
     # ------------------------------------------------------------------
     # planner cost estimate

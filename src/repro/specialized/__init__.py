@@ -13,7 +13,9 @@ search loop, and ``IVFFlatIndex`` / ``IVFPQIndex`` / ``IVFSQ8Index``
 state only how a list entry is encoded and scored (raw floats, PQ codes
 scored through an ADC table, SQ8 codes dequantised).  ``FlatIndex`` is
 the exact baseline and ``HNSWIndex`` the graph index;
-:mod:`repro.specialized.parallel` drives any IVF variant in parallel.
+:mod:`repro.specialized.parallel` drives their parallel build, and
+:func:`repro.common.parallel.parallel_search` their intra-query search
+(``probe_order`` and ``list_scores`` are all it takes).
 
 Every optimization the paper credits Faiss for is implemented *and
 individually switchable* so the ablation experiments can turn it off:

@@ -89,8 +89,8 @@ class IVFIndex(VectorIndex):
         self.seed = seed
         self.centroids: np.ndarray | None = None
         self._centroid_sq_norms: np.ndarray | None = None
-        #: ``(assignments, payloads)`` per :meth:`add`, rows in id order.
-        self._staged: list[tuple[np.ndarray, np.ndarray]] = []
+        #: ``(ids, list ids, payloads)`` of each add not yet in :meth:`lists`.
+        self._staged: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._lists: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     # ------------------------------------------------------------------
@@ -162,37 +162,59 @@ class IVFIndex(VectorIndex):
         else:
             assignments, __ = assign_nearest_loop(data, self.centroids)
         self.build_stats.distance_computations += data.shape[0] * self.n_clusters
-        self._staged.append((assignments, self._encode(data)))
-        self._lists = None
+        ids = np.arange(self.ntotal, self.ntotal + data.shape[0], dtype=np.int64)
+        self._staged.append((ids, assignments, self._encode(data)))
         self.build_stats.add_seconds += time.perf_counter() - start
 
+    def add_core(self, ids, list_ids, vectors: np.ndarray) -> None:
+        """Faiss's ``IndexIVF::add_core`` with precomputed list ids: the
+        rows join the lists given, under the caller's ids; nothing is
+        assigned.  Call :meth:`set_centroids` first."""
+        arr = self._check_matrix(vectors)
+        ids, list_ids = np.asarray(ids, dtype=np.int64), np.asarray(list_ids, dtype=np.int64)
+        self._staged.append((ids, list_ids, self._encode(arr)))
+        self.ntotal += arr.shape[0]
+
     def lists(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """``(ids, payloads)`` of every list; ids ascend within a list."""
-        if not self._staged:
-            return [(np.empty(0, dtype=np.int64), np.empty((0, self.dim)))] * self.n_clusters
-        if self._lists is None:
-            assignments = np.concatenate([a for a, __ in self._staged])
-            payloads = np.concatenate([p for __, p in self._staged])
-            self._staged = [(assignments, payloads)]
-            # Ids are add order, so a stable sort by list keeps them ascending.
-            order = np.argsort(assignments, kind="stable")
-            bounds = np.searchsorted(assignments[order], np.arange(self.n_clusters + 1))
+        """``(ids, payloads)`` of every list, rows in add order (so ids
+        ascend unless :meth:`add_core` chose them).  Staged adds join
+        the lists with one stable sort; a list they do not touch is kept
+        as it was, so a one-row add costs O(its list), not a re-sort."""
+        if self._staged:
+            ids, list_ids, payloads = (np.concatenate(parts) for parts in zip(*self._staged))
+            self._staged = []
+            order = np.argsort(list_ids, kind="stable")
+            bounds = np.searchsorted(list_ids[order], np.arange(self.n_clusters + 1)).tolist()
+            old = self._lists or [(ids[:0], payloads[:0])] * self.n_clusters
             self._lists = [
-                (order[lo:hi], payloads[order[lo:hi]])
-                for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+                (np.concatenate([lst[0], ids[order[lo:hi]]]),
+                 np.concatenate([lst[1], payloads[order[lo:hi]]])) if hi > lo else lst
+                for lst, lo, hi in zip(old, bounds[:-1], bounds[1:])
             ]
+        if self._lists is None:
+            return [(np.empty(0, dtype=np.int64), np.empty((0, self.dim)))] * self.n_clusters
         return self._lists
 
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------
     def probe_order(self, query: np.ndarray, nprobe: int) -> np.ndarray:
-        """The ``nprobe`` list ids closest to ``query``, nearest first."""
+        """The ``nprobe`` list ids closest to ``query``, nearest first,
+        equal distances smaller id first: a stable sort's prefix, but
+        only the lists up to the ``nprobe``-th distance (ties included,
+        found with one ``np.partition``) are sorted."""
         assert self.centroids is not None
         dists = batch_kernel(self.distance_type)(query, self.centroids)[0]
         nprobe = min(nprobe, self.n_clusters)
-        part = np.argpartition(dists, nprobe - 1)[:nprobe]
-        return part[np.argsort(dists[part], kind="stable")]
+        # ``~(d > kth)`` rather than ``d <= kth``: NaNs stay in and sort last.
+        near = np.flatnonzero(~(dists > np.partition(dists, nprobe - 1)[nprobe - 1]))
+        return near[np.argsort(dists[near], kind="stable")][:nprobe]
+
+    def list_scores(self, query: np.ndarray) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
+        """Per-query ``score(list) -> (ids, distances)``, one scorer call
+        per non-empty list (what ``common.parallel.parallel_search`` takes)."""
+        lists, score, empty = self.lists(), self._list_scorer(query), np.empty(0, np.float32)
+        return lambda b: (lists[b][0], score(lists[b][1]) if len(lists[b][0]) else empty)
 
     def _search(self, query: np.ndarray, k: int, nprobe: int = 20) -> SearchResult:
         if nprobe <= 0:

@@ -1,12 +1,11 @@
-"""Parallel build/search drivers for the specialized engine (RC#3).
+"""Parallel build driver for the specialized engine (RC#3, Fig. 9).
 
 Faiss parallelizes IVF construction by splitting the base vectors
-across threads, and intra-query search by scanning different buckets
-on different threads with *local* top-k heaps merged lock-free at the
-end (Secs. V-D, VII-D).  These drivers execute that partitioning for
-real, record per-unit costs, and hand them to the deterministic
+across threads (Sec. V-D).  This driver executes that partitioning for
+real, records per-unit costs, and hands them to the deterministic
 scheduler in :mod:`repro.common.parallel` (see DESIGN.md §2 for why
-the clock — not the work — is simulated).
+the clock — not the work — is simulated).  Intra-query search has one
+driver for every engine, :func:`repro.common.parallel.parallel_search`.
 """
 
 from __future__ import annotations
@@ -15,9 +14,7 @@ import time
 
 import numpy as np
 
-from repro.common.heap import BoundedMaxHeap, offer_topk
-from repro.common.parallel import ScheduleResult, WorkUnit, scaling_curve
-from repro.common.types import SearchResult
+from repro.common.parallel import WorkUnit, scaling_curve
 from repro.specialized.ivf_core import IVFIndex
 
 
@@ -60,38 +57,3 @@ def simulate_parallel_build(
         train_seconds = index.build_stats.train_seconds
     curve = scaling_curve(units, thread_counts)
     return {t: train_seconds + r.wall_seconds for t, r in curve.items()}
-
-
-def parallel_search(
-    index: IVFIndex,
-    query: np.ndarray,
-    k: int,
-    nprobe: int,
-    thread_counts: list[int],
-) -> tuple[SearchResult, dict[int, ScheduleResult]]:
-    """Intra-query parallel search with local heaps (the Faiss design).
-
-    Each probed list is a work unit: score it with the index's own
-    scorer, fill a *local* heap.  The final lock-free merge is charged
-    as one serial op per list (a few comparisons).  Returns the
-    (correct) search result and the simulated scaling curve.
-    """
-    query = np.ascontiguousarray(query, dtype=np.float32)
-    lists = index.lists()
-    probes = index.probe_order(query, nprobe)
-    score = index._list_scorer(query)
-    global_heap = BoundedMaxHeap(k)
-    units: list[WorkUnit] = []
-    for bucket in probes.tolist():
-        start = time.perf_counter()
-        local = BoundedMaxHeap(k)
-        ids, payloads = lists[bucket]
-        if ids.shape[0] > 0:
-            offer_topk(local, score(payloads), ids)
-        cost = time.perf_counter() - start
-        global_heap.merge(local)
-        # One lock-free merge handoff per list at the end.
-        units.append(WorkUnit(compute_seconds=cost, serial_ops=1))
-
-    curve = scaling_curve(units, thread_counts)
-    return SearchResult(neighbors=global_heap.results()), curve

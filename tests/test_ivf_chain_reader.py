@@ -24,7 +24,6 @@ import repro.pase  # noqa: F401  — registers the pase_* access methods
 import repro.pgvector  # noqa: F401  — registers ivfflat
 from repro.common import pq, sq
 from repro.common.profiling import SEC_DISTANCE, SEC_HEAP, SEC_TUPLE_ACCESS, Profiler
-from repro.pase.parallel import parallel_search
 from repro.pgsim import PgSimDatabase
 from repro.pgsim.heapam import TID, key_tid
 from repro.pgsim.page import PageCorruptError
@@ -222,7 +221,7 @@ def test_scan_matches_the_per_item_walk(name, state, seed, k, nprobe, fixed_heap
         assert profiler.breakdown() == []
 
     # The shared-heap parallel driver reads the same chains.
-    result, __ = parallel_search(am, query, k, nprobe, [1])
+    result, __ = am.parallel_search(query, k, nprobe, [1])
     assert [(key_tid(n.vector_id), n.distance) for n in result.neighbors] == want
 
 

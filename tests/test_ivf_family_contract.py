@@ -2,7 +2,8 @@
 
 The page-backed variants (`pase_ivfflat`, `pase_ivfpq`, `pase_ivfsq8`,
 pgvector's `ivfflat`) share one implementation and differ only in codec
-and vector residence; `bridged_ivfflat` adds a memory mirror.  Each test
+and vector residence; `bridged_ivfflat` also serves its lists from a
+memory-resident specialized `IVFFlatIndex`.  Each test
 here runs against all of them, so a behaviour cannot drift in one
 variant without a failure naming it.
 """
@@ -21,7 +22,6 @@ import repro.pase  # noqa: F401  — registers the pase_* access methods
 import repro.pgvector  # noqa: F401  — registers ivfflat
 from repro.common import heap as heap_mod
 from repro.pase.layout import NO_BLOCK
-from repro.pase.parallel import parallel_search
 from repro.pgsim import PgSimDatabase
 from repro.pgsim.am import lookup_am
 from repro.pgsim.page import PageCorruptError
@@ -145,7 +145,7 @@ def test_tuple_and_batch_scans_pin_the_same_index_pages(ivf, monkeypatch):
 def _batch_ranking(am, query: np.ndarray, nprobe: int) -> list[int]:
     """The lists the batch interface probes, nearest first."""
     if am.amname == "bridged_ivfflat":
-        return am._probe(query, nprobe)[2]
+        return am._memory().probe_order(query, nprobe).tolist()
     return am._rank_centroids(query, batch=True)[0][:nprobe].tolist()
 
 
@@ -177,8 +177,6 @@ def test_batch_ranking_probes_the_tuple_ranking_lists(name, data, metric):
             am._recenter(cid, centroid)
         queries = rng.integers(-1, 2, size=(6, DIM)).astype(np.float32)
         queries[0] = 0.0
-        if name == "bridged_ivfflat":
-            am._mirror = None  # re-read the overwritten centroids from the pages
     for q in queries:
         tuple_order = am._rank_centroids(q)[0][:nprobe].tolist()
         assert _batch_ranking(am, q, nprobe) == tuple_order
@@ -194,11 +192,12 @@ def test_rescan_continue_equals_a_fresh_scan(ivf):
 
 
 def test_shared_heap_parallel_driver_matches_the_scan(ivf):
-    """`pase.parallel` ranks and scores through the access method, so it
-    drives every variant (it used to special-case FLAT and PQ)."""
+    """`parallel_search` ranks and scores through the access method, so
+    it drives every variant: PASE's shared locked heap over the pages,
+    or, on `bridged_ivfflat`, local heaps over the memory index."""
     ivf.db.execute("SET pase.nprobe = 3")
     for q in ivf.queries[:2]:
-        result, curve = parallel_search(ivf.am, q, 10, 3, [1, 2])
+        result, curve = ivf.am.parallel_search(q, 10, 3, [1, 2])
         keys = [(tid.blkno << 16) | tid.offset for tid, __ in ivf.am.get_batch(q, 10).pairs()]
         assert [nb.vector_id for nb in result.neighbors] == keys
         assert set(curve) == {1, 2}

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from repro.common import pq, sq
+from repro.common.distance import batch_kernel
+from repro.common.parallel import parallel_search
+from repro.common.types import DistanceType
 from repro.specialized import IVFFlatIndex, IVFPQIndex, IVFSQ8Index
-from repro.specialized import parallel as spec_parallel
 
 K, NPROBE, CLUSTERS = 10, 3, 8
 
@@ -103,6 +105,49 @@ def test_parallel_search_returns_the_serial_neighbours(built):
     variant — and IVF_PQ's naive table — gives `search`'s answer."""
     index = built.index
     for q in built.queries:
-        result, curve = spec_parallel.parallel_search(index, q, K, NPROBE, [1, 2])
+        probes, scores = index.probe_order(q, NPROBE), index.list_scores(q)
+        result, curve = parallel_search(probes, scores, K, [1, 2])
         assert result.neighbors == index.search(q, K, nprobe=NPROBE).neighbors
         assert set(curve) == {1, 2}
+
+
+@pytest.mark.parametrize("metric", list(DistanceType))
+def test_probe_order_breaks_distance_ties_toward_the_smaller_list(metric):
+    """The repo's one tie rule (DESIGN §3.1): the probed lists are a stable sort's
+    prefix, so among equal centroid distances the smaller list id is
+    both picked at the cut and ranked first.  Small integer centroids,
+    each repeated, and integer queries make many distances tie."""
+    rng = np.random.default_rng(7)
+    kernel = batch_kernel(metric)
+    for __ in range(40):
+        index = IVFFlatIndex(3, 12, distance_type=metric)
+        distinct = rng.integers(-1, 2, size=(4, 3)).astype(np.float32)
+        index.set_centroids(distinct[rng.integers(0, 4, 12)])
+        q = rng.integers(-1, 2, size=3).astype(np.float32)
+        stable = np.argsort(kernel(q, index.centroids)[0], kind="stable")
+        for nprobe in range(1, 13):
+            assert index.probe_order(q, nprobe).tolist() == stable[:nprobe].tolist()
+
+
+def test_add_core_keeps_caller_ids_and_lists_in_add_order():
+    """Rows added under caller ids to caller-chosen lists stay there,
+    nothing re-assigned; once the lists exist a one-row add appends to
+    its list only, the other lists' arrays untouched."""
+    rng = np.random.default_rng(2)
+    index = IVFFlatIndex(4, 3)
+    index.set_centroids(rng.normal(size=(3, 4)))
+    vectors = rng.normal(size=(9, 4)).astype(np.float32)
+    ids = np.asarray([90, 10, 50, 70, 30, 80, 20, 60, 40])
+    list_ids = np.asarray([2, 0, 2, 1, 0, 0, 2, 1, 1])
+    index.add_core(ids[:5], list_ids[:5], vectors[:5])
+    index.add_core(ids[5:], list_ids[5:], vectors[5:])
+    lists = index.lists()
+    for bucket in range(3):
+        rows = np.flatnonzero(list_ids == bucket)
+        assert lists[bucket][0].tolist() == ids[rows].tolist()
+        np.testing.assert_array_equal(lists[bucket][1], vectors[rows])
+    untouched = (lists[0], lists[2])
+    index.add_core(np.asarray([5]), np.asarray([1]), rng.normal(size=(1, 4)))
+    assert index.lists()[1][0].tolist() == [70, 60, 40, 5]
+    assert index.lists()[0] is untouched[0] and index.lists()[2] is untouched[1]
+    assert index.ntotal == 10 and index.bucket_sizes().tolist() == [3, 4, 3]
