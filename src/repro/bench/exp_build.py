@@ -9,10 +9,9 @@ from repro.bench.runner import (
     Figure,
     Scale,
     Verdict,
+    alternating_builds,
     grouped,
-    per_group,
     ratio,
-    ratios,
     within,
 )
 from repro.common.profiling import (
@@ -26,34 +25,55 @@ from repro.common.profiling import (
     SEC_VISITED,
 )
 from repro.core.report import render_breakdown, render_grouped_series
-from repro.core.study import ComparativeStudy, SpecializedVectorDB
+from repro.core.study import ComparativeStudy
 
 _PHASES = ("total", "train", "add")
 
 
+def _pair_gaps(pairs: list[dict[str, Any]], phase: str = "total") -> list[float]:
+    """Per alternating build pair, PASE's ``phase`` time over Faiss's."""
+    seconds = f"{phase}_seconds"
+    return [ratio(getattr(p["PASE"][0], seconds), getattr(p["Faiss"][0], seconds)) for p in pairs]
+
+
+def _pairs_detail(values: list[float]) -> str:
+    return "pairs " + ", ".join(f"{v:.2f}" for v in values)
+
+
+def _paired(
+    rows: dict[str, Any], name: str, phase: str, lo: float | None = None, hi: float | None = None
+) -> list[Verdict]:
+    """One verdict per dataset on the median of its pairs' PASE/Faiss
+    ``phase`` time ratios, every pair's ratio in the detail."""
+    return [
+        within(
+            f"{group} median PASE/Faiss {name}", statistics.median(gaps), lo, hi,
+            detail=_pairs_detail(gaps),
+        )
+        for group, gaps in zip(rows["groups"], rows["pair_gaps"][phase])
+    ]
+
+
 def _build_series(scale: Scale, index_type: str, use_sgemm: bool) -> dict[str, Any]:
-    """PASE vs Faiss build phases per dataset; Faiss rebuilt without
-    SGEMM when ``use_sgemm`` is off (PASE has no SGEMM to turn off)."""
+    """PASE vs Faiss build phases per dataset, over alternating build
+    pairs: each engine's median per phase, and every pair's ratio;
+    Faiss builds without SGEMM when ``use_sgemm`` is off (PASE has no
+    SGEMM to turn off)."""
     groups: list[str] = []
     series: dict[str, list[float]] = {
         f"{engine} {phase}": [] for engine in ("PASE", "Faiss") for phase in _PHASES
     }
+    pair_gaps: dict[str, list[list[float]]] = {phase: [] for phase in _PHASES}
     for name in scale.datasets:
-        study, cmp = scale.study(name, index_type)
-        faiss = cmp.specialized
-        if not use_sgemm:
-            spec = SpecializedVectorDB()
-            spec.load(study.dataset.base)
-            faiss = spec.create_index(index_type, **study.params, use_sgemm=False)
-        groups.append(f"{name}(n={study.dataset.n})")
-        for engine, stats in (("PASE", cmp.generalized), ("Faiss", faiss)):
-            for phase in _PHASES:
-                series[f"{engine} {phase}"].append(getattr(stats, f"{phase}_seconds"))
-    return {"groups": groups, "series": series}
-
-
-def _phase(rows: dict[str, Any], phase: str) -> list[tuple[str, float]]:
-    return ratios(rows, f"PASE {phase}", f"Faiss {phase}")
+        ds, pairs = scale.builds(name, index_type, scale.build_pairs, use_sgemm=use_sgemm)
+        groups.append(f"{name}(n={ds.n})")
+        for phase in _PHASES:
+            for engine in ("PASE", "Faiss"):
+                series[f"{engine} {phase}"].append(
+                    statistics.median(getattr(p[engine][0], f"{phase}_seconds") for p in pairs)
+                )
+            pair_gaps[phase].append(_pair_gaps(pairs, phase))
+    return {"groups": groups, "series": series, "pair_gaps": pair_gaps}
 
 
 FIG3 = Figure(
@@ -62,8 +82,8 @@ FIG3 = Figure(
     "PASE 35.0x-84.8x slower; adding phase dominates both systems",
     build=lambda scale: _build_series(scale, "ivf_flat", use_sgemm=True),
     # The gap lives in the adding phase (SGEMM vs per-row loops).
-    shape=lambda rows: per_group("PASE/Faiss build time", _phase(rows, "total"), lo=1.0)
-    + per_group("PASE/Faiss adding time", _phase(rows, "add"), lo=3.0),
+    shape=lambda rows: _paired(rows, "build time", "total", lo=1.0)
+    + _paired(rows, "adding time", "add", lo=3.0),
     render=grouped("IVF_FLAT build", gap_of=("PASE total", "Faiss total")),
 )
 
@@ -74,7 +94,7 @@ FIG4 = Figure(
     "k-means implementation difference",
     build=lambda scale: _build_series(scale, "ivf_flat", use_sgemm=False),
     # Converged, vs > 3x with SGEMM on.
-    shape=lambda rows: per_group("PASE/Faiss adding time", _phase(rows, "add"), 0.4, 3.0),
+    shape=lambda rows: _paired(rows, "adding time", "add", 0.4, 3.0),
     render=grouped("IVF_FLAT build (no SGEMM)", gap_of=("PASE add", "Faiss add")),
 )
 
@@ -83,7 +103,7 @@ FIG5 = Figure(
     "IVF_PQ index construction time",
     "PASE 6.5x-20.2x slower, same trend as IVF_FLAT",
     build=lambda scale: _build_series(scale, "ivf_pq", use_sgemm=True),
-    shape=lambda rows: per_group("PASE/Faiss build time", _phase(rows, "total"), lo=1.0),
+    shape=lambda rows: _paired(rows, "build time", "total", lo=1.0),
     render=grouped("IVF_PQ build", gap_of=("PASE total", "Faiss total")),
 )
 
@@ -92,7 +112,7 @@ FIG6 = Figure(
     "IVF_PQ construction with SGEMM disabled in Faiss",
     "gap becomes negligible (k-means/PQ implementation noise only)",
     build=lambda scale: _build_series(scale, "ivf_pq", use_sgemm=False),
-    shape=lambda rows: per_group("PASE/Faiss adding time", _phase(rows, "add"), hi=3.0),
+    shape=lambda rows: _paired(rows, "adding time", "add", hi=3.0),
     render=grouped("IVF_PQ build (no SGEMM)", gap_of=("PASE add", "Faiss add")),
 )
 
@@ -102,18 +122,12 @@ def _fig07_build(scale: Scale) -> dict[str, Any]:
     series: dict[str, list[float]] = {"PASE": [], "Faiss": []}
     pair_gaps: list[list[float]] = []
     for name in scale.hnsw_datasets:
-        ds, pairs = scale.hnsw_builds(name, scale.build_pairs)
+        ds, pairs = scale.builds(name, "hnsw", scale.build_pairs)
         groups.append(f"{name}(n={ds.n})")
         for engine in series:
             series[engine].append(statistics.median(p[engine][0].total_seconds for p in pairs))
-        pair_gaps.append(
-            [ratio(p["PASE"][0].total_seconds, p["Faiss"][0].total_seconds) for p in pairs]
-        )
-    return {"groups": groups, "series": series, "pair_gaps": pair_gaps}
-
-
-def _pairs_detail(values: list[float]) -> str:
-    return "pairs " + ", ".join(f"{v:.2f}" for v in values)
+        pair_gaps.append(_pair_gaps(pairs))
+    return {"groups": groups, "series": series, "pair_gaps": {"total": pair_gaps}}
 
 
 FIG7 = Figure(
@@ -122,13 +136,7 @@ FIG7 = Figure(
     "PASE 1.6x-8.7x slower; cause is buffer-manager indirection (RC#2)",
     build=_fig07_build,
     # The median PASE/Faiss build-time ratio of alternating build pairs.
-    shape=lambda rows: [
-        within(
-            f"{group} median PASE/Faiss build time", statistics.median(gaps),
-            lo=1.3, hi=30.0, detail=_pairs_detail(gaps),
-        )
-        for group, gaps in zip(rows["groups"], rows["pair_gaps"])
-    ],
+    shape=lambda rows: _paired(rows, "build time", "total", lo=1.3, hi=30.0),
     render=grouped("HNSW build (median of pairs)"),
 )
 
@@ -140,7 +148,7 @@ def _tab03_build(scale: Scale) -> dict[str, Any]:
     """Profiled alternating HNSW build pairs: per pair, each engine's
     breakdown rows and its inclusive SearchNbToAdd time."""
     name = scale.hnsw_datasets[0]
-    __, pairs = scale.hnsw_builds(name, scale.build_pairs, profiled=True)
+    __, pairs = scale.builds(name, "hnsw", scale.build_pairs, profiled=True)
     return {
         "dataset": name,
         "breakdowns": [
@@ -197,7 +205,7 @@ TAB3 = Figure(
 
 def _fig08_build(scale: Scale) -> dict[str, Any]:
     name = scale.hnsw_datasets[0]
-    __, (pair,) = scale.hnsw_builds(name, 1, profiled=True)
+    __, (pair,) = scale.builds(name, "hnsw", 1, profiled=True)
     return {
         "dataset": name,
         **{
@@ -254,7 +262,9 @@ FIG8 = Figure(
 def _fig10_build(scale: Scale) -> dict[str, Any]:
     """Build-time gap vs c (IVF) and bnn (HNSW).  The paper sweeps c in
     {100, 500, 1000} on SIFT1M (n=1e6); the default keeps the same
-    c/sqrt(n) proportions on the scaled dataset."""
+    c/sqrt(n) proportions on the scaled dataset.  Each IVF gap is the
+    median of alternating build pairs (every pair kept in
+    ``ivf_pair_gaps``); each HNSW gap is one build of each engine."""
     name = scale.datasets[0]
     ds = scale.dataset(name)
     hnsw_ds = scale.dataset(name, hnsw=True)
@@ -275,13 +285,23 @@ def _fig10_build(scale: Scale) -> dict[str, Any]:
     if c_values is None:
         base_c = scale.index_params(ds, "ivf_flat")["clusters"]
         c_values = (max(base_c // 3, 4), base_c, base_c * 2)
+    ivf_pair_gaps = {
+        index_type.upper(): [
+            _pair_gaps(alternating_builds(
+                ds, index_type, params(ds, index_type, clusters=c), scale.build_pairs
+            ))
+            for c in c_values
+        ]
+        for index_type in ("ivf_flat", "ivf_pq")
+    }
     return {
         "dataset": name,
         "c_values": list(c_values),
         "ivf_gaps": {
-            index_type.upper(): [gap(ds, index_type, clusters=c) for c in c_values]
-            for index_type in ("ivf_flat", "ivf_pq")
+            label: [statistics.median(pairs) for pairs in per_c]
+            for label, per_c in ivf_pair_gaps.items()
         },
+        "ivf_pair_gaps": ivf_pair_gaps,
         "bnn_values": list(scale.fig10_bnn),
         "hnsw_gaps": {"HNSW": [gap(hnsw_ds, "hnsw", bnn=b) for b in scale.fig10_bnn]},
     }
@@ -289,16 +309,19 @@ def _fig10_build(scale: Scale) -> dict[str, Any]:
 
 def _fig10_shape(rows: dict[str, Any]) -> list[Verdict]:
     pq = rows["ivf_gaps"]["IVF_PQ"]
+    pq_pairs = rows["ivf_pair_gaps"]["IVF_PQ"]
     points = [len(g) for g in rows["ivf_gaps"].values()]
     out = [
         Verdict(
             "IVF gaps per c value", min(points), f"== {len(rows['c_values'])}",
             set(points) == {len(rows["c_values"])},
         ),
-        # Growth, modulo micro-scale noise.
+        # Growth, modulo micro-scale noise: the median gaps of the pairs.
         within(
-            f"IVF_PQ gap at c={rows['c_values'][-1]} / at c={rows['c_values'][0]}",
-            ratio(pq[-1], pq[0]), lo=0.8, detail=f"gaps {pq[0]:.2f} -> {pq[-1]:.2f}",
+            f"IVF_PQ median gap at c={rows['c_values'][-1]} / at c={rows['c_values'][0]}",
+            ratio(pq[-1], pq[0]), lo=0.8,
+            detail=f"gaps {pq[0]:.2f} -> {pq[-1]:.2f}; {_pairs_detail(pq_pairs[0])} -> "
+            f"{_pairs_detail(pq_pairs[-1])}",
         ),
     ]
     out += [

@@ -88,7 +88,8 @@ class Scale:
     search: Search = Search(k=50, nprobe=20, efs=200, n_queries=15)
     recall_search: Search = Search(k=10, nprobe=10, efs=100, n_queries=12)
     ablation_search: Search = Search(k=10, nprobe=10, efs=None, n_queries=10)
-    #: Alternating PASE/Faiss HNSW build pairs behind Fig. 7 / Table III.
+    #: Alternating PASE/Faiss build pairs behind the build-time figures
+    #: (Figs. 3-7 and 10, Table III).
     build_pairs: int = 1
     #: Index types of the parallelism figures (Figs. 9 and 18).
     parallel_index_types: tuple[str, ...] = ("ivf_flat", "ivf_pq")
@@ -126,12 +127,14 @@ class Scale:
             return default_params(dataset, index_type)
         return dict(self.params[index_type])
 
-    def hnsw_builds(
-        self, name: str, pairs: int, profiled: bool = False
+    def builds(
+        self, name: str, index_type: str, pairs: int, profiled: bool = False, **override: Any
     ) -> tuple[Dataset, list[dict[str, tuple[BuildStats, Profiler | None]]]]:
-        """``name`` at the HNSW scale and :func:`alternating_hnsw_builds` of it."""
-        ds = self.dataset(name, hnsw=True)
-        return ds, alternating_hnsw_builds(ds, self.index_params(ds, "hnsw"), pairs, profiled)
+        """``name`` at ``index_type``'s scale and :func:`alternating_builds`
+        of it, with this preset's parameters and ``override`` over them."""
+        ds = self.dataset(name, hnsw=index_type == "hnsw")
+        params = {**self.index_params(ds, index_type), **override}
+        return ds, alternating_builds(ds, index_type, params, pairs, profiled)
 
     def study(self, name: str, index_type: str) -> tuple[ComparativeStudy, BuildComparison]:
         """Both engines built on ``name`` with this preset's parameters.
@@ -298,13 +301,18 @@ def _built_study(
     return study, study.compare_build()
 
 
-def alternating_hnsw_builds(
-    dataset: Dataset, params: Mapping[str, Any], pairs: int, profiled: bool = False
+def alternating_builds(
+    dataset: Dataset,
+    index_type: str,
+    params: Mapping[str, Any],
+    pairs: int,
+    profiled: bool = False,
 ) -> list[dict[str, tuple[BuildStats, Profiler | None]]]:
-    """``pairs`` PASE and Faiss HNSW builds of ``dataset`` in this
-    process, alternating which engine builds first, so that a slow
-    spell on a shared machine lands on both sides of a ratio.  Returns,
-    per pair, engine name -> (build stats, its profiler when ``profiled``)."""
+    """``pairs`` PASE and Faiss ``index_type`` builds of ``dataset`` in
+    this process, alternating which engine builds first, so that a slow
+    spell on a shared machine lands on both sides of a ratio.  Each
+    build loads a fresh engine.  Returns, per pair, engine name ->
+    (build stats, its profiler when ``profiled``)."""
     engines = {"PASE": GeneralizedVectorDB, "Faiss": SpecializedVectorDB}
     out = []
     for i in range(pairs):
@@ -313,7 +321,7 @@ def alternating_hnsw_builds(
             profiler = Profiler() if profiled else None
             engine = engines[name](profiler=profiler)
             engine.load(dataset.base)
-            pair[name] = (engine.create_index("hnsw", **params), profiler)
+            pair[name] = (engine.create_index(index_type, **params), profiler)
         out.append(pair)
     return out
 

@@ -51,15 +51,16 @@ class BridgedIVFFlat(PaseIVFFlat):
         return assignments
 
     def _flush(
-        self, centroids: np.ndarray, tids: list[TID], payloads: np.ndarray, buckets: list[list[int]]
+        self, centroids: np.ndarray, keys: np.ndarray, payloads: np.ndarray,
+        buckets: list[list[int]],
     ) -> None:
         """Durability first — the same page layout PASE uses — then the
         memory index, straight from the build's arrays."""
-        super()._flush(centroids, tids, payloads, buckets)
-        list_ids = np.empty(len(tids), dtype=np.int64)
+        super()._flush(centroids, keys, payloads, buckets)
+        list_ids = np.empty(len(keys), dtype=np.int64)
         for bucket, rows in enumerate(buckets):
             list_ids[rows] = bucket
-        self._load(centroids, [tid_key(tid) for tid in tids], list_ids, payloads)
+        self._load(centroids, keys, list_ids, payloads)
 
     def _load(self, centroids: np.ndarray, keys, list_ids, vectors: np.ndarray) -> IVFFlatIndex:
         """Install the memory index: each row joins the list given (its

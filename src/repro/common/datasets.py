@@ -172,8 +172,10 @@ def load_dataset(
             profile default keeps runs laptop-sized.
         seed: top-level seed; base and query streams are derived from it.
 
-    Queries are drawn from the *same mixture* as the base vectors (real
-    benchmark queries are held-out corpus samples).
+    Queries come from a *separately seeded* mixture: the query stream's
+    seed draws its own component means, so queries fall outside the
+    base vectors' clusters (out of distribution), unlike real benchmark
+    queries, which are held-out corpus samples.
     """
     key = name.lower()
     if key not in PROFILES:

@@ -145,13 +145,10 @@ class PagedIVF(IndexAmRoutine):
     # build
     # ------------------------------------------------------------------
     def build(self) -> None:
-        rows = [(tid, values[self.column_index]) for tid, values in self.table.scan()]
-        if not rows:
-            raise RuntimeError("cannot build an IVF index over an empty table")
-        tids = [tid for tid, __ in rows]
-        vectors = np.vstack([v for __, v in rows]).astype(np.float32)
+        keys, vectors = self._heap_vectors()
         self.dim = int(vectors.shape[1])
-        n_clusters = min(self.ivf.clusters, len(rows))
+        n_rows = len(keys)
+        n_clusters = min(self.ivf.clusters, n_rows)
 
         start = time.perf_counter()
         self.progress.set_phase("sample")
@@ -167,7 +164,7 @@ class PagedIVF(IndexAmRoutine):
         self.build_stats.train_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        self.progress.set_phase("assign", tuples_total=len(rows))
+        self.progress.set_phase("assign", tuples_total=n_rows)
         payloads = self._encode(vectors)
         self.layouts = {
             "meta": IVF_META.bind(len(self._meta_tail())),
@@ -177,29 +174,44 @@ class PagedIVF(IndexAmRoutine):
         buckets: list[list[int]] = [[] for _ in range(n_clusters)]
         for row, bucket in enumerate(self._assign(vectors, centroids).tolist()):
             buckets[bucket].append(row)
-        self.build_stats.distance_computations += len(rows) * n_clusters
+        self.build_stats.distance_computations += n_rows * n_clusters
 
         self.progress.set_phase("flush")
-        self._flush(centroids, tids, payloads, buckets)
+        self._flush(centroids, keys, payloads, buckets)
         self.build_stats.add_seconds = time.perf_counter() - start
-        self.build_stats.vectors_added = len(rows)
+        self.build_stats.vectors_added = n_rows
         self._rescan_cache = None
         self._bucket_inserts = {}
+
+    def _heap_vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every visible row's packed TID (:func:`tid_key`) and vector,
+        in heap order: the build's input.  One column-wise scan of the
+        indexed column (each page pinned once, as a tuple-at-a-time scan
+        pins it), whose chunks hand the vectors out as ``(rows, d)``
+        float32 blocks."""
+        keys, blocks = [], []
+        for chunk in self.table.scan_batches(columns=[self.column_index]):
+            keys.append((chunk.blknos << 16) | chunk.offsets)
+            column = chunk.columns[self.column_index]
+            blocks.append(column if isinstance(column, np.ndarray) else np.vstack(column))
+        if not blocks:
+            raise RuntimeError("cannot build an IVF index over an empty table")
+        return np.concatenate(keys), np.vstack(blocks).astype(np.float32)
 
     def _flush(
         self,
         centroids: np.ndarray,
-        tids: list[TID],
+        keys: np.ndarray,
         payloads: np.ndarray,
         buckets: list[list[int]],
     ) -> None:
         """Write the trained lists out as pages: each bucket a chain of
-        data pages, then the centroids carrying the chain heads."""
+        data pages, then the centroids carrying the chain heads.
+        ``keys[i]`` is the packed heap TID of ``payloads[i]``."""
         layouts, buffer = self.layouts, self.buffer
         data, centroid, meta = layouts["data"], layouts["centroid"], layouts["meta"]
         records = data.pack(
-            len(tids), heap_blkno=[tid.blkno for tid in tids],
-            heap_offset=[tid.offset for tid in tids], payload=payloads,
+            len(keys), heap_blkno=keys >> 16, heap_offset=keys & 0xFFFF, payload=payloads,
         )
         rel = self.create_fork("data")
         heads = [data.write(buffer, rel, records[rows]) for rows in buckets]

@@ -137,8 +137,7 @@ class IndexAmRoutine(abc.ABC):
         self.options = dict(options)
         #: Cumulative scan/candidate counters (``pg_stat_indexes``).
         #: Subclasses bump ``candidates`` once per tuple they compute a
-        #: distance for; the default :meth:`get_batch` inherits the
-        #: counts from the :meth:`scan` it wraps.
+        #: distance for, on both scan interfaces.
         self.scan_stats = IndexScanStats()
         #: Section profiler for build/scan breakdowns.  Harnesses (and
         #: EXPLAIN (ANALYZE, TRACE)) replace this with a live one.
@@ -170,21 +169,20 @@ class IndexAmRoutine(abc.ABC):
         ``ORDER BY vec <-> q LIMIT k`` plans.
         """
 
+    @abc.abstractmethod
     def get_batch(self, query: np.ndarray, k: int) -> ScanBatch:
         """Batched scan: the k nearest candidates as one :class:`ScanBatch`.
 
         The ``amgetbatch`` counterpart of :meth:`scan`: instead of one
         ``(tid, distance)`` per executor pull, the whole candidate set
-        comes back in NumPy arrays.  The default implementation wraps
-        :meth:`scan`, so every AM supports the batch executor path;
-        vector AMs override it with genuinely vectorized versions.
+        comes back in NumPy arrays (the batch executor path, RC#3).
         """
-        return ScanBatch.from_pairs(self.scan(query, k))
 
     def delete(self, tid: TID) -> None:
         """Unindex a heap tuple (default: not supported)."""
         raise NotImplementedError(f"{self.amname} does not support deletes")
 
+    @abc.abstractmethod
     def ambulkdelete(self, dead_tids: set[TID]) -> int:
         """Physically reclaim entries pointing at vacuumed heap tuples.
 
@@ -193,14 +191,13 @@ class IndexAmRoutine(abc.ABC):
         snapshot checks on the heap; this hook is where an AM compacts
         its structures (IVF list rewrite, HNSW neighbor repair) so dead
         entries stop costing distance computations.  Returns the number
-        of index entries removed.  The default is a no-op: an AM that
-        does nothing here stays correct, just slower under churn.
+        of index entries removed.
         """
-        return 0
 
     # ------------------------------------------------------------------
     # planner contract (amcostestimate / amrescan)
     # ------------------------------------------------------------------
+    @abc.abstractmethod
     def amcostestimate(self, ntuples: float, fetch_k: int, cost: Any) -> tuple[float, float]:
         """Estimate ``(startup, total)`` cost of an ordered k-NN scan.
 
@@ -208,14 +205,10 @@ class IndexAmRoutine(abc.ABC):
         ``fetch_k`` the number of candidates the executor will request,
         and ``cost`` a :class:`repro.pgsim.paths.CostParams`.  pgsim's
         ordered scans materialize their whole candidate set before the
-        first tuple comes back, so startup equals total.  The default
-        assumes an exhaustive scan of the index (every indexed tuple
-        gets a distance computation); AMs that prune — IVF probing a
-        cluster subset, HNSW walking ``ef_search`` beams — override
-        this with their actual candidate counts.
+        first tuple comes back, so startup equals total.  Each AM prices
+        the candidates it actually examines — IVF probing a cluster
+        subset, HNSW walking ``ef_search`` beams.
         """
-        total = float(ntuples) * (cost.cpu_index_tuple_cost + cost.cpu_operator_cost)
-        return total, total
 
     def amrescan_continue(self, query: np.ndarray, k: int) -> Iterator[tuple[TID, float]]:
         """Continue an ordered scan at a larger ``k`` (over-fetch rescan).
@@ -277,17 +270,15 @@ class IndexAmRoutine(abc.ABC):
 
         return ScanBatch.from_pairs(self.amsearch_filtered(query, k, tid_mask))
 
+    @abc.abstractmethod
     def amestimate_candidates(self, ntuples: float, fetch_k: int) -> float:
         """Candidates one scan pass examines (planner's in-filter model).
 
         The in-filter path charges the predicate mask per *examined*
         candidate (an attribute fetch + qual eval each), which for list-
         or beam-pruned AMs is far more than the ``fetch_k`` results
-        returned.  The default assumes an exhaustive scan; pruning AMs
-        override with the same candidate count their ``amcostestimate``
-        uses.
+        returned: the same candidate count :meth:`amcostestimate` uses.
         """
-        return float(ntuples)
 
     def size_info(self) -> IndexSizeInfo:
         """Byte-level size accounting (drives the Figs. 11-13 benches).

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.common.distance import cosine_distance, inner_product, l2_sqr
 from repro.pgsim.sql import ast
+from repro.pgsim.tuple_format import column_values
 
 
 class ExpressionError(ValueError):
@@ -255,9 +256,10 @@ def evaluate_batch(expr: ast.Expr, columns: Mapping[str, Sequence[Any]], n: int)
     """WHERE verdicts for ``n`` rows given column-wise.
 
     ``columns`` maps each column ``expr`` references to its ``n`` values:
-    a sequence of Python values, or an int64 / float64 array (a
-    NULL-free numeric column, as the heap's column-wise scan hands them
-    out).  Returns a bool mask whose ``i``-th entry is True exactly when
+    a sequence of Python values, an int64 / float64 array (a NULL-free
+    numeric column, as the heap's column-wise scan hands them out) or a
+    ``(rows, d)`` float32 array (a vector column, likewise).  Returns a
+    bool mask whose ``i``-th entry is True exactly when
     ``evaluate(expr, row_i)`` is TRUE (FALSE and NULL both drop a row).
 
     ``= <> != < > <= >=`` between int / float columns and numeric
@@ -276,10 +278,7 @@ def evaluate_batch(expr: ast.Expr, columns: Mapping[str, Sequence[Any]], n: int)
         mask, row_by_row = vectorised
     if not len(row_by_row):
         return mask
-    values = {
-        name: column.tolist() if isinstance(column, np.ndarray) else column
-        for name, column in columns.items()
-    }
+    values = {name: column_values(column) for name, column in columns.items()}
     for i in row_by_row:
         row = {name: column[i] for name, column in values.items()}
         mask[i] = bool(evaluate(expr, row))
@@ -339,7 +338,7 @@ def _numeric_column(values: Sequence[Any]) -> tuple[np.ndarray, list[int]] | Non
     (float64) column, NULLs reading as 0 in the array; None for any other
     column, or ints beyond int64."""
     if isinstance(values, np.ndarray):
-        return values, []
+        return (values, []) if values.ndim == 1 else None
     kinds = set(map(type, values))
     null_rows: list[int] = []
     if type(None) in kinds:

@@ -47,9 +47,11 @@ from repro.pgsim.tuple_format import (
     Column,
     Schema,
     TupleReader,
+    column_values,
     decode_column,
     decode_tuple,
     encode_tuple,
+    prefix_array,
     prefix_dtype,
     set_tuple_xmax,
     tuple_header,
@@ -123,8 +125,9 @@ class HeapChunk:
     starts: np.ndarray
     lengths: np.ndarray
     #: Attribute number -> the projected column's value for every row:
-    #: an int64 / float64 array, or a list when it holds a NULL or is
-    #: variable-width.
+    #: an int64 / float64 array, a ``(rows, d)`` float32 array for a
+    #: ``float4[]`` every row stores at length ``d``, or a list when it
+    #: holds a NULL or is otherwise variable-width.
     columns: dict[int, np.ndarray | list[Any]]
 
     def __len__(self) -> int:
@@ -132,8 +135,7 @@ class HeapChunk:
 
     def values(self, attno: int) -> list[Any]:
         """Projected column ``attno`` as Python values, NULLs as None."""
-        column = self.columns[attno]
-        return column.tolist() if isinstance(column, np.ndarray) else column
+        return column_values(self.columns[attno])
 
     def tids(self, rows: np.ndarray | None = None) -> list[TID]:
         """TIDs of ``rows`` (positions; every row when None)."""
@@ -167,12 +169,12 @@ def _merge_windows(
     columns: dict[int, np.ndarray | list[Any]] = {}
     for i in wanted:
         pieces = [part[3][i] for part in parts]
-        if all(isinstance(piece, np.ndarray) for piece in pieces):
+        if all(isinstance(piece, np.ndarray) for piece in pieces) and (
+            len({piece.shape[1:] for piece in pieces}) == 1
+        ):
             columns[i] = np.concatenate(pieces)[order]
         else:
-            merged = [v for piece in pieces for v in (
-                piece.tolist() if isinstance(piece, np.ndarray) else piece
-            )]
+            merged = [v for piece in pieces for v in column_values(piece)]
             columns[i] = [merged[j] for j in order.tolist()]
     return visible, columns
 
@@ -853,7 +855,12 @@ class HeapTable:
         prefix: np.dtype | None,
     ) -> dict[int, np.ndarray | list[Any]]:
         """:attr:`HeapChunk.columns`: ``wanted`` from the gathered
-        prefix, the tuples it cannot speak for walked one by one."""
+        prefix, the tuples it cannot speak for walked one by one.
+
+        When the prefix ends in a ``float4[]`` attribute
+        (:func:`~repro.pgsim.tuple_format.prefix_array`), the tuples it
+        speaks for must also store that array at the length of the first
+        of them; their floats come out in one ``(rows, d)`` gather."""
         natts = len(self.schema)
         if prefix is None:
             columns: dict[int, Any] = {i: [None] * len(starts) for i in wanted}
@@ -864,9 +871,20 @@ class HeapTable:
                 & ((headers["infomask"] & MASK_HAS_NULLS) == 0)
                 & (lengths >= prefix.itemsize)
             )
+            array = prefix_array(self.schema, wanted)
+            if array is not None:
+                nbytes = headers[f"a{array}"]  # the array's length word
+                first = np.flatnonzero(fast)[:1]
+                width = int(nbytes[first[0]]) if len(first) else 0
+                fast &= (nbytes == width) if width else False
             slow = np.flatnonzero(~fast)
             columns = {}
             for i in wanted:
+                if i == array:
+                    columns[i] = _vector_column(
+                        data, starts + prefix.itemsize, fast, width // 4, len(slow) > 0
+                    )
+                    continue
                 field = headers[f"a{i}"]
                 columns[i] = field.astype(np.float64 if field.dtype.kind == "f" else np.int64)
         if not len(slow):
@@ -930,6 +948,26 @@ class HeapTable:
             if col.name == name:
                 return i
         raise KeyError(f"table {self.name!r} has no column {name!r}")
+
+
+def _vector_column(
+    data: np.ndarray, at: np.ndarray, rows: np.ndarray, d: int, walked: bool
+) -> np.ndarray | list[Any]:
+    """The ``float4[]`` column of a chunk whose ``rows`` (a bool mask)
+    store ``d`` floats at byte offsets ``at`` of ``data``: one
+    ``(rows, d)`` float32 gather, or — when other rows are ``walked`` —
+    a list holding its rows at their places and None elsewhere."""
+    picked = np.flatnonzero(rows)
+    if not d or not len(picked):
+        return [None] * len(rows)
+    raw = gather_records(data, at[picked], np.dtype(f"V{4 * d}"))
+    vectors = raw.view(np.float32).reshape(-1, d)
+    if not walked:
+        return vectors
+    column: list[Any] = [None] * len(rows)
+    for j, vector in zip(picked.tolist(), vectors):
+        column[j] = vector
+    return column
 
 
 def _writable(buf: bytearray, off: int, length: int) -> memoryview:

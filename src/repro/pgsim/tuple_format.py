@@ -297,18 +297,53 @@ def prefix_dtype(schema: Schema, columns: Collection[int]) -> np.dtype | None:
     ``attcacheoff`` offsets.  The heap's page-at-a-time reader gathers it
     from every tuple of a chunk in one call.  The fields hold a tuple's
     values only when it has no NULLs, carries the schema's attribute
-    count and is at least ``itemsize`` bytes long.  None when a
-    variable-width attribute lies on the way.
+    count and is at least ``itemsize`` bytes long.
+
+    Every attribute on the way must be fixed-width, except that the
+    last, ``max(columns)``, may be a ``float4[]``: its field is then the
+    array's 4-byte length word, and its ``length / 4`` floats follow at
+    ``itemsize`` (:func:`prefix_array` names that attribute).  None
+    when any other variable-width attribute lies on the way.
 
     Raises:
         IndexError: for an attribute number outside the schema.
     """
     walked = _fixed_walk(schema, columns)
+    array = prefix_array(schema, columns)
+    if array is not None:
+        walked = _fixed_walk(schema, range(array))
+        walked = None if walked is None else [*walked, schema[array]]
     if walked is None:
         return None
     fields = HEADER_DTYPE.descr + [("nulls", f"V{(len(schema) + 7) // 8}")]
-    fields += [(f"a{i}", _FIXED[col.type_oid].format) for i, col in enumerate(walked)]
+    fields += [(f"a{i}", _prefix_format(col)) for i, col in enumerate(walked)]
     return np.dtype(fields)
+
+
+def prefix_array(schema: Schema, columns: Collection[int]) -> int | None:
+    """The ``float4[]`` attribute a :func:`prefix_dtype` prefix of
+    ``columns`` ends in (the last of ``columns``), or None when that
+    attribute is fixed-width."""
+    last = max(columns, default=-1)
+    if last >= 0 and schema[last].type_oid == TypeOid.FLOAT4_ARRAY:
+        return last
+    return None
+
+
+def _prefix_format(col: Column) -> str:
+    """An attribute's field in :func:`prefix_dtype`: its datum, or a
+    ``float4[]``'s length word."""
+    return "<u4" if col.type_oid == TypeOid.FLOAT4_ARRAY else _FIXED[col.type_oid].format
+
+
+def column_values(column: list[Any] | np.ndarray) -> list[Any]:
+    """A column the heap's column-wise reader hands out, as a list of
+    Python values: an int / float array's items, a ``(rows, d)``
+    ``float4[]`` array's rows as the 1-D float32 arrays the tuple
+    decoder returns, a list as it is."""
+    if not isinstance(column, np.ndarray):
+        return column
+    return list(column) if column.ndim == 2 else column.tolist()
 
 
 def tuple_xmin(data: bytes | memoryview) -> int:

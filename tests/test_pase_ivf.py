@@ -11,6 +11,7 @@ from repro.pase.options import (
     parse_ivf_options,
     parse_ivfpq_options,
 )
+from repro.pgsim import PgSimDatabase
 from repro.pgsim.heapam import TID
 
 
@@ -137,6 +138,36 @@ class TestPaseIVFFlat:
         assert flat_am.build_stats.vectors_added == small_dataset.n
         assert flat_am.build_stats.train_seconds > 0
         assert flat_am.build_stats.add_seconds > 0
+
+    def test_build_indexes_the_rows_a_scan_sees(self):
+        """The build reads the heap column-wise: deleted rows and another
+        session's uncommitted rows stay out, as from a ``scan()``."""
+        db = PgSimDatabase(buffer_pool_pages=64)
+        rng = np.random.default_rng(5)
+        db.execute("CREATE TABLE t (id int, vec float[])")
+        for i in range(120):
+            vec = ",".join(f"{x:.4f}" for x in rng.random(8))
+            db.execute(f"INSERT INTO t VALUES ({i}, '{vec}'::PASE)")
+        db.execute("DELETE FROM t WHERE id < 10")
+        writer = db.session("writer")
+        writer.execute("BEGIN")
+        writer.execute("INSERT INTO t VALUES (500, '9,9,9,9,9,9,9,9'::PASE)")
+        writer.execute("DELETE FROM t WHERE id = 50")
+        db.execute(
+            "CREATE INDEX tx ON t USING pase_ivfflat (vec) "
+            "WITH (clusters = 6, sample_ratio = 1.0, seed = 3)"
+        )
+        writer.execute("ROLLBACK")
+        am = db.catalog.find_index("tx").am
+        heap = db.catalog.table("t").heap
+        visible = {tid: values[1] for tid, values in heap.scan()}
+        assert am.build_stats.vectors_added == len(visible) == 110
+        query = np.full(8, 0.5, dtype=np.float32)
+        db.execute("SET pase.nprobe = 6")
+        hits = list(am.scan(query, len(visible) + 5))
+        assert {tid for tid, __ in hits} == set(visible)
+        for tid, dist in hits:
+            assert dist == pytest.approx(float(((visible[tid] - query) ** 2).sum()), rel=1e-5)
 
     def test_query_dim_checked(self, flat_am):
         with pytest.raises(ValueError):

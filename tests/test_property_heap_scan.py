@@ -13,11 +13,18 @@ same ``tuples_fetched``.  Schemas mix every column type with NULLs;
 histories mix committed, aborted, in-progress and own-transaction
 inserts and deletes, with a VACUUM leaving dead line pointers between
 them.
+
+(iii) A ``float4[]`` column read column-wise — one ``(rows, d)`` float32
+block when every visible tuple stores it at one length, the walking
+decoder otherwise — must equal :meth:`HeapTable.scan` through NULL,
+ragged and zero-length vectors, deletes and another transaction's
+uncommitted writes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -180,3 +187,102 @@ def test_column_wise_scan_equals_projected_scan(table, data, chunk_pages):
         heapam.CHUNK_PAGES = saved
     assert repr(got) == repr(expected)
     assert got_cost == expected_cost
+
+
+# ----------------------------------------------------------------------
+# a float4[] column read column-wise: one (rows, d) block when it can
+# ----------------------------------------------------------------------
+VEC_SCHEMA = [Column("id", TypeOid.INT4), Column("vec", TypeOid.FLOAT4_ARRAY)]
+
+
+def _vec(i: int, d: int = 6) -> np.ndarray:
+    return (np.arange(d, dtype=np.float32) + i) / 7
+
+
+def _vector_heap(rows, deletes=(), open_rows=(), open_deletes=()):
+    """A (id, vec) heap: ``rows`` committed, then ``deletes`` (row
+    positions) committed, then an open transaction's ``open_rows`` and
+    ``open_deletes``; returns the heap, its manager and the open xid."""
+    buffer = BufferManager(MemoryDisk(page_size=512), capacity=64)
+    xact = TransactionManager()
+    heap = HeapTable("h", VEC_SCHEMA, buffer, xact=xact)
+    txn = xact.begin()
+    tids = [heap.insert([i, vec], xid=txn.xid) for i, vec in enumerate(rows)]
+    xact.commit(txn)
+    txn = xact.begin()
+    for pos in deletes:
+        heap.delete(tids[pos], xid=txn.xid)
+    xact.commit(txn)
+    other = xact.begin()
+    for i, vec in enumerate(open_rows):
+        heap.insert([len(rows) + i, vec], xid=other.xid)
+    for pos in open_deletes:
+        heap.delete(tids[pos], xid=other.xid)
+    return heap, xact, other.xid
+
+
+def _column_wise_vectors(heap, snapshot):
+    out = []
+    for chunk in heap.scan_batches(snapshot, columns=[1]):
+        out += list(zip(chunk.tids(), chunk.values(1)))
+    return out
+
+
+VECTOR_CASES = {
+    "uniform": dict(rows=[_vec(i) for i in range(40)]),
+    "null vectors": dict(rows=[None if i % 7 == 3 else _vec(i) for i in range(40)]),
+    "ragged": dict(rows=[_vec(i, 6 if i % 5 else 4) for i in range(40)]),
+    "zero-length": dict(rows=[_vec(i, 0) for i in range(40)]),
+    "zero-length among others": dict(rows=[_vec(i, 0 if i % 9 == 0 else 6) for i in range(40)]),
+    "deleted rows": dict(rows=[_vec(i) for i in range(40)], deletes=[0, 5, 6, 39]),
+    "uncommitted rows": dict(
+        rows=[_vec(i) for i in range(40)],
+        open_rows=[_vec(100 + i) for i in range(12)],
+        open_deletes=[2, 30],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VECTOR_CASES))
+@pytest.mark.parametrize("own_snapshot", [False, True])
+def test_float4_array_column_equals_scan(case, own_snapshot):
+    heap, xact, open_xid = _vector_heap(**VECTOR_CASES[case])
+    snapshot = xact.snapshot(open_xid) if own_snapshot else None
+    expected, expected_cost = _cost(
+        heap, lambda: [(tid, values[1]) for tid, values in heap.scan(snapshot=snapshot)]
+    )
+    got, got_cost = _cost(heap, lambda: _column_wise_vectors(heap, snapshot))
+    assert repr(got) == repr(expected)
+    assert got_cost == expected_cost
+    assert all(v is None or v.dtype == np.float32 and v.ndim == 1 for __, v in got)
+    # The by-key read, column-wise (above KEYED_READ_MIN) and walked.
+    keys = np.array([(t.blkno << 16) | t.offset for t, __ in expected], dtype=np.int64)
+    for picked in (keys, keys[:3]):
+        visible, columns = heap.fetch_many(picked, snapshot=snapshot, columns=[1])
+        assert visible.all()
+        want = [v for __, v in expected[: len(picked)]]
+        assert repr(list(columns[1]) if isinstance(columns[1], np.ndarray) else columns[1]) == (
+            repr(want)
+        )
+
+
+def test_uniform_float4_array_column_is_one_block():
+    heap, __, __ = _vector_heap([_vec(i) for i in range(40)], deletes=[4])
+    chunks = list(heap.scan_batches(None, columns=[1]))
+    assert len(chunks) == 1
+    block = chunks[0].columns[1]
+    assert isinstance(block, np.ndarray)
+    assert block.shape == (39, 6) and block.dtype == np.float32
+    expected = np.vstack([values[1] for __, values in heap.scan()])
+    assert block.tobytes() == expected.tobytes()
+
+
+def test_float4_array_after_a_variable_width_column_is_walked():
+    buffer = BufferManager(MemoryDisk(page_size=512), capacity=16)
+    schema = [Column("name", TypeOid.TEXT), Column("vec", TypeOid.FLOAT4_ARRAY)]
+    heap = HeapTable("h", schema, buffer)
+    for i in range(10):
+        heap.insert([f"r{i}", _vec(i)], xid=1)
+    (chunk,) = heap.scan_batches(None, columns=[1])
+    assert isinstance(chunk.columns[1], list)
+    assert repr(chunk.values(1)) == repr([values[1] for __, values in heap.scan()])
