@@ -7,6 +7,7 @@ closes, turning Sec. IX-B's qualitative claims into numbers.
 
 from __future__ import annotations
 
+import statistics
 from typing import Any
 
 from repro.bench.runner import Figure, Scale, Verdict
@@ -16,8 +17,9 @@ from repro.core.report import render_table
 #: Cause -> how far the gap without it may sit above the gap with it.
 #: Removing SGEMM must close the build gap; the k-heap and the
 #: optimized PQ table must not make PASE slower (they usually help a
-#: little, inside search-time noise).  RC#5's k-means toggle is
-#: measured but not gated (EXPERIMENTS note 3).
+#: little, inside search-time noise), gated on the median ratio of
+#: ``Scale.search_pairs`` alternating with/without pairs.  RC#5's
+#: k-means toggle is measured but not gated (EXPERIMENTS note 3).
 _SLACK = {"SGEMM": 1.0, "HEAP_SIZE": 1.3, "PRECOMPUTED_TABLE": 1.2}
 
 
@@ -30,26 +32,33 @@ def _ablation_build(scale: Scale) -> dict[str, Any]:
         result = run_ablation(
             cause, ds, scale.index_params(ds, switch.index_type),
             k=search.k, nprobe=search.nprobe, n_queries=search.n_queries,
+            pairs=scale.search_pairs,
         )
         data[cause.name] = {
             "metric": switch.metric,
             "with": result.gap_with_cause,
             "without": result.gap_without_cause,
             "closed": result.gap_closed_fraction,
+            "pair_ratios": result.pair_ratios,
         }
     return data
 
 
 def _ablation_shape(rows: dict[str, Any]) -> list[Verdict]:
-    return [
-        Verdict(
-            f"{cause} gap without / with the cause", row["without"] / row["with"],
-            f"< {_SLACK[cause]:g}", row["without"] < row["with"] * _SLACK[cause],
-            detail=f"{row['with']:.2f}x -> {row['without']:.2f}x",
-        )
-        for cause, row in rows.items()
-        if cause in _SLACK
-    ]
+    verdicts = []
+    for cause, row in rows.items():
+        if cause not in _SLACK:
+            continue
+        ratios = row["pair_ratios"]
+        median = statistics.median(ratios)
+        verdicts.append(Verdict(
+            f"{cause} gap without / with the cause"
+            + (f", median of {len(ratios)} pairs" if len(ratios) > 1 else ""),
+            median, f"< {_SLACK[cause]:g}", median < _SLACK[cause],
+            detail=f"{row['with']:.2f}x -> {row['without']:.2f}x; pairs "
+            + " ".join(f"{r:.3f}" for r in ratios),
+        ))
+    return verdicts
 
 
 ABLATION = Figure(

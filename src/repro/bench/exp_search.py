@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import statistics
 from typing import Any
 
 from repro.bench.runner import (
@@ -20,6 +21,7 @@ from repro.common.profiling import (
     SEC_DISTANCE,
     SEC_HEAP,
     SEC_TUPLE_ACCESS,
+    BreakdownRow,
     Profiler,
 )
 from repro.core.rc_attribution import attribute_profile, format_rc_breakdown
@@ -157,9 +159,12 @@ FIG17 = Figure(
 
 
 def _tab05_build(scale: Scale) -> dict[str, Any]:
-    """IVF_FLAT search profiled on both engines.  The profilers keep
-    spans, so one run yields the breakdown (from the section totals),
-    the RC#1-RC#7 attribution and a chrome-trace timeline."""
+    """IVF_FLAT search profiled on both engines, ``scale.search_pairs``
+    times over one build, the engines alternating which answers each
+    query first; each engine's breakdown is the per-section median over
+    the repeats (``repeats`` keeps every repeat's shares).  The profilers
+    keep spans, so the last repeat also yields the RC#1-RC#7 attribution
+    and a chrome-trace timeline."""
     name = scale.datasets[0]
     ds = scale.dataset(name)
     profs = {engine: Profiler(max_spans=DEFAULT_MAX_SPANS) for engine in ("PASE", "Faiss")}
@@ -170,11 +175,21 @@ def _tab05_build(scale: Scale) -> dict[str, Any]:
         generalized=GeneralizedVectorDB(profiler=profs["PASE"]),
         specialized=SpecializedVectorDB(profiler=profs["Faiss"]),
     )
-    scale.search.run(study)
+    repeats: dict[str, list[dict[str, BreakdownRow]]] = {engine: [] for engine in profs}
+    for i in range(scale.search_pairs):
+        for prof in profs.values():
+            prof.reset()
+        scale.search.run(study, specialized_first=i % 2 == 1)
+        for engine, prof in profs.items():
+            repeats[engine].append({r.name: r for r in prof.breakdown()})
     attribution = attribute_profile(profs["PASE"])
     return {
         "dataset": name,
-        **{engine: {r.name: r for r in prof.breakdown()} for engine, prof in profs.items()},
+        **{engine: _median_breakdown(runs) for engine, runs in repeats.items()},
+        "repeats": {
+            engine: [{row.name: row.fraction for row in run.values()} for run in runs]
+            for engine, runs in repeats.items()
+        },
         "spans": {
             engine: {
                 "kept": len(prof.spans),
@@ -191,6 +206,22 @@ def _tab05_build(scale: Scale) -> dict[str, Any]:
     }
 
 
+def _median_breakdown(runs: list[dict[str, BreakdownRow]]) -> dict[str, BreakdownRow]:
+    """Each section's median seconds and share over ``runs`` (every run
+    enters the same sections the same number of times), largest share
+    first."""
+    rows = [
+        BreakdownRow(
+            section,
+            statistics.median(run[section].seconds for run in runs),
+            statistics.median(run[section].fraction for run in runs),
+            runs[-1][section].calls,
+        )
+        for section in runs[-1]
+    ]
+    return {row.name: row for row in sorted(rows, key=lambda row: (-row.fraction, row.name))}
+
+
 def _close(a: float, b: float, rel: float) -> bool:
     """``a == pytest.approx(b, rel=rel)``."""
     return abs(a - b) <= max(rel * abs(b), 1e-12)
@@ -199,16 +230,31 @@ def _close(a: float, b: float, rel: float) -> bool:
 def _tab05_shape(rows: dict[str, Any]) -> list[Verdict]:
     faiss, pase = rows["Faiss"], rows["PASE"]
     faiss_dist = faiss[SEC_DISTANCE].fraction
+
+    def shares(engine: str, section: str) -> str:
+        """Every repeat's share of ``section``."""
+        runs = rows["repeats"][engine]
+        return f"median of {len(runs)}: " + " ".join(f"{run.get(section, 0.0):.3f}" for run in runs)
+
     out = [
-        within("Faiss fvec_L2sqr share", faiss_dist, lo=0.35),
+        within("Faiss fvec_L2sqr share", faiss_dist, lo=0.35, detail=shares("Faiss", SEC_DISTANCE)),
         Verdict(
             "Faiss fvec_L2sqr share", faiss_dist, "is the largest",
             faiss_dist == max(r.fraction for r in faiss.values()),
         ),
-        within("PASE Tuple Access share", pase[SEC_TUPLE_ACCESS].fraction, lo=0.2),
-        within("PASE Min-heap share", pase[SEC_HEAP].fraction, lo=0.05),
+        within(
+            "PASE Tuple Access share", pase[SEC_TUPLE_ACCESS].fraction, lo=0.2,
+            detail=shares("PASE", SEC_TUPLE_ACCESS),
+        ),
+        within(
+            "PASE Min-heap share", pase[SEC_HEAP].fraction, lo=0.05,
+            detail=shares("PASE", SEC_HEAP),
+        ),
         # PASE's distance share is well below Faiss's.
-        within("PASE fvec_L2sqr share", pase[SEC_DISTANCE].fraction, hi=faiss_dist),
+        within(
+            "PASE fvec_L2sqr share", pase[SEC_DISTANCE].fraction, hi=faiss_dist,
+            detail=shares("PASE", SEC_DISTANCE),
+        ),
     ]
     # The root spans cover exactly the time the section totals hold.
     for engine, spans in sorted(rows["spans"].items()):

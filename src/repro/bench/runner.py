@@ -91,6 +91,12 @@ class Scale:
     #: Alternating PASE/Faiss build pairs behind the build-time figures
     #: (Figs. 3-7 and 10, Table III).
     build_pairs: int = 1
+    #: Repeats behind the timed search gates that flap on noise, each
+    #: gated on the median: the ablation's setting toggles (RC#6, RC#7;
+    #: with and without the cause alternating which runs first) and
+    #: Table V's profiled shares (the engines alternating which answers
+    #: each query first).
+    search_pairs: int = 3
     #: Index types of the parallelism figures (Figs. 9 and 18).
     parallel_index_types: tuple[str, ...] = ("ivf_flat", "ivf_pq")
     #: Fig. 9 needs the adding phase to dominate (as at paper scale), so
@@ -173,6 +179,7 @@ SMOKE = Scale(
     recall_search=_SMOKE_SEARCH,
     ablation_search=_SMOKE_SEARCH,
     build_pairs=3,
+    search_pairs=5,
     parallel_index_types=("ivf_flat",),
     parallel_build_factor=1.0,
     fig10_c=(8, 24, 48),

@@ -83,11 +83,12 @@ class BridgedIVFFlat(PaseIVFFlat):
         list_ids: list[int] = []
         vectors = [np.empty((0, self.dim), np.float32)]
         for bucket, (head, __) in enumerate(centroids):
-            for page_keys, payloads in self._chain_pages(head):
-                keys += page_keys
-                list_ids += [bucket] * len(page_keys)
-                if payloads:
-                    vectors.append(np.vstack(payloads))
+            for n, read in self._chain_pages(head):
+                for offno in range(1, n + 1):
+                    key, vector = read(offno)
+                    keys.append(key)
+                    list_ids.append(bucket)
+                    vectors.append(vector.copy())  # the view dies with the pin
         return self._load(np.vstack([c for __, c in centroids]), keys, list_ids, np.vstack(vectors))
 
     def insert(self, tid: TID, value: Any) -> int:

@@ -11,7 +11,9 @@ cause no longer differentiates the engines, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import statistics
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.common.datasets import Dataset
@@ -27,6 +29,8 @@ class AblationResult:
     metric: str  # "build", "size" or "search"
     gap_with_cause: float
     gap_without_cause: float
+    #: ``without / with`` of each back-to-back pair of measurements.
+    pair_ratios: list[float] = field(default_factory=list)
 
     @property
     def gap_closed_fraction(self) -> float:
@@ -52,6 +56,10 @@ class AblationSwitch:
     baseline_params: dict[str, Any]
     #: Callable applying the neutralizing configuration.
     neutralize: Callable[[ComparativeStudy], None]
+    #: Callable undoing it, for a setting toggle; the two sides can then
+    #: be measured in alternating pairs.  None where neutralizing
+    #: rebuilds an index.
+    restore: Callable[[ComparativeStudy], None] | None = None
 
 
 def _neutralize_sgemm(study: ComparativeStudy) -> None:
@@ -72,9 +80,17 @@ def _neutralize_heap(study: ComparativeStudy) -> None:
     study.generalized.set_fixed_heap(True)
 
 
+def _restore_heap(study: ComparativeStudy) -> None:
+    study.generalized.set_fixed_heap(False)
+
+
 def _neutralize_pctable(study: ComparativeStudy) -> None:
     # RC#7: give PASE the optimized ADC-table construction.
     study.generalized.set_optimized_pctable(True)
+
+
+def _restore_pctable(study: ComparativeStudy) -> None:
+    study.generalized.set_optimized_pctable(False)
 
 
 SWITCHES: dict[RootCause, AblationSwitch] = {
@@ -101,6 +117,7 @@ SWITCHES: dict[RootCause, AblationSwitch] = {
         description="use a k-sized heap in PASE (SET pase.fixed_heap = true)",
         baseline_params={},
         neutralize=_neutralize_heap,
+        restore=_restore_heap,
     ),
     RootCause.PRECOMPUTED_TABLE: AblationSwitch(
         cause=RootCause.PRECOMPUTED_TABLE,
@@ -109,6 +126,7 @@ SWITCHES: dict[RootCause, AblationSwitch] = {
         description="use the optimized ADC table in PASE (SET pase.optimized_pctable = true)",
         baseline_params={},
         neutralize=_neutralize_pctable,
+        restore=_restore_pctable,
     ),
 }
 
@@ -120,8 +138,13 @@ def run_ablation(
     k: int = 10,
     nprobe: int = 10,
     n_queries: int | None = 10,
+    pairs: int = 1,
 ) -> AblationResult:
     """Measure one root cause's gap contribution on ``dataset``.
+
+    A switch with a ``restore`` is measured in ``pairs`` back-to-back
+    pairs, alternating whether the cause is on first, and reports the
+    median gap of each side; the others measure each side once.
 
     Raises:
         KeyError: for causes without a config toggle (RC#2, RC#3 and
@@ -137,17 +160,23 @@ def run_ablation(
 
     merged = {**params, **switch.baseline_params}
     study = ComparativeStudy(dataset, switch.index_type, merged)
-    if switch.metric == "build":
-        before = study.compare_build().gap
+    measure = study.compare_build if switch.metric == "build" else functools.partial(
+        study.compare_search, k=k, nprobe=nprobe, n_queries=n_queries
+    )
+    if switch.restore is None:
+        before = measure().gap
         switch.neutralize(study)
-        after = study.compare_build().gap
+        withs, withouts = [before], [measure().gap]
     else:
-        before = study.compare_search(k=k, nprobe=nprobe, n_queries=n_queries).gap
-        switch.neutralize(study)
-        after = study.compare_search(k=k, nprobe=nprobe, n_queries=n_queries).gap
+        withs, withouts = [], []
+        for i in range(max(pairs, 1)):
+            for active in (True, False) if i % 2 == 0 else (False, True):
+                (switch.restore if active else switch.neutralize)(study)
+                (withs if active else withouts).append(measure().gap)
     return AblationResult(
         cause=cause,
         metric=switch.metric,
-        gap_with_cause=before,
-        gap_without_cause=after,
+        gap_with_cause=statistics.median(withs),
+        gap_without_cause=statistics.median(withouts),
+        pair_ratios=[without / with_ for with_, without in zip(withs, withouts)],
     )

@@ -465,8 +465,11 @@ class ComparativeStudy:
         efs: int | None = None,
         n_queries: int | None = None,
         recall: bool = False,
+        specialized_first: bool = False,
     ) -> SearchComparison:
-        """Run the query batch on both sides and compare latencies."""
+        """Run the query batch on both sides, query by query, and compare
+        latencies; ``specialized_first`` swaps which side answers each
+        query first."""
         if not self._built:
             self.compare_build()
         queries = self.dataset.queries
@@ -480,13 +483,14 @@ class ComparativeStudy:
         spec_lat: list[float] = []
         gen_ids: list[list[int]] = []
         spec_ids: list[list[int]] = []
+        sides = [(self.generalized, gen_lat, gen_ids), (self.specialized, spec_lat, spec_ids)]
+        if specialized_first:
+            sides.reverse()
         for q in queries:
-            r = self.generalized.search(q, k, nprobe=nprobe, efs=efs)
-            gen_lat.append(r.elapsed_seconds)
-            gen_ids.append(r.ids)
-            r = self.specialized.search(q, k, nprobe=nprobe, efs=efs)
-            spec_lat.append(r.elapsed_seconds)
-            spec_ids.append(r.ids)
+            for engine, latencies, ids in sides:
+                r = engine.search(q, k, nprobe=nprobe, efs=efs)
+                latencies.append(r.elapsed_seconds)
+                ids.append(r.ids)
         comparison = SearchComparison(
             dataset=self.dataset.name,
             index_type=self.index_type,

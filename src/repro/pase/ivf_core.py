@@ -59,6 +59,8 @@ from repro.pgsim.paths import DISTANCE_OP_WEIGHT
 TupleScorer = Callable[[int, np.ndarray], "float | None"]
 #: ``score_rows(keys, payloads) -> (keys, distances)``; may drop rows.
 RowsScorer = Callable[[np.ndarray, np.ndarray], "tuple[np.ndarray, np.ndarray]"]
+#: ``read(offno) -> (key, payload view)``: one page's bound tuple decode.
+ItemReader = Callable[[int], "tuple[int, np.ndarray]"]
 
 
 class PagedIVF(IndexAmRoutine):
@@ -113,10 +115,10 @@ class PagedIVF(IndexAmRoutine):
         """Per-query scorer for one data tuple; owns its profiler sections."""
         raise NotImplementedError
 
-    def _rows_scorer(self, query: np.ndarray) -> RowsScorer | None:
-        """Per-query scorer for a whole bucket, or None when the variant
-        has no vectorised kernel (batch scans then wrap the tuple scan)."""
-        return None
+    def _rows_scorer(self, query: np.ndarray) -> RowsScorer:
+        """Per-query scorer for the gathered payload matrix of the probed
+        buckets (the batch interface); owns its profiler sections."""
+        raise NotImplementedError
 
     def _candidate_cost(self, cost: Any) -> float:
         """Planner cost of visiting and scoring one probed candidate."""
@@ -423,9 +425,10 @@ class PagedIVF(IndexAmRoutine):
             offer = heap.push
         offer = timed(SEC_HEAP, offer)
         for bucket in probes:
-            for keys, payloads in chain_pages(heads[bucket]):
-                candidates += len(keys)
-                for key, payload in zip(keys, payloads):
+            for n, read in chain_pages(heads[bucket]):
+                candidates += n
+                for offno in range(1, n + 1):
+                    key, payload = read(offno)
                     dist = score_one(key, payload)
                     if dist is not None:
                         offer(dist, key)
@@ -451,8 +454,6 @@ class PagedIVF(IndexAmRoutine):
     def _batch_scan(self, query: np.ndarray, k: int, reuse: bool) -> ScanBatch:
         query = self._check_query(query)
         score_rows = self._rows_scorer(query)
-        if score_rows is None:
-            return ScanBatch.from_pairs(self._tuple_scan(query, k, reuse))
         order, heads = self._rank_centroids(query, reuse, batch=True)
         section = self.profiler.section
         with section(SEC_TUPLE_ACCESS):
@@ -485,11 +486,13 @@ class PagedIVF(IndexAmRoutine):
             keys: list[int] = []
             payloads: list[np.ndarray] = []
             for bucket in buckets:
-                for page_keys, page_payloads in chain_pages(heads[bucket]):
-                    keys += page_keys
-                    # Copied while the page is pinned: the round's
-                    # payloads outlive it (and the heap mask below).
-                    payloads += [payload.copy() for payload in page_payloads]
+                for n, read in chain_pages(heads[bucket]):
+                    for offno in range(1, n + 1):
+                        key, payload = read(offno)
+                        keys.append(key)
+                        # Copied while the page is pinned: the round's
+                        # payloads outlive it (and the heap mask below).
+                        payloads.append(payload.copy())
             if not keys:
                 return 0, 0
             matched = 0
@@ -549,11 +552,13 @@ class PagedIVF(IndexAmRoutine):
         query = self._check_query(query)
         order, heads = self._rank_centroids(query)
         score_one = self._tuple_scorer(query)
+        chain_pages = self._chain_pages
 
         def score(bucket: int) -> tuple[np.ndarray, np.ndarray]:
             keys, dists = [], []
-            for page_keys, payloads in self._chain_pages(heads[bucket]):
-                for key, payload in zip(page_keys, payloads):
+            for n, read in chain_pages(heads[bucket]):
+                for offno in range(1, n + 1):
+                    key, payload = read(offno)
                     if (dist := score_one(key, payload)) is not None:
                         keys.append(key)
                         dists.append(dist)
@@ -592,24 +597,26 @@ class PagedIVF(IndexAmRoutine):
         each centroid decoded in its own ``Tuple Access`` section."""
         timed = self.profiler.timed
         rel = self.relation_name("centroid")
-        for items in self.layouts["centroid"].items(
+        for n, read in self.layouts["centroid"].items(
             self.buffer, rel, timed=lambda read: timed(SEC_TUPLE_ACCESS, read)
         ):
-            for (cent_id, head), vector in items:
+            for offno in range(1, n + 1):
+                (cent_id, head), vector = read(offno)
                 yield cent_id, head, vector
 
-    def _chain_pages(self, head: int) -> Iterator[tuple[list[int], list[np.ndarray]]]:
-        """Walk one bucket's page chain, yielding per page ``(packed heap
-        TID keys, payload views)`` — the tuple interface's list reader,
-        each data tuple decoded in its own ``Tuple Access`` section.  The
-        views are valid until the next pull, while the page is pinned
-        (see :meth:`~repro.pase.layout.PageLayout.items`)."""
+    def _chain_pages(self, head: int) -> Iterator[tuple[int, ItemReader]]:
+        """Walk one bucket's page chain, yielding per pinned page ``(item
+        count, read)`` — the tuple interface's list reader, the caller
+        looping ``read(offno)`` over offsets 1..count, each call one data
+        tuple's ``(packed heap TID key, payload view)`` decoded in its
+        own ``Tuple Access`` section.  The views are valid until the
+        next pull, while the page is pinned (see
+        :meth:`~repro.pase.layout.PageLayout.items`)."""
         timed = self.profiler.timed
-        rel = self.relation_name("data")
-        for items in self.layouts["data"].items(
-            self.buffer, rel, head, timed=lambda read: timed(SEC_TUPLE_ACCESS, read)
-        ):
-            yield [(blk << 16) | off for (blk, off), __ in items], [p for __, p in items]
+        return self.layouts["data"].items(
+            self.buffer, self.relation_name("data"), head,
+            timed=lambda read: timed(SEC_TUPLE_ACCESS, read),
+        )
 
     def _gather_buckets(self, heads: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """The lists at ``heads`` as ``(packed TID keys, payload matrix)``,

@@ -1,8 +1,8 @@
 """PASE IVF_FLAT: the paged IVF core with raw float32 vectors on the page.
 
 Data tuples carry the vector (``ivf_data`` in :mod:`repro.pase.layout`),
-so a candidate is scored straight off the index page with one float
-kernel call — no decode, no heap round trip.
+so a candidate is scored straight off the index page with one timed
+distance call — no decode, no heap round trip.
 Everything else (build, insert, VACUUM, the scans, costs, sizes) is
 :class:`repro.pase.ivf_core.PagedIVF`.
 """
@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.common.distance import pairwise_kernel, rows_kernel
 from repro.common.profiling import SEC_DISTANCE, SEC_HEAP, SEC_TUPLE_ACCESS
+from repro.common.types import DistanceType
 from repro.pase.ivf_core import PagedIVF, RowsScorer, TupleScorer
 from repro.pgsim.am import ScanBatch, register_am, topk_batch
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
@@ -32,12 +33,28 @@ class PaseIVFFlat(PagedIVF):
         return vectors
 
     def _tuple_scorer(self, query: np.ndarray) -> TupleScorer:
-        kernel = self.profiler.timed(SEC_DISTANCE, pairwise_kernel(self.ivf.distance_type))
+        """One timed call per candidate: L2 and inner product are the
+        per-pair kernels' arithmetic written out (same values to the
+        bit), cosine calls its kernel."""
+        distance_type = DistanceType(self.ivf.distance_type)
+        if distance_type == DistanceType.L2:
 
-        def score_one(_key, vec):
-            return kernel(query, vec)
+            def score_one(_key, vec):
+                diff = query - vec
+                return float(diff.dot(diff))
 
-        return score_one
+        elif distance_type == DistanceType.INNER_PRODUCT:
+
+            def score_one(_key, vec):
+                return -float(query.dot(vec))
+
+        else:
+            kernel = pairwise_kernel(distance_type)
+
+            def score_one(_key, vec):
+                return kernel(query, vec)
+
+        return self.profiler.timed(SEC_DISTANCE, score_one)
 
     def _rows_scorer(self, query: np.ndarray) -> RowsScorer:
         rows = rows_kernel(self.ivf.distance_type)

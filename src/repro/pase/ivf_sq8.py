@@ -6,7 +6,8 @@ float32 rows), and data tuples that carry one-byte codes instead of raw
 floats — a 4x space saving at a bounded recall cost (Sec. II-B's
 IVF_SQ8).  All the PASE root causes apply unchanged: per-row
 construction, buffer-managed tuple-at-a-time scans, size-*n* heap.
-There is no vectorised scorer, so batch scans wrap the tuple scan.
+The batch interface dequantizes the gathered code matrix once and
+scores it with one kernel call.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro.common import sq
 from repro.common.profiling import SEC_DISTANCE
-from repro.pase.ivf_core import PagedIVF, TupleScorer
+from repro.pase.ivf_core import PagedIVF, RowsScorer, TupleScorer
 from repro.pase.layout import SQ8_CODEC
 from repro.pase.options import require_l2
 from repro.pgsim.am import register_am
@@ -74,6 +75,25 @@ class PaseIVFSQ8(PagedIVF):
             return float(diff.dot(diff))
 
         return self.profiler.timed(SEC_DISTANCE, score_one)
+
+    def _rows_scorer(self, query: np.ndarray) -> RowsScorer:
+        """The gathered code matrix dequantized once — the tuple
+        scorer's float32 arithmetic, row-wise — then one kernel call:
+        a stacked ``(1, d) @ (d, 1)`` matmul, which NumPy runs as one
+        BLAS ``sdot`` per row, the tuple scorer's ``diff.dot(diff)``, so
+        both interfaces give the same distances to the bit."""
+        codec = self._load_codec()
+        scale = codec.vdiff / sq.LEVELS
+        vmin = codec.vmin
+        section = self.profiler.section
+
+        def score_rows(keys, codes):
+            with section(SEC_DISTANCE):
+                diff = codes.astype(np.float32) * scale + vmin - query
+                dists = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
+                return keys, dists.astype(np.float64)
+
+        return score_rows
 
     def _candidate_cost(self, cost: Any) -> float:
         """Each probed candidate also pays a tuple-at-a-time SQ8

@@ -8,6 +8,8 @@ chain ending at :data:`NO_BLOCK` — or empty.  The IVF, HNSW and codec
 forks write, read and check their pages only through these
 declarations, so an on-page change edits this module alone.  DESIGN.md,
 "Index page formats", tabulates them with the root causes they carry.
+A *keyed* format's head is exactly a heap TID ``(blkno, offset)``,
+which the tuple reader (:meth:`PageLayout.items`) hands out packed.
 
 Every such page is *packed*: fixed-size items, item *i* lying
 ``i * item_size`` bytes below the special space.  Pages are appended
@@ -31,6 +33,7 @@ from repro.pgsim.page import Page, PageCorruptError, PageFullError, gather_recor
 #: Terminator of a page chain (and "no bucket / neighbor page").
 NO_BLOCK = INVALID_BLOCK
 _NEXT = struct.Struct("<I")  # a chained page's whole special space
+_POINTER = struct.Struct("<HH")  # a line pointer: item offset, item length
 
 
 class PageLayout:
@@ -38,9 +41,9 @@ class PageLayout:
 
     def __init__(
         self, name: str, head: str, fields: str, dtype: Any = "<f4", width: int = 0,
-        chained: bool = False, holes: bool = False,
+        chained: bool = False, holes: bool = False, keyed: bool = False,
     ) -> None:
-        self.name, self.chained, self.holes = name, chained, holes
+        self.name, self.chained, self.holes, self.keyed = name, chained, holes, keyed
         self.head = struct.Struct(head)
         self.dtype, self.width = np.dtype(dtype), width
         self.item_size = self.head.size + width * self.dtype.itemsize
@@ -69,7 +72,7 @@ class PageLayout:
         """This format with ``width`` payload elements (of ``dtype``)."""
         return PageLayout(
             self.name, self.head.format, " ".join(self.fields),
-            self.dtype if dtype is None else dtype, width, self.chained, self.holes,
+            self.dtype if dtype is None else dtype, width, self.chained, self.holes, self.keyed,
         )
 
     def _geometry(self, page_size: int) -> tuple[bytes, int, int, bytes, dict[int, bytes]]:
@@ -257,26 +260,40 @@ class PageLayout:
     def items(
         self, buffer: BufferManager, rel: str, head: int | None = None,
         timed: Callable[[Callable], Callable] = lambda read: read,
-    ) -> Iterator[list[tuple[tuple, np.ndarray]]]:
-        """The tuple reader: per page of :meth:`pages`, its items as
-        ``(head fields, payload view)`` in offset order.  One call per
-        item — one ``item_bounds`` (range and dead-item checks), one
-        head unpack, one ``frombuffer`` — wrapped once in ``timed``.
-        The payload views are views of the page's buffer-pool slot, so
-        they are valid only while the page is pinned — until the next
-        pull: a caller that keeps payloads past it copies them first."""
-        unpack, frombuffer = self.head.unpack_from, np.frombuffer
-        dtype, width, head_size = self.dtype, self.width, self.head.size
+    ) -> Iterator[tuple[int, Callable[[int], tuple[Any, np.ndarray]]]]:
+        """The tuple reader: per page of :meth:`pages`, ``(item count,
+        read)``, the caller looping ``read(offno)`` over offsets 1..count.
+        ``read`` is the per-item decode bound to the pinned page — the
+        line-pointer range and dead-item checks of
+        :meth:`~repro.pgsim.page.Page.item_bounds` (a failing item is
+        handed to it, so the exceptions are its own), one head unpack,
+        one ``frombuffer`` — defined once per call and wrapped once in
+        ``timed``.  It returns ``(key, payload view)``: the packed heap
+        TID ``(blkno << 16) | offset`` on a ``keyed`` layout, else the
+        head fields.  Payload views are views of the page's buffer-pool
+        slot, so they are valid only while the page is pinned — until
+        the next pull: a caller that keeps payloads past it copies them
+        first."""
+        unpack, pointer, frombuffer = self.head.unpack_from, _POINTER.unpack_from, np.frombuffer
+        dtype, width, head_size, keyed = self.dtype, self.width, self.head.size, self.keyed
+        size = LINE_POINTER_SIZE
+        base = PAGE_HEADER_SIZE - size  # line pointer i lies at base + size * i
         buf = item_bounds = None  # the pinned page's, rebound per page
+        n = 0
 
-        def read(offno: int) -> tuple[tuple, np.ndarray]:
-            off, __ = item_bounds(offno)
-            return unpack(buf, off), frombuffer(buf, dtype, width, off + head_size)
+        def read(offno: int) -> tuple[Any, np.ndarray]:
+            at, length = pointer(buf, base + size * offno) if 0 < offno <= n else (0, 0)
+            if not length:
+                at, __ = item_bounds(offno)  # raises, as it does for this item
+            if keyed:
+                blkno, offset = unpack(buf, at)
+                return (blkno << 16) | offset, frombuffer(buf, dtype, width, at + head_size)
+            return unpack(buf, at), frombuffer(buf, dtype, width, at + head_size)
 
         read = timed(read)
         for page in self.pages(buffer, rel, head):
-            buf, item_bounds = page.buf, page.item_bounds
-            yield [read(offno) for offno in range(1, page.item_count + 1)]
+            buf, item_bounds, n = page.buf, page.item_bounds, page.item_count
+            yield n, read
 
     def read_packed(
         self, buffer: BufferManager, rel: str, heads: Sequence[int] | None = None,
@@ -343,7 +360,9 @@ def _holed(got: bytes, pointers: bytes) -> bool:
 #: chains of data tuples whose payload is each variant's encoding.
 IVF_META = PageLayout("ivf_meta", "<III", "dim clusters distance_type", "<u4")
 IVF_CENTROID = PageLayout("ivf_centroid", "<II", "centroid_id bucket_head")
-IVF_DATA = PageLayout("ivf_data", "<IHxx", "heap_blkno heap_offset", "u1", chained=True)
+IVF_DATA = PageLayout(
+    "ivf_data", "<IHxx", "heap_blkno heap_offset", "u1", chained=True, keyed=True
+)
 PQ_CODEBOOK = PageLayout("pq_codebook", "<HH", "sub_space codeword")
 SQ8_CODEC = PageLayout("sq8_codec", "<H", "row")  # row 0: vmin, row 1: vdiff
 #: HNSW (Sec. VI-C2): the 24-byte HNSWNeighborTuple — the 8-byte

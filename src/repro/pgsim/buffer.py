@@ -115,11 +115,11 @@ class BufferManager:
         #: WAL waits land in one ``pg_stat_wait_events`` accumulator.
         self.waits = waits if waits is not None else WaitEventStats()
         #: Optional :class:`repro.pgsim.wal.WriteAheadLog`.  When set,
-        #: eviction enforces a no-steal policy: a dirty page whose LSN
-        #: is past the durable WAL horizon holds effects of an
-        #: in-flight statement, and writing it out would let
-        #: uncommitted tuples survive a crash (redo-only recovery
-        #: cannot erase what is already in the pages).
+        #: eviction prefers pages whose changes are durable: a dirty
+        #: page whose LSN is past the durable WAL horizon holds effects
+        #: of an in-flight transaction, so it is written out only after
+        #: a WAL flush covers its LSN, and then only when no other
+        #: victim is left (see :meth:`_evict_one`).
         self.wal = wal
         self.stats = BufferStats()
         #: The page arena: ``capacity`` slots of ``page_size`` bytes, then
@@ -217,8 +217,8 @@ class BufferManager:
                     try:
                         frame = pin(rel, blkno)
                     except BufferPoolExhaustedError:
-                        # Every other frame is pinned or holds uncommitted
-                        # changes: finish this window, then retry.
+                        # Every other frame is pinned: finish this
+                        # window, then retry.
                         if not window:
                             raise
                         yield window
@@ -317,9 +317,33 @@ class BufferManager:
     # ------------------------------------------------------------------
     def _evict_one(self) -> int:
         """Clock sweep: find an unpinned frame with zero usage, evict it;
-        returns its slot."""
+        returns its slot.
+
+        A sweep that finds no victim only because every unpinned frame
+        holds changes past the durable WAL horizon flushes the WAL once
+        (WAL before data, as PostgreSQL's ``FlushBuffer`` does) and
+        sweeps again: those frames may then be written out, and crash
+        recovery purges a loser's tuples from the pages it wrote.  Only
+        a pool whose every frame is pinned is exhausted.
+        """
         if not self._clock_keys:
             raise BufferPoolExhaustedError("buffer pool is empty but full?")
+        slot = self._sweep()
+        unpinned = any(frame.pin_count == 0 for frame in self._frames.values())
+        if slot is None and unpinned and self.wal is not None:
+            self.wal.flush()
+            slot = self._sweep()
+        if slot is None:
+            raise BufferPoolExhaustedError(
+                f"all {len(self._clock_keys)} buffer frames are pinned "
+                "(statement working set exceeds the pool)"
+            )
+        return slot
+
+    def _sweep(self) -> int | None:
+        """One clock sweep for a victim under the no-steal rule; its
+        slot, or None when every frame is pinned or holds uncommitted
+        changes."""
         sweeps = 0
         # Worst case each unpinned frame needs MAX_USAGE_COUNT
         # decrements before it becomes a victim.
@@ -349,17 +373,15 @@ class BufferManager:
                     return frame.slot
             self._hand += 1
             sweeps += 1
-        raise BufferPoolExhaustedError(
-            f"all {len(self._clock_keys)} buffer frames are pinned or hold "
-            "uncommitted changes (statement working set exceeds the pool)"
-        )
+        return None
 
     def _holds_uncommitted(self, frame: Frame) -> bool:
         """No-steal check (see ``wal`` in :meth:`__init__`).
 
-        pgsim flushes the WAL only at commit boundaries, so a page LSN
-        past the durable horizon means exactly one thing: the current,
-        not-yet-committed statement touched this page.
+        pgsim flushes the WAL at commit boundaries (and when a sweep
+        finds nothing else to evict), so a page LSN past the durable
+        horizon means an in-flight transaction touched this page since
+        the last flush.
         """
         return frame.dirty and self.wal is not None and frame.page.lsn > self.wal.flushed_lsn
 

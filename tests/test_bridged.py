@@ -66,7 +66,12 @@ def reopen(tmp_path, small_dataset):
 def _page_keys(am) -> set[int]:
     """Packed heap TID keys of every entry on the index's data pages."""
     heads = [head for __, head, __ in am._iter_centroids()]
-    return {key for head in heads for keys, __ in am._chain_pages(head) for key in keys}
+    return {
+        read(offno)[0]
+        for head in heads
+        for n, read in am._chain_pages(head)
+        for offno in range(1, n + 1)
+    }
 
 
 class TestBridgedIVFFlat:

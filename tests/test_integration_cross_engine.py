@@ -43,9 +43,9 @@ class TestIVFEquivalence:
         pase_buckets = {}
         for cent_id, head, __ in gen.am._iter_centroids():
             members = set()
-            for keys, __ in gen.am._chain_pages(head):
-                for key in keys:
-                    members.add(table.heap.fetch_column(key_tid(key), 0))
+            for n, read in gen.am._chain_pages(head):
+                for offno in range(1, n + 1):
+                    members.add(table.heap.fetch_column(key_tid(read(offno)[0]), 0))
             pase_buckets[cent_id] = members
         for b in range(16):
             assert pase_buckets[b] == set(spec.bucket_members(b).tolist())

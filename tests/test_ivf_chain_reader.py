@@ -1,12 +1,16 @@
 """The IVF tuple interface against a reference decoder kept here.
 
-``PagedIVF._chain_pages`` reads a bucket chain as one ``(packed keys,
-payload views)`` pair per page; the scans built on it must answer, count
-and pin exactly as the per-item walk they replaced: ``get_item_view`` ->
+``PagedIVF._chain_pages`` reads a bucket chain through
+``PageLayout.items``: one ``(item count, read)`` pair per pinned page,
+``read(offno)`` the page-bound decode of one data tuple to its ``(packed
+TID key, payload view)``.  The scans built on it must answer, count and
+pin exactly as the per-item walk they replaced: ``get_item_view`` ->
 ``unpack`` -> a keyword ``frombuffer`` per tuple, a ``TID`` per
 candidate, ``np.dot`` per pair.  That walk is kept below as the
 reference, over the page-backed variants in three states (as built,
 after INSERTs that extend chains, after DELETE + VACUUM compaction).
+``read`` must also fail like ``Page.item_bounds`` — the locator the
+walk called — on a bad offset or a dead item.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.bridged  # noqa: F401  — registers bridged_ivfflat
 import repro.pase  # noqa: F401  — registers the pase_* access methods
 import repro.pgvector  # noqa: F401  — registers ivfflat
 from repro.common import pq, sq
@@ -35,6 +40,9 @@ AMS = {
     "pase_ivfsq8": "",
     "ivfflat": "",
 }
+#: Every reader of the data pages: ``bridged_ivfflat`` scans its memory
+#: index, but rebuilds it from the pages through the same reader.
+READERS = {**AMS, "bridged_ivfflat": ""}
 STATES = ("built", "inserted", "vacuumed")
 N, DIM, CLUSTERS = 240, 8, 6
 _NO_BLOCK = 0xFFFFFFFF
@@ -66,7 +74,7 @@ def _index(name: str, state: str):
     db.wal.log_commit(1)
     db.execute(
         f"CREATE INDEX ix ON t USING {name} (vec) "
-        f"WITH (clusters = {CLUSTERS}, sample_ratio = 1.0, seed = 3{AMS[name]})"
+        f"WITH (clusters = {CLUSTERS}, sample_ratio = 1.0, seed = 3{READERS[name]})"
     )
     if state != "built":
         for i, vec in enumerate(_rows(rng, centers, 80), start=N):
@@ -113,6 +121,16 @@ def _ref_chain(am, head: int) -> tuple[list[tuple[TID, np.ndarray]], int]:
                 entries.append((TID(heap_blk, heap_off), payload))
             (blkno,) = struct.unpack("<I", page.read_special())
     return entries, pages
+
+
+def _chain_blocks(am, head: int) -> list[int]:
+    """The blocks of the chain at ``head``, in chain order."""
+    rel, blocks = am.relation_name("data"), []
+    while head != _NO_BLOCK:
+        blocks.append(head)
+        with am.buffer.page(rel, head) as page:
+            (head,) = struct.unpack("<I", page.read_special())
+    return blocks
 
 
 def _ref_scorer(am, query: np.ndarray):
@@ -225,7 +243,20 @@ def test_scan_matches_the_per_item_walk(name, state, seed, k, nprobe, fixed_heap
     assert [(key_tid(n.vector_id), n.distance) for n in result.neighbors] == want
 
 
-@pytest.mark.parametrize("name", sorted(AMS))
+def _read_chain(am, head: int) -> tuple[list[int], list[tuple[int, bytes]]]:
+    """Each page's item count and every ``(key, payload bytes)`` through
+    ``_chain_pages``, payloads copied while their page is pinned."""
+    counts, items = [], []
+    for n, read in am._chain_pages(head):
+        counts.append(n)
+        for offno in range(1, n + 1):
+            key, payload = read(offno)
+            assert payload.dtype == am.layouts["data"].dtype
+            items.append((key, payload.tobytes()))
+    return counts, items
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
 def test_chain_pages_yield_every_item_in_order(name):
     """Page by page, the reader's keys and payloads are the per-item
     decode's, empty pages left by compaction included."""
@@ -234,15 +265,150 @@ def test_chain_pages_yield_every_item_in_order(name):
     saw_empty_page = False
     for head in heads:
         entries, pages = _ref_chain(am, head)
-        got = list(am._chain_pages(head))
-        assert len(got) == pages
-        saw_empty_page |= any(not keys for keys, __ in got)
-        keys = [key for page_keys, __ in got for key in page_keys]
-        payloads = [payload for __, page_payloads in got for payload in page_payloads]
-        assert [key_tid(key) for key in keys] == [tid for tid, __ in entries]
-        assert [p.tobytes() for p in payloads] == [p.tobytes() for __, p in entries]
-        assert all(p.dtype == am.layouts["data"].dtype for p in payloads)
+        counts, items = _read_chain(am, head)
+        assert len(counts) == pages
+        saw_empty_page |= 0 in counts
+        assert [(key_tid(key), payload) for key, payload in items] == [
+            (tid, payload.tobytes()) for tid, payload in entries
+        ]
     assert saw_empty_page
+    assert db.buffer.pinned_pages() == 0
+
+
+def _failure(call) -> tuple[type, str] | None:
+    try:
+        call()
+    except (IndexError, PageCorruptError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_read_fails_like_item_bounds(name):
+    """An offset outside 1..count and a dead item raise from ``read``
+    what ``Page.item_bounds`` raises for them (type and message), and
+    the scan over such a page pins nothing afterwards."""
+    db, am, __ = _index.__wrapped__(name, "built")
+    heads, __, __ = _ref_centroids(am)
+    head = next(h for h in heads if h != _NO_BLOCK)
+    rel = am.relation_name("data")
+    with db.buffer.page(rel, head, dirty=True) as page:
+        page.delete_item(2)
+    with db.buffer.page(rel, head) as page:
+        count = page.item_count
+        offsets = range(-1, count + 3)
+        want = {offno: _failure(lambda o=offno: page.item_bounds(o)) for offno in offsets}
+        first = TID(*struct.unpack_from("<IHxx", page.get_item_view(1)))
+    assert want[0][0] is want[count + 1][0] is IndexError
+    assert want[2] == (PageCorruptError, "item 2 is dead")
+    chain = am._chain_pages(head)
+    n, read = next(chain)
+    assert n == count
+    got = {offno: _failure(lambda o=offno: read(o)) for offno in offsets}
+    assert got == want
+    assert key_tid(read(1)[0]) == first
+    assert db.buffer.pinned_pages() == 1  # the page stays pinned until the next pull
+    chain.close()
+    assert db.buffer.pinned_pages() == 0
+    db.execute(f"SET pase.nprobe = {CLUSTERS}")
+    if name != "bridged_ivfflat":  # its scans read the memory index
+        with pytest.raises(PageCorruptError, match="item 2 is dead"):
+            list(am.scan(np.zeros(DIM, dtype=np.float32), 5))
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@pytest.mark.parametrize("forgery", ["tuple area", "line pointer"])
+def test_forged_page_reads_as_the_walk_and_fails_verify(name, forgery):
+    """A data page whose tuple area is not exactly its items (``upper``
+    forged) or whose first line pointer is torn (length off by one):
+    ``verify`` — so the page-granular batch reader — refuses it, while
+    the tuple reader, like the per-item walk, locates items by their
+    line pointers alone and reads what the walk reads."""
+    db, am, __ = _index.__wrapped__(name, "built")
+    heads, __, __ = _ref_centroids(am)
+    head = next(h for h in heads if h != _NO_BLOCK)
+    rel, data = am.relation_name("data"), am.layouts["data"]
+    with db.buffer.page(rel, head, dirty=True) as page:
+        if forgery == "tuple area":
+            page.upper -= 4
+        else:
+            off, length = struct.unpack_from("<HH", page.buf, 24)
+            struct.pack_into("<HH", page.buf, 24, off, length + 1)
+        with pytest.raises(PageCorruptError, match="not packed"):
+            data.verify(page)
+    # The walk as the reader's parent did it: each item at the offset
+    # ``item_bounds`` gives, its payload the layout's fixed width.
+    want = []
+    for blkno in _chain_blocks(am, head):
+        with db.buffer.page(rel, blkno) as page:
+            for offno in range(1, page.item_count + 1):
+                off, __ = page.item_bounds(offno)
+                heap_blk, heap_off = struct.unpack_from("<IHxx", page.buf, off)
+                payload = np.frombuffer(page.buf, data.dtype, data.width, off + 8)
+                want.append(((heap_blk << 16) | heap_off, payload.tobytes()))
+    assert _read_chain(am, head)[1] == want
+    with pytest.raises(PageCorruptError, match="not packed"):
+        am._gather_buckets([head])
+    assert db.buffer.pinned_pages() == 0
+
+
+@pytest.mark.parametrize("state", STATES)
+def test_bridged_rebuild_reads_the_pages_once(state):
+    """``bridged_ivfflat`` rebuilds its memory index through the tuple
+    reader: one pin per centroid and chain page, each list the chain's
+    entries in chain order."""
+    db, am, __ = _index("bridged_ivfflat", state)
+    heads, __, centroid_pages = _ref_centroids(am)
+    chains = [_ref_chain(am, head) for head in heads]
+    am._index = None
+    before = _pins(db)
+    index = am._memory()
+    assert _pins(db) - before == centroid_pages + sum(pages for __, pages in chains)
+    for (keys, vectors), (entries, __) in zip(index.lists(), chains):
+        assert [key_tid(key) for key in keys.tolist()] == [tid for tid, __ in entries]
+        assert [v.tobytes() for v in vectors] == [p.tobytes() for __, p in entries]
+    assert db.buffer.pinned_pages() == 0
+
+
+@pytest.mark.parametrize("name", sorted(AMS))
+def test_filtered_scan_counts_like_the_walk(name):
+    """In-filter scan with a mask passing every even heap offset:
+    profiled, one ``Tuple Access`` per centroid and examined candidate
+    and one ``fvec_L2sqr`` per centroid and passing candidate, the pins
+    of the probed chains, and the walk's nearest passing entries."""
+    db, am, centers = _index(name, "inserted")
+    query = (centers[1] + 0.5).astype(np.float32)
+    nprobe, k = 2, 5
+    db.execute(f"SET pase.nprobe = {nprobe}")
+    heads, centroids, centroid_pages = _ref_centroids(am)
+    order = np.argsort([float(np.dot(query - c, query - c)) for c in centroids], kind="stable")
+    score = _ref_scorer(am, query)
+    examined = passed = chain_pages = 0
+    scored = []
+    for bucket in order[:nprobe].tolist():
+        entries, pages = _ref_chain(am, heads[bucket])
+        chain_pages += pages
+        examined += len(entries)
+        for tid, payload in entries:
+            if tid.offset % 2 == 0:
+                passed += 1
+                scored.append((score(tid, payload), (tid.blkno << 16) | tid.offset))
+    assert passed >= k  # one round: no widening
+    want = [(key_tid(key), dist) for dist, key in heapq.nsmallest(k, scored)]
+
+    original, am.profiler = am.profiler, Profiler()
+    before = _pins(db)
+    try:
+        got = list(am.amsearch_filtered(query, k, lambda tids: [t.offset % 2 == 0 for t in tids]))
+    finally:
+        profiler, am.profiler = am.profiler, original
+    assert got == want
+    assert am.last_filtered_examined == examined
+    heap_fetches = passed if name == "ivfflat" else 0
+    assert _pins(db) - before == centroid_pages + chain_pages + heap_fetches
+    calls = {row.name: row.calls for row in profiler.breakdown()}
+    assert calls[SEC_TUPLE_ACCESS] == len(centroids) + examined
+    assert calls[SEC_DISTANCE] == len(centroids) + passed
     assert db.buffer.pinned_pages() == 0
 
 

@@ -82,7 +82,7 @@ def _build(name: str, options: str = "") -> SimpleNamespace:
 
 def _indexed_entries(am) -> int:
     return sum(
-        sum(len(keys) for keys, __ in am._chain_pages(head))
+        sum(n for n, __ in am._chain_pages(head))
         for __, head, __v in list(am._iter_centroids())
     )
 

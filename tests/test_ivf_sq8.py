@@ -124,6 +124,26 @@ class TestPaseIVFSQ8:
         b = self._ids(loaded_db, am, q, 10)
         assert a == b
 
+    def test_batch_scan_returns_the_tuple_scans_tids(
+        self, loaded_db, am, small_dataset, monkeypatch
+    ):
+        """The batch interface dequantizes the gathered codes once and
+        scores them in one kernel call, off the tuple path: the tuple
+        scan's TIDs in its order, exact ties (rows sharing one code)
+        broken by key, at the same distances to the bit."""
+        table = loaded_db.catalog.table("items")
+        twin = small_dataset.base[7]
+        twins = [table.heap.insert([7000 + i, twin], xid=1) for i in range(3)]
+        for tid in twins:
+            am.insert(tid, twin)
+        queries = [*small_dataset.queries, twin]
+        tuple_scans = [list(am.scan(q, 10)) for q in queries]
+        monkeypatch.setattr(am, "_scan_buckets", None)  # the tuple path is off limits
+        for q, pairs in zip(queries, tuple_scans):
+            batch = am.get_batch(q, 10)
+            assert batch.pairs() == pairs
+        assert [tid for tid, __ in tuple_scans[-1] if tid in twins] == sorted(twins)
+
 
 class TestSQ8Study:
     def test_full_comparison(self, medium_dataset):

@@ -142,7 +142,7 @@ class TestPaseParallel:
         spec_lists = _spec_list_sizes(study, query, 16)
         order, heads = am._rank_centroids(am._check_query(query))
         pase_lists = [
-            sum(len(keys) for keys, __ in am._chain_pages(heads[b])) for b in order[:16]
+            sum(n for n, __ in am._chain_pages(heads[b])) for b in order[:16]
         ]
         spec_units, pase_units = scheduled
         assert [u.serial_ops for u in spec_units] == [1] * len(spec_lists)

@@ -100,7 +100,7 @@ class TestPaseIVFFlat:
     def test_all_vectors_indexed(self, flat_am, small_dataset):
         total = 0
         for __, head, __ in flat_am._iter_centroids():
-            total += sum(len(keys) for keys, __ in flat_am._chain_pages(head))
+            total += sum(n for n, __ in flat_am._chain_pages(head))
         assert total == small_dataset.n
 
     def test_fixed_heap_same_results(self, loaded_db, flat_am, small_dataset):

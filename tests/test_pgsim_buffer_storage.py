@@ -1,5 +1,6 @@
 """Tests for the disk manager and buffer manager (RC#2 substrate)."""
 
+import numpy as np
 import pytest
 
 from repro.pgsim.buffer import BufferManager, BufferPoolExhaustedError
@@ -253,6 +254,9 @@ class TestNoStealEviction:
         buffer.unpin(f3)
 
     def test_pool_of_uncommitted_pages_exhausts(self):
+        """Uncommitted pages exhaust the pool only while they are pinned:
+        with every frame pinned, the sweep neither flushes the WAL nor
+        writes a page."""
         from repro.pgsim.wal import WriteAheadLog
 
         disk = MemoryDisk(page_size=1024)
@@ -262,6 +266,87 @@ class TestNoStealEviction:
         for __ in range(2):
             blkno, frame = buffer.new_page("r")
             frame.page.lsn = wal.log_insert(1, "r", blkno, b"x")
-            buffer.unpin(frame, dirty=True)
-        with pytest.raises(BufferPoolExhaustedError):
+        with pytest.raises(BufferPoolExhaustedError, match="pinned"):
             buffer.new_page("r")
+        assert wal.flushed_lsn == 0
+        assert buffer.stats.dirty_writebacks == 0
+
+    def test_uncommitted_pages_are_written_after_one_wal_flush(self):
+        """A sweep that finds only frames past the durable WAL horizon
+        flushes the WAL once (WAL before data), then evicts one of them
+        as any dirty frame: its image reaches the disk."""
+        from repro.pgsim.wal import WriteAheadLog
+
+        disk = MemoryDisk(page_size=1024)
+        disk.create_relation("r")
+        wal = WriteAheadLog()
+        buffer = BufferManager(disk, capacity=2, wal=wal)
+        lsns = []
+        for __ in range(2):
+            blkno, frame = buffer.new_page("r")
+            frame.page.lsn = wal.log_insert(1, "r", blkno, b"x")
+            lsns.append(frame.page.lsn)
+            buffer.unpin(frame, dirty=True)
+        blkno, frame = buffer.new_page("r")
+        buffer.unpin(frame, dirty=True)
+        assert wal.flushed_lsn == max(lsns)
+        assert wal.stats.flushes == 1
+        assert buffer.stats.evictions == buffer.stats.dirty_writebacks == 1
+        (evicted,) = {0, 1} - {b for __, b in buffer._frames}
+        assert Page(bytearray(disk.read_block("r", evicted))).lsn == lsns[evicted]
+
+
+def _vec(rng, dim: int = 128) -> str:
+    return ",".join(f"{x:.4f}" for x in rng.random(dim))
+
+
+def _one_big_transaction(db, commit: bool = True) -> None:
+    """``BEGIN``, 600 128-d INSERTs, ``COMMIT``: on a 16-frame pool the
+    transaction dirties many more heap pages than the pool holds."""
+    rng = np.random.default_rng(0)
+    db.execute("BEGIN")
+    for i in range(600):
+        db.execute(f"INSERT INTO t VALUES ({i}, '{_vec(rng)}'::PASE)")
+    if commit:
+        db.execute("COMMIT")
+
+
+class TestTransactionLargerThanThePool:
+    @pytest.mark.parametrize("durable", [False, True], ids=["memory", "file"])
+    def test_commits_and_every_row_is_visible(self, tmp_path, durable):
+        from repro.pgsim import PgSimDatabase
+
+        kwargs = {"data_dir": tmp_path / "db"} if durable else {}
+        with PgSimDatabase(buffer_pool_pages=16, **kwargs) as db:
+            db.execute("CREATE TABLE t (id int, vec float[])")
+            _one_big_transaction(db)
+            assert db.buffer.stats.dirty_writebacks > 0
+            assert sorted(r[0] for r in db.query("SELECT id FROM t")) == list(range(600))
+        if durable:
+            with PgSimDatabase(data_dir=tmp_path / "db", buffer_pool_pages=16) as db:
+                assert db.query("SELECT count(*) FROM t") == [(600,)]
+
+    def test_crash_before_commit_leaves_none_of_its_rows(self, tmp_path):
+        """Its uncommitted pages reached the disk before the crash;
+        recovery purges every row of the loser."""
+        from repro.pgsim import PgSimDatabase
+        from repro.pgsim.faults import FaultInjector, SimulatedCrash
+
+        def run(datadir, injector, commit):
+            db = PgSimDatabase(data_dir=datadir, buffer_pool_pages=16, fault_injector=injector)
+            try:
+                db.execute("CREATE TABLE t (id int, vec float[])")
+                db.execute(f"INSERT INTO t VALUES (-1, '{_vec(np.random.default_rng(1))}'::PASE)")
+                _one_big_transaction(db, commit)
+                return db.buffer.stats.dirty_writebacks
+            finally:
+                db.close()
+
+        counter = FaultInjector()
+        assert run(tmp_path / "count", counter, commit=False) > 0
+        crash = FaultInjector.crash_at(counter.ops)  # COMMIT's first durable write
+        with pytest.raises(SimulatedCrash):
+            run(tmp_path / "crash", crash, commit=True)
+        assert crash.fired
+        with PgSimDatabase(data_dir=tmp_path / "crash", buffer_pool_pages=16) as db:
+            assert db.query("SELECT id FROM t") == [(-1,)]

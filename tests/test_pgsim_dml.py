@@ -142,7 +142,7 @@ class TestReindexAndShowAll:
         # After reindex, the index holds only live rows.
         total = 0
         for __, head, __ in am._iter_centroids():
-            total += sum(len(keys) for keys, __ in am._chain_pages(head))
+            total += sum(n for n, __ in am._chain_pages(head))
         assert total == small_dataset.n - 300
         rows = loaded_db.query(
             f"SELECT id FROM items ORDER BY vec <-> "
