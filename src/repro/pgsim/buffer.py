@@ -329,8 +329,11 @@ class BufferManager:
         if not self._clock_keys:
             raise BufferPoolExhaustedError("buffer pool is empty but full?")
         slot = self._sweep()
-        unpinned = any(frame.pin_count == 0 for frame in self._frames.values())
-        if slot is None and unpinned and self.wal is not None:
+        if (
+            slot is None
+            and self.wal is not None
+            and any(frame.pin_count == 0 for frame in self._frames.values())
+        ):
             self.wal.flush()
             slot = self._sweep()
         if slot is None:

@@ -60,7 +60,8 @@ class PgSimDatabase:
             directory; otherwise everything lives in memory (the
             "tmpfs" configuration the paper uses to exclude I/O).
         fault_injector: when given, all durability-relevant file I/O
-            (WAL appends/fsyncs, page writes) flows through it — the
+            (WAL appends/fsyncs, page writes, the checkpoint's
+            data-file fsyncs) flows through it — the
             hook the crash-recovery harness uses to simulate torn
             writes, failed fsyncs and crashes at write boundaries.
     """
@@ -324,19 +325,24 @@ class PgSimDatabase:
     # maintenance
     # ------------------------------------------------------------------
     def checkpoint(self) -> int:
-        """Flush dirty pages, mark the WAL, and truncate the log.
+        """Flush dirty pages, sync them, mark the WAL, truncate the log.
 
         Protocol (order matters):
 
         1. flush the WAL — pages may only be written once the records
            that produced them are durable (WAL-before-data);
-        2. write back every dirty buffer page, so the log up to here
-           is no longer needed for redo;
-        3. append + flush a checkpoint record carrying the xid
-           allocator position and the open-transaction list (an open
-           transaction's flushed-but-truncated changes must still be
-           rolled back if we crash before its commit);
-        4. truncate the log before the checkpoint record, bounding
+        2. write back every dirty buffer page;
+        3. fsync every relation written since the last checkpoint
+           (:meth:`~repro.pgsim.storage.DiskManager.sync`), so the log
+           up to here is no longer needed for redo.  If an fsync fails,
+           the database panics as on a failed WAL fsync: no checkpoint
+           record, no truncation, and every further write is refused
+           until the database is reopened and recovered;
+        4. append + flush a checkpoint record carrying the xid
+           allocator position and the open and rolled-back transaction
+           lists (their flushed-but-truncated changes must still be
+           rolled back by recovery);
+        5. truncate the log before the checkpoint record, bounding
            both the in-memory record list and the on-disk file.
 
         Takes the statement lock so a checkpoint never interleaves
@@ -346,9 +352,15 @@ class PgSimDatabase:
         with self._statement_lock:
             self.wal.flush()
             self.buffer.flush_all()
+            try:
+                self.disk.sync()
+            except Exception:
+                self.wal.panic()
+                raise
             lsn = self.wal.log_checkpoint(
                 next_xid=self.xact.next_xid,
                 in_progress=self.xact.in_progress_xids(),
+                aborted=self.xact.aborted_xids(),
             )
             self.wal.truncate_before(lsn)
             return lsn

@@ -3,8 +3,9 @@
 Crash-safety claims are only as good as the failures they were tested
 against.  This module provides the single chokepoint through which all
 durability-relevant file I/O in pgsim flows — WAL appends, WAL fsyncs,
-page write-back and relation extension — so a test can deterministically
-break any one of those operations and then assert that recovery still
+page write-back, relation extension and the checkpoint's data-file
+fsyncs — so a test can deterministically break any one of those
+operations and then assert that recovery still
 upholds the commit contract (committed data survives, unacknowledged
 data may not resurrect partial state).
 
@@ -21,7 +22,10 @@ dominate crash/recovery defect reports in vector DBMSs:
   fsync the kernel may have dropped the dirty pages, so retrying the
   fsync later and seeing success proves nothing.  pgsim reacts like
   PostgreSQL post-fsyncgate: the WAL enters a panic state and refuses
-  further work until the database is restarted and recovered.
+  further work until the database is restarted and recovered.  A
+  failed data-file fsync (``disk.fsync``, issued only by a checkpoint,
+  once per relation written since the last one) panics the database
+  the same way, before the checkpoint record is written.
 
 Simulated crashes are delivered as :class:`SimulatedCrash` exceptions.
 Because everything runs in one process, "crash" means: the exception

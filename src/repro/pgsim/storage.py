@@ -10,7 +10,10 @@ Two backends are provided:
 - :class:`FileDisk` — pages live in one file per relation, for
   demonstrating durability (WAL recovery tests run against it).  Each
   file is opened once, unbuffered, and read and written by offset on
-  the held descriptor; the block count is kept in memory.
+  the held descriptor; the block count is kept in memory.  No page
+  write is synced on its own: the disk remembers which relations were
+  written since the last checkpoint, and :meth:`DiskManager.sync`
+  fsyncs each of them once when the checkpoint asks.
 
 Both expose the same interface, so every layer above is oblivious to
 the backend.  Both raise :class:`IndexError` for a block number outside
@@ -66,6 +69,10 @@ class DiskManager:
     def extend(self, name: str, data: bytes) -> int:
         """Append a page; returns its block number."""
         raise NotImplementedError
+
+    def sync(self) -> None:
+        """Make every page written since the last sync durable (the
+        checkpoint's data-file barrier; nothing to do by default)."""
 
     def close(self) -> None:
         """Release held file handles (nothing to release by default)."""
@@ -164,11 +171,22 @@ class FileDisk(DiskManager):
     it when the file is first opened, and only :meth:`create_relation`,
     :meth:`extend` and :meth:`drop_relation` change it afterwards.
 
-    All page writes flow through a :class:`FaultInjector` so the
-    crash-recovery harness can tear or abort them deterministically;
-    the default injector performs plain, unbroken I/O.  Unbuffered
-    handles hold no bytes of their own, so closing an instance that a
-    simulated crash abandoned writes nothing.
+    Writes are not synced one by one.  :meth:`extend` and
+    :meth:`write_block` (WAL redo and the loser purge included) add
+    their relation to the set of relations written since the last
+    :meth:`sync`, and :meth:`sync` fsyncs each of those once: the
+    checkpoint's barrier before its record lets the WAL be truncated
+    (PostgreSQL's ``mdextend`` defers the fsync to the checkpointer the
+    same way).  An instance opened on an existing directory starts with
+    every relation on disk in the set, since it cannot tell whether the
+    last one to write them synced them (``SyncDataDirectory`` after an
+    unclean shutdown).
+
+    All page writes and syncs flow through a :class:`FaultInjector` so
+    the crash-recovery harness can tear, fail or abort them
+    deterministically; the default injector performs plain, unbroken
+    I/O.  Unbuffered handles hold no bytes of their own, so closing an
+    instance that a simulated crash abandoned writes nothing.
     """
 
     def __init__(
@@ -182,6 +200,8 @@ class FileDisk(DiskManager):
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self._files: dict[str, _RelFile] = {}
+        #: Relations written since the last :meth:`sync`.
+        self._unsynced: set[str] = set(self.list_relations())
 
     def _path(self, name: str) -> Path:
         if "/" in name or name.startswith("."):
@@ -198,6 +218,7 @@ class FileDisk(DiskManager):
     def drop_relation(self, name: str) -> None:
         self._open(name)
         self._files.pop(name).file.close()
+        self._unsynced.discard(name)
         self._path(name).unlink()
 
     def relation_exists(self, name: str) -> bool:
@@ -232,6 +253,7 @@ class FileDisk(DiskManager):
         if not 0 <= blkno < rel.n_blocks:
             raise IndexError(f"block {blkno} beyond end of {name!r} ({rel.n_blocks} blocks)")
         rel.file.seek(blkno * self.page_size)
+        self._unsynced.add(name)
         self.faults.write("disk.write", rel.file, data)
         self.writes += 1
 
@@ -246,13 +268,21 @@ class FileDisk(DiskManager):
         # partial one and every later block read would be garbage.
         f.truncate(full)
         f.seek(full)
+        self._unsynced.add(name)
         self.faults.write("disk.extend", f, data)
-        # The page is in the file now, whether or not the barrier below
-        # succeeds.
         rel.n_blocks = blkno + 1
-        self.faults.fsync("disk.fsync", f)
         self.writes += 1
         return blkno
+
+    def sync(self) -> None:
+        """Fsync each relation written since the last sync, once.
+
+        A relation leaves the set only after its fsync succeeded, so a
+        failed sync leaves every relation it did not reach still owed.
+        """
+        for name in sorted(self._unsynced):
+            self.faults.fsync("disk.fsync", self._open(name).file)
+            self._unsynced.discard(name)
 
     def close(self) -> None:
         """Close every held relation file (idempotent; writes nothing).

@@ -19,11 +19,12 @@ Protocol:
   so line-pointer offsets line up — then physically purges tuples
   belonging to transactions without a durable commit record;
 - a checkpoint (:meth:`WriteAheadLog.log_checkpoint` after the buffer
-  pool is flushed) establishes a durable horizon behind which
-  :meth:`WriteAheadLog.truncate_before` may discard the log; its
-  payload carries the xid allocator position and the in-progress xid
-  list, because truncation can discard a still-open transaction's
-  records after its dirty pages were flushed.
+  pool is flushed and the data files synced) establishes a durable
+  horizon behind which :meth:`WriteAheadLog.truncate_before` may
+  discard the log; its payload carries the xid allocator position, the
+  in-progress xid list and the aborted xid list, because truncation can
+  discard the only records naming a still-open or rolled-back
+  transaction after its dirty pages were flushed.
 
 Failure semantics: :attr:`WriteAheadLog.flushed_lsn` only advances
 after the append *and* fsync succeed, so an I/O failure can never make
@@ -32,7 +33,8 @@ poisons the log (:class:`WalPanicError` on further use) — after a
 failed fsync the kernel may have dropped the dirty pages, so retrying
 in-process proves nothing; the instance must be abandoned and recovery
 run from the files (PostgreSQL reached the same conclusion after
-*fsyncgate*).
+*fsyncgate*).  A failed data-file fsync at a checkpoint poisons the log
+the same way (:meth:`WriteAheadLog.panic`).
 
 File handle: a file-backed log opens its file once, unbuffered, at the
 first flush and keeps the append handle; :meth:`WriteAheadLog.truncate_before`
@@ -261,23 +263,30 @@ class WriteAheadLog:
         self.flush()
         return lsn
 
-    def log_checkpoint(self, next_xid: int = 0, in_progress: Sequence[int] = ()) -> int:
+    def log_checkpoint(
+        self,
+        next_xid: int = 0,
+        in_progress: Sequence[int] = (),
+        aborted: Sequence[int] = (),
+    ) -> int:
         """Record a checkpoint boundary and make it durable.
 
         The payload carries the durable horizon, the xid allocator
-        position, and the in-progress xid list at checkpoint time.
-        The open-transaction list is what lets recovery roll back a
-        transaction whose data records were truncated away after a
-        mid-transaction checkpoint flushed its dirty pages — without
-        it, such a transaction would look bulk-loaded (committed).
+        position, and the in-progress and aborted xid lists at
+        checkpoint time.  The two lists are what let recovery roll back
+        a transaction whose data records were truncated away after the
+        checkpoint flushed its dirty pages — without them, an open or
+        rolled-back transaction would look bulk-loaded (committed).
         A checkpoint record that is itself not flushed would be useless
         to recovery, so this flushes like :meth:`log_commit`.  The
-        caller is responsible for having flushed dirty pages *first*
-        (see :meth:`repro.pgsim.database.PgSimDatabase.checkpoint`).
+        caller is responsible for having flushed and synced dirty pages
+        *first* (see :meth:`repro.pgsim.database.PgSimDatabase.checkpoint`).
         """
-        payload = struct.pack(
-            "<QQI", self.flushed_lsn, next_xid, len(in_progress)
-        ) + b"".join(struct.pack("<I", x) for x in in_progress)
+        payload = (
+            struct.pack("<QQI", self.flushed_lsn, next_xid, len(in_progress))
+            + struct.pack(f"<{len(in_progress)}I", *in_progress)
+            + struct.pack(f"<I{len(aborted)}I", len(aborted), *aborted)
+        )
         lsn = self._append(REC_CHECKPOINT, 0, "", 0, payload)
         self.flush()
         # Pages are durable as of this checkpoint: the next change to
@@ -319,6 +328,12 @@ class WriteAheadLog:
         self._durable_count = len(self._records)
         self.flushed_lsn = self._next_lsn - 1
         self._note_flushed()
+
+    def panic(self) -> None:
+        """Refuse further work, as after a failed WAL fsync: a checkpoint
+        whose data-file fsync failed cannot tell which pages reached the
+        medium, so only recovery from the files may continue."""
+        self._panicked = True
 
     def _note_flushed(self) -> None:
         """Move appended-but-unflushed accounting to the flushed side."""
@@ -446,18 +461,27 @@ class WriteAheadLog:
         return len(self._records)
 
 
-def checkpoint_fields(payload: bytes) -> tuple[int, int, tuple[int, ...]]:
-    """Decode a checkpoint payload: (flushed_lsn, next_xid, in_progress).
+def checkpoint_fields(
+    payload: bytes,
+) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+    """Decode a checkpoint payload:
+    ``(flushed_lsn, next_xid, in_progress, aborted)``.
 
-    Accepts the legacy 8-byte payload (durable horizon only) for logs
-    written before checkpoints carried transaction state.
+    Accepts the legacy payloads of logs written before checkpoints
+    carried transaction state (8 bytes, the durable horizon only) or
+    the aborted list (no bytes after the in-progress list).
     """
     if len(payload) < 20:
         (flushed,) = struct.unpack_from("<Q", payload, 0)
-        return flushed, 0, ()
+        return flushed, 0, (), ()
     flushed, next_xid, n = struct.unpack_from("<QQI", payload, 0)
-    xids = struct.unpack_from(f"<{n}I", payload, 20) if n else ()
-    return flushed, next_xid, tuple(xids)
+    in_progress = struct.unpack_from(f"<{n}I", payload, 20)
+    pos = 20 + 4 * n
+    aborted: tuple[int, ...] = ()
+    if len(payload) > pos:
+        (n_aborted,) = struct.unpack_from("<I", payload, pos)
+        aborted = struct.unpack_from(f"<{n_aborted}I", payload, pos + 4)
+    return flushed, next_xid, in_progress, aborted
 
 
 def next_xid_after(wal: WriteAheadLog) -> int:
@@ -470,10 +494,8 @@ def next_xid_after(wal: WriteAheadLog) -> int:
     nxt = FIRST_NORMAL_XID
     for rec in wal.records():
         if rec.rec_type == REC_CHECKPOINT:
-            __, ckpt_next, in_progress = checkpoint_fields(rec.payload)
-            nxt = max(nxt, ckpt_next)
-            for xid in in_progress:
-                nxt = max(nxt, xid + 1)
+            __, ckpt_next, in_progress, aborted = checkpoint_fields(rec.payload)
+            nxt = max(nxt, ckpt_next, *(xid + 1 for xid in in_progress + aborted))
         else:
             nxt = max(nxt, rec.xid + 1)
     return nxt
@@ -496,11 +518,11 @@ def replay(wal: WriteAheadLog, disk: DiskManager) -> int:
 
     Then the undo-by-purge pass: a transaction that wrote durable data
     (a data record, or membership in the last checkpoint's in-progress
-    list) without a durable commit record is a *loser*.  Every heap
-    tuple a loser inserted is physically removed, and every ``xmax``
-    stamp a loser left is cleared — after recovery, no trace remains
-    and the fresh transaction manager may treat every surviving xid as
-    committed.
+    or aborted list) without a durable commit record is a *loser*.
+    Every heap tuple a loser inserted is physically removed, and every
+    ``xmax`` stamp a loser left is cleared — after recovery, no trace
+    remains and the fresh transaction manager may treat every surviving
+    xid as committed.
 
     A truncated log (see :meth:`WriteAheadLog.truncate_before`) starts
     at a checkpoint record; everything before it is already in the
@@ -513,15 +535,18 @@ def replay(wal: WriteAheadLog, disk: DiskManager) -> int:
     records = [r for r in wal.records() if r.lsn <= wal.flushed_lsn]
     committed = {r.xid for r in records if r.rec_type == REC_COMMIT}
     seen_xids: set[int] = set()
-    ckpt_in_progress: tuple[int, ...] = ()
+    ckpt_losers: tuple[int, ...] = ()
     data_rels: set[str] = set()
     applied = 0
     for rec in records:
         if rec.rec_type == REC_CHECKPOINT:
-            # Only the latest checkpoint's open-transaction list counts:
-            # anything open at an earlier one either finished (commit
-            # record, or loser via missing commit) or is still listed.
-            __, __, ckpt_in_progress = checkpoint_fields(rec.payload)
+            # Only the latest checkpoint's lists count: anything open
+            # at an earlier one either finished (commit record, or loser
+            # via missing commit) or is still listed, and an instance's
+            # aborted list is cumulative (its recovery purged those of
+            # the instance before it).
+            __, __, in_progress, aborted = checkpoint_fields(rec.payload)
+            ckpt_losers = in_progress + aborted
             continue
         if rec.rec_type in (REC_COMMIT, REC_BEGIN, REC_ABORT):
             continue
@@ -568,7 +593,7 @@ def replay(wal: WriteAheadLog, disk: DiskManager) -> int:
         disk.write_block(rec.rel, rec.blkno, bytes(page.buf))
         applied += 1
 
-    losers = losers_after_replay(seen_xids, ckpt_in_progress, committed)
+    losers = losers_after_replay(seen_xids, ckpt_losers, committed)
     _purge_losers(disk, losers, data_rels)
     return applied
 

@@ -203,6 +203,13 @@ class TransactionManager:
         with self._lock:
             return sorted(self._txns)
 
+    def aborted_xids(self) -> list[int]:
+        """Rolled-back transactions, oldest first (checkpoint records
+        these too: a checkpoint truncates the only WAL records that
+        name them, while their tuples stay on the pages)."""
+        with self._lock:
+            return sorted(self._aborted)
+
     def clog_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(aborted, in progress)`` xids as int64 arrays, read together
         under the lock: the commit log :func:`visible_mask` and VACUUM
@@ -354,15 +361,15 @@ def visible_mask(
 
 def losers_after_replay(
     seen_xids: Iterable[int],
-    checkpoint_in_progress: Iterable[int],
+    checkpoint_losers: Iterable[int],
     committed_xids: Iterable[int],
 ) -> set[int]:
     """Transactions recovery must roll back.
 
     A loser is any xid that wrote durable data (a WAL data record, or
-    membership in the last checkpoint's in-progress list — its records
-    may have been truncated away after its dirty pages were flushed)
-    without a durable commit record.
+    membership in the last checkpoint's in-progress or aborted list —
+    its records may have been truncated away after its dirty pages were
+    flushed) without a durable commit record.
     """
     committed = set(committed_xids)
-    return (set(seen_xids) | set(checkpoint_in_progress)) - committed
+    return (set(seen_xids) | set(checkpoint_losers)) - committed

@@ -153,8 +153,9 @@ class TestCachedBlockCounts:
         fresh.close()
 
     def test_torn_extend_reports_the_floor_and_next_extend_heals(self, tmp_path):
-        # Ops per extend: the page write, then its fsync.  Tear the third write.
-        disk = FileDisk(tmp_path, page_size=PAGE, faults=FaultInjector.torn_write_at(4))
+        # One op per extend, the page write (its fsync waits for the
+        # next checkpoint).  Tear the third write.
+        disk = FileDisk(tmp_path, page_size=PAGE, faults=FaultInjector.torn_write_at(2))
         disk.create_relation("r")
         disk.extend("r", _blank_page())
         disk.extend("r", _blank_page())

@@ -20,6 +20,8 @@ so the files stay as the crash left them, and CI runs this module with
 ``ResourceWarning`` as an error, so a leaked descriptor fails it.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.pgsim import PgSimDatabase
@@ -32,18 +34,24 @@ from repro.pgsim.faults import (
     SimulatedCrash,
     SimulatedIOError,
 )
-from repro.pgsim.storage import MemoryDisk
-from repro.pgsim.wal import WalPanicError, WriteAheadLog, checkpoint_fields, replay
+from repro.pgsim.storage import FileDisk, MemoryDisk
+from repro.pgsim.wal import (
+    REC_CHECKPOINT,
+    WalPanicError,
+    WriteAheadLog,
+    checkpoint_fields,
+    replay,
+)
 
 #: Small pool so the workload exercises eviction paths too.
 POOL = 16
 N_ROWS = 8
 CHECKPOINT_AFTER = 3
 INDEX_AFTER = 5
-#: Durability-relevant operations of ``_run_workload`` without faults,
-#: counted at the commit before relation files were held open: the
-#: number of boundaries each crash sweep below iterates over.
-SWEEP_BOUNDARIES = 47
+#: Durability-relevant operations of ``_run_workload`` without faults:
+#: the number of boundaries each crash sweep below iterates over.
+#: Recorded once data files were synced per checkpoint, not per extend.
+SWEEP_BOUNDARIES = 43
 
 
 def _insert(db: PgSimDatabase, i: int) -> None:
@@ -265,15 +273,25 @@ class TestCheckpointTruncation:
         wal.log_insert(1, "t.heap", 0, b"x")
         wal.log_commit(1)
         horizon = wal.flushed_lsn
-        wal.log_checkpoint(next_xid=7, in_progress=(5, 6))
+        wal.log_checkpoint(next_xid=7, in_progress=(5, 6), aborted=(3,))
         checkpoint = wal.records()[-1]
-        flushed, next_xid, in_progress = checkpoint_fields(checkpoint.payload)
+        flushed, next_xid, in_progress, aborted = checkpoint_fields(checkpoint.payload)
         assert flushed == horizon
         assert next_xid == 7
         assert in_progress == (5, 6)
+        assert aborted == (3,)
         # A checkpoint record must itself be durable (satellite fix).
         assert wal.flushed_lsn == checkpoint.lsn
         wal.close()
+
+    def test_checkpoint_payload_without_aborted_list_decodes(self):
+        """A log written before checkpoints carried the aborted list
+        still recovers: the list reads as empty."""
+        import struct
+
+        payload = struct.pack("<QQI2I", 9, 7, 2, 5, 6)
+        assert checkpoint_fields(payload) == (9, 7, (5, 6), ())
+        assert checkpoint_fields(struct.pack("<Q", 9)) == (9, 0, (), ())
 
     def test_truncate_is_crash_atomic(self, tmp_path):
         """A crash while rewriting the log leaves the old log intact."""
@@ -342,6 +360,44 @@ class TestTransactionRecovery:
         db.checkpoint()
         db.close()  # crash before COMMIT
         assert _recovered_ids(datadir) == [0]
+
+    def test_rolled_back_rows_stay_gone_after_checkpoint_and_reopen(self, tmp_path):
+        """The checkpoint truncates the only WAL records naming a
+        rolled-back transaction while its tuples stay on the flushed
+        pages; the checkpoint's aborted list must still mark it a
+        loser, or a clean reopen resurrects its rows."""
+        datadir = tmp_path / "db"
+        db = self._fresh(datadir)
+        db.execute("CREATE TABLE t (id int, vec float[])")
+        session = db.session("client")
+        session.execute("BEGIN")
+        for i in range(5):
+            session.execute(f"INSERT INTO t VALUES ({i}, '{i}.5,1.25'::PASE)")
+        session.execute("ROLLBACK")
+        db.execute("INSERT INTO t VALUES (100, '1.5,1.25'::PASE)")
+        db.checkpoint()
+        db.close()
+        assert _recovered_ids(datadir) == [100]
+
+    def test_rollback_larger_than_the_pool_stays_gone_after_checkpoint(self, tmp_path):
+        """The same with a rolled-back transaction that dirtied more
+        heap pages than the pool holds, so eviction wrote most of them
+        out before the rollback."""
+        datadir = tmp_path / "db"
+        db = self._fresh(datadir)
+        db.execute("CREATE TABLE t (id int, vec float[])")
+        session = db.session("client")
+        session.execute("BEGIN")
+        # 96-d rows: ~20 to an 8 KiB page, so 600 of them fill ~30 pages.
+        wide = ",".join(["1.25"] * 96)
+        for i in range(600):
+            session.execute(f"INSERT INTO t VALUES ({i}, '{wide}'::PASE)")
+        session.execute("ROLLBACK")
+        assert db.disk.n_blocks("t.heap") > POOL
+        db.execute(f"INSERT INTO t VALUES (1000, '{wide}'::PASE)")
+        db.checkpoint()
+        db.close()
+        assert _recovered_ids(datadir) == [1000]
 
     def test_uncommitted_delete_resurrects_on_recovery(self, tmp_path):
         datadir = tmp_path / "db"
@@ -537,19 +593,25 @@ class TestChurnRecovery:
 
 
 class _RecordingInjector(FaultInjector):
-    """Pass-through injector that notes the site of every operation."""
+    """Pass-through injector that notes the site and the file name of
+    every operation."""
 
     def __init__(self) -> None:
         super().__init__()
         self.sites: list[str] = []
+        self.files: list[str] = []
 
     def write(self, site: str, fobj, payload: bytes) -> None:
-        self.sites.append(site)
+        self._note(site, fobj)
         super().write(site, fobj, payload)
 
     def fsync(self, site: str, fobj) -> None:
-        self.sites.append(site)
+        self._note(site, fobj)
         super().fsync(site, fobj)
+
+    def _note(self, site: str, fobj) -> None:
+        self.sites.append(site)
+        self.files.append(Path(fobj.name).name)
 
 
 #: One letter per fault site, so a step's op sequence reads as a word.
@@ -606,31 +668,189 @@ def _scripted_boundaries(datadir) -> list[tuple[str, str]]:
     return out
 
 
-#: ``_scripted_boundaries`` recorded at the commit before relation files
-#: were held open (e/f = disk.extend/fsync, w = disk.write, a/s/t =
+#: ``_scripted_boundaries`` recorded once data files were synced per
+#: checkpoint (e/f = disk.extend/fsync, w = disk.write, a/s/t =
 #: wal.append/fsync/truncate).  An autocommit INSERT is "aaas" (BEGIN,
-#: INSERT and COMMIT records, one fsync); a new page is "ef".
+#: INSERT and COMMIT records, one fsync); a new page is "e", with no
+#: fsync of its own; a checkpoint writes the dirty pages back, fsyncs
+#: each relation written since the last one ("f" per relation), then
+#: appends its record and truncates the log ("asts").
 EXPECTED_BOUNDARIES = [
     ("create table", ""),
-    ("insert 48", "ef" + "aaas" * 17 + "ef" + "aaas" * 17 + "ef" + "aaas" * 14),
-    ("checkpoint", "wwwasts"),
-    ("create index", "efefefwefwefw"),
-    ("insert 4 indexed", "waaasaaasaaasefaaas"),
+    ("insert 48", "e" + "aaas" * 17 + "e" + "aaas" * 17 + "e" + "aaas" * 14),
+    ("checkpoint", "www" + "f" + "asts"),
+    ("create index", "eeewewew"),
+    ("insert 4 indexed", "waaasaaasaaaseaaas"),
     ("update", "wwwaaaaaaaaaas"),
     ("delete", "waaaaaaaaaas"),
     ("vacuum", "wwww"),
-    ("checkpoint again", "wwwwwasts"),
-    ("insert after truncation", "efefaaas"),
+    ("checkpoint again", "wwwww" + "ffff" + "asts"),
+    ("insert after truncation", "eeaaas"),
 ]
 
 
 class TestFaultBoundaries:
-    """Holding files open must not move a single fault boundary: same
-    sites, same order, same count.  (The crash sweeps check their own
-    boundary count against ``SWEEP_BOUNDARIES`` in ``_baseline_ops``.)"""
+    """The durable workload's fault boundaries are pinned: same sites,
+    same order, same count.  (The crash sweeps check their own boundary
+    count against ``SWEEP_BOUNDARIES`` in ``_baseline_ops``.)"""
 
     def test_scripted_workload_op_sequence(self, tmp_path):
         assert _scripted_boundaries(tmp_path / "db") == EXPECTED_BOUNDARIES
+
+
+class TestDataSyncBarrier:
+    """Data files are synced once per checkpoint, not once per page: a
+    checkpoint fsyncs each relation written since the last one, and
+    does so before its record lets the WAL be truncated."""
+
+    INDEX_SQL = (
+        "CREATE INDEX ix ON t USING pase_ivfflat (vec) "
+        "WITH (clusters = 2, sample_ratio = 1.0, seed = 1)"
+    )
+
+    @staticmethod
+    def _checkpoint(db, injector, since: int) -> tuple[list[str], list[str]]:
+        """Checkpoint and check its barrier: one fsync per relation file
+        written (extended or written back) since op ``since``, all of
+        them before the checkpoint record.  Returns the checkpoint's
+        sites and the files it fsynced."""
+        start = len(injector.sites)
+        db.checkpoint()
+        written = {
+            f
+            for site, f in zip(injector.sites[since:], injector.files[since:])
+            if site in ("disk.extend", "disk.write")
+        }
+        sites = injector.sites[start:]
+        fsynced = [f for site, f in zip(sites, injector.files[start:]) if site == "disk.fsync"]
+        assert sorted(fsynced) == sorted(written), "one fsync per written relation"
+        record = sites.index("wal.append")
+        assert "disk.fsync" not in sites[record:], "data sync after the checkpoint record"
+        return sites, fsynced
+
+    def test_extend_issues_no_fsync(self, tmp_path):
+        injector = _RecordingInjector()
+        disk = FileDisk(tmp_path, page_size=1024, faults=injector)
+        disk.create_relation("r")
+        for __ in range(3):
+            disk.extend("r", bytes(1024))
+        assert injector.sites == ["disk.extend"] * 3
+        # The extends owe one fsync, paid at the next sync, and only there.
+        disk.sync()
+        disk.sync()
+        disk.close()
+        assert injector.sites == ["disk.extend"] * 3 + ["disk.fsync"]
+
+    def test_checkpoint_fsyncs_each_written_relation_once(self, tmp_path):
+        injector = _RecordingInjector()
+        db = PgSimDatabase(
+            data_dir=tmp_path / "db", buffer_pool_pages=POOL, fault_injector=injector
+        )
+        try:
+            db.execute("CREATE TABLE t (id int, vec float[])")
+            for i in range(N_ROWS):
+                _insert(db, i)
+            db.execute(self.INDEX_SQL)
+            __, fsynced = self._checkpoint(db, injector, since=0)
+            assert "t.heap.rel" in fsynced and len(fsynced) > 1
+
+            # Only what was written since: one insert touches the heap
+            # and the index, not every relation on disk.
+            since = len(injector.sites)
+            _insert(db, N_ROWS)
+            self._checkpoint(db, injector, since)
+
+            # Nothing written: nothing synced.
+            sites, __ = self._checkpoint(db, injector, len(injector.sites))
+            assert sites == ["wal.append", "wal.fsync", "wal.truncate", "wal.fsync"]
+        finally:
+            db.close()
+
+    def test_dropped_relation_is_not_synced(self, tmp_path):
+        injector = _RecordingInjector()
+        db = PgSimDatabase(
+            data_dir=tmp_path / "db", buffer_pool_pages=POOL, fault_injector=injector
+        )
+        try:
+            for table in ("t", "u"):
+                db.execute(f"CREATE TABLE {table} (id int, vec float[])")
+                db.execute(f"INSERT INTO {table} VALUES (0, '0.5,1.25'::PASE)")
+            db.execute("DROP TABLE t")
+            start = len(injector.sites)
+            db.checkpoint()
+            fsynced = [
+                f for site, f in zip(injector.sites[start:], injector.files[start:])
+                if site == "disk.fsync"
+            ]
+            assert fsynced == ["u.heap.rel"]
+        finally:
+            db.close()
+
+    def test_reopen_syncs_every_relation_on_disk_at_the_first_checkpoint(self, tmp_path):
+        """An instance cannot tell whether the one before it synced
+        what it wrote, so its first checkpoint syncs every relation on
+        disk, written this time or not."""
+        datadir = tmp_path / "db"
+        db = PgSimDatabase(data_dir=datadir, buffer_pool_pages=POOL)
+        db.execute("CREATE TABLE t (id int, vec float[])")
+        for i in range(N_ROWS):
+            _insert(db, i)
+        db.execute(self.INDEX_SQL)
+        db.checkpoint()
+        db.close()
+
+        injector = _RecordingInjector()
+        db = PgSimDatabase(data_dir=datadir, buffer_pool_pages=POOL, fault_injector=injector)
+        try:
+            start = len(injector.sites)
+            db.checkpoint()
+            fsynced = sorted(
+                f for site, f in zip(injector.sites[start:], injector.files[start:])
+                if site == "disk.fsync"
+            )
+            assert fsynced == [f"{rel}.rel" for rel in db.disk.list_relations()]
+            assert len(fsynced) > 1
+        finally:
+            db.close()
+
+    def test_failed_data_sync_panics_and_keeps_the_wal(self, tmp_path):
+        """FAIL_FSYNC on a data file at the checkpoint: no checkpoint
+        record, no truncation, writes refused; the reopen recovers
+        every acknowledged row from the WAL."""
+
+        def run(datadir, injector):
+            db = PgSimDatabase(
+                data_dir=datadir, buffer_pool_pages=POOL, fault_injector=injector
+            )
+            db.execute("CREATE TABLE t (id int, vec float[])")
+            for i in range(5):
+                _insert(db, i)
+            return db
+
+        counter = _RecordingInjector()
+        db = run(tmp_path / "count", counter)
+        start = len(counter.sites)
+        db.checkpoint()
+        db.close()
+        data_sync = start + counter.sites[start:].index("disk.fsync")
+
+        datadir = tmp_path / "db"
+        injector = FaultInjector.fail_fsync_at(data_sync)
+        db = run(datadir, injector)
+        try:
+            records, wal_bytes = len(db.wal), db.wal.disk_size()
+            with pytest.raises(SimulatedIOError):
+                db.checkpoint()
+            assert injector.fired == [(data_sync, "disk.fsync", FAIL_FSYNC)]
+            assert len(db.wal) == records and db.wal.disk_size() == wal_bytes
+            assert all(r.rec_type != REC_CHECKPOINT for r in db.wal.records())
+            with pytest.raises(WalPanicError):
+                _insert(db, 5)
+            with pytest.raises(WalPanicError):
+                db.checkpoint()
+        finally:
+            db.close()
+        assert _recovered_ids(datadir) == list(range(5))
 
 
 class TestInjector:

@@ -82,13 +82,16 @@ class TestFileDisk:
         disk.write_block("t", blk, bytes(data))
         assert disk.read_block("t", blk)[50] == 9
         assert disk.list_relations() == ["t"]
+        disk.close()
 
     def test_persists_across_instances(self, tmp_path):
         disk = FileDisk(tmp_path, page_size=1024)
         disk.create_relation("t")
         disk.extend("t", _blank_page())
+        disk.close()
         fresh = FileDisk(tmp_path, page_size=1024)
         assert fresh.n_blocks("t") == 1
+        fresh.close()
 
     def test_path_traversal_rejected(self, tmp_path):
         disk = FileDisk(tmp_path)
