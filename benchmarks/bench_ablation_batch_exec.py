@@ -7,21 +7,22 @@ to the ``get_batch`` contract (candidates as NumPy arrays, heap
 fetches grouped by block), quantified here on the Fig. 14 (IVF_FLAT)
 and Fig. 17 (HNSW) search workloads.
 
-The three shape gates are paired in-process ratios, as in
-``bench_obs_overhead.py``: each pair times the tuple and the batch pass
-back to back, alternating which goes first, and the gate is the median
-of the per-pair ratios, so drift in the machine's speed cancels inside
-each pair instead of landing on one side.
+The three shape gates are :func:`~repro.common.metrics.paired`
+in-process ratios: each pair times the tuple and the batch pass back to
+back, alternating which goes first, and the gate is the median of the
+per-pair ratios, so drift in the machine's speed cancels inside each
+pair instead of landing on one side.
 
 Run with::
 
-    pytest benchmarks/bench_ablation_batch_exec.py --benchmark-only
+    pytest benchmarks/bench_ablation_batch_exec.py -k shape -rA
 """
 
 import statistics
 import time
 
 from repro.bench import SMOKE
+from repro.common.metrics import paired, pairs_detail
 
 K, NPROBE, EFS, N_QUERIES = (
     SMOKE.search.k, SMOKE.search.nprobe, SMOKE.search.efs, SMOKE.search.n_queries
@@ -44,92 +45,31 @@ def _with_batch_exec(study, enabled: bool):
     )
 
 
-def _paired_speedup(study, run) -> tuple[float, float, float, list[float]]:
-    """``PAIRS`` tuple/batch pairs of ``run()``, alternating which side
-    goes first.  Returns the median per-pair tuple/batch ratio, the
-    median seconds of each side and the per-pair ratios; leaves the
-    tuple path selected."""
+def _seconds(study, batch: bool, run) -> float:
+    _with_batch_exec(study, batch)
+    start = time.perf_counter()
+    run()
+    return time.perf_counter() - start
 
-    def seconds(batch: bool) -> float:
-        _with_batch_exec(study, batch)
-        start = time.perf_counter()
-        run()
-        return time.perf_counter() - start
 
-    tuple_s, batch_s, ratios = [], [], []
+def _speedup(study, run, claim: str) -> tuple[float, str]:
+    """``PAIRS`` paired tuple/batch timings of ``run()``; leaves the
+    tuple path selected.  Returns the median per-pair tuple/batch ratio
+    and the gate's message, printed so that a pass records it too (CI
+    runs with -rA): how far RC#3's factor sits from the gate."""
     try:
-        for pair in range(PAIRS):
-            if pair % 2 == 0:
-                t, b = seconds(False), seconds(True)
-            else:
-                b, t = seconds(True), seconds(False)
-            tuple_s.append(t)
-            batch_s.append(b)
-            ratios.append(t / b)
+        pairs = paired(
+            lambda: _seconds(study, False, run), lambda: _seconds(study, True, run), PAIRS
+        )
     finally:
         _with_batch_exec(study, False)
-    return statistics.median(ratios), statistics.median(tuple_s), statistics.median(batch_s), ratios
-
-
-def _gate_message(claim: str, result) -> str:
-    speedup, tuple_t, batch_t, ratios = result
-    return (
-        f"{claim}: median of {PAIRS} pairs {speedup:.2f}x "
-        f"(tuple {tuple_t * 1e3:.1f} ms, batch {batch_t * 1e3:.1f} ms; "
-        f"pairs {', '.join(f'{r:.2f}' for r in ratios)})"
+    message = (
+        f"{claim}: median of {PAIRS} pairs {pairs.median():.2f}x "
+        f"(tuple {statistics.median(pairs.a) * 1e3:.1f} ms, "
+        f"batch {statistics.median(pairs.b) * 1e3:.1f} ms; {pairs_detail(pairs.ratios())})"
     )
-
-
-# ----------------------------------------------------------------------
-# Fig. 14 workload (IVF_FLAT on SIFT)
-# ----------------------------------------------------------------------
-def test_ivfflat_search_tuple_path(benchmark, ivf_study):
-    _with_batch_exec(ivf_study, False)
-    benchmark(
-        _search_all,
-        ivf_study.generalized,
-        ivf_study.dataset.queries[:N_QUERIES],
-        nprobe=NPROBE,
-    )
-
-
-def test_ivfflat_search_batch_path(benchmark, ivf_study):
-    _with_batch_exec(ivf_study, True)
-    try:
-        benchmark(
-            _search_all,
-            ivf_study.generalized,
-            ivf_study.dataset.queries[:N_QUERIES],
-            nprobe=NPROBE,
-        )
-    finally:
-        _with_batch_exec(ivf_study, False)
-
-
-# ----------------------------------------------------------------------
-# Fig. 17 workload (HNSW on SIFT)
-# ----------------------------------------------------------------------
-def test_hnsw_search_tuple_path(benchmark, hnsw_study):
-    _with_batch_exec(hnsw_study, False)
-    benchmark(
-        _search_all,
-        hnsw_study.generalized,
-        hnsw_study.dataset.queries[:N_QUERIES],
-        efs=EFS,
-    )
-
-
-def test_hnsw_search_batch_path(benchmark, hnsw_study):
-    _with_batch_exec(hnsw_study, True)
-    try:
-        benchmark(
-            _search_all,
-            hnsw_study.generalized,
-            hnsw_study.dataset.queries[:N_QUERIES],
-            efs=EFS,
-        )
-    finally:
-        _with_batch_exec(hnsw_study, False)
+    print(message)
+    return pairs.median(), message
 
 
 # ----------------------------------------------------------------------
@@ -147,12 +87,11 @@ def test_batch_exec_shape(ivf_study):
     _with_batch_exec(ivf_study, False)
     assert batch_ids == tuple_ids, "batch path changed search results"
 
-    result = _paired_speedup(ivf_study, lambda: _search_all(gen, queries, nprobe=NPROBE))
-    # Printed on a pass too (CI runs with -rA): the record of how far
-    # RC#3's factor sits above the gate.
-    message = _gate_message("batch execution should be >=2x on Fig. 14", result)
-    print(message)
-    assert result[0] >= 2.0, message
+    speedup, message = _speedup(
+        ivf_study, lambda: _search_all(gen, queries, nprobe=NPROBE),
+        "batch execution should be >=2x on Fig. 14",
+    )
+    assert speedup >= 2.0, message
 
 
 def test_batch_exec_shape_sql(ivf_study):
@@ -177,10 +116,10 @@ def test_batch_exec_shape_sql(ivf_study):
         assert run_all() == tuple_rows, "batch path changed query results"
     finally:
         _with_batch_exec(ivf_study, False)
-    result = _paired_speedup(ivf_study, run_all)
-    message = _gate_message("batch execution should be >=2x through SQL on Fig. 14", result)
-    print(message)
-    assert result[0] >= 2.0, message
+    speedup, message = _speedup(
+        ivf_study, run_all, "batch execution should be >=2x through SQL on Fig. 14"
+    )
+    assert speedup >= 2.0, message
 
 
 def test_batch_exec_shape_hnsw(hnsw_study):
@@ -196,10 +135,9 @@ def test_batch_exec_shape_hnsw(hnsw_study):
     _with_batch_exec(hnsw_study, False)
     assert batch_ids == tuple_ids
 
-    result = _paired_speedup(hnsw_study, lambda: _search_all(gen, queries, efs=EFS))
-    message = _gate_message(
-        "batch path should not regress HNSW search (batch < 1.2x tuple)", result
+    speedup, message = _speedup(
+        hnsw_study, lambda: _search_all(gen, queries, efs=EFS),
+        "batch path should not regress HNSW search (batch < 1.2x tuple)",
     )
-    print(message)
     # batch < 1.2 x tuple  <=>  tuple/batch > 1/1.2
-    assert result[0] > 1 / 1.2, message
+    assert speedup > 1 / 1.2, message

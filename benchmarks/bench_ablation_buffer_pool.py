@@ -7,12 +7,12 @@ eviction traffic — while a pool that fits the index behaves like the
 paper's warmed configuration.
 """
 
-import statistics
 import time
 
 import pytest
 
 from repro.bench import SMOKE
+from repro.common.metrics import paired, pairs_detail
 from repro.core.study import GeneralizedVectorDB
 
 IVF_PARAMS = dict(SMOKE.params["ivf_flat"])
@@ -36,45 +36,25 @@ def _seconds(gen, queries) -> float:
     return time.perf_counter() - start
 
 
-def _paired_slowdown(slow_gen, fast_gen, queries) -> tuple[float, list[float]]:
-    """``PAIRS`` tiny/large-pool timings of the same queries after one
-    warm pass each, alternating which pool goes first; returns the
-    median per-pair slow/fast ratio and every pair's ratio."""
-    for gen in (slow_gen, fast_gen):
-        _seconds(gen, queries)
-    ratios = []
-    for pair in range(PAIRS):
-        if pair % 2 == 0:
-            slow, fast = _seconds(slow_gen, queries), _seconds(fast_gen, queries)
-        else:
-            fast, slow = _seconds(fast_gen, queries), _seconds(slow_gen, queries)
-        ratios.append(slow / fast)
-    return statistics.median(ratios), ratios
-
-
 @pytest.fixture(scope="module")
 def engines(sift):
     return {pool: _engine(sift, pool) for pool in (16, 4096)}
 
 
-def test_buffer_pool_large(benchmark, engines, sift):
-    gen = engines[4096]
-    benchmark(lambda: [gen.search(q, K) for q in sift.queries[:N_QUERIES]])
-
-
-def test_buffer_pool_tiny(benchmark, engines, sift):
-    gen = engines[16]
-    benchmark(lambda: [gen.search(q, K) for q in sift.queries[:N_QUERIES]])
-
-
 def test_shape_tiny_pool_thrashes(engines, sift):
     queries = sift.queries[:N_QUERIES]
-    slowdown, ratios = _paired_slowdown(engines[16], engines[4096], queries)
-    # Evictions + re-reads cost real time: slow > fast in the median pair.
-    assert slowdown > 1.0, (
-        f"16-page pool should be slower: median of {PAIRS} pairs {slowdown:.2f}x "
-        f"(pairs {', '.join(f'{r:.2f}' for r in ratios)})"
+    for gen in engines.values():  # one warm pass each
+        _seconds(gen, queries)
+    pairs = paired(
+        lambda: _seconds(engines[16], queries), lambda: _seconds(engines[4096], queries), PAIRS
     )
+    message = (
+        f"16-page pool should be slower: median of {PAIRS} pairs {pairs.median():.2f}x "
+        f"({pairs_detail(pairs.ratios())})"
+    )
+    print(message)
+    # Evictions + re-reads cost real time: slow > fast in the median pair.
+    assert pairs.median() > 1.0, message
     # And the statistics show why:
     assert engines[16].db.buffer_stats.evictions > 0
     assert engines[4096].db.buffer_stats.hit_ratio > engines[16].db.buffer_stats.hit_ratio

@@ -22,22 +22,6 @@ def sq8_study(sift):
     return study
 
 
-def test_sq8_pase_search(benchmark, sq8_study):
-    def run():
-        for q in sq8_study.dataset.queries[:N_QUERIES]:
-            sq8_study.generalized.search(q, K, nprobe=NPROBE)
-
-    benchmark(run)
-
-
-def test_sq8_faiss_search(benchmark, sq8_study):
-    def run():
-        for q in sq8_study.dataset.queries[:N_QUERIES]:
-            sq8_study.specialized.search(q, K, nprobe=NPROBE)
-
-    benchmark(run)
-
-
 def test_sq8_shape_gap_like_flat(sq8_study):
     cmp = sq8_study.compare_search(k=K, nprobe=NPROBE, n_queries=N_QUERIES, recall=True)
     assert cmp.gap > 1.5

@@ -7,11 +7,12 @@ through the ``filtered_search_strategy`` GUC plus the planner's
 cost-based ``auto`` pick.  Asserts the crossover the optimizer exists
 to exploit — pre-filter empirically fastest at <= 1% selectivity,
 post- or in-filter fastest at >= 50% — and that auto's regret stays
-within 25% at every swept selectivity.  Regret is a paired ratio
-measured in this process: query by query, auto and the per-point
-fastest forced strategy run back to back (alternating which goes
-first), and the median of the per-query ratios is gated, so a noisy
-moment on a shared machine spoils one pair rather than the verdict.
+within 25% at every swept selectivity.  Regret is a
+:func:`~repro.common.metrics.paired` ratio measured in this process:
+query by query, auto and the per-point fastest forced strategy run back
+to back (alternating which goes first), and the median of the per-pair
+ratios is gated, so a noisy moment on a shared machine spoils one pair
+rather than the verdict.
 Reports pooled auto-mode per-query latency through the repro-bench/v1
 schema plus per-strategy medians, the regrets and the strategy each
 selectivity chose.
@@ -22,6 +23,7 @@ import time
 
 from conftest import emit_bench
 from repro.common.datasets import tiny_dataset
+from repro.common.metrics import Pairs, paired, pairs_detail
 from repro.pgsim import PgSimDatabase
 
 N = 2000
@@ -37,8 +39,7 @@ SELECTIVITIES = (0.001, 0.01, 0.10, 0.50, 0.90)
 STRATEGIES = ("pre-filter", "post-filter", "in-filter")
 #: Auto's median per-query regret over the fastest forced strategy.
 AUTO_WINDOW = 1.25
-#: Passes over the queries for the paired regret (one ratio per query
-#: per pass).
+#: Auto/fastest pairs per query behind the paired regret.
 PAIRED_ROUNDS = 3
 
 INDEX_OPTIONS = "clusters = 16, sample_ratio = 1.0, seed = 42"
@@ -85,29 +86,26 @@ def _median_latency(db: PgSimDatabase, queries: list[str], cut: int) -> float:
     return statistics.median(samples)
 
 
-def _paired_regret(
-    db: PgSimDatabase, queries: list[str], cut: int, fastest: str
-) -> tuple[float, list[float]]:
-    """Median of auto's latency over ``fastest``'s, per query, each pair
-    run back to back in alternating order; also auto's latencies."""
-    ratios: list[float] = []
-    auto_latencies: list[float] = []
+def _seconds(db: PgSimDatabase, sql: str, strategy: str) -> float:
+    db.execute(f"SET filtered_search_strategy = '{strategy}'")
+    start = time.perf_counter()
+    db.query(sql)
+    return time.perf_counter() - start
+
+
+def _regret_pairs(db: PgSimDatabase, queries: list[str], cut: int, fastest: str) -> list[Pairs]:
+    """Per query, ``PAIRED_ROUNDS`` :func:`paired` timings of auto (``a``)
+    against ``fastest`` (``b``)."""
     try:
-        for round_no in range(PAIRED_ROUNDS):
-            for i, literal in enumerate(queries):
-                sql = _hybrid_sql(literal, cut)
-                order = ("auto", fastest) if (round_no + i) % 2 == 0 else (fastest, "auto")
-                seconds = {}
-                for strategy in order:
-                    db.execute(f"SET filtered_search_strategy = '{strategy}'")
-                    start = time.perf_counter()
-                    db.query(sql)
-                    seconds[strategy] = time.perf_counter() - start
-                ratios.append(seconds["auto"] / seconds[fastest])
-                auto_latencies.append(seconds["auto"])
+        return [
+            paired(
+                lambda: _seconds(db, sql, "auto"), lambda: _seconds(db, sql, fastest),
+                PAIRED_ROUNDS,
+            )
+            for sql in (_hybrid_sql(literal, cut) for literal in queries)
+        ]
     finally:
         db.execute("SET filtered_search_strategy = 'auto'")
-    return statistics.median(ratios), auto_latencies
 
 
 def _auto_strategy(db: PgSimDatabase, sql: str) -> str:
@@ -149,10 +147,16 @@ def test_hybrid_filtered_search_sweep():
         if sel >= 0.50:
             assert fastest in ("post-filter", "in-filter"), (sel, per_strategy)
         # Auto's paired regret against the per-point fastest.
-        regret, paired_auto = _paired_regret(db, queries, cut, fastest)
-        auto_latencies += paired_auto
-        regrets[f"sel{sel:g}"] = regret
-        assert regret <= AUTO_WINDOW, (sel, picks[f"sel{sel:g}"], fastest, regret, per_strategy)
+        pairs = _regret_pairs(db, queries, cut, fastest)
+        ratios = [r for p in pairs for r in p.ratios()]
+        auto_latencies += [t for p in pairs for t in p.a]
+        regret = regrets[f"sel{sel:g}"] = statistics.median(ratios)
+        message = (
+            f"sel {sel:g}: auto picked {picks[f'sel{sel:g}']}, fastest {fastest}, "
+            f"median regret {regret:.2f}x ({pairs_detail(ratios)})"
+        )
+        print(message)
+        assert regret <= AUTO_WINDOW, message
 
     path = emit_bench(
         "hybrid_filtered_search",

@@ -4,14 +4,15 @@ Four gates, each an on/off pair: per-query stats tracking
 (``track_query_stats``), span recording
 (``Profiler(max_spans=DEFAULT_MAX_SPANS)``), the live layer (activity
 bookkeeping, armed probes and logging, one scrape per batch) and the
-ASH sampler.  Every gate is a paired in-process ratio: each repeat
-times the "on" and the "off" batch back to back, alternating which
-goes first, and the gate is the median of the per-pair ratios, so
-drift in the machine's speed (a cold cache, a neighbour's load)
-cancels inside each pair instead of landing on one side.  The target
-is < 1.10; the bound leaves headroom for shared-runner noise.  The
-ratios and the per-pair values land in ``BENCH_*.json`` for the CI
-artifact.
+ASH sampler.  Every gate is a :func:`~repro.common.metrics.paired`
+in-process ratio: each repeat times the "on" and the "off" batch back
+to back, alternating which goes first, and the gate is the median of
+the per-pair ratios, so drift in the machine's speed (a cold cache, a
+neighbour's load) cancels inside each pair instead of landing on one
+side; an "off" batch that reads 0 s gives an infinite ratio, a failed
+gate.  The target is < 1.10; the bound leaves headroom for
+shared-runner noise.  The ratios and the per-pair values land in
+``BENCH_*.json`` for the CI artifact.
 """
 
 import statistics
@@ -19,6 +20,7 @@ import time
 
 from conftest import emit_bench
 from repro.bench import SMOKE
+from repro.common.metrics import paired, pairs_detail
 from repro.common.profiling import DEFAULT_MAX_SPANS, NULL_PROFILER, Profiler
 
 K, NPROBE, N_QUERIES = SMOKE.search.k, SMOKE.search.nprobe, SMOKE.search.n_queries
@@ -50,34 +52,24 @@ def _batch_seconds(db, sqls, then=None):
     return time.perf_counter() - start
 
 
-def _paired(on, off):
-    """Run ``PAIRS`` on/off pairs, alternating which side goes first.
-
-    ``on``/``off`` each arm their configuration and return one timed
-    batch.  Returns the median per-pair ratio, the median seconds of
-    each side and the per-pair ratios.
-    """
-    on_s, off_s, ratios = [], [], []
-    for pair in range(PAIRS):
-        if pair % 2 == 0:
-            a, b = on(), off()
-        else:
-            b, a = off(), on()
-        on_s.append(a)
-        off_s.append(b)
-        ratios.append(a / b if b > 0 else 1.0)
-    return statistics.median(ratios), statistics.median(on_s), statistics.median(off_s), ratios
-
-
-def _emit(workload, sqls, on_key, off_key, result, counters=None, **params):
-    ratio, on_s, off_s, ratios = result
+def _gate(workload, what, sqls, on_key, off_key, pairs, counters=None, **params):
+    """Write ``workload``'s BENCH json from the on (``a``) / off (``b``)
+    :func:`paired` batches, print every pair, and gate the median
+    per-pair ratio."""
+    overhead = pairs.median()
     emit_bench(
         workload,
         params={"k": K, "nprobe": NPROBE, "n_queries": N_QUERIES, "pairs": PAIRS, **params},
-        latency={on_key: on_s / len(sqls) * 1e3, off_key: off_s / len(sqls) * 1e3},
+        latency={
+            on_key: statistics.median(pairs.a) / len(sqls) * 1e3,
+            off_key: statistics.median(pairs.b) / len(sqls) * 1e3,
+        },
         counters=counters,
-        extra={"overhead_ratio": ratio, "pair_ratios": ratios},
+        extra={"overhead_ratio": overhead, "pair_ratios": pairs.ratios()},
     )
+    message = f"{what} overhead: median {overhead:.2f}x ({pairs_detail(pairs.ratios())})"
+    print(message)
+    assert overhead < BOUND, message
 
 
 def _warm(db, sqls):
@@ -100,12 +92,11 @@ def test_tracking_overhead(ivf_study):
         return _batch_seconds(db, sqls)
 
     try:
-        result = _paired(tracked, untracked)
+        pairs = paired(tracked, untracked, PAIRS)
     finally:
         db.execute("SET track_query_stats = on")
 
-    _emit("obs_overhead", sqls, "tracked_ms", "untracked_ms", result)
-    assert result[0] < BOUND, f"stats tracking overhead too high: {result[0]:.2f}x"
+    _gate("obs_overhead", "stats tracking", sqls, "tracked_ms", "untracked_ms", pairs)
 
 
 def test_tracing_overhead(ivf_study):
@@ -134,17 +125,16 @@ def test_tracing_overhead(ivf_study):
 
     try:
         _warm(db, sqls)
-        result = _paired(traced, untraced)
+        pairs = paired(traced, untraced, PAIRS)
     finally:
         am.profiler = NULL_PROFILER
         db.execute("SET enable_batch_exec = off")
 
     assert min(span_counts) > 0, "profiler recorded no spans"
-    _emit(
-        "tracing_overhead", sqls, "traced_ms", "untraced_ms", result,
+    _gate(
+        "tracing_overhead", "span tracing", sqls, "traced_ms", "untraced_ms", pairs,
         counters={"spans": span_counts[0]},
     )
-    assert result[0] < BOUND, f"span tracing overhead too high: {result[0]:.2f}x"
 
 
 def test_live_layer_overhead(ivf_study):
@@ -174,18 +164,17 @@ def test_live_layer_overhead(ivf_study):
 
     try:
         _warm(db, sqls)
-        result = _paired(live, baseline)
+        pairs = paired(live, baseline, PAIRS)
         scrape_bytes = len(db.metrics_text())
     finally:
         db.execute("SET vector_quality_probe_rate = 0")
         db.execute("SET log_min_duration_statement = -1")
         db.execute("SET track_query_stats = on")
 
-    _emit(
-        "live_obs_overhead", sqls, "live_ms", "baseline_ms", result,
+    _gate(
+        "live_obs_overhead", "live observability", sqls, "live_ms", "baseline_ms", pairs,
         counters={"scrape_bytes": scrape_bytes}, probe_rate=0.01,
     )
-    assert result[0] < BOUND, f"live observability overhead too high: {result[0]:.2f}x"
 
 
 def test_ash_sampler_overhead(ivf_study):
@@ -216,7 +205,7 @@ def test_ash_sampler_overhead(ivf_study):
 
     try:
         _warm(db, sqls)
-        result = _paired(sampled, unsampled)
+        pairs = paired(sampled, unsampled, PAIRS)
     finally:
         # ivf_study's database is session-scoped: leave the sampler off
         # and the intervals back at their defaults for later benches.
@@ -224,12 +213,11 @@ def test_ash_sampler_overhead(ivf_study):
         db.execute("SET ash_sampling_interval_ms = 10")
         db.execute("SET stat_history_interval_ms = 1000")
 
-    _emit(
-        "ash_sampler_overhead", sqls, "sampled_ms", "baseline_ms", result,
+    _gate(
+        "ash_sampler_overhead", "ASH sampler", sqls, "sampled_ms", "baseline_ms", pairs,
         counters={
             "ash_samples": db.ash.total_samples - samples0,
             "history_ticks": db.stat_history.total_ticks - ticks0,
         },
         sampling_interval_ms=5, history_interval_ms=50,
     )
-    assert result[0] < BOUND, f"ASH sampler overhead too high: {result[0]:.2f}x"

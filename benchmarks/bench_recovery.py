@@ -1,66 +1,23 @@
-"""Recovery benchmark: WAL replay throughput and checkpoint truncation.
+"""Recovery benchmark: checkpoint truncation bounds the WAL.
 
-Two questions, both prerequisites for running pgsim under sustained
-write traffic:
-
-1. **How fast is redo?**  ``replay`` throughput in records/second over
-   a synthetic committed-insert log — the time-to-recover after a
-   crash is this number times the log length.
-2. **Does checkpointing bound the log?**  The same SQL workload run
-   with and without periodic ``checkpoint()`` calls, comparing WAL
-   record counts, on-disk log size, and the redo work left for a
-   subsequent recovery.  Without truncation both grow without bound;
-   with it they stay within one checkpoint interval.
+The same SQL workload runs with and without periodic ``checkpoint()``
+calls, comparing WAL record counts, on-disk log size, and the redo
+work left for a subsequent recovery.  Without truncation both grow
+without bound; with it they stay within one checkpoint interval.  A
+prerequisite for running pgsim under sustained write traffic.
 
 Run with::
 
-    pytest benchmarks/bench_recovery.py --benchmark-only -s
+    pytest benchmarks/bench_recovery.py -s
 """
-
-import pytest
 
 from repro.pgsim import PgSimDatabase
 from repro.pgsim.storage import MemoryDisk
 from repro.pgsim.wal import WriteAheadLog, replay
 
-#: Synthetic replay workload: one insert + one commit per transaction.
-N_TXNS = 2_000
-ROWS_PER_PAGE = 50
-
 #: SQL workload for the truncation comparison.
 N_ROWS = 200
 CHECKPOINT_EVERY = 25
-
-
-@pytest.fixture(scope="module")
-def committed_wal() -> WriteAheadLog:
-    wal = WriteAheadLog()
-    payload = bytes(64)
-    for xid in range(1, N_TXNS + 1):
-        wal.log_insert(xid, "t.heap", (xid - 1) // ROWS_PER_PAGE, payload)
-        wal.log_commit(xid)
-    wal.flush()
-    return wal
-
-
-def test_replay_throughput(benchmark, committed_wal):
-    """Redo rate over a committed-insert log (records applied/s)."""
-
-    def run():
-        return replay(committed_wal, MemoryDisk())
-
-    applied = benchmark(run)
-    assert applied == N_TXNS
-
-
-def test_replay_idempotent_rerun_is_cheap(benchmark, committed_wal):
-    """Re-running redo over already-recovered pages applies nothing —
-    the page-LSN check should make it far cheaper than the first pass."""
-    disk = MemoryDisk()
-    assert replay(committed_wal, disk) == N_TXNS
-
-    applied = benchmark(replay, committed_wal, disk)
-    assert applied == 0
 
 
 def _run_insert_workload(datadir, checkpoint_every: int | None) -> PgSimDatabase:

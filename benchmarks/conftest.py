@@ -8,7 +8,7 @@ figures and these benches share one build of each index.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/ -k shape
 """
 
 from __future__ import annotations

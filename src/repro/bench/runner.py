@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
+import statistics
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
 
 from repro.common.datasets import PROFILES, Dataset, load_dataset
+from repro.common.metrics import Pairs, paired, pairs_detail, ratio
 from repro.common.profiling import Profiler
 from repro.common.types import BuildStats
 from repro.core.report import render_grouped_series
@@ -88,11 +90,12 @@ class Scale:
     search: Search = Search(k=50, nprobe=20, efs=200, n_queries=15)
     recall_search: Search = Search(k=10, nprobe=10, efs=100, n_queries=12)
     ablation_search: Search = Search(k=10, nprobe=10, efs=None, n_queries=10)
-    #: Alternating PASE/Faiss build pairs behind the build-time figures
-    #: (Figs. 3-7 and 10, Table III).
+    #: :func:`~repro.common.metrics.paired` PASE/Faiss build pairs behind
+    #: the build-time figures (Figs. 3-8 and 10, Table III) and the
+    #: ablation's build toggle (RC#1).
     build_pairs: int = 1
     #: Repeats behind the timed search gates that flap on noise, each
-    #: gated on the median: the ablation's setting toggles (RC#6, RC#7;
+    #: gated on the median: the ablation's search toggles (RC#6, RC#7;
     #: with and without the cause alternating which runs first) and
     #: Table V's profiled shares (the engines alternating which answers
     #: each query first).
@@ -135,12 +138,24 @@ class Scale:
 
     def builds(
         self, name: str, index_type: str, pairs: int, profiled: bool = False, **override: Any
-    ) -> tuple[Dataset, list[dict[str, tuple[BuildStats, Profiler | None]]]]:
-        """``name`` at ``index_type``'s scale and :func:`alternating_builds`
-        of it, with this preset's parameters and ``override`` over them."""
+    ) -> tuple[Dataset, Pairs]:
+        """``name`` at ``index_type``'s scale and ``pairs``
+        :func:`~repro.common.metrics.paired` PASE (``a``) and Faiss
+        (``b``) builds of it, with this preset's parameters and
+        ``override`` over them.  Each build loads a fresh engine; each
+        result is (build stats, its profiler when ``profiled``)."""
         ds = self.dataset(name, hnsw=index_type == "hnsw")
         params = {**self.index_params(ds, index_type), **override}
-        return ds, alternating_builds(ds, index_type, params, pairs, profiled)
+
+        def build(engine: type) -> tuple[BuildStats, Profiler | None]:
+            profiler = Profiler() if profiled else None
+            db = engine(profiler=profiler)
+            db.load(ds.base)
+            return db.create_index(index_type, **params), profiler
+
+        return ds, paired(
+            lambda: build(GeneralizedVectorDB), lambda: build(SpecializedVectorDB), pairs
+        )
 
     def study(self, name: str, index_type: str) -> tuple[ComparativeStudy, BuildComparison]:
         """Both engines built on ``name`` with this preset's parameters.
@@ -221,9 +236,12 @@ def within(
     return Verdict(name, value, bound, ok, detail)
 
 
-def ratio(a: float, b: float) -> float:
-    """``a / b``, infinite when ``b`` is zero (a failed bound, not a crash)."""
-    return a / b if b else math.inf
+def median_within(
+    name: str, ratios: list[float], lo: float | None = None, hi: float | None = None
+) -> Verdict:
+    """:func:`within` on the median of a paired gate's per-pair ratios,
+    every pair's ratio in the detail."""
+    return within(f"median {name}", statistics.median(ratios), lo, hi, pairs_detail(ratios))
 
 
 def ratios(
@@ -306,31 +324,6 @@ def _built_study(
 ) -> tuple[ComparativeStudy, BuildComparison]:
     study = ComparativeStudy(bench_dataset(name, scale), index_type, dict(params))
     return study, study.compare_build()
-
-
-def alternating_builds(
-    dataset: Dataset,
-    index_type: str,
-    params: Mapping[str, Any],
-    pairs: int,
-    profiled: bool = False,
-) -> list[dict[str, tuple[BuildStats, Profiler | None]]]:
-    """``pairs`` PASE and Faiss ``index_type`` builds of ``dataset`` in
-    this process, alternating which engine builds first, so that a slow
-    spell on a shared machine lands on both sides of a ratio.  Each
-    build loads a fresh engine.  Returns, per pair, engine name ->
-    (build stats, its profiler when ``profiled``)."""
-    engines = {"PASE": GeneralizedVectorDB, "Faiss": SpecializedVectorDB}
-    out = []
-    for i in range(pairs):
-        pair = {}
-        for name in ("PASE", "Faiss") if i % 2 == 0 else ("Faiss", "PASE"):
-            profiler = Profiler() if profiled else None
-            engine = engines[name](profiler=profiler)
-            engine.load(dataset.base)
-            pair[name] = (engine.create_index(index_type, **params), profiler)
-        out.append(pair)
-    return out
 
 
 def default_params(dataset: Dataset, index_type: str) -> dict[str, Any]:

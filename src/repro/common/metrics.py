@@ -1,10 +1,11 @@
-"""Evaluation metrics: recall@k, latency statistics, QPS.
+"""Evaluation metrics: recall@k, latency statistics, QPS, paired ratios.
 
 The paper's metrics (Sec. IV-D) are index construction time, index
 size, query time, and recall rate.  Construction time and size are
 reported by the indexes themselves (:class:`~repro.common.types.BuildStats`,
 :class:`~repro.common.types.IndexSizeInfo`); this module covers the
-query-side metrics.
+query-side metrics, and :func:`paired`, the back-to-back A/B
+measurement every timed gate's ratio comes from.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -94,3 +95,51 @@ def latency_stats(latencies: Iterable[float]) -> LatencyStats:
         p99=pct(0.99),
         total=sum(values),
     )
+
+
+def ratio(a: float, b: float) -> float:
+    """``a / b``, infinite when ``b`` is zero (a failed bound, not a crash)."""
+    return a / b if b else math.inf
+
+
+@dataclass(frozen=True, slots=True)
+class Pairs:
+    """What :func:`paired` measured: each side's result per pair, in pair order."""
+
+    a: list[Any]
+    b: list[Any]
+
+    def ratios(self, key: Callable[[Any], float] = float) -> list[float]:
+        """Per pair, ``key(a) / key(b)`` (``inf`` on a zero denominator)."""
+        return [ratio(key(x), key(y)) for x, y in zip(self.a, self.b)]
+
+    def median(self, key: Callable[[Any], float] = float) -> float:
+        """The median of :meth:`ratios`: one pair's ratio when there are
+        an odd number of pairs."""
+        return statistics.median(self.ratios(key))
+
+
+def paired(a: Callable[[], Any], b: Callable[[], Any], n: int) -> Pairs:
+    """Run ``n`` back-to-back pairs of ``a()`` and ``b()``.
+
+    ``a`` runs first in even pairs and ``b`` in odd ones, so a slow
+    spell on a shared machine, or state one side leaves behind, lands
+    on both sides of the ratio instead of on one.  Exceptions from
+    either side propagate.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one pair, got {n}")
+    out = Pairs([], [])
+    for i in range(n):
+        if i % 2 == 0:
+            out.a.append(a())
+            out.b.append(b())
+        else:
+            out.b.append(b())
+            out.a.append(a())
+    return out
+
+
+def pairs_detail(ratios: Iterable[float]) -> str:
+    """The ``pairs r1, r2, ...`` detail a paired gate prints."""
+    return "pairs " + ", ".join(f"{r:.3g}" for r in ratios)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.common.datasets import Dataset
+from repro.common.metrics import paired, ratio
 from repro.core.root_causes import RootCause
 from repro.core.study import ComparativeStudy
 
@@ -58,16 +59,18 @@ class AblationSwitch:
     neutralize: Callable[[ComparativeStudy], None]
     #: Callable undoing it, for a setting toggle; the two sides can then
     #: be measured in alternating pairs.  None where neutralizing
-    #: rebuilds an index.
+    #: rebuilds an index in place of the measured one.
     restore: Callable[[ComparativeStudy], None] | None = None
 
 
 def _neutralize_sgemm(study: ComparativeStudy) -> None:
     # Fig. 4/6: disable SGEMM in the specialized engine so both sides
-    # use the per-row assignment loop.
+    # use the per-row assignment loop (the next compare_build rebuilds).
     study.params["use_sgemm"] = False
-    study.specialized.drop_index()
-    study._built = False
+
+
+def _restore_sgemm(study: ComparativeStudy) -> None:
+    study.params["use_sgemm"] = True
 
 
 def _neutralize_kmeans(study: ComparativeStudy) -> None:
@@ -101,6 +104,7 @@ SWITCHES: dict[RootCause, AblationSwitch] = {
         description="disable SGEMM in the specialized engine (Fig. 4)",
         baseline_params={},
         neutralize=_neutralize_sgemm,
+        restore=_restore_sgemm,
     ),
     RootCause.KMEANS_IMPLEMENTATION: AblationSwitch(
         cause=RootCause.KMEANS_IMPLEMENTATION,
@@ -142,9 +146,10 @@ def run_ablation(
 ) -> AblationResult:
     """Measure one root cause's gap contribution on ``dataset``.
 
-    A switch with a ``restore`` is measured in ``pairs`` back-to-back
+    A switch with a ``restore`` is measured in ``pairs`` :func:`paired`
     pairs, alternating whether the cause is on first, and reports the
-    median gap of each side; the others measure each side once.
+    median gap of each side; the others measure each side once, the
+    cause on first.
 
     Raises:
         KeyError: for causes without a config toggle (RC#2, RC#3 and
@@ -163,20 +168,20 @@ def run_ablation(
     measure = study.compare_build if switch.metric == "build" else functools.partial(
         study.compare_search, k=k, nprobe=nprobe, n_queries=n_queries
     )
-    if switch.restore is None:
-        before = measure().gap
-        switch.neutralize(study)
-        withs, withouts = [before], [measure().gap]
-    else:
-        withs, withouts = [], []
-        for i in range(max(pairs, 1)):
-            for active in (True, False) if i % 2 == 0 else (False, True):
-                (switch.restore if active else switch.neutralize)(study)
-                (withs if active else withouts).append(measure().gap)
+
+    def gap(toggle: Callable[[ComparativeStudy], None] | None) -> float:
+        if toggle is not None:
+            toggle(study)
+        return measure().gap
+
+    sides = paired(
+        lambda: gap(switch.restore), lambda: gap(switch.neutralize),
+        pairs if switch.restore is not None else 1,
+    )
     return AblationResult(
         cause=cause,
         metric=switch.metric,
-        gap_with_cause=statistics.median(withs),
-        gap_without_cause=statistics.median(withouts),
-        pair_ratios=[without / with_ for with_, without in zip(withs, withouts)],
+        gap_with_cause=statistics.median(sides.a),
+        gap_without_cause=statistics.median(sides.b),
+        pair_ratios=[ratio(without, with_) for with_, without in zip(sides.a, sides.b)],
     )

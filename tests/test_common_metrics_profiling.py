@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from repro.common import parallel
-from repro.common.metrics import LatencyStats, latency_stats, mean_recall_at_k, recall_at_k
+from repro.common.metrics import (
+    LatencyStats,
+    latency_stats,
+    mean_recall_at_k,
+    paired,
+    pairs_detail,
+    recall_at_k,
+)
 from repro.common.obs import LatencyHistogram, latency_summary
 from repro.common.profiling import NULL_PROFILER, Profiler
 from repro.common.rng import derive_seed, make_rng
@@ -77,6 +84,64 @@ class TestLatencyStats:
             assert summary[f"{key}_ms"] == exact * 1e3
             assert exact <= hist.percentile(q) <= exact * 10 ** (1 / 20) * (1 + 1e-9)
         assert summary["mean_ms"] == pytest.approx(stats.mean * 1e3)
+
+
+class TestPaired:
+    @staticmethod
+    def _sides(a_values, b_values):
+        """Two sides returning the next of their values, logging calls."""
+        calls: list[str] = []
+        a_iter, b_iter = iter(a_values), iter(b_values)
+
+        def a():
+            calls.append("a")
+            return next(a_iter)
+
+        def b():
+            calls.append("b")
+            return next(b_iter)
+
+        return calls, a, b
+
+    def test_order_alternates_which_side_goes_first(self):
+        calls, a, b = self._sides(range(4), range(4))
+        paired(a, b, 4)
+        assert calls == list("abbaabba")
+
+    def test_results_in_pair_order(self):
+        __, a, b = self._sides([10, 11, 12], [20, 21, 22])
+        pairs = paired(a, b, 3)
+        assert (pairs.a, pairs.b) == ([10, 11, 12], [20, 21, 22])
+        assert pairs.ratios() == pytest.approx([0.5, 11 / 21, 12 / 22])
+
+    def test_odd_median_is_one_pairs_ratio(self):
+        __, a, b = self._sides([1.0, 9.0, 3.0], [1.0, 1.0, 1.0])
+        pairs = paired(a, b, 3)
+        assert pairs.median() == 3.0
+        assert pairs.median() in pairs.ratios()
+
+    def test_key_picks_the_measured_field(self):
+        __, a, b = self._sides([(4.0, "x")], [(2.0, "y")])
+        assert paired(a, b, 1).median(key=lambda r: r[0]) == 2.0
+
+    def test_zero_denominator_is_inf(self):
+        __, a, b = self._sides([1.0, 0.0], [0.0, 0.0])
+        assert paired(a, b, 2).ratios() == [float("inf")] * 2
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_needs_a_pair(self, n):
+        with pytest.raises(ValueError):
+            paired(lambda: 1.0, lambda: 1.0, n)
+
+    def test_exception_in_one_side_propagates(self):
+        def boom():
+            raise RuntimeError("side failed")
+
+        with pytest.raises(RuntimeError, match="side failed"):
+            paired(lambda: 1.0, boom, 3)
+
+    def test_detail_line(self):
+        assert pairs_detail([1.0, 0.5, 12.345]) == "pairs 1, 0.5, 12.3"
 
 
 class TestProfiler:
