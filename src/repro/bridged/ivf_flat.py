@@ -1,10 +1,12 @@
 """Bridged IVF_FLAT: PASE's page layout + the Sec. IX-C optimizations.
 
 A :class:`repro.pase.ivf_flat.PaseIVFFlat` (same forks, so durability,
-VACUUM and DROP cleanup are inherited) whose lists also *live* in
-memory as the specialized engine's :class:`~repro.specialized.ivf_flat.IVFFlatIndex`,
+VACUUM and DROP cleanup are inherited) that differs from PASE in its
+build flavour — Faiss's k-means, SGEMM assignment — and keeps the
+trained model, the specialized engine's
+:class:`~repro.specialized.ivf_flat.IVFFlatIndex`, as a memory index
 keyed by packed heap TIDs: same centroids, same rows per list as the
-pages.  Construction and search follow the paper's five guidelines.
+pages.  Both scan interfaces search it with its one loop.
 """
 
 from __future__ import annotations
@@ -14,10 +16,9 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from repro.common.distance import batch_kernel
-from repro.common.kmeans import assign_nearest_batch, faiss_kmeans
 from repro.common.parallel import ScheduleResult, parallel_search
 from repro.common.types import SearchResult
-from repro.pase.ivf_core import topk_parts
+from repro.pase.ivf_core import record_keys, topk_parts
 from repro.pase.ivf_flat import PaseIVFFlat
 from repro.pgsim.am import ScanBatch, register_am
 from repro.pgsim.heapam import TID, key_tid, tid_key
@@ -38,58 +39,39 @@ class BridgedIVFFlat(PaseIVFFlat):
         self._index: IVFFlatIndex | None = None
 
     # build (Steps #2 and #5) and the memory residence (Step #1)
-    def _train_coarse(self, sample: np.ndarray, n_clusters: int) -> np.ndarray:
-        """Step#5: the well-tuned k-means flavour (RC#5)."""
-        ivf = self.ivf
-        return faiss_kmeans(sample, n_clusters, ivf.kmeans_iterations, seed=ivf.seed).centroids
-
-    def _assign(self, vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        """Step#2: SGEMM-batched assignment (RC#1) — one batched call,
-        so the assign phase ticks once for the whole table."""
-        assignments, __ = assign_nearest_batch(vectors, centroids)
-        self.progress.tick(vectors.shape[0])
-        return assignments
+    #: Step#5: the well-tuned k-means (RC#5); Step#2: SGEMM assignment (RC#1).
+    KMEANS_STYLE, USE_SGEMM = "faiss", True
 
     def _flush(
-        self, centroids: np.ndarray, keys: np.ndarray, payloads: np.ndarray,
-        buckets: list[list[int]],
+        self, model: IVFFlatIndex, keys: np.ndarray, payloads: np.ndarray,
+        assignments: np.ndarray,
     ) -> None:
         """Durability first — the same page layout PASE uses — then the
-        memory index, straight from the build's arrays."""
-        super()._flush(centroids, keys, payloads, buckets)
-        list_ids = np.empty(len(keys), dtype=np.int64)
-        for bucket, rows in enumerate(buckets):
-            list_ids[rows] = bucket
-        self._load(centroids, keys, list_ids, payloads)
+        trained model becomes the memory index, its lists the pages'."""
+        super()._flush(model, keys, payloads, assignments)
+        model.add_core(keys, assignments, payloads)
+        model.lists()
+        self._index = model
 
-    def _load(self, centroids: np.ndarray, keys, list_ids, vectors: np.ndarray) -> IVFFlatIndex:
-        """Install the memory index: each row joins the list given (its
-        rows in the order given), nothing re-assigned."""
-        index = IVFFlatIndex(self.dim, len(centroids), distance_type=self.ivf.distance_type)
-        index.set_centroids(centroids)
-        if len(keys):  # a VACUUM may have emptied every list
-            index.add_core(keys, list_ids, vectors)
+    def _memory(self) -> IVFFlatIndex:
+        """The memory index, rebuilt from the pages when dropped: each
+        chain read page-granular in item order, its rows joining the
+        list whose chain holds them, nothing re-assigned."""
+        if self._index is not None:
+            return self._index
+        buffer, rel = self.buffer, self.relation_name("data")
+        cents = self.layouts["centroid"].read_packed(
+            buffer, self.relation_name("centroid"), item_order=True
+        )
+        index = IVFFlatIndex(self.dim, len(cents), distance_type=self.ivf.distance_type)
+        index.set_centroids(cents["payload"])
+        for bucket, head in enumerate(cents["bucket_head"].tolist()):
+            rows = self.layouts["data"].read_packed(buffer, rel, [head], item_order=True)
+            if len(rows):  # a VACUUM may have emptied the list
+                index.add_core(record_keys(rows), np.full(len(rows), bucket), rows["payload"])
         index.lists()
         self._index = index
         return index
-
-    def _memory(self) -> IVFFlatIndex:
-        """The memory index, rebuilt from the pages when dropped: rows stay
-        in the list whose chain holds them (views copied under the pin)."""
-        if self._index is not None:
-            return self._index
-        centroids = [(head, vec.copy()) for __, head, vec in self._iter_centroids()]
-        keys: list[int] = []
-        list_ids: list[int] = []
-        vectors = [np.empty((0, self.dim), np.float32)]
-        for bucket, (head, __) in enumerate(centroids):
-            for n, read in self._chain_pages(head):
-                for offno in range(1, n + 1):
-                    key, vector = read(offno)
-                    keys.append(key)
-                    list_ids.append(bucket)
-                    vectors.append(vector.copy())  # the view dies with the pin
-        return self._load(np.vstack([c for __, c in centroids]), keys, list_ids, np.vstack(vectors))
 
     def insert(self, tid: TID, value: Any) -> int:
         """Pages first (durability), then the memory index: the row
@@ -123,14 +105,9 @@ class BridgedIVFFlat(PaseIVFFlat):
         return iter([(key_tid(n.vector_id), n.distance) for n in result.neighbors])
 
     def _batch_scan(self, query: np.ndarray, k: int, reuse: bool) -> ScanBatch:
-        """One SGEMM call per probed list, then one lexsort over all."""
-        query, index = self._check_query(query), self._memory()
-        score = index.list_scores(query)
-        parts = [score(bucket) for bucket in index.probe_order(query, self._nprobe()).tolist()]
-        keys = [keys for keys, __ in parts]
-        self.scan_stats.scans += 1
-        self.scan_stats.candidates += sum(part.shape[0] for part in keys)
-        return topk_parts(keys, [dists.astype(np.float64) for __, dists in parts], k)
+        """The tuple scan's answer as a batch: the memory index serves
+        both interfaces with one search loop."""
+        return ScanBatch.from_pairs(self._tuple_scan(query, k, reuse))
 
     def amsearch_filtered(self, query: np.ndarray, k: int, mask_fn: Any) -> Iterator:
         """Tuple-stream form of the batch in-filter scan below: each

@@ -13,23 +13,27 @@ the variant's encoding of the vector (possibly empty), and the
 variant's codec forks.  Their page formats are declared in
 :mod:`repro.pase.layout`.
 
-Construction trains centroids with PASE's k-means flavour (RC#5) and
-assigns base vectors one at a time without SGEMM (RC#1).  Search walks
-centroid pages and bucket chains through the buffer manager — paying
-the per-tuple toll of RC#2 — and collects candidates into a size-*n*
-heap (RC#6) unless ``SET pase.fixed_heap = true``.
+Construction trains the variant's ``MODEL``, the one IVF model
+(:class:`repro.specialized.ivf_core.IVFIndex`), in PASE's flavour —
+PASE's k-means (RC#5), assignment without SGEMM (RC#1) — and writes
+the pages from its centroids, codec and assignments; search, insert and
+VACUUM read both back from pages.  Search walks centroid pages and
+bucket chains through the buffer manager — paying the per-tuple toll of
+RC#2 — and collects candidates into a size-*n* heap (RC#6) unless
+``SET pase.fixed_heap = true``.
 
-What a variant overrides:
+What a variant states or overrides:
 
-=========================  ============================================
-``FORKS``                  page files it owns, in size-report order
-``_encode``                vectors -> payload matrix (dtype and width)
-``_train_codec`` etc.      codec training, its fork and meta tail
-``_tuple_scorer``          per-query ``score_one(key, payload)``
-``_rows_scorer``           per-query ``score_rows(keys, payloads)``
-``_candidate_cost``        planner weight of one scored candidate
-``_train_coarse/_assign``  the two build-algorithm hooks (RC#5, RC#1)
-=========================  ============================================
+==========================  ===========================================
+``FORKS``                   page files it owns, in size-report order
+``MODEL``, ``_model_opts``  the model class and its own arguments
+``KMEANS_STYLE/USE_SGEMM``  the build flavour (RC#5, RC#1)
+``_encode``                 vectors -> payload matrix (dtype and width)
+``_write_codec_fork`` etc.  the model's codec: its fork and meta tail
+``_tuple_scorer``           per-query ``score_one(key, payload)``
+``_rows_scorer``            per-query ``score_rows(keys, payloads)``
+``_candidate_cost``         planner weight of one scored candidate
+==========================  ===========================================
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ import numpy as np
 
 from repro.common.distance import pairwise_kernel, rows_kernel
 from repro.common.heap import BoundedMaxHeap, NaiveTopK
-from repro.common.kmeans import pase_kmeans, sample_training_rows
 from repro.common.parallel import ScheduleResult, parallel_search
 from repro.common.profiling import SEC_DISTANCE, SEC_HEAP, SEC_TUPLE_ACCESS
 from repro.common.types import BuildStats, SearchResult
@@ -53,6 +56,8 @@ from repro.pgsim.am import IndexAmRoutine, ScanBatch, topk_batch
 from repro.pgsim.heapam import TID, key_tid, tid_key
 from repro.pgsim.page import Page, PageCorruptError
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
+from repro.specialized.ivf_core import IVFIndex
+from repro.specialized.ivf_flat import IVFFlatIndex
 
 #: ``score_one(key, payload) -> distance`` (None: entry lags a VACUUM);
 #: ``key`` is the packed heap TID ``(blkno << 16) | offset``.
@@ -73,6 +78,10 @@ class PagedIVF(IndexAmRoutine):
     #: variants keep codes, so a recomputed centroid would drift from
     #: the codec's training frame — they compact only.
     PAYLOAD_IS_VECTOR = False
+    #: The model the build trains, assigns and encodes with.
+    MODEL: type[IVFIndex] = IVFFlatIndex
+    #: The build flavour: PASE's k-means (RC#5), no SGEMM (RC#1).
+    KMEANS_STYLE, USE_SGEMM = "pase", False
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -97,15 +106,13 @@ class PagedIVF(IndexAmRoutine):
         """``(n, d)`` float32 vectors -> ``(n, width)`` payload matrix."""
         raise NotImplementedError
 
-    def _codec_training_floor(self) -> int:
-        """Rows the training sample must keep for the codec (PQ: c_pq)."""
-        return 0
+    def _model_opts(self) -> dict[str, Any]:
+        """The variant's own ``MODEL`` arguments (IVF_PQ: m, c_pq)."""
+        return {}
 
-    def _train_codec(self, sample: np.ndarray) -> None:
-        """Fit the payload codec on the training sample (default: none)."""
-
-    def _write_codec_fork(self) -> None:
-        """Persist the codec's own fork (default: none)."""
+    def _write_codec_fork(self, model: IVFIndex) -> None:
+        """Persist the model's codec to its own fork and keep it as the
+        decoded copy (default: no codec)."""
 
     def _meta_tail(self) -> list[int]:
         """What the codec appends to the meta tuple (IVF_PQ: m, c_pq)."""
@@ -128,60 +135,33 @@ class PagedIVF(IndexAmRoutine):
         """Per-query work ahead of the list scan (PQ: the ADC table)."""
         return 0.0
 
-    def _train_coarse(self, sample: np.ndarray, n_clusters: int) -> np.ndarray:
-        """Coarse quantizer training: PASE's k-means flavour (RC#5)."""
-        return pase_kmeans(sample, n_clusters, self.ivf.kmeans_iterations).centroids
-
-    def _assign(self, vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-        """PASE's adding phase: one distance row per base vector, no
-        SGEMM (the paper's RC#1)."""
-        assignments = np.empty(vectors.shape[0], dtype=np.int64)
-        tick = self.progress.tick
-        for i, vec in enumerate(vectors):
-            diff = centroids - vec
-            assignments[i] = np.argmin(np.einsum("ij,ij->i", diff, diff))
-            tick()
-        return assignments
-
     # ------------------------------------------------------------------
     # build
     # ------------------------------------------------------------------
     def build(self) -> None:
         keys, vectors = self._heap_vectors()
         self.dim = int(vectors.shape[1])
-        n_rows = len(keys)
-        n_clusters = min(self.ivf.clusters, n_rows)
-
         start = time.perf_counter()
-        self.progress.set_phase("sample")
-        sample = sample_training_rows(
-            vectors,
-            self.ivf.sample_ratio,
-            max(n_clusters, self._codec_training_floor()),
-            self.ivf.seed,
+        model = self.MODEL(
+            self.dim, min(self.ivf.clusters, len(keys)), sample_ratio=self.ivf.sample_ratio,
+            use_sgemm=self.USE_SGEMM, kmeans_style=self.KMEANS_STYLE,
+            kmeans_iterations=self.ivf.kmeans_iterations, seed=self.ivf.seed,
+            distance_type=self.ivf.distance_type, **self._model_opts(),
         )
-        self.progress.set_phase("kmeans")
-        self._train_codec(sample)
-        centroids = self._train_coarse(sample, n_clusters)
+        model.progress = self.progress
+        model.train(vectors)
         self.build_stats.train_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        self.progress.set_phase("assign", tuples_total=n_rows)
+        self.layouts = {}
+        self._write_codec_fork(model)
         payloads = self._encode(vectors)
-        self.layouts = {
-            "meta": IVF_META.bind(len(self._meta_tail())),
-            "centroid": IVF_CENTROID.bind(self.dim),
-            "data": IVF_DATA.bind(payloads.shape[1], payloads.dtype),
-        }
-        buckets: list[list[int]] = [[] for _ in range(n_clusters)]
-        for row, bucket in enumerate(self._assign(vectors, centroids).tolist()):
-            buckets[bucket].append(row)
-        self.build_stats.distance_computations += n_rows * n_clusters
-
+        assignments = model.assign(vectors)
+        self.build_stats.distance_computations += len(keys) * model.n_clusters
         self.progress.set_phase("flush")
-        self._flush(centroids, keys, payloads, buckets)
+        self._flush(model, keys, payloads, assignments)
         self.build_stats.add_seconds = time.perf_counter() - start
-        self.build_stats.vectors_added = n_rows
+        self.build_stats.vectors_added = len(keys)
         self._rescan_cache = None
         self._bucket_inserts = {}
 
@@ -201,26 +181,29 @@ class PagedIVF(IndexAmRoutine):
         return np.concatenate(keys), np.vstack(blocks).astype(np.float32)
 
     def _flush(
-        self,
-        centroids: np.ndarray,
-        keys: np.ndarray,
-        payloads: np.ndarray,
-        buckets: list[list[int]],
+        self, model: IVFIndex, keys: np.ndarray, payloads: np.ndarray, assignments: np.ndarray
     ) -> None:
-        """Write the trained lists out as pages: each bucket a chain of
-        data pages, then the centroids carrying the chain heads.
-        ``keys[i]`` is the packed heap TID of ``payloads[i]``."""
+        """Write the trained lists out as pages: each list a chain of
+        data pages (its rows in heap order), then the centroids carrying
+        the chain heads, then the meta tuple.  ``keys[i]`` is the packed
+        heap TID of ``payloads[i]``, which joins list ``assignments[i]``."""
+        self.layouts.update(
+            meta=IVF_META.bind(len(self._meta_tail())),
+            centroid=IVF_CENTROID.bind(self.dim),
+            data=IVF_DATA.bind(payloads.shape[1], payloads.dtype),
+        )
         layouts, buffer = self.layouts, self.buffer
         data, centroid, meta = layouts["data"], layouts["centroid"], layouts["meta"]
         records = data.pack(
             len(keys), heap_blkno=keys >> 16, heap_offset=keys & 0xFFFF, payload=payloads,
         )
+        order = np.argsort(assignments, kind="stable")
+        bounds = np.searchsorted(assignments[order], np.arange(model.n_clusters + 1)).tolist()
         rel = self.create_fork("data")
-        heads = [data.write(buffer, rel, records[rows]) for rows in buckets]
+        heads = [data.write(buffer, rel, records[order[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])]
         centroid.write(buffer, self.create_fork("centroid"), centroid.pack(
-            len(heads), centroid_id=range(len(heads)), bucket_head=heads, payload=centroids
+            len(heads), centroid_id=range(len(heads)), bucket_head=heads, payload=model.centroids
         ))
-        self._write_codec_fork()
         if "meta" in self.FORKS:
             meta.write(buffer, self.create_fork("meta"), meta.pack(
                 1, dim=self.dim, clusters=len(heads), distance_type=self.ivf.distance_type,
@@ -314,7 +297,7 @@ class PagedIVF(IndexAmRoutine):
         dead = {tid_key(tid) for tid in dead_tids}
         for cent_id, head, __ in list(self._iter_centroids()):
             items = self.layouts["data"].read_packed(self.buffer, rel, [head], item_order=True)
-            survivors = items[[key not in dead for key in _record_keys(items).tolist()]]
+            survivors = items[[key not in dead for key in record_keys(items).tolist()]]
             if len(survivors) < len(items):
                 self._refill_chain(rel, head, survivors)
             yield cent_id, len(items) - len(survivors), survivors
@@ -623,7 +606,7 @@ class PagedIVF(IndexAmRoutine):
         read page-granular and decoded with one key pack for all."""
         rel = self.relation_name("data")
         records = self.layouts["data"].read_packed(self.buffer, rel, heads)
-        return _record_keys(records), records["payload"]
+        return record_keys(records), records["payload"]
 
     @contextmanager
     def _centroid(self, centroid_id: int, dirty: bool = False) -> Iterator[tuple[Page, int]]:
@@ -642,7 +625,7 @@ def topk_parts(key_parts: list[np.ndarray], dist_parts: list[np.ndarray], k: int
     return topk_batch(np.concatenate(key_parts), np.concatenate(dist_parts), k)
 
 
-def _record_keys(records: np.ndarray) -> np.ndarray:
+def record_keys(records: np.ndarray) -> np.ndarray:
     """Packed heap TID keys of IVF data records."""
     return (records["heap_blkno"].astype(np.int64) << 16) | records["heap_offset"]
 

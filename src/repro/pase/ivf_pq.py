@@ -28,6 +28,7 @@ from repro.pase.ivf_core import PagedIVF, RowsScorer, TupleScorer
 from repro.pase.layout import IVF_META, PQ_CODEBOOK
 from repro.pase.options import parse_ivfpq_options
 from repro.pgsim.am import register_am
+from repro.specialized.ivf_pq import IVFPQIndex
 
 
 @register_am
@@ -37,6 +38,7 @@ class PaseIVFPQ(PagedIVF):
     amname = "pase_ivfpq"
     aliases = ("ivfpq_fun",)
     FORKS = ("meta", "centroid", "codebook", "data")
+    MODEL = IVFPQIndex
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -44,22 +46,10 @@ class PaseIVFPQ(PagedIVF):
         self._codebook: pq.PQCodebook | None = None
 
     # ------------------------------------------------------------------
-    # codec: train, persist, load, encode
+    # codec: persist, load, encode
     # ------------------------------------------------------------------
-    def _codec_training_floor(self) -> int:
-        return self.opts.c_pq
-
-    def _train_codec(self, sample: np.ndarray) -> None:
-        if self.dim % self.opts.m != 0:
-            raise ValueError(f"vector dim {self.dim} is not divisible by m={self.opts.m}")
-        self._codebook = pq.train_codebook(
-            sample,
-            self.opts.m,
-            min(self.opts.c_pq, sample.shape[0]),
-            max_iterations=self.ivf.kmeans_iterations,
-            seed=self.ivf.seed,
-            style="pase",
-        )
+    def _model_opts(self) -> dict[str, Any]:
+        return {"m": self.opts.m, "c_pq": self.opts.c_pq}
 
     def _encode(self, vectors: np.ndarray) -> np.ndarray:
         return pq.encode(self._load_codebook(), vectors)
@@ -68,8 +58,9 @@ class PaseIVFPQ(PagedIVF):
         codebook = self._load_codebook()
         return [codebook.m, codebook.c_pq]
 
-    def _write_codec_fork(self) -> None:
-        books = self._load_codebook().codebooks  # (m, c_pq, d_sub)
+    def _write_codec_fork(self, model: IVFPQIndex) -> None:
+        self._codebook = model.codebook
+        books = model.codebook.codebooks  # (m, c_pq, d_sub)
         m, c_pq, d_sub = books.shape
         layout = self.layouts["codebook"] = PQ_CODEBOOK.bind(d_sub)
         codewords = layout.pack(

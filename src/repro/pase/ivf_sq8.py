@@ -23,6 +23,7 @@ from repro.pase.layout import SQ8_CODEC
 from repro.pase.options import require_l2
 from repro.pgsim.am import register_am
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
+from repro.specialized.ivf_sq8 import IVFSQ8Index
 
 
 @register_am
@@ -32,6 +33,7 @@ class PaseIVFSQ8(PagedIVF):
     amname = "pase_ivfsq8"
     aliases = ("ivfsq8_fun",)
     FORKS = ("meta", "codec", "centroid", "data")
+    MODEL = IVFSQ8Index
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -39,16 +41,13 @@ class PaseIVFSQ8(PagedIVF):
         self._codec: sq.SQ8Codec | None = None
 
     # ------------------------------------------------------------------
-    # codec: train, persist, load, encode
+    # codec: persist, load, encode
     # ------------------------------------------------------------------
-    def _train_codec(self, sample: np.ndarray) -> None:
-        self._codec = sq.train_codec(sample)
-
     def _encode(self, vectors: np.ndarray) -> np.ndarray:
         return sq.encode(self._load_codec(), vectors)
 
-    def _write_codec_fork(self) -> None:
-        codec = self._load_codec()
+    def _write_codec_fork(self, model: IVFSQ8Index) -> None:
+        codec = self._codec = model.codec
         layout = self.layouts["codec"] = SQ8_CODEC.bind(self.dim)
         rows = layout.pack(2, row=[0, 1], payload=[codec.vmin, codec.vdiff])
         layout.write(self.buffer, self.create_fork("codec"), rows)

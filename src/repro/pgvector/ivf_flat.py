@@ -1,11 +1,12 @@
 """pgvector-style IVF_FLAT: TID-only index pages, heap fetch per candidate.
 
-The paged IVF core (:class:`repro.pase.ivf_core.PagedIVF`) with an
-*empty* ``ivf_data`` payload: data-fork tuples hold **only the heap
-TID**, not the vector, and there is no meta page — so every scanned
-candidate costs an extra heap-table round trip through the buffer
-manager to get its vector.  Centroid pages and chains are otherwise
-identical to PASE's.
+The paged IVF core (:class:`repro.pase.ivf_core.PagedIVF`), built like
+PASE's IVF_FLAT through :class:`~repro.specialized.ivf_flat.IVFFlatIndex`
+in PASE's flavour, with an *empty* ``ivf_data`` payload: data-fork
+tuples hold **only the heap TID**, not the vector, and there is no meta
+page — so every scanned candidate costs an extra heap-table round trip
+through the buffer manager to get its vector.  Centroid pages and
+chains are otherwise identical to PASE's.
 
 This makes the index much smaller but the scan slower, which is the
 architectural gap behind the paper's Fig. 2 ordering (PASE fastest

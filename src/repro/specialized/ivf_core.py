@@ -1,20 +1,20 @@
-"""The inverted-file index every specialized IVF variant is built on.
+"""The one IVF model: the inverted-file index every IVF variant is built on.
 
 Faiss has one ``IndexIVF`` skeleton; its variants differ only in how a
 list entry is *encoded* and how it is *scored* against a query.
-:class:`IVFIndex` is that skeleton.  Construction has the paper's two
-phases (Sec. II-B): *training* runs k-means over a sample to produce
-``c`` centroids; *adding* assigns each base vector to its nearest
-centroid and appends its encoding to that list.  Both phases use the
-SGEMM decomposition by default (RC#1, ``use_sgemm=False`` for the
-Fig. 4 ablation); ``kmeans_style="pase"`` swaps in PASE's k-means
-(RC#5, Fig. 15).  Search scans the ``nprobe`` closest lists with one
-batched kernel call per list into a size-``k`` heap, under the Table V
-sections ``Coarse Quantizer`` / ``Tuple Access`` / ``fvec_L2sqr`` /
-``Min-heap``.
+:class:`IVFIndex` is that skeleton; the page-backed access methods
+(:mod:`repro.pase.ivf_core`) build through it too.  Construction has
+the paper's two phases (Sec. II-B): *training* runs k-means over a
+sample to produce ``c`` centroids; *adding* assigns each base vector to
+its nearest centroid (:meth:`IVFIndex.assign`) and appends its encoding
+to that list.  Both phases use the SGEMM decomposition by default
+(RC#1, ``use_sgemm=False`` for the Fig. 4 ablation and for PASE);
+``kmeans_style="pase"`` swaps in PASE's k-means (RC#5, Fig. 15).
+Search scans the ``nprobe`` closest lists with one batched kernel call
+per list into a size-``k`` heap, under the Table V sections ``Coarse
+Quantizer`` / ``Tuple Access`` / ``fvec_L2sqr`` / ``Min-heap``.
 
-What a variant overrides (the hook names of
-:class:`repro.pase.ivf_core.PagedIVF`):
+What a variant overrides:
 
 =========================  ============================================
 ``_codec_training_floor``  rows the training sample must keep (PQ: c_pq)
@@ -41,6 +41,7 @@ from repro.common.kmeans import (
     pase_kmeans,
     sample_training_rows,
 )
+from repro.common.obs import NULL_PROGRESS, BuildProgress
 from repro.common.profiling import SEC_COARSE, SEC_DISTANCE, SEC_HEAP, SEC_TUPLE_ACCESS
 from repro.common.types import IndexSizeInfo, SearchResult
 from repro.specialized.base import VectorIndex
@@ -64,6 +65,9 @@ class IVFIndex(VectorIndex):
     """
 
     search_params = ("nprobe",)
+    #: Build phase sink (``sample``, ``kmeans``, ``assign``); an access
+    #: method points it at ``pg_stat_progress_create_index``.
+    progress: BuildProgress = NULL_PROGRESS
 
     def __init__(
         self,
@@ -121,8 +125,10 @@ class IVFIndex(VectorIndex):
     # ------------------------------------------------------------------
     def _train(self, data: np.ndarray) -> None:
         start = time.perf_counter()
+        self.progress.set_phase("sample")
         floor = max(self.n_clusters, self._codec_training_floor())
         sample = sample_training_rows(data, self.sample_ratio, floor, self.seed)
+        self.progress.set_phase("kmeans")
         if self.kmeans_style == "faiss":
             result = faiss_kmeans(
                 sample,
@@ -154,13 +160,21 @@ class IVFIndex(VectorIndex):
         self._lists = None
         self.is_trained = True
 
-    def _add(self, data: np.ndarray) -> None:
+    def assign(self, vectors: np.ndarray) -> np.ndarray:
+        """Each row's list: its nearest centroid in L2, by SGEMM or, with
+        ``use_sgemm=False``, one distance row per vector (RC#1)."""
         assert self.centroids is not None
-        start = time.perf_counter()
+        self.progress.set_phase("assign", tuples_total=vectors.shape[0])
         if self.use_sgemm:
-            assignments, __ = assign_nearest_batch(data, self.centroids, self._centroid_sq_norms)
+            assignments, __ = assign_nearest_batch(vectors, self.centroids, self._centroid_sq_norms)
         else:
-            assignments, __ = assign_nearest_loop(data, self.centroids)
+            assignments, __ = assign_nearest_loop(vectors, self.centroids)
+        self.progress.tick(vectors.shape[0])
+        return assignments
+
+    def _add(self, data: np.ndarray) -> None:
+        start = time.perf_counter()
+        assignments = self.assign(data)
         self.build_stats.distance_computations += data.shape[0] * self.n_clusters
         ids = np.arange(self.ntotal, self.ntotal + data.shape[0], dtype=np.int64)
         self._staged.append((ids, assignments, self._encode(data)))

@@ -54,10 +54,12 @@ class IVFPQIndex(IVFIndex):
         return self.c_pq
 
     def _train_codec(self, sample: np.ndarray) -> None:
+        # PASE's clamp: a table smaller than c_pq rows trains one
+        # codeword per row rather than refusing.
         self.codebook = pq.train_codebook(
             sample,
             self.m,
-            self.c_pq,
+            min(self.c_pq, sample.shape[0]),
             max_iterations=self.kmeans_iterations,
             seed=self.seed,
             style=self.kmeans_style,
