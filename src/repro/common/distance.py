@@ -128,37 +128,46 @@ def l2_sqr_pairwise_loop(queries: np.ndarray, targets: np.ndarray) -> np.ndarray
     return out
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] . b[i]`` for each row (``b`` may be one vector), float32.
+
+    A stacked ``(1, d) @ (d, 1)`` matmul, which NumPy runs as one BLAS
+    ``sdot`` per row: the per-pair kernels' ``a.dot(b)``, so the row
+    kernels below return their values to the bit (an ``einsum`` or a
+    gemv sums in another order and differs in the last bits).
+    """
+    return np.matmul(a[:, None, :], b[..., :, None])[:, 0, 0]
+
+
 def l2_sqr_rows(query: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Squared L2 distance from one query to each target row.
 
     The one-query batched kernel backing the batch executor path: the
     same ``(t - q)`` difference arithmetic as :func:`l2_sqr` (not the
     SGEMM decomposition, whose cancellation error would let the two
-    executor paths disagree), reduced row-wise in one einsum call.
+    executor paths disagree), reduced row by row as it does.
     """
     t = np.atleast_2d(np.asarray(targets, dtype=np.float32))
     diff = t - np.asarray(query, dtype=np.float32)
-    return np.einsum("ij,ij->i", diff, diff).astype(np.float64)
+    return _row_dots(diff, diff).astype(np.float64)
 
 
 def inner_product_rows(query: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Negated inner product from one query to each target row."""
     t = np.atleast_2d(np.asarray(targets, dtype=np.float32))
-    return -(t @ np.asarray(query, dtype=np.float32)).astype(np.float64)
+    return -_row_dots(t, np.asarray(query, dtype=np.float32)).astype(np.float64)
 
 
 def cosine_distance_rows(query: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Cosine distance from one query to each target row.
 
     Zero-norm operands map to distance 1.0, as in
-    :func:`cosine_distance`.
+    :func:`cosine_distance`, whose float64 arithmetic this repeats.
     """
     q = np.asarray(query, dtype=np.float32)
     t = np.atleast_2d(np.asarray(targets, dtype=np.float32))
-    dots = (t @ q).astype(np.float64)
-    q_norm = float(np.linalg.norm(q))
-    t_norms = np.sqrt(np.einsum("ij,ij->i", t, t)).astype(np.float64)
-    denom = q_norm * t_norms
+    dots = _row_dots(t, q).astype(np.float64)
+    denom = float(np.linalg.norm(q)) * np.sqrt(_row_dots(t, t)).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(denom > 0.0, 1.0 - dots / denom, 1.0)
 

@@ -17,6 +17,7 @@ from typing import Any
 import numpy as np
 
 from repro.common import sq
+from repro.common.distance import l2_sqr_rows
 from repro.common.profiling import SEC_DISTANCE
 from repro.pase.ivf_core import PagedIVF, RowsScorer, TupleScorer
 from repro.pase.layout import SQ8_CODEC
@@ -77,10 +78,9 @@ class PaseIVFSQ8(PagedIVF):
 
     def _rows_scorer(self, query: np.ndarray) -> RowsScorer:
         """The gathered code matrix dequantized once — the tuple
-        scorer's float32 arithmetic, row-wise — then one kernel call:
-        a stacked ``(1, d) @ (d, 1)`` matmul, which NumPy runs as one
-        BLAS ``sdot`` per row, the tuple scorer's ``diff.dot(diff)``, so
-        both interfaces give the same distances to the bit."""
+        scorer's float32 arithmetic, row-wise — then one row-kernel
+        call, which reduces each row as the tuple scorer's
+        ``diff.dot(diff)`` does: the same distances to the bit."""
         codec = self._load_codec()
         scale = codec.vdiff / sq.LEVELS
         vmin = codec.vmin
@@ -88,9 +88,7 @@ class PaseIVFSQ8(PagedIVF):
 
         def score_rows(keys, codes):
             with section(SEC_DISTANCE):
-                diff = codes.astype(np.float32) * scale + vmin - query
-                dists = np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
-                return keys, dists.astype(np.float64)
+                return keys, l2_sqr_rows(query, codes.astype(np.float32) * scale + vmin)
 
         return score_rows
 

@@ -100,11 +100,16 @@ def test_registry_resolves_the_family():
 
 
 def test_tuple_and_batch_scans_return_the_same_tids(ivf):
-    ivf.db.execute("SET pase.nprobe = 3")
-    for q in ivf.queries:
-        tuple_tids = [tid for tid, __ in ivf.am.scan(q, 10)]
-        assert len(tuple_tids) == 10
-        assert ivf.am.get_batch(q, 10).tids() == tuple_tids
+    """Both interfaces return the same ``(tid, distance)`` pairs, the
+    distances equal to the bit under every metric the variant takes:
+    the row kernels reduce each row as the per-pair kernels do."""
+    for metric in (0,) if ivf.name in L2_ONLY else (0, 1, 2):
+        built = _build(ivf.name, f", distance_type = {metric}") if metric else ivf
+        built.db.execute("SET pase.nprobe = 3")
+        for q in built.queries:
+            pairs = list(built.am.scan(q, 10))
+            assert len(pairs) == 10
+            assert built.am.get_batch(q, 10).pairs() == pairs
 
 
 def test_tuple_and_batch_scans_pin_the_same_index_pages(ivf, monkeypatch):
@@ -142,11 +147,11 @@ def test_tuple_and_batch_scans_pin_the_same_index_pages(ivf, monkeypatch):
             assert heap_pins["batch"] == heap_pins["tuple"] == 0
 
 
-def _batch_ranking(am, query: np.ndarray, nprobe: int) -> list[int]:
-    """The lists the batch interface probes, nearest first."""
+def _batch_ranking(am, query: np.ndarray) -> list[int]:
+    """Every list in the order the batch interface ranks them."""
     if am.amname == "bridged_ivfflat":
-        return am._memory().probe_order(query, nprobe).tolist()
-    return am._rank_centroids(query, batch=True)[0][:nprobe].tolist()
+        return am._memory().probe_order(query, CLUSTERS).tolist()
+    return am._rank_centroids(query, batch=True)[0].tolist()
 
 
 @pytest.mark.parametrize(
@@ -161,14 +166,13 @@ def _batch_ranking(am, query: np.ndarray, nprobe: int) -> list[int]:
 )
 def test_batch_ranking_probes_the_tuple_ranking_lists(name, data, metric):
     """The batch interface ranks centroids with one kernel call over the
-    whole fork; its first ``nprobe`` lists are the per-centroid tuple
-    ranking's, ties included (they break toward the smaller centroid
-    id on both).  ``tied_int`` overwrites the centroids with two small
+    whole fork; its order is the per-centroid tuple ranking's, ties
+    included (they break toward the smaller centroid id on both).  ``tied_int`` overwrites the centroids with two small
     integer vectors, each twice plus a doubled copy, and queries them
     with integer vectors (one all-zero), so every distance is exact and
     many tie."""
     ivf = _build(name, f", distance_type = {metric}")
-    am, nprobe = ivf.am, 3
+    am = ivf.am
     queries = ivf.queries
     if data == "tied_int":
         rng = np.random.default_rng(metric)
@@ -178,8 +182,7 @@ def test_batch_ranking_probes_the_tuple_ranking_lists(name, data, metric):
         queries = rng.integers(-1, 2, size=(6, DIM)).astype(np.float32)
         queries[0] = 0.0
     for q in queries:
-        tuple_order = am._rank_centroids(q)[0][:nprobe].tolist()
-        assert _batch_ranking(am, q, nprobe) == tuple_order
+        assert _batch_ranking(am, q) == am._rank_centroids(q)[0].tolist()
 
 
 def test_rescan_continue_equals_a_fresh_scan(ivf):
