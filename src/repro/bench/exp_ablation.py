@@ -19,7 +19,8 @@ from repro.core.report import render_table
 #: little, inside search-time noise).  Each is gated on the median
 #: ratio of alternating with/without pairs: ``Scale.build_pairs`` for
 #: the build toggle, ``Scale.search_pairs`` for the search ones.
-#: RC#5's k-means toggle is measured but not gated (EXPERIMENTS note 3).
+#: RC#5's centroid transplant is paired the same way but not gated
+#: (EXPERIMENTS note 3).
 _SLACK = {"SGEMM": 1.0, "HEAP_SIZE": 1.3, "PRECOMPUTED_TABLE": 1.2}
 
 

@@ -57,10 +57,9 @@ class AblationSwitch:
     baseline_params: dict[str, Any]
     #: Callable applying the neutralizing configuration.
     neutralize: Callable[[ComparativeStudy], None]
-    #: Callable undoing it, for a setting toggle; the two sides can then
-    #: be measured in alternating pairs.  None where neutralizing
-    #: rebuilds an index in place of the measured one.
-    restore: Callable[[ComparativeStudy], None] | None = None
+    #: Callable undoing it, so the two sides are measured in
+    #: alternating pairs.
+    restore: Callable[[ComparativeStudy], None]
 
 
 def _neutralize_sgemm(study: ComparativeStudy) -> None:
@@ -76,6 +75,12 @@ def _restore_sgemm(study: ComparativeStudy) -> None:
 def _neutralize_kmeans(study: ComparativeStudy) -> None:
     # Fig. 15: run the specialized engine on PASE's exact centroids.
     study.transplant_centroids()
+
+
+def _restore_kmeans(study: ComparativeStudy) -> None:
+    # Back to the specialized engine's own, Faiss-trained index.
+    if study.trained_index is not None:
+        study.specialized.index = study.trained_index
 
 
 def _neutralize_heap(study: ComparativeStudy) -> None:
@@ -113,6 +118,7 @@ SWITCHES: dict[RootCause, AblationSwitch] = {
         description="transplant PASE's centroids into the specialized engine (Fig. 15)",
         baseline_params={},
         neutralize=_neutralize_kmeans,
+        restore=_restore_kmeans,
     ),
     RootCause.HEAP_SIZE: AblationSwitch(
         cause=RootCause.HEAP_SIZE,
@@ -146,10 +152,8 @@ def run_ablation(
 ) -> AblationResult:
     """Measure one root cause's gap contribution on ``dataset``.
 
-    A switch with a ``restore`` is measured in ``pairs`` :func:`paired`
-    pairs, alternating whether the cause is on first, and reports the
-    median gap of each side; the others measure each side once, the
-    cause on first.
+    Measured in ``pairs`` :func:`paired` pairs, alternating whether the
+    cause is on first; reports the median gap of each side.
 
     Raises:
         KeyError: for causes without a config toggle (RC#2, RC#3 and
@@ -169,15 +173,11 @@ def run_ablation(
         study.compare_search, k=k, nprobe=nprobe, n_queries=n_queries
     )
 
-    def gap(toggle: Callable[[ComparativeStudy], None] | None) -> float:
-        if toggle is not None:
-            toggle(study)
+    def gap(toggle: Callable[[ComparativeStudy], None]) -> float:
+        toggle(study)
         return measure().gap
 
-    sides = paired(
-        lambda: gap(switch.restore), lambda: gap(switch.neutralize),
-        pairs if switch.restore is not None else 1,
-    )
+    sides = paired(lambda: gap(switch.restore), lambda: gap(switch.neutralize), pairs)
     return AblationResult(
         cause=cause,
         metric=switch.metric,

@@ -421,6 +421,8 @@ class ComparativeStudy:
         self.specialized = specialized if specialized is not None else SpecializedVectorDB()
         self._loaded = False
         self._built = False
+        #: The specialized index a centroid transplant replaced.
+        self.trained_index: VectorIndex | None = None
 
     # ------------------------------------------------------------------
     # phases
@@ -506,12 +508,16 @@ class ComparativeStudy:
     def transplant_centroids(self) -> None:
         """Fig. 15: rebuild the specialized index with PASE's centroids.
 
-        Makes the two sides use identical clusters, isolating RC#5.
+        Makes the two sides use identical clusters, isolating RC#5.  The
+        first transplant keeps the index it replaces in
+        :attr:`trained_index`.
         """
         if not self._built:
             self.compare_build()
         if self.index_type != "ivf_flat":
             raise ValueError("centroid transplant applies to IVF_FLAT only")
+        if self.trained_index is None:
+            self.trained_index = self.specialized.index
         centroids = self.generalized.pase_centroids()
         index = IVFFlatIndex(
             self.dataset.dim,

@@ -5,6 +5,7 @@ import pytest
 from repro.common.profiling import BreakdownRow
 from repro.core import ablation, guidelines, report
 from repro.core.root_causes import ROOT_CAUSES, Phase, RootCause, causes_for, summary_table
+from repro.core.study import ComparativeStudy
 
 
 class TestRootCauses:
@@ -67,6 +68,23 @@ class TestAblationRegistry:
         assert result.metric == "build"
         assert result.gap_without_cause < result.gap_with_cause
         assert result.gap_closed_fraction > 0.3
+
+    def test_kmeans_ablation_is_paired_and_restores_the_trained_index(self, small_dataset):
+        """RC#5's transplant keeps the Faiss-trained index, so its restore
+        puts it back and the row pairs like the setting toggles."""
+        params = {"clusters": 8, "sample_ratio": 0.5, "seed": 1}
+        switch = ablation.SWITCHES[RootCause.KMEANS_IMPLEMENTATION]
+        study = ComparativeStudy(small_dataset, "ivf_flat", params)
+        study.compare_build()
+        trained = study.specialized.index
+        switch.neutralize(study)
+        assert study.specialized.index is not trained
+        switch.restore(study)
+        assert study.specialized.index is trained
+        result = ablation.run_ablation(
+            RootCause.KMEANS_IMPLEMENTATION, small_dataset, params, nprobe=8, n_queries=3, pairs=3
+        )
+        assert len(result.pair_ratios) == 3
 
     def test_heap_ablation_runs(self, small_dataset):
         result = ablation.run_ablation(
