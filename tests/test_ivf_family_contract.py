@@ -21,10 +21,13 @@ import repro.bridged  # noqa: F401  — registers bridged_ivfflat
 import repro.pase  # noqa: F401  — registers the pase_* access methods
 import repro.pgvector  # noqa: F401  — registers ivfflat
 from repro.common import heap as heap_mod
+from repro.pase.ivf_core import record_keys
 from repro.pase.layout import NO_BLOCK
 from repro.pgsim import PgSimDatabase
 from repro.pgsim.am import lookup_am
+from repro.pgsim.heapam import tid_key
 from repro.pgsim.page import PageCorruptError
+from repro.specialized import IVFFlatIndex, IVFPQIndex, IVFSQ8Index
 
 #: AM name -> extra WITH options.
 AMS = {
@@ -39,6 +42,15 @@ EXACT = {"pase_ivfflat", "ivfflat", "bridged_ivfflat"}
 #: Variants that refuse a non-L2 ``distance_type`` (they score in L2 only).
 L2_ONLY = {"pase_ivfpq", "pase_ivfsq8"}
 N, DIM, CLUSTERS = 240, 8, 6
+#: AM name -> the specialized model its build trains, and its flavour
+#: (k-means style, SGEMM assignment).
+MODELS = {
+    "pase_ivfflat": (IVFFlatIndex, "pase", False),
+    "pase_ivfpq": (IVFPQIndex, "pase", False),
+    "pase_ivfsq8": (IVFSQ8Index, "pase", False),
+    "ivfflat": (IVFFlatIndex, "pase", False),
+    "bridged_ivfflat": (IVFFlatIndex, "faiss", True),
+}
 
 
 def _lit(vec: np.ndarray) -> str:
@@ -110,6 +122,46 @@ def test_tuple_and_batch_scans_return_the_same_tids(ivf):
             pairs = list(built.am.scan(q, 10))
             assert len(pairs) == 10
             assert built.am.get_batch(q, 10).pairs() == pairs
+
+
+@pytest.mark.parametrize(
+    ("name", "options"),
+    [*((name, "") for name in sorted(AMS)), ("pase_ivfpq", ", c_pq = 256")],
+    ids=[*sorted(AMS), "pase_ivfpq-clamped"],
+)
+def test_pages_hold_the_model_trained_in_the_am_flavour(name, options):
+    """One IVF model: the variant's specialized index, trained on the
+    heap rows in the AM's flavour, has the pages' centroids, codec
+    bytes (reloaded from its fork) and every row's list and payload.
+    ``c_pq = 256`` exceeds the 240 rows: both clamp it to the rows."""
+    ivf = _build(name, options)
+    am = ivf.am
+    cls, style, sgemm = MODELS[name]
+    extra = {"m": am.opts.m, "c_pq": am.opts.c_pq} if cls is IVFPQIndex else {}
+    model = cls(DIM, CLUSTERS, sample_ratio=1.0, seed=3, kmeans_style=style, use_sgemm=sgemm,
+                **extra)
+    model.train(ivf.base)
+    keys = np.asarray([tid_key(tid) for tid in sorted(ivf.id_of, key=ivf.id_of.get)])
+    model.add_core(keys, model.assign(ivf.base), ivf.base)
+    buffer, data = ivf.db.buffer, am.layouts["data"]
+    cents = am.layouts["centroid"].read_packed(buffer, am.relation_name("centroid"), item_order=True)
+    assert cents["payload"].tobytes() == model.centroids.tobytes()
+    for (list_keys, payloads), head in zip(model.lists(), cents["bucket_head"].tolist()):
+        rows = data.read_packed(buffer, am.relation_name("data"), [head])
+        rows = rows[np.argsort(record_keys(rows))]  # the model's lists are in heap order
+        assert record_keys(rows).tolist() == list_keys.tolist()
+        if data.width:  # pgvector's entries carry only the TID
+            assert rows["payload"].tobytes() == payloads.tobytes()
+    if cls is IVFPQIndex:  # the codecs as reloaded from their forks
+        am._codebook = None
+        assert am._load_codebook().codebooks.tobytes() == model.codebook.codebooks.tobytes()
+        assert model.codebook.c_pq == min(am.opts.c_pq, N)
+    elif cls is IVFSQ8Index:
+        am._codec = None
+        reloaded, codec = am._load_codec(), model.codec
+        assert reloaded.vmin.tobytes() + reloaded.vdiff.tobytes() == (
+            codec.vmin.tobytes() + codec.vdiff.tobytes()
+        )
 
 
 def test_tuple_and_batch_scans_pin_the_same_index_pages(ivf, monkeypatch):

@@ -103,14 +103,6 @@ class TestPaseIVFFlat:
             total += sum(n for n, __ in flat_am._chain_pages(head))
         assert total == small_dataset.n
 
-    def test_fixed_heap_same_results(self, loaded_db, flat_am, small_dataset):
-        q = small_dataset.queries[0]
-        loaded_db.execute("SET pase.fixed_heap = false")
-        naive = _search_am(flat_am, q, 10)
-        loaded_db.execute("SET pase.fixed_heap = true")
-        fixed = _search_am(flat_am, q, 10)
-        assert naive == fixed
-
     def test_insert_lands_in_correct_bucket(self, loaded_db, flat_am, small_dataset):
         vec = small_dataset.base[0] + 30.0
         table = loaded_db.catalog.table("items")
@@ -191,19 +183,6 @@ class TestPaseIVFPQ:
         loaded_db.execute("SET pase.optimized_pctable = true")
         fast = _search_am(pq_am, q, 10)
         assert naive == fast
-
-    def test_agrees_with_specialized_pq_semantics(self, loaded_db, pq_am, small_dataset):
-        # ADC distance of the top hit must equal the decoded-code distance.
-        from repro.common import pq as pq_mod
-
-        q = small_dataset.queries[0]
-        results = list(pq_am.scan(q, 1))
-        tid, dist = results[0]
-        codebook = pq_am._load_codebook()
-        table = pq_mod.optimized_adc_table(codebook, q)
-        vec = loaded_db.catalog.table("items").heap.fetch_column(tid, 1)
-        code = pq_mod.encode(codebook, np.asarray(vec).reshape(1, -1))
-        assert dist == pytest.approx(float(pq_mod.adc_distances(table, code)[0]), rel=1e-3)
 
     def test_insert(self, loaded_db, pq_am, small_dataset):
         vec = small_dataset.base[1] + 25.0
