@@ -116,6 +116,14 @@ class TestPaseIVFSQ8:
         flat = loaded_db.catalog.find_index("fx9").am
         assert am.size_info().used_bytes < flat.size_info().used_bytes
 
+    def test_fixed_heap_same_results(self, loaded_db, am, small_dataset):
+        q = small_dataset.queries[0]
+        loaded_db.execute("SET pase.fixed_heap = false")
+        a = self._ids(loaded_db, am, q, 10)
+        loaded_db.execute("SET pase.fixed_heap = true")
+        b = self._ids(loaded_db, am, q, 10)
+        assert a == b
+
     def test_batch_scan_returns_the_tuple_scans_tids(
         self, loaded_db, am, small_dataset, monkeypatch
     ):

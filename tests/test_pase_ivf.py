@@ -103,6 +103,14 @@ class TestPaseIVFFlat:
             total += sum(n for n, __ in flat_am._chain_pages(head))
         assert total == small_dataset.n
 
+    def test_fixed_heap_same_results(self, loaded_db, flat_am, small_dataset):
+        q = small_dataset.queries[0]
+        loaded_db.execute("SET pase.fixed_heap = false")
+        naive = _search_am(flat_am, q, 10)
+        loaded_db.execute("SET pase.fixed_heap = true")
+        fixed = _search_am(flat_am, q, 10)
+        assert naive == fixed
+
     def test_insert_lands_in_correct_bucket(self, loaded_db, flat_am, small_dataset):
         vec = small_dataset.base[0] + 30.0
         table = loaded_db.catalog.table("items")
