@@ -16,7 +16,7 @@ import time
 
 from repro.common.datasets import load_dataset
 from repro.core.study import GeneralizedVectorDB
-from repro.specialized import SpecializedDatabase
+from repro.specialized import IVFFlatIndex
 
 
 def main() -> None:
@@ -27,14 +27,13 @@ def main() -> None:
     print(f"  {dataset.n} vectors, {dataset.dim} dims, exact top-10 = {truth[:5]}...\n")
 
     # --- specialized engine (Faiss-like) -----------------------------
-    spec = SpecializedDatabase()
-    spec.create_collection("items", dataset.dim)
-    spec.insert("items", dataset.base)
+    spec = IVFFlatIndex(dataset.dim, n_clusters=45, sample_ratio=0.2, seed=7)
     start = time.perf_counter()
-    spec.create_index("items", "ivf_flat", n_clusters=45, sample_ratio=0.2, seed=7)
+    spec.train(dataset.base)
+    spec.add(dataset.base)
     build_spec = time.perf_counter() - start
     start = time.perf_counter()
-    spec_result = spec.search("items", query, 10, nprobe=12)
+    spec_result = spec.search(query, 10, nprobe=12)
     search_spec = time.perf_counter() - start
     print(f"specialized engine: build {build_spec * 1e3:.0f}ms, "
           f"search {search_spec * 1e3:.2f}ms -> {spec_result.ids[:5]}...")

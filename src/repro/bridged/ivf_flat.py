@@ -6,7 +6,10 @@ build flavour — Faiss's k-means, SGEMM assignment — and keeps the
 trained model, the specialized engine's
 :class:`~repro.specialized.ivf_flat.IVFFlatIndex`, as a memory index
 keyed by packed heap TIDs: same centroids, same rows per list as the
-pages.  Both scan interfaces search it with its one loop.
+pages.  That memory index is where its lists live for search: it ranks
+the lists and hands them over, one part per list, to
+:class:`~repro.pase.ivf_core.PagedIVF`'s batch search, whose answer
+both scan interfaces return.
 """
 
 from __future__ import annotations
@@ -15,12 +18,12 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from repro.common.distance import batch_kernel
 from repro.common.parallel import ScheduleResult, parallel_search
+from repro.common.profiling import SEC_DISTANCE
 from repro.common.types import SearchResult
-from repro.pase.ivf_core import record_keys, topk_parts
+from repro.pase.ivf_core import Part, RowsScorer, record_keys
 from repro.pase.ivf_flat import PaseIVFFlat
-from repro.pgsim.am import ScanBatch, register_am
+from repro.pgsim.am import register_am
 from repro.pgsim.heapam import TID, key_tid, tid_key
 from repro.specialized.ivf_flat import IVFFlatIndex
 
@@ -67,8 +70,7 @@ class BridgedIVFFlat(PaseIVFFlat):
         index.set_centroids(cents["payload"])
         for bucket, head in enumerate(cents["bucket_head"].tolist()):
             rows = self.layouts["data"].read_packed(buffer, rel, [head], item_order=True)
-            if len(rows):  # a VACUUM may have emptied the list
-                index.add_core(record_keys(rows), np.full(len(rows), bucket), rows["payload"])
+            index.add_core(record_keys(rows), np.full(len(rows), bucket), rows["payload"])
         index.lists()
         self._index = index
         return index
@@ -94,53 +96,37 @@ class BridgedIVFFlat(PaseIVFFlat):
         super()._recenter(centroid_id, centroid)
         self._index = None
 
-    # search (Steps #1-#3): PagedIVF's dispatch points, so its continuations are inherited
-    def _tuple_scan(self, query: np.ndarray, k: int, reuse: bool) -> Iterator[tuple[TID, float]]:
-        """The specialized engine's search loop (k-sized heap); its
-        distance count less the ranked centroids is the candidates."""
-        query, index = self._check_query(query), self._memory()
-        result = index._search(query, k, self._nprobe())
-        self.scan_stats.scans += 1
-        self.scan_stats.candidates += result.distance_computations - index.n_clusters
-        return iter([(key_tid(n.vector_id), n.distance) for n in result.neighbors])
+    # search (Steps #1-#3): the residence, so PagedIVF's batch search serves both interfaces
+    def _rank_lists(self, query: np.ndarray, reuse: bool = False) -> tuple[np.ndarray, Sequence]:
+        """The memory index's ranking (no page pinned) and its lists."""
+        index = self._memory()
+        return index.probe_order(query, index.n_clusters), index.lists()
 
-    def _batch_scan(self, query: np.ndarray, k: int, reuse: bool) -> ScanBatch:
-        """The tuple scan's answer as a batch: the memory index serves
-        both interfaces with one search loop."""
-        return ScanBatch.from_pairs(self._tuple_scan(query, k, reuse))
+    def _list_parts(self, lists: Sequence, buckets: Sequence[int]) -> list[Part]:
+        """One part per list, as the memory index holds it."""
+        return [lists[bucket] for bucket in buckets]
+
+    def _rows_scorer(self, query: np.ndarray) -> RowsScorer:
+        """The memory index's per-list SGEMM scorer, the one
+        :meth:`parallel_search` scores its work units with."""
+        score, section = self._memory()._list_scorer(query), self.profiler.section
+
+        def score_rows(keys, vectors):
+            with section(SEC_DISTANCE):
+                return keys, score(vectors).astype(np.float64)
+
+        return score_rows
+
+    def _tuple_scan(self, query: np.ndarray, k: int, reuse: bool) -> Iterator[tuple[TID, float]]:
+        """The batch scan's answer as a stream."""
+        return iter(self._batch_scan(query, k, reuse).pairs())
 
     def amsearch_filtered(self, query: np.ndarray, k: int, mask_fn: Any) -> Iterator:
-        """Tuple-stream form of the batch in-filter scan below: each
-        round's keys become TIDs for the tuple-form mask."""
+        """The batch in-filter scan's answer, the mask given TIDs."""
         batch = self.amsearch_filtered_batch(
             query, k, lambda keys: mask_fn([key_tid(key) for key in keys.tolist()])
         )
         return iter(batch.pairs())
-
-    def amsearch_filtered_batch(self, query: np.ndarray, k: int, mask_fn: Any) -> ScanBatch:
-        """In-filter off the memory index: one mask call over each widening
-        round's packed TID keys, then one SGEMM call per list on the rows
-        that passed; ``_widen_probes`` widens while fewer than k pass."""
-        query, index = self._check_query(query), self._memory()
-        lists, kernel = index.lists(), batch_kernel(self.ivf.distance_type)
-        key_parts: list[np.ndarray] = []
-        dist_parts: list[np.ndarray] = []
-
-        def visit(buckets: Sequence[int]) -> tuple[int, int]:
-            round_lists = [lists[bucket] for bucket in buckets]
-            sizes = [keys.shape[0] for keys, __ in round_lists]
-            if not sum(sizes):
-                return 0, 0
-            mask = np.asarray(mask_fn(np.concatenate([keys for keys, __ in round_lists])), bool)
-            for (keys, vectors), keep in zip(round_lists, np.split(mask, np.cumsum(sizes)[:-1])):
-                if keep.any():
-                    dist_parts.append(kernel(query, vectors[keep])[0].astype(np.float64))
-                    key_parts.append(keys[keep])
-            return sum(sizes), int(mask.sum())
-
-        self._widen_probes(index.probe_order(query, index.n_clusters).tolist(), k, visit)
-        self.scan_stats.candidates += sum(int(part.shape[0]) for part in key_parts)
-        return topk_parts(key_parts, dist_parts, k)
 
     def amcostestimate(self, ntuples: float, fetch_k: int, cost: Any) -> tuple[float, float]:
         """PASE IVF_FLAT's probe shape without the per-tuple page toll,

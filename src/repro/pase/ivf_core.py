@@ -17,10 +17,11 @@ Construction trains the variant's ``MODEL``, the one IVF model
 (:class:`repro.specialized.ivf_core.IVFIndex`), in PASE's flavour —
 PASE's k-means (RC#5), assignment without SGEMM (RC#1) — and writes
 the pages from its centroids, codec and assignments; search, insert and
-VACUUM read both back from pages.  Search walks centroid pages and
-bucket chains through the buffer manager — paying the per-tuple toll of
-RC#2 — and collects candidates into a size-*n* heap (RC#6) unless
-``SET pase.fixed_heap = true``.
+VACUUM read both back from pages.  The tuple scan walks centroid pages
+and bucket chains through the buffer manager — paying the per-tuple
+toll of RC#2 — and collects candidates into a size-*n* heap (RC#6)
+unless ``SET pase.fixed_heap = true``.  The batch search is written
+once, over the two residence hooks below.
 
 What a variant states or overrides:
 
@@ -32,6 +33,10 @@ What a variant states or overrides:
 ``_write_codec_fork`` etc.  the model's codec: its fork and meta tail
 ``_tuple_scorer``           per-query ``score_one(key, payload)``
 ``_rows_scorer``            per-query ``score_rows(keys, payloads)``
+``_rank_lists``             residence: every list nearest first, and
+                            each list's locator (pages: chain heads)
+``_list_parts``             residence: those lists as ``(keys,
+                            payloads)`` parts (pages: one per gather)
 ``_candidate_cost``         planner weight of one scored candidate
 ==========================  ===========================================
 """
@@ -66,6 +71,8 @@ TupleScorer = Callable[[int, np.ndarray], "float | None"]
 RowsScorer = Callable[[np.ndarray, np.ndarray], "tuple[np.ndarray, np.ndarray]"]
 #: ``read(offno) -> (key, payload view)``: one page's bound tuple decode.
 ItemReader = Callable[[int], "tuple[int, np.ndarray]"]
+#: ``(packed TID keys, payloads)`` of some lists' rows, as a residence hands them over.
+Part = tuple[np.ndarray, np.ndarray]
 
 
 class PagedIVF(IndexAmRoutine):
@@ -126,6 +133,17 @@ class PagedIVF(IndexAmRoutine):
         """Per-query scorer for the gathered payload matrix of the probed
         buckets (the batch interface); owns its profiler sections."""
         raise NotImplementedError
+
+    def _rank_lists(self, query: np.ndarray, reuse: bool = False) -> tuple[np.ndarray, Sequence]:
+        """Residence: every list id, nearest first, and each list's
+        locator for :meth:`_list_parts` (pages: the chain heads)."""
+        return self._rank_centroids(query, reuse, batch=True)
+
+    def _list_parts(self, lists: Sequence, buckets: Sequence[int]) -> list[Part]:
+        """Residence: the lists ``buckets`` as parts (pages: one part
+        for all, their chains read page-granular)."""
+        with self.profiler.section(SEC_TUPLE_ACCESS):
+            return [self._gather_buckets([lists[bucket] for bucket in buckets])]
 
     def _candidate_cost(self, cost: Any) -> float:
         """Planner cost of visiting and scoring one probed candidate."""
@@ -421,13 +439,10 @@ class PagedIVF(IndexAmRoutine):
             yield key_tid(neighbor.vector_id), neighbor.distance
 
     def get_batch(self, query: np.ndarray, k: int) -> ScanBatch:
-        """Batched scan: the probed lists scored with one kernel call.
-
-        Same pages pinned and candidates scored as :meth:`scan`, but
-        per-tuple Python work (line-pointer walk, kernel call, profiler
-        section, heap push — the paper's RC#2/RC#3/RC#6 toll) collapses
-        into one copy per page and array ops per statement.
-        """
+        """Batched scan: on pages, the pages :meth:`scan` pins and the
+        candidates it scores, but its per-tuple Python work (the paper's
+        RC#2/RC#3/RC#6 toll) collapses into one copy per page and one
+        scorer call for all the probed lists."""
         return self._batch_scan(query, k, reuse=False)
 
     def amrescan_continue_batch(self, query: np.ndarray, k: int) -> ScanBatch:
@@ -437,15 +452,46 @@ class PagedIVF(IndexAmRoutine):
     def _batch_scan(self, query: np.ndarray, k: int, reuse: bool) -> ScanBatch:
         query = self._check_query(query)
         score_rows = self._rows_scorer(query)
-        order, heads = self._rank_centroids(query, reuse, batch=True)
-        section = self.profiler.section
-        with section(SEC_TUPLE_ACCESS):
-            keys, payloads = self._gather_buckets([heads[b] for b in order[: self._nprobe()]])
+        order, lists = self._rank_lists(query, reuse)
+        parts = self._list_parts(lists, order[: self._nprobe()].tolist())
         self.scan_stats.scans += 1
-        self.scan_stats.candidates += int(keys.shape[0])
-        keys, dists = score_rows(keys, payloads)
-        with section(SEC_HEAP):
-            return topk_batch(keys, dists, k)
+        self.scan_stats.candidates += sum(keys.shape[0] for keys, __ in parts)
+        return self._nearest(score_rows, parts, k)[0]
+
+    def amsearch_filtered_batch(self, query: np.ndarray, k: int, mask_fn: Any) -> ScanBatch:
+        """Batched in-filter: each widening round's lists are handed over
+        as parts and masked by packed TID key with one ``mask_fn`` call;
+        the rows that pass are scored one part at a time once the
+        widening stops."""
+        query = self._check_query(query)
+        order, lists = self._rank_lists(query)
+        passed: list[Part] = []
+
+        def visit(buckets: Sequence[int]) -> tuple[int, int]:
+            parts = [part for part in self._list_parts(lists, buckets) if part[0].shape[0]]
+            if not parts:
+                return 0, 0
+            sizes = [keys.shape[0] for keys, __ in parts]
+            mask = np.asarray(mask_fn(np.concatenate([keys for keys, __ in parts])), dtype=bool)
+            for (keys, payloads), keep in zip(parts, np.split(mask, np.cumsum(sizes)[:-1])):
+                if keep.any():
+                    passed.append((keys[keep], payloads[keep]))
+            return sum(sizes), int(mask.sum())
+
+        self._widen_probes(order.tolist(), k, visit)
+        batch, scored = self._nearest(self._rows_scorer(query), passed, k)
+        self.scan_stats.candidates += scored
+        return batch
+
+    def _nearest(self, score_rows: RowsScorer, parts: list[Part], k: int) -> tuple[ScanBatch, int]:
+        """The k nearest rows of the parts, one scorer call per non-empty
+        part, and how many rows were scored (a scorer may drop rows)."""
+        scored = [score_rows(keys, payloads) for keys, payloads in parts if keys.shape[0]]
+        if not scored:
+            return ScanBatch.empty(), 0
+        keys, dists = (np.concatenate(column) for column in zip(*scored))
+        with self.profiler.section(SEC_HEAP):
+            return topk_batch(keys, dists, k), int(keys.shape[0])
 
     # ------------------------------------------------------------------
     # in-filter search (amsearch_filtered)
@@ -503,9 +549,9 @@ class PagedIVF(IndexAmRoutine):
         a time: the first ``nprobe`` lists, then — while fewer than k
         candidates have passed the mask — the rest of a probe set
         doubled over the remaining ranking, until k match or every list
-        has been scanned.  ``visit(buckets)`` masks and scores one
-        round's lists (in ranking order, with one mask call) and returns
-        ``(examined, matched)``.  Records the scan and sets
+        has been scanned.  ``visit(buckets)`` masks one round's lists
+        (in ranking order, with one mask call; the tuple form scores the
+        survivors as it goes) and returns ``(examined, matched)``.  Records the scan and sets
         ``last_filtered_examined`` to the number of mask-judged
         candidates.
         """
@@ -616,13 +662,6 @@ class PagedIVF(IndexAmRoutine):
         blkno, slot = divmod(centroid_id, per_page)
         with self.buffer.page(self.relation_name("centroid"), blkno, dirty) as page:
             yield page, slot + 1
-
-
-def topk_parts(key_parts: list[np.ndarray], dist_parts: list[np.ndarray], k: int) -> ScanBatch:
-    """The k nearest over per-bucket ``(keys, distances)`` parts."""
-    if not key_parts:
-        return ScanBatch.empty()
-    return topk_batch(np.concatenate(key_parts), np.concatenate(dist_parts), k)
 
 
 def record_keys(records: np.ndarray) -> np.ndarray:

@@ -9,15 +9,15 @@ Everything else (build, insert, VACUUM, the scans, costs, sizes) is
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.common.distance import pairwise_kernel, rows_kernel
-from repro.common.profiling import SEC_DISTANCE, SEC_HEAP, SEC_TUPLE_ACCESS
+from repro.common.profiling import SEC_DISTANCE
 from repro.common.types import DistanceType
 from repro.pase.ivf_core import PagedIVF, RowsScorer, TupleScorer
-from repro.pgsim.am import ScanBatch, register_am, topk_batch
+from repro.pgsim.am import register_am
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
 
 
@@ -68,33 +68,3 @@ class PaseIVFFlat(PagedIVF):
 
     def _candidate_cost(self, cost: Any) -> float:
         return cost.cpu_index_tuple_cost + DISTANCE_OP_WEIGHT * cost.cpu_operator_cost
-
-    def amsearch_filtered_batch(self, query: np.ndarray, k: int, mask_fn: Any) -> ScanBatch:
-        """Batched in-filter: each widening round's lists are read
-        page-granular in one pass and masked by packed TID key with one
-        ``mask_fn`` call, then the survivors of every round are scored
-        with one row-kernel call (the other page-backed variants mask
-        tuple-at-a-time)."""
-        query = self._check_query(query)
-        order, heads = self._rank_centroids(query, batch=True)
-        section = self.profiler.section
-        key_parts: list[np.ndarray] = []
-        vector_parts: list[np.ndarray] = []
-
-        def visit(buckets: Sequence[int]) -> tuple[int, int]:
-            with section(SEC_TUPLE_ACCESS):
-                keys, vectors = self._gather_buckets([heads[bucket] for bucket in buckets])
-            if keys.shape[0] == 0:
-                return 0, 0
-            mask = np.asarray(mask_fn(keys), dtype=bool)
-            key_parts.append(keys[mask])
-            vector_parts.append(vectors[mask])
-            return int(keys.shape[0]), int(mask.sum())
-
-        self._widen_probes(order.tolist(), k, visit)
-        if not key_parts:
-            return ScanBatch.empty()
-        keys, dists = self._rows_scorer(query)(np.concatenate(key_parts), np.vstack(vector_parts))
-        self.scan_stats.candidates += int(keys.shape[0])
-        with section(SEC_HEAP):
-            return topk_batch(keys, dists, k)

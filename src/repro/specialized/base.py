@@ -116,8 +116,10 @@ class VectorIndex(abc.ABC):
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _check_matrix(self, data: np.ndarray) -> np.ndarray:
-        arr = as_float32_matrix(data)
+    def _check_matrix(self, data: np.ndarray, allow_empty: bool = False) -> np.ndarray:
+        arr = np.ascontiguousarray(data, dtype=np.float32)
+        if not (allow_empty and arr.ndim == 2 and arr.shape[0] == 0):
+            arr = as_float32_matrix(arr)
         if arr.shape[1] != self.dim:
             raise ValueError(f"vector dim {arr.shape[1]} != index dim {self.dim}")
         return arr

@@ -183,8 +183,11 @@ class IVFIndex(VectorIndex):
     def add_core(self, ids, list_ids, vectors: np.ndarray) -> None:
         """Faiss's ``IndexIVF::add_core`` with precomputed list ids: the
         rows join the lists given, under the caller's ids; nothing is
-        assigned.  Call :meth:`set_centroids` first."""
-        arr = self._check_matrix(vectors)
+        assigned, and an empty batch changes nothing.  Call
+        :meth:`set_centroids` first."""
+        arr = self._check_matrix(vectors, allow_empty=True)
+        if not arr.shape[0]:
+            return
         ids, list_ids = np.asarray(ids, dtype=np.int64), np.asarray(list_ids, dtype=np.int64)
         self._staged.append((ids, list_ids, self._encode(arr)))
         self.ntotal += arr.shape[0]

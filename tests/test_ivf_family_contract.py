@@ -319,10 +319,19 @@ def _key_mask(passing: set) -> object:
     return lambda batch: np.asarray([key in keys for key in batch.tolist()], dtype=bool)
 
 
-def test_filtered_scans_agree_with_masked_brute_force(ivf):
+def test_filtered_scans_agree_with_masked_brute_force(ivf, monkeypatch):
+    """Both forms return the masked exhaustive answer; the batch form
+    is the one batch search, scoring with the rows scorer only."""
     ivf.db.execute(f"SET pase.nprobe = {CLUSTERS}")  # exhaustive: exact for EXACT
     passing = {tid for tid, i in ivf.id_of.items() if i % 5 == 0}
     tids_by_row = sorted(ivf.id_of, key=ivf.id_of.get)
+    scorers: Counter = Counter()
+    for name in ("_rows_scorer", "_tuple_scorer"):
+        def spy(query, _name=name, _original=getattr(ivf.am, name)):
+            scorers[_name] += 1
+            return _original(query)
+
+        monkeypatch.setattr(ivf.am, name, spy)
 
     def mask_fn(tids):
         return np.asarray([tid in passing for tid in tids], dtype=bool)
@@ -333,7 +342,9 @@ def test_filtered_scans_agree_with_masked_brute_force(ivf):
         tuple_form = [tid for tid, __ in ivf.am.amsearch_filtered(q, 7, mask_fn)]
         assert ivf.am.last_filtered_examined == N
         ivf.am.last_filtered_examined = -1
+        scorers.clear()
         batch_form = ivf.am.amsearch_filtered_batch(q, 7, key_mask).tids()
+        assert scorers == {"_rows_scorer": 1}
         assert ivf.am.last_filtered_examined == N
         assert tuple_form == batch_form
         assert len(tuple_form) == 7 and set(tuple_form) <= passing
@@ -460,8 +471,9 @@ def test_fixed_heap_guc_selects_the_heap_class(ivf, monkeypatch, setting, paged_
         monkeypatch.setattr(cls, "__init__", init)
     ivf.db.execute(f"SET pase.fixed_heap = {setting}")
     assert len(list(ivf.am.scan(ivf.queries[0], 5))) == 5
-    # The bridged variant's k-sized heap is by design (RC#6 neutralized).
-    assert built == ["BoundedMaxHeap" if ivf.name == "bridged_ivfflat" else paged_heap]
+    # The bridged variant's scan is its batch search, which selects the k
+    # nearest without a heap whatever the setting (RC#6 neutralized).
+    assert built == ([] if ivf.name == "bridged_ivfflat" else [paged_heap])
 
 
 def test_wrong_dimension_queries_are_rejected(ivf):

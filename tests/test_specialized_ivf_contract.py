@@ -151,3 +151,17 @@ def test_add_core_keeps_caller_ids_and_lists_in_add_order():
     assert index.lists()[1][0].tolist() == [70, 60, 40, 5]
     assert index.lists()[0] is untouched[0] and index.lists()[2] is untouched[1]
     assert index.ntotal == 10 and index.bucket_sizes().tolist() == [3, 4, 3]
+
+
+def test_add_core_of_nothing_leaves_the_lists_unchanged():
+    """An empty batch (a list a VACUUM emptied) is a no-op, not an
+    error; its width is still checked."""
+    rng = np.random.default_rng(4)
+    index = IVFFlatIndex(4, 2)
+    index.set_centroids(rng.normal(size=(2, 4)))
+    index.add_core([7, 3], [1, 0], rng.normal(size=(2, 4)))
+    before = index.lists()
+    index.add_core([], [], np.empty((0, 4)))
+    assert index.lists() is before and index.ntotal == 2
+    with pytest.raises(ValueError, match="vector dim 3 != index dim 4"):
+        index.add_core([], [], np.empty((0, 3)))
