@@ -19,7 +19,7 @@ from repro.common.types import IndexSizeInfo
 from repro.pase.hnsw import HNSWCore
 from repro.pase.layout import HNSW_DATA
 from repro.pgsim.am import register_am
-from repro.pgsim.heapam import TID
+from repro.pgsim.heapam import TID, key_tid, tid_key
 from repro.specialized.hnsw import ArrayGraphStore
 
 
@@ -34,15 +34,16 @@ class BridgedHNSW(HNSWCore):
 
     def _new_store(self) -> ArrayGraphStore:
         """A fresh in-memory graph, sized by the first vector, and an
-        empty node -> heap TID map (node ids are positional: a list)."""
-        self._heap_tids: list[TID] = []
+        empty node -> packed heap TID map (node ids are positional: a
+        list)."""
+        self._heap_keys: list[int] = []
         self.layouts = {"data": HNSW_DATA.bind(self.dim)}
         return ArrayGraphStore(self.dim, profiler=self.profiler)
 
     def _record(self, node: int, tid: TID, vec: np.ndarray) -> None:
         """Map the node to its TID, then append its data tuple (PASE's
         HNSW data format) to the data fork for durability."""
-        self._heap_tids.append(tid)
+        self._heap_keys.append(tid_key(tid))
         item = self.layouts["data"].pack(
             1, node=node, heap_blkno=tid.blkno, heap_offset=tid.offset,
             level=self.store._levels[node], payload=vec,
@@ -50,10 +51,11 @@ class BridgedHNSW(HNSWCore):
         self._append_data(item.tobytes())
 
     def _tid_of(self, node: int) -> TID:
-        return self._heap_tids[node]
+        return key_tid(self._heap_keys[node])
 
-    def _tids_of(self, nodes: Sequence[int]) -> list[TID]:
-        return [self._heap_tids[n] for n in nodes]
+    def _keys_of(self, nodes: Sequence[int]) -> np.ndarray:
+        keys = self._heap_keys
+        return np.fromiter((keys[n] for n in nodes), dtype=np.int64, count=len(nodes))
 
     def _node_levels(self) -> list[int]:
         return self.store._levels

@@ -145,10 +145,13 @@ def l2_sqr_rows(query: np.ndarray, targets: np.ndarray) -> np.ndarray:
     The one-query batched kernel backing the batch executor path: the
     same ``(t - q)`` difference arithmetic as :func:`l2_sqr` (not the
     SGEMM decomposition, whose cancellation error would let the two
-    executor paths disagree), reduced row by row as it does.
+    executor paths disagree), reduced row by row as it does.  It
+    consumes ``targets``: a float32 matrix is overwritten with its
+    difference from ``query`` (no temporary matrix), so a caller passes
+    only a matrix it owns.
     """
     t = np.atleast_2d(np.asarray(targets, dtype=np.float32))
-    diff = t - np.asarray(query, dtype=np.float32)
+    diff = np.subtract(t, np.asarray(query, dtype=np.float32), out=t)
     return _row_dots(diff, diff).astype(np.float64)
 
 
@@ -217,7 +220,8 @@ def batch_kernel(distance_type: DistanceType) -> BatchKernel:
 
 
 def rows_kernel(distance_type: DistanceType) -> BatchKernel:
-    """One-query row-wise kernel for ``distance_type`` (float64 out)."""
+    """One-query row-wise kernel for ``distance_type`` (float64 out; the
+    L2 one consumes its targets, see :func:`l2_sqr_rows`)."""
     try:
         return _ROWS[DistanceType(distance_type)]
     except KeyError:

@@ -35,7 +35,7 @@ from repro.common.types import BuildStats, Neighbor
 from repro.pase.layout import HNSW_DATA, HNSW_NEIGHBOR, NO_BLOCK, PageLayout
 from repro.pase.options import parse_hnsw_options
 from repro.pgsim.am import IndexAmRoutine, ScanBatch, register_am
-from repro.pgsim.heapam import TID
+from repro.pgsim.heapam import TID, key_tid, tid_key
 from repro.pgsim.paths import DISTANCE_OP_WEIGHT
 
 
@@ -194,17 +194,22 @@ class PageGraphStore:
 
     def heap_tids(self, nodes: Sequence[int]) -> list[TID]:
         """Batched :meth:`heap_tid`: one buffer pin per data block."""
-        out: list[TID | None] = [None] * len(nodes)
+        return [key_tid(key) for key in self.heap_keys(nodes).tolist()]
+
+    def heap_keys(self, nodes: Sequence[int]) -> np.ndarray:
+        """The heap TIDs of ``nodes`` packed (:func:`tid_key`): one
+        buffer pin per data block, blocks in order of first appearance."""
+        out = np.empty(len(nodes), dtype=np.int64)
         by_block: dict[int, list[int]] = {}
         for i, node in enumerate(nodes):
             by_block.setdefault(self._nodes[node].data_blkno, []).append(i)
+        get = HNSW_DATA.get
         for blkno, positions in by_block.items():
             with self.buffer.page(self.data_rel, blkno) as page:
                 for i in positions:
                     offno = self._nodes[nodes[i]].data_offset
-                    get = HNSW_DATA.get
-                    out[i] = TID(get(page, offno, "heap_blkno"), get(page, offno, "heap_offset"))
-        return out  # type: ignore[return-value]
+                    out[i] = get(page, offno, "heap_blkno") << 16 | get(page, offno, "heap_offset")
+        return out
 
 
 class HNSWCore(IndexAmRoutine):
@@ -255,8 +260,9 @@ class HNSWCore(IndexAmRoutine):
         """Node -> heap TID on the tuple interface."""
         raise NotImplementedError
 
-    def _tids_of(self, nodes: Sequence[int]) -> list[TID]:
-        """The same for many nodes (batch interface, in-filter mask)."""
+    def _keys_of(self, nodes: Sequence[int]) -> np.ndarray:
+        """Many nodes' heap TIDs, packed (:func:`tid_key`): the batch
+        interface, the in-filter masks and VACUUM."""
         raise NotImplementedError
 
     def _node_levels(self) -> Sequence[int]:
@@ -331,8 +337,9 @@ class HNSWCore(IndexAmRoutine):
         if store is None or not dead_tids:
             return 0
         candidates = [n for n in range(store.node_count()) if n not in self.removed]
-        tids = self._tids_of(candidates)
-        dead = {n for n, tid in zip(candidates, tids) if tid in dead_tids}
+        dead_keys = {tid_key(tid) for tid in dead_tids}
+        keys = self._keys_of(candidates).tolist()
+        dead = {n for n, key in zip(candidates, keys) if key in dead_keys}
         if not dead:
             return 0
         # Previously removed nodes join the dead set so the repair
@@ -388,8 +395,9 @@ class HNSWCore(IndexAmRoutine):
         neighbors = self._search(query, k)
         if not neighbors:
             return ScanBatch.empty()
-        tids = self._tids_of([n.vector_id for n in neighbors])
-        return ScanBatch.from_pairs(zip(tids, [n.distance for n in neighbors]))
+        keys = self._keys_of([n.vector_id for n in neighbors])
+        distances = np.array([n.distance for n in neighbors], dtype=np.float64)
+        return ScanBatch(blknos=keys >> 16, offsets=keys & 0xFFFF, distances=distances)
 
     # ------------------------------------------------------------------
     # in-filter search (amsearch_filtered)
@@ -405,6 +413,23 @@ class HNSWCore(IndexAmRoutine):
         When fewer than k allowed nodes come back, the beam widens
         geometrically until k match or ef covers the live graph.
         """
+        neighbors = self._filtered_search(
+            query, k, lambda keys: mask_fn([key_tid(key) for key in keys.tolist()])
+        )
+        return ((self._tid_of(n.vector_id), n.distance) for n in neighbors)
+
+    def amsearch_filtered_batch(self, query: np.ndarray, k: int, mask_fn: Any) -> ScanBatch:
+        """The in-filter beam of :meth:`amsearch_filtered`, its mask
+        handed the packed keys :meth:`_keys_of` reads — no TID built per
+        judged candidate.  The k results resolve through :meth:`_tid_of`,
+        as the tuple form's do (on pages, one data-page pin each)."""
+        neighbors = self._filtered_search(query, k, mask_fn)
+        return ScanBatch.from_pairs((self._tid_of(n.vector_id), n.distance) for n in neighbors)
+
+    def _filtered_search(self, query: np.ndarray, k: int, key_mask: Any) -> list[Neighbor]:
+        """The in-filter beam: each hop's unjudged live nodes go to
+        ``key_mask`` as one array of packed heap TID keys, each node
+        judged once across ef expansions."""
         allowed: dict[int, bool] = {}
 
         def admit(nodes: list[int]) -> list[bool]:
@@ -414,13 +439,13 @@ class HNSWCore(IndexAmRoutine):
                 for n in fresh:
                     allowed[n] = False
                 if live:
-                    for n, ok in zip(live, mask_fn(self._tids_of(live))):
+                    for n, ok in zip(live, key_mask(self._keys_of(live))):
                         allowed[n] = bool(ok)
             return [allowed[n] for n in nodes]
 
         neighbors = self._search(query, k, admit)
         self.last_filtered_examined = len(allowed)
-        return ((self._tid_of(n.vector_id), n.distance) for n in neighbors)
+        return neighbors
 
     # ------------------------------------------------------------------
     # planner cost estimate
@@ -461,8 +486,8 @@ class PaseHNSW(HNSWCore):
     def _tid_of(self, node: int) -> TID:
         return self.store.heap_tid(node)  # one data-page pin per result (RC#2)
 
-    def _tids_of(self, nodes: Sequence[int]) -> list[TID]:
-        return self.store.heap_tids(nodes)
+    def _keys_of(self, nodes: Sequence[int]) -> np.ndarray:
+        return self.store.heap_keys(nodes)
 
     def _node_levels(self) -> list[int]:
         return [meta.level for meta in self.store._nodes]

@@ -68,6 +68,9 @@ from repro.specialized.ivf_flat import IVFFlatIndex
 #: ``key`` is the packed heap TID ``(blkno << 16) | offset``.
 TupleScorer = Callable[[int, np.ndarray], "float | None"]
 #: ``score_rows(keys, payloads) -> (keys, distances)``; may drop rows.
+#: The paged residence hands over payload matrices the scan owns (fresh
+#: gathers, masked copies), so a paged scorer may write into them; a
+#: residence whose parts are shared pairs them with a scorer that does not.
 RowsScorer = Callable[[np.ndarray, np.ndarray], "tuple[np.ndarray, np.ndarray]"]
 #: ``read(offno) -> (key, payload view)``: one page's bound tuple decode.
 ItemReader = Callable[[int], "tuple[int, np.ndarray]"]
@@ -98,10 +101,15 @@ class PagedIVF(IndexAmRoutine):
         self.dim: int | None = None
         #: Each fork's page format, bound to this index's widths at build.
         self.layouts: dict[str, PageLayout] = {}
-        #: ``(query bytes, full centroid order, bucket heads)`` from the
-        #: most recent scan — lets ``amrescan_continue`` skip re-ranking
-        #: the centroids when the over-fetch loop widens ``k``.
-        self._rescan_cache: tuple[bytes, np.ndarray, list[int]] | None = None
+        #: ``(query bytes, full centroid order, list locators, scored)``
+        #: from the most recent scan, ``scored`` being ``(nprobe, keys,
+        #: distances)`` of every candidate a batch pass scored (else
+        #: None).  When the over-fetch loop widens ``k``,
+        #: ``amrescan_continue`` skips re-ranking the centroids and
+        #: ``amrescan_continue_batch`` answers from the scored candidates.
+        #: Every index change (build, insert, VACUUM removal, re-centre)
+        #: clears it.
+        self._rescan_cache: tuple[bytes, np.ndarray, Sequence, tuple | None] | None = None
         #: Per-centroid count of post-build inserts, consulted by
         #: VACUUM's re-centering heuristic (ivf_recluster_threshold).
         self._bucket_inserts: dict[int, int] = {}
@@ -294,6 +302,7 @@ class PagedIVF(IndexAmRoutine):
 
     def _recenter(self, centroid_id: int, centroid: np.ndarray) -> None:
         """Overwrite one centroid vector in place (chain head unchanged)."""
+        self._rescan_cache = None
         with self._centroid(centroid_id, dirty=True) as (page, offno):
             self.layouts["centroid"].put(page, offno, payload=centroid)
 
@@ -357,8 +366,9 @@ class PagedIVF(IndexAmRoutine):
         the centroid distances; plain scans always recompute, keeping
         their measured work identical to before.  The tuple interface
         walks centroid tuples one kernel call each; ``batch`` (the batch
-        interface) pins the same pages but decodes the whole fork at
-        once, in stored-id order, and ranks it with one rows-kernel call.
+        interface) pins the same pages but gathers the whole fork at
+        once, ranks it with one rows-kernel call, and scatters the
+        distances and heads to their centroid ids.
         """
         key = query.tobytes()
         if reuse and self._rescan_cache is not None and self._rescan_cache[0] == key:
@@ -367,12 +377,14 @@ class PagedIVF(IndexAmRoutine):
             section = self.profiler.section
             with section(SEC_TUPLE_ACCESS):
                 rel = self.relation_name("centroid")
-                recs = self.layouts["centroid"].read_packed(self.buffer, rel)
-                recs = recs[np.argsort(recs["centroid_id"], kind="stable")]
+                recs, vectors = self.layouts["centroid"].read_packed(self.buffer, rel, split=True)
             with section(SEC_DISTANCE):
-                dists = rows_kernel(self.ivf.distance_type)(query, recs["payload"])
-            order, heads = np.argsort(dists, kind="stable"), recs["bucket_head"].tolist()
-            self._rescan_cache = (key, order, heads)
+                stored = rows_kernel(self.ivf.distance_type)(query, vectors)
+            ids = recs["centroid_id"]
+            dists, heads_at = np.empty_like(stored), np.empty(len(ids), dtype=np.int64)
+            dists[ids], heads_at[ids] = stored, recs["bucket_head"]
+            order, heads = np.argsort(dists, kind="stable"), heads_at.tolist()
+            self._rescan_cache = (key, order, heads, None)
             return order, heads
         kernel = self.profiler.timed(SEC_DISTANCE, pairwise_kernel(self.ivf.distance_type))
         cent_dists: list[float] = []
@@ -381,7 +393,7 @@ class PagedIVF(IndexAmRoutine):
             cent_dists.append(kernel(query, centroid))
             heads.append(head)
         order = np.argsort(np.asarray(cent_dists), kind="stable")
-        self._rescan_cache = (key, order, heads)
+        self._rescan_cache = (key, order, heads, None)
         return order, heads
 
     def scan(self, query: np.ndarray, k: int) -> Iterator[tuple[TID, float]]:
@@ -446,17 +458,31 @@ class PagedIVF(IndexAmRoutine):
         return self._batch_scan(query, k, reuse=False)
 
     def amrescan_continue_batch(self, query: np.ndarray, k: int) -> ScanBatch:
-        """Batched over-fetch continuation (cached centroid ranking)."""
-        return self._batch_scan(query, k, reuse=True)
+        """Batched over-fetch continuation: the k nearest of the
+        candidates the last batch pass scored for this query and
+        ``nprobe`` — its answer at a larger k, with no page read and no
+        distance recomputed — else a re-scan on the cached ranking."""
+        query = self._check_query(query)
+        cache = self._rescan_cache
+        scored = None if cache is None or cache[0] != query.tobytes() else cache[3]
+        if scored is None or scored[0] != self._nprobe():
+            return self._batch_scan(query, k, reuse=True)
+        self.scan_stats.scans += 1
+        with self.profiler.section(SEC_HEAP):
+            return topk_batch(scored[1], scored[2], k)
 
     def _batch_scan(self, query: np.ndarray, k: int, reuse: bool) -> ScanBatch:
         query = self._check_query(query)
         score_rows = self._rows_scorer(query)
         order, lists = self._rank_lists(query, reuse)
-        parts = self._list_parts(lists, order[: self._nprobe()].tolist())
+        nprobe = self._nprobe()
+        parts = self._list_parts(lists, order[:nprobe].tolist())
         self.scan_stats.scans += 1
         self.scan_stats.candidates += sum(keys.shape[0] for keys, __ in parts)
-        return self._nearest(score_rows, parts, k)[0]
+        keys, dists = self._score(score_rows, parts)
+        self._rescan_cache = (query.tobytes(), order, lists, (nprobe, keys, dists))
+        with self.profiler.section(SEC_HEAP):
+            return topk_batch(keys, dists, k)
 
     def amsearch_filtered_batch(self, query: np.ndarray, k: int, mask_fn: Any) -> ScanBatch:
         """Batched in-filter: each widening round's lists are handed over
@@ -479,19 +505,22 @@ class PagedIVF(IndexAmRoutine):
             return sum(sizes), int(mask.sum())
 
         self._widen_probes(order.tolist(), k, visit)
-        batch, scored = self._nearest(self._rows_scorer(query), passed, k)
-        self.scan_stats.candidates += scored
-        return batch
+        keys, dists = self._score(self._rows_scorer(query), passed)
+        self.scan_stats.candidates += keys.shape[0]
+        with self.profiler.section(SEC_HEAP):
+            return topk_batch(keys, dists, k)
 
-    def _nearest(self, score_rows: RowsScorer, parts: list[Part], k: int) -> tuple[ScanBatch, int]:
-        """The k nearest rows of the parts, one scorer call per non-empty
-        part, and how many rows were scored (a scorer may drop rows)."""
+    @staticmethod
+    def _score(score_rows: RowsScorer, parts: list[Part]) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, distances)`` of the rows of the parts, one scorer
+        call per non-empty part (a scorer may drop rows)."""
         scored = [score_rows(keys, payloads) for keys, payloads in parts if keys.shape[0]]
         if not scored:
-            return ScanBatch.empty(), 0
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        if len(scored) == 1:
+            return scored[0]
         keys, dists = (np.concatenate(column) for column in zip(*scored))
-        with self.profiler.section(SEC_HEAP):
-            return topk_batch(keys, dists, k), int(keys.shape[0])
+        return keys, dists
 
     # ------------------------------------------------------------------
     # in-filter search (amsearch_filtered)
@@ -649,10 +678,12 @@ class PagedIVF(IndexAmRoutine):
 
     def _gather_buckets(self, heads: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """The lists at ``heads`` as ``(packed TID keys, payload matrix)``,
-        read page-granular and decoded with one key pack for all."""
+        read page-granular as columns (each candidate copied out of the
+        pool once, its payload into one contiguous matrix the scan owns)
+        and keyed with one pack for all."""
         rel = self.relation_name("data")
-        records = self.layouts["data"].read_packed(self.buffer, rel, heads)
-        return record_keys(records), records["payload"]
+        heads_rec, payloads = self.layouts["data"].read_packed(self.buffer, rel, heads, split=True)
+        return record_keys(heads_rec), payloads
 
     @contextmanager
     def _centroid(self, centroid_id: int, dirty: bool = False) -> Iterator[tuple[Page, int]]:

@@ -57,6 +57,8 @@ class PaseIVFFlat(PagedIVF):
         return self.profiler.timed(SEC_DISTANCE, score_one)
 
     def _rows_scorer(self, query: np.ndarray) -> RowsScorer:
+        """One row-kernel call over the gathered vectors, which the scan
+        owns: L2 takes its difference in place."""
         rows = rows_kernel(self.ivf.distance_type)
         section = self.profiler.section
 

@@ -77,9 +77,10 @@ class PaseIVFSQ8(PagedIVF):
         return self.profiler.timed(SEC_DISTANCE, score_one)
 
     def _rows_scorer(self, query: np.ndarray) -> RowsScorer:
-        """The gathered code matrix dequantized once — the tuple
-        scorer's float32 arithmetic, row-wise — then one row-kernel
-        call, which reduces each row as the tuple scorer's
+        """The gathered code matrix dequantized once into a matrix the
+        scorer owns — the tuple scorer's float32 arithmetic, row-wise,
+        in place — then one row-kernel call, which subtracts the query in
+        place too and reduces each row as the tuple scorer's
         ``diff.dot(diff)`` does: the same distances to the bit."""
         codec = self._load_codec()
         scale = codec.vdiff / sq.LEVELS
@@ -88,7 +89,10 @@ class PaseIVFSQ8(PagedIVF):
 
         def score_rows(keys, codes):
             with section(SEC_DISTANCE):
-                return keys, l2_sqr_rows(query, codes.astype(np.float32) * scale + vmin)
+                vectors = codes.astype(np.float32)
+                vectors *= scale
+                vectors += vmin
+                return keys, l2_sqr_rows(query, vectors)
 
         return score_rows
 

@@ -54,10 +54,10 @@ class PageLayout:
         for count, code in re.findall(r"(\d*)(\w)", head[1:]):
             pad = code == "x"
             columns.append((f"pad{len(columns)}", f"V{count or 1}") if pad else (next(names), code))
-        self.record = np.dtype(
-            [(name, code if code[0] == "V" else "<" + code) for name, code in columns]
-            + [("payload", self.dtype, (width,))]
-        )
+        head_fields = [(name, code if code[0] == "V" else "<" + code) for name, code in columns]
+        #: One item's head fields (pads included) as a NumPy record.
+        self.head_record = np.dtype(head_fields)
+        self.record = np.dtype(head_fields + [("payload", self.dtype, (width,))])
         #: field name -> (its struct, its byte offset, a format of one
         #: item that decodes only this field)
         self.fields: dict[str, tuple[struct.Struct, int, str]] = {}
@@ -297,16 +297,20 @@ class PageLayout:
 
     def read_packed(
         self, buffer: BufferManager, rel: str, heads: Sequence[int] | None = None,
-        item_order: bool = False,
-    ) -> np.ndarray:
+        item_order: bool = False, split: bool = False,
+    ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
         """The page-granular reader: every item of the chains at
         ``heads`` (``None``: every page of ``rel``) as one record array.
         Per page one pin and one :meth:`count` (a :meth:`verify` the
         first time the image is read); per window of pinned pages
         (:meth:`~repro.pgsim.buffer.BufferManager.pin_windows`) one
         gather of the items straight from the buffer pool's arena,
-        newest item first unless ``item_order``.  The result is a copy:
-        nothing of it refers to the pool."""
+        newest item first unless ``item_order``.  With ``split`` the
+        items come back as columns instead, each gathered from the arena
+        once: ``(head records, payloads)``, the head fields as
+        :attr:`head_record` records and the payloads one contiguous
+        ``(n, width)`` matrix of ``dtype`` that a scorer may use as its
+        own.  The result is a copy: nothing of it refers to the pool."""
         size, page_size = self.item_size, buffer.disk.page_size
         special = page_size - self.special_size
         blocks, follow = (range(buffer.disk.n_blocks(rel)), None) if heads is None else (
@@ -321,10 +325,30 @@ class PageLayout:
             j = np.arange(len(area)) - np.repeat(np.cumsum(counts) - counts, counts)
             if item_order:
                 j = np.repeat(counts, counts) - 1 - j
-            parts.append(gather_records(buffer.arena, area + j * size, self.record))
+            starts, arena = area + j * size, buffer.arena
+            if not split:
+                parts.append(gather_records(arena, starts, self.record))
+            else:
+                parts.append((
+                    gather_records(arena, starts, self.head_record),
+                    self._gather_payloads(arena, starts + self.head.size),
+                ))
         if len(parts) == 1:
             return parts[0]
-        return np.concatenate(parts) if parts else np.empty(0, self.record)
+        if not split:
+            return np.concatenate(parts) if parts else np.empty(0, self.record)
+        if not parts:
+            return np.empty(0, self.head_record), np.empty((0, self.width), self.dtype)
+        head_parts, payload_parts = zip(*parts)
+        return np.concatenate(head_parts), np.concatenate(payload_parts)
+
+    def _gather_payloads(self, arena: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """The payloads at byte offsets ``starts`` of ``arena`` as one
+        contiguous ``(n, width)`` matrix: one row gather."""
+        if not self.width:
+            return np.empty((len(starts), 0), self.dtype)
+        raw = gather_records(arena, starts, np.dtype(f"V{self.width * self.dtype.itemsize}"))
+        return raw.view(self.dtype).reshape(-1, self.width)
 
     def column(self, buffer: BufferManager, rel: str, head: int, name: str) -> list:
         """One head field of every item of the chain at ``head`` (a

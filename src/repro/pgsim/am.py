@@ -23,7 +23,7 @@ from repro.common.profiling import NULL_PROFILER
 from repro.common.types import IndexSizeInfo
 from repro.pgsim.buffer import BufferManager
 from repro.pgsim.catalog import Catalog
-from repro.pgsim.heapam import TID, HeapTable, tid_key
+from repro.pgsim.heapam import TID, HeapTable
 
 
 @dataclass(slots=True)
@@ -253,6 +253,7 @@ class IndexAmRoutine(abc.ABC):
         """
         raise NotImplementedError(f"{self.amname} does not support in-filter search")
 
+    @abc.abstractmethod
     def amsearch_filtered_batch(self, query: np.ndarray, k: int, mask_fn: Any) -> ScanBatch:
         """Batched counterpart of :meth:`amsearch_filtered`.
 
@@ -260,15 +261,9 @@ class IndexAmRoutine(abc.ABC):
         packed TID keys (:func:`~repro.pgsim.heapam.tid_key`) — the form
         the AMs already hold and :func:`topk_batch` takes — and returns a
         bool array aligned with it, so no TID object is built per
-        candidate.  The IVF AMs hand it a whole widening round per call.
-        The default wraps the tuple form, packing each batch of TIDs it
-        would have passed into keys; vectorized AMs override it.
+        candidate.  The IVF AMs hand it a whole widening round per call,
+        the HNSW AMs each hop's unjudged nodes.
         """
-
-        def tid_mask(tids: list[TID]) -> np.ndarray:
-            return mask_fn(np.array(list(map(tid_key, tids)), dtype=np.int64))
-
-        return ScanBatch.from_pairs(self.amsearch_filtered(query, k, tid_mask))
 
     @abc.abstractmethod
     def amestimate_candidates(self, ntuples: float, fetch_k: int) -> float:

@@ -10,10 +10,11 @@ contract.  How it does so is the RC#3 toggle, and the only thing
   candidate, lazily, so the scan stops paying the moment the k-th row
   survives;
 * ``amgetbatch`` (:func:`_batch_pass`): one ``get_batch`` and one
-  block-grouped ``heap.fetch_many`` per pass — with a pushed-down
+  block-grouped ``heap.fetch_many`` per pass, decoding only the
+  attributes the statement reads (``node.columns``) — with a pushed-down
   filter, candidates are first qualified by key through the in-filter's
   column mask (:func:`_column_mask`), and only the rows the scan can
-  still emit are fetched whole.
+  still emit are fetched.
 
 Both feed the same survivor loop (:func:`_survivor_rows`), so dead-tuple
 skipping, the pushed-down filter, the over-fetch rescans and both
@@ -106,28 +107,34 @@ def _batch_pass(
     owed: int,
 ) -> Candidates:
     """One ``get_batch`` pass.  Without a filter: every candidate's row
-    from one block-grouped ``heap.fetch_many``.  With one (``qualify``,
-    a :func:`_column_mask`): the candidates no earlier pass examined
-    are qualified by key, reading only the predicate's columns, and
-    whole rows are fetched only for the first ``owed`` that pass — the
-    rows the scan can still emit; every other candidate comes back
-    without values, as a dead one does."""
+    from one block-grouped :func:`_fetch_values`.  With one
+    (``qualify``, a :func:`_column_mask`): the candidates no earlier
+    pass examined are qualified by key, reading only the predicate's
+    columns, and rows are fetched only for the first ``owed`` that pass
+    — the rows the scan can still emit; every other candidate comes
+    back without values, as a dead one does."""
     am = node.index.am
     get_batch = am.amrescan_continue_batch if rescan else am.get_batch
     batch = get_batch(node.query_vector, fetch_k)
     tids = batch.tids()
-    heap = node.table.heap
     if qualify is None:
-        with run.profiler.section(SEC_TUPLE_ACCESS):
-            fetched = heap.fetch_many(tids, snapshot=run.snapshot)
-        return zip(tids, batch.distances.tolist(), fetched)
+        return zip(tids, batch.distances.tolist(), _fetch_values(run, node, tids))
     fresh = [i for i, tid in enumerate(tids) if tid not in seen]
     keys = (batch.blknos[fresh] << 16) | batch.offsets[fresh]
     passed = qualify(keys).tolist()
     winners = [tids[i] for i, ok in zip(fresh, passed) if ok][:owed]
-    with run.profiler.section(SEC_TUPLE_ACCESS):
-        rows = dict(zip(winners, heap.fetch_many(winners, snapshot=run.snapshot)))
+    rows = dict(zip(winners, _fetch_values(run, node, winners)))
     return ((tid, distance, rows.get(tid)) for tid, distance in zip(tids, batch.distances.tolist()))
+
+
+def _fetch_values(run: PlanRun, node: P.IndexScan, tids: list[TID]) -> list[list[Any] | None]:
+    """The statement's attributes (``node.columns``; the others None) of
+    ``tids`` under its snapshot, from one block-grouped fetch; None for
+    an invisible TID."""
+    heap = node.table.heap
+    positions = None if node.columns is None else node.table.projection(list(node.columns))[1]
+    with run.profiler.section(SEC_TUPLE_ACCESS):
+        return heap.fetch_many(tids, snapshot=run.snapshot, columns=positions)
 
 
 def _survivor_rows(run: PlanRun, node: P.IndexScan) -> Iterator[Row]:
@@ -385,13 +392,11 @@ def _column_mask(run: PlanRun, node: P.IndexScan):
 
 
 def _fetch_rows(run: PlanRun, node: P.IndexScan, tids: list[TID]) -> dict[TID, Row]:
-    """Full rows of ``tids`` under the statement snapshot, from one
-    block-grouped fetch; invisible TIDs are left out."""
+    """The rows of ``tids`` (:func:`_fetch_values`); invisible TIDs are
+    left out."""
     names = node.table.column_names()
-    with run.profiler.section(SEC_TUPLE_ACCESS):
-        fetched = node.table.heap.fetch_many(tids, snapshot=run.snapshot)
     rows: dict[TID, Row] = {}
-    for tid, values in zip(tids, fetched):
+    for tid, values in zip(tids, _fetch_values(run, node, tids)):
         if values is not None:
             rows[tid] = dict(zip(names, values), __tid__=tid)
     return rows

@@ -355,12 +355,13 @@ def live_item_arrays(pages: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def gather_records(data: np.ndarray, starts: np.ndarray, dtype: np.dtype) -> np.ndarray:
     """One ``dtype`` record copied out of the flat byte array ``data`` at
-    each of ``starts``: one row gather from the byte windows of
-    ``data``, which must extend ``dtype.itemsize`` bytes past every
-    start.  The records are a copy; nothing of them refers to ``data``."""
+    each of ``starts``: one gather from the overlapping ``itemsize``-byte
+    windows of ``data`` (one opaque element each, so a record is one
+    copy), which must extend ``dtype.itemsize`` bytes past every start.
+    The records are a copy; nothing of them refers to ``data``."""
     size = dtype.itemsize
-    windows = np.ndarray((len(data) - size + 1, size), np.uint8, data, strides=(1, 1))
-    return windows[starts].view(dtype)[:, 0]
+    windows = np.ndarray((len(data) - size + 1,), np.dtype(f"V{size}"), data, strides=(1,))
+    return windows[starts].view(dtype)
 
 
 def item_arrays(

@@ -118,6 +118,11 @@ class IndexScan(PlanNode):
     #: (predicate mask pushed inside the AM traversal).  None for pure
     #: k-NN scans with no predicate.
     strategy: str | None = None
+    #: The attributes the statement reads from the scan's rows — its
+    #: target list and filter — or None for all of them (``SELECT *``).
+    #: The batch interface decodes only these, as PostgreSQL deforms a
+    #: tuple no further than its last needed attribute.
+    columns: tuple[str, ...] | None = None
 
     def own_lines(self, depth: int = 0, costs: bool = True) -> list[str]:
         suffix = ", batch" if self.batch else ""

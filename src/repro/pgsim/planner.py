@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.pgsim import expr as E
 from repro.pgsim import plan as P
 from repro.pgsim.catalog import Catalog
 from repro.pgsim.paths import CostParams, choose_path, generate_paths
@@ -69,6 +70,7 @@ def plan_select(stmt: ast.Select, catalog: Catalog) -> P.PlanNode:
     node = best.lower()
     project = _project(node, stmt.targets, table)
     _annotate_above(project, node, catalog)
+    _mark_columns(project, stmt)
     return _mark_batch(project, catalog)
 
 
@@ -127,6 +129,22 @@ def _mark_batch(project: P.Project, catalog: Catalog) -> P.Project:
             node.batch = True
         node = getattr(node, "child", None)
     return project
+
+
+def _mark_columns(project: P.Project, stmt: ast.Select) -> None:
+    """Record on the plan's index scan the attributes the statement
+    reads from its rows: the target list's and the filter's column
+    references, or every attribute for a ``*`` target.  The ORDER BY an
+    index scan satisfies is the AM's distance, read from no row."""
+    if any(isinstance(target.expr, ast.Star) for target in stmt.targets):
+        return
+    exprs = [target.expr for target in stmt.targets] + [stmt.where]
+    names = tuple(dict.fromkeys(name for expr in exprs for name in E.column_refs(expr)))
+    node: P.PlanNode | None = project.child
+    while node is not None:
+        if isinstance(node, P.IndexScan):
+            node.columns = names
+        node = getattr(node, "child", None)
 
 
 def _single_aggregate(

@@ -59,7 +59,8 @@ class PgVectorIVFFlat(PagedIVF):
         """One bucket's vectors come from the heap via
         :meth:`HeapTable.fetch_column_many_any` — one buffer pin per
         heap block instead of one per candidate — and are scored in a
-        single row-wise kernel call."""
+        single row-wise kernel call, in place: the fetched matrix is the
+        scorer's own."""
         rows = rows_kernel(self.ivf.distance_type)
         fetch_many = self.table.fetch_column_many_any
         column = self.column_index

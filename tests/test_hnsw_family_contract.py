@@ -133,6 +133,32 @@ def test_filtered_forms_agree_with_masked_brute_force(built):
         built.db.execute(f"SET pase.efs = {K_CONTINUE}")
 
 
+def test_batch_in_filter_masks_packed_keys_with_the_tuple_forms_pins(built):
+    """The batch in-filter hands its mask one int64 array of packed keys
+    per hop — the nodes the tuple form hands over as TIDs, read with
+    the same pins — and returns the tuple form's answer."""
+    passing = {tid for tid, i in built.id_of.items() if i % 4 == 0}
+    keys = _key_mask(passing)
+    calls = {"tuple": [], "batch": []}
+
+    def mask_fn(tids):
+        calls["tuple"].append([(tid.blkno << 16) | tid.offset for tid in tids])
+        return np.asarray([tid in passing for tid in tids], dtype=bool)
+
+    def key_mask(batch):
+        assert isinstance(batch, np.ndarray) and batch.dtype == np.int64
+        calls["batch"].append(batch.tolist())
+        return keys(batch)
+
+    for q in built.queries:
+        pins = _pins(built.db)
+        tuple_form = list(built.am.amsearch_filtered(q, K, mask_fn))
+        tuple_pins, pins = _pins(built.db) - pins, _pins(built.db)
+        assert built.am.amsearch_filtered_batch(q, K, key_mask).pairs() == tuple_form
+        assert _pins(built.db) - pins == tuple_pins
+    assert calls["batch"] == calls["tuple"]
+
+
 def test_filtered_scans_widen_until_k_match(built):
     built.db.execute("SET pase.efs = 4")
     passing = {tid for tid, i in built.id_of.items() if i % 100 == 0}  # 1 %: two rows

@@ -25,7 +25,7 @@ from repro.pase.ivf_core import record_keys
 from repro.pase.layout import NO_BLOCK
 from repro.pgsim import PgSimDatabase
 from repro.pgsim.am import lookup_am
-from repro.pgsim.heapam import tid_key
+from repro.pgsim.heapam import TID, tid_key
 from repro.pgsim.page import PageCorruptError
 from repro.specialized import IVFFlatIndex, IVFPQIndex, IVFSQ8Index
 
@@ -62,7 +62,7 @@ def ivf(request) -> SimpleNamespace:
     return _build(request.param)
 
 
-def _build(name: str, options: str = "") -> SimpleNamespace:
+def _build(name: str, options: str = "", pool_pages: int = 2048) -> SimpleNamespace:
     """A small table indexed by one IVF variant.
 
     512-byte pages keep bucket chains several pages long, so a few
@@ -71,7 +71,7 @@ def _build(name: str, options: str = "") -> SimpleNamespace:
     rng = np.random.default_rng(11)
     centers = rng.normal(size=(CLUSTERS, DIM)) * 5.0
     base = (centers[rng.integers(0, CLUSTERS, N)] + rng.normal(size=(N, DIM))).astype(np.float32)
-    db = PgSimDatabase(page_size=512, buffer_pool_pages=2048)
+    db = PgSimDatabase(page_size=512, buffer_pool_pages=pool_pages)
     db.execute("CREATE TABLE t (id int, vec float[])")
     heap = db.catalog.table("t").heap
     id_of = {heap.insert([i, vec], xid=1): i for i, vec in enumerate(base)}
@@ -310,6 +310,128 @@ def test_ranking_cache_dropped_by_build(ivf):
     continued = list(ivf.am.amrescan_continue(q, 40))
     assert new_tids <= {tid for tid, __ in continued}
     assert continued == list(ivf.am.scan(q, 40))
+
+
+#: Every ``k`` the executor's over-fetch doubling reaches from 5 until a
+#: pass must come back short (more than the table's rows).
+DOUBLINGS = [5 << i for i in range(7)]
+
+
+def test_batch_continuation_is_the_first_pass_at_every_doubling(ivf):
+    """Each continuation the executor's doubling issues equals a fresh
+    ``get_batch`` at its k, and reads no page and scores no candidate:
+    it answers from the candidates the first pass scored.  At another
+    ``nprobe`` the kept candidates are not the answer: it re-scans."""
+    for metric in (0,) if ivf.name in L2_ONLY else (0, 1, 2):
+        built = _build(ivf.name, f", distance_type = {metric}") if metric else ivf
+        am, stats = built.am, built.db.buffer.stats
+        built.db.execute("SET pase.nprobe = 3")
+        for q in built.queries:
+            fresh = {k: am.get_batch(q, k).pairs() for k in DOUBLINGS}
+            am.get_batch(q, DOUBLINGS[0])
+            for k in DOUBLINGS[1:]:
+                pins, candidates = stats.hits + stats.misses, am.scan_stats.candidates
+                assert am.amrescan_continue_batch(q, k).pairs() == fresh[k]
+                assert stats.hits + stats.misses == pins
+                assert am.scan_stats.candidates == candidates
+        q = built.queries[0]
+        am.get_batch(q, DOUBLINGS[0])
+        built.db.execute("SET pase.nprobe = 4")
+        candidates = am.scan_stats.candidates
+        continued = am.amrescan_continue_batch(q, 160).pairs()
+        assert am.scan_stats.candidates > candidates  # it re-scanned
+        assert continued == am.get_batch(q, 160).pairs()
+
+
+def test_batch_continuation_after_an_insert_equals_a_fresh_scan(ivf):
+    ivf.db.execute("SET pase.nprobe = 2")
+    q = _far_query(ivf)
+    ivf.am.get_batch(q, 5)
+    ivf.db.execute(f"INSERT INTO t VALUES ({N}, '{_lit(q)}'::PASE)")
+    (new,) = [tid for tid, values in ivf.heap.scan() if values[0] == N]
+    continued = ivf.am.amrescan_continue_batch(q, 20).pairs()
+    assert continued[0][0] == new
+    assert continued == ivf.am.get_batch(q, 20).pairs()
+
+
+def test_batch_continuation_after_a_vacuum_removal_equals_a_fresh_scan(ivf):
+    ivf.db.execute("SET pase.nprobe = 2")
+    q = ivf.queries[-1]
+    ivf.am.get_batch(q, 5)
+    ivf.db.execute(f"DELETE FROM t WHERE id < {N // 2}")
+    ivf.db.execute("VACUUM t")
+    dead = {tid for tid, i in ivf.id_of.items() if i < N // 2}
+    continued = ivf.am.amrescan_continue_batch(q, 30).pairs()
+    assert not dead & {tid for tid, __ in continued}
+    assert continued == ivf.am.get_batch(q, 30).pairs()
+
+
+def test_scan_cache_dropped_by_a_recentre_without_removals(ivf):
+    """A VACUUM whose dead TIDs the index does not hold removes nothing,
+    yet re-centres the lists that inserts moved: the scored candidates
+    kept for a continuation must go with the old centroids."""
+    ivf.db.execute("SET pase.nprobe = 2")
+    ivf.db.execute("SET ivf_recluster_threshold = 0.0")
+    q = _far_query(ivf)
+    rng = np.random.default_rng(5)
+    for j in range(30):
+        vec = q + rng.normal(size=DIM).astype(np.float32)
+        ivf.db.execute(f"INSERT INTO t VALUES ({N + j}, '{_lit(vec)}'::PASE)")
+    before = [vector.copy() for __, __, vector in ivf.am._iter_centroids()]
+    ivf.am.get_batch(q, 5)
+    assert ivf.am.ambulkdelete({TID(ivf.heap.n_blocks() + 7, 1)}) == 0
+    after = [vector for __, __, vector in ivf.am._iter_centroids()]
+    moved = any(not np.array_equal(a, b) for a, b in zip(before, after))
+    assert moved == ivf.am.PAYLOAD_IS_VECTOR  # only raw vectors re-centre
+    if moved:
+        assert ivf.am._rescan_cache is None
+    assert ivf.am.amrescan_continue_batch(q, 40).pairs() == ivf.am.get_batch(q, 40).pairs()
+
+
+def _pool_is_disk(buffer) -> None:
+    """Every resident page is clean and byte for byte its block on disk."""
+    block = bytearray(buffer.disk.page_size)
+    for (rel, blkno), frame in buffer._frames.items():
+        assert not frame.dirty and frame.pin_count == 0
+        buffer.disk.read_block(rel, blkno, block)
+        assert bytes(frame.page.buf) == bytes(block), (rel, blkno)
+
+
+@pytest.mark.parametrize("pool_pages", [2048, 16])
+def test_batch_entry_points_write_nothing_into_the_pool(ivf, pool_pages, monkeypatch):
+    """The batch scan, its continuation and the batch in-filter gather
+    from the arena and score their own copies: no byte of the pool
+    changes under any metric — on a 16-frame pool too, where gathers
+    split into several windows and pages are loaded as they go."""
+    passing = {tid for tid, i in ivf.id_of.items() if i % 50 == 0}  # widens to every list
+    for metric in (0,) if ivf.name in L2_ONLY else (0, 1, 2):
+        built = _build(ivf.name, f", distance_type = {metric}", pool_pages=pool_pages)
+        built.db.execute("SET pase.nprobe = 3")
+        buffer = built.db.buffer
+        buffer.flush_all()
+        windows, most = buffer.pin_windows, [0]
+
+        def counted(*args, windows=windows, most=most):
+            for n, window in enumerate(windows(*args), 1):
+                most[0] = max(most[0], n)
+                yield window
+
+        monkeypatch.setattr(buffer, "pin_windows", counted)
+        for q in built.queries:
+            arena = buffer.arena.copy()
+            built.am.get_batch(q, 10)
+            built.am.amrescan_continue_batch(q, 20)
+            # A continuation that re-scans, every list at once.
+            built.db.execute(f"SET pase.nprobe = {CLUSTERS}")
+            built.am.amrescan_continue_batch(q, 40)
+            built.db.execute("SET pase.nprobe = 3")
+            built.am.amsearch_filtered_batch(q, 10, _key_mask(passing))
+            if pool_pages > 16:
+                assert np.array_equal(buffer.arena, arena)
+            _pool_is_disk(buffer)
+        # pase_ivfflat's 40-byte entries fill more pages than 16 frames
+        # hold (the codes and bare TIDs of the others fit in fewer).
+        assert (most[0] > 1) == (pool_pages == 16 and ivf.name == "pase_ivfflat")
 
 
 def _key_mask(passing: set) -> object:

@@ -1,9 +1,12 @@
 """Tests for the disk manager and buffer manager (RC#2 substrate)."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from repro.pgsim.buffer import BufferManager, BufferPoolExhaustedError
+from repro.pgsim.constants import INVALID_BLOCK
 from repro.pgsim.page import Page
 from repro.pgsim.storage import FileDisk, MemoryDisk, RelationNotFoundError
 
@@ -226,6 +229,81 @@ class TestClockSweepFairness:
         assert ("r", 2) in buffer._frames
         assert ("r", 1) not in buffer._frames
         assert buffer.stats.evictions == 2
+
+
+def _chained_disk(n: int, chains: list[list[int]]) -> MemoryDisk:
+    """``n`` blocks of relation ``r``, each with a 4-byte special space
+    naming its successor in ``chains``."""
+    disk = MemoryDisk(page_size=1024)
+    disk.create_relation("r")
+    successor = {blk: nxt for chain in chains for blk, nxt in zip(chain, chain[1:])}
+    for blk in range(n):
+        page = Page.init(1024, special_size=4)
+        page.buf[-4:] = struct.pack("<I", successor.get(blk, INVALID_BLOCK))
+        disk.extend("r", bytes(page.buf))
+    return disk
+
+
+def _next_block(page: Page) -> int:
+    return struct.unpack_from("<I", page.buf, len(page.buf) - 4)[0]
+
+
+def _pool_state(buffer) -> tuple:
+    stats = buffer.stats
+    frames = {key: (f.usage, f.pin_count, f.slot) for key, f in buffer._frames.items()}
+    counts = (stats.hits, stats.misses, stats.evictions)
+    return counts, frames, list(buffer._clock_keys), buffer._hand
+
+
+class TestPinWindows:
+    CHAINS = [[0, 1, 2], [3, 4], [5, 6, 7, 8, 9]]
+
+    @pytest.mark.parametrize("capacity", [4, 16])
+    @pytest.mark.parametrize("chained", [False, True])
+    def test_each_page_is_pinned_once_in_read_order(self, capacity, chained):
+        """The windows hold every page once, in read order (chains
+        followed), each one hit or one miss, and nothing stays pinned —
+        with every block resident, with some, and on a pool so small
+        that the windows split and evict.  On a pool that holds them all
+        the pool ends as a ``pin``/``unpin`` per page leaves it."""
+        if chained:
+            args, order = ([0, 3, 5], _next_block), [b for chain in self.CHAINS for b in chain]
+        else:
+            args, order = ([9, 0, 4, 5, 2, 8],), [9, 0, 4, 5, 2, 8]
+        buffers = [
+            BufferManager(_chained_disk(10, self.CHAINS), capacity=capacity) for __ in range(2)
+        ]
+        for buffer in buffers:
+            for blkno in (2, 4, 7, 4, 4):  # a warm pool, usage counts apart
+                buffer.unpin(buffer.pin("r", blkno))
+        windowed, looped = buffers
+        for __ in range(2):  # a cold-ish pass, then a warm one
+            stats = windowed.stats
+            accesses = stats.hits + stats.misses
+            pulls = windowed.pin_windows("r", *args)
+            windows = [[frame.blkno for frame in window] for window in pulls]
+            assert [blkno for window in windows for blkno in window] == order
+            assert stats.hits + stats.misses - accesses == len(order)
+            assert windowed.pinned_pages() == 0
+            assert len(windows) == (1 if capacity == 16 else -(-len(order) // capacity))
+            for blkno in order:
+                looped.unpin(looped.pin("r", blkno))
+        if capacity == 16:
+            assert _pool_state(windowed) == _pool_state(looped)
+
+    def test_nothing_stays_pinned_when_a_reader_stops_early(self):
+        buffer = BufferManager(_chained_disk(10, self.CHAINS), capacity=4)
+        pulls = buffer.pin_windows("r", [0, 3, 5], _next_block)
+        assert len(next(pulls)) == 4
+        pulls.close()
+        assert buffer.pinned_pages() == 0
+        with pytest.raises(ValueError):
+            for __ in buffer.pin_windows("r", range(10)):
+                raise ValueError("consumer failed")
+        assert buffer.pinned_pages() == 0
+        for __ in buffer.pin_windows("r", range(10)):
+            assert buffer.pinned_pages() > 0
+        assert buffer.pinned_pages() == 0
 
 
 class TestNoStealEviction:

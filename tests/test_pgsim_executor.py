@@ -197,6 +197,43 @@ class TestVectorSearchSQL:
         )
         assert all(r[0] < 100 for r in rows)
 
+    @pytest.mark.parametrize("strategy", [None, "post-filter", "in-filter"])
+    def test_batch_scans_decode_only_what_the_statement_reads(
+        self, indexed_db, small_dataset, vec_lit, strategy
+    ):
+        """The plan records the attributes the target list and filter
+        read (``*``: all), the batch interface decodes only those, and
+        every target list returns the rows the tuple interface does."""
+        from repro.pgsim import plan as P
+        from repro.pgsim.planner import plan_select
+        from repro.pgsim.sql.parser import parse_sql
+
+        lit = vec_lit(small_dataset.queries[2])
+        where = ""
+        if strategy is not None:
+            indexed_db.execute(f"SET filtered_search_strategy = '{strategy}'")
+            where = "WHERE id < 300 "
+        for targets, read, read_filtered in (
+            ("*", None, None),
+            ("vec", ("vec",), ("vec", "id")),
+            ("id", ("id",), ("id",)),
+            (f"id + 1, vec <-> '{lit}'::PASE AS d", ("id", "vec"), ("id", "vec")),
+        ):
+            sql = f"SELECT {targets} FROM items {where}ORDER BY vec <-> '{lit}'::PASE LIMIT 5"
+            node = plan_select(parse_sql(sql)[0], indexed_db.catalog)
+            while not isinstance(node, P.IndexScan):
+                node = node.child
+            assert node.columns == (read_filtered if where else read)
+            results = {}
+            for batch in ("off", "on"):
+                indexed_db.execute(f"SET enable_batch_exec = {batch}")
+                results[batch] = [
+                    tuple(v.tolist() if isinstance(v, np.ndarray) else v for v in row)
+                    for row in indexed_db.query(sql)
+                ]
+            assert len(results["on"]) == 5
+            assert results["on"] == results["off"]
+
     def test_insert_after_index_found_by_search(self, indexed_db, small_dataset, vec_lit):
         probe = small_dataset.base[0] + 50.0
         indexed_db.execute(f"INSERT INTO items VALUES (9999, '{vec_lit(probe)}'::PASE)")
